@@ -25,7 +25,8 @@ from .auxfun import (AuxContext, g_value, q_value, combined_gq,
                      l_integrand, pfq)
 from .kernels import (KernelSpec, make_kernel, parse_kernel, density,
                       density_derivatives, moment, moment_sequence,
-                      lambda_envelope, pi_envelope, boundary_decay_check,
+                      envelopes, lambda_envelope, pi_envelope,
+                      boundary_decay_check,
                       check_family)
 from .certify import (DiskGrid, CertificationReport, beta_sharp,
                       beta_from_integral, beta0_hohlov_closed_form,

@@ -87,7 +87,7 @@ def beta_quadrature_route(kernel: kernels.KernelSpec,
 def beta_series_route(kernel: kernels.KernelSpec,
                       params: params_mod.ParameterSet) -> float:
     """The same I from the alternating moment series."""
-    nmax = 20000 if kernels.has_closed_moments(kernel) else 400
+    nmax = 20000
     tau = kernels.moment_sequence(kernel, nmax)
     n = np.arange(1, nmax + 1, dtype=float)
     mu, nu, sg, xi = params.mu, params.nu, params.sigma, params.xi
@@ -136,9 +136,6 @@ _M_PANEL_EDGES = (0.0, 0.1, 0.3, 0.5, 0.7, 0.85, 0.93, 0.97, 0.99,
                   0.997, 0.999, 0.9997, 0.9999, 1.0)
 _M_PANEL_NODES = 24
 
-_node_cache: dict = {}
-
-
 def _m_nodes(kernel: kernels.KernelSpec, params: params_mod.ParameterSet):
     """Quadrature nodes t and weights W = w * t**(1/mu - 1) * Pi(t).
 
@@ -146,26 +143,19 @@ def _m_nodes(kernel: kernels.KernelSpec, params: params_mod.ParameterSet):
     regular, then composite Gauss-Legendre with panels crowding t -> 1.
     """
     expo = _effective_exponent(params)
-    mu_eff = 1.0 / expo
-    key = (kernel, round(params.mu, 12), round(params.nu, 12))
-    if key in _node_cache:
-        return _node_cache[key]
-    m = max(1.0, 2.0 * mu_eff)
+    m = max(1.0, 2.0 / expo)
     u, wu = gauss_panels(np.asarray(_M_PANEL_EDGES), _M_PANEL_NODES)
     t = u**m
     # t**(expo-1) dt = m u**(m expo - 1) du, assembled jointly to dodge the
     # singular split
     pref = wu * m * u ** (m * expo - 1.0)
-    pi_vals = np.array([kernels.pi_envelope(kernel, params.mu, params.nu, tj)
-                        for tj in t])
-    weights = pref * pi_vals
-    _node_cache[key] = (t, weights, pi_vals)
-    return _node_cache[key]
+    _, pi_vals = kernels.envelopes(kernel, params.mu, params.nu, t)
+    return t, pref * pi_vals
 
 
 def _pq_profiles(kernel, params, z_points):
     """P(z) and complex Q(z) with M(z, eps) = P + Re(A(eps) Q)."""
-    t, w, _ = _m_nodes(kernel, params)
+    t, w = _m_nodes(kernel, params)
     sg, xi = params.sigma, params.xi
     c1 = auxfun._rational_g(t, sg)
     c2 = auxfun._rational_q(t, sg)
@@ -263,8 +253,7 @@ def check_monotone_condition(kernel: kernels.KernelSpec,
         t_grid = default_t_grid(257)
     t = np.asarray(t_grid, dtype=float)
     mu, nu, sg, xi = params.mu, params.nu, params.sigma, params.xi
-    pi_vals = np.array([kernels.pi_envelope(kernel, mu, nu, tj) for tj in t])
-    lam_vals = np.array([kernels.lambda_envelope(kernel, nu, tj) for tj in t])
+    lam_vals, pi_vals = kernels.envelopes(kernel, mu, nu, t)
     ln = -np.log(t)
     expr = ((xi / mu - 1.0) * pi_vals
             - xi * t ** (1.0 / nu - 1.0 / mu) * lam_vals) / ln ** (1.0 + 2.0 * sg)
@@ -531,8 +520,7 @@ def run_certification(kernel: kernels.KernelSpec,
 
 def _report_curves(kernel, params, argmin_z, argmin_eps, f_img, grid):
     t = chebyshev_grid(0.01, 0.99, 129)
-    pi_vals = np.array([kernels.pi_envelope(kernel, params.mu, params.nu, tj)
-                        for tj in t])
+    lam_vals, pi_vals = kernels.envelopes(kernel, params.mu, params.nu, t)
     ctx = auxfun.AuxContext(params.mu, params.nu, params.sigma, params.xi,
                             argmin_eps)
     l_vals = auxfun.l_integrand(ctx, argmin_z, t)
@@ -545,8 +533,6 @@ def _report_curves(kernel, params, argmin_z, argmin_eps, f_img, grid):
                          * kernels.density_slope_sign(kernel, ti))
     monotone = np.full_like(t, np.nan)
     if params.xi > 0.0 and params.mu >= 1.0:
-        lam_vals = np.array([kernels.lambda_envelope(kernel, params.nu, tj)
-                             for tj in t])
         ln = -np.log(t)
         monotone = ((params.xi / params.mu - 1.0) * pi_vals
                     - params.xi * t ** (1.0 / params.nu - 1.0 / params.mu)

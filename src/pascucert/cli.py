@@ -226,14 +226,14 @@ def _fmt15(x: float) -> float:
 
 
 def _clean(obj):
-    """Round floats to 15 significant digits; map NaN to None."""
+    """Round floats to 15 significant digits; map NaN and +-inf to None."""
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
-        return None if math.isnan(x) else _fmt15(x)
+        return _fmt15(x) if math.isfinite(x) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.bool_):
@@ -473,7 +473,8 @@ def _sweep_point(args):
         beta = None
     return [ktext, p.mu, p.nu, p.sigma, p.xi, beta,
             margins["monotone"], margins["growth"],
-            None if hyp is None else hyp.min_margin, ok]
+            None if hyp is None else hyp.min_margin,
+            ok and beta is not None]
 
 
 def _cmd_sweep(ns) -> int:
@@ -529,9 +530,9 @@ def _config_from_namespace(ns) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        # the parser reads its defaults from the environment, which can fail
+        ns = build_parser().parse_args(argv)
         if ns.command == "sweep":
             if (ns.alpha is None) == (ns.mu is None):
                 raise ConfigError("one of alpha/gamma or mu/nu is required")

@@ -1,18 +1,18 @@
 """Admissible weight densities on (0, 1) and their derived envelopes.
 
 Each family stores its parameters plus the normalizing constant; the
-density, its first two derivatives, and the moments are evaluated in
-closed form wherever one exists and by substituted Gauss-Kronrod
-quadrature otherwise.  The tail envelopes Lambda and Pi are the iterated
-integrals driving the duality criterion; Pi is computed through the
-order-swapped single integral.
+density, its first two derivatives, and the moments are all closed form
+(the Hohlov moments are the coefficients (a)_n (b)_n / ((c)_n n!)).  The
+tail envelopes Lambda and Pi are the iterated integrals driving the
+duality criterion.  envelopes() computes both on a whole t-grid from one
+composite Gauss-Legendre rule in y = -log t; the adaptive single-point
+lambda_envelope and pi_envelope remain as independent references.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -251,7 +251,10 @@ def _density_derivs(kernel: KernelSpec, t, orders: int):
         f0, f1, f2 = _hyp2f1_factors(kernel)
         u = 1.0 - t_arr
         # the factors take the distance from 1, here exactly t
-        g0, g1, g2 = f0(t_arr), f1(t_arr), f2(t_arr)
+        g0 = f0(t_arr)
+        # the derivative factors are slow near the branch point t = 0,
+        # so they are only evaluated when asked for
+        g1, g2 = (f1(t_arr), f2(t_arr)) if orders > 1 else (0.0, 0.0)
         tb = t_arr ** (b - 1.0)
         tb1 = (b - 1.0) * t_arr ** (b - 2.0)
         tb2 = (b - 1.0) * (b - 2.0) * t_arr ** (b - 3.0)
@@ -309,42 +312,47 @@ def _density_derivs(kernel: KernelSpec, t, orders: int):
     return out if orders > 1 else (out[0],)
 
 
-def density_complement(kernel: KernelSpec, d: float) -> float:
+def density_complement(kernel: KernelSpec, d):
     """lambda(1 - d) evaluated from the distance d in (0, 1).
 
     Needed by quadrature near t = 1, where d below machine epsilon makes
     1 - d round to 1 and a direct density call lose the singular factor.
+    Accepts scalars or arrays.
     """
-    if not 0.0 < d < 1.0:
+    d_arr = np.asarray(d, dtype=float)
+    if np.any((d_arr <= 0.0) | (d_arr >= 1.0)):
         raise DomainError("d must lie in (0, 1)")
-    t = 1.0 - d
+    t = 1.0 - d_arr
     norm = kernel.normalizer
     fam = kernel.family
     p = kernel.p
     if fam == BERNARDI:
-        return norm * t ** p["c"]
-    if fam == KOMATU:
-        ln = -math.log1p(-d)
-        return norm * t ** p["c"] * ln ** (p["delta"] - 1.0)
-    if fam == HOHLOV:
+        out = norm * t ** p["c"]
+    elif fam == KOMATU:
+        ln = -np.log1p(-d_arr)
+        out = norm * t ** p["c"] * ln ** (p["delta"] - 1.0)
+    elif fam == HOHLOV:
         f0, _, _ = _hyp2f1_factors(kernel)
         q = p["c"] - p["a"] - p["b"]
         # hypergeometric argument is d itself, so its distance from 1 is t
-        return norm * t ** (p["b"] - 1.0) * d**q * f0(t)
-    if fam == TWO_PARAM_LOG:
+        out = norm * t ** (p["b"] - 1.0) * d_arr**q * f0(t)
+    elif fam == TWO_PARAM_LOG:
         a, b = p["a"], p["b"]
         if a == b:
-            return norm * t**a * -math.log1p(-d)
-        # t**a - t**b = -t**a expm1((b - a) log t), stable for small d
-        return norm * t**a * -math.expm1((b - a) * math.log1p(-d))
-    if fam == ALI_SINGH:
+            out = norm * t**a * -np.log1p(-d_arr)
+        else:
+            # t**a - t**b = -t**a expm1((b - a) log t), stable for small d
+            out = norm * t**a * -np.expm1((b - a) * np.log1p(-d_arr))
+    elif fam == ALI_SINGH:
         # 1 - t**2 = d (2 - d)
-        return norm * t ** -p["k"] * d * (2.0 - d)
-    if fam == GENERALIZED_OMEGA:
+        out = norm * t ** -p["k"] * d_arr * (2.0 - d_arr)
+    elif fam == GENERALIZED_OMEGA:
         w0, _, _ = _omega_polys(kernel)
         q = p["C"] - p["A"] - p["B"]
-        return norm * t ** (p["B"] - 1.0) * d**q * w0(d)
-    raise ConfigError(f"unknown kernel family {fam!r}")
+        out = norm * t ** (p["B"] - 1.0) * d_arr**q * w0(d_arr)
+    else:
+        raise ConfigError(f"unknown kernel family {fam!r}")
+    return float(out) if np.isscalar(d) else out
 
 
 def endpoint_exponents(kernel: KernelSpec):
@@ -367,58 +375,11 @@ def endpoint_exponents(kernel: KernelSpec):
     raise ConfigError(f"unknown kernel family {fam!r}")
 
 
-@lru_cache(maxsize=65536)
-def _moment_cached(kernel: KernelSpec, n: int) -> float:
+def _moments(kernel: KernelSpec, n: np.ndarray) -> np.ndarray:
+    """tau_n for an array of orders n >= 1, in closed form per family."""
     p = kernel.p
     d = kernel.normalizer
     fam = kernel.family
-    if fam == BERNARDI:
-        return d / (n + p["c"] + 1.0)
-    if fam == KOMATU:
-        return d * math.gamma(p["delta"]) / (n + p["c"] + 1.0) ** p["delta"]
-    if fam == TWO_PARAM_LOG:
-        a, b = p["a"], p["b"]
-        if a == b:
-            return d / (n + a + 1.0) ** 2
-        return d / ((n + a + 1.0) * (n + b + 1.0)) * (b - a)
-    if fam == ALI_SINGH:
-        k = p["k"]
-        return d * (1.0 / (n + 1.0 - k) - 1.0 / (n + 3.0 - k))
-    if fam == HOHLOV and p["a"] == 1.0:
-        # the hypergeometric factor collapses; density is Beta(b, c-b)
-        b, c = p["b"], p["c"]
-        return math.exp(special.betaln(b + n, c - b) - special.betaln(b, c - b))
-    if fam == GENERALIZED_OMEGA:
-        bb = p["B"]
-        q = p["C"] - p["A"] - p["B"]
-        return d * sum(x * special.beta(bb + n, q + j + 1.0)
-                       for j, x in enumerate(kernel.omega))
-    # quadrature fallback (general hohlov)
-    pl, pr = endpoint_exponents(kernel)
-    return integrate_01(
-        lambda t: density(kernel, t) * t**n, pl + n, pr, epsabs=1e-12,
-        f_complement=lambda d: density_complement(kernel, d) * (1.0 - d)**n)
-
-
-def moment(kernel: KernelSpec, n: int) -> float:
-    """n-th moment of the density; n = 0 returns the unit mass."""
-    if n < 0:
-        raise DomainError("moment order must be nonnegative")
-    if n == 0:
-        return 1.0
-    return _moment_cached(kernel, int(n))
-
-
-def has_closed_moments(kernel: KernelSpec) -> bool:
-    return kernel.family != HOHLOV or kernel.p["a"] == 1.0
-
-
-def moment_sequence(kernel: KernelSpec, nmax: int) -> np.ndarray:
-    """tau_1 .. tau_nmax as an array; vectorized for closed-form families."""
-    p = kernel.p
-    d = kernel.normalizer
-    fam = kernel.family
-    n = np.arange(1, nmax + 1, dtype=float)
     if fam == BERNARDI:
         return d / (n + p["c"] + 1.0)
     if fam == KOMATU:
@@ -431,9 +392,13 @@ def moment_sequence(kernel: KernelSpec, nmax: int) -> np.ndarray:
     if fam == ALI_SINGH:
         k = p["k"]
         return d * (1.0 / (n + 1.0 - k) - 1.0 / (n + 3.0 - k))
-    if fam == HOHLOV and p["a"] == 1.0:
-        b, c = p["b"], p["c"]
-        return np.exp(special.betaln(b + n, c - b) - special.betaln(b, c - b))
+    if fam == HOHLOV:
+        # the coefficients (a)_n (b)_n / ((c)_n n!) of the Hohlov operator,
+        # the Hadamard product with z 2F1(a, b; c; z)
+        a, b, c = p["a"], p["b"], p["c"]
+        gl = special.gammaln
+        return np.exp(gl(a + n) - gl(a) + gl(b + n) - gl(b)
+                      - gl(c + n) + gl(c) - gl(n + 1.0))
     if fam == GENERALIZED_OMEGA:
         bb = p["B"]
         q = p["C"] - p["A"] - p["B"]
@@ -441,7 +406,21 @@ def moment_sequence(kernel: KernelSpec, nmax: int) -> np.ndarray:
         for j, x in enumerate(kernel.omega):
             out += x * np.exp(special.betaln(bb + n, q + j + 1.0))
         return d * out
-    return np.array([moment(kernel, k) for k in range(1, nmax + 1)])
+    raise ConfigError(f"unknown kernel family {fam!r}")
+
+
+def moment(kernel: KernelSpec, n: int) -> float:
+    """n-th moment of the density; n = 0 returns the unit mass."""
+    if n < 0:
+        raise DomainError("moment order must be nonnegative")
+    if n == 0:
+        return 1.0
+    return float(_moments(kernel, np.array([float(n)]))[0])
+
+
+def moment_sequence(kernel: KernelSpec, nmax: int) -> np.ndarray:
+    """tau_1 .. tau_nmax as an array."""
+    return _moments(kernel, np.arange(1, nmax + 1, dtype=float))
 
 
 def log_derivative_ratio(kernel: KernelSpec, t: float) -> float:
@@ -454,6 +433,109 @@ def log_derivative_ratio(kernel: KernelSpec, t: float) -> float:
 
 def density_slope_sign(kernel: KernelSpec, t: float) -> float:
     return math.copysign(1.0, density_derivatives(kernel, t)[1])
+
+
+_ENVELOPE_NODES = 20
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_ENVELOPE_NODES)
+_GL_X, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W  # moved to (0, 1)
+
+
+def _gap_pieces(lo: float, hi: float) -> list:
+    """Edges splitting the y-gap (lo, hi), lo > 0, into quadrature pieces.
+
+    Pieces are at most 1 long, and at most 3 times their distance from
+    y = 0, where the density may carry the singular factor y**q: each
+    piece then keeps the singularity far enough away for Gauss-Legendre
+    to converge geometrically.
+    """
+    edges = [lo]
+    while edges[-1] < hi:
+        e = edges[-1]
+        edges.append(min(hi, e + 1.0, 4.0 * e))
+    return edges
+
+
+def _envelope_rule(y_top: np.ndarray, q: float):
+    """Nodes, weights and owning gap of the composite rule over the gaps.
+
+    Gap k is (y_top[k + 1], y_top[k]); the last one, k = n - 1, reaches
+    down to y = 0 and starts with the endpoint piece y = h v**m, which
+    turns y**q dy into a multiple of v**(m (q + 1) - 1) dv.  An exponent
+    of at least 4 keeps that piece at full accuracy.
+    """
+    n = len(y_top) - 1
+    h = min(1.0, y_top[n - 1])
+    m = max(1, math.ceil(5.0 / (1.0 + q)))
+    nodes = [h * _GL_X**m]
+    weights = [h * m * _GL_X ** (m - 1) * _GL_W]
+    owner = [np.full(_ENVELOPE_NODES, n - 1)]
+    lows = np.append(y_top[1:n], h)
+    for k in range(n):
+        edges = np.asarray(_gap_pieces(lows[k], y_top[k]))
+        width = np.diff(edges)[:, None]
+        nodes.append((edges[:-1, None] + width * _GL_X).ravel())
+        weights.append((width * _GL_W).ravel())
+        owner.append(np.full(width.size * _ENVELOPE_NODES, k))
+    return np.concatenate(nodes), np.concatenate(weights), \
+        np.concatenate(owner)
+
+
+def _expm1_ratio(d: float, s):
+    """(exp(d s) - 1)/d, continued by s at d = 0."""
+    return s if abs(d) < 1e-12 else np.expm1(d * s) / d
+
+
+def envelopes(kernel: KernelSpec, mu: float, nu: float, t):
+    """(Lambda_nu(t), Pi_{mu,nu}(t)) for every entry of the array t in (0, 1).
+
+    One composite Gauss-Legendre rule in y = -log x covers the whole grid
+    (_envelope_rule): the gaps between consecutive sorted grid points are
+    cut into pieces, and the gap above the largest point starts with a
+    power-substituted piece for the (1 - x)**q endpoint.  The density is
+    evaluated once for all nodes.  With d = 1/nu - 1/mu both envelopes
+    accumulate from t = 1 downward through positive terms only,
+
+        Lambda_i = Lambda_{i+1} + int_{t_i}^{t_{i+1}} lambda x**(-1/nu) dx
+        Pi_i = Pi_{i+1} + int_{t_i}^{t_{i+1}} lambda x**(-1/nu)
+               (x**d - t_i**d)/d dx + (t_{i+1}**d - t_i**d)/d Lambda_{i+1},
+
+    so nothing cancels as t -> 1.  (x**d - t_i**d)/d becomes log(x/t_i)
+    at d = 0, and Pi = Lambda at mu = 0.
+    """
+    if mu < 0.0 or nu <= 0.0:
+        raise DomainError("need mu >= 0 and nu > 0")
+    t_arr = np.asarray(t, dtype=float)
+    if np.any((t_arr <= 0.0) | (t_arr >= 1.0)):
+        raise DomainError("t must lie in (0, 1)")
+    if t_arr.size == 0:
+        return t_arr.copy(), t_arr.copy()
+    grid, inverse = np.unique(t_arr, return_inverse=True)
+    n = len(grid)
+    # decreasing y of the grid points, then y = 0 for x = 1
+    y_top = np.append(-np.log(grid), 0.0)
+    y, w, own = _envelope_rule(y_top, endpoint_exponents(kernel)[1])
+
+    lam = np.empty_like(y)
+    far = y >= math.log(2.0)
+    lam[far] = density(kernel, np.exp(-y[far]))
+    lam[~far] = density_complement(kernel, -np.expm1(-y[~far]))
+    # dx = x dy, so the Lambda integrand is lambda x**(1 - 1/nu) in y
+    f = w * lam * np.exp((1.0 / nu - 1.0) * y)
+    lam_env = np.cumsum(np.bincount(own, f, minlength=n)[::-1])[::-1]
+    if mu == 0.0:
+        pi_env = lam_env
+    else:
+        d = 1.0 / nu - 1.0 / mu
+        # (x**d - t_k**d)/d = t_k**d (exp(d log(x/t_k)) - 1)/d
+        t_pow = np.exp(-d * y_top[:-1])
+        pi_gap = np.bincount(
+            own, f * t_pow[own] * _expm1_ratio(d, y_top[own] - y),
+            minlength=n)
+        step = t_pow * _expm1_ratio(d, y_top[:-1] - y_top[1:])
+        lam_above = np.append(lam_env[1:], 0.0)
+        pi_env = np.cumsum((pi_gap + step * lam_above)[::-1])[::-1]
+    shape = t_arr.shape
+    return lam_env[inverse].reshape(shape), pi_env[inverse].reshape(shape)
 
 
 def lambda_envelope(kernel: KernelSpec, nu: float, t: float) -> float:
@@ -517,15 +599,15 @@ class DecayCheck(NamedTuple):
 
 def boundary_decay_check(kernel: KernelSpec, mu: float, nu: float) -> DecayCheck:
     """Confirm t**(1/nu) Lambda_nu and t**(1/mu) Pi both fall to 0 at 0+."""
-    ts = (1e-2, 1e-4, 1e-6)
+    ts = np.array([1e-2, 1e-4, 1e-6])
     expo_pi = 1.0 / mu if mu > 0 else 1.0 / nu
-    lam_seq = tuple(t ** (1.0 / nu) * lambda_envelope(kernel, nu, t)
-                    for t in ts)
-    pi_seq = tuple(t**expo_pi * pi_envelope(kernel, mu, nu, t) for t in ts)
+    lam, pi = envelopes(kernel, mu, nu, ts)
+    lam_seq = tuple((ts ** (1.0 / nu) * lam).tolist())
+    pi_seq = tuple((ts**expo_pi * pi).tolist())
     ok = all(s[i + 1] < s[i] for s in (lam_seq, pi_seq)
              for i in range(len(ts) - 1))
     ok = ok and lam_seq[-1] < 0.5 * lam_seq[0] and pi_seq[-1] < 0.5 * pi_seq[0]
-    return DecayCheck(ok, ts, lam_seq, pi_seq)
+    return DecayCheck(ok, tuple(ts.tolist()), lam_seq, pi_seq)
 
 
 def check_family(kernel: KernelSpec, family: str) -> None:

@@ -28,6 +28,17 @@ def test_beta_routes_agree_bernardi():
         certify.beta_from_integral(iq))
 
 
+def test_beta_routes_agree_hohlov_closed_moments():
+    # the series route reads the Hohlov moments (a)_n (b)_n / ((c)_n n!)
+    p = pc.ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=1.0)
+    for kernel in (pc.make_kernel("hohlov", a=0.5, b=0.8, c=4.5),
+                   pc.make_kernel("hohlov", a=1.5, b=0.5, c=4.0)):
+        iq = certify.beta_quadrature_route(kernel, p)
+        ise = certify.beta_series_route(kernel, p)
+        assert abs(certify.beta_from_integral(iq)
+                   - certify.beta_from_integral(ise)) < 1e-9
+
+
 def test_beta_sharp_mismatch_raises(monkeypatch):
     monkeypatch.setattr(certify, "beta_series_route",
                         lambda k, p: certify.beta_quadrature_route(k, p) + 0.1)
@@ -179,3 +190,14 @@ def test_report_condition_margins_none_at_xi_zero():
     rep = certify.run_certification(BERNARDI, p, order=128)
     assert rep.condition_margins["monotone"] is None
     assert rep.condition_margins["growth"] is None
+
+
+def test_run_certification_komatu_mu2_returns_report():
+    # the envelopes at the M-nodes t ~ 3e-15 and 2.5e-12 used to stop this
+    # run with QuadratureFailure
+    kernel = pc.make_kernel("komatu", c=-0.5, delta=4.0)
+    p = pc.ParameterSet.from_mu_nu(2.0, 2.0, sigma=0.1, xi=1.0)
+    rep = certify.run_certification(kernel, p)
+    assert rep.beta_integral == pytest.approx(-93.6214042640442, abs=1e-7)
+    assert np.isfinite(rep.m_functional_min)
+    assert isinstance(rep.passed(), bool)

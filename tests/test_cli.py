@@ -7,7 +7,7 @@ import os
 import pytest
 
 from pascucert import cli
-from pascucert.errors import ConfigError
+from pascucert.errors import ConfigError, RepresentationMismatch
 from pascucert import certify, kernels, params
 
 
@@ -116,6 +116,12 @@ def test_clean_rounds_and_maps_nan():
     assert out["c"][1] is None
 
 
+def test_clean_maps_infinities():
+    out = cli._clean({"a": float("inf"), "b": [float("-inf"), 1.5]})
+    assert out["a"] is None
+    assert out["b"] == [None, 1.5]
+
+
 def test_atomic_write_replaces_content(tmp_path):
     target = tmp_path / "out.json"
     cli.atomic_write(str(target), "first")
@@ -158,6 +164,24 @@ def test_main_bad_kernel_exit_two(capsys):
     assert "unknown kernel family" in capsys.readouterr().err
 
 
+def test_main_bad_environment_value_exit_two(monkeypatch, capsys):
+    monkeypatch.setenv("PASCUCERT_ORDER", "abc")
+    assert cli.main(BETA_ARGS) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "PASCUCERT_ORDER" in err
+    assert "Traceback" not in err
+
+
+def test_main_check_json_with_infinite_margin(capsys):
+    # at xi = 0 an Ali-Singh hypothesis margin is -inf
+    rc = cli.main(["check", "--kernel", "ali_singh k=0.5", "--mu", "1",
+                   "--nu", "2", "--xi", "0", "--format", "json"])
+    assert rc in (0, 1)
+    payload = json.loads(capsys.readouterr().out)
+    margins = [h["margin"] for h in payload["hypothesis_check"]["hypotheses"]]
+    assert None in margins
+
+
 def test_main_json_output_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["check", "--kernel", "komatu c=0 delta=3",
@@ -190,6 +214,17 @@ def test_main_sweep_row_count(tmp_path, capsys):
     assert len(lines) == 4
     assert lines[0].startswith("kernel,")
     assert rc in (0, 1)
+
+
+def test_sweep_row_fails_without_beta(monkeypatch):
+    def no_beta(kernel, p):
+        raise RepresentationMismatch("beta routes disagree")
+
+    monkeypatch.setattr(certify, "beta_sharp", no_beta)
+    row = cli._sweep_point(("komatu c=0 delta=3", 1.0, 2.0, None, None,
+                            0.1, 1.0, 0.0))
+    assert row[5] is None
+    assert row[-1] is False
 
 
 def test_main_sweep_needs_parameters(capsys):

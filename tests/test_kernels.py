@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pascucert import kernels
+from pascucert import certify, kernels
 from pascucert.errors import ConfigError, CriticalPoint, DomainError
+from pascucert.params import ParameterSet
 from pascucert.quadrature import integrate_01
 
 FAMILY_EXAMPLES = [
@@ -48,6 +49,27 @@ def test_moment_sequence_matches_scalar():
     k = kernels.make_kernel("two_param_log", a=0.0, b=1.0)
     seq = kernels.moment_sequence(k, 8)
     assert np.allclose(seq, [kernels.moment(k, n) for n in range(1, 9)])
+
+
+HOHLOV_QUADMOMENTS = [
+    kernels.make_kernel("hohlov", a=0.5, b=0.8, c=4.5),
+    kernels.make_kernel("hohlov", a=1.5, b=0.5, c=4.0),
+]
+
+
+@pytest.mark.parametrize("kernel", HOHLOV_QUADMOMENTS,
+                         ids=[k.text() for k in HOHLOV_QUADMOMENTS])
+def test_hohlov_closed_moments_match_quadrature(kernel):
+    p, q = kernels.endpoint_exponents(kernel)
+    tau = kernels.moment_sequence(kernel, 50)
+    for n in range(1, 51):
+        num = integrate_01(
+            lambda t: t**n * kernels.density(kernel, t), p + n, q,
+            epsabs=1e-12,
+            f_complement=lambda d: kernels.density_complement(kernel, d)
+            * (1.0 - d) ** n)
+        assert tau[n - 1] == pytest.approx(num, rel=1e-8, abs=1e-12)
+        assert kernels.moment(kernel, n) == tau[n - 1]
 
 
 def test_bernardi_moments_closed_form():
@@ -114,6 +136,103 @@ def test_pi_envelope_matches_double_integral():
         direct, _ = quad(outer, t, 1.0, epsabs=1e-11)
         assert kernels.pi_envelope(k, mu, nu, t) == pytest.approx(
             direct, rel=1e-8)
+
+
+ENVELOPE_FAMILIES = [
+    kernels.make_kernel("bernardi", c=1.0),
+    kernels.make_kernel("komatu", c=-0.5, delta=4.0),
+    kernels.make_kernel("hohlov", a=1.5, b=0.5, c=4.0),
+    kernels.make_kernel("two_param_log", a=-0.5, b=0.0),
+    kernels.make_kernel("ali_singh", k=0.5),
+    kernels.make_kernel("generalized", A=1.0, B=1.0, C=4.0, x1=1.0),
+]
+
+
+def _assert_envelopes_match_oracle(kernel, mu, nu, t):
+    lam, pi = kernels.envelopes(kernel, mu, nu, t)
+    lam_o = np.array([kernels.lambda_envelope(kernel, nu, x) for x in t])
+    pi_o = np.array([kernels.pi_envelope(kernel, mu, nu, x) for x in t])
+    # 1e-10 is the oracle's own epsabs
+    assert np.all(np.abs(lam - lam_o) <= 1e-8 * np.abs(lam_o) + 1e-10)
+    assert np.all(np.abs(pi - pi_o) <= 1e-8 * np.abs(pi_o) + 1e-10)
+
+
+@pytest.mark.parametrize("kernel", ENVELOPE_FAMILIES,
+                         ids=[k.text() for k in ENVELOPE_FAMILIES])
+def test_envelopes_match_adaptive_oracle(kernel):
+    # the functional's M-nodes, the monotone-check grid, the decay points
+    m_nodes, _ = certify._m_nodes(
+        kernel, ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=1.0))
+    t = np.concatenate([m_nodes, certify.default_t_grid(257),
+                        [1e-2, 1e-4, 1e-6]])
+    _assert_envelopes_match_oracle(kernel, 1.0, 2.0, t)
+
+
+@pytest.mark.parametrize("mu", [0.0, 2.0], ids=["pi_is_lambda", "log_form"])
+def test_envelopes_degenerate_exponents_match_oracle(mu):
+    # mu = 0 gives Pi = Lambda; mu = nu makes d = 1/nu - 1/mu vanish
+    k = kernels.make_kernel("komatu", c=0.0, delta=3.0)
+    t = np.concatenate([certify.default_t_grid(257), [1e-2, 1e-4, 1e-6]])
+    _assert_envelopes_match_oracle(k, mu, 2.0, t)
+
+
+@pytest.mark.parametrize("kernel", [
+    kernels.make_kernel("komatu", c=1.0, delta=0.5),
+    kernels.make_kernel("hohlov", a=0.5, b=0.8, c=1.5),
+], ids=["komatu_q=-0.5", "hohlov_q=0.2"])
+def test_envelopes_on_sparse_grid_match_oracle(kernel):
+    # long gaps next to the (1 - t)**q endpoint singularity
+    _assert_envelopes_match_oracle(kernel, 1.0, 2.0,
+                                   np.array([0.05, 0.5, 0.9, 0.999]))
+
+
+def test_envelopes_near_one_match_mpmath():
+    # Pi ~ (1 - t)**(q + 2) with q = 0.2 here; the adaptive oracle is off
+    # by about 1e-8 relative at this t, the grid route is not
+    import mpmath
+    a, b, c = 0.5, 0.8, 1.5
+    mu, nu = 1.0, 2.0
+    k = kernels.make_kernel("hohlov", a=a, b=b, c=c)
+    t = 1.0 - 5e-7
+    with mpmath.workdps(40):
+        q = mpmath.mpf(c) - a - b
+        norm = mpmath.gamma(c) / (mpmath.gamma(a) * mpmath.gamma(b)
+                                  * mpmath.gamma(q + 1))
+        d = mpmath.mpf(1) / nu - mpmath.mpf(1) / mu
+        big_t = mpmath.mpf(t)
+
+        def lam(s):  # lambda(1 - s) x**(-1/nu) at x = 1 - s
+            return (norm * (1 - s) ** (b - 1 - mpmath.mpf(1) / nu) * s**q
+                    * mpmath.hyp2f1(c - a, 1 - a, q + 1, s))
+
+        lam_ref = mpmath.quad(lam, [0, 1 - big_t])
+        pi_ref = mpmath.quad(
+            lambda s: lam(s) * ((1 - s) ** d - big_t**d) / d, [0, 1 - big_t])
+    lam_g, pi_g = kernels.envelopes(k, mu, nu, np.array([t]))
+    assert lam_g[0] == pytest.approx(float(lam_ref), rel=1e-13, abs=0.0)
+    assert pi_g[0] == pytest.approx(float(pi_ref), rel=1e-13, abs=0.0)
+
+
+def test_envelopes_keep_input_order_and_shape():
+    k = kernels.make_kernel("komatu", c=0.0, delta=3.0)
+    lam, pi = kernels.envelopes(k, 1.0, 2.0, np.array([[0.7, 0.1],
+                                                       [0.7, 0.3]]))
+    flat_lam, flat_pi = kernels.envelopes(k, 1.0, 2.0,
+                                          np.array([0.1, 0.3, 0.7]))
+    assert lam.shape == pi.shape == (2, 2)
+    assert lam[0, 0] == lam[1, 0] == flat_lam[2]
+    assert pi[0, 1] == flat_pi[0] and pi[1, 1] == flat_pi[1]
+
+
+def test_envelopes_domain():
+    k = kernels.make_kernel("bernardi", c=1.0)
+    for bad_t in (0.0, 1.0, 1.5):
+        with pytest.raises(DomainError):
+            kernels.envelopes(k, 1.0, 2.0, np.array([0.5, bad_t]))
+    with pytest.raises(DomainError):
+        kernels.envelopes(k, -1.0, 2.0, np.array([0.5]))
+    with pytest.raises(DomainError):
+        kernels.envelopes(k, 1.0, 0.0, np.array([0.5]))
 
 
 def test_log_derivative_ratio_and_sign():
