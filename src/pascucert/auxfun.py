@@ -3,9 +3,13 @@
 The two auxiliary profiles g and q solve first-order initial value
 problems on (0, 1); both have an alternating power series and an
 equivalent smooth double-integral form.  The series is the fast primary
-route (with binomial tail averaging near t = 1) and the integral is the
-independent oracle and fallback.  h_sigma is the rational test kernel of
-starlikeness of order sigma, carrying a free unimodular parameter.
+route and takes whole arrays of t: its powers come from a running product
+rather than a float power, each t sums only the terms that t**n leaves
+visible, and near t = 1 all 3000 terms are kept with binomial tail
+averaging.  The integral is the independent oracle and fallback, and the
+only place here that loads scipy.integrate.  h_sigma is the rational test
+kernel of starlikeness of order sigma, carrying a free unimodular
+parameter.
 """
 
 from __future__ import annotations
@@ -14,14 +18,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (ConvergenceFailure, DivergentSeries, DomainError,
                      PoleError)
-from .quadrature import averaged_partial_sum
+from .quadrature import _BINOM8, averaged_partial_sum
 
 _SERIES_T_MAX = 0.99
 _SERIES_TERMS = 3000
+# a series stops once t**n times its largest coefficient falls below this
+_SERIES_TINY = 1e-20
+# entries per block of the term matrix, to bound its memory
+_SERIES_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -45,19 +52,48 @@ class AuxContext:
             raise DomainError("epsilon must be unimodular")
 
 
-def _series_sum(ctx: AuxContext, t: float, weight) -> float:
-    """sum_n weight(n) * (-t)**n / ((1-sigma)(1+n mu)(1+n nu))."""
+def _check_unit(t):
+    t = np.asarray(t)
+    if not np.all((t >= 0.0) & (t <= 1.0)):
+        raise DomainError("t must lie in [0, 1]")
+
+
+def _series_sum(ctx: AuxContext, t, weight):
+    """sum_n weight(n) * (-t)**n / ((1-sigma)(1+n mu)(1+n nu)) at every t.
+
+    t is a scalar or an array; the result has its shape.  Each t sums
+    the first N terms, N a power of two from 16 up, at least as many as
+    t**n needs to fall below _SERIES_TINY over the largest coefficient,
+    and at most _SERIES_TERMS.
+    The powers (-t)**n are running products along each row.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    flat = t_arr.ravel()
     n = np.arange(_SERIES_TERMS, dtype=float)
     coef = weight(n) / ((1.0 - ctx.sigma)
                         * (1.0 + n * ctx.mu) * (1.0 + n * ctx.nu))
-    terms = coef * (-t) ** n
-    return float(averaged_partial_sum(terms))
+    with np.errstate(divide="ignore"):
+        decay = -np.log(flat)
+    need = math.log(max(1.0, np.max(np.abs(coef))) / _SERIES_TINY) \
+        / np.maximum(decay, 1e-300)
+    size = np.minimum(_SERIES_TERMS,
+                      2.0 ** np.ceil(np.log2(np.clip(need, 16.0, 1e9))))
+    out = np.empty_like(flat)
+    for terms in np.unique(size).astype(int):
+        rows = np.flatnonzero(size == terms)
+        for block in np.array_split(
+                rows, 1 + len(rows) * terms // _SERIES_BLOCK):
+            powers = np.empty((len(block), terms))
+            powers[:, 0] = 1.0
+            powers[:, 1:] = -flat[block, None]
+            np.cumprod(powers, axis=1, out=powers)
+            out[block] = averaged_partial_sum(coef[:terms] * powers)
+    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def g_value(ctx: AuxContext, t: float, method: str = "auto") -> float:
     """The starlike profile g(t); g(0) = 1 and g decreases through 0."""
-    if not 0.0 <= t <= 1.0:
-        raise DomainError("t must lie in [0, 1]")
+    _check_unit(t)
     if method == "series" or (method == "auto" and t <= _SERIES_T_MAX):
         s = _series_sum(ctx, t, lambda n: n + 1.0 - ctx.sigma)
         return 2.0 * s - 1.0
@@ -68,8 +104,7 @@ def g_value(ctx: AuxContext, t: float, method: str = "auto") -> float:
 
 def q_value(ctx: AuxContext, t: float, method: str = "auto") -> float:
     """The convex profile q(t); the series gives q(0) = 1."""
-    if not 0.0 <= t <= 1.0:
-        raise DomainError("t must lie in [0, 1]")
+    _check_unit(t)
     if method == "series" or (method == "auto" and t <= _SERIES_T_MAX):
         return _series_sum(ctx, t, lambda n: (n + 1.0) * (n + 1.0 - ctx.sigma))
     if method in ("integral", "auto"):
@@ -87,6 +122,7 @@ def _rational_q(x, sigma):
 
 def _double_integral(ctx: AuxContext, t: float, rat) -> float:
     """Smooth form of the double integral after s = u**mu, w = v**nu."""
+    from scipy import integrate
     mu, nu, sg = ctx.mu, ctx.nu, ctx.sigma
     if mu > 0 and nu > 0:
         val, err = integrate.dblquad(
@@ -112,10 +148,12 @@ def q_integral(ctx: AuxContext, t: float) -> float:
     return _double_integral(ctx, t, _rational_q)
 
 
-def combined_gq(ctx: AuxContext, t: float) -> float:
-    """(1-xi) g(t) + xi (2 q(t) - 1), summed as a single alternating series."""
-    if not 0.0 <= t <= 1.0:
-        raise DomainError("t must lie in [0, 1]")
+def combined_gq(ctx: AuxContext, t):
+    """(1-xi) g(t) + xi (2 q(t) - 1), summed as a single alternating series.
+
+    t is a scalar or an array in [0, 1].
+    """
+    _check_unit(t)
     xi = ctx.xi
     s = _series_sum(
         ctx, t,
@@ -218,34 +256,41 @@ def pfq(numerator, denominator, x: float, max_terms: int = 50000) -> float:
                     raise DivergentSeries(
                         f"parameter excess {excess:g} <= -1 at x = -1")
 
-    term = 1.0
-    total = 0.0
-    ring = []
+    # term_{k+1} = term_k * ratio_k and the partial sums, a block of k at
+    # a time; cumprod and cumsum run in order, like the scalar recurrence
     k_stop = poly_k if poly_k is not None else max_terms
-    for k in range(k_stop + 1):
-        total += term
-        ring.append(total)
-        if len(ring) > 8:
-            ring.pop(0)
+    term, total = 1.0, 0.0
+    last8 = np.empty(0)  # the trailing partial sums, for the tail average
+    k0, block = 0, 64
+    while k0 <= k_stop:
+        k = np.arange(k0, min(k0 + block, k_stop + 1), dtype=float)
         ratio = x / (k + 1.0)
         for a in num:
-            ratio *= a + k
+            ratio = ratio * (a + k)
         for b in den:
-            ratio /= b + k
-        term *= ratio
-        if poly_k is None and k > 10 and abs(term) < 1e-15 * max(abs(total), 1e-300):
-            return total + term
+            ratio = ratio / (b + k)
+        terms = np.cumprod(np.concatenate([[term], ratio]))
+        sums = np.cumsum(np.concatenate([[total], terms[:-1]]))[1:]
+        if poly_k is None:
+            # stop after adding term_k once term_{k+1} is negligible, k > 10
+            small = (k > 10) & (np.abs(terms[1:]) < 1e-15 * np.maximum(
+                np.abs(sums), 1e-300))
+            if small.any():
+                i = int(np.argmax(small))
+                return float(sums[i] + terms[i + 1])
+        term, total = terms[-1], sums[-1]
+        last8 = np.concatenate([last8, sums[-8:]])[-8:]
+        k0 += len(k)
+        block *= 2
     if poly_k is not None:
-        return total
+        return float(total)
     if x < 0:
-        sums = np.asarray(ring)
-        w = np.array([math.comb(7, j) for j in range(8)], dtype=float) / 128.0
-        return float(np.dot(w, sums))
+        return float(np.dot(_BINOM8, last8))
     if x == 1.0 and p == q + 1:
         # terms decay like C k**(-1-excess); close with the integral tail
         excess = sum(den) - sum(num)
         tail = term * (k_stop + 1.0) / excess
         if abs(tail) < 1e-5 * max(abs(total), 1e-300):
-            return total + tail
+            return float(total + tail)
     raise ConvergenceFailure(
         f"{p}F{q} did not converge within {max_terms} terms at x = {x}")

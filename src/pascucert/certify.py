@@ -74,7 +74,8 @@ def beta_from_integral(i_value: float) -> float:
 
 def beta_quadrature_route(kernel: kernels.KernelSpec,
                           params: params_mod.ParameterSet) -> float:
-    """I = int lambda(t) [(1-xi) g(t) + xi (2 q(t) - 1)] dt by quadrature."""
+    """I = int lambda(t) [(1-xi) g(t) + xi (2 q(t) - 1)] dt by quadrature,
+    each refinement round on one array of nodes."""
     ctx = auxfun.AuxContext(params.mu, params.nu, params.sigma, params.xi)
     pl, pr = kernels.endpoint_exponents(kernel)
     return integrate_01(
@@ -185,16 +186,21 @@ def m_functional_direct(kernel: kernels.KernelSpec,
                         params: params_mod.ParameterSet,
                         z: complex, epsilon: complex,
                         epsabs: float = 1e-8) -> float:
-    """Independent adaptive-quadrature route (slow; used for cross-checks)."""
+    """Independent adaptive-quadrature route (slow; used for cross-checks).
+
+    Every node takes its own adaptive scipy.integrate.quad Pi envelope
+    (kernels.pi_envelope) instead of the grid envelopes.
+    """
     expo = _effective_exponent(params)
     ctx = auxfun.AuxContext(params.mu, params.nu, params.sigma, params.xi,
                             epsilon)
     _, q = kernels.endpoint_exponents(kernel)
 
     def f(t):
-        return (t ** (expo - 1.0)
-                * kernels.pi_envelope(kernel, params.mu, params.nu, t)
-                * auxfun.l_integrand(ctx, z, t))
+        pi_vals = [kernels.pi_envelope(kernel, params.mu, params.nu, x)
+                   for x in t]
+        return t ** (expo - 1.0) * np.array(pi_vals) \
+            * auxfun.l_integrand(ctx, z, t)
 
     return integrate_01(f, expo - 1.0, q + 1.0, epsabs=epsabs)
 
@@ -282,16 +288,17 @@ def check_growth_condition(kernel: kernels.KernelSpec,
         raise DomainError("requires gamma > 0")
     if t_grid is None:
         t_grid = default_t_grid(257)
-    t = np.asarray(t_grid, dtype=float)
-    mu, nu, sg, xi = params.mu, params.nu, params.sigma, params.xi
-    base = 1.0 / xi - 2.0 + 2.0 / mu - 1.0 / nu
-    rhs = base + (1.0 - 2.0 * sg) / (-np.log(t))
-    margins = np.empty_like(t)
-    for i, ti in enumerate(t):
-        ratio = kernels.log_derivative_ratio(kernel, ti)
-        sign = kernels.density_slope_sign(kernel, ti)
-        margins[i] = (ratio - rhs[i]) * sign
-    return float(np.min(margins))
+    return float(np.min(_growth_curve(kernel, params, t_grid)))
+
+
+def _growth_curve(kernel, params, t):
+    """The signed growth margin at every t, from one evaluation of the
+    density derivatives; raises CriticalPoint where lambda' vanishes."""
+    t = np.asarray(t, dtype=float)
+    ratio, sign = kernels.slope_profile(kernel, t)
+    base = (1.0 / params.xi - 2.0 + 2.0 / params.mu - 1.0 / params.nu)
+    rhs = base + (1.0 - 2.0 * params.sigma) / (-np.log(t))
+    return (ratio - rhs) * sign
 
 
 def phi_t_monotonicity_probe(a_values, b: float,
@@ -526,11 +533,7 @@ def _report_curves(kernel, params, argmin_z, argmin_eps, f_img, grid):
     l_vals = auxfun.l_integrand(ctx, argmin_z, t)
     growth = np.full_like(t, np.nan)
     if params.xi > 0.0 and params.mu >= 1.0 and params.gamma > 0.0:
-        base = (1.0 / params.xi - 2.0 + 2.0 / params.mu - 1.0 / params.nu)
-        rhs = base + (1.0 - 2.0 * params.sigma) / (-np.log(t))
-        for i, ti in enumerate(t):
-            growth[i] = ((kernels.log_derivative_ratio(kernel, ti) - rhs[i])
-                         * kernels.density_slope_sign(kernel, ti))
+        growth = _growth_curve(kernel, params, t)
     monotone = np.full_like(t, np.nan)
     if params.xi > 0.0 and params.mu >= 1.0:
         ln = -np.log(t)

@@ -17,7 +17,6 @@ written), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import io
 import itertools
 import json
@@ -493,9 +492,7 @@ def _cmd_sweep(ns) -> int:
         points = [(k, None, None, a, g, s, x, ns.tol)
                   for k, a, g, s, x in itertools.product(
                       kernel_texts, alphas, gammas, sigmas, xis)]
-    workers = min(len(points), os.cpu_count() or 1)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(_sweep_point, points))
+    rows = [_sweep_point(point) for point in points]
     header = ["kernel", "mu", "nu", "sigma", "xi", "beta", "monotone_margin",
               "growth_margin", "hypothesis_min_margin", "passed"]
     if ns.format == "json":

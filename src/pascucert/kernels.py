@@ -176,11 +176,13 @@ def _hyp2f1c(q1, q2, q3, d):
     (1-u)**(q3-q1-q2) exact when d is below machine epsilon, where the
     argument itself would round to 1.  Within 1e-8 of the endpoint the
     evaluation goes through mpmath, whose connection formulas cover the
-    logarithmic cases too.
+    logarithmic cases too.  A terminating series (q1 or q2 a nonpositive
+    integer, so a polynomial with no singular branch) never needs it.
     """
     d_arr = np.asarray(d, dtype=float)
     out = np.empty_like(d_arr)
-    near = d_arr < 1e-8
+    terminates = any(x <= 0.0 and x == math.floor(x) for x in (q1, q2))
+    near = (d_arr < 1e-8) & (not terminates)
     out[~near] = special.hyp2f1(q1, q2, q3, 1.0 - d_arr[~near])
     if np.any(near):
         import mpmath
@@ -423,16 +425,28 @@ def moment_sequence(kernel: KernelSpec, nmax: int) -> np.ndarray:
     return _moments(kernel, np.arange(1, nmax + 1, dtype=float))
 
 
-def log_derivative_ratio(kernel: KernelSpec, t: float) -> float:
+def slope_profile(kernel: KernelSpec, t):
+    """(t lambda''/lambda', sign of lambda') at every t, from one
+    density_derivatives call; scalars or arrays.
+
+    Raises CriticalPoint at the first t where lambda' vanishes.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    lam, lam1, lam2 = (np.asarray(v) for v in density_derivatives(kernel, t))
+    flat = np.abs(lam1) < 1e-12 * np.maximum(
+        np.maximum(1.0, np.abs(lam2) * t_arr), np.abs(lam))
+    if np.any(flat):
+        at = t_arr.flat[np.argmax(flat)]
+        raise CriticalPoint(f"lambda'({at}) vanishes")
+    ratio, sign = t_arr * lam2 / lam1, np.sign(lam1)
+    if np.ndim(t) == 0:
+        return float(ratio), float(sign)
+    return ratio, sign
+
+
+def log_derivative_ratio(kernel: KernelSpec, t):
     """t lambda''(t) / lambda'(t), the growth exponent of the density slope."""
-    lam, lam1, lam2 = density_derivatives(kernel, t)
-    if abs(lam1) < 1e-12 * max(1.0, abs(lam2) * t, abs(lam)):
-        raise CriticalPoint(f"lambda'({t}) vanishes")
-    return t * lam2 / lam1
-
-
-def density_slope_sign(kernel: KernelSpec, t: float) -> float:
-    return math.copysign(1.0, density_derivatives(kernel, t)[1])
+    return slope_profile(kernel, t)[0]
 
 
 _ENVELOPE_NODES = 20
@@ -598,15 +612,20 @@ class DecayCheck(NamedTuple):
 
 
 def boundary_decay_check(kernel: KernelSpec, mu: float, nu: float) -> DecayCheck:
-    """Confirm t**(1/nu) Lambda_nu and t**(1/mu) Pi both fall to 0 at 0+."""
+    """Whether t**(1/nu) Lambda_nu and t**(1/mu) Pi both fall to 0 at 0+.
+
+    With lambda ~ t**p log(1/t)**k at 0, both vanish exactly when p > -1,
+    whatever the log power, so the verdict comes from the left endpoint
+    exponent.  The products sampled at t = 1e-2, 1e-4, 1e-6 are kept as
+    diagnostics; they need not fall monotonically (komatu c = -0.5
+    delta = 4 at mu = nu = 2 peaks near t = e**-8).
+    """
     ts = np.array([1e-2, 1e-4, 1e-6])
     expo_pi = 1.0 / mu if mu > 0 else 1.0 / nu
     lam, pi = envelopes(kernel, mu, nu, ts)
     lam_seq = tuple((ts ** (1.0 / nu) * lam).tolist())
     pi_seq = tuple((ts**expo_pi * pi).tolist())
-    ok = all(s[i + 1] < s[i] for s in (lam_seq, pi_seq)
-             for i in range(len(ts) - 1))
-    ok = ok and lam_seq[-1] < 0.5 * lam_seq[0] and pi_seq[-1] < 0.5 * pi_seq[0]
+    ok = endpoint_exponents(kernel)[0] > -1.0
     return DecayCheck(ok, tuple(ts.tolist()), lam_seq, pi_seq)
 
 

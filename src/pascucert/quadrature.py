@@ -3,8 +3,13 @@
 Endpoint-singular integrals over (0, 1) are tamed by the power substitution
 t = u**m (m picked from the known endpoint exponent, so the transformed
 integrand is C^1 at the endpoint) followed by adaptive Gauss-Kronrod.
-Alternating series are summed with a binomially weighted average of the
-trailing partial sums, which annihilates the slow oscillatory tail.
+integrate_01 is numpy-only: its integrand takes an array of nodes, and
+each refinement round evaluates it once on the nodes of every panel being
+split.  integrate_t1 keeps the per-point scipy.integrate.quad route; it
+only serves the reference envelopes, and scipy.integrate is imported when
+it is first called.  Alternating series are summed with a binomially
+weighted average of the trailing partial sums, which annihilates the slow
+oscillatory tail.
 """
 
 from __future__ import annotations
@@ -12,9 +17,39 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureFailure
+
+# Gauss-Kronrod 21-point rule on (-1, 1) (QUADPACK qk21): the nonnegative
+# Kronrod abscissae, largest first, and their weights.  The entries at odd
+# positions are the 10-point Gauss nodes, with the Gauss weights _G10_W.
+_K21_X = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_K21_W = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_G10_W = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+# all 21 nodes in increasing order, with Kronrod and (zero-padded) Gauss
+# weights
+_GK_X = np.concatenate([-_K21_X[:-1], _K21_X[::-1]])
+_GK_WK = np.concatenate([_K21_W[:-1], _K21_W[::-1]])
+_G_HALF = np.zeros(11)
+_G_HALF[1::2] = _G10_W
+_GK_WG = np.concatenate([_G_HALF[:-1], _G_HALF[::-1]])
+_EPS = np.finfo(float).eps
+_MAX_PANELS = 200
 
 
 def _sub_power(exponent: float) -> int:
@@ -24,15 +59,72 @@ def _sub_power(exponent: float) -> int:
     return max(1, math.ceil(2.0 / (1.0 + exponent)))
 
 
+def _gk21(g, lo, hi):
+    """Kronrod values and QUADPACK error estimates on panels (lo, hi).
+
+    g is called once, on the 21 nodes of every panel together.
+    """
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_X
+    fx = np.asarray(g(x.ravel()), dtype=float).reshape(x.shape)
+    res_k = fx @ _GK_WK
+    res_g = fx @ _GK_WG
+    res_abs = np.abs(fx) @ _GK_WK
+    res_asc = np.abs(fx - 0.5 * res_k[:, None]) @ _GK_WK
+    err = np.abs((res_k - res_g) * half)
+    res_abs *= np.abs(half)
+    res_asc *= np.abs(half)
+    # QUADPACK's scaling: trust a tiny Kronrod-Gauss difference less than
+    # linearly, and never claim more than the rounding floor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = res_asc * np.minimum(1.0, (200.0 * err / res_asc) ** 1.5)
+    err = np.where((res_asc != 0.0) & (err != 0.0), scaled, err)
+    err = np.maximum(err, 50.0 * _EPS * res_abs)
+    return res_k * half, err
+
+
+def _adaptive_gk(g, b, epsabs, epsrel):
+    """(int_0^b g, error estimate) by adaptive Gauss-Kronrod.
+
+    Each round splits, at once, the largest-error panels until the error
+    left on the other panels is below half the tolerance.  The round stops
+    once the summed error meets max(epsabs, epsrel |integral|) or the
+    panel count reaches _MAX_PANELS.
+    """
+    lo, hi = np.array([0.0]), np.array([float(b)])
+    val, err = _gk21(g, lo, hi)
+    while True:
+        total, err_sum = val.sum(), err.sum()
+        tol = max(epsabs, epsrel * abs(total))
+        room = _MAX_PANELS - len(lo)
+        if err_sum <= tol or room <= 0:
+            return float(total), float(err_sum)
+        order = np.argsort(err)[::-1]
+        left = err_sum - np.cumsum(err[order])
+        split = order[:min(room, 1 + int(np.argmax(left <= 0.5 * tol)))]
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_val, new_err = _gk21(g, new_lo, new_hi)
+        keep = np.ones(len(lo), dtype=bool)
+        keep[split] = False
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
+
+
 def integrate_01(f, left_exponent=0.0, right_exponent=0.0, epsabs=1e-10,
                  f_complement=None):
     """Integrate f on (0,1) where f ~ t**p at 0 and ~ (1-t)**q at 1.
 
+    f takes an array of points in (0, 1) and returns the array of values.
     p and q must exceed -1; they only steer the substitution, so a rough
     value is fine.  When q < 0 the substitution samples distances from 1
     below machine epsilon, where 1 - d rounds to 1; pass f_complement(d)
-    evaluating f(1 - d) from the distance directly to keep the singular
-    factor accurate there.
+    evaluating f(1 - d) from an array of distances directly to keep the
+    singular factor accurate there.  Each half, (0, 1/2) and (1/2, 1), is
+    integrated to max(epsabs/2, 1e-12 |half|) with at most 200 panels.
     """
     if left_exponent <= -1.0 or right_exponent <= -1.0:
         raise QuadratureFailure("endpoint exponent <= -1: integral diverges")
@@ -47,10 +139,8 @@ def integrate_01(f, left_exponent=0.0, right_exponent=0.0, epsabs=1e-10,
     def right(v):
         return f_complement(v**mr) * mr * v ** (mr - 1)
 
-    vl, el = integrate.quad(left, 0.0, 0.5 ** (1.0 / ml),
-                            epsabs=0.5 * epsabs, epsrel=1e-12, limit=200)
-    vr, er = integrate.quad(right, 0.0, 0.5 ** (1.0 / mr),
-                            epsabs=0.5 * epsabs, epsrel=1e-12, limit=200)
+    vl, el = _adaptive_gk(left, 0.5 ** (1.0 / ml), 0.5 * epsabs, 1e-12)
+    vr, er = _adaptive_gk(right, 0.5 ** (1.0 / mr), 0.5 * epsabs, 1e-12)
     err = el + er
     if err > max(100.0 * epsabs, 1e-8 * (abs(vl) + abs(vr))):
         raise QuadratureFailure("tolerance not reached", residual=err)
@@ -70,6 +160,7 @@ def integrate_t1(f, t0, right_exponent=0.0, epsabs=1e-10,
         return 0.0
     if t0 <= 0.0:
         raise QuadratureFailure("lower endpoint must be positive")
+    from scipy import integrate
     y_max = -math.log(t0)
     mr = _sub_power(right_exponent)
 
@@ -93,18 +184,19 @@ _BINOM8 = np.array([math.comb(7, k) for k in range(8)], dtype=float) / 128.0
 
 
 def averaged_partial_sum(terms):
-    """Sum a (near-)alternating series.
+    """Sum a (near-)alternating series, or each row of a 2-D array of them.
 
     Plain summation when the tail is already negligible, otherwise a
     binomial average of the last eight partial sums (seven averaging
     passes), which converges even for terms decaying like 1/n.
     """
     terms = np.asarray(terms)
-    s = np.cumsum(terms)
-    total = s[-1]
-    if len(terms) < 16 or abs(terms[-1]) <= 1e-16 * max(abs(total), 1e-300):
+    s = np.cumsum(terms, axis=-1)
+    total = s[..., -1][()]
+    if terms.shape[-1] < 16:
         return total
-    return np.dot(_BINOM8, s[-8:])
+    slow = np.abs(terms[..., -1]) > 1e-16 * np.maximum(np.abs(total), 1e-300)
+    return np.where(slow, s[..., -8:] @ _BINOM8, total)[()]
 
 
 def gauss_panels(edges, n):

@@ -6,6 +6,7 @@ import pytest
 
 from pascucert import auxfun
 from pascucert.auxfun import AuxContext
+from pascucert.quadrature import averaged_partial_sum
 from pascucert.errors import (ConvergenceFailure, DivergentSeries,
                               DomainError, PoleError)
 
@@ -62,6 +63,33 @@ def test_combined_gq_mixes_profiles():
     q = auxfun.q_value(ctx, t)
     expect = (1.0 - 0.3) * g + 0.3 * (2.0 * q - 1.0)
     assert auxfun.combined_gq(ctx, t) == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("mu,nu,sigma,xi", [(1.0, 2.0, 0.1, 1.0),
+                                             (2.0, 3.0, 0.1, 0.25),
+                                             (0.0, 1.0, 0.0, 0.0)])
+def test_combined_gq_array_matches_scalar_and_float_power(mu, nu, sigma, xi):
+    ctx = AuxContext(mu, nu, sigma, xi)
+    t = np.concatenate([[0.0, 0.5, 0.99, 0.999, 1.0],
+                        np.linspace(0.0, 1.0, 401)])
+    arr = auxfun.combined_gq(ctx, t)
+    assert arr.shape == t.shape
+    scalar = np.array([auxfun.combined_gq(ctx, float(x)) for x in t])
+    assert np.max(np.abs(arr - scalar)) <= 1e-13
+    # the float-power series: all 3000 terms (-t)**n, tail-averaged
+    n = np.arange(3000, dtype=float)
+    coef = ((1.0 + xi * n) * (n + 1.0 - sigma)
+            / ((1.0 - sigma) * (1.0 + n * mu) * (1.0 + n * nu)))
+    powered = np.array([2.0 * averaged_partial_sum(coef * (-x) ** n) - 1.0
+                        for x in t])
+    assert np.max(np.abs(arr - powered)) <= 1e-13
+    assert auxfun.combined_gq(ctx, t.reshape(2, -1)).shape == (2, 203)
+
+
+def test_combined_gq_domain():
+    ctx = AuxContext(1.0, 2.0, 0.1, 1.0)
+    with pytest.raises(DomainError):
+        auxfun.combined_gq(ctx, np.array([0.5, 1.5]))
 
 
 def test_combined_gq_hypergeometric_identity():
@@ -144,6 +172,36 @@ def test_pfq_matches_mpmath():
     for num, den, x in cases:
         expect = float(mpmath.hyper(num, den, x))
         assert auxfun.pfq(num, den, x) == pytest.approx(expect, rel=1e-9)
+
+
+def _pfq_loop(num, den, x, max_terms=50000):
+    """The term-by-term recurrence, for series without a terminating or
+    x = 1 special case."""
+    term, total, ring = 1.0, 0.0, []
+    for k in range(max_terms + 1):
+        total += term
+        ring = (ring + [total])[-8:]
+        ratio = x / (k + 1.0)
+        for a in num:
+            ratio *= a + k
+        for b in den:
+            ratio /= b + k
+        term *= ratio
+        if k > 10 and abs(term) < 1e-15 * max(abs(total), 1e-300):
+            return total + term
+    w = [math.comb(7, j) / 128.0 for j in range(8)]
+    return float(np.dot(w, ring))
+
+
+@pytest.mark.parametrize("num,den,x", [
+    ([1.0, 1.0], [2.0], -1.0),
+    ([1.0, 1.0], [2.0], 0.999),
+    ([0.5, 1.2, 0.7], [2.3, 1.1], -0.95),
+    # the Hohlov a = 1 6F5 at -1 behind beta0_hohlov_closed_form
+    ([1.0, 1.0, 1.0, 0.5, 1.9, 2.0], [4.0, 2.0, 1.5, 0.9, 1.0], -1.0),
+])
+def test_pfq_matches_scalar_recurrence_exactly(num, den, x):
+    assert auxfun.pfq(num, den, x) == _pfq_loop(num, den, x)
 
 
 def test_pfq_gauss_value_at_one():

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import pascucert as pc
 from pascucert import certify, kernels, series
-from pascucert.errors import (DomainError, NotApplicable,
+from pascucert.errors import (CriticalPoint, DomainError, NotApplicable,
                               RepresentationMismatch, ZeroDenominator)
 
 P12 = pc.ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=1.0)
@@ -111,6 +113,47 @@ def test_growth_condition_margins():
     assert certify.check_growth_condition(BERNARDI, P12) < 0.0
 
 
+GROWTH_FAMILIES = [
+    pc.make_kernel("bernardi", c=1.0),
+    pc.make_kernel("komatu", c=0.0, delta=3.0),
+    pc.make_kernel("hohlov", a=0.5, b=0.8, c=4.5),
+    pc.make_kernel("two_param_log", a=-0.5, b=0.0),
+    pc.make_kernel("ali_singh", k=0.5),
+    pc.make_kernel("generalized", A=1.0, B=1.0, C=4.0, x1=1.0),
+]
+
+
+@pytest.mark.parametrize("kernel", GROWTH_FAMILIES,
+                         ids=[k.family for k in GROWTH_FAMILIES])
+def test_growth_condition_matches_pointwise_formula(kernel):
+    p = pc.ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=0.5)
+    t_grid = certify.default_t_grid(257)
+    base = 1.0 / p.xi - 2.0 + 2.0 / p.mu - 1.0 / p.nu
+    margins = []
+    for t in t_grid:
+        _, d1, d2 = kernels.density_derivatives(kernel, float(t))
+        rhs = base + (1.0 - 2.0 * p.sigma) / -math.log(t)
+        margins.append((t * d2 / d1 - rhs) * math.copysign(1.0, d1))
+    assert certify.check_growth_condition(kernel, p) == pytest.approx(
+        min(margins), rel=1e-12, abs=1e-12)
+
+
+def test_growth_condition_raises_at_first_critical_point():
+    # t**(-k)(1 - t**2) with k = -1 peaks at t = 1/sqrt(3)
+    k = kernels.KernelSpec("ali_singh", (("k", -1.0),), 4.0)
+    peak = 1.0 / math.sqrt(3.0)
+    with pytest.raises(CriticalPoint, match=repr(peak)):
+        certify.check_growth_condition(k, P12, [0.2, peak, 0.8])
+    assert np.isfinite(certify.check_growth_condition(k, P12, [0.2, 0.8]))
+
+
+def test_report_growth_curve_matches_checker():
+    rep = certify.run_certification(KOMATU, P12, order=128, with_curves=True)
+    c = rep.curves
+    assert np.min(c["growth_margin"]) == pytest.approx(
+        certify.check_growth_condition(KOMATU, P12, c["t"]), rel=1e-15)
+
+
 def test_growth_condition_requires_gamma_positive():
     p = pc.ParameterSet.from_mu_nu(0.0, 2.0, sigma=0.1, xi=1.0)
     with pytest.raises(DomainError):
@@ -201,3 +244,13 @@ def test_run_certification_komatu_mu2_returns_report():
     assert rep.beta_integral == pytest.approx(-93.6214042640442, abs=1e-7)
     assert np.isfinite(rep.m_functional_min)
     assert isinstance(rep.passed(), bool)
+
+
+def test_run_certification_komatu_mu2_decays():
+    # t**(1/2) Lambda ~ t**(1/2) log(1/t)**4 rises until t ~ e**-8 and
+    # then falls to 0: the left endpoint exponent -1/2 exceeds -1
+    kernel = pc.make_kernel("komatu", c=-0.5, delta=4.0)
+    p = pc.ParameterSet.from_mu_nu(2.0, 2.0, sigma=0.1, xi=1.0)
+    rep = certify.run_certification(kernel, p)
+    assert rep.decay_ok
+    assert rep.passed()

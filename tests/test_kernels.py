@@ -240,7 +240,8 @@ def test_log_derivative_ratio_and_sign():
     t = 0.5
     lam, d1, d2 = kernels.density_derivatives(k, t)
     assert kernels.log_derivative_ratio(k, t) == pytest.approx(t * d2 / d1)
-    assert kernels.density_slope_sign(k, t) == math.copysign(1.0, d1)
+    assert kernels.slope_profile(k, t) == (
+        pytest.approx(t * d2 / d1), math.copysign(1.0, d1))
 
 
 def test_log_derivative_ratio_critical_point():
@@ -257,6 +258,14 @@ def test_boundary_decay_check_passes_for_integrable_kernel():
     assert bool(check)
     assert all(a > b for a, b in zip(check.lambda_decay,
                                      check.lambda_decay[1:]))
+
+
+def test_boundary_decay_check_ignores_log_hump():
+    k = kernels.make_kernel("komatu", c=-0.5, delta=4.0)
+    check = kernels.boundary_decay_check(k, 2.0, 2.0)
+    assert check.ok
+    # the samples are diagnostics: they rise before they fall
+    assert check.lambda_decay[1] > check.lambda_decay[0]
 
 
 def test_boundary_decay_check_flags_divergent_weight():
@@ -319,3 +328,16 @@ def test_check_family():
     kernels.check_family(k, "bernardi")
     with pytest.raises(Exception):
         kernels.check_family(k, "komatu")
+
+
+def test_terminating_hyp2f1_factor_skips_mpmath(monkeypatch):
+    import mpmath
+
+    def fail(*args):
+        raise AssertionError("mpmath called for a terminating 2F1")
+
+    monkeypatch.setattr(mpmath, "hyp2f1", fail)
+    k = kernels.make_kernel("hohlov", a=1.0, b=1.0, c=4.0)
+    f0, _, _ = kernels._hyp2f1_factors(k)
+    assert f0(1e-12) == 1.0
+    assert np.all(f0(np.array([1e-15, 1e-12, 1e-9, 0.5])) == 1.0)

@@ -1,0 +1,123 @@
+"""The numpy-only adaptive Gauss-Kronrod integrator and the import path."""
+
+import os
+import subprocess
+import sys
+import textwrap
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import pascucert as pc
+from pascucert import auxfun, kernels
+from pascucert.errors import QuadratureFailure
+from pascucert.quadrature import _MAX_PANELS, _sub_power, integrate_01
+
+# one kernel per family, plus the singular endpoints the benchmark meets
+KERNELS = [
+    pc.make_kernel("bernardi", c=1.0),
+    pc.make_kernel("komatu", c=0.0, delta=3.0),
+    pc.make_kernel("komatu", c=-0.5, delta=4.0),
+    pc.make_kernel("komatu", c=1.0, delta=0.5),
+    pc.make_kernel("hohlov", a=1.0, b=1.0, c=4.0),
+    pc.make_kernel("hohlov", a=0.5, b=0.8, c=4.5),
+    pc.make_kernel("hohlov", a=0.5, b=0.8, c=1.5),
+    pc.make_kernel("two_param_log", a=-0.5, b=0.0),
+    pc.make_kernel("ali_singh", k=0.5),
+    pc.make_kernel("generalized", A=1.0, B=1.0, C=4.0, x1=1.0),
+]
+
+
+def _quad_reference(f, f_complement, p, q):
+    """integrate_01's substitutions with scalar scipy.integrate.quad at
+    a far tighter tolerance."""
+    from scipy import integrate
+    ml, mr = _sub_power(p), _sub_power(q)
+    with warnings.catch_warnings():
+        # this tolerance is out of reach in places; the rounding floor is
+        # still far below the ones tested
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        vl, _ = integrate.quad(lambda u: f(u**ml) * ml * u ** (ml - 1),
+                               0.0, 0.5 ** (1.0 / ml), epsabs=1e-15,
+                               epsrel=1e-14, limit=500)
+        vr, _ = integrate.quad(
+            lambda v: f_complement(v**mr) * mr * v ** (mr - 1),
+            0.0, 0.5 ** (1.0 / mr), epsabs=1e-15, epsrel=1e-14, limit=500)
+    return vl + vr
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=[k.text() for k in KERNELS])
+def test_integrate_01_matches_scipy_quad_on_mass_and_beta(kernel):
+    p, q = kernels.endpoint_exponents(kernel)
+    ctx = auxfun.AuxContext(1.0, 2.0, 0.1, 1.0)
+
+    def mass(t):
+        return kernels.density(kernel, t)
+
+    def mass_c(d):
+        return kernels.density_complement(kernel, d)
+
+    def beta(t):
+        return kernels.density(kernel, t) * auxfun.combined_gq(ctx, t)
+
+    def beta_c(d):
+        return (kernels.density_complement(kernel, d)
+                * auxfun.combined_gq(ctx, 1.0 - d))
+
+    for f, fc, epsabs in ((mass, mass_c, 1e-12), (beta, beta_c, 1e-10)):
+        got = integrate_01(f, p, q, epsabs=epsabs, f_complement=fc)
+        assert abs(got - _quad_reference(f, fc, p, q)) <= epsabs
+
+
+def test_integrate_01_one_call_per_round_and_panel_cap():
+    sizes = []
+
+    def f(t):
+        sizes.append(t.size)
+        return t**-0.999  # declared regular below, so no substitution helps
+
+    with pytest.raises(QuadratureFailure) as info:
+        integrate_01(f, 0.0, 0.0)
+    assert info.value.residual > 1e-8
+    # the left half refines until the panel cap; each call is one round
+    assert max(sizes) <= 2 * 21 * _MAX_PANELS
+    assert sum(sizes) <= 2 * 21 * (2 * _MAX_PANELS - 1)
+
+
+def test_integrate_01_rejects_divergent_exponent():
+    with pytest.raises(QuadratureFailure):
+        integrate_01(lambda t: t**-1.0, -1.0)
+
+
+def test_integrate_01_endpoint_singularities():
+    # t**-0.5 on the left, log(1 - t)**2 on the right
+    val = integrate_01(lambda t: t**-0.5 + np.log1p(-t) ** 2, -0.5, 0.0,
+                       f_complement=lambda d: (1.0 - d) ** -0.5
+                       + np.log(d) ** 2)
+    assert val == pytest.approx(4.0, abs=1e-10)
+
+
+def test_import_and_runs_leave_scipy_integrate_unloaded(tmp_path):
+    script = textwrap.dedent(f"""
+        import sys
+        import pascucert as pc
+        from pascucert import cli
+        loaded = ["scipy.integrate" in sys.modules]
+        kernel = pc.parse_kernel("hohlov a=1 b=1 c=4")
+        params = pc.ParameterSet.from_mu_nu(1.0, 2.0, 0.1, 1.0)
+        pc.run_certification(kernel, params, order=128)
+        loaded.append("scipy.integrate" in sys.modules)
+        cli.main(["sweep", "--kernel", "generalized A=1 B=1 C=4 x1={{1,2}}",
+                  "--mu", "1", "--nu", "2", "--sigma", "0.1", "--xi", "1",
+                  "--format", "csv", "--output", {str(tmp_path / "s.csv")!r}])
+        loaded.append("scipy.integrate" in sys.modules)
+        print(loaded)
+        """)
+    src = str(Path(pc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[False, False, False]"
