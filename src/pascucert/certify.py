@@ -7,16 +7,16 @@ is recomputed from the moment series as an independent route; the two must
 agree to 1e-7.
 
 The duality functional M integrates t**(1/mu - 1) Pi(t) against the real
-integrand L over the weight interval.  L is affine in xi and in the slope
-parameter built from the unimodular epsilon, which lets one quadrature
-pass per disk point serve the whole epsilon circle.
+integrand L over the weight interval.  By Ruscheweyh duality M is affine
+in the unimodular epsilon, M = P + Re(A(epsilon) Q), so its minimum over
+|epsilon| = 1 is taken in closed form at each z; for fixed epsilon M is
+harmonic in z, so the minimum over the disk lies on the outermost circle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,11 +32,10 @@ BETA_ROUTE_TOL = 1e-7
 
 @dataclass(frozen=True)
 class DiskGrid:
-    """Sampling plan for the disk and for the unimodular parameter."""
+    """Sampling plan for the disk: concentric circles of equal angles."""
 
     radii: tuple = (0.5, 0.9, 0.99, 0.999)
     angles: int = 256
-    epsilon_count: int = 64
 
     def __post_init__(self):
         r = self.radii
@@ -44,13 +43,19 @@ class DiskGrid:
             raise DomainError("radii must be strictly increasing")
         if not 0.0 < r[-1] < 1.0:
             raise DomainError("radii must lie in (0, 1)")
-        if self.angles < 4 or self.epsilon_count < 4:
-            raise DomainError("need at least 4 angles and epsilon points")
+        if self.angles < 4:
+            raise DomainError("need at least 4 angles")
+
+    def theta(self) -> np.ndarray:
+        return 2.0 * np.pi * np.arange(self.angles) / self.angles
 
     def z_points(self) -> np.ndarray:
-        theta = 2.0 * np.pi * np.arange(self.angles) / self.angles
-        ring = np.exp(1j * theta)
+        ring = np.exp(1j * self.theta())
         return np.concatenate([r * ring for r in self.radii])
+
+    def boundary_points(self) -> np.ndarray:
+        """The outermost circle, where minima of harmonic functions lie."""
+        return self.radii[-1] * np.exp(1j * self.theta())
 
 
 def default_t_grid(n: int = 512) -> np.ndarray:
@@ -73,14 +78,15 @@ def beta_from_integral(i_value: float) -> float:
 
 
 def beta_quadrature_route(kernel: kernels.KernelSpec,
-                          params: params_mod.ParameterSet) -> float:
+                          params: params_mod.ParameterSet,
+                          epsabs: float = 1e-10) -> float:
     """I = int lambda(t) [(1-xi) g(t) + xi (2 q(t) - 1)] dt by quadrature,
     each refinement round on one array of nodes."""
     ctx = auxfun.AuxContext(params.mu, params.nu, params.sigma, params.xi)
     pl, pr = kernels.endpoint_exponents(kernel)
     return integrate_01(
         lambda t: kernels.density(kernel, t) * auxfun.combined_gq(ctx, t),
-        pl, pr, epsabs=1e-10,
+        pl, pr, epsabs=epsabs,
         f_complement=lambda d: kernels.density_complement(kernel, d)
         * auxfun.combined_gq(ctx, 1.0 - d))
 
@@ -98,20 +104,52 @@ def beta_series_route(kernel: kernels.KernelSpec,
     return 1.0 + float(averaged_partial_sum(terms))
 
 
+class BetaRoutes(NamedTuple):
+    """beta from the quadrature route and from the moment-series route."""
+
+    quadrature: float
+    series: float
+
+    @property
+    def agree(self) -> bool:
+        return abs(self.quadrature - self.series) <= BETA_ROUTE_TOL
+
+    def sharp(self) -> float:
+        """The quadrature beta; RepresentationMismatch if the routes differ."""
+        if not self.agree:
+            raise RepresentationMismatch(
+                f"beta routes disagree: quadrature {self.quadrature!r} vs "
+                f"series {self.series!r}")
+        return self.quadrature
+
+
+def beta_routes(kernel: kernels.KernelSpec,
+                params: params_mod.ParameterSet) -> BetaRoutes:
+    """beta = I/(I-1) from both routes to I.
+
+    The series runs first: beta scales an error in I by 1/(1 - I)**2, so
+    the quadrature is asked for I to min(1e-10, 1e-8 (1 - I)**2).
+    """
+    i_series = beta_series_route(kernel, params)
+    i_quad = beta_quadrature_route(
+        kernel, params, epsabs=min(1e-10, 1e-8 * (1.0 - i_series) ** 2))
+    return BetaRoutes(beta_from_integral(i_quad),
+                      beta_from_integral(i_series))
+
+
 def beta_sharp(kernel: kernels.KernelSpec,
                params: params_mod.ParameterSet) -> float:
     """The sharp lower bound beta, cross-validated over both routes."""
-    if params.sigma >= 1.0:
-        raise DomainError("sigma must be < 1")
-    i_quad = beta_quadrature_route(kernel, params)
-    i_series = beta_series_route(kernel, params)
-    b_quad = beta_from_integral(i_quad)
-    b_series = beta_from_integral(i_series)
-    if abs(b_quad - b_series) > BETA_ROUTE_TOL:
-        raise RepresentationMismatch(
-            f"beta routes disagree: quadrature {b_quad!r} vs series "
-            f"{b_series!r}")
-    return b_quad
+    return beta_routes(kernel, params).sharp()
+
+
+def beta_closed_form(kernel: kernels.KernelSpec,
+                     params: params_mod.ParameterSet) -> Optional[float]:
+    """beta_0 in closed form where one is known (Hohlov a = 1, xi > 0)."""
+    if kernel.family != kernels.HOHLOV or kernel.p["a"] != 1.0 \
+            or params.xi <= 0.0:
+        return None
+    return beta0_hohlov_closed_form(params, kernel.p["b"], kernel.p["c"])
 
 
 def beta0_hohlov_closed_form(params: params_mod.ParameterSet,
@@ -208,34 +246,21 @@ def m_functional_direct(kernel: kernels.KernelSpec,
 def m_functional_min(kernel: kernels.KernelSpec,
                      params: params_mod.ParameterSet,
                      grid: DiskGrid = DiskGrid()):
-    """Minimum of the duality functional over the sampling grid.
+    """Minimum of the duality functional over the disk and |epsilon| = 1.
 
-    The epsilon circle is scanned at grid.epsilon_count points and refined
-    twice (4x density) around the running minimum.  Returns
+    With A(eps) = (eps + 2 sigma - 1)/(2(1 - sigma)), M = P + Re(A Q) has
+    the exact minimum P + ((2 sigma - 1) Re Q - |Q|)/(2(1 - sigma)) over
+    the epsilon circle, attained at eps = -conj(Q)/|Q|.  For fixed eps M
+    is harmonic in z, so its minimum over |z| <= r lies on |z| = r: only
+    the outermost circle of the grid is evaluated.  Returns
     (min, argmin_z, argmin_epsilon).
     """
-    z = grid.z_points()
+    z = grid.boundary_points()
     p, qc = _pq_profiles(kernel, params, z)
     sg = params.sigma
-
-    def scan(theta):
-        eps = np.exp(1j * theta)
-        a = _eps_slope(eps, sg)
-        m = p[:, None] + np.real(np.outer(qc, a))
-        idx = np.unravel_index(np.argmin(m), m.shape)
-        return m[idx], idx
-
-    theta = 2.0 * np.pi * np.arange(grid.epsilon_count) / grid.epsilon_count
-    best, (iz, ie) = scan(theta)
-    best_theta = theta[ie]
-    width = 2.0 * np.pi / grid.epsilon_count
-    for _ in range(2):
-        theta = best_theta + np.linspace(-width, width, grid.epsilon_count)
-        val, (iz2, ie2) = scan(theta)
-        if val < best:
-            best, iz, best_theta = val, iz2, theta[ie2]
-        width /= 4.0
-    return float(best), complex(z[iz]), complex(np.exp(1j * best_theta))
+    m = p + ((2.0 * sg - 1.0) * qc.real - np.abs(qc)) / (2.0 * (1.0 - sg))
+    i = int(np.argmin(m))
+    return float(m[i]), complex(z[i]), complex(-np.conj(qc[i]) / abs(qc[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +283,17 @@ def check_monotone_condition(kernel: kernels.KernelSpec,
     if t_grid is None:
         t_grid = default_t_grid(257)
     t = np.asarray(t_grid, dtype=float)
+    lam_vals, pi_vals = kernels.envelopes(kernel, params.mu, params.nu, t)
+    expr = _monotone_curve(params, t, lam_vals, pi_vals)
+    return float(np.min(np.diff(expr) / np.diff(t)))
+
+
+def _monotone_curve(params, t, lam_vals, pi_vals):
+    """The monotone expression at every t, from the envelopes there."""
     mu, nu, sg, xi = params.mu, params.nu, params.sigma, params.xi
-    lam_vals, pi_vals = kernels.envelopes(kernel, mu, nu, t)
-    ln = -np.log(t)
-    expr = ((xi / mu - 1.0) * pi_vals
-            - xi * t ** (1.0 / nu - 1.0 / mu) * lam_vals) / ln ** (1.0 + 2.0 * sg)
-    slopes = np.diff(expr) / np.diff(t)
-    return float(np.min(slopes))
+    return ((xi / mu - 1.0) * pi_vals
+            - xi * t ** (1.0 / nu - 1.0 / mu) * lam_vals) \
+        / (-np.log(t)) ** (1.0 + 2.0 * sg)
 
 
 def check_growth_condition(kernel: kernels.KernelSpec,
@@ -299,6 +328,28 @@ def _growth_curve(kernel, params, t):
     base = (1.0 / params.xi - 2.0 + 2.0 / params.mu - 1.0 / params.nu)
     rhs = base + (1.0 - 2.0 * params.sigma) / (-np.log(t))
     return (ratio - rhs) * sign
+
+
+def condition_margins(kernel: kernels.KernelSpec,
+                      params: params_mod.ParameterSet):
+    """The monotone and growth margins and the family's hypothesis audit.
+
+    Returns (margins, hypothesis_report).  A margin is None where its
+    condition does not apply (NotApplicable, DomainError); any other error
+    of a checker propagates.  The report is None for families without a
+    theorem.
+    """
+    margins = {}
+    for name, checker in (("monotone", check_monotone_condition),
+                          ("growth", check_growth_condition)):
+        try:
+            margins[name] = checker(kernel, params)
+        except (NotApplicable, DomainError):
+            margins[name] = None
+    theorem = params_mod.theorem_for_family(kernel.family)
+    if theorem is None:
+        return margins, None
+    return margins, params_mod.hypothesis_check(theorem, params, kernel)
 
 
 def phi_t_monotonicity_probe(a_values, b: float,
@@ -460,38 +511,16 @@ def run_certification(kernel: kernels.KernelSpec,
                       order: int = DEFAULT_ORDER,
                       with_curves: bool = False) -> CertificationReport:
     """Full pipeline: beta, duality functional, conditions, sharpness."""
-    i_quad = beta_quadrature_route(kernel, params)
-    i_series = beta_series_route(kernel, params)
-    beta_q = beta_from_integral(i_quad)
-    beta_s = beta_from_integral(i_series)
-    if abs(beta_q - beta_s) > BETA_ROUTE_TOL:
-        raise RepresentationMismatch(
-            f"beta routes disagree: {beta_q!r} vs {beta_s!r}")
-
-    beta_closed = None
-    if kernel.family == kernels.HOHLOV and kernel.p["a"] == 1.0 \
-            and params.xi > 0.0:
-        beta_closed = beta0_hohlov_closed_form(
-            params, kernel.p["b"], kernel.p["c"])
+    beta = beta_routes(kernel, params)
+    beta_q = beta.sharp()
+    beta_closed = beta_closed_form(kernel, params)
 
     decay = kernels.boundary_decay_check(kernel, params.mu, params.nu)
     m_min, argmin_z, argmin_eps = m_functional_min(kernel, params, grid)
 
-    margins: dict = {}
-    for name, checker in (("monotone", check_monotone_condition),
-                          ("growth", check_growth_condition)):
-        try:
-            margins[name] = checker(kernel, params)
-        except NotApplicable:
-            margins[name] = None
-        except DomainError:
-            margins[name] = None
-
-    theorem = params_mod.theorem_for_family(kernel.family)
-    hyp_report = None
-    if theorem is not None:
-        hyp_report = params_mod.hypothesis_check(theorem, params, kernel)
-        margins[f"hypotheses_{theorem}"] = hyp_report.min_margin
+    margins, hyp_report = condition_margins(kernel, params)
+    if hyp_report is not None:
+        margins[f"hypotheses_{hyp_report.theorem}"] = hyp_report.min_margin
 
     f_ext = series.extremal_function(params.mu, params.nu, beta_q, order)
     tau = kernels.moment_sequence(kernel, order - 1)
@@ -510,7 +539,7 @@ def run_certification(kernel: kernels.KernelSpec,
         params=params.with_beta(beta_q),
         kernel=kernel,
         beta_integral=beta_q,
-        beta_series=beta_s,
+        beta_series=beta.series,
         beta_closed_form=beta_closed,
         m_functional_min=m_min,
         m_argmin_z=argmin_z,
@@ -536,15 +565,12 @@ def _report_curves(kernel, params, argmin_z, argmin_eps, f_img, grid):
         growth = _growth_curve(kernel, params, t)
     monotone = np.full_like(t, np.nan)
     if params.xi > 0.0 and params.mu >= 1.0:
-        ln = -np.log(t)
-        monotone = ((params.xi / params.mu - 1.0) * pi_vals
-                    - params.xi * t ** (1.0 / params.nu - 1.0 / params.mu)
-                    * lam_vals) / ln ** (1.0 + 2.0 * params.sigma)
+        monotone = _monotone_curve(params, t, lam_vals, pi_vals)
 
     k = series.k_combination(f_img, params.xi)
     zk = series.z_derivative(k)
-    theta = 2.0 * np.pi * np.arange(grid.angles) / grid.angles
-    z = grid.radii[-1] * np.exp(1j * theta)
+    theta = grid.theta()
+    z = grid.boundary_points()
     ratio = (series.evaluate_many(zk, z)
              / series.evaluate_many(k, z)).real
     return {

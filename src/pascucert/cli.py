@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import certify, kernels, params as params_mod
-from .errors import PascucertError, ConfigError, NotApplicable
+from .errors import PascucertError, ConfigError
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "PASCUCERT_"
@@ -51,7 +51,6 @@ class RunConfig:
     xi: float = 0.0
     radii: tuple = (0.5, 0.9, 0.99, 0.999)
     angles: int = 256
-    epsilon_count: int = 64
     order: int = 512
     nmax: int = 50
     tol: float = 0.0
@@ -86,8 +85,7 @@ class RunConfig:
             self.mu, self.nu, self.sigma, self.xi)
 
     def disk_grid(self) -> certify.DiskGrid:
-        return certify.DiskGrid(radii=self.radii, angles=self.angles,
-                                epsilon_count=self.epsilon_count)
+        return certify.DiskGrid(radii=self.radii, angles=self.angles)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -143,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                                             _parse_radii))
         p.add_argument("--angles", type=int,
                        default=_env_default("ANGLES", 256, int))
-        p.add_argument("--epsilon-count", type=int,
-                       default=_env_default("EPSILON_COUNT", 64, int))
         p.add_argument("--order", type=int,
                        default=_env_default("ORDER", 512, int))
         p.add_argument("--nmax", type=int,
@@ -345,45 +341,32 @@ def emit_plot_data(reports: list) -> str:
 def _cmd_beta(cfg: RunConfig) -> int:
     kernel = kernels.parse_kernel(cfg.kernel)
     p = cfg.parameter_set()
-    i_quad = certify.beta_quadrature_route(kernel, p)
-    i_series = certify.beta_series_route(kernel, p)
-    b_quad = certify.beta_from_integral(i_quad)
-    b_series = certify.beta_from_integral(i_series)
-    agree = abs(b_quad - b_series) <= certify.BETA_ROUTE_TOL
+    beta = certify.beta_routes(kernel, p)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kernel": kernel.text(),
-        "beta": {"integral": b_quad, "series": b_series,
-                 "routes_agree": agree},
+        "beta": {"integral": beta.quadrature, "series": beta.series,
+                 "routes_agree": beta.agree},
     }
-    if kernel.family == kernels.HOHLOV and kernel.p["a"] == 1.0 and p.xi > 0:
-        payload["beta"]["closed_form"] = certify.beta0_hohlov_closed_form(
-            p, kernel.p["b"], kernel.p["c"])
+    closed = certify.beta_closed_form(kernel, p)
+    if closed is not None:
+        payload["beta"]["closed_form"] = closed
     if cfg.format == "json":
         _emit(_json_text(payload), cfg.output)
     elif cfg.format == "csv":
-        _emit(_csv_rows([[kernel.text(), b_quad, b_series, agree]],
+        _emit(_csv_rows([[kernel.text(), beta.quadrature, beta.series,
+                          beta.agree]],
                         ["kernel", "beta_integral", "beta_series",
                          "routes_agree"]), cfg.output)
     else:
-        _emit(f"beta = {_fmt15(b_quad)!r}\n" + _kv_text(payload), cfg.output)
-    return 0 if agree else 1
+        _emit(f"beta = {_fmt15(beta.quadrature)!r}\n" + _kv_text(payload),
+              cfg.output)
+    return 0 if beta.agree else 1
 
 
 def _check_margins(kernel, p, tol):
-    margins = {}
-    for name, fn in (("monotone", certify.check_monotone_condition),
-                     ("growth", certify.check_growth_condition)):
-        try:
-            margins[name] = fn(kernel, p)
-        except (NotApplicable, PascucertError):
-            margins[name] = None
-    theorem = params_mod.theorem_for_family(kernel.family)
-    hyp = None
-    if theorem is not None:
-        hyp = params_mod.hypothesis_check(theorem, p, kernel)
-    applicable = [v for v in margins.values() if v is not None]
-    ok = all(v >= -tol for v in applicable)
+    margins, hyp = certify.condition_margins(kernel, p)
+    ok = all(v >= -tol for v in margins.values() if v is not None)
     if hyp is not None:
         ok = ok and hyp.all_satisfied
     return margins, hyp, ok
@@ -465,7 +448,12 @@ def _sweep_point(args):
         p = params_mod.ParameterSet.from_alpha_gamma(alpha, gamma, sigma, xi)
     else:
         p = params_mod.ParameterSet.from_mu_nu(mu, nu, sigma, xi)
-    margins, hyp, ok = _check_margins(kernel, p, tol)
+    try:
+        margins, hyp, ok = _check_margins(kernel, p, tol)
+    except PascucertError as exc:
+        # a checker that breaks down fails the row; its cells name the error
+        margins = dict.fromkeys(("monotone", "growth"), type(exc).__name__)
+        hyp, ok = None, False
     try:
         beta = certify.beta_sharp(kernel, p)
     except PascucertError:
@@ -520,8 +508,7 @@ def _config_from_namespace(ns) -> RunConfig:
         alpha=opt(ns.alpha), gamma=opt(ns.gamma),
         mu=opt(ns.mu), nu=opt(ns.nu),
         sigma=_scalar(ns.sigma, "sigma"), xi=_scalar(ns.xi, "xi"),
-        radii=tuple(ns.radii), angles=ns.angles,
-        epsilon_count=ns.epsilon_count, order=ns.order, nmax=ns.nmax,
+        radii=tuple(ns.radii), angles=ns.angles, order=ns.order, nmax=ns.nmax,
         tol=ns.tol, output=ns.output, format=ns.format,
         plot_data=ns.plot_data)
 

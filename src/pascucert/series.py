@@ -156,27 +156,11 @@ def k_combination(f: TruncatedSeries, xi: float) -> TruncatedSeries:
                            f.tail_radius)
 
 
-def differentiate(f: TruncatedSeries) -> TruncatedSeries:
-    """d/dz; the order drops by one."""
-    n = np.arange(1, len(f.coeffs), dtype=float)
-    c = f.coeffs[1:] * n
-    if len(c) < 2:
-        c = np.concatenate([c, [0.0]])
-    return TruncatedSeries(c, f.tail_bound * (f.order + 1), f.tail_radius)
-
-
 def z_derivative(f: TruncatedSeries) -> TruncatedSeries:
     """z f'(z): scales the n-th coefficient by n."""
     n = np.arange(len(f.coeffs), dtype=float)
     return TruncatedSeries(f.coeffs * n, f.tail_bound * (f.order + 1),
                            f.tail_radius)
-
-
-def z_derivative2(f: TruncatedSeries) -> TruncatedSeries:
-    """z (z f'(z))': scales the n-th coefficient by n**2."""
-    n = np.arange(len(f.coeffs), dtype=float)
-    return TruncatedSeries(f.coeffs * n * n,
-                           f.tail_bound * (f.order + 1) ** 2, f.tail_radius)
 
 
 def _partial_sums(f: TruncatedSeries, z: complex) -> np.ndarray:

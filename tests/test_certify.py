@@ -4,13 +4,22 @@ import numpy as np
 import pytest
 
 import pascucert as pc
-from pascucert import certify, kernels, series
+from pascucert import auxfun, certify, kernels, series
 from pascucert.errors import (CriticalPoint, DomainError, NotApplicable,
                               RepresentationMismatch, ZeroDenominator)
 
 P12 = pc.ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=1.0)
 KOMATU = pc.make_kernel("komatu", c=0.0, delta=3.0)
 BERNARDI = pc.make_kernel("bernardi", c=1.0)
+
+FAMILIES = [
+    pc.make_kernel("bernardi", c=1.0),
+    pc.make_kernel("komatu", c=0.0, delta=3.0),
+    pc.make_kernel("hohlov", a=0.5, b=0.8, c=4.5),
+    pc.make_kernel("two_param_log", a=-0.5, b=0.0),
+    pc.make_kernel("ali_singh", k=0.5),
+    pc.make_kernel("generalized", A=1.0, B=1.0, C=4.0, x1=1.0),
+]
 
 
 def test_beta_from_integral_values():
@@ -41,6 +50,28 @@ def test_beta_routes_agree_hohlov_closed_moments():
                    - certify.beta_from_integral(ise)) < 1e-9
 
 
+# quad's roundoff warning: its own error estimate is 1.3e-14 here
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_beta_quadrature_accurate_where_i_nears_one():
+    # I = 0.99494 here, and beta = I/(I-1) multiplies an error in I by
+    # 1/(1-I)**2 ~ 3.9e4; the reference substitutes t = u**4 to remove the
+    # t**(-1/2) endpoint singularity
+    from scipy import integrate
+    kernel = pc.make_kernel("komatu", c=-0.5, delta=4.0)
+    p = pc.ParameterSet.from_mu_nu(2.0, 3.0, sigma=0.1, xi=0.25)
+    ctx = auxfun.AuxContext(p.mu, p.nu, p.sigma, p.xi)
+
+    def f(u):
+        t = np.array([u**4])
+        return float(4.0 * u**3 * kernels.density(kernel, t)[0]
+                     * auxfun.combined_gq(ctx, t)[0])
+
+    i_ref = integrate.quad(f, 0.0, 1.0, epsabs=1e-15, epsrel=1e-14,
+                           limit=500)[0]
+    assert certify.beta_sharp(kernel, p) == pytest.approx(
+        i_ref / (i_ref - 1.0), abs=2e-10)
+
+
 def test_beta_sharp_mismatch_raises(monkeypatch):
     monkeypatch.setattr(certify, "beta_series_route",
                         lambda k, p: certify.beta_quadrature_route(k, p) + 0.1)
@@ -61,8 +92,9 @@ def test_disk_grid_validation():
         certify.DiskGrid(radii=(0.5, 1.0))
     with pytest.raises(DomainError):
         certify.DiskGrid(angles=2)
-    grid = certify.DiskGrid(radii=(0.5, 0.9), angles=8, epsilon_count=8)
+    grid = certify.DiskGrid(radii=(0.5, 0.9), angles=8)
     assert len(grid.z_points()) == 16
+    assert np.array_equal(grid.boundary_points(), grid.z_points()[8:])
 
 
 def test_m_functional_node_route_matches_direct():
@@ -84,11 +116,57 @@ def test_m_functional_min_nonnegative_for_certified_instance():
     assert abs(zmin) <= 0.999 + 1e-12
 
 
-def test_m_functional_epsilon_refinement_improves():
-    coarse = certify.DiskGrid(radii=(0.9, 0.999), angles=64, epsilon_count=8)
-    m1, _, _ = certify.m_functional_min(KOMATU, P12, coarse)
-    m2, _, _ = certify.m_functional_min(KOMATU, P12)
-    assert m2 <= m1 + 1e-12
+def _epsilon_scan(p, qc, sigma, theta):
+    """min over the sampled epsilons at each z, and the minimizing angle."""
+    m = p[:, None] + (qc[:, None]
+                      * certify._eps_slope(np.exp(1j * theta), sigma)).real
+    j = np.argmin(m, axis=1)
+    return m[np.arange(len(p)), j], theta[j]
+
+
+BERNARDI_HALF = (BERNARDI,
+                 pc.ParameterSet.from_mu_nu(1.0, 1.0, sigma=0.5, xi=1.0))
+MIN_CASES = [(k, P12) for k in FAMILIES] + [BERNARDI_HALF]
+
+
+@pytest.mark.parametrize("kernel,p", MIN_CASES,
+                         ids=[k.family for k in FAMILIES] + ["bernardi_half"])
+def test_m_functional_min_not_above_dense_scan(kernel, p):
+    # 4096 epsilons on every circle of the grid: the closed form on the
+    # outermost circle is never above it and finds the same z
+    grid = certify.DiskGrid()
+    z = grid.z_points()
+    pz, qc = certify._pq_profiles(kernel, p, z)
+    theta = 2.0 * np.pi * np.arange(4096) / 4096
+    scan = np.min([_epsilon_scan(pz, qc, p.sigma, th)[0]
+                   for th in np.split(theta, 8)], axis=0)
+    mmin, zmin, emin = certify.m_functional_min(kernel, p, grid)
+    assert mmin <= scan.min() + 1e-15
+    assert zmin == z[np.argmin(scan)]
+    assert abs(emin) == pytest.approx(1.0, abs=1e-15)
+    assert certify.m_functional(kernel, p, zmin, emin) == pytest.approx(
+        mmin, abs=1e-14)
+
+
+def test_m_functional_min_below_refined_epsilon_scan():
+    # the former scan: 64 epsilons, then two 4x finer passes around the
+    # running minimum; here it stops 2e-8 above the exact minimum
+    kernel, p = BERNARDI_HALF
+    grid = certify.DiskGrid()
+    pz, qc = certify._pq_profiles(kernel, p, grid.z_points())
+    best, best_theta = _epsilon_scan(pz, qc, p.sigma,
+                                     2.0 * np.pi * np.arange(64) / 64)
+    i = np.argmin(best)
+    width = 2.0 * np.pi / 64
+    for _ in range(2):
+        vals, thetas = _epsilon_scan(pz, qc, p.sigma, best_theta[i]
+                                     + np.linspace(-width, width, 64))
+        if vals.min() < best[i]:
+            i = np.argmin(vals)
+            best, best_theta = vals, thetas
+        width /= 4.0
+    mmin, _, _ = certify.m_functional_min(kernel, p, grid)
+    assert mmin < best[i] - 1e-9
 
 
 def test_monotone_condition_not_applicable_at_xi_zero():
@@ -113,18 +191,7 @@ def test_growth_condition_margins():
     assert certify.check_growth_condition(BERNARDI, P12) < 0.0
 
 
-GROWTH_FAMILIES = [
-    pc.make_kernel("bernardi", c=1.0),
-    pc.make_kernel("komatu", c=0.0, delta=3.0),
-    pc.make_kernel("hohlov", a=0.5, b=0.8, c=4.5),
-    pc.make_kernel("two_param_log", a=-0.5, b=0.0),
-    pc.make_kernel("ali_singh", k=0.5),
-    pc.make_kernel("generalized", A=1.0, B=1.0, C=4.0, x1=1.0),
-]
-
-
-@pytest.mark.parametrize("kernel", GROWTH_FAMILIES,
-                         ids=[k.family for k in GROWTH_FAMILIES])
+@pytest.mark.parametrize("kernel", FAMILIES, ids=[k.family for k in FAMILIES])
 def test_growth_condition_matches_pointwise_formula(kernel):
     p = pc.ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=0.5)
     t_grid = certify.default_t_grid(257)
@@ -152,6 +219,9 @@ def test_report_growth_curve_matches_checker():
     c = rep.curves
     assert np.min(c["growth_margin"]) == pytest.approx(
         certify.check_growth_condition(KOMATU, P12, c["t"]), rel=1e-15)
+    slopes = np.diff(c["monotone_expression"]) / np.diff(c["t"])
+    assert np.min(slopes) == pytest.approx(
+        certify.check_monotone_condition(KOMATU, P12, c["t"]), rel=1e-15)
 
 
 def test_growth_condition_requires_gamma_positive():
@@ -179,8 +249,7 @@ def test_verify_membership_positive_for_starlike():
     c = np.concatenate([[0.0, 1.0],
                         np.cumprod((n + 0.8) / n)[:1997]])
     f = series.from_coeffs(c)
-    grid = certify.DiskGrid(radii=(0.5, 0.9, 0.99), angles=128,
-                            epsilon_count=8)
+    grid = certify.DiskGrid(radii=(0.5, 0.9, 0.99), angles=128)
     margin, argmin = certify.verify_membership(f, 0.1, 0.0, grid)
     assert margin >= -1e-6
     assert abs(argmin) < 1.0
@@ -192,8 +261,7 @@ def test_verify_membership_zero_denominator():
     with pytest.raises(ZeroDenominator):
         certify.verify_membership(f, 0.0, 0.0,
                                   certify.DiskGrid(radii=(0.5, 0.9),
-                                                   angles=8,
-                                                   epsilon_count=8))
+                                                   angles=8))
 
 
 def test_verify_sharpness_extremal_starlike():

@@ -7,7 +7,8 @@ import os
 import pytest
 
 from pascucert import cli
-from pascucert.errors import ConfigError, RepresentationMismatch
+from pascucert.errors import (ConfigError, CriticalPoint,
+                              RepresentationMismatch)
 from pascucert import certify, kernels, params
 
 
@@ -172,6 +173,32 @@ def test_main_bad_environment_value_exit_two(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_main_epsilon_count_is_unrecognized(capsys):
+    # the functional's epsilon minimum is exact, so there is no scan density
+    with pytest.raises(SystemExit) as exc:
+        cli.main(BETA_ARGS + ["--epsilon-count", "8"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+def test_checker_error_fails_check_and_sweep(monkeypatch, capsys):
+    # only NotApplicable and DomainError mean "does not apply"; any other
+    # checker error must not turn into a pass
+    def broken(kernel, p, t_grid=None):
+        raise CriticalPoint("lambda' vanishes at t = 0.5")
+
+    monkeypatch.setattr(certify, "check_growth_condition", broken)
+    args = ["--kernel", "komatu c=0 delta=3", "--mu", "1", "--nu", "2",
+            "--sigma", "0.1", "--xi", "1"]
+    assert cli.main(["check"] + args) == 1
+    assert "CriticalPoint" in capsys.readouterr().err
+    row = cli._sweep_point(("komatu c=0 delta=3", 1.0, 2.0, None, None,
+                            0.1, 1.0, 0.0))
+    assert row[7] == "CriticalPoint"
+    assert row[-1] is False
+
+
 def test_main_check_json_with_infinite_margin(capsys):
     # at xi = 0 an Ali-Singh hypothesis margin is -inf
     rc = cli.main(["check", "--kernel", "ali_singh k=0.5", "--mu", "1",
@@ -238,7 +265,7 @@ def test_main_sweep_needs_parameters(capsys):
 def _small_report(xi):
     kernel = kernels.make_kernel("bernardi", c=1.0)
     p = params.ParameterSet.from_mu_nu(1.0, 2.0, 0.1, xi)
-    grid = certify.DiskGrid(radii=(0.5, 0.9), angles=32, epsilon_count=16)
+    grid = certify.DiskGrid(radii=(0.5, 0.9), angles=32)
     return certify.run_certification(kernel, p, grid, order=128,
                                      with_curves=True)
 
@@ -272,7 +299,7 @@ def test_plot_data_many_reports_summary():
 def test_plot_data_needs_curves():
     kernel = kernels.make_kernel("bernardi", c=1.0)
     p = params.ParameterSet.from_mu_nu(1.0, 2.0, 0.1, 0.5)
-    grid = certify.DiskGrid(radii=(0.5,), angles=16, epsilon_count=8)
+    grid = certify.DiskGrid(radii=(0.5,), angles=16)
     rep = certify.run_certification(kernel, p, grid, order=128)
     with pytest.raises(ConfigError):
         cli.emit_plot_data([rep])

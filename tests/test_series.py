@@ -72,12 +72,8 @@ def test_k_combination_limits():
 
 def test_derivative_operators():
     f = series.from_coeffs([0.0, 1.0, 3.0, 5.0])
-    d = series.differentiate(f)
-    assert np.allclose(d.coeffs, [1.0, 6.0, 15.0])
     zd = series.z_derivative(f)
     assert np.allclose(zd.coeffs, [0.0, 1.0, 6.0, 15.0])
-    zd2 = series.z_derivative2(f)
-    assert np.allclose(zd2.coeffs, [0.0, 1.0, 12.0, 45.0])
 
 
 def test_evaluate_matches_polynomial():
