@@ -79,7 +79,9 @@ def _series_sum(ctx: AuxContext, t, weight):
     size = np.minimum(_SERIES_TERMS,
                       2.0 ** np.ceil(np.log2(np.clip(need, 16.0, 1e9))))
     out = np.empty_like(flat)
-    for terms in np.unique(size).astype(int):
+    # a set, not np.unique, which would import numpy.ma to rule out
+    # masked input
+    for terms in sorted(set(size.astype(int).tolist())):
         rows = np.flatnonzero(size == terms)
         for block in np.array_split(
                 rows, 1 + len(rows) * terms // _SERIES_BLOCK):

@@ -2,21 +2,30 @@
 
 Each family stores its parameters plus the normalizing constant; the
 density, its first two derivatives, and the moments are all closed form
-(the Hohlov moments are the coefficients (a)_n (b)_n / ((c)_n n!)).  The
-tail envelopes Lambda and Pi are the iterated integrals driving the
-duality criterion.  envelopes() computes both on a whole t-grid from one
-composite Gauss-Legendre rule in y = -log t; the adaptive single-point
-lambda_envelope and pi_envelope remain as independent references.
+(the Hohlov moments are the coefficients (a)_n (b)_n / ((c)_n n!), taken
+as running products of their term ratios).  The Hohlov density carries
+the factor 2F1(c - a, 1 - a; c - a - b + 1; 1 - t), evaluated by the
+numpy routine _hyp2f1c: the Gauss series away from t = 0, and near it
+the 1 - z connection formulas of Abramowitz & Stegun, 15.3.6 and the
+logarithmic 15.3.10-15.3.11 (with Euler's transformation for a negative
+integer exponent).  Only when C - A - B lies within _NEAR_INTEGER of an
+integer without being one, where the two terms of 15.3.6 cancel, does
+each point near t = 0 go to mpmath, the one place this module imports
+it.  The tail envelopes Lambda and Pi are the iterated integrals driving
+the duality criterion.  envelopes() computes both on a whole t-grid from
+one composite Gauss-Legendre rule in y = -log t; the adaptive
+single-point lambda_envelope and pi_envelope remain as independent
+references.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, CriticalPoint, DomainError, MismatchedFamily
 from .quadrature import integrate_01, integrate_t1
@@ -121,7 +130,7 @@ def make_kernel(family: str, **params) -> KernelSpec:
             raise DomainError("omega coefficients must be nonnegative")
         omega = tuple(xs)
         q = cc - aa - bb
-        mass = sum(x * special.beta(bb, q + j + 1.0)
+        mass = sum(x * _beta_fn(bb, q + j + 1.0)
                    for j, x in enumerate(omega))
         spec = KernelSpec(family, (("A", aa), ("B", bb), ("C", cc)),
                           1.0 / mass, omega)
@@ -169,32 +178,308 @@ def _omega_polys(kernel: KernelSpec):
     return w, w.deriv(1), w.deriv(2)
 
 
-def _hyp2f1c(q1, q2, q3, d):
-    """2F1(q1, q2; q3; 1 - d) from the distance d in (0, 1].
+# A Gauss series stops at the first term, taken at the largest argument
+# x, below this share of the sum of absolute terms so far, once the term
+# ratio there is at most (1 + x)/2 (so the omitted tail is at most
+# (1 + x)/(1 - x) <= 7 such terms).
+_SERIES_TOL = 2.0**-58
+_SERIES_MAX_TERMS = 10000
+# the Gauss series in 1 - d serves d >= _GAUSS_FROM, the connection
+# formulas the rest; _far_plan moves the switch, up to 1/2 or down to
+# _GAUSS_FLOOR, for parameters where one route loses digits at d = 1/4
+_GAUSS_FROM = 0.25
+_GAUSS_FLOOR = 1.0 / 64.0
+_SWITCH_TOL = 1e-14
+_EPS = np.finfo(float).eps
+# C - A - B within this distance of an integer (but not on it) makes the
+# two terms of A&S 15.3.6 cancel; _hyp2f1_mpmath takes over there
+_NEAR_INTEGER = 0.05
+
+
+def _nonpositive_integer(x: float) -> bool:
+    return x <= 0.0 and x == math.floor(x)
+
+
+def _gamma_ratio(num, den) -> float:
+    """prod Gamma(num) / prod Gamma(den); 1/Gamma vanishes at the poles.
+
+    Summed in log-gamma, so a factor Gamma(x) of a tiny or large x does
+    not overflow on its own.
+    """
+    if any(_nonpositive_integer(x) for x in den):
+        return 0.0
+    log, sign = 0.0, 1.0
+    for xs, side in ((num, 1.0), (den, -1.0)):
+        for x in xs:
+            log += side * math.lgamma(x)
+            if x < 0.0 and math.floor(x) % 2:
+                sign = -sign
+    return sign * math.exp(log)
+
+
+def _digamma(x: float) -> float:
+    """psi(x) away from the poles: psi(x) = psi(x + 1) - 1/x up to
+    x >= 10, then the asymptotic series through x**-14."""
+    acc = 0.0
+    while x < 10.0:
+        acc -= 1.0 / x
+        x += 1.0
+    x2 = 1.0 / (x * x)
+    tail = x2 * (1 / 12 - x2 * (1 / 120 - x2 * (1 / 252 - x2 * (
+        1 / 240 - x2 * (1 / 132 - x2 * (691 / 32760 - x2 / 12))))))
+    return acc + math.log(x) - 0.5 / x - tail
+
+
+def _digamma_run(x0: float, n: int) -> np.ndarray:
+    """psi(x0 + k) for k = 0 .. n - 1, by psi(x + 1) = psi(x) + 1/x."""
+    steps = 1.0 / (x0 + np.arange(n - 1, dtype=float))
+    return _digamma(x0) + np.concatenate(([0.0], np.cumsum(steps)))
+
+
+@functools.lru_cache(maxsize=512)
+def _taylor(a: float, b: float, c: float, x_max: float,
+            scale: float = 1.0) -> np.ndarray:
+    """scale (a)_k (b)_k / ((c)_k k!) for k = 0 .. K, enough terms for
+    the Gauss series at every |x| <= x_max < 1 (stop rule: _SERIES_TOL).
+
+    A terminating series (a or b a nonpositive integer) stops at its last
+    nonzero term; x_max = inf returns it whole, for any x.  The result is
+    cached and read-only.
+    """
+    coef, size, power, k = [scale], abs(scale), 1.0, 0
+    while True:
+        num = (a + k) * (b + k)
+        if num == 0.0:
+            return _frozen(coef)
+        ratio = num / ((c + k) * (k + 1.0))
+        coef.append(coef[-1] * ratio)
+        k += 1
+        if k > _SERIES_MAX_TERMS:
+            raise DomainError(
+                f"2F1({a}, {b}; {c}) series needs over {_SERIES_MAX_TERMS}"
+                " terms")
+        if x_max == math.inf:
+            continue
+        power *= x_max
+        term = abs(coef[-1]) * power
+        if term <= _SERIES_TOL * size \
+                and abs(ratio) * x_max <= 0.5 * (1.0 + x_max):
+            return _frozen(coef)
+        size += term
+
+
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] x**k at every x."""
+    acc = np.full_like(x, coef[-1])
+    for c in coef[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _terminates(a: float, b: float) -> bool:
+    """Whether 2F1(a, b; c; x) is a polynomial in x."""
+    return _nonpositive_integer(a) or _nonpositive_integer(b)
+
+
+def _hyp2f1c(A, B, C, d):
+    """2F1(A, B; C; 1 - d) from the distance d in (0, 1].
 
     Taking the distance instead of the argument keeps the singular branch
-    (1-u)**(q3-q1-q2) exact when d is below machine epsilon, where the
-    argument itself would round to 1.  Within 1e-8 of the endpoint the
-    evaluation goes through mpmath, whose connection formulas cover the
-    logarithmic cases too.  A terminating series (q1 or q2 a nonpositive
-    integer, so a polynomial with no singular branch) never needs it.
+    d**(C - A - B) exact when d is below machine epsilon, where the
+    argument itself would round to 1.  Scalars or arrays of d; C must
+    not be a nonpositive integer.  The routes (Abramowitz & Stegun):
+
+    - A or B a nonpositive integer: the finite polynomial (_polynomial),
+      after Euler's transformation when that one terminates too, so a
+      zero of order C - A - B at d = 0 stays exact.
+    - d at or above the switch of _far_plan (1/4, or 1/2 to 1/64 for
+      some parameters): the Gauss series in 1 - d, directly or after
+      Euler's transformation F(A, B; C; z) = d**(C - A - B)
+      F(C - A, C - B; C; z).
+    - below: _hyp2f1_near_one, the 1 - z connection formulas, whose
+      series all run in d; only where C - A - B lies within
+      _NEAR_INTEGER of an integer without being one, mpmath point by
+      point.
     """
-    d_arr = np.asarray(d, dtype=float)
-    out = np.empty_like(d_arr)
-    terminates = any(x <= 0.0 and x == math.floor(x) for x in (q1, q2))
-    near = (d_arr < 1e-8) & (not terminates)
-    out[~near] = special.hyp2f1(q1, q2, q3, 1.0 - d_arr[~near])
-    if np.any(near):
-        import mpmath
-        for idx in np.argwhere(near):
-            i = tuple(idx)
-            dd = float(d_arr[i])
-            # enough bits that 1 - dd is exact
-            prec = 80 + max(0, int(-math.log2(dd)))
-            with mpmath.workprec(prec):
-                uu = mpmath.mpf(1) - mpmath.mpf(dd)
-                out[i] = float(mpmath.hyp2f1(q1, q2, q3, uu))
-    return out if out.ndim else float(out)
+    if _nonpositive_integer(C):
+        raise DomainError(f"2F1 needs C = {C} off the nonpositive integers")
+    d_arr = np.asarray(d, dtype=float).ravel()
+    if _terminates(A, B):
+        s = C - A - B
+        if s > 0.0 and _terminates(C - A, C - B):
+            # the polynomial has the zero d**s at d = 0, which Euler's
+            # transformation takes out exactly
+            out = d_arr**s * _polynomial(C - A, C - B, C, d_arr)
+        else:
+            out = _polynomial(A, B, C, d_arr)
+    else:
+        out = np.empty_like(d_arr)
+        switch, euler = _far_plan(A, B, C)
+        far = d_arr >= switch
+        if np.any(far):
+            out[far] = _gauss(A, B, C, d_arr[far], euler, 1.0 - switch)
+        if not np.all(far):
+            out[~far] = _hyp2f1_near_one(A, B, C, d_arr[~far], switch)
+    return out.reshape(np.shape(d)) if np.ndim(d) else float(out[0])
+
+
+def _polynomial(A, B, C, d):
+    """A terminating 2F1(A, B; C; 1 - d), A or B = -N, in powers of
+    1 - d or in powers of d (A&S 15.3.6, whose second term vanishes with
+    1/Gamma(-N)),
+
+    F = (C - B)_N / (C)_N F(-N, B; B - C - N + 1; d),
+
+    at each d the one whose terms cancel less (the first alone where
+    (C - B)_N = 0 and the second form breaks down).
+    """
+    if not _nonpositive_integer(A) or (_nonpositive_integer(B) and B > A):
+        A, B = B, A
+    n = int(-A)
+    coef = _taylor(A, B, C, math.inf)
+    value = _horner(coef, 1.0 - d)
+    lower = B - C - n + 1.0
+    if any(_nonpositive_integer(lower + k) for k in range(n)):
+        return value
+    scale = math.prod((C - B + k) / (C + k) for k in range(n))
+    coef_d = _taylor(A, B, lower, math.inf, scale)
+    value_d = _horner(coef_d, d)
+    better = _horner(np.abs(coef_d), d) * np.abs(value) \
+        < _horner(np.abs(coef), 1.0 - d) * np.abs(value_d)
+    return np.where(better, value_d, value)
+
+
+def _gauss(A, B, C, d, euler, z_max, absolute=False):
+    """The Gauss series in z = 1 - d <= z_max at every d, directly or
+    (euler) after Euler's transformation; absolute sums |terms| instead."""
+    z = 1.0 - d
+    a, b = (C - A, C - B) if euler else (A, B)
+    coef = _taylor(a, b, C, z_max)
+    out = _horner(np.abs(coef) if absolute else coef, z)
+    return d ** (C - A - B) * out if euler else out
+
+
+@functools.lru_cache(maxsize=256)
+def _far_plan(A, B, C):
+    """(switch, euler): the Gauss series serves d >= switch, after
+    Euler's transformation if euler; the connection formulas serve the
+    rest.
+
+    Of the two Gauss forms the plan takes the one whose terms cancel less
+    at d = _GAUSS_FROM.  The connection formulas lose digits as d grows
+    (their large terms are damped by d**k); the Gauss series needs more
+    terms as d falls, and loses digits where its terms alternate and
+    cancel (sum of |terms| above _SWITCH_TOL/eps times the value).  If
+    the Gauss terms cancel at 1/4, the switch rises to 1/2 where both
+    routes agree to _SWITCH_TOL relative there.  Otherwise it halves from
+    1/4, down to _GAUSS_FLOOR, while the routes differ by more than that
+    at the switch and the Gauss series at the next switch would not
+    cancel.
+    """
+    def spread(d, euler):
+        x = np.array([d])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _gauss(A, B, C, x, euler, 1.0 - d, absolute=True)[0] \
+                / abs(_gauss(A, B, C, x, euler, 1.0 - d)[0])
+
+    def agree(d, euler):
+        x = np.array([d])
+        gauss = _gauss(A, B, C, x, euler, 1.0 - d)[0]
+        near = _hyp2f1_near_one(A, B, C, x, d)[0]
+        return abs(near - gauss) <= _SWITCH_TOL * abs(gauss)
+
+    d = _GAUSS_FROM
+    euler = spread(d, True) < spread(d, False)
+    if spread(d, euler) * _EPS > _SWITCH_TOL and agree(2.0 * d, euler):
+        return 2.0 * d, euler
+    while not agree(d, euler):
+        lower = 0.5 * d
+        if lower < _GAUSS_FLOOR \
+                or spread(lower, euler) * _EPS > _SWITCH_TOL:
+            break
+        d = lower
+    return d, euler
+
+
+def _hyp2f1_near_one(A, B, C, d, x_max):
+    """2F1(A, B; C; 1 - d) for an array of d in (0, x_max], x_max <= 1/2,
+    A and B not nonpositive integers.  With s = C - A - B and m the
+    integer nearest s:
+
+    - s not within _NEAR_INTEGER of m: A&S 15.3.6, two Gauss series in
+      d, with d**s taken from d itself.
+    - s = m exactly: the logarithmic forms 15.3.10 (m = 0) and 15.3.11
+      (m > 0), with the digamma runs from _digamma_run; m < 0 first goes
+      through Euler's transformation F(A, B; C; z) = d**s F(C - A,
+      C - B; C; z).
+    - 0 < |s - m| < _NEAR_INTEGER: the two O(1/|s - m|) terms of 15.3.6
+      cancel, so each d goes to mpmath (_hyp2f1_mpmath).
+    """
+    s = math.fsum((C, -A, -B))
+    m = round(s)
+    # the exact distance from the integer, so that only an integer s
+    # takes the logarithmic forms
+    gap = math.fsum((C, -A, -B, -m))
+    if gap == 0.0:
+        if m >= 0:
+            return _hyp2f1_log(A, B, m, d, x_max)
+        A, B = C - A, C - B
+        if _terminates(A, B):
+            return d**m * _polynomial(A, B, C, d)
+        return d**m * _hyp2f1_log(A, B, -m, d, x_max)
+    if abs(gap) < _NEAR_INTEGER:
+        return _hyp2f1_mpmath(A, B, C, d)
+    g1 = _gamma_ratio((C, s), (C - A, C - B))
+    g2 = _gamma_ratio((C, -s), (A, B))
+    return (g1 * _horner(_taylor(A, B, 1.0 - s, x_max), d)
+            + g2 * d**s * _horner(_taylor(C - A, C - B, 1.0 + s, x_max), d))
+
+
+def _hyp2f1_log(a, b, m, d, x_max):
+    """2F1(a, b; a + b + m; 1 - d), m >= 0 an integer (A&S 15.3.10-11):
+
+    Gamma(m) Gamma(a+b+m)/(Gamma(a+m) Gamma(b+m))
+        sum_{n<m} (a)_n (b)_n / (n! (1-m)_n) d**n
+    - (-d)**m Gamma(a+b+m)/(Gamma(a) Gamma(b))
+        sum_n (a+m)_n (b+m)_n / (n! (n+m)!) d**n
+        [log d - psi(n+1) - psi(n+m+1) + psi(a+n+m) + psi(b+n+m)].
+    """
+    c = a + b + m
+    coef = _taylor(a + m, b + m, m + 1.0, x_max, 1.0 / math.factorial(m))
+    n = len(coef)
+    bracket = (_digamma_run(a + m, n) + _digamma_run(b + m, n)
+               - _digamma_run(1.0, n) - _digamma_run(m + 1.0, n))
+    out = -(-d) ** m * _gamma_ratio((c,), (a, b)) * (
+        np.log(d) * _horner(coef, d) + _horner(coef * bracket, d))
+    if m > 0:
+        head = [1.0]
+        for k in range(m - 1):
+            head.append(head[-1] * (a + k) * (b + k)
+                        / ((1.0 - m + k) * (k + 1.0)))
+        out += _gamma_ratio((m, c), (a + m, b + m)) * _horner(
+            np.array(head), d)
+    return out
+
+
+def _hyp2f1_mpmath(A, B, C, d):
+    """2F1(A, B; C; 1 - d) point by point with mpmath, at enough bits
+    that 1 - d is exact; mpmath's connection formulas raise their own
+    precision where their two terms cancel.  The one place this module
+    imports mpmath."""
+    import mpmath
+
+    out = np.empty_like(d)
+    for i, di in enumerate(d):
+        with mpmath.workprec(80 + max(0, int(-math.log2(di)))):
+            out[i] = float(mpmath.hyp2f1(A, B, C, 1 - mpmath.mpf(di)))
+    return out
 
 
 def _hyp2f1_factors(kernel: KernelSpec):
@@ -207,9 +492,13 @@ def _hyp2f1_factors(kernel: KernelSpec):
         return _hyp2f1c(p1, p2, p3, d)
 
     def f1(d):
+        if p1 * p2 == 0.0:  # the factor is the constant 1
+            return np.zeros(np.shape(d))
         return p1 * p2 / p3 * _hyp2f1c(p1 + 1, p2 + 1, p3 + 1, d)
 
     def f2(d):
+        if p1 * p2 == 0.0:
+            return np.zeros(np.shape(d))
         return (p1 * (p1 + 1) * p2 * (p2 + 1) / (p3 * (p3 + 1))
                 * _hyp2f1c(p1 + 2, p2 + 2, p3 + 2, d))
 
@@ -377,8 +666,19 @@ def endpoint_exponents(kernel: KernelSpec):
     raise ConfigError(f"unknown kernel family {fam!r}")
 
 
+def _beta_fn(x: float, y: float) -> float:
+    """The beta function B(x, y) for x, y > 0."""
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+
+
+# families whose moments are running products, so tau_n needs all the
+# orders below it
+_RUNNING_MOMENTS = (HOHLOV, GENERALIZED_OMEGA)
+
+
 def _moments(kernel: KernelSpec, n: np.ndarray) -> np.ndarray:
-    """tau_n for an array of orders n >= 1, in closed form per family."""
+    """tau_n for an array of orders n >= 1, in closed form per family;
+    for _RUNNING_MOMENTS n must be 1 .. nmax."""
     p = kernel.p
     d = kernel.normalizer
     fam = kernel.family
@@ -396,17 +696,20 @@ def _moments(kernel: KernelSpec, n: np.ndarray) -> np.ndarray:
         return d * (1.0 / (n + 1.0 - k) - 1.0 / (n + 3.0 - k))
     if fam == HOHLOV:
         # the coefficients (a)_n (b)_n / ((c)_n n!) of the Hohlov operator,
-        # the Hadamard product with z 2F1(a, b; c; z)
+        # the Hadamard product with z 2F1(a, b; c; z), as a running
+        # product of the term ratios
         a, b, c = p["a"], p["b"], p["c"]
-        gl = special.gammaln
-        return np.exp(gl(a + n) - gl(a) + gl(b + n) - gl(b)
-                      - gl(c + n) + gl(c) - gl(n + 1.0))
+        k = n - 1.0
+        return np.cumprod((a + k) * (b + k) / ((c + k) * n))
     if fam == GENERALIZED_OMEGA:
+        # B(B + n, y) = B(B, y) prod_{k<n} (B + k)/(B + k + y)
         bb = p["B"]
         q = p["C"] - p["A"] - p["B"]
+        k = n - 1.0
         out = np.zeros_like(n)
         for j, x in enumerate(kernel.omega):
-            out += x * np.exp(special.betaln(bb + n, q + j + 1.0))
+            y = q + j + 1.0
+            out += x * _beta_fn(bb, y) * np.cumprod((bb + k) / (bb + k + y))
         return d * out
     raise ConfigError(f"unknown kernel family {fam!r}")
 
@@ -417,6 +720,8 @@ def moment(kernel: KernelSpec, n: int) -> float:
         raise DomainError("moment order must be nonnegative")
     if n == 0:
         return 1.0
+    if kernel.family in _RUNNING_MOMENTS:
+        return float(moment_sequence(kernel, n)[-1])
     return float(_moments(kernel, np.array([float(n)]))[0])
 
 

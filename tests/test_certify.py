@@ -85,6 +85,22 @@ def test_beta0_closed_form_requirements():
             pc.ParameterSet.from_mu_nu(1.0, 2.0, xi=0.0), 1.0, 4.0)
 
 
+def test_closed_form_skipped_at_mu_or_nu_zero():
+    # the 6F5 closed form needs mu, nu > 0; the certification goes on
+    # without the optional cross-check
+    kernel = pc.make_kernel("hohlov", a=1.0, b=1.0, c=4.0)
+    for mu, nu in ((0.0, 2.0), (2.0, 0.0)):
+        p = pc.ParameterSet.from_mu_nu(mu, nu, sigma=0.1, xi=1.0)
+        assert certify.beta_closed_form(kernel, p) is None
+        with pytest.raises(DomainError):
+            certify.beta0_hohlov_closed_form(p, 1.0, 4.0)
+    p = pc.ParameterSet.from_mu_nu(0.0, 2.0, sigma=0.1, xi=1.0)
+    rep = certify.run_certification(kernel, p, order=128)
+    assert rep.beta_closed_form is None
+    assert rep.beta_integral == pytest.approx(rep.beta_series, abs=1e-7)
+    assert rep.to_dict()["beta"]["closed_form"] is None
+
+
 def test_disk_grid_validation():
     with pytest.raises(DomainError):
         certify.DiskGrid(radii=(0.9, 0.5))

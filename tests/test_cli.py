@@ -151,6 +151,15 @@ def test_main_beta_exit_zero(capsys):
     assert "beta" in out
 
 
+def test_main_beta_hohlov_a1_mu_zero_skips_closed_form(capsys):
+    rc = cli.main(["beta", "--kernel", "hohlov a=1 b=1 c=4", "--mu", "0",
+                   "--nu", "2", "--xi", "1"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "routes_agree = True" in captured.out
+    assert "closed_form" not in captured.out
+
+
 def test_main_bad_config_exit_two(capsys):
     rc = cli.main(["beta", "--kernel", "bernardi c=1",
                    "--alpha", "3", "--mu", "1", "--nu", "2"])

@@ -1,0 +1,214 @@
+"""The numpy 2F1 behind the Hohlov density, and the recurrence moments and
+mass, against 40-digit mpmath and scipy.special."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import special
+
+from pascucert import kernels
+from pascucert.errors import DomainError
+
+REL = 1e-12
+# from below 1e-300 to 1, with both sides of the switch to the Gauss
+# series at d = 1/4
+D_GRID = np.concatenate([np.geomspace(3e-301, 1e-3, 12),
+                         np.linspace(1e-3, 1.0, 41),
+                         [0.25 - 2.0**-54, 0.25]])
+
+
+def _reference(A, B, C, d):
+    """2F1(A, B; C; 1 - d) to 40 digits, with 1 - d held exactly.
+
+    Where C - A - B is an integer and the series does not terminate, C is
+    moved by a relative 2**-300, far below those digits and below any
+    change F can show near d = 0, where it tends to a nonzero limit or
+    grows: at 1000 bits mpmath's degenerate-case path can take seconds
+    per point.
+    """
+    if A == 0.0 or B == 0.0:
+        return mpmath.mpf(1)
+    with mpmath.workprec(100 + max(0, int(-math.log2(d)))):
+        c = mpmath.mpf(C)
+        degenerate = (c - A - B) == int(c - A - B)
+        terminating = any(x <= 0 and x == int(x) for x in (A, B))
+        if degenerate and not terminating:
+            c *= 1 + mpmath.mpf(2) ** -300
+        with mpmath.extraprec(300):
+            return +mpmath.hyp2f1(A, B, c, 1 - mpmath.mpf(d))
+
+
+def _assert_matches(A, B, C, d=D_GRID):
+    with np.errstate(over="ignore"):
+        got = kernels._hyp2f1c(A, B, C, d)
+    s = C - A - B
+    checked = 0
+    for g, dd in zip(got, d):
+        if s < 0.0 and s * math.log(dd) > 575.0:
+            # F ~ d**s > 1e250 nears the end of the double range, and
+            # mpmath takes seconds per point there when s is an integer
+            continue
+        ref = _reference(A, B, C, float(dd))
+        if not 1e-300 < abs(ref) < 1e300:  # outside double range
+            continue
+        assert abs(g - ref) <= REL * abs(ref), (A, B, C, dd, g, ref)
+        checked += 1
+    assert checked >= len(d) // 2
+
+
+def _hohlov_triples(a, b, c):
+    """(A, B, C) of the Hohlov factor f0 and the derivative factors."""
+    return [(c - a + k, 1.0 - a + k, c - a - b + 1.0 + k) for k in range(3)]
+
+
+WORKLOAD_TRIPLES = (_hohlov_triples(0.5, 0.8, 4.5)
+                    + _hohlov_triples(1.5, 0.5, 4.0))
+
+
+@pytest.mark.parametrize("triple", WORKLOAD_TRIPLES, ids=str)
+def test_hyp2f1_workload_triples(triple):
+    _assert_matches(*triple)
+
+
+@pytest.mark.parametrize("s", [-2, -1, 0, 1, 2])
+@pytest.mark.parametrize("a, b", [(1.75, 1.25), (-0.375, 2.25)])
+def test_hyp2f1_integer_s(a, b, s):
+    # a + b + s is exact, so these take the logarithmic forms
+    _assert_matches(a, b, a + b + s)
+
+
+@pytest.mark.parametrize("triple", [
+    (-3.0, 1.5, 2.5), (2.5, -2.0, 0.5), (-1.0, -2.0, 3.3), (3.0, 0.0, 3.0),
+    # terminating only after Euler's transformation: (0, 3; 4)
+    (4.0, 1.0, 4.0),
+    # large alternating terms in powers of 1 - d, so d < 1/2 needs the
+    # powers of d
+    (2.5, -8.0, 1.0), (-7.0, 4.5, 1.2),
+], ids=str)
+def test_hyp2f1_terminating(triple):
+    _assert_matches(*triple)
+
+
+@pytest.mark.parametrize("gap", [1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3,
+                                 0.03, -0.03])
+@pytest.mark.parametrize("m", [-2, -1, 0, 1, 2])
+def test_hyp2f1_near_integer_s(m, gap):
+    _assert_matches(1.75, 1.25, 3.0 + m + gap)
+
+
+def test_hyp2f1_near_integer_s_with_vanishing_gauss_term():
+    # Gamma(C - B) has a pole, so F = d**s times a series and tends to 0
+    # at d = 0, where relative accuracy needs the small value itself
+    _assert_matches(-0.03125, 0.9375, 0.9375)
+
+
+# Relative accuracy is out of reach in double precision near a zero of
+# F in (0, 1), which the Gauss terms of large parameters of both signs
+# can put there; the draws keep to moderate parameters.
+@settings(max_examples=15, deadline=None)
+@given(A=st.floats(-3.0, 6.0), B=st.floats(-3.0, 3.0),
+       C=st.floats(0.1, 8.0), shift=st.one_of(st.none(), st.integers(-3, 3)))
+def test_hyp2f1_random_parameters(A, B, C, shift):
+    # C > 0 is the range of every Hohlov factor
+    if shift is not None:
+        C = A + B + shift
+    assume(C >= 0.1)
+    _assert_matches(A, B, C, D_GRID[::3])
+
+
+@settings(max_examples=15, deadline=None)
+@given(a=st.floats(0.01, 8.0), b=st.floats(0.01, 8.0),
+       c=st.floats(0.01, 12.0), k=st.integers(0, 2), integer=st.booleans())
+def test_hyp2f1_random_hohlov_factors(a, b, c, k, integer):
+    if integer:  # a - b an integer: the logarithmic forms
+        b = a + round(b - a)
+    assume(b > 0.0 and c - a - b > -1.0)
+    _assert_matches(*_hohlov_triples(a, b, c)[k], D_GRID[::3])
+
+
+@pytest.mark.parametrize("triple", [(3.5, 2.0, 1.0), (6.0, 5.5, 2.5)],
+                         ids=str)
+def test_hyp2f1_growing_gauss_terms(triple):
+    # A + B - C - 1 > 0: the Gauss terms at 1 - d = 3/4 shrink only
+    # through the power, never below ratio 3/4
+    _assert_matches(*triple)
+
+
+@pytest.mark.parametrize("triple", [
+    # 15.3.6 loses digits towards d = 1/4: the Gauss series takes over lower
+    (3.0, 4.0, 9.5), (11.875, 1.875, 12.625),
+    # both Gauss forms cancel at d = 1/4: the logarithmic form runs to 1/2
+    (6.8125, -2.75, 4.0625),
+], ids=str)
+def test_hyp2f1_moved_switch(triple):
+    _assert_matches(*triple)
+
+
+def test_hyp2f1_scalar_and_domain():
+    for triple in ((1.5, 0.5, 3.0), (-3.0, 1.5, 2.5)):
+        assert isinstance(kernels._hyp2f1c(*triple, 0.3), float)
+        assert kernels._hyp2f1c(*triple, np.full((2, 3), 0.3)).shape == (2, 3)
+    assert kernels._hyp2f1c(1.5, 0.5, 3.0, 1.0) == 1.0
+    with pytest.raises(DomainError):
+        kernels._hyp2f1c(1.5, 0.5, -2.0, 0.3)
+
+
+def test_digamma_matches_mpmath():
+    for x in (1e-3, 0.5, 1.0, 1.4616321449683622, 3.7, 9.99, 10.0, 250.0,
+              -0.5, -2.7):
+        ref = mpmath.digamma(x)
+        assert abs(kernels._digamma(x) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+HOHLOV = [(0.5, 0.8, 4.5), (1.5, 0.5, 4.0), (1.0, 1.0, 4.0), (2.5, 3.5, 6.2)]
+
+
+@pytest.mark.parametrize("abc", HOHLOV, ids=str)
+def test_hohlov_moments_match_pochhammer_ratio(abc):
+    a, b, c = abc
+    nmax = 8192
+    tau = kernels.moment_sequence(kernels.make_kernel("hohlov", a=a, b=b, c=c),
+                                  nmax)
+    with mpmath.workdps(40):
+        ref, exact = mpmath.mpf(1), []
+        for k in range(nmax):
+            ref *= (a + k) * (b + k) / ((c + k) * (k + 1))
+            exact.append(ref)
+    rel = max(float(abs(t - r) / r) for t, r in zip(tau, exact))
+    assert rel <= REL
+    # scipy's gammaln route carries about n eps in each log-gamma, 4e-11
+    # at n = 8192, so it is held to a looser bound
+    n = np.arange(1, nmax + 1, dtype=float)
+    gl = special.gammaln
+    via_gammaln = np.exp(gl(a + n) - gl(a) + gl(b + n) - gl(b)
+                         - gl(c + n) + gl(c) - gl(n + 1.0))
+    assert np.max(np.abs(tau / via_gammaln - 1.0)) <= 1e-10
+
+
+GENERALIZED = [dict(A=1.0, B=1.0, C=4.0, x1=1.0),
+               dict(A=0.5, B=2.5, C=3.5, x1=0.3, x2=2.0),
+               dict(A=-0.5, B=0.3, C=0.5, x3=1.5)]
+
+
+@pytest.mark.parametrize("params", GENERALIZED, ids=str)
+def test_generalized_moments_and_mass(params):
+    k = kernels.make_kernel("generalized", **params)
+    bb, q = k.p["B"], k.p["C"] - k.p["A"] - k.p["B"]
+    weights = list(enumerate(k.omega))
+    mass = sum(x * special.beta(bb, q + j + 1.0) for j, x in weights)
+    assert 1.0 / k.normalizer == pytest.approx(mass, rel=1e-14)
+    nmax = 8192
+    tau = kernels.moment_sequence(k, nmax)
+    with mpmath.workdps(40):
+        mass_exact = sum(x * mpmath.beta(bb, q + j + 1) for j, x in weights)
+        for n in (1, 2, 7, 64, 1000, 4097, 8192):
+            ref = sum(x * mpmath.beta(bb + n, q + j + 1)
+                      for j, x in weights) / mass_exact
+            assert abs(tau[n - 1] - ref) <= REL * ref
+    n = np.arange(1, nmax + 1, dtype=float)
+    via_betaln = k.normalizer * sum(
+        x * np.exp(special.betaln(bb + n, q + j + 1.0)) for j, x in weights)
+    assert np.max(np.abs(tau / via_betaln - 1.0)) <= 1e-10

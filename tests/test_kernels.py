@@ -330,6 +330,17 @@ def test_check_family():
         kernels.check_family(k, "komatu")
 
 
+@pytest.mark.parametrize("b", [0.5000001, 0.52])
+def test_hohlov_near_integer_exponent(b):
+    # a - b within 0.05 of an integer: 15.3.6 cancels, and the mass check
+    # used to stop with QuadratureFailure at b = 0.5000001
+    k = kernels.make_kernel("hohlov", a=0.5, b=b, c=4.0)
+    p = ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=1.0)
+    routes = certify.beta_routes(k, p)
+    assert routes.agree
+    assert abs(routes.quadrature - routes.series) < 1e-10
+
+
 def test_terminating_hyp2f1_factor_skips_mpmath(monkeypatch):
     import mpmath
 
