@@ -32,8 +32,8 @@ from .certify import (DiskGrid, CertificationReport, beta_sharp,
                       beta_from_integral, beta0_hohlov_closed_form,
                       m_functional, m_functional_min,
                       check_monotone_condition, check_growth_condition,
-                      phi_t_monotonicity_probe, verify_membership,
-                      verify_sharpness, run_certification)
+                      phi_t_monotonicity_probe, extremal_image,
+                      verify_membership, verify_sharpness, run_certification)
 
 __version__ = "0.1.0"
 

@@ -10,7 +10,9 @@ The duality functional M integrates t**(1/mu - 1) Pi(t) against the real
 integrand L over the weight interval.  By Ruscheweyh duality M is affine
 in the unimodular epsilon, M = P + Re(A(epsilon) Q), so its minimum over
 |epsilon| = 1 is taken in closed form at each z; for fixed epsilon M is
-harmonic in z, so the minimum over the disk lies on the outermost circle.
+harmonic in z, so the minimum over the disk lies on the boundary circle.
+The same nodes give the image of the extremal function, behind the
+membership and sharpness checks, with no truncation order.
 """
 
 from __future__ import annotations
@@ -22,40 +24,33 @@ import numpy as np
 
 from . import auxfun, kernels, params as params_mod, series
 from .errors import (DomainError, ExtrapolationUnstable, NotApplicable,
-                     RepresentationMismatch, ZeroDenominator)
+                     QuadratureFailure, RepresentationMismatch,
+                     ZeroDenominator)
 from .quadrature import (averaged_partial_sum, chebyshev_grid, gauss_panels,
                          integrate_01, power_limit)
 
-DEFAULT_ORDER = 512
 BETA_ROUTE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
 class DiskGrid:
-    """Sampling plan for the disk: concentric circles of equal angles."""
+    """Equal angles on the circle |z| = radius, where the minima of the
+    harmonic quantities sampled here lie."""
 
-    radii: tuple = (0.5, 0.9, 0.99, 0.999)
+    radius: float = 0.999
     angles: int = 256
 
     def __post_init__(self):
-        r = self.radii
-        if not r or any(b <= a for a, b in zip(r, r[1:])):
-            raise DomainError("radii must be strictly increasing")
-        if not 0.0 < r[-1] < 1.0:
-            raise DomainError("radii must lie in (0, 1)")
+        if not 0.0 < self.radius < 1.0:
+            raise DomainError("radius must lie in (0, 1)")
         if self.angles < 4:
             raise DomainError("need at least 4 angles")
 
     def theta(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.angles) / self.angles
 
-    def z_points(self) -> np.ndarray:
-        ring = np.exp(1j * self.theta())
-        return np.concatenate([r * ring for r in self.radii])
-
     def boundary_points(self) -> np.ndarray:
-        """The outermost circle, where minima of harmonic functions lie."""
-        return self.radii[-1] * np.exp(1j * self.theta())
+        return self.radius * np.exp(1j * self.theta())
 
 
 def default_t_grid(n: int = 512) -> np.ndarray:
@@ -190,12 +185,18 @@ def _m_nodes(kernel: kernels.KernelSpec, params: params_mod.ParameterSet):
     # singular split
     pref = wu * m * u ** (m * expo - 1.0)
     _, pi_vals = kernels.envelopes(kernel, params.mu, params.nu, t)
-    return t, pref * pi_vals
+    w = pref * pi_vals
+    if not np.all(np.isfinite(w)):
+        raise QuadratureFailure(
+            f"M-node weight t**(1/mu - 1) Pi(t) is not finite at t = "
+            f"{float(t[np.argmin(np.isfinite(w))])!r} (mu = {params.mu!r}, "
+            f"nu = {params.nu!r})")
+    return t, w
 
 
-def _pq_profiles(kernel, params, z_points):
+def _pq_profiles(nodes, params, z_points):
     """P(z) and complex Q(z) with M(z, eps) = P + Re(A(eps) Q)."""
-    t, w = _m_nodes(kernel, params)
+    t, w = nodes
     sg, xi = params.sigma, params.xi
     c1 = auxfun._rational_g(t, sg)
     c2 = auxfun._rational_q(t, sg)
@@ -219,7 +220,7 @@ def _eps_slope(eps, sigma):
 def m_functional(kernel: kernels.KernelSpec, params: params_mod.ParameterSet,
                  z: complex, epsilon: complex) -> float:
     """The duality functional at one (z, epsilon), via the cached nodes."""
-    p, qc = _pq_profiles(kernel, params, [z])
+    p, qc = _pq_profiles(_m_nodes(kernel, params), params, [z])
     a = _eps_slope(complex(epsilon), params.sigma)
     return float(p[0] + (a * qc[0]).real)
 
@@ -249,22 +250,66 @@ def m_functional_direct(kernel: kernels.KernelSpec,
 
 def m_functional_min(kernel: kernels.KernelSpec,
                      params: params_mod.ParameterSet,
-                     grid: DiskGrid = DiskGrid()):
+                     grid: DiskGrid = DiskGrid(), nodes=None):
     """Minimum of the duality functional over the disk and |epsilon| = 1.
 
     With A(eps) = (eps + 2 sigma - 1)/(2(1 - sigma)), M = P + Re(A Q) has
     the exact minimum P + ((2 sigma - 1) Re Q - |Q|)/(2(1 - sigma)) over
     the epsilon circle, attained at eps = -conj(Q)/|Q|.  For fixed eps M
     is harmonic in z, so its minimum over |z| <= r lies on |z| = r: only
-    the outermost circle of the grid is evaluated.  Returns
-    (min, argmin_z, argmin_epsilon).
+    the grid circle is evaluated, on the given or fresh _m_nodes.
+    Returns (min, argmin_z, argmin_epsilon).
     """
     z = grid.boundary_points()
-    p, qc = _pq_profiles(kernel, params, z)
+    p, qc = _pq_profiles(nodes or _m_nodes(kernel, params), params, z)
     sg = params.sigma
     m = p + ((2.0 * sg - 1.0) * qc.real - np.abs(qc)) / (2.0 * (1.0 - sg))
     i = int(np.argmin(m))
     return float(m[i]), complex(z[i]), complex(-np.conj(qc[i]) / abs(qc[i]))
+
+
+# ---------------------------------------------------------------------------
+# the image of the extremal function
+
+def extremal_image(nodes, params: params_mod.ParameterSet, beta: float, z):
+    """K(z)/z and z K'/K for K = xi z g' + (1 - xi) g, g = V_lambda(f_beta)
+    the image of the extremal function, at any z with |z| <= 1.
+
+    The M-node weights W have sum W t**n = mu nu tau_n/((1 + n mu)(1 + n nu))
+    (swap the order of integration).  So with u = 1/(1 - t z), the sums
+    M_k = sum W u**k and c = 2(1 - beta)/(mu nu) (2(1 - beta)/nu at mu = 0),
+    K/z = 1 + c ((1 - xi) M1 + xi M2 - M0) and
+    zK'/z = 1 + c ((1 - 2 xi) M2 + 2 xi M3 - M0).
+    """
+    t, w = nodes
+    xi = params.xi
+    c = 2.0 * (1.0 - beta) / (params.mu * params.nu if params.mu > 0.0
+                              else params.nu)
+    # in place: fresh pages of full-size arrays cost more than arithmetic
+    u = np.multiply(np.asarray(z, dtype=complex).reshape(-1, 1), t)
+    np.divide(1.0, np.subtract(1.0, u, out=u), out=u)
+    m1 = np.einsum("ij,j->i", u, w)
+    u2 = u * u
+    m2 = np.einsum("ij,j->i", u2, w)
+    m3 = np.einsum("ij,j->i", np.multiply(u, u2, out=u), w)
+    m0 = w.sum()
+    k = 1.0 + c * ((1.0 - xi) * m1 + xi * m2 - m0)
+    zk = 1.0 + c * ((1.0 - 2.0 * xi) * m2 + 2.0 * xi * m3 - m0)
+    return k.reshape(np.shape(z)), (zk / k).reshape(np.shape(z))
+
+
+def _winding_guard(k_over_z, z):
+    """ZeroDenominator unless K(z)/z, sampled on a circle, stays off 0 and
+    winds 0 times around 0; then Re(zK'/K) has its disk minimum there."""
+    small = np.abs(k_over_z) < 1e-12
+    if np.any(small):
+        loc = complex(z[np.argmax(small)])
+        raise ZeroDenominator(f"K vanishes near z = {loc}", location=loc)
+    turns = round(float(np.sum(np.angle(np.roll(k_over_z, -1) / k_over_z)))
+                  / (2.0 * np.pi))
+    if turns:
+        raise ZeroDenominator(f"K(z)/z winds {turns} times around 0 on "
+                              f"|z| = {abs(z[0]):.6g}: K vanishes inside")
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +430,21 @@ def phi_t_monotonicity_probe(a_values, b: float,
 
 
 # ---------------------------------------------------------------------------
-# membership and sharpness on truncations
+# membership and sharpness of a truncated series (test oracles)
 
 def verify_membership(f: series.TruncatedSeries, sigma: float, xi: float,
                       grid: DiskGrid = DiskGrid()):
-    """min over the grid of Re(z K'(z)/K(z)) - sigma for K = xi z f' + (1-xi) f.
+    """min over the grid circle of Re(z K'(z)/K(z)) - sigma for
+    K = xi z f' + (1-xi) f, the series route to the membership margin.
 
-    Returns (min_margin, argmin_z); raises ZeroDenominator if K vanishes
-    on the grid.
+    Returns (min_margin, argmin_z); ZeroDenominator as in _winding_guard.
     """
     k = series.k_combination(f, xi)
-    zk = series.z_derivative(k)
-    z = grid.z_points()
+    z = grid.boundary_points()
     kv = series.evaluate_many(k, z)
-    zkv = series.evaluate_many(zk, z)
-    bad = np.abs(kv) < 1e-12
-    if np.any(bad):
-        loc = complex(z[np.argmax(bad)])
-        raise ZeroDenominator(f"K vanishes near z = {loc}", location=loc)
-    margins = (zkv / kv).real - sigma
+    _winding_guard(kv / z, z)
+    margins = (series.evaluate_many(series.z_derivative(k), z) / kv).real \
+        - sigma
     i = int(np.argmin(margins))
     return float(margins[i]), complex(z[i])
 
@@ -467,16 +508,7 @@ class CertificationReport:
 
     def to_dict(self) -> dict:
         p = self.params
-        hyp = None
-        if self.hypothesis_report is not None:
-            hyp = {
-                "theorem": self.hypothesis_report.theorem,
-                "all_satisfied": self.hypothesis_report.all_satisfied,
-                "hypotheses": [
-                    {"name": h.name, "satisfied": h.satisfied,
-                     "margin": h.margin}
-                    for h in self.hypothesis_report.hypotheses],
-            }
+        hyp = self.hypothesis_report
         return {
             "schema_version": 1,
             "kernel": self.kernel.text(),
@@ -504,7 +536,7 @@ class CertificationReport:
             },
             "sharpness_residual": self.sharpness_residual,
             "boundary_decay_ok": self.decay_ok,
-            "hypothesis_check": hyp,
+            "hypothesis_check": None if hyp is None else hyp.to_dict(),
             "passed": self.passed(),
         }
 
@@ -512,32 +544,33 @@ class CertificationReport:
 def run_certification(kernel: kernels.KernelSpec,
                       params: params_mod.ParameterSet,
                       grid: DiskGrid = DiskGrid(),
-                      order: int = DEFAULT_ORDER,
                       with_curves: bool = False) -> CertificationReport:
-    """Full pipeline: beta, duality functional, conditions, sharpness."""
+    """Full pipeline: beta, duality functional, conditions, membership and
+    sharpness of the extremal image, all on one set of M-nodes."""
     beta = beta_routes(kernel, params)
     beta_q = beta.sharp()
     beta_closed = beta_closed_form(kernel, params)
 
     decay = kernels.boundary_decay_check(kernel, params.mu, params.nu)
-    m_min, argmin_z, argmin_eps = m_functional_min(kernel, params, grid)
+    nodes = _m_nodes(kernel, params)
+    m_min, argmin_z, argmin_eps = m_functional_min(kernel, params, grid,
+                                                   nodes)
 
     margins, hyp_report = condition_margins(kernel, params)
     if hyp_report is not None:
         margins[f"hypotheses_{hyp_report.theorem}"] = hyp_report.min_margin
 
-    f_ext = series.extremal_function(params.mu, params.nu, beta_q, order)
-    tau = kernels.moment_sequence(kernel, order - 1)
-    f_img = series.apply_transform(f_ext, tau)
-    mem_min, mem_argmin = verify_membership(f_img, params.sigma, params.xi,
-                                            grid)
-    k_comb = series.k_combination(f_img, params.xi)
-    residual = verify_sharpness(k_comb, params.sigma)
+    # membership on the grid circle, sharpness at z = -1 itself
+    z = np.append(grid.boundary_points(), -1.0)
+    k_over_z, ratio = extremal_image(nodes, params, beta_q, z)
+    _winding_guard(k_over_z[:-1], z[:-1])
+    ratio = ratio.real
+    i = int(np.argmin(ratio[:-1]))
 
     curves: dict = {}
     if with_curves:
         curves = _report_curves(kernel, params, argmin_z, argmin_eps,
-                                f_img, grid)
+                                ratio[:-1], grid)
 
     return CertificationReport(
         params=params.with_beta(beta_q),
@@ -549,16 +582,16 @@ def run_certification(kernel: kernels.KernelSpec,
         m_argmin_z=argmin_z,
         m_argmin_eps=argmin_eps,
         condition_margins=margins,
-        membership_min=mem_min,
-        membership_argmin=mem_argmin,
-        sharpness_residual=residual,
+        membership_min=float(ratio[i] - params.sigma),
+        membership_argmin=complex(z[i]),
+        sharpness_residual=float(abs(ratio[-1] - params.sigma)),
         decay_ok=bool(decay),
         hypothesis_report=hyp_report,
         curves=curves,
     )
 
 
-def _report_curves(kernel, params, argmin_z, argmin_eps, f_img, grid):
+def _report_curves(kernel, params, argmin_z, argmin_eps, ratio, grid):
     t = chebyshev_grid(0.01, 0.99, 129)
     lam_vals, pi_vals = kernels.envelopes(kernel, params.mu, params.nu, t)
     ctx = auxfun.AuxContext(params.mu, params.nu, params.sigma, params.xi,
@@ -570,15 +603,8 @@ def _report_curves(kernel, params, argmin_z, argmin_eps, f_img, grid):
     monotone = np.full_like(t, np.nan)
     if params.xi > 0.0 and params.mu >= 1.0:
         monotone = _monotone_curve(params, t, lam_vals, pi_vals)
-
-    k = series.k_combination(f_img, params.xi)
-    zk = series.z_derivative(k)
-    theta = grid.theta()
-    z = grid.boundary_points()
-    ratio = (series.evaluate_many(zk, z)
-             / series.evaluate_many(k, z)).real
     return {
         "t": t, "pi": pi_vals, "l_at_argmin": l_vals,
         "growth_margin": growth, "monotone_expression": monotone,
-        "theta": theta, "re_zkprime_over_k": ratio,
+        "theta": grid.theta(), "re_zkprime_over_k": ratio,
     }

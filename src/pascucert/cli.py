@@ -6,9 +6,9 @@ sigma/xi/mu/nu/alpha/gamma flags) may be a set ``{v1,v2,...}`` or a range
 ``[lo:hi:n]`` (n points, endpoints included); the sweep runs the cartesian
 product.
 
-Defaults (grid sizes, truncation order, output format) can be overridden
-by flags or by environment variables prefixed ``PASCUCERT_`` (e.g.
-``PASCUCERT_ORDER=256``).
+Defaults (circle angles, moment count, tolerance, output format) can be
+overridden by flags or by environment variables prefixed ``PASCUCERT_``
+(e.g. ``PASCUCERT_ANGLES=512``).
 
 Exit codes: 0 all requested checks passed, 1 a check failed (report still
 written), 2 usage or configuration error.
@@ -49,9 +49,7 @@ class RunConfig:
     nu: Optional[float] = None
     sigma: float = 0.0
     xi: float = 0.0
-    radii: tuple = (0.5, 0.9, 0.99, 0.999)
     angles: int = 256
-    order: int = 512
     nmax: int = 50
     tol: float = 0.0
     output: Optional[str] = None
@@ -85,17 +83,13 @@ class RunConfig:
             self.mu, self.nu, self.sigma, self.xi)
 
     def disk_grid(self) -> certify.DiskGrid:
-        return certify.DiskGrid(radii=self.radii, angles=self.angles)
+        return certify.DiskGrid(angles=self.angles)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["radii"] = list(self.radii)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        d["radii"] = tuple(d.get("radii", (0.5, 0.9, 0.99, 0.999)))
         return cls(**d)
 
 
@@ -107,13 +101,6 @@ def _env_default(name: str, fallback, cast):
         return cast(raw)
     except ValueError:
         raise ConfigError(f"bad value for {ENV_PREFIX}{name}: {raw!r}")
-
-
-def _parse_radii(text: str) -> tuple:
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise ConfigError(f"bad radii list: {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,13 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nu", default=None)
         p.add_argument("--sigma", default="0")
         p.add_argument("--xi", default="0")
-        p.add_argument("--radii", type=_parse_radii,
-                       default=_env_default("RADII", (0.5, 0.9, 0.99, 0.999),
-                                            _parse_radii))
         p.add_argument("--angles", type=int,
                        default=_env_default("ANGLES", 256, int))
-        p.add_argument("--order", type=int,
-                       default=_env_default("ORDER", 512, int))
         p.add_argument("--nmax", type=int,
                        default=_env_default("NMAX", 50, int))
         p.add_argument("--tol", type=float,
@@ -321,18 +303,20 @@ def emit_plot_data(reports: list) -> str:
                  for th, r in zip(c["theta"], c["re_zkprime_over_k"])]
         block2 = _csv_rows(rows2, ["theta", "re_zkprime_over_k"])
         return block1 + "\n" + block2
-    rows = []
-    for rep in reports:
-        m = rep.condition_margins
-        rows.append([rep.kernel.text(), rep.params.mu, rep.params.nu,
-                     rep.params.sigma, rep.params.xi, rep.beta_integral,
-                     rep.m_functional_min, m.get("monotone"),
-                     m.get("growth"), rep.membership_min,
-                     rep.sharpness_residual, rep.passed()])
-    return _csv_rows(rows, ["kernel", "mu", "nu", "sigma", "xi", "beta",
-                            "m_functional_min", "monotone_margin",
-                            "growth_margin", "membership_min",
-                            "sharpness_residual", "passed"])
+    return _csv_rows([_summary_row(rep) for rep in reports], SUMMARY_HEADER)
+
+
+SUMMARY_HEADER = ["kernel", "mu", "nu", "sigma", "xi", "beta",
+                  "m_functional_min", "monotone_margin", "growth_margin",
+                  "membership_min", "sharpness_residual", "passed"]
+
+
+def _summary_row(rep) -> list:
+    m = rep.condition_margins
+    return [rep.kernel.text(), rep.params.mu, rep.params.nu,
+            rep.params.sigma, rep.params.xi, rep.beta_integral,
+            rep.m_functional_min, m.get("monotone"), m.get("growth"),
+            rep.membership_min, rep.sharpness_residual, rep.passed()]
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +364,7 @@ def _cmd_check(cfg: RunConfig) -> int:
         "schema_version": SCHEMA_VERSION,
         "kernel": kernel.text(),
         "condition_margins": margins,
-        "hypothesis_check": None if hyp is None else {
-            "theorem": hyp.theorem,
-            "all_satisfied": hyp.all_satisfied,
-            "hypotheses": [{"name": h.name, "satisfied": h.satisfied,
-                            "margin": h.margin} for h in hyp.hypotheses],
-        },
+        "hypothesis_check": None if hyp is None else hyp.to_dict(),
         "passed": ok,
     }
     if cfg.format == "json":
@@ -404,22 +383,12 @@ def _cmd_certify(cfg: RunConfig) -> int:
     kernel = kernels.parse_kernel(cfg.kernel)
     p = cfg.parameter_set()
     rep = certify.run_certification(kernel, p, cfg.disk_grid(),
-                                    order=cfg.order,
                                     with_curves=cfg.plot_data is not None)
     payload = rep.to_dict()
     if cfg.format == "json":
         _emit(_json_text(payload), cfg.output)
     elif cfg.format == "csv":
-        m = rep.condition_margins
-        row = [rep.kernel.text(), rep.params.mu, rep.params.nu,
-               rep.params.sigma, rep.params.xi, rep.beta_integral,
-               rep.m_functional_min, m.get("monotone"), m.get("growth"),
-               rep.membership_min, rep.sharpness_residual, rep.passed()]
-        _emit(_csv_rows([row], ["kernel", "mu", "nu", "sigma", "xi", "beta",
-                                "m_functional_min", "monotone_margin",
-                                "growth_margin", "membership_min",
-                                "sharpness_residual", "passed"]),
-              cfg.output)
+        _emit(_csv_rows([_summary_row(rep)], SUMMARY_HEADER), cfg.output)
     else:
         _emit(_kv_text(payload), cfg.output)
     if cfg.plot_data is not None:
@@ -508,8 +477,7 @@ def _config_from_namespace(ns) -> RunConfig:
         alpha=opt(ns.alpha), gamma=opt(ns.gamma),
         mu=opt(ns.mu), nu=opt(ns.nu),
         sigma=_scalar(ns.sigma, "sigma"), xi=_scalar(ns.xi, "xi"),
-        radii=tuple(ns.radii), angles=ns.angles, order=ns.order, nmax=ns.nmax,
-        tol=ns.tol, output=ns.output, format=ns.format,
+        angles=ns.angles, nmax=ns.nmax, tol=ns.tol, output=ns.output, format=ns.format,
         plot_data=ns.plot_data)
 
 

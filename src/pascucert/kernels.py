@@ -85,7 +85,8 @@ def make_kernel(family: str, **params) -> KernelSpec:
         c, delta = _require(params, "c"), _require(params, "delta")
         if c <= -1.0 or delta <= 0.0:
             raise DomainError("komatu needs c > -1 and delta > 0")
-        norm = (1.0 + c) ** delta / math.gamma(delta)
+        # in log form: Gamma(delta) overflows past delta = 171.6
+        norm = math.exp(delta * math.log1p(c) - math.lgamma(delta))
         spec = KernelSpec(family, (("c", c), ("delta", delta)), norm)
     elif family == HOHLOV:
         a, b, c = (_require(params, k) for k in ("a", "b", "c"))
@@ -93,8 +94,7 @@ def make_kernel(family: str, **params) -> KernelSpec:
             raise DomainError("hohlov needs a, b, c > 0")
         if c - a - b <= -1.0:
             raise DomainError("hohlov needs c - a - b > -1")
-        norm = math.gamma(c) / (math.gamma(a) * math.gamma(b)
-                                * math.gamma(c - a - b + 1.0))
+        norm = _gamma_ratio((c,), (a, b, c - a - b + 1.0))
         spec = KernelSpec(family, (("a", a), ("b", b), ("c", c)), norm)
     elif family == TWO_PARAM_LOG:
         a, b = _require(params, "a"), _require(params, "b")
@@ -685,7 +685,7 @@ def _moments(kernel: KernelSpec, n: np.ndarray) -> np.ndarray:
     if fam == BERNARDI:
         return d / (n + p["c"] + 1.0)
     if fam == KOMATU:
-        return d * math.gamma(p["delta"]) / (n + p["c"] + 1.0) ** p["delta"]
+        return ((1.0 + p["c"]) / (n + p["c"] + 1.0)) ** p["delta"]
     if fam == TWO_PARAM_LOG:
         a, b = p["a"], p["b"]
         if a == b:

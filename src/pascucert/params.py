@@ -118,6 +118,11 @@ class HypothesisReport:
     def min_margin(self) -> float:
         return min(h.margin for h in self.hypotheses)
 
+    def to_dict(self) -> dict:
+        return {"theorem": self.theorem, "all_satisfied": self.all_satisfied,
+                "hypotheses": [{"name": h.name, "satisfied": h.satisfied,
+                                "margin": h.margin} for h in self.hypotheses]}
+
 
 THEOREM_FAMILY = {
     "generalized": kernels.GENERALIZED_OMEGA,

@@ -6,7 +6,9 @@ import pytest
 import pascucert as pc
 from pascucert import auxfun, certify, kernels, series
 from pascucert.errors import (CriticalPoint, DomainError, NotApplicable,
-                              RepresentationMismatch, ZeroDenominator)
+                              QuadratureFailure, RepresentationMismatch,
+                              ZeroDenominator)
+from pascucert.quadrature import averaged_partial_sum
 
 P12 = pc.ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=1.0)
 KOMATU = pc.make_kernel("komatu", c=0.0, delta=3.0)
@@ -95,7 +97,7 @@ def test_closed_form_skipped_at_mu_or_nu_zero():
         with pytest.raises(DomainError):
             certify.beta0_hohlov_closed_form(p, 1.0, 4.0)
     p = pc.ParameterSet.from_mu_nu(0.0, 2.0, sigma=0.1, xi=1.0)
-    rep = certify.run_certification(kernel, p, order=128)
+    rep = certify.run_certification(kernel, p)
     assert rep.beta_closed_form is None
     assert rep.beta_integral == pytest.approx(rep.beta_series, abs=1e-7)
     assert rep.to_dict()["beta"]["closed_form"] is None
@@ -103,14 +105,16 @@ def test_closed_form_skipped_at_mu_or_nu_zero():
 
 def test_disk_grid_validation():
     with pytest.raises(DomainError):
-        certify.DiskGrid(radii=(0.9, 0.5))
+        certify.DiskGrid(radius=0.0)
     with pytest.raises(DomainError):
-        certify.DiskGrid(radii=(0.5, 1.0))
+        certify.DiskGrid(radius=1.0)
     with pytest.raises(DomainError):
         certify.DiskGrid(angles=2)
-    grid = certify.DiskGrid(radii=(0.5, 0.9), angles=8)
-    assert len(grid.z_points()) == 16
-    assert np.array_equal(grid.boundary_points(), grid.z_points()[8:])
+    grid = certify.DiskGrid(radius=0.9, angles=8)
+    z = grid.boundary_points()
+    assert len(z) == 8
+    assert np.allclose(np.abs(z), 0.9, rtol=0.0, atol=1e-15)
+    assert z[0] == 0.9
 
 
 def test_m_functional_node_route_matches_direct():
@@ -132,6 +136,12 @@ def test_m_functional_min_nonnegative_for_certified_instance():
     assert abs(zmin) <= 0.999 + 1e-12
 
 
+def _circles(grid, radii=(0.5, 0.9, 0.99, 0.999)):
+    """The grid's angles on several circles, the outermost the grid's."""
+    ring = np.exp(1j * grid.theta())
+    return np.concatenate([r * ring for r in radii])
+
+
 def _epsilon_scan(p, qc, sigma, theta):
     """min over the sampled epsilons at each z, and the minimizing angle."""
     m = p[:, None] + (qc[:, None]
@@ -148,11 +158,11 @@ MIN_CASES = [(k, P12) for k in FAMILIES] + [BERNARDI_HALF]
 @pytest.mark.parametrize("kernel,p", MIN_CASES,
                          ids=[k.family for k in FAMILIES] + ["bernardi_half"])
 def test_m_functional_min_not_above_dense_scan(kernel, p):
-    # 4096 epsilons on every circle of the grid: the closed form on the
-    # outermost circle is never above it and finds the same z
+    # 4096 epsilons on four circles up to the grid's: the closed form on
+    # the grid circle is never above it and finds the same z
     grid = certify.DiskGrid()
-    z = grid.z_points()
-    pz, qc = certify._pq_profiles(kernel, p, z)
+    z = _circles(grid)
+    pz, qc = certify._pq_profiles(certify._m_nodes(kernel, p), p, z)
     theta = 2.0 * np.pi * np.arange(4096) / 4096
     scan = np.min([_epsilon_scan(pz, qc, p.sigma, th)[0]
                    for th in np.split(theta, 8)], axis=0)
@@ -169,7 +179,8 @@ def test_m_functional_min_below_refined_epsilon_scan():
     # running minimum; here it stops 2e-8 above the exact minimum
     kernel, p = BERNARDI_HALF
     grid = certify.DiskGrid()
-    pz, qc = certify._pq_profiles(kernel, p, grid.z_points())
+    pz, qc = certify._pq_profiles(certify._m_nodes(kernel, p), p,
+                                  _circles(grid))
     best, best_theta = _epsilon_scan(pz, qc, p.sigma,
                                      2.0 * np.pi * np.arange(64) / 64)
     i = np.argmin(best)
@@ -231,7 +242,7 @@ def test_growth_condition_raises_at_first_critical_point():
 
 
 def test_report_growth_curve_matches_checker():
-    rep = certify.run_certification(KOMATU, P12, order=128, with_curves=True)
+    rep = certify.run_certification(KOMATU, P12, with_curves=True)
     c = rep.curves
     assert np.min(c["growth_margin"]) == pytest.approx(
         certify.check_growth_condition(KOMATU, P12, c["t"]), rel=1e-15)
@@ -265,7 +276,7 @@ def test_verify_membership_positive_for_starlike():
     c = np.concatenate([[0.0, 1.0],
                         np.cumprod((n + 0.8) / n)[:1997]])
     f = series.from_coeffs(c)
-    grid = certify.DiskGrid(radii=(0.5, 0.9, 0.99), angles=128)
+    grid = certify.DiskGrid(radius=0.99, angles=128)
     margin, argmin = certify.verify_membership(f, 0.1, 0.0, grid)
     assert margin >= -1e-6
     assert abs(argmin) < 1.0
@@ -276,8 +287,7 @@ def test_verify_membership_zero_denominator():
     f = series.from_coeffs([0.0, 1.0, -2.0])
     with pytest.raises(ZeroDenominator):
         certify.verify_membership(f, 0.0, 0.0,
-                                  certify.DiskGrid(radii=(0.5, 0.9),
-                                                   angles=8))
+                                  certify.DiskGrid(radius=0.5, angles=8))
 
 
 def test_verify_sharpness_extremal_starlike():
@@ -291,7 +301,7 @@ def test_verify_sharpness_extremal_starlike():
 
 
 def test_run_certification_report_schema():
-    rep = certify.run_certification(KOMATU, P12, order=128)
+    rep = certify.run_certification(KOMATU, P12)
     d = rep.to_dict()
     assert d["schema_version"] == 1
     assert d["kernel"] == "komatu c=0 delta=3"
@@ -305,7 +315,7 @@ def test_run_certification_report_schema():
 
 
 def test_run_certification_curves():
-    rep = certify.run_certification(KOMATU, P12, order=128, with_curves=True)
+    rep = certify.run_certification(KOMATU, P12, with_curves=True)
     c = rep.curves
     assert len(c["t"]) == len(c["pi"]) == len(c["l_at_argmin"])
     assert np.all(np.isfinite(c["pi"]))
@@ -314,7 +324,7 @@ def test_run_certification_curves():
 
 def test_report_condition_margins_none_at_xi_zero():
     p = pc.ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.0, xi=0.0)
-    rep = certify.run_certification(BERNARDI, p, order=128)
+    rep = certify.run_certification(BERNARDI, p)
     assert rep.condition_margins["monotone"] is None
     assert rep.condition_margins["growth"] is None
 
@@ -338,3 +348,118 @@ def test_run_certification_komatu_mu2_decays():
     rep = certify.run_certification(kernel, p)
     assert rep.decay_ok
     assert rep.passed()
+
+
+# ---------------------------------------------------------------------------
+# the extremal image on the M-nodes
+
+# the six certify_closed requests of the benchmark, its two Hohlov kernels
+# with a != 1, xi = 0, and mu = 0: (kernel, mu, nu, sigma, xi)
+IMAGE_CASES = [
+    ("komatu c=0 delta=3", 1.0, 2.0, 0.1, 1.0),
+    ("bernardi c=1", 1.0, 2.0, 0.1, 0.5),
+    ("hohlov a=1 b=1 c=4", 1.0, 2.0, 0.1, 1.0),
+    ("generalized A=1 B=1 C=4 x1=1", 1.0, 2.0, 0.1, 1.0),
+    ("two_param_log a=-0.5 b=0", 1.0, 2.0, 0.1, 1.0),
+    ("komatu c=-0.5 delta=4", 2.0, 2.0, 0.1, 1.0),
+    ("hohlov a=0.5 b=0.8 c=4.5", 1.0, 2.0, 0.1, 1.0),
+    ("hohlov a=1.5 b=0.5 c=4", 1.0, 2.0, 0.1, 1.0),
+    ("ali_singh k=0.5", 1.0, 2.0, 0.1, 0.0),
+    ("bernardi c=2", 0.0, 2.0, 0.1, 1.0),
+]
+
+
+def _series_image(kernel, p, beta, order):
+    """K = xi z g' + (1 - xi) g and z K' for the truncated image g."""
+    f = series.extremal_function(p.mu, p.nu, beta, order)
+    g = series.apply_transform(f, kernels.moment_sequence(kernel, order - 1))
+    k = series.k_combination(g, p.xi)
+    return k, series.z_derivative(k)
+
+
+@pytest.mark.parametrize("text,mu,nu,sigma,xi", IMAGE_CASES,
+                         ids=[f"{c[0]} mu={c[1]:g} xi={c[4]:g}"
+                              for c in IMAGE_CASES])
+def test_extremal_image_matches_series_oracle(text, mu, nu, sigma, xi):
+    # the order-32768 series on the grid circle, and at z = -1 through the
+    # binomially averaged partial sums of the alternating series
+    kernel = pc.parse_kernel(text)
+    p = pc.ParameterSet.from_mu_nu(mu, nu, sigma, xi)
+    beta = certify.beta_sharp(kernel, p)
+    nodes = certify._m_nodes(kernel, p)
+    z = certify.DiskGrid().boundary_points()
+    _, ratio = certify.extremal_image(nodes, p, beta, z)
+    k, zk = _series_image(kernel, p, beta, 32768)
+    oracle = (series.evaluate_many(zk, z) / series.evaluate_many(k, z)).real
+    assert np.max(np.abs(ratio.real - oracle)) <= 1e-8
+
+    _, at_minus_one = certify.extremal_image(nodes, p, beta, -1.0)
+    sign = (-1.0) ** np.arange(len(k.coeffs))
+    oracle_at_minus_one = (averaged_partial_sum((zk.coeffs * sign).real)
+                           / averaged_partial_sum((k.coeffs * sign).real))
+    assert abs(at_minus_one.real - oracle_at_minus_one) <= 1e-8
+    # the sharp beta puts the image on the boundary of the class there
+    assert abs(at_minus_one.real - sigma) <= 1e-8
+
+
+def test_extremal_image_shapes_and_origin():
+    nodes = certify._m_nodes(KOMATU, P12)
+    k, ratio = certify.extremal_image(nodes, P12, -6.0, np.zeros((2, 3)))
+    assert k.shape == ratio.shape == (2, 3)
+    # g(z)/z = 1 + O(z): K/z and zK'/K are 1 at the origin
+    assert np.allclose(k, 1.0, rtol=0.0, atol=1e-13)
+    assert np.allclose(ratio, 1.0, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("text,mu,xi,margin", [
+    ("bernardi c=1", 1.0, 0.5, 1.3014e-3),
+    ("bernardi c=2", 0.0, 1.0, 1.0394e-3),
+])
+def test_former_truncation_fails_pass_membership(text, mu, xi, margin):
+    # order 512 gave -1.551e-3 and -2.236 here
+    p = pc.ParameterSet.from_mu_nu(mu, 2.0, sigma=0.1, xi=xi)
+    rep = certify.run_certification(pc.parse_kernel(text), p)
+    assert rep.membership_min == pytest.approx(margin, abs=1e-7)
+    assert rep.membership_min >= 0.0
+    assert rep.sharpness_residual <= 1e-8
+
+
+def test_winding_guard_catches_zero_inside():
+    # at beta = -10 the circle minimum of Re(zK'/K) looks fine, but K(z)/z
+    # is real on the real axis and changes sign on (-1, 0): K has a zero
+    # inside the disk, and the winding number on the circle shows it
+    p = pc.ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=0.5)
+    nodes = certify._m_nodes(BERNARDI, p)
+    z = certify.DiskGrid().boundary_points()
+    k, ratio = certify.extremal_image(nodes, p, -10.0, z)
+    assert np.min(ratio.real) - p.sigma > 1.0
+    k_real, _ = certify.extremal_image(nodes, p, -10.0, [-0.999, 0.0])
+    assert k_real[0].real < 0.0 < k_real[1].real
+    with pytest.raises(ZeroDenominator, match="winds 1 times"):
+        certify._winding_guard(k, z)
+    # at the sharp beta K/z stays off 0 and winds 0 times
+    k, _ = certify.extremal_image(nodes, p, certify.beta_sharp(BERNARDI, p),
+                                  z)
+    certify._winding_guard(k, z)
+
+
+def test_m_nodes_built_once_per_certification(monkeypatch):
+    calls = []
+    build = certify._m_nodes
+
+    def counted(kernel, p):
+        calls.append(kernel)
+        return build(kernel, p)
+
+    monkeypatch.setattr(certify, "_m_nodes", counted)
+    certify.run_certification(KOMATU, P12, with_curves=True)
+    assert len(calls) == 1
+
+
+def test_m_nodes_raise_where_weight_not_finite():
+    # at mu = 0.01, u**99 underflows where Pi overflows
+    p = pc.ParameterSet.from_mu_nu(0.01, 2.0, sigma=0.1, xi=1.0)
+    with pytest.raises(QuadratureFailure, match=r"mu = 0\.01, nu = 2\.0"):
+        certify._m_nodes(KOMATU, p)
+    with pytest.raises(QuadratureFailure):
+        certify.run_certification(KOMATU, p)

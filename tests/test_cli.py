@@ -18,10 +18,10 @@ from pascucert import certify, kernels, params
 def test_runconfig_round_trip():
     cfg = cli.RunConfig(command="check", kernel="bernardi c=1",
                         mu=1.0, nu=2.0, sigma=0.1, xi=0.5,
-                        radii=(0.5, 0.9), angles=64, format="json")
+                        angles=64, format="json")
     again = cli.RunConfig.from_dict(cfg.to_dict())
     assert again == cfg
-    assert isinstance(again.radii, tuple)
+    assert again.disk_grid() == certify.DiskGrid(angles=64)
 
 
 def test_runconfig_rejects_mixed_parameterizations():
@@ -175,10 +175,10 @@ def test_main_bad_kernel_exit_two(capsys):
 
 
 def test_main_bad_environment_value_exit_two(monkeypatch, capsys):
-    monkeypatch.setenv("PASCUCERT_ORDER", "abc")
+    monkeypatch.setenv("PASCUCERT_ANGLES", "abc")
     assert cli.main(BETA_ARGS) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "PASCUCERT_ORDER" in err
+    assert "config error" in err and "PASCUCERT_ANGLES" in err
     assert "Traceback" not in err
 
 
@@ -189,6 +189,51 @@ def test_main_epsilon_count_is_unrecognized(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value", [("--order", "512"),
+                                        ("--radii", "0.5,0.9")])
+def test_main_order_and_radii_are_unrecognized(flag, value, capsys):
+    # membership and sharpness are quadratures on one circle: no
+    # truncation order and no inner circles to set
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["certify", "--kernel", "bernardi c=1", "--mu", "1",
+                  "--nu", "2", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+def test_main_certify_small_mu_names_quadrature_failure(capsys):
+    rc = cli.main(["certify", "--kernel", "komatu c=0 delta=3",
+                   "--mu", "0.01", "--nu", "2", "--sigma", "0.1",
+                   "--xi", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "QuadratureFailure" in err and "mu = 0.01" in err
+    assert "Traceback" not in err
+
+
+def test_main_beta_hohlov_large_c(capsys):
+    # Gamma(200) overflows a double; the normalizer is a log-gamma ratio
+    rc = cli.main(["beta", "--kernel", "hohlov a=1 b=1 c=200", "--mu", "1",
+                   "--nu", "2", "--sigma", "0.1", "--xi", "1",
+                   "--format", "json"])
+    assert rc == 0
+    beta = json.loads(capsys.readouterr().out)["beta"]
+    assert beta["routes_agree"] is True
+    assert beta["integral"] == pytest.approx(-142.3936, abs=1e-4)
+    assert beta["closed_form"] == pytest.approx(beta["integral"], abs=1e-7)
+
+
+def test_main_beta_komatu_large_delta_is_config_error(capsys):
+    # the normalizer no longer overflows; the mass of t**0 log(1/t)**199
+    # lies near t = e**-199, where the mass check cannot find it
+    rc = cli.main(["beta", "--kernel", "komatu c=0 delta=200", "--mu", "1",
+                   "--nu", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
 
 
 def test_checker_error_fails_check_and_sweep(monkeypatch, capsys):
@@ -274,9 +319,8 @@ def test_main_sweep_needs_parameters(capsys):
 def _small_report(xi):
     kernel = kernels.make_kernel("bernardi", c=1.0)
     p = params.ParameterSet.from_mu_nu(1.0, 2.0, 0.1, xi)
-    grid = certify.DiskGrid(radii=(0.5, 0.9), angles=32)
-    return certify.run_certification(kernel, p, grid, order=128,
-                                     with_curves=True)
+    grid = certify.DiskGrid(radius=0.9, angles=32)
+    return certify.run_certification(kernel, p, grid, with_curves=True)
 
 
 def test_plot_data_single_report_blocks():
@@ -308,7 +352,7 @@ def test_plot_data_many_reports_summary():
 def test_plot_data_needs_curves():
     kernel = kernels.make_kernel("bernardi", c=1.0)
     p = params.ParameterSet.from_mu_nu(1.0, 2.0, 0.1, 0.5)
-    grid = certify.DiskGrid(radii=(0.5,), angles=16)
-    rep = certify.run_certification(kernel, p, grid, order=128)
+    grid = certify.DiskGrid(radius=0.5, angles=16)
+    rep = certify.run_certification(kernel, p, grid)
     with pytest.raises(ConfigError):
         cli.emit_plot_data([rep])

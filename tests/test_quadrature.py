@@ -116,7 +116,7 @@ def test_import_and_runs_leave_scipy_integrate_unloaded(tmp_path):
         params = pc.ParameterSet.from_mu_nu(1.0, 2.0, 0.1, 1.0)
         for text in ("hohlov a=0.5 b=0.8 c=4.5", "hohlov a=1.5 b=0.5 c=4",
                      "hohlov a=1 b=1 c=4"):
-            pc.run_certification(pc.parse_kernel(text), params, order=128)
+            pc.run_certification(pc.parse_kernel(text), params)
             loaded.append(foreign())
         cli.main(["sweep", "--kernel", "generalized A=1 B=1 C=4 x1={{1,2}}",
                   "--mu", "1", "--nu", "2", "--sigma", "0.1", "--xi", "1",
