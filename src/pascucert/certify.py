@@ -11,8 +11,9 @@ integrand L over the weight interval.  By Ruscheweyh duality M is affine
 in the unimodular epsilon, M = P + Re(A(epsilon) Q), so its minimum over
 |epsilon| = 1 is taken in closed form at each z; for fixed epsilon M is
 harmonic in z, so the minimum over the disk lies on the boundary circle.
-The same nodes give the image of the extremal function, behind the
-membership and sharpness checks, with no truncation order.
+The image of the extremal function, behind the membership and sharpness
+checks, needs no truncation order: it and the functional are read from
+one set of node sums M_k = sum W u**k, u = 1/(1 - t z).
 """
 
 from __future__ import annotations
@@ -194,23 +195,36 @@ def _m_nodes(kernel: kernels.KernelSpec, params: params_mod.ParameterSet):
     return t, w
 
 
-def _pq_profiles(nodes, params, z_points):
-    """P(z) and complex Q(z) with M(z, eps) = P + Re(A(eps) Q)."""
+def _node_sums(nodes, z):
+    """(M1, M2, M3), M_k = sum W u**k with u = 1/(1 - t z), at every z."""
     t, w = nodes
-    sg, xi = params.sigma, params.xi
-    c1 = auxfun._rational_g(t, sg)
-    c2 = auxfun._rational_q(t, sg)
-    z = np.asarray(z_points, dtype=complex).reshape(-1, 1)
-    tz = z * t
-    inv1 = 1.0 / (1.0 - tz) ** 2
-    inv2 = inv1 / (1.0 - tz)
-    base = (1.0 - xi) * (inv1.real - c1) + xi * (((1.0 + tz) * inv2).real - c2)
+    # in place: fresh pages of full-size arrays cost more than arithmetic
+    u = np.multiply(np.asarray(z, dtype=complex).reshape(-1, 1), t)
+    np.divide(1.0, np.subtract(1.0, u, out=u), out=u)
     # einsum, not @: a threaded BLAS gemv doubles the CPU time here for
     # no gain in wall time
-    p = np.einsum("ij,j->i", base, w)
-    qc = np.einsum("ij,j->i", (1.0 - xi) * (tz * inv1)
-                   + xi * (2.0 * tz * inv2), w)
+    m1 = np.einsum("ij,j->i", u, w)
+    u2 = u * u
+    m2 = np.einsum("ij,j->i", u2, w)
+    m3 = np.einsum("ij,j->i", np.multiply(u, u2, out=u), w)
+    return m1, m2, m3
+
+
+def _pq_from_sums(nodes, params, m1, m2, m3):
+    """P and complex Q from the node sums, by (1 + tz) u**3 = 2 u**3 - u**2
+    and tz u**k = u**k - u**(k - 1); g and q give z-free sums."""
+    t, w = nodes
+    sg, xi = params.sigma, params.xi
+    c1 = float(np.dot(w, auxfun._rational_g(t, sg)))
+    c2 = float(np.dot(w, auxfun._rational_q(t, sg)))
+    p = (1.0 - xi) * (m2.real - c1) + xi * ((2.0 * m3 - m2).real - c2)
+    qc = (1.0 - xi) * (m2 - m1) + 2.0 * xi * (m3 - m2)
     return p, qc
+
+
+def _pq_profiles(nodes, params, z_points):
+    """P(z) and complex Q(z) with M(z, eps) = P + Re(A(eps) Q)."""
+    return _pq_from_sums(nodes, params, *_node_sums(nodes, z_points))
 
 
 def _eps_slope(eps, sigma):
@@ -250,18 +264,18 @@ def m_functional_direct(kernel: kernels.KernelSpec,
 
 def m_functional_min(kernel: kernels.KernelSpec,
                      params: params_mod.ParameterSet,
-                     grid: DiskGrid = DiskGrid(), nodes=None):
+                     grid: DiskGrid = DiskGrid(), profiles=None):
     """Minimum of the duality functional over the disk and |epsilon| = 1.
 
     With A(eps) = (eps + 2 sigma - 1)/(2(1 - sigma)), M = P + Re(A Q) has
     the exact minimum P + ((2 sigma - 1) Re Q - |Q|)/(2(1 - sigma)) over
     the epsilon circle, attained at eps = -conj(Q)/|Q|.  For fixed eps M
     is harmonic in z, so its minimum over |z| <= r lies on |z| = r: only
-    the grid circle is evaluated, on the given or fresh _m_nodes.
-    Returns (min, argmin_z, argmin_epsilon).
+    the grid circle is evaluated, from the given (P, Q) there or on fresh
+    _m_nodes.  Returns (min, argmin_z, argmin_epsilon).
     """
     z = grid.boundary_points()
-    p, qc = _pq_profiles(nodes or _m_nodes(kernel, params), params, z)
+    p, qc = profiles or _pq_profiles(_m_nodes(kernel, params), params, z)
     sg = params.sigma
     m = p + ((2.0 * sg - 1.0) * qc.real - np.abs(qc)) / (2.0 * (1.0 - sg))
     i = int(np.argmin(m))
@@ -281,21 +295,20 @@ def extremal_image(nodes, params: params_mod.ParameterSet, beta: float, z):
     K/z = 1 + c ((1 - xi) M1 + xi M2 - M0) and
     zK'/z = 1 + c ((1 - 2 xi) M2 + 2 xi M3 - M0).
     """
-    t, w = nodes
+    k, ratio = _image_from_sums(nodes[1], params, beta,
+                                *_node_sums(nodes, z))
+    return k.reshape(np.shape(z)), ratio.reshape(np.shape(z))
+
+
+def _image_from_sums(w, params, beta, m1, m2, m3):
+    """K(z)/z and z K'/K from the node sums, as in extremal_image."""
     xi = params.xi
     c = 2.0 * (1.0 - beta) / (params.mu * params.nu if params.mu > 0.0
                               else params.nu)
-    # in place: fresh pages of full-size arrays cost more than arithmetic
-    u = np.multiply(np.asarray(z, dtype=complex).reshape(-1, 1), t)
-    np.divide(1.0, np.subtract(1.0, u, out=u), out=u)
-    m1 = np.einsum("ij,j->i", u, w)
-    u2 = u * u
-    m2 = np.einsum("ij,j->i", u2, w)
-    m3 = np.einsum("ij,j->i", np.multiply(u, u2, out=u), w)
     m0 = w.sum()
     k = 1.0 + c * ((1.0 - xi) * m1 + xi * m2 - m0)
     zk = 1.0 + c * ((1.0 - 2.0 * xi) * m2 + 2.0 * xi * m3 - m0)
-    return k.reshape(np.shape(z)), (zk / k).reshape(np.shape(z))
+    return k, zk / k
 
 
 def _winding_guard(k_over_z, z):
@@ -546,23 +559,25 @@ def run_certification(kernel: kernels.KernelSpec,
                       grid: DiskGrid = DiskGrid(),
                       with_curves: bool = False) -> CertificationReport:
     """Full pipeline: beta, duality functional, conditions, membership and
-    sharpness of the extremal image, all on one set of M-nodes."""
+    sharpness of the extremal image, all from one set of M-node sums."""
     beta = beta_routes(kernel, params)
     beta_q = beta.sharp()
     beta_closed = beta_closed_form(kernel, params)
 
     decay = kernels.boundary_decay_check(kernel, params.mu, params.nu)
     nodes = _m_nodes(kernel, params)
-    m_min, argmin_z, argmin_eps = m_functional_min(kernel, params, grid,
-                                                   nodes)
+    # one set of sums: the circle for M and membership, z = -1 for sharpness
+    z = np.append(grid.boundary_points(), -1.0)
+    sums = _node_sums(nodes, z)
+    m_min, argmin_z, argmin_eps = m_functional_min(
+        kernel, params, grid,
+        _pq_from_sums(nodes, params, *(m[:-1] for m in sums)))
 
     margins, hyp_report = condition_margins(kernel, params)
     if hyp_report is not None:
         margins[f"hypotheses_{hyp_report.theorem}"] = hyp_report.min_margin
 
-    # membership on the grid circle, sharpness at z = -1 itself
-    z = np.append(grid.boundary_points(), -1.0)
-    k_over_z, ratio = extremal_image(nodes, params, beta_q, z)
+    k_over_z, ratio = _image_from_sums(nodes[1], params, beta_q, *sums)
     _winding_guard(k_over_z[:-1], z[:-1])
     ratio = ratio.real
     i = int(np.argmin(ratio[:-1]))

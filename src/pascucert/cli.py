@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import certify, kernels, params as params_mod
-from .errors import PascucertError, ConfigError
+from .errors import ConfigError, DomainError, PascucertError
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "PASCUCERT_"
@@ -74,6 +74,10 @@ class RunConfig:
             raise ConfigError("tol must be nonnegative")
         if self.format not in ("json", "csv", "text"):
             raise ConfigError(f"unknown format {self.format!r}")
+        try:
+            self.disk_grid()
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
 
     def parameter_set(self) -> params_mod.ParameterSet:
         if self.alpha is not None:
@@ -150,18 +154,14 @@ def expand_sweep_value(text: str) -> list:
         except ValueError:
             raise ConfigError(f"bad sweep set: {text!r}")
     if text.startswith("[") and text.endswith("]"):
-        parts = text[1:-1].split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"bad sweep range: {text!r}")
         try:
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+            lo, hi, n = text[1:-1].split(":")
+            lo, hi, n = float(lo), float(hi), int(n)
         except ValueError:
             raise ConfigError(f"bad sweep range: {text!r}")
         if n < 1:
             raise ConfigError(f"bad sweep range: {text!r}")
-        if n == 1:
-            return [lo]
-        return list(np.linspace(lo, hi, n))
+        return [lo] if n == 1 else list(np.linspace(lo, hi, n))
     try:
         return [float(text)]
     except ValueError:

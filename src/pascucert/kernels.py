@@ -275,7 +275,12 @@ def _frozen(values) -> np.ndarray:
 
 
 def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] x**k at every x."""
+    """sum_k coef[k] x**k at every x (one x: Python floats, same roundings)."""
+    if x.size == 1:
+        acc, xv = float(coef[-1]), float(x.flat[0])
+        for c in coef[-2::-1].tolist():
+            acc = acc * xv + c
+        return np.full_like(x, acc)
     acc = np.full_like(x, coef[-1])
     for c in coef[-2::-1]:
         acc *= x
@@ -536,16 +541,21 @@ def _density_derivs(kernel: KernelSpec, t, orders: int):
         lam2 = d * t_arr ** (c - 2.0) * ln ** (dl - 3.0) * (
             c * (c - 1.0) * ln**2 - (dl - 1.0) * (2.0 * c - 1.0) * ln
             + (dl - 1.0) * (dl - 2.0))
-    elif fam == HOHLOV:
-        a, b, c = p["a"], p["b"], p["c"]
-        q = c - a - b
-        f0, f1, f2 = _hyp2f1_factors(kernel)
+    elif fam in (HOHLOV, GENERALIZED_OMEGA):
+        # t**(b - 1) (1 - t)**q g(1 - t), g the 2F1 or omega factor
         u = 1.0 - t_arr
-        # the factors take the distance from 1, here exactly t
-        g0 = f0(t_arr)
-        # the derivative factors are slow near the branch point t = 0,
-        # so they are only evaluated when asked for
-        g1, g2 = (f1(t_arr), f2(t_arr)) if orders > 1 else (0.0, 0.0)
+        if fam == HOHLOV:
+            b, q = p["b"], p["c"] - p["a"] - p["b"]
+            f0, f1, f2 = _hyp2f1_factors(kernel)
+            # the factors take the distance from 1, here exactly t
+            g0 = f0(t_arr)
+            # the derivative factors are slow near the branch point t = 0,
+            # so they are only evaluated when asked for
+            g1, g2 = (f1(t_arr), f2(t_arr)) if orders > 1 else (0.0, 0.0)
+        else:
+            b, q = p["B"], p["C"] - p["A"] - p["B"]
+            w0, w1, w2 = _omega_polys(kernel)
+            g0, g1, g2 = w0(u), w1(u), w2(u)
         tb = t_arr ** (b - 1.0)
         tb1 = (b - 1.0) * t_arr ** (b - 2.0)
         tb2 = (b - 1.0) * (b - 2.0) * t_arr ** (b - 3.0)
@@ -577,23 +587,6 @@ def _density_derivs(kernel: KernelSpec, t, orders: int):
                     - (2.0 - k) * t_arr ** (1.0 - k))
         lam2 = d * (k * (k + 1.0) * t_arr ** (-k - 2.0)
                     - (2.0 - k) * (1.0 - k) * t_arr**-k)
-    elif fam == GENERALIZED_OMEGA:
-        aa, bb, cc = p["A"], p["B"], p["C"]
-        q = cc - aa - bb
-        w0, w1, w2 = _omega_polys(kernel)
-        u = 1.0 - t_arr
-        o0, o1, o2 = w0(u), w1(u), w2(u)
-        tb = t_arr ** (bb - 1.0)
-        tb1 = (bb - 1.0) * t_arr ** (bb - 2.0)
-        tb2 = (bb - 1.0) * (bb - 2.0) * t_arr ** (bb - 3.0)
-        uq = u**q
-        uq1 = -q * u ** (q - 1.0)
-        uq2 = q * (q - 1.0) * u ** (q - 2.0)
-        lam = d * tb * uq * o0
-        lam1 = d * (tb1 * uq * o0 + tb * uq1 * o0 - tb * uq * o1)
-        lam2 = d * (tb2 * uq * o0 + 2.0 * tb1 * uq1 * o0
-                    - 2.0 * tb1 * uq * o1 + tb * uq2 * o0
-                    - 2.0 * tb * uq1 * o1 + tb * uq * o2)
     else:
         raise ConfigError(f"unknown kernel family {fam!r}")
 
@@ -759,44 +752,34 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(_ENVELOPE_NODES)
 _GL_X, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W  # moved to (0, 1)
 
 
-def _gap_pieces(lo: float, hi: float) -> list:
-    """Edges splitting the y-gap (lo, hi), lo > 0, into quadrature pieces.
-
-    Pieces are at most 1 long, and at most 3 times their distance from
-    y = 0, where the density may carry the singular factor y**q: each
-    piece then keeps the singularity far enough away for Gauss-Legendre
-    to converge geometrically.
-    """
-    edges = [lo]
-    while edges[-1] < hi:
-        e = edges[-1]
-        edges.append(min(hi, e + 1.0, 4.0 * e))
-    return edges
-
-
 def _envelope_rule(y_top: np.ndarray, q: float):
     """Nodes, weights and owning gap of the composite rule over the gaps.
 
     Gap k is (y_top[k + 1], y_top[k]); the last one, k = n - 1, reaches
     down to y = 0 and starts with the endpoint piece y = h v**m, which
     turns y**q dy into a multiple of v**(m (q + 1) - 1) dv.  An exponent
-    of at least 4 keeps that piece at full accuracy.
+    of at least 4 keeps that piece at full accuracy.  All gaps step their
+    edges e -> min(hi, e + 1, 4 e) together (NaN past a gap's end): pieces
+    at most 1 long and 3 times their distance from the y**q singularity
+    at y = 0, so that Gauss-Legendre converges geometrically on each.
     """
     n = len(y_top) - 1
     h = min(1.0, y_top[n - 1])
     m = max(1, math.ceil(5.0 / (1.0 + q)))
-    nodes = [h * _GL_X**m]
-    weights = [h * m * _GL_X ** (m - 1) * _GL_W]
-    owner = [np.full(_ENVELOPE_NODES, n - 1)]
-    lows = np.append(y_top[1:n], h)
-    for k in range(n):
-        edges = np.asarray(_gap_pieces(lows[k], y_top[k]))
-        width = np.diff(edges)[:, None]
-        nodes.append((edges[:-1, None] + width * _GL_X).ravel())
-        weights.append((width * _GL_W).ravel())
-        owner.append(np.full(width.size * _ENVELOPE_NODES, k))
-    return np.concatenate(nodes), np.concatenate(weights), \
-        np.concatenate(owner)
+    hi, e = y_top[:n], np.append(y_top[1:n], h)
+    edges = [e]
+    while np.any(e < hi):
+        e = np.where(e < hi, np.minimum(np.minimum(hi, e + 1.0), 4.0 * e),
+                     np.nan)
+        edges.append(e)
+    edges = np.array(edges).T
+    width = np.diff(edges)
+    gap, piece = np.nonzero(~np.isnan(width))
+    lo, width = edges[gap, piece, None], width[gap, piece, None]
+    return (np.append(h * _GL_X**m, lo + width * _GL_X),
+            np.append(h * m * _GL_X ** (m - 1) * _GL_W, width * _GL_W),
+            np.append(np.full(_ENVELOPE_NODES, n - 1),
+                      np.repeat(gap, _ENVELOPE_NODES)))
 
 
 def _expm1_ratio(d: float, s):
@@ -809,10 +792,11 @@ def envelopes(kernel: KernelSpec, mu: float, nu: float, t):
 
     One composite Gauss-Legendre rule in y = -log x covers the whole grid
     (_envelope_rule): the gaps between consecutive sorted grid points are
-    cut into pieces, and the gap above the largest point starts with a
-    power-substituted piece for the (1 - x)**q endpoint.  The density is
-    evaluated once for all nodes.  With d = 1/nu - 1/mu both envelopes
-    accumulate from t = 1 downward through positive terms only,
+    cut into pieces, all gaps in the same few array steps, and the gap
+    above the largest point starts with a power-substituted piece for the
+    (1 - x)**q endpoint.  The density is evaluated once for all nodes.
+    With d = 1/nu - 1/mu both envelopes accumulate from t = 1 downward
+    through positive terms only,
 
         Lambda_i = Lambda_{i+1} + int_{t_i}^{t_{i+1}} lambda x**(-1/nu) dx
         Pi_i = Pi_{i+1} + int_{t_i}^{t_{i+1}} lambda x**(-1/nu)

@@ -456,6 +456,54 @@ def test_m_nodes_built_once_per_certification(monkeypatch):
     assert len(calls) == 1
 
 
+def _pq_pointwise(nodes, params, z):
+    # P and Q from the integrand at every (z, t) node, as the oracle
+    t, w = nodes
+    sg, xi = params.sigma, params.xi
+    tz = np.asarray(z, dtype=complex).reshape(-1, 1) * t
+    inv1 = 1.0 / (1.0 - tz) ** 2
+    inv2 = inv1 / (1.0 - tz)
+    base = (1.0 - xi) * (inv1.real - auxfun._rational_g(t, sg)) \
+        + xi * (((1.0 + tz) * inv2).real - auxfun._rational_q(t, sg))
+    qc = (1.0 - xi) * (tz * inv1) + xi * (2.0 * tz * inv2)
+    return base @ w, qc @ w
+
+
+@pytest.mark.parametrize("text,mu,nu,sigma,xi", IMAGE_CASES[:8],
+                         ids=[f"{c[0]} mu={c[1]:g} xi={c[4]:g}"
+                              for c in IMAGE_CASES[:8]])
+def test_pq_from_node_sums_match_pointwise(text, mu, nu, sigma, xi):
+    # the eight certifications of the benchmark's certify workloads
+    kernel = pc.parse_kernel(text)
+    p = pc.ParameterSet.from_mu_nu(mu, nu, sigma, xi)
+    nodes = certify._m_nodes(kernel, p)
+    z = np.append(certify.DiskGrid().boundary_points(), -1.0)
+    pz, qc = certify._pq_profiles(nodes, p, z)
+    pz_o, qc_o = _pq_pointwise(nodes, p, z)
+    assert np.max(np.abs(pz - pz_o)) <= 1e-13
+    assert np.max(np.abs(qc - qc_o)) <= 1e-13
+    m = pz + ((2.0 * sigma - 1.0) * qc.real - np.abs(qc)) \
+        / (2.0 * (1.0 - sigma))
+    m_o = pz_o + ((2.0 * sigma - 1.0) * qc_o.real - np.abs(qc_o)) \
+        / (2.0 * (1.0 - sigma))
+    assert np.max(np.abs(m - m_o)) <= 1e-13
+
+
+def test_node_sums_built_once_per_certification(monkeypatch):
+    calls = []
+    build = certify._node_sums
+
+    def counted(nodes, z):
+        calls.append(len(z))
+        return build(nodes, z)
+
+    monkeypatch.setattr(certify, "_node_sums", counted)
+    grid = certify.DiskGrid()
+    certify.run_certification(KOMATU, P12, grid, with_curves=True)
+    # the grid circle and z = -1
+    assert calls == [grid.angles + 1]
+
+
 def test_m_nodes_raise_where_weight_not_finite():
     # at mu = 0.01, u**99 underflows where Pi overflows
     p = pc.ParameterSet.from_mu_nu(0.01, 2.0, sigma=0.1, xi=1.0)

@@ -174,6 +174,15 @@ def test_main_bad_kernel_exit_two(capsys):
     assert "unknown kernel family" in capsys.readouterr().err
 
 
+def test_main_too_few_angles_is_config_error(capsys):
+    rc = cli.main(["certify", "--kernel", "bernardi c=1", "--mu", "1",
+                   "--nu", "2", "--angles", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: need at least 4 angles" in err
+    assert "Traceback" not in err
+
+
 def test_main_bad_environment_value_exit_two(monkeypatch, capsys):
     monkeypatch.setenv("PASCUCERT_ANGLES", "abc")
     assert cli.main(BETA_ARGS) == 2

@@ -6,7 +6,7 @@ import pytest
 from pascucert import certify, kernels
 from pascucert.errors import ConfigError, CriticalPoint, DomainError
 from pascucert.params import ParameterSet
-from pascucert.quadrature import integrate_01
+from pascucert.quadrature import gauss_panels, integrate_01
 
 FAMILY_EXAMPLES = [
     kernels.make_kernel("bernardi", c=1.0),
@@ -233,6 +233,65 @@ def test_envelopes_domain():
         kernels.envelopes(k, -1.0, 2.0, np.array([0.5]))
     with pytest.raises(DomainError):
         kernels.envelopes(k, 1.0, 0.0, np.array([0.5]))
+
+
+def _gap_pieces(lo, hi):
+    edges = [lo]
+    while edges[-1] < hi:
+        e = edges[-1]
+        edges.append(min(hi, e + 1.0, 4.0 * e))
+    return edges
+
+
+def _envelope_rule_per_gap(y_top, q):
+    # the rule built one gap at a time, as the reference
+    n = len(y_top) - 1
+    h = min(1.0, y_top[n - 1])
+    m = max(1, math.ceil(5.0 / (1.0 + q)))
+    gl_x, gl_w = kernels._GL_X, kernels._GL_W
+    nodes = [h * gl_x**m]
+    weights = [h * m * gl_x ** (m - 1) * gl_w]
+    owner = [np.full(len(gl_x), n - 1)]
+    lows = np.append(y_top[1:n], h)
+    for k in range(n):
+        edges = np.asarray(_gap_pieces(lows[k], y_top[k]))
+        width = np.diff(edges)[:, None]
+        nodes.append((edges[:-1, None] + width * gl_x).ravel())
+        weights.append((width * gl_w).ravel())
+        owner.append(np.full(width.size * len(gl_x), k))
+    return np.concatenate(nodes), np.concatenate(weights), \
+        np.concatenate(owner)
+
+
+def _m_node_t(mu):
+    p = ParameterSet.from_mu_nu(mu, 2.0, sigma=0.1, xi=1.0)
+    u, _ = gauss_panels(np.asarray(certify._M_PANEL_EDGES),
+                        certify._M_PANEL_NODES)
+    return u ** max(1.0, 2.0 / certify._effective_exponent(p))
+
+
+RULE_GRIDS = {f"m_nodes mu={mu:g}": _m_node_t(mu)
+              for mu in (0.0, 0.5, 1.0, 2.0, 3.0)}
+RULE_GRIDS.update({
+    "monotone grid": certify.default_t_grid(257),
+    "decay points": np.array([1e-2, 1e-4, 1e-6]),
+    "one point": np.array([0.5]),
+    "extremes": np.array([1e-300, 0.3, 1.0 - 1e-15]),
+    "random": np.random.default_rng(7).uniform(0.0, 1.0, 1000),
+})
+
+
+@pytest.mark.parametrize("q", [-0.5, 0.0, 3.0, 197.0])
+@pytest.mark.parametrize("name", list(RULE_GRIDS))
+def test_envelope_rule_matches_per_gap_loop(name, q):
+    # all gaps stepped together give the per-gap rule bit for bit, in the
+    # same order, so the envelope sums do not move
+    y_top = np.append(-np.log(np.unique(RULE_GRIDS[name])), 0.0)
+    got = kernels._envelope_rule(y_top, q)
+    want = _envelope_rule_per_gap(y_top, q)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
 
 
 def test_log_derivative_ratio_and_sign():
