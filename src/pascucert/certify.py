@@ -143,7 +143,7 @@ def beta_closed_form(kernel: kernels.KernelSpec,
                      params: params_mod.ParameterSet) -> Optional[float]:
     """beta_0 in closed form where one is known (Hohlov a = 1, xi > 0,
     mu, nu > 0); None elsewhere, so the cross-check is skipped."""
-    if kernel.family != kernels.HOHLOV or kernel.p["a"] != 1.0 \
+    if kernel.family != "hohlov" or kernel.p["a"] != 1.0 \
             or params.xi <= 0.0 or params.mu <= 0.0 or params.nu <= 0.0:
         return None
     return beta0_hohlov_closed_form(params, kernel.p["b"], kernel.p["c"])
@@ -384,7 +384,7 @@ def check_growth_condition(kernel: kernels.KernelSpec,
 
 def _growth_curve(kernel, params, t):
     """The signed growth margin at every t, from one evaluation of the
-    density derivatives; raises CriticalPoint where lambda' vanishes."""
+    density derivatives; raises slope_profile's CriticalPoint."""
     t = np.asarray(t, dtype=float)
     ratio, sign = kernels.slope_profile(kernel, t)
     base = (1.0 / params.xi - 2.0 + 2.0 / params.mu - 1.0 / params.nu)

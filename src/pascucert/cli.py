@@ -188,11 +188,8 @@ def expand_kernel_sweep(text: str) -> list:
     return out
 
 
-def _scalar(text, name):
-    vals = expand_sweep_value(text)
-    if len(vals) != 1:
-        raise ConfigError(f"{name} must be a single value here")
-    return vals[0]
+# the problem-parameter flags, each a value or (in sweep mode) a sweep
+_SWEPT = ("alpha", "gamma", "mu", "nu", "sigma", "xi")
 
 
 # ---------------------------------------------------------------------------
@@ -433,31 +430,21 @@ def _sweep_point(args):
             ok and beta is not None]
 
 
-def _cmd_sweep(ns) -> int:
-    kernel_texts = expand_kernel_sweep(ns.kernel)
-    sigmas = expand_sweep_value(ns.sigma)
-    xis = expand_sweep_value(ns.xi)
-    if ns.mu is not None:
-        mus = expand_sweep_value(ns.mu)
-        nus = expand_sweep_value(ns.nu)
-        points = [(k, m, n, None, None, s, x, ns.tol)
-                  for k, m, n, s, x in itertools.product(
-                      kernel_texts, mus, nus, sigmas, xis)]
-    else:
-        alphas = expand_sweep_value(ns.alpha)
-        gammas = expand_sweep_value(ns.gamma)
-        points = [(k, None, None, a, g, s, x, ns.tol)
-                  for k, a, g, s, x in itertools.product(
-                      kernel_texts, alphas, gammas, sigmas, xis)]
+def _cmd_sweep(cfg: RunConfig, values: dict) -> int:
+    # an absent pair sweeps over the one value None
+    points = [(k, mu, nu, alpha, gamma, sigma, xi, cfg.tol)
+              for k, alpha, gamma, mu, nu, sigma, xi in itertools.product(
+                  expand_kernel_sweep(cfg.kernel),
+                  *(values[name] or [None] for name in _SWEPT))]
     rows = [_sweep_point(point) for point in points]
     header = ["kernel", "mu", "nu", "sigma", "xi", "beta", "monotone_margin",
               "growth_margin", "hypothesis_min_margin", "passed"]
-    if ns.format == "json":
+    if cfg.format == "json":
         payload = {"schema_version": SCHEMA_VERSION,
                    "rows": [dict(zip(header, r)) for r in rows]}
-        _emit(_json_text(payload), ns.output)
+        _emit(_json_text(payload), cfg.output)
     else:
-        _emit(_csv_rows(rows, header), ns.output)
+        _emit(_csv_rows(rows, header), cfg.output)
     return 0 if all(r[-1] for r in rows) else 1
 
 
@@ -468,28 +455,31 @@ def run(config: RunConfig) -> int:
     return handler(config)
 
 
-def _config_from_namespace(ns) -> RunConfig:
-    def opt(v):
-        return None if v is None else _scalar(v, "parameter")
-
-    return RunConfig(
+def _config_from_namespace(ns):
+    """(config, values): each parameter flag's values (None if absent) and
+    the config of their first ones, so a sweep meets every command's checks."""
+    values = {name: None if getattr(ns, name) is None
+              else expand_sweep_value(getattr(ns, name)) for name in _SWEPT}
+    for name, vals in values.items():
+        if ns.command != "sweep" and vals is not None and len(vals) != 1:
+            raise ConfigError(f"{name} must be a single value here")
+    config = RunConfig(
         command=ns.command, kernel=ns.kernel,
-        alpha=opt(ns.alpha), gamma=opt(ns.gamma),
-        mu=opt(ns.mu), nu=opt(ns.nu),
-        sigma=_scalar(ns.sigma, "sigma"), xi=_scalar(ns.xi, "xi"),
-        angles=ns.angles, nmax=ns.nmax, tol=ns.tol, output=ns.output, format=ns.format,
-        plot_data=ns.plot_data)
+        **{name: None if vals is None else vals[0]
+           for name, vals in values.items()},
+        angles=ns.angles, nmax=ns.nmax, tol=ns.tol, output=ns.output,
+        format=ns.format, plot_data=ns.plot_data)
+    return config, values
 
 
 def main(argv=None) -> int:
     try:
         # the parser reads its defaults from the environment, which can fail
-        ns = build_parser().parse_args(argv)
-        if ns.command == "sweep":
-            if (ns.alpha is None) == (ns.mu is None):
-                raise ConfigError("one of alpha/gamma or mu/nu is required")
-            return _cmd_sweep(ns)
-        return run(_config_from_namespace(ns))
+        config, values = _config_from_namespace(
+            build_parser().parse_args(argv))
+        if config.command == "sweep":
+            return _cmd_sweep(config, values)
+        return run(config)
     except ConfigError as exc:
         print(f"pascucert: config error: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,7 @@ class QuadratureFailure(PascucertError):
 
 
 class CriticalPoint(PascucertError):
-    """The density derivative vanishes where a ratio is required."""
+    """Lambda underflows or lambda' vanishes where a ratio is required."""
 
 
 class ConvergenceFailure(PascucertError):

@@ -1,44 +1,31 @@
 """Admissible weight densities on (0, 1) and their derived envelopes.
 
-Each family stores its parameters plus the normalizing constant; the
-density, its first two derivatives, and the moments are all closed form
-(the Hohlov moments are the coefficients (a)_n (b)_n / ((c)_n n!), taken
-as running products of their term ratios).  The Hohlov density carries
-the factor 2F1(c - a, 1 - a; c - a - b + 1; 1 - t), evaluated by the
-numpy routine _hyp2f1c: the Gauss series away from t = 0, and near it
-the 1 - z connection formulas of Abramowitz & Stegun, 15.3.6 and the
-logarithmic 15.3.10-15.3.11 (with Euler's transformation for a negative
-integer exponent).  Only when C - A - B lies within _NEAR_INTEGER of an
-integer without being one, where the two terms of 15.3.6 cancel, does
-each point near t = 0 go to mpmath, the one place this module imports
-it.  The tail envelopes Lambda and Pi are the iterated integrals driving
-the duality criterion.  envelopes() computes both on a whole t-grid from
-one composite Gauss-Legendre rule in y = -log t; the adaptive
-single-point lambda_envelope and pi_envelope remain as independent
-references.
+_FAMILIES holds one entry per weight family: its names and parameter
+keys, domain check and normalizer, endpoint exponents, the density
+lambda (written once, from the exact views t, 1 - t and log(1/t) of a
+point), lambda' and lambda'', the closed-form moments and the theorem
+id.  make_kernel, density, density_complement, density_derivatives,
+endpoint_exponents and the moments only look the family up.  The Hohlov
+factor 2F1(c - a, 1 - a; c - a - b + 1; 1 - t) is the numpy routine
+_hyp2f1c: the Gauss series away from t = 0 and the 1 - z connection
+formulas of Abramowitz & Stegun (15.3.6, 15.3.10-11) near it; mpmath,
+imported only there, serves the points near t = 0 when C - A - B lies
+within _NEAR_INTEGER of an integer without being one.  envelopes()
+computes the tail envelopes Lambda and Pi of the duality criterion on a
+whole t-grid from one composite Gauss-Legendre rule in y = -log t; the
+adaptive lambda_envelope and pi_envelope remain as references.
 """
-
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigError, CriticalPoint, DomainError, MismatchedFamily
 from .quadrature import integrate_01, integrate_t1
-
-BERNARDI = "bernardi"
-KOMATU = "komatu"
-HOHLOV = "hohlov"
-TWO_PARAM_LOG = "two_param_log"
-ALI_SINGH = "ali_singh"
-GENERALIZED_OMEGA = "generalized_omega"
-
-FAMILIES = (BERNARDI, KOMATU, HOHLOV, TWO_PARAM_LOG, ALI_SINGH,
-            GENERALIZED_OMEGA)
 
 _MAX_OMEGA_TERMS = 32
 
@@ -70,112 +57,6 @@ class KernelSpec:
             if x != 0.0:
                 parts.append(f"x{i}={x:.17g}")
         return " ".join(parts)
-
-
-def make_kernel(family: str, **params) -> KernelSpec:
-    """Validate family parameters, normalize, and verify the mass is 1."""
-    family = _canonical_family(family)
-    omega = ()
-    if family == BERNARDI:
-        c = _require(params, "c")
-        if c <= -1.0:
-            raise DomainError("bernardi needs c > -1")
-        spec = KernelSpec(family, (("c", c),), 1.0 + c)
-    elif family == KOMATU:
-        c, delta = _require(params, "c"), _require(params, "delta")
-        if c <= -1.0 or delta <= 0.0:
-            raise DomainError("komatu needs c > -1 and delta > 0")
-        # in log form: Gamma(delta) overflows past delta = 171.6
-        norm = math.exp(delta * math.log1p(c) - math.lgamma(delta))
-        spec = KernelSpec(family, (("c", c), ("delta", delta)), norm)
-    elif family == HOHLOV:
-        a, b, c = (_require(params, k) for k in ("a", "b", "c"))
-        if min(a, b, c) <= 0.0:
-            raise DomainError("hohlov needs a, b, c > 0")
-        if c - a - b <= -1.0:
-            raise DomainError("hohlov needs c - a - b > -1")
-        norm = _gamma_ratio((c,), (a, b, c - a - b + 1.0))
-        spec = KernelSpec(family, (("a", a), ("b", b), ("c", c)), norm)
-    elif family == TWO_PARAM_LOG:
-        a, b = _require(params, "a"), _require(params, "b")
-        if a <= -1.0 or b <= -1.0:
-            raise DomainError("two_param_log needs a, b > -1")
-        if b < a:
-            a, b = b, a
-        if b == a:
-            norm = (a + 1.0) ** 2
-        else:
-            norm = (a + 1.0) * (b + 1.0) / (b - a)
-        spec = KernelSpec(family, (("a", a), ("b", b)), norm)
-    elif family == ALI_SINGH:
-        k = _require(params, "k")
-        if not 0.0 <= k < 1.0:
-            raise DomainError("ali_singh needs 0 <= k < 1")
-        spec = KernelSpec(family, (("k", k),),
-                          0.5 * (1.0 - k) * (3.0 - k))
-    elif family == GENERALIZED_OMEGA:
-        aa = params.pop("A", params.pop("a", None))
-        bb = params.pop("B", params.pop("b", None))
-        cc = params.pop("C", params.pop("c", None))
-        if aa is None or bb is None or cc is None:
-            raise DomainError("generalized_omega needs A, B, C")
-        if bb <= 0.0 or cc - aa - bb <= -1.0:
-            raise DomainError("generalized_omega needs B > 0 and C - A - B > -1")
-        xs = [1.0]
-        for i in range(1, _MAX_OMEGA_TERMS + 1):
-            xs.append(float(params.pop(f"x{i}", 0.0)))
-        while len(xs) > 1 and xs[-1] == 0.0:
-            xs.pop()
-        if any(x < 0.0 for x in xs):
-            raise DomainError("omega coefficients must be nonnegative")
-        omega = tuple(xs)
-        q = cc - aa - bb
-        mass = sum(x * _beta_fn(bb, q + j + 1.0)
-                   for j, x in enumerate(omega))
-        spec = KernelSpec(family, (("A", aa), ("B", bb), ("C", cc)),
-                          1.0 / mass, omega)
-    else:
-        raise ConfigError(f"unknown kernel family {family!r}")
-
-    total = integrate_01(lambda t: density(spec, t), *endpoint_exponents(spec),
-                         epsabs=1e-12,
-                         f_complement=lambda d: density_complement(spec, d))
-    if abs(total - 1.0) > 1e-9:
-        raise DomainError(
-            f"{family} density integrates to {total!r}, not 1")
-    return spec
-
-
-def _require(params: dict, key: str) -> float:
-    if key not in params:
-        raise DomainError(f"missing kernel parameter {key!r}")
-    return float(params[key])
-
-
-_ALIASES = {
-    "bernardi": BERNARDI,
-    "komatu": KOMATU,
-    "hohlov": HOHLOV,
-    "two_param_log": TWO_PARAM_LOG,
-    "twoparamlog": TWO_PARAM_LOG,
-    "ali_singh": ALI_SINGH,
-    "alisingh": ALI_SINGH,
-    "generalized_omega": GENERALIZED_OMEGA,
-    "generalized": GENERALIZED_OMEGA,
-    "genomega": GENERALIZED_OMEGA,
-}
-
-
-def _canonical_family(name: str) -> str:
-    key = name.strip().lower().replace("-", "_")
-    if key not in _ALIASES:
-        raise ConfigError(f"unknown kernel family {name!r}")
-    return _ALIASES[key]
-
-
-def _omega_polys(kernel: KernelSpec):
-    w = np.polynomial.Polynomial(np.asarray(kernel.omega, dtype=float))
-    return w, w.deriv(1), w.deriv(2)
 
 
 # A Gauss series stops at the first term, taken at the largest argument
@@ -510,90 +391,299 @@ def _hyp2f1_factors(kernel: KernelSpec):
     return f0, f1, f2
 
 
+# ---------------------------------------------------------------------------
+# the family table and its per-family formulas
+
+def _bernardi_check(p):
+    if p["c"] <= -1.0:
+        raise DomainError("bernardi needs c > -1")
+    return 1.0 + p["c"]
+
+
+def _bernardi_slopes(k, t, d, ln, g):
+    n, c = k.normalizer, k.p["c"]
+    return n * c * t ** (c - 1.0), n * c * (c - 1.0) * t ** (c - 2.0)
+
+
+def _komatu_check(p):
+    c, delta = p["c"], p["delta"]
+    if c <= -1.0 or delta <= 0.0:
+        raise DomainError("komatu needs c > -1 and delta > 0")
+    # in log form: Gamma(delta) overflows past delta = 171.6
+    return math.exp(delta * math.log1p(c) - math.lgamma(delta))
+
+
+def _komatu_slopes(k, t, d, ln, g):
+    n, c, dl = k.normalizer, k.p["c"], k.p["delta"]
+    return (n * t ** (c - 1.0) * ln ** (dl - 2.0) * (c * ln - (dl - 1.0)),
+            n * t ** (c - 2.0) * ln ** (dl - 3.0) * (
+                c * (c - 1.0) * ln**2 - (dl - 1.0) * (2.0 * c - 1.0) * ln
+                + (dl - 1.0) * (dl - 2.0)))
+
+
+def _shaped(shape, factor, derivatives):
+    """The factor, lam and slopes entries of the Hohlov and generalized
+    shape N t**(b - 1) (1 - t)**q g, (b, q) = shape(p): g = factor(k, t, d)
+    is a function of 1 - t, with derivatives(k, t, d) its first two
+    derivatives in 1 - t (so d/dt g = -g1)."""
+    def lam(k, t, d, ln, g):
+        b, q = shape(k.p)
+        return k.normalizer * t ** (b - 1.0) * d**q * g
+
+    def slopes(k, t, d, ln, g0):
+        b, q = shape(k.p)
+        g1, g2 = derivatives(k, t, d)
+        tb = t ** (b - 1.0)
+        tb1 = (b - 1.0) * t ** (b - 2.0)
+        tb2 = (b - 1.0) * (b - 2.0) * t ** (b - 3.0)
+        uq = d**q
+        uq1 = -q * d ** (q - 1.0)
+        uq2 = q * (q - 1.0) * d ** (q - 2.0)
+        n = k.normalizer
+        return (n * (tb1 * uq * g0 + tb * uq1 * g0 - tb * uq * g1),
+                n * (tb2 * uq * g0 + 2.0 * tb1 * uq1 * g0
+                     - 2.0 * tb1 * uq * g1 + tb * uq2 * g0
+                     - 2.0 * tb * uq1 * g1 + tb * uq * g2))
+
+    return dict(factor=factor, lam=lam, slopes=slopes)
+
+
+def _hohlov_check(p):
+    a, b, c = p["a"], p["b"], p["c"]
+    if min(a, b, c) <= 0.0:
+        raise DomainError("hohlov needs a, b, c > 0")
+    if c - a - b <= -1.0:
+        raise DomainError("hohlov needs c - a - b > -1")
+    return _gamma_ratio((c,), (a, b, c - a - b + 1.0))
+
+
+def _hohlov_moments(k, n):
+    # the coefficients (a)_n (b)_n / ((c)_n n!) of the Hohlov operator, the
+    # Hadamard product with z 2F1(a, b; c; z), as a running product of the
+    # term ratios
+    a, b, c = k.p["a"], k.p["b"], k.p["c"]
+    j = n - 1.0
+    return np.cumprod((a + j) * (b + j) / ((c + j) * n))
+
+
+def _two_param_log_check(p):
+    if p["a"] <= -1.0 or p["b"] <= -1.0:
+        raise DomainError("two_param_log needs a, b > -1")
+    a, b = sorted((p["a"], p["b"]))
+    p["a"], p["b"] = a, b
+    if b == a:
+        return (a + 1.0) ** 2
+    return (a + 1.0) * (b + 1.0) / (b - a)
+
+
+def _two_param_log_lam(k, t, d, ln, g):
+    a, b = k.p["a"], k.p["b"]
+    if a == b:
+        return k.normalizer * t**a * ln
+    # t**a - t**b = -t**a expm1((b - a) log t), stable for small d
+    return k.normalizer * t**a * -np.expm1((a - b) * ln)
+
+
+def _two_param_log_slopes(k, t, d, ln, g):
+    n, a, b = k.normalizer, k.p["a"], k.p["b"]
+    if a == b:
+        return (n * t ** (a - 1.0) * (a * ln - 1.0),
+                n * t ** (a - 2.0) * (a * (a - 1.0) * ln - (2.0 * a - 1.0)))
+    return (n * (a * t ** (a - 1.0) - b * t ** (b - 1.0)),
+            n * (a * (a - 1.0) * t ** (a - 2.0)
+                 - b * (b - 1.0) * t ** (b - 2.0)))
+
+
+def _two_param_log_moments(k, n):
+    a, b = k.p["a"], k.p["b"]
+    if a == b:
+        return k.normalizer / (n + a + 1.0) ** 2
+    return k.normalizer * (b - a) / ((n + a + 1.0) * (n + b + 1.0))
+
+
+def _ali_singh_check(p):
+    if not 0.0 <= p["k"] < 1.0:
+        raise DomainError("ali_singh needs 0 <= k < 1")
+    return 0.5 * (1.0 - p["k"]) * (3.0 - p["k"])
+
+
+def _ali_singh_slopes(k, t, d, ln, g):
+    n, s = k.normalizer, k.p["k"]
+    return (n * (-s * t ** (-s - 1.0) - (2.0 - s) * t ** (1.0 - s)),
+            n * (s * (s + 1.0) * t ** (-s - 2.0)
+                 - (2.0 - s) * (1.0 - s) * t**-s))
+
+
+_OMEGA_KEYS = tuple(f"x{i}" for i in range(1, _MAX_OMEGA_TERMS + 1))
+
+
+def _omega_check(p):
+    aa, bb, cc = p["A"], p["B"], p["C"]
+    if bb <= 0.0 or cc - aa - bb <= -1.0:
+        raise DomainError("generalized_omega needs B > 0 and C - A - B > -1")
+    omega = [1.0] + [p.get(key, 0.0) for key in _OMEGA_KEYS]
+    while len(omega) > 1 and omega[-1] == 0.0:
+        omega.pop()
+    if any(x < 0.0 for x in omega):
+        raise DomainError("omega coefficients must be nonnegative")
+    q = cc - aa - bb
+    mass = sum(x * _beta_fn(bb, q + j + 1.0) for j, x in enumerate(omega))
+    return 1.0 / mass, tuple(omega)
+
+
+def _omega_shape(p):
+    return p["B"], p["C"] - p["A"] - p["B"]
+
+
+def _omega(k, t, d, order=0):
+    """omega at 1 - t = d, or its order-th derivative there."""
+    coef = np.polynomial.polynomial.polyder(np.array(k.omega), order)
+    return _horner(coef, d)
+
+
+def _omega_moments(k, n):
+    # B(B + n, y) = B(B, y) prod_{j<n} (B + j)/(B + j + y)
+    bb, q = _omega_shape(k.p)
+    j = n - 1.0
+    out = np.zeros_like(n)
+    for i, x in enumerate(k.omega):
+        y = q + i + 1.0
+        out += x * _beta_fn(bb, y) * np.cumprod((bb + j) / (bb + j + y))
+    return k.normalizer * out
+
+
+class _Family(NamedTuple):
+    """What the module knows about one weight family.
+
+    names: accepted names, canonical first.  keys: required parameters, in
+    KernelSpec.params order; extra: optional ones.  check(p) raises
+    DomainError outside the domain, else returns the normalizer (with
+    omega for the generalized family); it may reorder p.  exponents(p):
+    (p, q) with lambda ~ t**p at 0, ~ (1 - t)**q at 1.  lam and slopes
+    (-> lambda', lambda'') take (k, t, d, ln, g): t, d = 1 - t and
+    ln = log(1/t), each exact from the caller's side, and g = factor(k, t,
+    d), the 2F1 or omega factor, once per point.  moments(k, n): tau_n for
+    an array of n >= 1, n = 1 .. nmax if running (running products).
+    """
+
+    names: tuple
+    keys: tuple
+    check: Callable
+    exponents: Callable
+    lam: Callable
+    slopes: Callable
+    moments: Callable
+    theorem: Optional[str] = None
+    running: bool = False
+    factor: Optional[Callable] = None
+    extra: tuple = ()
+
+
+_FAMILIES = {entry.names[0]: entry for entry in (
+    _Family(
+        names=("bernardi",), keys=("c",), check=_bernardi_check,
+        exponents=lambda p: (p["c"], 0.0),
+        lam=lambda k, t, d, ln, g: k.normalizer * t ** k.p["c"],
+        slopes=_bernardi_slopes,
+        moments=lambda k, n: k.normalizer / (n + k.p["c"] + 1.0)),
+    _Family(
+        names=("komatu",), keys=("c", "delta"), check=_komatu_check,
+        exponents=lambda p: (p["c"], p["delta"] - 1.0),
+        lam=lambda k, t, d, ln, g: (k.normalizer * t ** k.p["c"]
+                                    * ln ** (k.p["delta"] - 1.0)),
+        slopes=_komatu_slopes,
+        moments=lambda k, n: ((1.0 + k.p["c"]) / (n + k.p["c"] + 1.0))
+        ** k.p["delta"],
+        theorem="komatu"),
+    _Family(
+        names=("hohlov",), keys=("a", "b", "c"), check=_hohlov_check,
+        # for a < b the hypergeometric factor contributes t**(a - b) at 0
+        exponents=lambda p: (min(p["a"], p["b"]) - 1.0,
+                             p["c"] - p["a"] - p["b"]),
+        # the 2F1 factors take the distance of 1 - t from 1, exactly t
+        **_shaped(lambda p: (p["b"], p["c"] - p["a"] - p["b"]),
+                  lambda k, t, d: _hyp2f1_factors(k)[0](t),
+                  lambda k, t, d: [f(t) for f in _hyp2f1_factors(k)[1:]]),
+        moments=_hohlov_moments, running=True, theorem="hohlov"),
+    _Family(
+        names=("two_param_log", "twoparamlog"), keys=("a", "b"),
+        check=_two_param_log_check,
+        exponents=lambda p: (p["a"], 1.0),
+        lam=_two_param_log_lam, slopes=_two_param_log_slopes,
+        moments=_two_param_log_moments, theorem="two_param_log"),
+    _Family(
+        names=("ali_singh", "alisingh"), keys=("k",), check=_ali_singh_check,
+        exponents=lambda p: (-p["k"], 1.0),
+        # 1 - t**2 = d (2 - d)
+        lam=lambda k, t, d, ln, g: (k.normalizer * t ** -k.p["k"] * d
+                                    * (2.0 - d)),
+        slopes=_ali_singh_slopes,
+        moments=lambda k, n: k.normalizer * (1.0 / (n + 1.0 - k.p["k"])
+                                             - 1.0 / (n + 3.0 - k.p["k"])),
+        theorem="ali_singh"),
+    _Family(
+        names=("generalized_omega", "generalized", "genomega"),
+        keys=("A", "B", "C"), extra=_OMEGA_KEYS, check=_omega_check,
+        exponents=lambda p: (p["B"] - 1.0, p["C"] - p["A"] - p["B"]),
+        **_shaped(_omega_shape, _omega,
+                  lambda k, t, d: [_omega(k, t, d, j) for j in (1, 2)]),
+        moments=_omega_moments, running=True, theorem="generalized"),
+)}
+
+
+def _family(name: str):
+    """(canonical name, table entry) of an accepted family name."""
+    key = name.strip().lower().replace("-", "_")
+    for entry in _FAMILIES.values():
+        if key in entry.names:
+            return entry.names[0], entry
+    raise ConfigError(f"unknown kernel family {name!r}")
+
+
+def make_kernel(family: str, **params) -> KernelSpec:
+    """Validate family parameters (an unknown one is a ConfigError),
+    normalize, and verify the mass is 1."""
+    family, entry = _family(family)
+    unknown = sorted(set(params) - set(entry.keys + entry.extra))
+    if unknown:
+        raise ConfigError(f"{family} takes no parameter {unknown[0]!r}")
+    p = {key: float(v) for key, v in params.items()}
+    for key in entry.keys:
+        if key not in p:
+            raise DomainError(f"missing kernel parameter {key!r}")
+    norm = entry.check(p)
+    norm, omega = norm if isinstance(norm, tuple) else (norm, ())
+    spec = KernelSpec(family, tuple((key, p[key]) for key in entry.keys),
+                      norm, omega)
+    total = integrate_01(lambda t: density(spec, t), *endpoint_exponents(spec),
+                         epsabs=1e-12,
+                         f_complement=lambda d: density_complement(spec, d))
+    if abs(total - 1.0) > 1e-9:
+        raise DomainError(
+            f"{family} density integrates to {total!r}, not 1")
+    return spec
+
+
+def _inside(x, name):
+    x = np.asarray(x, dtype=float)
+    if np.any((x <= 0.0) | (x >= 1.0)):
+        raise DomainError(f"{name} must lie in (0, 1)")
+    return x
+
+
+def _evaluate(kernel, t, d, ln, slopes=False):
+    """lambda (and lambda', lambda'' if slopes) at t = 1 - d = exp(-ln)."""
+    entry = _family(kernel.family)[1]
+    g = entry.factor(kernel, t, d) if entry.factor else None
+    lam = entry.lam(kernel, t, d, ln, g)
+    return (lam, *entry.slopes(kernel, t, d, ln, g)) if slopes else lam
+
+
 def density(kernel: KernelSpec, t):
     """lambda(t); accepts scalars or arrays with entries in (0, 1)."""
-    return _density_derivs(kernel, t, orders=1)[0]
-
-
-def density_derivatives(kernel: KernelSpec, t):
-    """(lambda, lambda', lambda'') at t, all analytic per family."""
-    return _density_derivs(kernel, t, orders=3)
-
-
-def _density_derivs(kernel: KernelSpec, t, orders: int):
-    t_arr = np.asarray(t, dtype=float)
-    if np.any((t_arr <= 0.0) | (t_arr >= 1.0)):
-        raise DomainError("t must lie in (0, 1)")
-    d = kernel.normalizer
-    fam = kernel.family
-    p = kernel.p
-    scalar = np.isscalar(t)
-    if fam == BERNARDI:
-        c = p["c"]
-        lam = d * t_arr**c
-        lam1 = d * c * t_arr ** (c - 1.0)
-        lam2 = d * c * (c - 1.0) * t_arr ** (c - 2.0)
-    elif fam == KOMATU:
-        c, dl = p["c"], p["delta"]
-        ln = -np.log(t_arr)
-        lam = d * t_arr**c * ln ** (dl - 1.0)
-        lam1 = d * t_arr ** (c - 1.0) * ln ** (dl - 2.0) * (c * ln - (dl - 1.0))
-        lam2 = d * t_arr ** (c - 2.0) * ln ** (dl - 3.0) * (
-            c * (c - 1.0) * ln**2 - (dl - 1.0) * (2.0 * c - 1.0) * ln
-            + (dl - 1.0) * (dl - 2.0))
-    elif fam in (HOHLOV, GENERALIZED_OMEGA):
-        # t**(b - 1) (1 - t)**q g(1 - t), g the 2F1 or omega factor
-        u = 1.0 - t_arr
-        if fam == HOHLOV:
-            b, q = p["b"], p["c"] - p["a"] - p["b"]
-            f0, f1, f2 = _hyp2f1_factors(kernel)
-            # the factors take the distance from 1, here exactly t
-            g0 = f0(t_arr)
-            # the derivative factors are slow near the branch point t = 0,
-            # so they are only evaluated when asked for
-            g1, g2 = (f1(t_arr), f2(t_arr)) if orders > 1 else (0.0, 0.0)
-        else:
-            b, q = p["B"], p["C"] - p["A"] - p["B"]
-            w0, w1, w2 = _omega_polys(kernel)
-            g0, g1, g2 = w0(u), w1(u), w2(u)
-        tb = t_arr ** (b - 1.0)
-        tb1 = (b - 1.0) * t_arr ** (b - 2.0)
-        tb2 = (b - 1.0) * (b - 2.0) * t_arr ** (b - 3.0)
-        uq = u**q
-        uq1 = -q * u ** (q - 1.0)
-        uq2 = q * (q - 1.0) * u ** (q - 2.0)
-        # chain rule: d/dt g0(1-t) = -g1(1-t), etc.
-        lam = d * tb * uq * g0
-        lam1 = d * (tb1 * uq * g0 + tb * uq1 * g0 - tb * uq * g1)
-        lam2 = d * (tb2 * uq * g0 + 2.0 * tb1 * uq1 * g0
-                    - 2.0 * tb1 * uq * g1 + tb * uq2 * g0
-                    - 2.0 * tb * uq1 * g1 + tb * uq * g2)
-    elif fam == TWO_PARAM_LOG:
-        a, b = p["a"], p["b"]
-        if a == b:
-            ln = -np.log(t_arr)
-            lam = d * t_arr**a * ln
-            lam1 = d * t_arr ** (a - 1.0) * (a * ln - 1.0)
-            lam2 = d * t_arr ** (a - 2.0) * (a * (a - 1.0) * ln - (2.0 * a - 1.0))
-        else:
-            lam = d * (t_arr**a - t_arr**b)
-            lam1 = d * (a * t_arr ** (a - 1.0) - b * t_arr ** (b - 1.0))
-            lam2 = d * (a * (a - 1.0) * t_arr ** (a - 2.0)
-                        - b * (b - 1.0) * t_arr ** (b - 2.0))
-    elif fam == ALI_SINGH:
-        k = p["k"]
-        lam = d * (t_arr**-k - t_arr ** (2.0 - k))
-        lam1 = d * (-k * t_arr ** (-k - 1.0)
-                    - (2.0 - k) * t_arr ** (1.0 - k))
-        lam2 = d * (k * (k + 1.0) * t_arr ** (-k - 2.0)
-                    - (2.0 - k) * (1.0 - k) * t_arr**-k)
-    else:
-        raise ConfigError(f"unknown kernel family {fam!r}")
-
-    out = (lam, lam1, lam2)[:orders]
-    if scalar:
-        out = tuple(float(v) for v in out)
-    return out if orders > 1 else (out[0],)
+    t_arr = _inside(t, "t")
+    out = _evaluate(kernel, t_arr, 1.0 - t_arr, -np.log(t_arr))
+    return float(out) if np.isscalar(t) else out
 
 
 def density_complement(kernel: KernelSpec, d):
@@ -603,108 +693,26 @@ def density_complement(kernel: KernelSpec, d):
     1 - d round to 1 and a direct density call lose the singular factor.
     Accepts scalars or arrays.
     """
-    d_arr = np.asarray(d, dtype=float)
-    if np.any((d_arr <= 0.0) | (d_arr >= 1.0)):
-        raise DomainError("d must lie in (0, 1)")
-    t = 1.0 - d_arr
-    norm = kernel.normalizer
-    fam = kernel.family
-    p = kernel.p
-    if fam == BERNARDI:
-        out = norm * t ** p["c"]
-    elif fam == KOMATU:
-        ln = -np.log1p(-d_arr)
-        out = norm * t ** p["c"] * ln ** (p["delta"] - 1.0)
-    elif fam == HOHLOV:
-        f0, _, _ = _hyp2f1_factors(kernel)
-        q = p["c"] - p["a"] - p["b"]
-        # hypergeometric argument is d itself, so its distance from 1 is t
-        out = norm * t ** (p["b"] - 1.0) * d_arr**q * f0(t)
-    elif fam == TWO_PARAM_LOG:
-        a, b = p["a"], p["b"]
-        if a == b:
-            out = norm * t**a * -np.log1p(-d_arr)
-        else:
-            # t**a - t**b = -t**a expm1((b - a) log t), stable for small d
-            out = norm * t**a * -np.expm1((b - a) * np.log1p(-d_arr))
-    elif fam == ALI_SINGH:
-        # 1 - t**2 = d (2 - d)
-        out = norm * t ** -p["k"] * d_arr * (2.0 - d_arr)
-    elif fam == GENERALIZED_OMEGA:
-        w0, _, _ = _omega_polys(kernel)
-        q = p["C"] - p["A"] - p["B"]
-        out = norm * t ** (p["B"] - 1.0) * d_arr**q * w0(d_arr)
-    else:
-        raise ConfigError(f"unknown kernel family {fam!r}")
+    d_arr = _inside(d, "d")
+    out = _evaluate(kernel, 1.0 - d_arr, d_arr, -np.log1p(-d_arr))
     return float(out) if np.isscalar(d) else out
+
+
+def density_derivatives(kernel: KernelSpec, t):
+    """(lambda, lambda', lambda'') at t, all analytic per family."""
+    t_arr = _inside(t, "t")
+    out = _evaluate(kernel, t_arr, 1.0 - t_arr, -np.log(t_arr), slopes=True)
+    return tuple(float(v) for v in out) if np.isscalar(t) else out
 
 
 def endpoint_exponents(kernel: KernelSpec):
     """(p, q) with density ~ t**p at 0 and ~ (1-t)**q at 1."""
-    p = kernel.p
-    fam = kernel.family
-    if fam == BERNARDI:
-        return p["c"], 0.0
-    if fam == KOMATU:
-        return p["c"], p["delta"] - 1.0
-    if fam == HOHLOV:
-        # for a < b the hypergeometric factor contributes t**(a-b) at 0
-        return min(p["a"], p["b"]) - 1.0, p["c"] - p["a"] - p["b"]
-    if fam == TWO_PARAM_LOG:
-        return p["a"], 1.0
-    if fam == ALI_SINGH:
-        return -p["k"], 1.0
-    if fam == GENERALIZED_OMEGA:
-        return p["B"] - 1.0, p["C"] - p["A"] - p["B"]
-    raise ConfigError(f"unknown kernel family {fam!r}")
+    return _family(kernel.family)[1].exponents(kernel.p)
 
 
 def _beta_fn(x: float, y: float) -> float:
     """The beta function B(x, y) for x, y > 0."""
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
-
-
-# families whose moments are running products, so tau_n needs all the
-# orders below it
-_RUNNING_MOMENTS = (HOHLOV, GENERALIZED_OMEGA)
-
-
-def _moments(kernel: KernelSpec, n: np.ndarray) -> np.ndarray:
-    """tau_n for an array of orders n >= 1, in closed form per family;
-    for _RUNNING_MOMENTS n must be 1 .. nmax."""
-    p = kernel.p
-    d = kernel.normalizer
-    fam = kernel.family
-    if fam == BERNARDI:
-        return d / (n + p["c"] + 1.0)
-    if fam == KOMATU:
-        return ((1.0 + p["c"]) / (n + p["c"] + 1.0)) ** p["delta"]
-    if fam == TWO_PARAM_LOG:
-        a, b = p["a"], p["b"]
-        if a == b:
-            return d / (n + a + 1.0) ** 2
-        return d * (b - a) / ((n + a + 1.0) * (n + b + 1.0))
-    if fam == ALI_SINGH:
-        k = p["k"]
-        return d * (1.0 / (n + 1.0 - k) - 1.0 / (n + 3.0 - k))
-    if fam == HOHLOV:
-        # the coefficients (a)_n (b)_n / ((c)_n n!) of the Hohlov operator,
-        # the Hadamard product with z 2F1(a, b; c; z), as a running
-        # product of the term ratios
-        a, b, c = p["a"], p["b"], p["c"]
-        k = n - 1.0
-        return np.cumprod((a + k) * (b + k) / ((c + k) * n))
-    if fam == GENERALIZED_OMEGA:
-        # B(B + n, y) = B(B, y) prod_{k<n} (B + k)/(B + k + y)
-        bb = p["B"]
-        q = p["C"] - p["A"] - p["B"]
-        k = n - 1.0
-        out = np.zeros_like(n)
-        for j, x in enumerate(kernel.omega):
-            y = q + j + 1.0
-            out += x * _beta_fn(bb, y) * np.cumprod((bb + k) / (bb + k + y))
-        return d * out
-    raise ConfigError(f"unknown kernel family {fam!r}")
 
 
 def moment(kernel: KernelSpec, n: int) -> float:
@@ -713,29 +721,36 @@ def moment(kernel: KernelSpec, n: int) -> float:
         raise DomainError("moment order must be nonnegative")
     if n == 0:
         return 1.0
-    if kernel.family in _RUNNING_MOMENTS:
+    entry = _family(kernel.family)[1]
+    if entry.running:
         return float(moment_sequence(kernel, n)[-1])
-    return float(_moments(kernel, np.array([float(n)]))[0])
+    return float(entry.moments(kernel, np.array([float(n)]))[0])
 
 
 def moment_sequence(kernel: KernelSpec, nmax: int) -> np.ndarray:
     """tau_1 .. tau_nmax as an array."""
-    return _moments(kernel, np.arange(1, nmax + 1, dtype=float))
+    return _family(kernel.family)[1].moments(
+        kernel, np.arange(1, nmax + 1, dtype=float))
 
 
 def slope_profile(kernel: KernelSpec, t):
     """(t lambda''/lambda', sign of lambda') at every t, from one
     density_derivatives call; scalars or arrays.
 
-    Raises CriticalPoint at the first t where lambda' vanishes.
+    Raises CriticalPoint at the first t where lambda underflows (below the
+    smallest normal float, where the ratio carries no digits), else at the
+    first t where lambda' vanishes on the density's own scale,
+    t |lambda'| <= 1e-12 max(|lambda|, t**2 |lambda''|).
     """
     t_arr = np.asarray(t, dtype=float)
-    lam, lam1, lam2 = (np.asarray(v) for v in density_derivatives(kernel, t))
-    flat = np.abs(lam1) < 1e-12 * np.maximum(
-        np.maximum(1.0, np.abs(lam2) * t_arr), np.abs(lam))
-    if np.any(flat):
-        at = t_arr.flat[np.argmax(flat)]
-        raise CriticalPoint(f"lambda'({at}) vanishes")
+    lam, lam1, lam2 = density_derivatives(kernel, t)
+    size = np.abs(lam)
+    flat = t_arr * np.abs(lam1) <= 1e-12 * np.maximum(
+        size, t_arr**2 * np.abs(lam2))
+    for bad, what in ((size < np.finfo(float).tiny, "lambda({}) underflows"),
+                      (flat, "lambda'({}) vanishes")):
+        if np.any(bad):
+            raise CriticalPoint(what.format(t_arr.flat[np.argmax(bad)]))
     ratio, sign = t_arr * lam2 / lam1, np.sign(lam1)
     if np.ndim(t) == 0:
         return float(ratio), float(sign)
@@ -919,7 +934,7 @@ def boundary_decay_check(kernel: KernelSpec, mu: float, nu: float) -> DecayCheck
 
 
 def check_family(kernel: KernelSpec, family: str) -> None:
-    want = _canonical_family(family)
+    want = _family(family)[0]
     if kernel.family != want:
         raise MismatchedFamily(
             f"kernel family {kernel.family!r} does not match {want!r}")
@@ -935,6 +950,8 @@ def parse_kernel(text: str) -> KernelSpec:
         if "=" not in tok:
             raise ConfigError(f"malformed kernel token {tok!r}")
         key, _, val = tok.partition("=")
+        if key in kwargs:
+            raise ConfigError(f"kernel parameter {key!r} given twice")
         try:
             kwargs[key] = float(val)
         except ValueError as exc:

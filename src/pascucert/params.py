@@ -124,22 +124,13 @@ class HypothesisReport:
                                 "margin": h.margin} for h in self.hypotheses]}
 
 
-THEOREM_FAMILY = {
-    "generalized": kernels.GENERALIZED_OMEGA,
-    "hohlov": kernels.HOHLOV,
-    "komatu": kernels.KOMATU,
-    "two_param_log": kernels.TWO_PARAM_LOG,
-    "ali_singh": kernels.ALI_SINGH,
-}
-
-THEOREMS = tuple(THEOREM_FAMILY)
+THEOREMS = tuple(entry.theorem for entry in kernels._FAMILIES.values()
+                 if entry.theorem)
 
 
 def theorem_for_family(family: str) -> Optional[str]:
-    for theorem, fam in THEOREM_FAMILY.items():
-        if fam == family:
-            return theorem
-    return None
+    entry = kernels._FAMILIES.get(family)
+    return None if entry is None else entry.theorem
 
 
 def combination_ratio(params: ParameterSet) -> float:
@@ -157,12 +148,11 @@ def hypothesis_check(theorem_id: str, params: ParameterSet,
 
     A hypothesis is satisfied iff its margin is >= 0.
     """
-    if theorem_id not in THEOREM_FAMILY:
+    if theorem_id not in THEOREMS:
         raise DomainError(f"unknown theorem {theorem_id!r}")
-    if kernel.family != THEOREM_FAMILY[theorem_id]:
+    if theorem_for_family(kernel.family) != theorem_id:
         raise MismatchedFamily(
-            f"theorem {theorem_id!r} expects a "
-            f"{THEOREM_FAMILY[theorem_id]} kernel, got {kernel.family}")
+            f"theorem {theorem_id!r} does not cover a {kernel.family} kernel")
     p = kernel.p
     hs = []
 

@@ -365,3 +365,50 @@ def test_plot_data_needs_curves():
     rep = certify.run_certification(kernel, p, grid)
     with pytest.raises(ConfigError):
         cli.emit_plot_data([rep])
+
+
+@pytest.mark.parametrize("c,rc", [(40, 0), (100, 0), (200, 1)])
+def test_main_certify_hohlov_large_c_growth_check(c, rc, capsys):
+    # a small density is no critical point; an underflowing one is named
+    got = cli.main(["certify", "--kernel", f"hohlov a=1 b=1 c={c}",
+                    "--mu", "1", "--nu", "2", "--sigma", "0.1", "--xi", "1",
+                    "--format", "csv"])
+    assert got == rc
+    err = capsys.readouterr().err
+    assert "vanishes" not in err and "Traceback" not in err
+    if rc:
+        assert "CriticalPoint" in err and "underflows" in err
+
+
+@pytest.mark.parametrize("kernel", ["generalized A=1 B=1 C=4 x40=1",
+                                    "bernardi c=1 delta=3",
+                                    "bernardi c=1 c=2"])
+@pytest.mark.parametrize("command", ["moments", "certify", "sweep"])
+def test_main_unknown_or_repeated_kernel_parameter_exit_two(command, kernel,
+                                                           capsys):
+    rc = cli.main([command, "--kernel", kernel, "--mu", "1", "--nu", "2",
+                   "--xi", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--alpha", "2", "--xi", "1"],
+                                   ["--mu", "1", "--xi", "1"],
+                                   ["--mu", "1", "--nu", "2", "--tol", "-1"],
+                                   ["--mu", "1", "--nu", "2", "--alpha", "3",
+                                    "--gamma", "1"]])
+def test_main_sweep_config_checks_match_other_commands(flags, capsys):
+    argv = ["--kernel", "bernardi c={1,2}"] + flags
+    assert cli.main(["sweep"] + argv) == 2
+    sweep_err = capsys.readouterr().err
+    assert "config error" in sweep_err and "Traceback" not in sweep_err
+    assert cli.main(["check"] + argv[:1] + ["bernardi c=1"] + flags) == 2
+    assert capsys.readouterr().err == sweep_err
+
+
+def test_main_single_value_flags_name_the_flag(capsys):
+    rc = cli.main(["check", "--kernel", "bernardi c=1", "--mu", "{1,2}",
+                   "--nu", "2"])
+    assert rc == 2
+    assert "mu must be a single value" in capsys.readouterr().err

@@ -411,3 +411,70 @@ def test_terminating_hyp2f1_factor_skips_mpmath(monkeypatch):
     f0, _, _ = kernels._hyp2f1_factors(k)
     assert f0(1e-12) == 1.0
     assert np.all(f0(np.array([1e-15, 1e-12, 1e-9, 0.5])) == 1.0)
+
+
+@pytest.mark.parametrize("c", [40.0, 100.0])
+def test_slope_profile_flatness_has_no_absolute_floor(c):
+    # lambda = (c - 1)(1 - t)**(c - 2) is small near t = 1 but not flat;
+    # an absolute floor on lambda' called it a critical point there
+    k = kernels.make_kernel("hohlov", a=1.0, b=1.0, c=c)
+    t = certify.default_t_grid(257)
+    ratio, sign = kernels.slope_profile(k, t)
+    assert np.all(sign == -1.0)
+    assert np.allclose(ratio, -(c - 3.0) * t / (1.0 - t), rtol=1e-12, atol=0)
+
+
+def test_slope_profile_names_underflow():
+    # (1 - t)**198 falls below the smallest normal double past t = 0.973
+    k = kernels.make_kernel("hohlov", a=1.0, b=1.0, c=200.0)
+    with pytest.raises(CriticalPoint, match=r"lambda\(0\.97\d*\) underflows"):
+        kernels.slope_profile(k, certify.default_t_grid(257))
+    # the growth check fails instead of dropping out as not applicable
+    p = ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=1.0)
+    with pytest.raises(CriticalPoint):
+        certify.condition_margins(k, p)
+
+
+@pytest.mark.parametrize("text", ["generalized A=1 B=1 C=4 x40=1",
+                                  "bernardi c=1 delta=3",
+                                  "bernardi c=1 c=2",
+                                  "generalized A=1 B=1 C=4 x1=1 x1=2"])
+def test_parse_kernel_rejects_unknown_and_repeated_parameters(text):
+    with pytest.raises(ConfigError):
+        kernels.parse_kernel(text)
+
+
+def test_make_kernel_rejects_unknown_parameter():
+    with pytest.raises(ConfigError, match="delta"):
+        kernels.make_kernel("bernardi", c=1.0, delta=3.0)
+    with pytest.raises(DomainError, match="missing"):
+        kernels.make_kernel("komatu", c=1.0)
+
+
+def test_density_derivatives_evaluate_each_2f1_factor_once(monkeypatch):
+    calls = []
+    real = kernels._hyp2f1c
+
+    def counted(A, B, C, d):
+        calls.append((A, B, C))
+        return real(A, B, C, d)
+
+    monkeypatch.setattr(kernels, "_hyp2f1c", counted)
+    k = kernels.make_kernel("hohlov", a=0.5, b=0.8, c=4.5)
+    t = np.linspace(0.1, 0.9, 5)
+    calls.clear()
+    kernels.density(k, t)
+    assert len(calls) == 1
+    calls.clear()
+    kernels.density_derivatives(k, t)
+    assert len(calls) == 3 and len(set(calls)) == 3
+
+
+@pytest.mark.parametrize("kernel", FAMILY_EXAMPLES,
+                         ids=[k.text() for k in FAMILY_EXAMPLES])
+def test_density_and_complement_share_one_formula(kernel):
+    # t and d = 1 - t both exact: the two views of the one lambda agree
+    t = np.array([0.125, 0.25, 0.5, 0.75, 0.875])
+    assert np.allclose(kernels.density(kernel, t),
+                       kernels.density_complement(kernel, 1.0 - t),
+                       rtol=1e-14, atol=0)

@@ -127,3 +127,11 @@ def test_hypothesis_check_ali_singh_k_requirement():
     margins = {h.name: h.margin for h in rep.hypotheses}
     required = [v for n, v in margins.items() if "required" in n or "k" in n]
     assert any(m < 0 for m in required)
+
+
+def test_theorems_follow_the_family_table():
+    assert set(pm.THEOREMS) == {"generalized", "hohlov", "komatu",
+                                "two_param_log", "ali_singh"}
+    for family in ("komatu", "hohlov", "two_param_log", "ali_singh"):
+        assert pm.theorem_for_family(family) == family
+    assert pm.theorem_for_family("nosuchfamily") is None
