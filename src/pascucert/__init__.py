@@ -25,9 +25,7 @@ from .auxfun import (AuxContext, g_value, q_value, combined_gq,
                      l_integrand, pfq)
 from .kernels import (KernelSpec, make_kernel, parse_kernel, density,
                       density_derivatives, moment, moment_sequence,
-                      envelopes, lambda_envelope, pi_envelope,
-                      boundary_decay_check,
-                      check_family)
+                      envelopes, lambda_envelope, pi_envelope)
 from .certify import (DiskGrid, CertificationReport, beta_sharp,
                       beta_from_integral, beta0_hohlov_closed_form,
                       m_functional, m_functional_min,

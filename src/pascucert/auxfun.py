@@ -175,8 +175,10 @@ def combined_gq_hypergeometric(ctx: AuxContext, t: float) -> float:
     return 2.0 * pfq(num, den, -t) - 1.0
 
 
-def _epsilon_slope(ctx: AuxContext) -> complex:
-    return (complex(ctx.epsilon) + 2.0 * ctx.sigma - 1.0) / (2.0 * (1.0 - ctx.sigma))
+def duality_slope(epsilon, sigma: float):
+    """A(epsilon) = (epsilon + 2 sigma - 1) / (2(1 - sigma)), the slope of
+    the duality functional in the unimodular epsilon; scalars or arrays."""
+    return (epsilon + 2.0 * sigma - 1.0) / (2.0 * (1.0 - sigma))
 
 
 def h_sigma(ctx: AuxContext, z: complex) -> complex:
@@ -184,7 +186,7 @@ def h_sigma(ctx: AuxContext, z: complex) -> complex:
     z = complex(z)
     if abs(1.0 - z) < 1e-9:
         raise PoleError("h_sigma has a second-order pole at z = 1")
-    a = _epsilon_slope(ctx)
+    a = duality_slope(complex(ctx.epsilon), ctx.sigma)
     return z * (1.0 + a * z) / (1.0 - z) ** 2
 
 
@@ -193,7 +195,7 @@ def h_sigma_prime(ctx: AuxContext, z: complex) -> complex:
     z = complex(z)
     if abs(1.0 - z) < 1e-9:
         raise PoleError("h_sigma' has a third-order pole at z = 1")
-    a = _epsilon_slope(ctx)
+    a = duality_slope(complex(ctx.epsilon), ctx.sigma)
     return (1.0 + (1.0 + 2.0 * a) * z) / (1.0 - z) ** 3
 
 
@@ -209,7 +211,7 @@ def l_integrand(ctx: AuxContext, z: complex, t) -> float:
     z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError("|z| must be < 1")
-    a = _epsilon_slope(ctx)
+    a = duality_slope(complex(ctx.epsilon), ctx.sigma)
     w = t_arr * z
     if np.any(np.abs(1.0 - w) < 1e-9):
         raise PoleError("tz too close to the pole at 1")

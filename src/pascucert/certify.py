@@ -31,6 +31,8 @@ from .quadrature import (averaged_partial_sum, chebyshev_grid, gauss_panels,
                          integrate_01, power_limit)
 
 BETA_ROUTE_TOL = 1e-7
+MEMBERSHIP_TOL = 1e-3
+SHARPNESS_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,8 @@ def beta0_hohlov_closed_form(params: params_mod.ParameterSet,
 _M_PANEL_EDGES = (0.0, 0.1, 0.3, 0.5, 0.7, 0.85, 0.93, 0.97, 0.99,
                   0.997, 0.999, 0.9997, 0.9999, 1.0)
 _M_PANEL_NODES = 24
+_M_U, _M_WU = gauss_panels(np.asarray(_M_PANEL_EDGES), _M_PANEL_NODES)
+
 
 def _m_nodes(kernel: kernels.KernelSpec, params: params_mod.ParameterSet):
     """Quadrature nodes t and weights W = w * t**(1/mu - 1) * Pi(t).
@@ -180,13 +184,14 @@ def _m_nodes(kernel: kernels.KernelSpec, params: params_mod.ParameterSet):
     """
     expo = _effective_exponent(params)
     m = max(1.0, 2.0 / expo)
-    u, wu = gauss_panels(np.asarray(_M_PANEL_EDGES), _M_PANEL_NODES)
-    t = u**m
+    t = _M_U**m
     # t**(expo-1) dt = m u**(m expo - 1) du, assembled jointly to dodge the
     # singular split
-    pref = wu * m * u ** (m * expo - 1.0)
-    _, pi_vals = kernels.envelopes(kernel, params.mu, params.nu, t)
-    w = pref * pi_vals
+    pref = _M_WU * m * _M_U ** (m * expo - 1.0)
+    # an overflow here leaves a weight that is not finite, named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, pi_vals = kernels.envelopes(kernel, params.mu, params.nu, t)
+        w = pref * pi_vals
     if not np.all(np.isfinite(w)):
         raise QuadratureFailure(
             f"M-node weight t**(1/mu - 1) Pi(t) is not finite at t = "
@@ -227,15 +232,11 @@ def _pq_profiles(nodes, params, z_points):
     return _pq_from_sums(nodes, params, *_node_sums(nodes, z_points))
 
 
-def _eps_slope(eps, sigma):
-    return (eps + 2.0 * sigma - 1.0) / (2.0 * (1.0 - sigma))
-
-
 def m_functional(kernel: kernels.KernelSpec, params: params_mod.ParameterSet,
                  z: complex, epsilon: complex) -> float:
     """The duality functional at one (z, epsilon), via the cached nodes."""
     p, qc = _pq_profiles(_m_nodes(kernel, params), params, [z])
-    a = _eps_slope(complex(epsilon), params.sigma)
+    a = auxfun.duality_slope(complex(epsilon), params.sigma)
     return float(p[0] + (a * qc[0]).real)
 
 
@@ -384,7 +385,8 @@ def check_growth_condition(kernel: kernels.KernelSpec,
 
 def _growth_curve(kernel, params, t):
     """The signed growth margin at every t, from one evaluation of the
-    density derivatives; raises slope_profile's CriticalPoint."""
+    density derivatives; raises slope_profile's NotApplicable and
+    CriticalPoint."""
     t = np.asarray(t, dtype=float)
     ratio, sign = kernels.slope_profile(kernel, t)
     base = (1.0 / params.xi - 2.0 + 2.0 / params.mu - 1.0 / params.nu)
@@ -506,12 +508,11 @@ class CertificationReport:
     hypothesis_report: Optional[params_mod.HypothesisReport]
     curves: dict = field(default_factory=dict, repr=False)
 
-    def passed(self, tol_functional=1e-6, tol_membership=1e-3,
-               tol_sharpness=1e-2) -> bool:
+    def passed(self, tol_functional=1e-6) -> bool:
         ok = (abs(self.beta_integral - self.beta_series) <= BETA_ROUTE_TOL
               and self.m_functional_min >= -tol_functional
-              and self.membership_min >= -tol_membership
-              and self.sharpness_residual <= tol_sharpness
+              and self.membership_min >= -MEMBERSHIP_TOL
+              and self.sharpness_residual <= SHARPNESS_TOL
               and self.decay_ok)
         if self.hypothesis_report is not None \
                 and self.hypothesis_report.all_satisfied:
@@ -564,7 +565,6 @@ def run_certification(kernel: kernels.KernelSpec,
     beta_q = beta.sharp()
     beta_closed = beta_closed_form(kernel, params)
 
-    decay = kernels.boundary_decay_check(kernel, params.mu, params.nu)
     nodes = _m_nodes(kernel, params)
     # one set of sums: the circle for M and membership, z = -1 for sharpness
     z = np.append(grid.boundary_points(), -1.0)
@@ -584,8 +584,8 @@ def run_certification(kernel: kernels.KernelSpec,
 
     curves: dict = {}
     if with_curves:
-        curves = _report_curves(kernel, params, argmin_z, argmin_eps,
-                                ratio[:-1], grid)
+        curves = _report_curves(kernel, params, margins, argmin_z,
+                                argmin_eps, ratio[:-1], grid)
 
     return CertificationReport(
         params=params.with_beta(beta_q),
@@ -600,23 +600,27 @@ def run_certification(kernel: kernels.KernelSpec,
         membership_min=float(ratio[i] - params.sigma),
         membership_argmin=complex(z[i]),
         sharpness_residual=float(abs(ratio[-1] - params.sigma)),
-        decay_ok=bool(decay),
+        # t**(1/nu) Lambda and t**(1/mu) Pi fall to 0 at 0+ exactly when
+        # lambda ~ t**p log(1/t)**k there has p > -1, whatever k
+        decay_ok=kernels.endpoint_exponents(kernel)[0] > -1.0,
         hypothesis_report=hyp_report,
         curves=curves,
     )
 
 
-def _report_curves(kernel, params, argmin_z, argmin_eps, ratio, grid):
+def _report_curves(kernel, params, margins, argmin_z, argmin_eps, ratio,
+                   grid):
     t = chebyshev_grid(0.01, 0.99, 129)
     lam_vals, pi_vals = kernels.envelopes(kernel, params.mu, params.nu, t)
     ctx = auxfun.AuxContext(params.mu, params.nu, params.sigma, params.xi,
                             argmin_eps)
     l_vals = auxfun.l_integrand(ctx, argmin_z, t)
+    # a curve where its condition applies, that is, where it has a margin
     growth = np.full_like(t, np.nan)
-    if params.xi > 0.0 and params.mu >= 1.0 and params.gamma > 0.0:
+    if margins["growth"] is not None:
         growth = _growth_curve(kernel, params, t)
     monotone = np.full_like(t, np.nan)
-    if params.xi > 0.0 and params.mu >= 1.0:
+    if margins["monotone"] is not None:
         monotone = _monotone_curve(params, t, lam_vals, pi_vals)
     return {
         "t": t, "pi": pi_vals, "l_at_argmin": l_vals,

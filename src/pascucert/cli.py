@@ -300,7 +300,8 @@ def emit_plot_data(reports: list) -> str:
                  for th, r in zip(c["theta"], c["re_zkprime_over_k"])]
         block2 = _csv_rows(rows2, ["theta", "re_zkprime_over_k"])
         return block1 + "\n" + block2
-    return _csv_rows([_summary_row(rep) for rep in reports], SUMMARY_HEADER)
+    return _csv_rows([_summary_row(rep, rep.passed()) for rep in reports],
+                     SUMMARY_HEADER)
 
 
 SUMMARY_HEADER = ["kernel", "mu", "nu", "sigma", "xi", "beta",
@@ -308,12 +309,12 @@ SUMMARY_HEADER = ["kernel", "mu", "nu", "sigma", "xi", "beta",
                   "membership_min", "sharpness_residual", "passed"]
 
 
-def _summary_row(rep) -> list:
+def _summary_row(rep, passed: bool) -> list:
     m = rep.condition_margins
     return [rep.kernel.text(), rep.params.mu, rep.params.nu,
             rep.params.sigma, rep.params.xi, rep.beta_integral,
             rep.m_functional_min, m.get("monotone"), m.get("growth"),
-            rep.membership_min, rep.sharpness_residual, rep.passed()]
+            rep.membership_min, rep.sharpness_residual, passed]
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +382,17 @@ def _cmd_certify(cfg: RunConfig) -> int:
     p = cfg.parameter_set()
     rep = certify.run_certification(kernel, p, cfg.disk_grid(),
                                     with_curves=cfg.plot_data is not None)
-    payload = rep.to_dict()
+    ok = rep.passed(tol_functional=max(cfg.tol, 1e-6))
+    payload = {**rep.to_dict(), "passed": ok}
     if cfg.format == "json":
         _emit(_json_text(payload), cfg.output)
     elif cfg.format == "csv":
-        _emit(_csv_rows([_summary_row(rep)], SUMMARY_HEADER), cfg.output)
+        _emit(_csv_rows([_summary_row(rep, ok)], SUMMARY_HEADER), cfg.output)
     else:
         _emit(_kv_text(payload), cfg.output)
     if cfg.plot_data is not None:
         atomic_write(cfg.plot_data, emit_plot_data([rep]))
-    return 0 if rep.passed(tol_functional=max(cfg.tol, 1e-6)) else 1
+    return 0 if ok else 1
 
 
 def _cmd_moments(cfg: RunConfig) -> int:
@@ -448,8 +450,17 @@ def _cmd_sweep(cfg: RunConfig, values: dict) -> int:
     return 0 if all(r[-1] for r in rows) else 1
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a validated config; returns the process exit code."""
+def run(config: RunConfig, values: Optional[dict] = None) -> int:
+    """Dispatch a validated config; returns the process exit code.
+
+    values maps each parameter flag to its sweep values (None if absent);
+    by default a sweep runs the config's own single values.
+    """
+    if config.command == "sweep":
+        if values is None:
+            values = {name: None if getattr(config, name) is None
+                      else [getattr(config, name)] for name in _SWEPT}
+        return _cmd_sweep(config, values)
     handler = {"beta": _cmd_beta, "certify": _cmd_certify,
                "check": _cmd_check, "moments": _cmd_moments}[config.command]
     return handler(config)
@@ -475,11 +486,7 @@ def _config_from_namespace(ns):
 def main(argv=None) -> int:
     try:
         # the parser reads its defaults from the environment, which can fail
-        config, values = _config_from_namespace(
-            build_parser().parse_args(argv))
-        if config.command == "sweep":
-            return _cmd_sweep(config, values)
-        return run(config)
+        return run(*_config_from_namespace(build_parser().parse_args(argv)))
     except ConfigError as exc:
         print(f"pascucert: config error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, CriticalPoint, DomainError, MismatchedFamily
+from .errors import ConfigError, CriticalPoint, DomainError, NotApplicable
 from .quadrature import integrate_01, integrate_t1
 
 _MAX_OMEGA_TERMS = 32
@@ -737,13 +737,17 @@ def slope_profile(kernel: KernelSpec, t):
     """(t lambda''/lambda', sign of lambda') at every t, from one
     density_derivatives call; scalars or arrays.
 
-    Raises CriticalPoint at the first t where lambda underflows (below the
-    smallest normal float, where the ratio carries no digits), else at the
-    first t where lambda' vanishes on the density's own scale,
-    t |lambda'| <= 1e-12 max(|lambda|, t**2 |lambda''|).
+    Raises NotApplicable where lambda' and lambda'' are 0 at every t (a
+    constant density has no slope), else CriticalPoint at the first t
+    where lambda underflows (below the smallest normal float, where the
+    ratio carries no digits), else at the first t where lambda' vanishes
+    on the density's own scale, t |lambda'| <= 1e-12 max(|lambda|,
+    t**2 |lambda''|).
     """
     t_arr = np.asarray(t, dtype=float)
     lam, lam1, lam2 = density_derivatives(kernel, t)
+    if not (np.any(lam1) or np.any(lam2)):
+        raise NotApplicable("the density is constant: lambda' = lambda'' = 0")
     size = np.abs(lam)
     flat = t_arr * np.abs(lam1) <= 1e-12 * np.maximum(
         size, t_arr**2 * np.abs(lam2))
@@ -755,11 +759,6 @@ def slope_profile(kernel: KernelSpec, t):
     if np.ndim(t) == 0:
         return float(ratio), float(sign)
     return ratio, sign
-
-
-def log_derivative_ratio(kernel: KernelSpec, t):
-    """t lambda''(t) / lambda'(t), the growth exponent of the density slope."""
-    return slope_profile(kernel, t)[0]
 
 
 _ENVELOPE_NODES = 20
@@ -903,41 +902,6 @@ def pi_envelope(kernel: KernelSpec, mu: float, nu: float, t: float) -> float:
         lambda y: density(kernel, y) * weight(y), t, right_exponent=q,
         f_complement=lambda dd: density_complement(kernel, dd)
         * weight(1.0 - dd))
-
-
-class DecayCheck(NamedTuple):
-    ok: bool
-    t_samples: tuple
-    lambda_decay: tuple
-    pi_decay: tuple
-
-    def __bool__(self):
-        return self.ok
-
-
-def boundary_decay_check(kernel: KernelSpec, mu: float, nu: float) -> DecayCheck:
-    """Whether t**(1/nu) Lambda_nu and t**(1/mu) Pi both fall to 0 at 0+.
-
-    With lambda ~ t**p log(1/t)**k at 0, both vanish exactly when p > -1,
-    whatever the log power, so the verdict comes from the left endpoint
-    exponent.  The products sampled at t = 1e-2, 1e-4, 1e-6 are kept as
-    diagnostics; they need not fall monotonically (komatu c = -0.5
-    delta = 4 at mu = nu = 2 peaks near t = e**-8).
-    """
-    ts = np.array([1e-2, 1e-4, 1e-6])
-    expo_pi = 1.0 / mu if mu > 0 else 1.0 / nu
-    lam, pi = envelopes(kernel, mu, nu, ts)
-    lam_seq = tuple((ts ** (1.0 / nu) * lam).tolist())
-    pi_seq = tuple((ts**expo_pi * pi).tolist())
-    ok = endpoint_exponents(kernel)[0] > -1.0
-    return DecayCheck(ok, tuple(ts.tolist()), lam_seq, pi_seq)
-
-
-def check_family(kernel: KernelSpec, family: str) -> None:
-    want = _family(family)[0]
-    if kernel.family != want:
-        raise MismatchedFamily(
-            f"kernel family {kernel.family!r} does not match {want!r}")
 
 
 def parse_kernel(text: str) -> KernelSpec:

@@ -15,20 +15,12 @@ import numpy as np
 from .errors import DomainError, LengthMismatch, RadiusError
 from .quadrature import _BINOM8
 
-_DEFAULT_TAIL_RADIUS = 0.999
-
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """A polynomial truncation of an analytic function with a tail bound.
-
-    tail_bound is an upper bound on the absolute value of the discarded
-    tail at radius tail_radius.
-    """
+    """A polynomial truncation of an analytic function."""
 
     coeffs: np.ndarray
-    tail_bound: float = 0.0
-    tail_radius: float = _DEFAULT_TAIL_RADIUS
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -36,10 +28,6 @@ class TruncatedSeries:
         object.__setattr__(self, "coeffs", c)
         if c.ndim != 1 or len(c) < 2:
             raise DomainError("need at least the constant and linear coefficients")
-        if not 0.0 < self.tail_radius < 1.0:
-            raise DomainError("tail_radius must lie in (0, 1)")
-        if self.tail_bound < 0.0:
-            raise DomainError("tail_bound must be nonnegative")
 
     @property
     def order(self) -> int:
@@ -51,34 +39,14 @@ class TruncatedSeries:
                 and abs(self.coeffs[1] - 1.0) < 1e-14)
 
 
-def from_coeffs(coeffs, tail_bound=0.0, tail_radius=_DEFAULT_TAIL_RADIUS):
-    return TruncatedSeries(np.asarray(coeffs, dtype=complex),
-                           tail_bound, tail_radius)
-
-
-def geometric_tail_bound(coeffs, radius):
-    """Tail bound from a geometric majorant fitted to the last coefficients."""
-    a = np.abs(np.asarray(coeffs))
-    nz = np.nonzero(a > 0)[0]
-    if len(nz) < 2:
-        return 0.0
-    tail_idx = nz[-16:]
-    ratios = a[tail_idx[1:]] / a[tail_idx[:-1]]
-    steps = np.diff(tail_idx)
-    rho = float(np.max(ratios ** (1.0 / steps)))
-    q = rho * radius
-    if q >= 1.0:
-        return np.inf
-    n = len(a) - 1
-    return float(a[nz[-1]] * radius**n * q / (1.0 - q))
+def from_coeffs(coeffs):
+    return TruncatedSeries(np.asarray(coeffs, dtype=complex))
 
 
 def hadamard(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Coefficientwise (Hadamard) product, truncated to the shorter input."""
     n = min(len(f.coeffs), len(g.coeffs))
-    radius = min(f.tail_radius, g.tail_radius)
-    return TruncatedSeries(f.coeffs[:n] * g.coeffs[:n],
-                           f.tail_bound * g.tail_bound, radius)
+    return TruncatedSeries(f.coeffs[:n] * g.coeffs[:n])
 
 
 def phi_kernel(mu: float, nu: float, order: int) -> TruncatedSeries:
@@ -89,8 +57,7 @@ def phi_kernel(mu: float, nu: float, order: int) -> TruncatedSeries:
         raise DomainError("order must be at least 2")
     n = np.arange(order + 1, dtype=float)
     c = (n * mu + 1.0) * (n * nu + 1.0) / (n + 1.0)
-    return TruncatedSeries(c.astype(complex),
-                           geometric_tail_bound(c, _DEFAULT_TAIL_RADIUS))
+    return TruncatedSeries(c.astype(complex))
 
 
 def psi_kernel(mu: float, nu: float, order: int) -> TruncatedSeries:
@@ -101,8 +68,7 @@ def psi_kernel(mu: float, nu: float, order: int) -> TruncatedSeries:
         raise DomainError("order must be at least 2")
     n = np.arange(order + 1, dtype=float)
     c = (n + 1.0) / ((n * mu + 1.0) * (n * nu + 1.0))
-    return TruncatedSeries(c.astype(complex),
-                           geometric_tail_bound(c, _DEFAULT_TAIL_RADIUS))
+    return TruncatedSeries(c.astype(complex))
 
 
 def extremal_function(mu: float, nu: float, beta: float,
@@ -118,14 +84,7 @@ def extremal_function(mu: float, nu: float, beta: float,
     c = np.zeros(order + 1, dtype=complex)
     c[1] = 1.0
     c[2:] = 2.0 * (1.0 - beta) / ((n * mu + 1.0) * (n * nu + 1.0))
-    r = _DEFAULT_TAIL_RADIUS
-    if mu * nu > 0:
-        # |a_{n+1}| <= 2(1-beta)/(n^2 mu nu)
-        tail = 2.0 * (1.0 - beta) / (mu * nu * (order - 1) ** 2) \
-            * r ** (order + 1) / (1.0 - r)
-    else:
-        tail = geometric_tail_bound(c, r)
-    return TruncatedSeries(c, tail, r)
+    return TruncatedSeries(c)
 
 
 def apply_transform(f: TruncatedSeries, moments) -> TruncatedSeries:
@@ -142,7 +101,7 @@ def apply_transform(f: TruncatedSeries, moments) -> TruncatedSeries:
             f"need {f.order - 1} moments, got {len(tau)}")
     c = f.coeffs.copy()
     c[2:] = c[2:] * tau[: f.order - 1]
-    return TruncatedSeries(c, f.tail_bound, f.tail_radius)
+    return TruncatedSeries(c)
 
 
 def k_combination(f: TruncatedSeries, xi: float) -> TruncatedSeries:
@@ -151,16 +110,13 @@ def k_combination(f: TruncatedSeries, xi: float) -> TruncatedSeries:
         raise DomainError("xi must lie in [0, 1]")
     n = np.arange(len(f.coeffs), dtype=float)
     scale = 1.0 + xi * (n - 1.0)
-    return TruncatedSeries(f.coeffs * scale,
-                           f.tail_bound * (1.0 + xi * f.order),
-                           f.tail_radius)
+    return TruncatedSeries(f.coeffs * scale)
 
 
 def z_derivative(f: TruncatedSeries) -> TruncatedSeries:
     """z f'(z): scales the n-th coefficient by n."""
     n = np.arange(len(f.coeffs), dtype=float)
-    return TruncatedSeries(f.coeffs * n, f.tail_bound * (f.order + 1),
-                           f.tail_radius)
+    return TruncatedSeries(f.coeffs * n)
 
 
 def _partial_sums(f: TruncatedSeries, z: complex) -> np.ndarray:
@@ -168,37 +124,19 @@ def _partial_sums(f: TruncatedSeries, z: complex) -> np.ndarray:
     return np.cumsum(terms)
 
 
-def evaluate(f: TruncatedSeries, z: complex, mode: str = "direct") -> complex:
-    """Evaluate the truncation at z.
+def evaluate(f: TruncatedSeries, z: complex) -> complex:
+    """Evaluate the truncation at z with |z| < 1.
 
-    direct mode requires |z| < 1.  Near the negative boundary the partial
-    sums alternate slowly, so the last eight are averaged with binomial
-    weights.  extrapolated mode samples rho = 0.9, 0.99, 0.999 along the
-    direction of z and Richardson-extrapolates the radial limit, which is
-    meaningful on the boundary itself.
+    Near the negative boundary the partial sums alternate slowly, so the
+    last eight are averaged with binomial weights.
     """
     z = complex(z)
-    if mode == "direct":
-        if abs(z) >= 1.0:
-            raise RadiusError(f"|z| = {abs(z)} >= 1 in direct mode")
-        if abs(z) > 0.99 and z.real < 0.0:
-            s = _partial_sums(f, z)
-            return complex(np.dot(_BINOM8, s[-8:])) if len(s) >= 8 else s[-1]
-        return complex(np.polynomial.polynomial.polyval(z, f.coeffs))
-    if mode == "extrapolated":
-        if abs(z) > 1.0 + 1e-12:
-            raise RadiusError("extrapolated mode needs |z| <= 1")
-        if z == 0:
-            return complex(f.coeffs[0])
-        u = z / abs(z)
-        rhos = (0.9, 0.99, 0.999)
-        vals = [evaluate(f, r * u) for r in rhos]
-        h = [1.0 - r for r in rhos]
-        target = max(0.0, 1.0 - abs(z))
-        vander = np.vander(np.asarray(h), increasing=True)
-        coeffs = np.linalg.solve(vander, np.asarray(vals))
-        return complex(np.polynomial.polynomial.polyval(target, coeffs))
-    raise DomainError(f"unknown evaluation mode {mode!r}")
+    if abs(z) >= 1.0:
+        raise RadiusError(f"|z| = {abs(z)} >= 1")
+    if abs(z) > 0.99 and z.real < 0.0:
+        s = _partial_sums(f, z)
+        return complex(np.dot(_BINOM8, s[-8:])) if len(s) >= 8 else s[-1]
+    return complex(np.polynomial.polynomial.polyval(z, f.coeffs))
 
 
 def evaluate_many(f: TruncatedSeries, z: np.ndarray) -> np.ndarray:
@@ -208,9 +146,3 @@ def evaluate_many(f: TruncatedSeries, z: np.ndarray) -> np.ndarray:
         raise RadiusError("all points must satisfy |z| < 1")
     return np.polynomial.polynomial.polyval(z, f.coeffs)
 
-
-def tail_estimate(f: TruncatedSeries, radius: float) -> float:
-    """Tail bound rescaled from the stored radius to the requested one."""
-    if radius <= f.tail_radius:
-        return f.tail_bound * (radius / f.tail_radius) ** (f.order + 1)
-    return geometric_tail_bound(f.coeffs, radius)

@@ -145,7 +145,7 @@ def _circles(grid, radii=(0.5, 0.9, 0.99, 0.999)):
 def _epsilon_scan(p, qc, sigma, theta):
     """min over the sampled epsilons at each z, and the minimizing angle."""
     m = p[:, None] + (qc[:, None]
-                      * certify._eps_slope(np.exp(1j * theta), sigma)).real
+                      * auxfun.duality_slope(np.exp(1j * theta), sigma)).real
     j = np.argmin(m, axis=1)
     return m[np.arange(len(p)), j], theta[j]
 
@@ -454,6 +454,21 @@ def test_m_nodes_built_once_per_certification(monkeypatch):
     monkeypatch.setattr(certify, "_m_nodes", counted)
     certify.run_certification(KOMATU, P12, with_curves=True)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("with_curves,want", [(False, 2), (True, 3)])
+def test_envelopes_built_once_per_grid(monkeypatch, with_curves, want):
+    # the M-nodes and the monotone grid, plus the plot grid with curves
+    calls = []
+    build = kernels.envelopes
+
+    def counted(kernel, mu, nu, t):
+        calls.append(len(t))
+        return build(kernel, mu, nu, t)
+
+    monkeypatch.setattr(kernels, "envelopes", counted)
+    certify.run_certification(KOMATU, P12, with_curves=with_curves)
+    assert len(calls) == want
 
 
 def _pq_pointwise(nodes, params, z):

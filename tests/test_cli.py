@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -214,13 +215,48 @@ def test_main_order_and_radii_are_unrecognized(flag, value, capsys):
 
 
 def test_main_certify_small_mu_names_quadrature_failure(capsys):
-    rc = cli.main(["certify", "--kernel", "komatu c=0 delta=3",
-                   "--mu", "0.01", "--nu", "2", "--sigma", "0.1",
-                   "--xi", "1"])
+    # a numpy warning would print a library source line on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["certify", "--kernel", "komatu c=0 delta=3",
+                       "--mu", "0.01", "--nu", "2", "--sigma", "0.1",
+                       "--xi", "1"])
     assert rc == 1
     err = capsys.readouterr().err
     assert "QuadratureFailure" in err and "mu = 0.01" in err
-    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("tol,rc", [("0", 1), ("0.1", 0)])
+def test_main_certify_prints_the_verdict_it_exits_with(tol, rc, capsys):
+    # m_functional.min = -0.0437 fails at the default tolerance and passes
+    # within --tol 0.1
+    args = ["certify", "--kernel", "bernardi c=1", "--mu", "1", "--nu", "2",
+            "--sigma", "0.7", "--xi", "1", "--tol", tol]
+    assert cli.main(args + ["--format", "json"]) == rc
+    assert json.loads(capsys.readouterr().out)["passed"] is (rc == 0)
+    assert cli.main(args + ["--format", "csv"]) == rc
+    assert capsys.readouterr().out.splitlines()[1].endswith(str(rc == 0))
+
+
+def test_main_constant_density_sets_growth_aside(tmp_path, capsys):
+    # lambda = 1 has lambda' = lambda'' = 0 on the whole grid: the growth
+    # condition does not apply, and Bernardi has no theorem that needs it
+    plot = tmp_path / "plot.csv"
+    args = ["--kernel", "bernardi c=0", "--mu", "1", "--nu", "2",
+            "--sigma", "0.1", "--xi", "1", "--format", "json"]
+    assert cli.main(["certify"] + args + ["--plot-data", str(plot)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["condition_margins"]["growth"] is None and rep["passed"]
+    assert rep["m_functional"]["min"] > 0.0
+    rows = plot.read_text().split("\n\n")[0].splitlines()[1:]
+    assert all(r.split(",")[3] == "NotApplicable" for r in rows)
+    # the monotone condition does apply, and fails
+    assert cli.main(["check"] + args) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["condition_margins"]["growth"] is None
+    assert err == ""
 
 
 def test_main_beta_hohlov_large_c(capsys):
@@ -315,6 +351,15 @@ def test_sweep_row_fails_without_beta(monkeypatch):
                             0.1, 1.0, 0.0))
     assert row[5] is None
     assert row[-1] is False
+
+
+def test_run_dispatches_a_sweep_of_single_values(capsys):
+    rc = cli.run(cli.RunConfig(command="sweep", kernel="bernardi c=1",
+                               mu=1.0, nu=2.0))
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].startswith("kernel,mu,nu,")
+    assert lines[1].startswith("bernardi c=1,1.0,2.0,0.0,0.0,")
+    assert len(lines) == 2 and rc == 0
 
 
 def test_main_sweep_needs_parameters(capsys):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pascucert import certify, kernels
-from pascucert.errors import ConfigError, CriticalPoint, DomainError
+from pascucert.errors import (ConfigError, CriticalPoint, DomainError,
+                              NotApplicable)
 from pascucert.params import ParameterSet
 from pascucert.quadrature import gauss_panels, integrate_01
 
@@ -298,7 +299,6 @@ def test_log_derivative_ratio_and_sign():
     k = kernels.make_kernel("komatu", c=0.0, delta=3.0)
     t = 0.5
     lam, d1, d2 = kernels.density_derivatives(k, t)
-    assert kernels.log_derivative_ratio(k, t) == pytest.approx(t * d2 / d1)
     assert kernels.slope_profile(k, t) == (
         pytest.approx(t * d2 / d1), math.copysign(1.0, d1))
 
@@ -308,30 +308,15 @@ def test_log_derivative_ratio_critical_point():
     # outside make_kernel's domain so the record is built directly
     k = kernels.KernelSpec("ali_singh", (("k", -1.0),), 4.0)
     with pytest.raises(CriticalPoint):
-        kernels.log_derivative_ratio(k, 1.0 / math.sqrt(3.0))
+        kernels.slope_profile(k, 1.0 / math.sqrt(3.0))
 
 
-def test_boundary_decay_check_passes_for_integrable_kernel():
-    k = kernels.make_kernel("bernardi", c=1.0)
-    check = kernels.boundary_decay_check(k, 1.0, 2.0)
-    assert bool(check)
-    assert all(a > b for a, b in zip(check.lambda_decay,
-                                     check.lambda_decay[1:]))
-
-
-def test_boundary_decay_check_ignores_log_hump():
-    k = kernels.make_kernel("komatu", c=-0.5, delta=4.0)
-    check = kernels.boundary_decay_check(k, 2.0, 2.0)
-    assert check.ok
-    # the samples are diagnostics: they rise before they fall
-    assert check.lambda_decay[1] > check.lambda_decay[0]
-
-
-def test_boundary_decay_check_flags_divergent_weight():
-    # c = -1 is rejected by make_kernel, so build the record directly;
-    # lambda ~ 1/t makes the tail envelopes blow up as t -> 0
-    bad = kernels.KernelSpec("bernardi", (("c", -1.0),), 1.0)
-    assert not kernels.boundary_decay_check(bad, 1.0, 2.0)
+def test_slope_profile_constant_density_not_applicable():
+    # lambda = 1 has no slope; an isolated zero of lambda' is a
+    # CriticalPoint (test_log_derivative_ratio_critical_point)
+    k = kernels.make_kernel("bernardi", c=0.0)
+    with pytest.raises(NotApplicable):
+        kernels.slope_profile(k, np.linspace(0.1, 0.9, 5))
 
 
 def test_make_kernel_domain_validation():
@@ -380,13 +365,6 @@ def test_parse_kernel_errors():
         kernels.parse_kernel("bernardi c")
     with pytest.raises(ConfigError):
         kernels.parse_kernel("bernardi c=xyz")
-
-
-def test_check_family():
-    k = kernels.make_kernel("bernardi", c=1.0)
-    kernels.check_family(k, "bernardi")
-    with pytest.raises(Exception):
-        kernels.check_family(k, "komatu")
 
 
 @pytest.mark.parametrize("b", [0.5000001, 0.52])

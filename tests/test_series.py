@@ -34,14 +34,6 @@ def test_extremal_function_coefficients():
     assert f.normalized
 
 
-def test_extremal_tail_bound_positive():
-    f = series.extremal_function(1.0, 2.0, 0.0, 64)
-    assert f.tail_bound > 0.0
-    # tail bound dominates the next true coefficient at the tail radius
-    nxt = 2.0 / ((64.0 + 1.0) * (2.0 * 64.0 + 1.0))
-    assert f.tail_bound >= nxt * f.tail_radius**65
-
-
 def test_apply_transform_scales_coefficients():
     f = series.extremal_function(1.0, 2.0, 0.0, 5)
     tau = np.array([0.5, 0.25, 0.125, 0.0625])
@@ -101,27 +93,12 @@ def test_evaluate_near_minus_one_geometric():
     assert val == pytest.approx(1.0 / (1.0 - z), rel=1e-10)
 
 
-def test_evaluate_extrapolated_boundary_limit():
-    # f = sum z^n/(n+1)^2 converges at z = 1; extrapolated value along the
-    # positive axis approaches pi^2/6 within the truncation error
-    n = np.arange(2000)
-    f = series.from_coeffs(1.0 / (n + 1.0) ** 2)
-    val = series.evaluate(f, 1.0, mode="extrapolated")
-    assert val.real == pytest.approx(np.pi**2 / 6.0, abs=5e-3)
-
-
 def test_evaluate_many_matches_scalar():
     f = series.from_coeffs([0.0, 1.0, 0.5, -0.25])
     z = np.array([0.1, -0.5 + 0.2j, 0.999j])
     many = series.evaluate_many(f, z)
     one = np.array([series.evaluate(f, zz) for zz in z])
     assert np.allclose(many, one)
-
-
-def test_tail_estimate_scaling():
-    f = series.from_coeffs([0.0, 1.0], tail_bound=1e-3, tail_radius=0.999)
-    assert series.tail_estimate(f, 0.999) == pytest.approx(1e-3)
-    assert series.tail_estimate(f, 0.5) < 1e-3
 
 
 @given(st.lists(st.floats(-2, 2), min_size=2, max_size=12),
