@@ -2,33 +2,36 @@
 
 The two auxiliary profiles g and q solve first-order initial value
 problems on (0, 1); both have an alternating power series and an
-equivalent smooth double-integral form.  The series is the fast primary
-route and takes whole arrays of t: its powers come from a running product
-rather than a float power, each t sums only the terms that t**n leaves
-visible, and near t = 1 all 3000 terms are kept with binomial tail
-averaging.  The integral is the independent oracle and fallback, and the
-only place here that loads scipy.integrate.  h_sigma is the rational test
-kernel of starlikeness of order sigma, carrying a free unimodular
-parameter.
+equivalent smooth double-integral form.  Their combination
+G = (1-xi) g + xi (2q - 1) is 2 int int R(t u**mu v**nu) du dv - 1 with R
+rational, its only pole at -1.  After s = u**mu, w = v**nu the weights
+are Jacobi weights, so a fixed 12 x 12 tensor Gauss-Jacobi rule gives G,
+g and q to double precision at every t in [0, 1], arrays of t at once;
+that is the primary route.  The series (running powers, binomial tail
+averaging near t = 1) and the adaptive integral, the only place here
+that loads scipy.integrate, are the independent oracles.  h_sigma is the
+rational test kernel of starlikeness of order sigma, carrying a free
+unimodular parameter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (ConvergenceFailure, DivergentSeries, DomainError,
                      PoleError)
-from .quadrature import _BINOM8, averaged_partial_sum
+from .quadrature import _BINOM8, averaged_partial_sum, gauss_jacobi_01
 
-_SERIES_T_MAX = 0.99
+# Gauss-Jacobi nodes per variable of the rule for G(t)
+_GQ_NODES = 12
 _SERIES_TERMS = 3000
 # a series stops once t**n times its largest coefficient falls below this
 _SERIES_TINY = 1e-20
-# entries per block of the term matrix, to bound its memory
-_SERIES_BLOCK = 1 << 17
+# entries per block of a term or node matrix, to bound its memory
+_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,7 @@ def _series_sum(ctx: AuxContext, t, weight):
     for terms in sorted(set(size.astype(int).tolist())):
         rows = np.flatnonzero(size == terms)
         for block in np.array_split(
-                rows, 1 + len(rows) * terms // _SERIES_BLOCK):
+                rows, 1 + len(rows) * terms // _BLOCK):
             powers = np.empty((len(block), terms))
             powers[:, 0] = 1.0
             powers[:, 1:] = -flat[block, None]
@@ -94,22 +97,27 @@ def _series_sum(ctx: AuxContext, t, weight):
 
 
 def g_value(ctx: AuxContext, t: float, method: str = "auto") -> float:
-    """The starlike profile g(t); g(0) = 1 and g decreases through 0."""
+    """The starlike profile g(t) = G(t) at xi = 0; g(0) = 1 and g
+    decreases through 0."""
     _check_unit(t)
-    if method == "series" or (method == "auto" and t <= _SERIES_T_MAX):
+    if method == "auto":
+        return combined_gq(replace(ctx, xi=0.0), t)
+    if method == "series":
         s = _series_sum(ctx, t, lambda n: n + 1.0 - ctx.sigma)
         return 2.0 * s - 1.0
-    if method in ("integral", "auto"):
+    if method == "integral":
         return g_integral(ctx, t)
     raise DomainError(f"unknown method {method!r}")
 
 
 def q_value(ctx: AuxContext, t: float, method: str = "auto") -> float:
-    """The convex profile q(t); the series gives q(0) = 1."""
+    """The convex profile q(t) = (G(t) at xi = 1 + 1)/2; q(0) = 1."""
     _check_unit(t)
-    if method == "series" or (method == "auto" and t <= _SERIES_T_MAX):
+    if method == "auto":
+        return 0.5 * (combined_gq(replace(ctx, xi=1.0), t) + 1.0)
+    if method == "series":
         return _series_sum(ctx, t, lambda n: (n + 1.0) * (n + 1.0 - ctx.sigma))
-    if method in ("integral", "auto"):
+    if method == "integral":
         return q_integral(ctx, t)
     raise DomainError(f"unknown method {method!r}")
 
@@ -150,17 +158,45 @@ def q_integral(ctx: AuxContext, t: float) -> float:
     return _double_integral(ctx, t, _rational_q)
 
 
-def combined_gq(ctx: AuxContext, t):
-    """(1-xi) g(t) + xi (2 q(t) - 1), summed as a single alternating series.
+def gq_rule(ctx: AuxContext):
+    """The tensor rule (x, W) with G(t) = 2 sum W R(t x) - 1.
 
-    t is a scalar or an array in [0, 1].
+    int_0^1 f(u**mu) du = int_0^1 f(s) s**(1/mu - 1)/mu ds is a Jacobi
+    weight in s, so each variable takes the _GQ_NODES-point Gauss-Jacobi
+    rule, a single node s = 1 at mu = 0; x = s w and W is the product of
+    the weights.
+    """
+    (s, ws), (v, wv) = [(np.ones(1), np.ones(1)) if e == 0.0
+                        else gauss_jacobi_01(1.0 / e - 1.0, _GQ_NODES)
+                        for e in (ctx.mu, ctx.nu)]
+    return np.outer(s, v).ravel(), np.outer(ws, wv).ravel()
+
+
+def combined_gq(ctx: AuxContext, t, rule=None):
+    """G(t) = (1-xi) g(t) + xi (2 q(t) - 1) by the tensor Gauss-Jacobi rule.
+
+    t is a scalar or an array in [0, 1]; rule is gq_rule(ctx), built here
+    when not given.  R(y) = sum_n (1 + xi n)(n + 1 - sigma)(-y)**n/(1 - sigma)
+    sums to r (1 - p (1 + xi (2r - sigma))/(1 - sigma)) with r = 1/(1 + y)
+    and p = 1 - r = y r: R(0) = 1 exactly, and no coefficient of size
+    1/(1 - sigma) cancels another as sigma -> 1.
     """
     _check_unit(t)
-    xi = ctx.xi
-    s = _series_sum(
-        ctx, t,
-        lambda n: (1.0 + xi * n) * (n + 1.0 - ctx.sigma))
-    return 2.0 * s - 1.0
+    x, w = gq_rule(ctx) if rule is None else rule
+    t_arr = np.asarray(t, dtype=float)
+    flat = t_arr.ravel()
+    out = np.empty_like(flat)
+    scale = 1.0 / (1.0 - ctx.sigma)
+    rows = _BLOCK // len(x)
+    for i in range(0, len(flat), rows):
+        y = flat[i:i + rows, None] * x
+        r = 1.0 / (1.0 + y)
+        p = np.multiply(y, r, out=y)
+        vals = r * (1.0 - p * (1.0 + ctx.xi * (2.0 * r - ctx.sigma))
+                    * scale)
+        out[i:i + rows] = np.einsum("ij,j->i", vals, w)
+    out = 2.0 * out - 1.0
+    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def combined_gq_hypergeometric(ctx: AuxContext, t: float) -> float:

@@ -55,6 +55,21 @@ class DiskGrid:
     def boundary_points(self) -> np.ndarray:
         return self.radius * np.exp(1j * self.theta())
 
+    def upper_points(self) -> np.ndarray:
+        """The points k = 0..angles//2, those with Im z >= 0; every other
+        point is the conjugate of one of them."""
+        return self.boundary_points()[:self.angles // 2 + 1]
+
+    def unfold(self, upper) -> np.ndarray:
+        """Values at all boundary points from values at upper_points, for
+        a quantity with f(conj z) = conj f(z): point k takes the value at
+        min(k, angles - k), conjugated below the real axis."""
+        k = np.arange(self.angles)
+        full = np.asarray(upper)[np.minimum(k, self.angles - k)]
+        lower = k > self.angles // 2
+        full[lower] = np.conj(full[lower])
+        return full
+
 
 def default_t_grid(n: int = 512) -> np.ndarray:
     """Chebyshev-spaced points on (0.001, 0.999) for condition checks."""
@@ -79,14 +94,17 @@ def beta_quadrature_route(kernel: kernels.KernelSpec,
                           params: params_mod.ParameterSet,
                           epsabs: float = 1e-10) -> float:
     """I = int lambda(t) [(1-xi) g(t) + xi (2 q(t) - 1)] dt by quadrature,
-    each refinement round on one array of nodes."""
+    each refinement round on one array of nodes; the profile's
+    Gauss-Jacobi rule is built once for all rounds."""
     ctx = auxfun.AuxContext(params.mu, params.nu, params.sigma, params.xi)
+    rule = auxfun.gq_rule(ctx)
     pl, pr = kernels.endpoint_exponents(kernel)
     return integrate_01(
-        lambda t: kernels.density(kernel, t) * auxfun.combined_gq(ctx, t),
+        lambda t: kernels.density(kernel, t)
+        * auxfun.combined_gq(ctx, t, rule),
         pl, pr, epsabs=epsabs,
         f_complement=lambda d: kernels.density_complement(kernel, d)
-        * auxfun.combined_gq(ctx, 1.0 - d))
+        * auxfun.combined_gq(ctx, 1.0 - d, rule))
 
 
 def beta_series_route(kernel: kernels.KernelSpec,
@@ -201,7 +219,11 @@ def _m_nodes(kernel: kernels.KernelSpec, params: params_mod.ParameterSet):
 
 
 def _node_sums(nodes, z):
-    """(M1, M2, M3), M_k = sum W u**k with u = 1/(1 - t z), at every z."""
+    """(M1, M2, M3), M_k = sum W u**k with u = 1/(1 - t z), at every z.
+
+    The sums have real coefficients, so M_k(conj z) = conj M_k(z): a
+    circle needs them on its upper half only (DiskGrid.unfold).
+    """
     t, w = nodes
     # in place: fresh pages of full-size arrays cost more than arithmetic
     u = np.multiply(np.asarray(z, dtype=complex).reshape(-1, 1), t)
@@ -234,7 +256,8 @@ def _pq_profiles(nodes, params, z_points):
 
 def m_functional(kernel: kernels.KernelSpec, params: params_mod.ParameterSet,
                  z: complex, epsilon: complex) -> float:
-    """The duality functional at one (z, epsilon), via the cached nodes."""
+    """The duality functional at one (z, epsilon), from the node sums at
+    that z on freshly built M-nodes."""
     p, qc = _pq_profiles(_m_nodes(kernel, params), params, [z])
     a = auxfun.duality_slope(complex(epsilon), params.sigma)
     return float(p[0] + (a * qc[0]).real)
@@ -271,11 +294,13 @@ def m_functional_min(kernel: kernels.KernelSpec,
     With A(eps) = (eps + 2 sigma - 1)/(2(1 - sigma)), M = P + Re(A Q) has
     the exact minimum P + ((2 sigma - 1) Re Q - |Q|)/(2(1 - sigma)) over
     the epsilon circle, attained at eps = -conj(Q)/|Q|.  For fixed eps M
-    is harmonic in z, so its minimum over |z| <= r lies on |z| = r: only
-    the grid circle is evaluated, from the given (P, Q) there or on fresh
-    _m_nodes.  Returns (min, argmin_z, argmin_epsilon).
+    is harmonic in z, so its minimum over |z| <= r lies on |z| = r.  P and
+    Q have real coefficients, so M(conj z, conj eps) = M(z, eps) and only
+    the upper half of the grid circle is evaluated, from the given (P, Q)
+    at grid.upper_points() or on fresh _m_nodes; the argmin has Im z >= 0.
+    Returns (min, argmin_z, argmin_epsilon).
     """
-    z = grid.boundary_points()
+    z = grid.upper_points()
     p, qc = profiles or _pq_profiles(_m_nodes(kernel, params), params, z)
     sg = params.sigma
     m = p + ((2.0 * sg - 1.0) * qc.real - np.abs(qc)) / (2.0 * (1.0 - sg))
@@ -566,8 +591,9 @@ def run_certification(kernel: kernels.KernelSpec,
     beta_closed = beta_closed_form(kernel, params)
 
     nodes = _m_nodes(kernel, params)
-    # one set of sums: the circle for M and membership, z = -1 for sharpness
-    z = np.append(grid.boundary_points(), -1.0)
+    # one set of sums: the upper half circle for M and membership (the
+    # lower half holds the conjugates), z = -1 for sharpness
+    z = np.append(grid.upper_points(), -1.0)
     sums = _node_sums(nodes, z)
     m_min, argmin_z, argmin_eps = m_functional_min(
         kernel, params, grid,
@@ -578,14 +604,14 @@ def run_certification(kernel: kernels.KernelSpec,
         margins[f"hypotheses_{hyp_report.theorem}"] = hyp_report.min_margin
 
     k_over_z, ratio = _image_from_sums(nodes[1], params, beta_q, *sums)
-    _winding_guard(k_over_z[:-1], z[:-1])
+    _winding_guard(grid.unfold(k_over_z[:-1]), grid.boundary_points())
     ratio = ratio.real
     i = int(np.argmin(ratio[:-1]))
 
     curves: dict = {}
     if with_curves:
         curves = _report_curves(kernel, params, margins, argmin_z,
-                                argmin_eps, ratio[:-1], grid)
+                                argmin_eps, grid.unfold(ratio[:-1]), grid)
 
     return CertificationReport(
         params=params.with_beta(beta_q),

@@ -210,6 +210,37 @@ def gauss_panels(edges, n):
     return np.concatenate(xs), np.concatenate(ws)
 
 
+def gauss_jacobi_01(b, n):
+    """The n-point Gauss rule for int_0^1 f(s) (b + 1) s**b ds, b > -1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
+    the monic Jacobi polynomials P^(0, b) moved to (0, 1); the weights are
+    the Christoffel numbers 1 / sum_k p_k(s)**2 of the orthonormal
+    polynomials, from the same three-term recurrence, scaled to the unit
+    mass of the weight.
+    """
+    k = np.arange(1.0, n)
+    two_k = 2.0 * k + b
+    diag = 0.5 + 0.5 * np.concatenate(
+        [[b / (b + 2.0)], b * b / (two_k * (two_k + 2.0))])
+    off = k * (k + b) / (two_k * np.sqrt((two_k + 1.0) * (two_k - 1.0)))
+    jacobi = np.zeros((n, n))
+    jacobi.flat[::n + 1] = diag
+    # eigvalsh reads the lower triangle only
+    jacobi.flat[n::n + 1] = off
+    s = np.linalg.eigvalsh(jacobi)
+    # p_{j+1} = ((s - diag_j) p_j - off_{j-1} p_{j-1}) / off_j, p_0 = 1
+    step = (s - diag[:-1, None]) / off[:, None]
+    back = off[:-1] / off[1:]
+    p = np.empty((n, n))
+    p[0] = 1.0
+    p[1] = step[0]
+    for j in range(1, n - 1):
+        p[j + 1] = step[j] * p[j] - back[j - 1] * p[j - 1]
+    w = 1.0 / np.einsum("ij,ij->j", p, p)
+    return s, w / w.sum()
+
+
 def power_limit(h, values):
     """Limit as h -> 0 of values sampled at step sizes h.
 

@@ -86,6 +86,67 @@ def test_combined_gq_array_matches_scalar_and_float_power(mu, nu, sigma, xi):
     assert auxfun.combined_gq(ctx, t.reshape(2, -1)).shape == (2, 203)
 
 
+def _gq_reference(mu, nu, sigma, xi, t):
+    """G(t) = 2 int int R(t u**mu v**nu) du dv - 1 to 30 digits.
+
+    R(y) = sum_k c_k (1 + y)**-k, k = 1..3, and the u integral of
+    (1 + y u**mu)**-k is 2F1(k, 1/mu; 1 + 1/mu; -y), so mpmath integrates
+    in v only, never in s = u**mu, whose weight s**(1/mu - 1) defeats the
+    tanh-sinh rule at large mu.
+    """
+    with mpmath.workdps(30):
+        sg, xi, t = mpmath.mpf(sigma), mpmath.mpf(xi), mpmath.mpf(t)
+        coef = [c / (1 - sg)
+                for c in (-sg * (1 - xi), 1 - xi * (2 + sg), 2 * xi)]
+
+        def inner(y):
+            if mu == 0.0:
+                return sum(c / (1 + y) ** k for k, c in enumerate(coef, 1))
+            e = 1 / mpmath.mpf(mu)
+            return sum(c * mpmath.hyp2f1(k, e, 1 + e, -y)
+                       for k, c in enumerate(coef, 1))
+
+        val = mpmath.quad(lambda v: inner(t * v ** mpmath.mpf(nu)), [0, 1])
+        return 2 * val - 1
+
+
+GQ_CASES = [(1.0, 2.0, 0.1, 1.0), (2.0, 3.0, 0.1, 0.25), (0.0, 1.0, 0.0, 0.0),
+            (0.0, 2.0, 0.1, 1.0), (0.5, 2.0, 0.7, 1.0), (0.01, 2.0, 0.1, 1.0),
+            (1.0, 1.0, 0.99, 1.0)]
+GQ_T = (0.0, 0.5, 0.99, 0.999, 1.0)
+
+
+@pytest.mark.parametrize("mu,nu,sigma,xi", GQ_CASES, ids=str)
+def test_combined_gq_matches_mpmath(mu, nu, sigma, xi):
+    # (0, 2, 0.1, 1) at t = 1 is where the 3000-term series was 4.9e-12
+    # off.  At sigma = 0.99, R is of size 1/(1 - sigma) = 100 at the nodes
+    # and G reaches -38; there 1e-14 is 1.4 units in the last place of G,
+    # below the rounding of any double sum of such terms, so the bound
+    # scales with |G| beyond 1
+    ctx = AuxContext(mu, nu, sigma, xi)
+    got = auxfun.combined_gq(ctx, np.array(GQ_T))
+    for g, t in zip(got, GQ_T):
+        ref = _gq_reference(mu, nu, sigma, xi, t)
+        assert abs(g - ref) <= 1e-14 * max(1.0, abs(ref)), (t, g, ref)
+
+
+def test_g_and_q_auto_use_the_rule(monkeypatch):
+    # neither the series nor, near t = 1, the adaptive dblquad: g is G at
+    # xi = 0 and q = (G at xi = 1 + 1)/2
+    monkeypatch.setattr(auxfun, "_series_sum", None)
+    monkeypatch.setattr(auxfun, "_double_integral", None)
+    mu, nu, sigma = 1.0, 2.0, 0.1
+    ctx = AuxContext(mu, nu, sigma, 0.5)
+    for t in GQ_T:
+        g = auxfun.g_value(ctx, t)
+        q = auxfun.q_value(ctx, t)
+        assert isinstance(g, float) and isinstance(q, float)
+        assert abs(g - _gq_reference(mu, nu, sigma, 0.0, t)) <= 1e-14
+        assert abs(2.0 * q - 1.0
+                   - _gq_reference(mu, nu, sigma, 1.0, t)) <= 1e-14
+    assert auxfun.g_value(ctx, np.array(GQ_T)).shape == (5,)
+
+
 def test_combined_gq_domain():
     ctx = AuxContext(1.0, 2.0, 0.1, 1.0)
     with pytest.raises(DomainError):

@@ -74,6 +74,23 @@ def test_beta_quadrature_accurate_where_i_nears_one():
         i_ref / (i_ref - 1.0), abs=2e-10)
 
 
+def test_beta_quadrature_builds_one_rule_and_sums_no_series(monkeypatch):
+    # komatu c=-0.5 delta=4 at mu = 2 takes many Gauss-Kronrod rounds
+    calls = []
+    build = auxfun.gq_rule
+
+    def counted(ctx):
+        calls.append(ctx)
+        return build(ctx)
+
+    monkeypatch.setattr(auxfun, "gq_rule", counted)
+    monkeypatch.setattr(auxfun, "_series_sum", None)
+    kernel = pc.make_kernel("komatu", c=-0.5, delta=4.0)
+    p = pc.ParameterSet.from_mu_nu(2.0, 2.0, sigma=0.1, xi=1.0)
+    certify.beta_quadrature_route(kernel, p)
+    assert len(calls) == 1
+
+
 def test_beta_sharp_mismatch_raises(monkeypatch):
     monkeypatch.setattr(certify, "beta_series_route",
                         lambda k, p: certify.beta_quadrature_route(k, p) + 0.1)
@@ -515,8 +532,94 @@ def test_node_sums_built_once_per_certification(monkeypatch):
     monkeypatch.setattr(certify, "_node_sums", counted)
     grid = certify.DiskGrid()
     certify.run_certification(KOMATU, P12, grid, with_curves=True)
-    # the grid circle and z = -1
-    assert calls == [grid.angles + 1]
+    # the upper half of the grid circle, k = 0..angles//2, and z = -1
+    assert calls == [grid.angles // 2 + 2]
+
+
+@pytest.mark.parametrize("angles", [5, 7, 64, 256])
+def test_upper_half_node_sums_unfold_to_full_circle(angles):
+    grid = certify.DiskGrid(angles=angles)
+    nodes = certify._m_nodes(KOMATU, P12)
+    full = certify._node_sums(nodes, grid.boundary_points())
+    upper = certify._node_sums(nodes, grid.upper_points())
+    assert len(upper[0]) == angles // 2 + 1
+    for m_full, m_upper in zip(full, upper):
+        unfolded = grid.unfold(m_upper)
+        assert np.max(np.abs(unfolded - m_full) / np.abs(m_full)) <= 1e-15
+
+
+@pytest.mark.parametrize("angles", [5, 7, 64, 256])
+def test_conjugate_pair_minimum_reports_upper_point(monkeypatch, angles):
+    # at 5 and 7 angles both minima sit on a pair z, conj z off the axis
+    grid = certify.DiskGrid(angles=angles)
+    rep = certify.run_certification(KOMATU, P12, grid)
+    z = grid.boundary_points()
+    nodes = certify._m_nodes(KOMATU, P12)
+    pz, qc = certify._pq_profiles(nodes, P12, z)
+    m = pz + ((2.0 * P12.sigma - 1.0) * qc.real - np.abs(qc)) \
+        / (2.0 * (1.0 - P12.sigma))
+    _, ratio = certify.extremal_image(nodes, P12, rep.beta_integral, z)
+    for got_min, got_z, vals in (
+            (rep.m_functional_min, rep.m_argmin_z, m),
+            (rep.membership_min + P12.sigma, rep.membership_argmin,
+             ratio.real)):
+        assert got_z.imag >= 0.0
+        assert got_min == pytest.approx(vals.min(), abs=1e-15)
+        # rounding picks either point of the pair in the full circle
+        i = np.argmin(vals)
+        assert min(abs(got_z - z[i]), abs(got_z - np.conj(z[i]))) <= 1e-15
+        if angles % 2:
+            assert got_z.imag > 0.0
+    # the default path of m_functional_min takes the same half circle
+    sizes = []
+    build = certify._node_sums
+    monkeypatch.setattr(certify, "_node_sums",
+                        lambda nodes, z: sizes.append(len(z))
+                        or build(nodes, z))
+    assert certify.m_functional_min(KOMATU, P12, grid)[:2] == (
+        rep.m_functional_min, rep.m_argmin_z)
+    assert sizes == [angles // 2 + 1]
+
+
+@pytest.mark.parametrize("angles", [5, 64])
+def test_winding_guard_and_curve_see_full_circle(monkeypatch, angles):
+    seen = []
+    guard = certify._winding_guard
+
+    def counted(k_over_z, z):
+        seen.append(z)
+        return guard(k_over_z, z)
+
+    monkeypatch.setattr(certify, "_winding_guard", counted)
+    grid = certify.DiskGrid(angles=angles)
+    rep = certify.run_certification(KOMATU, P12, grid, with_curves=True)
+    z = grid.boundary_points()
+    assert len(seen) == 1 and np.array_equal(seen[0], z)
+    nodes = certify._m_nodes(KOMATU, P12)
+    _, ratio = certify.extremal_image(nodes, P12, rep.beta_integral, z)
+    curve = rep.curves["re_zkprime_over_k"]
+    assert curve.shape == (angles,)
+    assert np.max(np.abs(curve - ratio.real)) <= 1e-13
+
+
+@pytest.mark.parametrize("text,mu,nu,sigma,xi", IMAGE_CASES[:8],
+                         ids=[f"{c[0]} mu={c[1]:g} xi={c[4]:g}"
+                              for c in IMAGE_CASES[:8]])
+def test_m_node_moment_identity(text, mu, nu, sigma, xi):
+    # sum W t**n = mu nu tau_n / ((1 + n mu)(1 + n nu)), the identity
+    # behind extremal_image.  n = 0 is left out: the mass is off by up to
+    # 6.7e-4 (hohlov a=0.5 b=0.8 c=4.5), but no sum the functional or the
+    # image takes reads the mass alone; each integrand vanishes at t = 0,
+    # as t**n does for n >= 1 (the differences M_j - M_k, and Re u**2
+    # against the rational g and q profiles in P)
+    kernel = pc.parse_kernel(text)
+    p = pc.ParameterSet.from_mu_nu(mu, nu, sigma, xi)
+    t, w = certify._m_nodes(kernel, p)
+    n = np.arange(1.0, 9.0)
+    want = (mu * nu if mu > 0.0 else nu) * kernels.moment_sequence(
+        kernel, 8) / ((1.0 + n * mu) * (1.0 + n * nu))
+    got = np.array([np.dot(w, t**k) for k in n])
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-9
 
 
 def test_m_nodes_raise_where_weight_not_finite():
