@@ -6,10 +6,11 @@ equivalent smooth double-integral form.  Their combination
 G = (1-xi) g + xi (2q - 1) is 2 int int R(t u**mu v**nu) du dv - 1 with R
 rational, its only pole at -1.  After s = u**mu, w = v**nu the weights
 are Jacobi weights, so a fixed 12 x 12 tensor Gauss-Jacobi rule gives G,
-g and q to double precision at every t in [0, 1], arrays of t at once;
-that is the primary route.  The series (running powers, binomial tail
-averaging near t = 1) and the adaptive integral, the only place here
-that loads scipy.integrate, are the independent oracles.  h_sigma is the
+g and q to double precision at every t in [0, 1], arrays of t at once.
+A certification reads R itself (combined_rational) on the duality
+functional's nodes; G and its routes are oracles: the rule, the series
+(running powers, binomial tail averaging near t = 1) and the adaptive
+integral, the only place here that loads scipy.integrate.  h_sigma is the
 rational test kernel of starlikeness of order sigma, carrying a free
 unimodular parameter.
 """
@@ -172,28 +173,34 @@ def gq_rule(ctx: AuxContext):
     return np.outer(s, v).ravel(), np.outer(ws, wv).ravel()
 
 
-def combined_gq(ctx: AuxContext, t, rule=None):
-    """G(t) = (1-xi) g(t) + xi (2 q(t) - 1) by the tensor Gauss-Jacobi rule.
+def combined_rational(y, sigma: float, xi: float):
+    """R(y) = (1 - xi) r_g(y) + xi r_q(y), the rational kernel of G.
 
-    t is a scalar or an array in [0, 1]; rule is gq_rule(ctx), built here
-    when not given.  R(y) = sum_n (1 + xi n)(n + 1 - sigma)(-y)**n/(1 - sigma)
-    sums to r (1 - p (1 + xi (2r - sigma))/(1 - sigma)) with r = 1/(1 + y)
-    and p = 1 - r = y r: R(0) = 1 exactly, and no coefficient of size
+    R(y) = sum_n (1 + xi n)(n + 1 - sigma)(-y)**n/(1 - sigma) sums to
+    r (1 - p (1 + xi (2r - sigma))/(1 - sigma)) with r = 1/(1 + y) and
+    p = 1 - r = y r: R(0) = 1 exactly, and no coefficient of size
     1/(1 - sigma) cancels another as sigma -> 1.
+    """
+    r = 1.0 / (1.0 + y)
+    return r * (1.0 - y * r * (1.0 + xi * (2.0 * r - sigma))
+                / (1.0 - sigma))
+
+
+def combined_gq(ctx: AuxContext, t, rule=None):
+    """G(t) = (1-xi) g(t) + xi (2 q(t) - 1) = 2 sum W R(t x) - 1 by the
+    tensor Gauss-Jacobi rule (x, W) = rule, gq_rule(ctx) when not given.
+
+    t is a scalar or an array in [0, 1]; R is combined_rational.
     """
     _check_unit(t)
     x, w = gq_rule(ctx) if rule is None else rule
     t_arr = np.asarray(t, dtype=float)
     flat = t_arr.ravel()
     out = np.empty_like(flat)
-    scale = 1.0 / (1.0 - ctx.sigma)
     rows = _BLOCK // len(x)
     for i in range(0, len(flat), rows):
-        y = flat[i:i + rows, None] * x
-        r = 1.0 / (1.0 + y)
-        p = np.multiply(y, r, out=y)
-        vals = r * (1.0 - p * (1.0 + ctx.xi * (2.0 * r - ctx.sigma))
-                    * scale)
+        vals = combined_rational(flat[i:i + rows, None] * x, ctx.sigma,
+                                 ctx.xi)
         out[i:i + rows] = np.einsum("ij,j->i", vals, w)
     out = 2.0 * out - 1.0
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)

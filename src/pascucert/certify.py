@@ -2,9 +2,11 @@
 
 The lower bound beta is solved in closed form from the weighted average of
 the combined profile: with I = int lambda(t) [(1-xi) g + xi (2q - 1)] dt
-the relation beta/(1-beta) = -I gives beta = I/(I-1).  The same quantity
-is recomputed from the moment series as an independent route; the two must
-agree to 1e-7.
+the relation beta/(1-beta) = -I gives beta = I/(I-1).  The profile is
+2 E R(t U**mu V**nu) - 1 with R rational and U, V uniform on (0, 1), so
+swapping the order of integration makes I a sum over the duality
+functional's nodes, I = 1 + (2/(mu nu)) sum W (R(t) - 1).  The moment
+series gives I by an independent route; the two must agree to 1e-7.
 
 The duality functional M integrates t**(1/mu - 1) Pi(t) against the real
 integrand L over the weight interval.  By Ruscheweyh duality M is affine
@@ -13,11 +15,15 @@ in the unimodular epsilon, M = P + Re(A(epsilon) Q), so its minimum over
 harmonic in z, so the minimum over the disk lies on the boundary circle.
 The image of the extremal function, behind the membership and sharpness
 checks, needs no truncation order: it and the functional are read from
-one set of node sums M_k = sum W u**k, u = 1/(1 - t z).
+one set of node sums M_k = sum W u**k, u = 1/(1 - t z).  Those nodes are
+the one integration rule of a certification, besides the unit-mass check
+of kernels.make_kernel; the adaptive beta quadrature and the G rule stay
+as test oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -91,18 +97,17 @@ def beta_from_integral(i_value: float) -> float:
 
 
 def beta_quadrature_route(kernel: kernels.KernelSpec,
-                          params: params_mod.ParameterSet,
-                          epsabs: float = 1e-10) -> float:
-    """I = int lambda(t) [(1-xi) g(t) + xi (2 q(t) - 1)] dt by quadrature,
-    each refinement round on one array of nodes; the profile's
-    Gauss-Jacobi rule is built once for all rounds."""
+                          params: params_mod.ParameterSet) -> float:
+    """I = int lambda(t) [(1-xi) g(t) + xi (2 q(t) - 1)] dt by adaptive
+    quadrature (a test oracle), each refinement round on one array of
+    nodes; the profile's Gauss-Jacobi rule is built once for all rounds."""
     ctx = auxfun.AuxContext(params.mu, params.nu, params.sigma, params.xi)
     rule = auxfun.gq_rule(ctx)
     pl, pr = kernels.endpoint_exponents(kernel)
     return integrate_01(
         lambda t: kernels.density(kernel, t)
         * auxfun.combined_gq(ctx, t, rule),
-        pl, pr, epsabs=epsabs,
+        pl, pr, epsabs=1e-10,
         f_complement=lambda d: kernels.density_complement(kernel, d)
         * auxfun.combined_gq(ctx, 1.0 - d, rule))
 
@@ -121,36 +126,38 @@ def beta_series_route(kernel: kernels.KernelSpec,
 
 
 class BetaRoutes(NamedTuple):
-    """beta from the quadrature route and from the moment-series route."""
+    """beta from the M-node route and from the moment-series route."""
 
-    quadrature: float
+    nodes: float
     series: float
 
     @property
     def agree(self) -> bool:
-        return abs(self.quadrature - self.series) <= BETA_ROUTE_TOL
+        return abs(self.nodes - self.series) <= BETA_ROUTE_TOL
 
     def sharp(self) -> float:
-        """The quadrature beta; RepresentationMismatch if the routes differ."""
+        """The M-node beta; RepresentationMismatch if the routes differ."""
         if not self.agree:
             raise RepresentationMismatch(
-                f"beta routes disagree: quadrature {self.quadrature!r} vs "
+                f"beta routes disagree: M-nodes {self.nodes!r} vs "
                 f"series {self.series!r}")
-        return self.quadrature
+        return self.nodes
 
 
 def beta_routes(kernel: kernels.KernelSpec,
-                params: params_mod.ParameterSet) -> BetaRoutes:
-    """beta = I/(I-1) from both routes to I.
-
-    The series runs first: beta scales an error in I by 1/(1 - I)**2, so
-    the quadrature is asked for I to min(1e-10, 1e-8 (1 - I)**2).
-    """
-    i_series = beta_series_route(kernel, params)
-    i_quad = beta_quadrature_route(
-        kernel, params, epsabs=min(1e-10, 1e-8 * (1.0 - i_series) ** 2))
-    return BetaRoutes(beta_from_integral(i_quad),
-                      beta_from_integral(i_series))
+                params: params_mod.ParameterSet, nodes=None) -> BetaRoutes:
+    """beta = I/(I-1) from both routes to I: the moment series, and
+    I = 1 + (2/(mu nu)) sum W (R(t) - 1) (nu for mu nu at mu = 0) on the
+    given M-nodes (t, W) or on fresh _m_nodes.  R - 1 vanishes at t = 0,
+    so the error of the rule's mass sum W cancels.  One route is built
+    from the envelopes of lambda, the other from its moments; a drift of
+    the node rule shows as a disagreement."""
+    if nodes is None:
+        nodes = _m_nodes(kernel, params)
+    i_nodes = 1.0 + 2.0 * (_r_sum(nodes, params) - float(nodes[1].sum())) \
+        / _node_mass(params)
+    return BetaRoutes(beta_from_integral(i_nodes),
+                      beta_from_integral(beta_series_route(kernel, params)))
 
 
 def beta_sharp(kernel: kernels.KernelSpec,
@@ -197,11 +204,23 @@ _M_U, _M_WU = gauss_panels(np.asarray(_M_PANEL_EDGES), _M_PANEL_NODES)
 def _m_nodes(kernel: kernels.KernelSpec, params: params_mod.ParameterSet):
     """Quadrature nodes t and weights W = w * t**(1/mu - 1) * Pi(t).
 
-    Substitutes t = u**m with m = max(1, 2 mu) so the endpoint factor is
-    regular, then composite Gauss-Legendre with panels crowding t -> 1.
+    At t = 0 the weight is a sum of powers t**(b - 1), times powers of
+    log(1/t), with b = 1/mu, 1/nu and p + 1 for the density's exponent p;
+    the least is b = min(1/nu, p + 1), as mu <= nu.  Every sum taken over
+    the nodes has an integrand that vanishes like t there, and t = u**m
+    turns t**b dt into m u**(m (b + 1) - 1) du: m = 6/(1 + b) leaves at
+    worst u**5, which composite Gauss-Legendre with panels crowding
+    t -> 1 integrates to rounding.  Pi grows like t**(b - 1/mu) (like
+    Lambda ~ t**(b - 1/nu) at mu = 0), so m stays small enough to keep it
+    inside the double range at the smallest node, and at least 1.
     """
     expo = _effective_exponent(params)
-    m = max(1.0, 2.0 / expo)
+    b = min(1.0 / params.nu, kernels.endpoint_exponents(kernel)[0] + 1.0)
+    m = 6.0 / (1.0 + b)
+    if expo > b:
+        # e**690 leaves room for the constant factor of Pi
+        m = min(m, 690.0 / ((expo - b) * -math.log(_M_U[0])))
+    m = max(1.0, m)
     t = _M_U**m
     # t**(expo-1) dt = m u**(m expo - 1) du, assembled jointly to dodge the
     # singular split
@@ -237,14 +256,24 @@ def _node_sums(nodes, z):
     return m1, m2, m3
 
 
+def _node_mass(params):
+    """sum W exactly, the n = 0 moment identity: mu nu, or nu at mu = 0."""
+    return params.mu * params.nu if params.mu > 0.0 else params.nu
+
+
+def _r_sum(nodes, params) -> float:
+    """sum W R(t), R the rational kernel of the profile G
+    (auxfun.combined_rational): the z-free sum of P, and beta's integral."""
+    t, w = nodes
+    return float(np.dot(w, auxfun.combined_rational(t, params.sigma,
+                                                    params.xi)))
+
+
 def _pq_from_sums(nodes, params, m1, m2, m3):
     """P and complex Q from the node sums, by (1 + tz) u**3 = 2 u**3 - u**2
-    and tz u**k = u**k - u**(k - 1); g and q give z-free sums."""
-    t, w = nodes
-    sg, xi = params.sigma, params.xi
-    c1 = float(np.dot(w, auxfun._rational_g(t, sg)))
-    c2 = float(np.dot(w, auxfun._rational_q(t, sg)))
-    p = (1.0 - xi) * (m2.real - c1) + xi * ((2.0 * m3 - m2).real - c2)
+    and tz u**k = u**k - u**(k - 1); R gives the z-free sum."""
+    xi = params.xi
+    p = ((1.0 - xi) * m2 + xi * (2.0 * m3 - m2)).real - _r_sum(nodes, params)
     qc = (1.0 - xi) * (m2 - m1) + 2.0 * xi * (m3 - m2)
     return p, qc
 
@@ -329,8 +358,7 @@ def extremal_image(nodes, params: params_mod.ParameterSet, beta: float, z):
 def _image_from_sums(w, params, beta, m1, m2, m3):
     """K(z)/z and z K'/K from the node sums, as in extremal_image."""
     xi = params.xi
-    c = 2.0 * (1.0 - beta) / (params.mu * params.nu if params.mu > 0.0
-                              else params.nu)
+    c = 2.0 * (1.0 - beta) / _node_mass(params)
     m0 = w.sum()
     k = 1.0 + c * ((1.0 - xi) * m1 + xi * m2 - m0)
     zk = 1.0 + c * ((1.0 - 2.0 * xi) * m2 + 2.0 * xi * m3 - m0)
@@ -585,12 +613,12 @@ def run_certification(kernel: kernels.KernelSpec,
                       grid: DiskGrid = DiskGrid(),
                       with_curves: bool = False) -> CertificationReport:
     """Full pipeline: beta, duality functional, conditions, membership and
-    sharpness of the extremal image, all from one set of M-node sums."""
-    beta = beta_routes(kernel, params)
-    beta_q = beta.sharp()
+    sharpness of the extremal image, all from one set of M-nodes."""
+    nodes = _m_nodes(kernel, params)
+    beta = beta_routes(kernel, params, nodes)
+    beta_value = beta.sharp()
     beta_closed = beta_closed_form(kernel, params)
 
-    nodes = _m_nodes(kernel, params)
     # one set of sums: the upper half circle for M and membership (the
     # lower half holds the conjugates), z = -1 for sharpness
     z = np.append(grid.upper_points(), -1.0)
@@ -603,7 +631,7 @@ def run_certification(kernel: kernels.KernelSpec,
     if hyp_report is not None:
         margins[f"hypotheses_{hyp_report.theorem}"] = hyp_report.min_margin
 
-    k_over_z, ratio = _image_from_sums(nodes[1], params, beta_q, *sums)
+    k_over_z, ratio = _image_from_sums(nodes[1], params, beta_value, *sums)
     _winding_guard(grid.unfold(k_over_z[:-1]), grid.boundary_points())
     ratio = ratio.real
     i = int(np.argmin(ratio[:-1]))
@@ -614,9 +642,9 @@ def run_certification(kernel: kernels.KernelSpec,
                                 argmin_eps, grid.unfold(ratio[:-1]), grid)
 
     return CertificationReport(
-        params=params.with_beta(beta_q),
+        params=params.with_beta(beta_value),
         kernel=kernel,
-        beta_integral=beta_q,
+        beta_integral=beta_value,
         beta_series=beta.series,
         beta_closed_form=beta_closed,
         m_functional_min=m_min,

@@ -327,7 +327,7 @@ def _cmd_beta(cfg: RunConfig) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kernel": kernel.text(),
-        "beta": {"integral": beta.quadrature, "series": beta.series,
+        "beta": {"integral": beta.nodes, "series": beta.series,
                  "routes_agree": beta.agree},
     }
     closed = certify.beta_closed_form(kernel, p)
@@ -336,12 +336,12 @@ def _cmd_beta(cfg: RunConfig) -> int:
     if cfg.format == "json":
         _emit(_json_text(payload), cfg.output)
     elif cfg.format == "csv":
-        _emit(_csv_rows([[kernel.text(), beta.quadrature, beta.series,
+        _emit(_csv_rows([[kernel.text(), beta.nodes, beta.series,
                           beta.agree]],
                         ["kernel", "beta_integral", "beta_series",
                          "routes_agree"]), cfg.output)
     else:
-        _emit(f"beta = {_fmt15(beta.quadrature)!r}\n" + _kv_text(payload),
+        _emit(f"beta = {_fmt15(beta.nodes)!r}\n" + _kv_text(payload),
               cfg.output)
     return 0 if beta.agree else 1
 

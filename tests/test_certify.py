@@ -144,6 +144,14 @@ def test_m_functional_node_route_matches_direct():
             fast = certify.m_functional(kernel, P12, z, eps)
             slow = certify.m_functional_direct(kernel, P12, z, eps)
             assert fast == pytest.approx(slow, abs=5e-8)
+    # at mu < 1 the weight carries t**(1/nu - 1) at t = 0, which the node
+    # substitution must smooth out too; a rule that followed mu alone was
+    # 6.6e-6 off here
+    p = pc.ParameterSet.from_mu_nu(0.5, 5.0, sigma=0.1, xi=0.5)
+    z, eps = 0.45 - 0.34j, complex(np.exp(2.0j))
+    assert certify.m_functional(BERNARDI, p, z, eps) == pytest.approx(
+        certify.m_functional_direct(BERNARDI, p, z, eps, epsabs=1e-12),
+        abs=1e-11)
 
 
 def test_m_functional_min_nonnegative_for_certified_instance():
@@ -550,19 +558,22 @@ def test_upper_half_node_sums_unfold_to_full_circle(angles):
 
 @pytest.mark.parametrize("angles", [5, 7, 64, 256])
 def test_conjugate_pair_minimum_reports_upper_point(monkeypatch, angles):
-    # at 5 and 7 angles both minima sit on a pair z, conj z off the axis
+    # at 5 and 7 angles both minima sit on a pair z, conj z off the axis;
+    # the full circle is unfolded from the same half-circle sums the
+    # report takes, as sums in another order round differently
     grid = certify.DiskGrid(angles=angles)
     rep = certify.run_certification(KOMATU, P12, grid)
     z = grid.boundary_points()
     nodes = certify._m_nodes(KOMATU, P12)
-    pz, qc = certify._pq_profiles(nodes, P12, z)
+    pz, qc = certify._pq_profiles(nodes, P12, grid.upper_points())
     m = pz + ((2.0 * P12.sigma - 1.0) * qc.real - np.abs(qc)) \
         / (2.0 * (1.0 - P12.sigma))
-    _, ratio = certify.extremal_image(nodes, P12, rep.beta_integral, z)
+    _, ratio = certify.extremal_image(nodes, P12, rep.beta_integral,
+                                      grid.upper_points())
     for got_min, got_z, vals in (
-            (rep.m_functional_min, rep.m_argmin_z, m),
+            (rep.m_functional_min, rep.m_argmin_z, grid.unfold(m)),
             (rep.membership_min + P12.sigma, rep.membership_argmin,
-             ratio.real)):
+             grid.unfold(ratio).real)):
         assert got_z.imag >= 0.0
         assert got_min == pytest.approx(vals.min(), abs=1e-15)
         # rounding picks either point of the pair in the full circle
@@ -602,16 +613,23 @@ def test_winding_guard_and_curve_see_full_circle(monkeypatch, angles):
     assert np.max(np.abs(curve - ratio.real)) <= 1e-13
 
 
-@pytest.mark.parametrize("text,mu,nu,sigma,xi", IMAGE_CASES[:8],
-                         ids=[f"{c[0]} mu={c[1]:g} xi={c[4]:g}"
-                              for c in IMAGE_CASES[:8]])
+# weights with t**(1/nu - 1) or t**(1/mu - 1) at t = 0 below t**(-1/2),
+# and a density exponent p = -0.9
+NODE_RULE_CASES = [("bernardi c=1", mu, nu, 0.1, 0.5)
+                   for mu in (0.25, 0.5, 0.7) for nu in (2.0, 5.0)] \
+    + [("bernardi c=-0.9", 1.0, 2.0, 0.1, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "text,mu,nu,sigma,xi", IMAGE_CASES[:8] + NODE_RULE_CASES,
+    ids=[f"{c[0]} mu={c[1]:g} xi={c[4]:g}" for c in IMAGE_CASES[:8]]
+    + [f"{c[0]} mu={c[1]:g} nu={c[2]:g}" for c in NODE_RULE_CASES])
 def test_m_node_moment_identity(text, mu, nu, sigma, xi):
     # sum W t**n = mu nu tau_n / ((1 + n mu)(1 + n nu)), the identity
-    # behind extremal_image.  n = 0 is left out: the mass is off by up to
-    # 6.7e-4 (hohlov a=0.5 b=0.8 c=4.5), but no sum the functional or the
-    # image takes reads the mass alone; each integrand vanishes at t = 0,
-    # as t**n does for n >= 1 (the differences M_j - M_k, and Re u**2
-    # against the rational g and q profiles in P)
+    # behind extremal_image and beta's node route.  n = 0 is left out: no
+    # sum the functional, the image or beta takes reads the mass alone;
+    # each integrand vanishes at t = 0, as t**n does for n >= 1 (the
+    # differences M_j - M_k, and Re u**2 and R(t) - 1 against R in P)
     kernel = pc.parse_kernel(text)
     p = pc.ParameterSet.from_mu_nu(mu, nu, sigma, xi)
     t, w = certify._m_nodes(kernel, p)
@@ -619,7 +637,18 @@ def test_m_node_moment_identity(text, mu, nu, sigma, xi):
     want = (mu * nu if mu > 0.0 else nu) * kernels.moment_sequence(
         kernel, 8) / ((1.0 + n * mu) * (1.0 + n * nu))
     got = np.array([np.dot(w, t**k) for k in n])
-    assert np.max(np.abs(got / want - 1.0)) <= 1e-9
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+
+def test_m_nodes_keep_pi_in_range_at_small_mu():
+    # Pi ~ t**(1/2 - 1/mu) here: t = u**4 overflowed it below mu = 0.047,
+    # so the substitution stays milder where 1/mu is large; m = 1 left
+    # sharpness 5e-5 off at mu = 0.03
+    p = pc.ParameterSet.from_mu_nu(0.03, 2.0, sigma=0.1, xi=1.0)
+    rep = certify.run_certification(KOMATU, p)
+    assert abs(rep.beta_integral - rep.beta_series) <= 1e-10
+    assert rep.sharpness_residual <= 1e-10
+    assert rep.passed()
 
 
 def test_m_nodes_raise_where_weight_not_finite():

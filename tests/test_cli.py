@@ -367,6 +367,31 @@ def test_main_sweep_needs_parameters(capsys):
     assert rc == 2
 
 
+def test_verdicts_run_no_adaptive_beta_quadrature(monkeypatch, tmp_path,
+                                                  capsys):
+    # beta comes from the M-node sums; the adaptive route and the G rule
+    # are test oracles only
+    from pascucert import auxfun
+    calls = []
+    for module, name in ((certify, "beta_quadrature_route"),
+                         (auxfun, "gq_rule")):
+        monkeypatch.setattr(module, name,
+                            lambda *a, f=getattr(module, name), name=name,
+                            **k: calls.append(name) or f(*a, **k))
+    kernel = kernels.parse_kernel("komatu c=0 delta=3")
+    p = params.ParameterSet.from_mu_nu(1.0, 2.0, 0.1, 1.0)
+    assert certify.run_certification(kernel, p).passed()
+    out = tmp_path / "sweep.csv"
+    cli.main(["sweep", "--kernel", "komatu c=0 delta={2,3}", "--mu", "1",
+              "--nu", "2", "--sigma", "0.1", "--xi", "1", "--output",
+              str(out)])
+    rows = out.read_text().strip().splitlines()[1:]
+    assert len(rows) == 2 and all(float(r.split(",")[5]) < 0.0 for r in rows)
+    assert cli.main(["beta", "--kernel", "komatu c=0 delta=3", "--mu", "1",
+                     "--nu", "2", "--sigma", "0.1", "--xi", "1"]) == 0
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # plot data
 

@@ -7,7 +7,7 @@ from pascucert import certify, kernels
 from pascucert.errors import (ConfigError, CriticalPoint, DomainError,
                               NotApplicable)
 from pascucert.params import ParameterSet
-from pascucert.quadrature import gauss_panels, integrate_01
+from pascucert.quadrature import integrate_01
 
 FAMILY_EXAMPLES = [
     kernels.make_kernel("bernardi", c=1.0),
@@ -149,10 +149,42 @@ ENVELOPE_FAMILIES = [
 ]
 
 
+def _envelopes_mpmath(kernel, mu, nu, t):
+    """(Lambda_nu(t), Pi_{mu,nu}(t)) for mu > 0, mu != nu, by mpmath's
+    tanh-sinh rule in y = -log x over pieces split at y = 2**k.  It reaches
+    the M-nodes below t = 1e-8, where the adaptive oracle stops with
+    QuadratureFailure (at t = 9.1e-11 on komatu c=-0.5 delta=4) or warns
+    of round-off."""
+    import mpmath
+    y_t = -math.log(t)
+    d = 1.0 / nu - 1.0 / mu
+
+    def lam(y):
+        # lambda x**(-1/nu) dx with dx = x dy
+        y = float(y)
+        x = math.exp(-y)
+        val = (kernels.density(kernel, x) if y >= math.log(2.0)
+               else kernels.density_complement(kernel, -math.expm1(-y)))
+        return val * x ** (1.0 - 1.0 / nu)
+
+    def pi_weight(y):
+        # (x**d - t**d)/d
+        return (math.exp(-d * float(y)) - math.exp(-d * y_t)) / d
+
+    cuts = [0.0] + [2.0**k for k in range(-1, 6) if 2.0**k < y_t] + [y_t]
+    return (float(mpmath.quad(lam, cuts)),
+            float(mpmath.quad(lambda y: lam(y) * pi_weight(y), cuts)))
+
+
 def _assert_envelopes_match_oracle(kernel, mu, nu, t):
     lam, pi = kernels.envelopes(kernel, mu, nu, t)
-    lam_o = np.array([kernels.lambda_envelope(kernel, nu, x) for x in t])
-    pi_o = np.array([kernels.pi_envelope(kernel, mu, nu, x) for x in t])
+    # the adaptive oracle where it reaches, mpmath below
+    near = t >= 1e-8
+    lam_o, pi_o = np.empty_like(t), np.empty_like(t)
+    lam_o[near] = [kernels.lambda_envelope(kernel, nu, x) for x in t[near]]
+    pi_o[near] = [kernels.pi_envelope(kernel, mu, nu, x) for x in t[near]]
+    for i in np.flatnonzero(~near):
+        lam_o[i], pi_o[i] = _envelopes_mpmath(kernel, mu, nu, t[i])
     # 1e-10 is the oracle's own epsabs
     assert np.all(np.abs(lam - lam_o) <= 1e-8 * np.abs(lam_o) + 1e-10)
     assert np.all(np.abs(pi - pi_o) <= 1e-8 * np.abs(pi_o) + 1e-10)
@@ -264,15 +296,17 @@ def _envelope_rule_per_gap(y_top, q):
         np.concatenate(owner)
 
 
-def _m_node_t(mu):
-    p = ParameterSet.from_mu_nu(mu, 2.0, sigma=0.1, xi=1.0)
-    u, _ = gauss_panels(np.asarray(certify._M_PANEL_EDGES),
-                        certify._M_PANEL_NODES)
-    return u ** max(1.0, 2.0 / certify._effective_exponent(p))
+def _m_node_t(mu, nu=2.0):
+    p = ParameterSet.from_mu_nu(mu, nu, sigma=0.1, xi=1.0)
+    return certify._m_nodes(kernels.make_kernel("komatu", c=0.0, delta=3.0),
+                            p)[0]
 
 
 RULE_GRIDS = {f"m_nodes mu={mu:g}": _m_node_t(mu)
               for mu in (0.0, 0.5, 1.0, 2.0, 3.0)}
+# m follows nu and the density at t = 0, and shrinks where 1/mu is large
+RULE_GRIDS["m_nodes mu=0.5 nu=5"] = _m_node_t(0.5, 5.0)
+RULE_GRIDS["m_nodes mu=0.03"] = _m_node_t(0.03)
 RULE_GRIDS.update({
     "monotone grid": certify.default_t_grid(257),
     "decay points": np.array([1e-2, 1e-4, 1e-6]),
@@ -375,7 +409,7 @@ def test_hohlov_near_integer_exponent(b):
     p = ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=1.0)
     routes = certify.beta_routes(k, p)
     assert routes.agree
-    assert abs(routes.quadrature - routes.series) < 1e-10
+    assert abs(routes.nodes - routes.series) < 1e-10
 
 
 def test_terminating_hyp2f1_factor_skips_mpmath(monkeypatch):
