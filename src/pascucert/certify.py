@@ -23,6 +23,7 @@ as test oracles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -39,6 +40,8 @@ from .quadrature import (averaged_partial_sum, chebyshev_grid, gauss_panels,
 BETA_ROUTE_TOL = 1e-7
 MEMBERSHIP_TOL = 1e-3
 SHARPNESS_TOL = 1e-2
+SERIES_TERMS = 20000
+CHECK_GRID_POINTS = 257
 
 
 @dataclass(frozen=True)
@@ -113,11 +116,12 @@ def beta_quadrature_route(kernel: kernels.KernelSpec,
 
 
 def beta_series_route(kernel: kernels.KernelSpec,
-                      params: params_mod.ParameterSet) -> float:
-    """The same I from the alternating moment series."""
-    nmax = 20000
-    tau = kernels.moment_sequence(kernel, nmax)
-    n = np.arange(1, nmax + 1, dtype=float)
+                      params: params_mod.ParameterSet, tau=None) -> float:
+    """The same I from the alternating moment series, on the given
+    tau_1 .. tau_SERIES_TERMS or on fresh ones."""
+    if tau is None:
+        tau = kernels.moment_sequence(kernel, SERIES_TERMS)
+    n = np.arange(1, SERIES_TERMS + 1, dtype=float)
     mu, nu, sg, xi = params.mu, params.nu, params.sigma, params.xi
     b = (1.0 + xi * n) * (n + 1.0 - sg) * tau \
         / ((1.0 - sg) * (1.0 + mu * n) * (1.0 + nu * n))
@@ -145,25 +149,29 @@ class BetaRoutes(NamedTuple):
 
 
 def beta_routes(kernel: kernels.KernelSpec,
-                params: params_mod.ParameterSet, nodes=None) -> BetaRoutes:
-    """beta = I/(I-1) from both routes to I: the moment series, and
-    I = 1 + (2/(mu nu)) sum W (R(t) - 1) (nu for mu nu at mu = 0) on the
-    given M-nodes (t, W) or on fresh _m_nodes.  R - 1 vanishes at t = 0,
-    so the error of the rule's mass sum W cancels.  One route is built
-    from the envelopes of lambda, the other from its moments; a drift of
-    the node rule shows as a disagreement."""
+                params: params_mod.ParameterSet, nodes=None,
+                tau=None) -> BetaRoutes:
+    """beta = I/(I-1) from both routes to I: the moment series on the
+    given tau_1 .. tau_SERIES_TERMS, and I = 1 + (2/(mu nu)) sum W (R(t) - 1)
+    (nu for mu nu at mu = 0) on the given M-nodes (t, W); fresh ones where
+    none are given.  R - 1 vanishes at t = 0, so the error of the rule's
+    mass sum W cancels.  One route is built from the envelopes of lambda,
+    the other from its moments; a drift of the node rule shows as a
+    disagreement."""
     if nodes is None:
         nodes = _m_nodes(kernel, params)
     i_nodes = 1.0 + 2.0 * (_r_sum(nodes, params) - float(nodes[1].sum())) \
         / _node_mass(params)
-    return BetaRoutes(beta_from_integral(i_nodes),
-                      beta_from_integral(beta_series_route(kernel, params)))
+    return BetaRoutes(
+        beta_from_integral(i_nodes),
+        beta_from_integral(beta_series_route(kernel, params, tau)))
 
 
 def beta_sharp(kernel: kernels.KernelSpec,
-               params: params_mod.ParameterSet) -> float:
+               params: params_mod.ParameterSet, nodes=None,
+               tau=None) -> float:
     """The sharp lower bound beta, cross-validated over both routes."""
-    return beta_routes(kernel, params).sharp()
+    return beta_routes(kernel, params, nodes, tau).sharp()
 
 
 def beta_closed_form(kernel: kernels.KernelSpec,
@@ -235,6 +243,44 @@ def _m_nodes(kernel: kernels.KernelSpec, params: params_mod.ParameterSet):
             f"{float(t[np.argmin(np.isfinite(w))])!r} (mu = {params.mu!r}, "
             f"nu = {params.nu!r})")
     return t, w
+
+
+class SharedPieces:
+    """The parts of a certification fixed by (kernel, mu, nu) alone, for
+    every (sigma, xi) point of that key: the M-nodes, tau_1 ..
+    tau_SERIES_TERMS of the series route, and the envelopes and slope
+    profile on the checkers' default grid.  Each is built at its first
+    use and kept for the next; a build that fails raises at every use, as
+    a fresh build would.  Of params only mu and nu are read.
+    """
+
+    def __init__(self, kernel: kernels.KernelSpec,
+                 params: params_mod.ParameterSet):
+        self.kernel, self.params = kernel, params
+
+    @functools.cached_property
+    def nodes(self):
+        """The M-nodes (t, W) of _m_nodes."""
+        return _m_nodes(self.kernel, self.params)
+
+    @functools.cached_property
+    def tau(self) -> np.ndarray:
+        return kernels.moment_sequence(self.kernel, SERIES_TERMS)
+
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        return default_t_grid(CHECK_GRID_POINTS)
+
+    @functools.cached_property
+    def grid_envelopes(self):
+        """(Lambda, Pi) at grid."""
+        return kernels.envelopes(self.kernel, self.params.mu, self.params.nu,
+                                 self.grid)
+
+    @functools.cached_property
+    def grid_slopes(self):
+        """(ratio, sign) of kernels.slope_profile at grid."""
+        return kernels.slope_profile(self.kernel, self.grid)
 
 
 def _node_sums(nodes, z):
@@ -384,9 +430,10 @@ def _winding_guard(k_over_z, z):
 
 def check_monotone_condition(kernel: kernels.KernelSpec,
                              params: params_mod.ParameterSet,
-                             t_grid=None) -> float:
+                             t_grid=None, pieces=None) -> float:
     """Minimum slope of the weighted-envelope expression; >= 0 means the
-    monotonicity sufficient condition holds on the grid.
+    monotonicity sufficient condition holds on the grid, by default the
+    one of the given SharedPieces (or of fresh ones).
 
     The t-derivative of t**(1/mu - 1/xi) Pi is expanded with
     Pi' = -Lambda_nu(t) t**(1/nu - 1 - 1/mu), collapsing the expression to
@@ -397,9 +444,11 @@ def check_monotone_condition(kernel: kernels.KernelSpec,
     if params.mu < 1.0:
         raise DomainError("requires mu >= 1")
     if t_grid is None:
-        t_grid = default_t_grid(257)
-    t = np.asarray(t_grid, dtype=float)
-    lam_vals, pi_vals = kernels.envelopes(kernel, params.mu, params.nu, t)
+        pieces = pieces or SharedPieces(kernel, params)
+        t, (lam_vals, pi_vals) = pieces.grid, pieces.grid_envelopes
+    else:
+        t = np.asarray(t_grid, dtype=float)
+        lam_vals, pi_vals = kernels.envelopes(kernel, params.mu, params.nu, t)
     expr = _monotone_curve(params, t, lam_vals, pi_vals)
     return float(np.min(np.diff(expr) / np.diff(t)))
 
@@ -414,8 +463,9 @@ def _monotone_curve(params, t, lam_vals, pi_vals):
 
 def check_growth_condition(kernel: kernels.KernelSpec,
                            params: params_mod.ParameterSet,
-                           t_grid=None) -> float:
-    """Margin of the density-growth sufficient condition on the grid.
+                           t_grid=None, pieces=None) -> float:
+    """Margin of the density-growth sufficient condition on the grid, by
+    default the one of the given SharedPieces (or of fresh ones).
 
     The underlying inequality is
     xi t log(1/t) lambda'' - ((1 - 2 xi + 2 xi/mu - xi/nu) log(1/t)
@@ -432,24 +482,26 @@ def check_growth_condition(kernel: kernels.KernelSpec,
     if params.gamma <= 0.0:
         raise DomainError("requires gamma > 0")
     if t_grid is None:
-        t_grid = default_t_grid(257)
-    return float(np.min(_growth_curve(kernel, params, t_grid)))
+        pieces = pieces or SharedPieces(kernel, params)
+        t, (ratio, sign) = pieces.grid, pieces.grid_slopes
+    else:
+        t = np.asarray(t_grid, dtype=float)
+        ratio, sign = kernels.slope_profile(kernel, t)
+    return float(np.min(_growth_curve(params, t, ratio, sign)))
 
 
-def _growth_curve(kernel, params, t):
-    """The signed growth margin at every t, from one evaluation of the
-    density derivatives; raises slope_profile's NotApplicable and
-    CriticalPoint."""
-    t = np.asarray(t, dtype=float)
-    ratio, sign = kernels.slope_profile(kernel, t)
+def _growth_curve(params, t, ratio, sign):
+    """The signed growth margin at every t, from the (ratio, sign) of
+    kernels.slope_profile there."""
     base = (1.0 / params.xi - 2.0 + 2.0 / params.mu - 1.0 / params.nu)
     rhs = base + (1.0 - 2.0 * params.sigma) / (-np.log(t))
     return (ratio - rhs) * sign
 
 
 def condition_margins(kernel: kernels.KernelSpec,
-                      params: params_mod.ParameterSet):
-    """The monotone and growth margins and the family's hypothesis audit.
+                      params: params_mod.ParameterSet, pieces=None):
+    """The monotone and growth margins and the family's hypothesis audit,
+    the checkers reading the given SharedPieces (or fresh ones).
 
     Returns (margins, hypothesis_report).  A margin is None where its
     condition does not apply (NotApplicable, DomainError); any other error
@@ -460,7 +512,7 @@ def condition_margins(kernel: kernels.KernelSpec,
     for name, checker in (("monotone", check_monotone_condition),
                           ("growth", check_growth_condition)):
         try:
-            margins[name] = checker(kernel, params)
+            margins[name] = checker(kernel, params, pieces=pieces)
         except (NotApplicable, DomainError):
             margins[name] = None
     theorem = params_mod.theorem_for_family(kernel.family)
@@ -672,7 +724,7 @@ def _report_curves(kernel, params, margins, argmin_z, argmin_eps, ratio,
     # a curve where its condition applies, that is, where it has a margin
     growth = np.full_like(t, np.nan)
     if margins["growth"] is not None:
-        growth = _growth_curve(kernel, params, t)
+        growth = _growth_curve(params, t, *kernels.slope_profile(kernel, t))
     monotone = np.full_like(t, np.nan)
     if margins["monotone"] is not None:
         monotone = _monotone_curve(params, t, lam_vals, pi_vals)

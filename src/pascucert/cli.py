@@ -70,8 +70,11 @@ class RunConfig:
             raise ConfigError("alpha and gamma must be given together")
         if have_mn and (self.mu is None or self.nu is None):
             raise ConfigError("mu and nu must be given together")
-        if self.tol < 0.0:
-            raise ConfigError("tol must be nonnegative")
+        if not 0.0 <= self.tol < math.inf:
+            raise ConfigError(f"tol must be finite and nonnegative, not "
+                              f"{self.tol!r}")
+        if self.nmax < 1:
+            raise ConfigError("need nmax >= 1")
         if self.format not in ("json", "csv", "text"):
             raise ConfigError(f"unknown format {self.format!r}")
         try:
@@ -146,8 +149,16 @@ def build_parser() -> argparse.ArgumentParser:
 # sweep value grammar
 
 def expand_sweep_value(text: str) -> list:
-    """``{v1,v2}`` -> list, ``[lo:hi:n]`` -> n points, else single float."""
+    """``{v1,v2}`` -> list, ``[lo:hi:n]`` -> n points, else single float;
+    a value that is not finite is a ConfigError."""
     text = text.strip()
+    values = _sweep_values(text)
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"non-finite value in {text!r}")
+    return values
+
+
+def _sweep_values(text: str) -> list:
     if text.startswith("{") and text.endswith("}"):
         try:
             return [float(x) for x in text[1:-1].split(",")]
@@ -168,6 +179,12 @@ def expand_sweep_value(text: str) -> list:
         raise ConfigError(f"bad numeric value: {text!r}")
 
 
+def _kernel_value(v) -> str:
+    """A swept kernel value as text that parses back to exactly v: the
+    short {v:g} where it does, else the shortest repr."""
+    return f"{v:g}" if float(f"{v:g}") == v else repr(float(v))
+
+
 def expand_kernel_sweep(text: str) -> list:
     """All concrete kernel texts from a kernel spec with sweep values."""
     parts = text.split()
@@ -183,7 +200,8 @@ def expand_kernel_sweep(text: str) -> list:
         choices.append(expand_sweep_value(v))
     out = []
     for combo in itertools.product(*choices):
-        items = " ".join(f"{k}={v:g}" for k, v in zip(keys, combo))
+        items = " ".join(f"{k}={_kernel_value(v)}"
+                         for k, v in zip(keys, combo))
         out.append(f"{family} {items}".strip())
     return out
 
@@ -346,8 +364,8 @@ def _cmd_beta(cfg: RunConfig) -> int:
     return 0 if beta.agree else 1
 
 
-def _check_margins(kernel, p, tol):
-    margins, hyp = certify.condition_margins(kernel, p)
+def _check_margins(kernel, p, tol, pieces=None):
+    margins, hyp = certify.condition_margins(kernel, p, pieces)
     ok = all(v >= -tol for v in margins.values() if v is not None)
     if hyp is not None:
         ok = ok and hyp.all_satisfied
@@ -409,36 +427,62 @@ def _cmd_moments(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_point(args):
-    ktext, mu, nu, alpha, gamma, sigma, xi, tol = args
-    kernel = kernels.parse_kernel(ktext)
+def _sweep_params(args) -> params_mod.ParameterSet:
+    _, mu, nu, alpha, gamma, sigma, xi, _ = args
     if alpha is not None:
-        p = params_mod.ParameterSet.from_alpha_gamma(alpha, gamma, sigma, xi)
-    else:
-        p = params_mod.ParameterSet.from_mu_nu(mu, nu, sigma, xi)
+        return params_mod.ParameterSet.from_alpha_gamma(alpha, gamma, sigma,
+                                                        xi)
+    return params_mod.ParameterSet.from_mu_nu(mu, nu, sigma, xi)
+
+
+def _sweep_pieces(args) -> certify.SharedPieces:
+    """Fresh certify.SharedPieces of a sweep point's kernel, mu and nu."""
+    return certify.SharedPieces(kernels.parse_kernel(args[0]),
+                                _sweep_params(args))
+
+
+def _sweep_point(args, pieces=None):
+    """One sweep row, from the SharedPieces of the point's (kernel, mu, nu)
+    or from fresh ones."""
+    pieces = pieces or _sweep_pieces(args)
+    kernel, p, tol = pieces.kernel, _sweep_params(args), args[-1]
     try:
-        margins, hyp, ok = _check_margins(kernel, p, tol)
+        margins, hyp, ok = _check_margins(kernel, p, tol, pieces)
     except PascucertError as exc:
         # a checker that breaks down fails the row; its cells name the error
         margins = dict.fromkeys(("monotone", "growth"), type(exc).__name__)
         hyp, ok = None, False
     try:
-        beta = certify.beta_sharp(kernel, p)
+        beta = certify.beta_sharp(kernel, p, pieces.nodes, pieces.tau)
     except PascucertError:
         beta = None
-    return [ktext, p.mu, p.nu, p.sigma, p.xi, beta,
+    return [args[0], p.mu, p.nu, p.sigma, p.xi, beta,
             margins["monotone"], margins["growth"],
             None if hyp is None else hyp.min_margin,
             ok and beta is not None]
 
 
 def _cmd_sweep(cfg: RunConfig, values: dict) -> int:
+    """One row per point of the cartesian product, in its order.
+
+    Sigma and xi vary fastest, so the points of one (kernel, alpha, gamma,
+    mu, nu) key come one after another.  They share one
+    certify.SharedPieces: the parsed kernel with its unit-mass check, and,
+    each built at its first use, the M-nodes, the moments of beta's series
+    route and the checker grid's envelopes and slope profile.  The next
+    key starts fresh pieces and lets the last ones go, so one key's arrays
+    are alive at a time and nothing is kept after the sweep.
+    """
     # an absent pair sweeps over the one value None
     points = [(k, mu, nu, alpha, gamma, sigma, xi, cfg.tol)
               for k, alpha, gamma, mu, nu, sigma, xi in itertools.product(
                   expand_kernel_sweep(cfg.kernel),
                   *(values[name] or [None] for name in _SWEPT))]
-    rows = [_sweep_point(point) for point in points]
+    rows, key = [], None
+    for point in points:
+        if point[:5] != key:
+            key, pieces = point[:5], _sweep_pieces(point)
+        rows.append(_sweep_point(point, pieces))
     header = ["kernel", "mu", "nu", "sigma", "xi", "beta", "monotone_margin",
               "growth_margin", "hypothesis_min_margin", "passed"]
     if cfg.format == "json":

@@ -905,7 +905,8 @@ def pi_envelope(kernel: KernelSpec, mu: float, nu: float, t: float) -> float:
 
 
 def parse_kernel(text: str) -> KernelSpec:
-    """Parse the flat grammar ``family key=value ...`` (decimal literals)."""
+    """Parse the flat grammar ``family key=value ...`` (finite decimal
+    literals)."""
     tokens = text.split()
     if not tokens:
         raise ConfigError("empty kernel specification")
@@ -920,6 +921,8 @@ def parse_kernel(text: str) -> KernelSpec:
             kwargs[key] = float(val)
         except ValueError as exc:
             raise ConfigError(f"bad numeric literal in {tok!r}") from exc
+        if not math.isfinite(kwargs[key]):
+            raise ConfigError(f"non-finite literal in {tok!r}")
     try:
         return make_kernel(tokens[0], **kwargs)
     except DomainError as exc:

@@ -93,7 +93,8 @@ def test_beta_quadrature_builds_one_rule_and_sums_no_series(monkeypatch):
 
 def test_beta_sharp_mismatch_raises(monkeypatch):
     monkeypatch.setattr(certify, "beta_series_route",
-                        lambda k, p: certify.beta_quadrature_route(k, p) + 0.1)
+                        lambda k, p, tau=None:
+                        certify.beta_quadrature_route(k, p) + 0.1)
     with pytest.raises(RepresentationMismatch):
         certify.beta_sharp(BERNARDI, P12)
 
@@ -658,3 +659,32 @@ def test_m_nodes_raise_where_weight_not_finite():
         certify._m_nodes(KOMATU, p)
     with pytest.raises(QuadratureFailure):
         certify.run_certification(KOMATU, p)
+
+
+def test_shared_pieces_build_once_and_fail_at_every_use(monkeypatch):
+    # one build per piece, whatever the number of uses; a failed build is
+    # tried again at every use and raises as a fresh build would
+    calls = []
+    build = certify._m_nodes
+
+    def counted(kernel, p):
+        calls.append(p.mu)
+        return build(kernel, p)
+
+    monkeypatch.setattr(certify, "_m_nodes", counted)
+    pieces = certify.SharedPieces(KOMATU, P12)
+    assert pieces.nodes is pieces.nodes
+    assert pieces.tau is pieces.tau
+    p = pc.ParameterSet.from_mu_nu(0.01, 2.0, sigma=0.1, xi=1.0)
+    failing = certify.SharedPieces(KOMATU, p)
+    for _ in range(2):
+        with pytest.raises(QuadratureFailure, match=r"mu = 0\.01"):
+            failing.nodes
+    assert calls == [1.0, 0.01, 0.01]
+    # the default grid's envelopes and slopes are the checkers' own
+    t = certify.default_t_grid(certify.CHECK_GRID_POINTS)
+    assert np.array_equal(pieces.grid, t)
+    assert certify.check_monotone_condition(KOMATU, P12, pieces=pieces) \
+        == certify.check_monotone_condition(KOMATU, P12, t)
+    assert certify.check_growth_condition(KOMATU, P12, pieces=pieces) \
+        == certify.check_growth_condition(KOMATU, P12, t)

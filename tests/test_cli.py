@@ -1,5 +1,6 @@
 """Command-line interface: config validation, sweep grammar, output."""
 
+import itertools
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import warnings
 import pytest
 
 from pascucert import cli
-from pascucert.errors import (ConfigError, CriticalPoint,
+from pascucert.errors import (ConfigError, CriticalPoint, PascucertError,
                               RepresentationMismatch)
 from pascucert import certify, kernels, params
 
@@ -107,6 +108,24 @@ def test_kernel_sweep_rejects_bad_item():
         cli.expand_kernel_sweep("komatu c0 delta=3")
 
 
+@pytest.mark.parametrize("text", ["hohlov a=0.5 b=0.5000001 c=4",
+                                  "bernardi c=1.23456789",
+                                  "komatu c={0,-0.5} delta=[2:3:4]"])
+def test_kernel_sweep_keeps_every_digit(text):
+    # {v:g} keeps 6 significant digits and swept b=0.5 for b=0.5000001;
+    # each text must parse back to exactly the requested values
+    family, *items = text.split()
+    keys = [item.split("=")[0] for item in items]
+    wanted = itertools.product(*(cli.expand_sweep_value(item.split("=")[1])
+                                 for item in items))
+    for out, values in zip(cli.expand_kernel_sweep(text), wanted):
+        got = [tok.split("=") for tok in out.split()[1:]]
+        assert [k for k, _ in got] == keys
+        assert [float(v) for _, v in got] == list(values)
+    assert cli.expand_kernel_sweep("hohlov a={1,2} b=1 c=4.5") \
+        == ["hohlov a=1 b=1 c=4.5", "hohlov a=2 b=1 c=4.5"]
+
+
 # ---------------------------------------------------------------------------
 # output helpers
 
@@ -182,6 +201,40 @@ def test_main_too_few_angles_is_config_error(capsys):
     err = capsys.readouterr().err
     assert "config error: need at least 4 angles" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,literal", [
+    (["check", "--kernel", "bernardi c=nan", "--mu", "1", "--nu", "2",
+      "--xi", "1"], "c=nan"),
+    (["certify", "--kernel", "komatu c=0 delta=inf", "--mu", "1", "--nu",
+      "2"], "delta=inf"),
+    (["beta", "--kernel", "bernardi c=1", "--mu", "nan", "--nu", "2"],
+     "nan"),
+    (["beta", "--kernel", "bernardi c=1", "--alpha", "inf", "--gamma", "2"],
+     "inf"),
+    (["sweep", "--kernel", "bernardi c=1", "--mu", "1", "--nu", "2",
+      "--sigma", "{0.1,nan}"], "{0.1,nan}"),
+    (["sweep", "--kernel", "bernardi c={1,-inf}", "--mu", "1", "--nu", "2"],
+     "{1,-inf}"),
+    # a NaN tolerance failed every margin and an infinite one passed all
+    (["check", "--kernel", "bernardi c=1", "--mu", "1", "--nu", "2",
+      "--tol", "nan"], "nan"),
+    (["sweep", "--kernel", "bernardi c=1", "--mu", "1", "--nu", "2",
+      "--tol", "inf"], "inf"),
+])
+def test_main_non_finite_literal_is_config_error(argv, literal, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and literal in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("nmax", ["0", "-3"])
+def test_main_nmax_below_one_is_config_error(nmax, capsys):
+    rc = cli.main(["moments", "--kernel", "bernardi c=1", "--nmax", nmax])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "config error: need nmax >= 1" in err
 
 
 def test_main_bad_environment_value_exit_two(monkeypatch, capsys):
@@ -284,7 +337,7 @@ def test_main_beta_komatu_large_delta_is_config_error(capsys):
 def test_checker_error_fails_check_and_sweep(monkeypatch, capsys):
     # only NotApplicable and DomainError mean "does not apply"; any other
     # checker error must not turn into a pass
-    def broken(kernel, p, t_grid=None):
+    def broken(kernel, p, t_grid=None, pieces=None):
         raise CriticalPoint("lambda' vanishes at t = 0.5")
 
     monkeypatch.setattr(certify, "check_growth_condition", broken)
@@ -343,7 +396,7 @@ def test_main_sweep_row_count(tmp_path, capsys):
 
 
 def test_sweep_row_fails_without_beta(monkeypatch):
-    def no_beta(kernel, p):
+    def no_beta(kernel, p, nodes=None, tau=None):
         raise RepresentationMismatch("beta routes disagree")
 
     monkeypatch.setattr(certify, "beta_sharp", no_beta)
@@ -351,6 +404,115 @@ def test_sweep_row_fails_without_beta(monkeypatch):
                             0.1, 1.0, 0.0))
     assert row[5] is None
     assert row[-1] is False
+
+
+def test_sweep_builds_shared_pieces_once_per_key(monkeypatch, tmp_path):
+    # 2 kernels x 3 sigma x 2 xi: the kernel with its mass check, the
+    # M-nodes, the series moments and the checker grid's envelopes and
+    # slope profile are built once per (kernel, mu, nu), the checkers
+    # and the series sum run once per point
+    calls = []
+    for module, name in ((kernels, "make_kernel"), (certify, "_m_nodes"),
+                         (kernels, "moment_sequence"),
+                         (kernels, "slope_profile"),
+                         (certify, "check_monotone_condition"),
+                         (certify, "beta_series_route")):
+        monkeypatch.setattr(module, name,
+                            lambda *a, f=getattr(module, name), name=name,
+                            **k: calls.append(name) or f(*a, **k))
+    envelopes = kernels.envelopes
+
+    def counted(kernel, mu, nu, t):
+        calls.append(f"envelopes at {len(t)}")
+        return envelopes(kernel, mu, nu, t)
+
+    monkeypatch.setattr(kernels, "envelopes", counted)
+    out = tmp_path / "sweep.csv"
+    cli.main(["sweep", "--kernel", "komatu c=0 delta={2,3}", "--mu", "1",
+              "--nu", "2", "--sigma", "{0,0.1,0.2}", "--xi", "{0.5,1}",
+              "--output", str(out)])
+    assert len(out.read_text().splitlines()) == 13
+    grid = f"envelopes at {certify.CHECK_GRID_POINTS}"
+    nodes = f"envelopes at {len(certify._M_U)}"
+    counts = {name: calls.count(name) for name in set(calls)}
+    assert counts == {"make_kernel": 2, "_m_nodes": 2, "moment_sequence": 2,
+                      "slope_profile": 2, grid: 2, nodes: 2,
+                      "check_monotone_condition": 12,
+                      "beta_series_route": 12}
+
+
+SWEEP_HEADER = ["kernel", "mu", "nu", "sigma", "xi", "beta",
+                "monotone_margin", "growth_margin", "hypothesis_min_margin",
+                "passed"]
+
+
+def _pointwise_rows(kernel_text, flags):
+    # each row from its own parse, beta_sharp and condition_margins
+    rows = []
+    for text, alpha, gamma, mu, nu, sigma, xi in itertools.product(
+            cli.expand_kernel_sweep(kernel_text),
+            *(cli.expand_sweep_value(flags[name]) if name in flags
+              else [None] for name in cli._SWEPT)):
+        kernel = kernels.parse_kernel(text)
+        p = params.ParameterSet.from_alpha_gamma(alpha, gamma, sigma, xi) \
+            if alpha is not None \
+            else params.ParameterSet.from_mu_nu(mu, nu, sigma, xi)
+        try:
+            margins, hyp = certify.condition_margins(kernel, p)
+            ok = all(v >= 0.0 for v in margins.values() if v is not None) \
+                and (hyp is None or hyp.all_satisfied)
+        except PascucertError as exc:
+            margins = dict.fromkeys(("monotone", "growth"),
+                                    type(exc).__name__)
+            hyp, ok = None, False
+        try:
+            beta = certify.beta_sharp(kernel, p)
+        except PascucertError:
+            beta = None
+        rows.append([text, p.mu, p.nu, p.sigma, p.xi, beta,
+                     margins["monotone"], margins["growth"],
+                     None if hyp is None else hyp.min_margin,
+                     ok and beta is not None])
+    return rows
+
+
+@pytest.mark.parametrize("kernel_text,flags,broken_growth", [
+    # an alpha/gamma sweep
+    ("komatu c=0 delta={2,3}",
+     {"alpha": "{5,6}", "gamma": "2", "sigma": "{0,0.2}", "xi": "{0.5,1}"},
+     False),
+    # xi = 0, where no checker applies, and mu = 0.01, where the M-nodes
+    # fail and beta is None
+    ("komatu c=0 delta=3",
+     {"mu": "{0.01,1}", "nu": "2", "sigma": "{0,0.1}", "xi": "{0,1}"},
+     False),
+    # a growth checker that breaks down names its error in the cells
+    ("bernardi c={0.5,1}",
+     {"mu": "1", "nu": "2", "sigma": "{0,0.1}", "xi": "1"}, True),
+])
+def test_sweep_rows_match_pointwise(kernel_text, flags, broken_growth,
+                                    monkeypatch, tmp_path):
+    if broken_growth:
+        def broken(kernel, p, t_grid=None, pieces=None):
+            raise CriticalPoint("lambda' vanishes at t = 0.5")
+
+        monkeypatch.setattr(certify, "check_growth_condition", broken)
+    rows = _pointwise_rows(kernel_text, flags)
+    assert any(r[-1] is False for r in rows) or not broken_growth
+    want = {
+        "csv": cli._csv_rows(rows, SWEEP_HEADER),
+        "json": cli._json_text({"schema_version": cli.SCHEMA_VERSION,
+                                "rows": [dict(zip(SWEEP_HEADER, r))
+                                         for r in rows]}),
+    }
+    argv = ["sweep", "--kernel", kernel_text]
+    for name, value in flags.items():
+        argv += [f"--{name}", value]
+    for fmt, text in want.items():
+        out = tmp_path / f"sweep.{fmt}"
+        rc = cli.main(argv + ["--format", fmt, "--output", str(out)])
+        assert out.read_text() == text
+        assert rc == (0 if all(r[-1] for r in rows) else 1)
 
 
 def test_run_dispatches_a_sweep_of_single_values(capsys):
