@@ -34,13 +34,13 @@ from . import auxfun, kernels, params as params_mod, series
 from .errors import (DomainError, ExtrapolationUnstable, NotApplicable,
                      QuadratureFailure, RepresentationMismatch,
                      ZeroDenominator)
-from .quadrature import (averaged_partial_sum, chebyshev_grid, gauss_panels,
-                         integrate_01, power_limit)
+from .quadrature import (ALTERNATING_TERMS, averaged_partial_sum,
+                         chebyshev_grid, gauss_panels, integrate_01,
+                         power_limit)
 
 BETA_ROUTE_TOL = 1e-7
 MEMBERSHIP_TOL = 1e-3
 SHARPNESS_TOL = 1e-2
-SERIES_TERMS = 20000
 CHECK_GRID_POINTS = 257
 
 
@@ -117,15 +117,22 @@ def beta_quadrature_route(kernel: kernels.KernelSpec,
 
 def beta_series_route(kernel: kernels.KernelSpec,
                       params: params_mod.ParameterSet, tau=None) -> float:
-    """The same I from the alternating moment series, on the given
-    tau_1 .. tau_SERIES_TERMS or on fresh ones."""
+    """The same I = 1 + sum_n 2 (-1)**n b_n from the alternating moment
+    series, on the given tau_1 .. tau_N or on fresh ones,
+    N = ALTERNATING_TERMS.
+
+    b_n = (1 + xi n)(n + 1 - sigma) tau_n / ((1 - sigma)(1 + mu n)(1 + nu n))
+    is the Hausdorff moment tau_n of lambda >= 0 times a factor rational in
+    n, so the binomial average of averaged_partial_sum misses the sum by
+    O(N**-8), far below rounding at N = 256.
+    """
     if tau is None:
-        tau = kernels.moment_sequence(kernel, SERIES_TERMS)
-    n = np.arange(1, SERIES_TERMS + 1, dtype=float)
+        tau = kernels.moment_sequence(kernel, ALTERNATING_TERMS)
+    n = np.arange(1, ALTERNATING_TERMS + 1, dtype=float)
     mu, nu, sg, xi = params.mu, params.nu, params.sigma, params.xi
-    b = (1.0 + xi * n) * (n + 1.0 - sg) * tau \
+    terms = 2.0 * (1.0 + xi * n) * (n + 1.0 - sg) * tau \
         / ((1.0 - sg) * (1.0 + mu * n) * (1.0 + nu * n))
-    terms = 2.0 * (-1.0) ** n * b
+    terms[::2] *= -1.0  # (-1)**n, n = 1, 3, ...
     return 1.0 + float(averaged_partial_sum(terms))
 
 
@@ -152,7 +159,8 @@ def beta_routes(kernel: kernels.KernelSpec,
                 params: params_mod.ParameterSet, nodes=None,
                 tau=None) -> BetaRoutes:
     """beta = I/(I-1) from both routes to I: the moment series on the
-    given tau_1 .. tau_SERIES_TERMS, and I = 1 + (2/(mu nu)) sum W (R(t) - 1)
+    given tau_1 .. tau_N of beta_series_route, and
+    I = 1 + (2/(mu nu)) sum W (R(t) - 1)
     (nu for mu nu at mu = 0) on the given M-nodes (t, W); fresh ones where
     none are given.  R - 1 vanishes at t = 0, so the error of the rule's
     mass sum W cancels.  One route is built from the envelopes of lambda,
@@ -248,7 +256,7 @@ def _m_nodes(kernel: kernels.KernelSpec, params: params_mod.ParameterSet):
 class SharedPieces:
     """The parts of a certification fixed by (kernel, mu, nu) alone, for
     every (sigma, xi) point of that key: the M-nodes, tau_1 ..
-    tau_SERIES_TERMS of the series route, and the envelopes and slope
+    tau_ALTERNATING_TERMS of the series route, and the envelopes and slope
     profile on the checkers' default grid.  Each is built at its first
     use and kept for the next; a build that fails raises at every use, as
     a fresh build would.  Of params only mu and nu are read.
@@ -265,7 +273,7 @@ class SharedPieces:
 
     @functools.cached_property
     def tau(self) -> np.ndarray:
-        return kernels.moment_sequence(self.kernel, SERIES_TERMS)
+        return kernels.moment_sequence(self.kernel, ALTERNATING_TERMS)
 
     @functools.cached_property
     def grid(self) -> np.ndarray:

@@ -179,12 +179,6 @@ def _sweep_values(text: str) -> list:
         raise ConfigError(f"bad numeric value: {text!r}")
 
 
-def _kernel_value(v) -> str:
-    """A swept kernel value as text that parses back to exactly v: the
-    short {v:g} where it does, else the shortest repr."""
-    return f"{v:g}" if float(f"{v:g}") == v else repr(float(v))
-
-
 def expand_kernel_sweep(text: str) -> list:
     """All concrete kernel texts from a kernel spec with sweep values."""
     parts = text.split()
@@ -200,7 +194,7 @@ def expand_kernel_sweep(text: str) -> list:
         choices.append(expand_sweep_value(v))
     out = []
     for combo in itertools.product(*choices):
-        items = " ".join(f"{k}={_kernel_value(v)}"
+        items = " ".join(f"{k}={kernels.value_text(v)}"
                          for k, v in zip(keys, combo))
         out.append(f"{family} {items}".strip())
     return out

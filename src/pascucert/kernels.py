@@ -30,6 +30,12 @@ from .quadrature import integrate_01, integrate_t1
 _MAX_OMEGA_TERMS = 32
 
 
+def value_text(v) -> str:
+    """v as the shortest text that parses back to exactly v: {v:g} where
+    it does, else the shortest repr."""
+    return f"{v:g}" if float(f"{v:g}") == v else repr(float(v))
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """An immutable weight density description.
@@ -52,10 +58,10 @@ class KernelSpec:
     def text(self) -> str:
         """Canonical flat-text form, reparsable by parse_kernel."""
         parts = [self.family]
-        parts += [f"{k}={v:.17g}" for k, v in self.params]
+        parts += [f"{k}={value_text(v)}" for k, v in self.params]
         for i, x in enumerate(self.omega[1:], start=1):
             if x != 0.0:
-                parts.append(f"x{i}={x:.17g}")
+                parts.append(f"x{i}={value_text(x)}")
         return " ".join(parts)
 
 
@@ -655,12 +661,18 @@ def make_kernel(family: str, **params) -> KernelSpec:
     norm, omega = norm if isinstance(norm, tuple) else (norm, ())
     spec = KernelSpec(family, tuple((key, p[key]) for key in entry.keys),
                       norm, omega)
-    total = integrate_01(lambda t: density(spec, t), *endpoint_exponents(spec),
-                         epsabs=1e-12,
-                         f_complement=lambda d: density_complement(spec, d))
-    if abs(total - 1.0) > 1e-9:
+    try:
+        total = integrate_01(
+            lambda t: density(spec, t), *endpoint_exponents(spec),
+            epsabs=1e-12, f_complement=lambda d: density_complement(spec, d))
+    except DomainError as exc:
         raise DomainError(
-            f"{family} density integrates to {total!r}, not 1")
+            f"unit-mass check of the {family} density: {exc}") from None
+    if abs(total - 1.0) > 1e-9:
+        # integrate_01 covers t and 1 - t down to the smallest normal double
+        raise DomainError(
+            f"unit-mass check of the {family} density: it integrates to "
+            f"{total!r} over t, 1 - t >= {np.finfo(float).tiny:.3g}, not 1")
     return spec
 
 

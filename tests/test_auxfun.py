@@ -6,7 +6,7 @@ import pytest
 
 from pascucert import auxfun
 from pascucert.auxfun import AuxContext
-from pascucert.quadrature import averaged_partial_sum
+from pascucert.quadrature import ALTERNATING_TERMS, averaged_partial_sum
 from pascucert.errors import (ConvergenceFailure, DivergentSeries,
                               DomainError, PoleError)
 
@@ -237,9 +237,9 @@ def test_pfq_matches_mpmath():
 
 def _pfq_loop(num, den, x, max_terms=50000):
     """The term-by-term recurrence, for series without a terminating or
-    x = 1 special case."""
+    x = 1 special case; ALTERNATING_TERMS terms at x = -1."""
     term, total, ring = 1.0, 0.0, []
-    for k in range(max_terms + 1):
+    for k in range(ALTERNATING_TERMS if x == -1.0 else max_terms + 1):
         total += term
         ring = (ring + [total])[-8:]
         ratio = x / (k + 1.0)

@@ -334,6 +334,46 @@ def test_main_beta_komatu_large_delta_is_config_error(capsys):
     assert "config error" in err and "Traceback" not in err
 
 
+def _beta_without_warnings(kernel):
+    # a numpy RuntimeWarning raises here instead of reaching stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cli.main(["beta", "--kernel", kernel, "--mu", "1", "--nu",
+                         "2", "--sigma", "0.1", "--xi", "1",
+                         "--format", "json"])
+
+
+def test_main_beta_near_singular_komatu_passes_the_mass_check(capsys):
+    # t = u**40 underflows at the mass check's smallest nodes; the mass of
+    # t**-0.95 log(1/t)**2 below 1e-300 is only ~1e-12
+    rc = _beta_without_warnings("komatu c=-0.95 delta=3")
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert json.loads(out)["beta"]["routes_agree"] is True
+
+
+@pytest.mark.parametrize("kernel", ["bernardi c=-0.99",
+                                    "two_param_log a=-0.99 b=0"])
+def test_main_mass_below_the_doubles_is_named(kernel, capsys):
+    # lambda ~ 0.01 t**-0.99 puts 2.2e-308**0.01 = 8e-4 of its mass below
+    # the smallest normal double
+    rc = _beta_without_warnings(kernel)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: unit-mass check" in err
+    assert "integrates to 0.9991" in err and "2.23e-308" in err
+
+
+def test_main_mass_not_finite_is_named(capsys):
+    # near t = 0 the 2F1 factor overflows where t**(b - 1) underflows
+    rc = _beta_without_warnings("hohlov a=0.005 b=3 c=4")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.strip() == ("pascucert: config error: unit-mass check of the "
+                           "hohlov density: the integral is not finite at "
+                           "t -> 0")
+
+
 def test_checker_error_fails_check_and_sweep(monkeypatch, capsys):
     # only NotApplicable and DomainError mean "does not apply"; any other
     # checker error must not turn into a pass

@@ -390,6 +390,17 @@ def test_parse_kernel_round_trip():
         assert kernels.parse_kernel(k.text()) == k
 
 
+def test_kernel_text_is_the_shortest_that_parses_back():
+    assert kernels.make_kernel("hohlov", a=0.5, b=0.8, c=4.5).text() \
+        == "hohlov a=0.5 b=0.8 c=4.5"
+    assert kernels.make_kernel("bernardi", c=0.1).text() == "bernardi c=0.1"
+    k = kernels.make_kernel("generalized", A=1.0, B=1.0, C=4.0, x1=1.0 / 3.0)
+    assert k.text() == "generalized_omega A=1 B=1 C=4 x1=0.3333333333333333"
+    assert kernels.parse_kernel(k.text()) == k
+    assert [kernels.value_text(v) for v in (0.5000001, 1e-7, 4.0, 1e20)] \
+        == ["0.5000001", "1e-07", "4", "1e+20"]
+
+
 def test_parse_kernel_errors():
     with pytest.raises(ConfigError):
         kernels.parse_kernel("")

@@ -12,7 +12,7 @@ import pytest
 
 import pascucert as pc
 from pascucert import auxfun, kernels
-from pascucert.errors import QuadratureFailure
+from pascucert.errors import DomainError, QuadratureFailure
 from pascucert.quadrature import _MAX_PANELS, _sub_power, integrate_01
 
 # one kernel per family, plus the singular endpoints the benchmark meets
@@ -97,6 +97,38 @@ def test_integrate_01_endpoint_singularities():
                        f_complement=lambda d: (1.0 - d) ** -0.5
                        + np.log(d) ** 2)
     assert val == pytest.approx(4.0, abs=1e-10)
+
+
+def test_integrate_01_skips_nodes_below_the_normal_doubles():
+    # f is never sampled at t = 0 or d = 0; t**p below 2.2e-308 is left out
+    tiny = np.finfo(float).tiny
+    seen = []
+
+    def f(t):
+        seen.append(t.min())
+        return 0.01 * t**-0.99
+
+    val = integrate_01(f, -0.99, 0.0, f_complement=lambda d: f(1.0 - d))
+    assert min(seen) >= tiny
+    assert val == pytest.approx(1.0 - tiny**0.01, abs=1e-9)
+    d_seen = []
+    val = integrate_01(lambda t: 0.5 * (1.0 - t) ** -0.5, 0.0, -0.5,
+                       f_complement=lambda d: d_seen.append(d.min())
+                       or 0.5 * d**-0.5)
+    assert min(d_seen) >= tiny
+    assert val == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_integrate_01_names_a_value_that_is_not_finite(end):
+    def f(t):
+        near = t < 1e-3 if end == 0 else t > 1.0 - 1e-3
+        return np.where(near, np.inf * t, 1.0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"not finite at t -> {end}"):
+            integrate_01(f)
 
 
 def test_import_and_runs_leave_scipy_integrate_unloaded(tmp_path):
