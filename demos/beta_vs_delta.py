@@ -11,8 +11,9 @@ hypothesis list holds.
 
 import numpy as np
 
-from pascucert import (ParameterSet, beta_sharp, check_growth_condition,
-                       hypothesis_check, m_functional_min, make_kernel)
+from pascucert import (ParameterSet, SharedPieces, beta_sharp,
+                       check_growth_condition, hypothesis_check,
+                       m_functional_min, make_kernel)
 
 
 def main():
@@ -21,9 +22,12 @@ def main():
           f"{'M minimum':>12} {'hypotheses':>11}")
     for delta in np.arange(1.5, 5.5, 0.5):
         kernel = make_kernel("komatu", c=0.0, delta=float(delta))
-        beta = beta_sharp(kernel, params)
-        growth = check_growth_condition(kernel, params)
-        m_min, _, _ = m_functional_min(kernel, params)
+        # the M-nodes, moments and checker-grid slopes of this kernel,
+        # built once for all three stages
+        pieces = SharedPieces(kernel, params)
+        beta = beta_sharp(kernel, params, pieces)
+        growth = check_growth_condition(kernel, params, pieces)
+        m_min, _, _ = m_functional_min(kernel, params, pieces=pieces)
         hyp = hypothesis_check("komatu", params, kernel)
         flag = "ok" if hyp.all_satisfied else "outside"
         print(f"{delta:6.2f} {beta:16.10f} {growth:14.6f} "

@@ -26,8 +26,8 @@ from .auxfun import (AuxContext, g_value, q_value, combined_gq,
 from .kernels import (KernelSpec, make_kernel, parse_kernel, density,
                       density_derivatives, moment, moment_sequence,
                       envelopes, lambda_envelope, pi_envelope)
-from .certify import (DiskGrid, CertificationReport, beta_sharp,
-                      beta_from_integral, beta0_hohlov_closed_form,
+from .certify import (DiskGrid, CertificationReport, SharedPieces,
+                      beta_sharp, beta_from_integral, beta0_hohlov_closed_form,
                       m_functional, m_functional_min,
                       check_monotone_condition, check_growth_condition,
                       phi_t_monotonicity_probe, extremal_image,

@@ -116,9 +116,9 @@ def beta_quadrature_route(kernel: kernels.KernelSpec,
 
 
 def beta_series_route(kernel: kernels.KernelSpec,
-                      params: params_mod.ParameterSet, tau=None) -> float:
+                      params: params_mod.ParameterSet, pieces=None) -> float:
     """The same I = 1 + sum_n 2 (-1)**n b_n from the alternating moment
-    series, on the given tau_1 .. tau_N or on fresh ones,
+    series, on tau_1 .. tau_N of the given SharedPieces (or of fresh ones),
     N = ALTERNATING_TERMS.
 
     b_n = (1 + xi n)(n + 1 - sigma) tau_n / ((1 - sigma)(1 + mu n)(1 + nu n))
@@ -126,8 +126,7 @@ def beta_series_route(kernel: kernels.KernelSpec,
     n, so the binomial average of averaged_partial_sum misses the sum by
     O(N**-8), far below rounding at N = 256.
     """
-    if tau is None:
-        tau = kernels.moment_sequence(kernel, ALTERNATING_TERMS)
+    tau = (pieces or SharedPieces(kernel, params)).tau
     n = np.arange(1, ALTERNATING_TERMS + 1, dtype=float)
     mu, nu, sg, xi = params.mu, params.nu, params.sigma, params.xi
     terms = 2.0 * (1.0 + xi * n) * (n + 1.0 - sg) * tau \
@@ -156,30 +155,27 @@ class BetaRoutes(NamedTuple):
 
 
 def beta_routes(kernel: kernels.KernelSpec,
-                params: params_mod.ParameterSet, nodes=None,
-                tau=None) -> BetaRoutes:
-    """beta = I/(I-1) from both routes to I: the moment series on the
-    given tau_1 .. tau_N of beta_series_route, and
+                params: params_mod.ParameterSet, pieces=None) -> BetaRoutes:
+    """beta = I/(I-1) from both routes to I, on the given SharedPieces (or
+    on fresh ones): the moment series of beta_series_route, and
     I = 1 + (2/(mu nu)) sum W (R(t) - 1)
-    (nu for mu nu at mu = 0) on the given M-nodes (t, W); fresh ones where
-    none are given.  R - 1 vanishes at t = 0, so the error of the rule's
-    mass sum W cancels.  One route is built from the envelopes of lambda,
-    the other from its moments; a drift of the node rule shows as a
-    disagreement."""
-    if nodes is None:
-        nodes = _m_nodes(kernel, params)
+    (nu for mu nu at mu = 0) on the M-nodes (t, W).  R - 1 vanishes at
+    t = 0, so the error of the rule's mass sum W cancels.  One route is
+    built from the envelopes of lambda, the other from its moments; a
+    drift of the node rule shows as a disagreement."""
+    pieces = pieces or SharedPieces(kernel, params)
+    nodes = pieces.nodes
     i_nodes = 1.0 + 2.0 * (_r_sum(nodes, params) - float(nodes[1].sum())) \
         / _node_mass(params)
     return BetaRoutes(
         beta_from_integral(i_nodes),
-        beta_from_integral(beta_series_route(kernel, params, tau)))
+        beta_from_integral(beta_series_route(kernel, params, pieces)))
 
 
 def beta_sharp(kernel: kernels.KernelSpec,
-               params: params_mod.ParameterSet, nodes=None,
-               tau=None) -> float:
+               params: params_mod.ParameterSet, pieces=None) -> float:
     """The sharp lower bound beta, cross-validated over both routes."""
-    return beta_routes(kernel, params, nodes, tau).sharp()
+    return beta_routes(kernel, params, pieces).sharp()
 
 
 def beta_closed_form(kernel: kernels.KernelSpec,
@@ -257,9 +253,12 @@ class SharedPieces:
     """The parts of a certification fixed by (kernel, mu, nu) alone, for
     every (sigma, xi) point of that key: the M-nodes, tau_1 ..
     tau_ALTERNATING_TERMS of the series route, and the envelopes and slope
-    profile on the checkers' default grid.  Each is built at its first
-    use and kept for the next; a build that fails raises at every use, as
-    a fresh build would.  Of params only mu and nu are read.
+    profile on the checkers' grid.  Every stage that needs one of them
+    takes it from the SharedPieces it is given, or from fresh ones.  Each
+    is built at its first use and kept for the next; a build that fails
+    raises at every use, as a fresh build would.  Of params only mu and
+    nu are read.  Assigning grid before its first use puts the checkers
+    on other points.
     """
 
     def __init__(self, kernel: kernels.KernelSpec,
@@ -371,7 +370,7 @@ def m_functional_direct(kernel: kernels.KernelSpec,
 
 def m_functional_min(kernel: kernels.KernelSpec,
                      params: params_mod.ParameterSet,
-                     grid: DiskGrid = DiskGrid(), profiles=None):
+                     grid: DiskGrid = DiskGrid(), pieces=None):
     """Minimum of the duality functional over the disk and |epsilon| = 1.
 
     With A(eps) = (eps + 2 sigma - 1)/(2(1 - sigma)), M = P + Re(A Q) has
@@ -379,12 +378,18 @@ def m_functional_min(kernel: kernels.KernelSpec,
     the epsilon circle, attained at eps = -conj(Q)/|Q|.  For fixed eps M
     is harmonic in z, so its minimum over |z| <= r lies on |z| = r.  P and
     Q have real coefficients, so M(conj z, conj eps) = M(z, eps) and only
-    the upper half of the grid circle is evaluated, from the given (P, Q)
-    at grid.upper_points() or on fresh _m_nodes; the argmin has Im z >= 0.
+    the upper half of the grid circle is evaluated, on the M-nodes of the
+    given SharedPieces (or of fresh ones); the argmin has Im z >= 0.
     Returns (min, argmin_z, argmin_epsilon).
     """
     z = grid.upper_points()
-    p, qc = profiles or _pq_profiles(_m_nodes(kernel, params), params, z)
+    nodes = (pieces or SharedPieces(kernel, params)).nodes
+    return _min_from_sums(nodes, params, z, *_node_sums(nodes, z))
+
+
+def _min_from_sums(nodes, params, z, m1, m2, m3):
+    """m_functional_min from the node sums at the points z."""
+    p, qc = _pq_from_sums(nodes, params, m1, m2, m3)
     sg = params.sigma
     m = p + ((2.0 * sg - 1.0) * qc.real - np.abs(qc)) / (2.0 * (1.0 - sg))
     i = int(np.argmin(m))
@@ -438,10 +443,10 @@ def _winding_guard(k_over_z, z):
 
 def check_monotone_condition(kernel: kernels.KernelSpec,
                              params: params_mod.ParameterSet,
-                             t_grid=None, pieces=None) -> float:
+                             pieces=None) -> float:
     """Minimum slope of the weighted-envelope expression; >= 0 means the
-    monotonicity sufficient condition holds on the grid, by default the
-    one of the given SharedPieces (or of fresh ones).
+    monotonicity sufficient condition holds on the grid of the given
+    SharedPieces (or of fresh ones).
 
     The t-derivative of t**(1/mu - 1/xi) Pi is expanded with
     Pi' = -Lambda_nu(t) t**(1/nu - 1 - 1/mu), collapsing the expression to
@@ -451,19 +456,15 @@ def check_monotone_condition(kernel: kernels.KernelSpec,
         raise NotApplicable("the monotone condition degenerates at xi = 0")
     if params.mu < 1.0:
         raise DomainError("requires mu >= 1")
-    if t_grid is None:
-        pieces = pieces or SharedPieces(kernel, params)
-        t, (lam_vals, pi_vals) = pieces.grid, pieces.grid_envelopes
-    else:
-        t = np.asarray(t_grid, dtype=float)
-        lam_vals, pi_vals = kernels.envelopes(kernel, params.mu, params.nu, t)
-    expr = _monotone_curve(params, t, lam_vals, pi_vals)
-    return float(np.min(np.diff(expr) / np.diff(t)))
+    pieces = pieces or SharedPieces(kernel, params)
+    expr = _monotone_curve(params, pieces)
+    return float(np.min(np.diff(expr) / np.diff(pieces.grid)))
 
 
-def _monotone_curve(params, t, lam_vals, pi_vals):
-    """The monotone expression at every t, from the envelopes there."""
+def _monotone_curve(params, pieces):
+    """The monotone expression at every point of the pieces' grid."""
     mu, nu, sg, xi = params.mu, params.nu, params.sigma, params.xi
+    t, (lam_vals, pi_vals) = pieces.grid, pieces.grid_envelopes
     return ((xi / mu - 1.0) * pi_vals
             - xi * t ** (1.0 / nu - 1.0 / mu) * lam_vals) \
         / (-np.log(t)) ** (1.0 + 2.0 * sg)
@@ -471,9 +472,9 @@ def _monotone_curve(params, t, lam_vals, pi_vals):
 
 def check_growth_condition(kernel: kernels.KernelSpec,
                            params: params_mod.ParameterSet,
-                           t_grid=None, pieces=None) -> float:
-    """Margin of the density-growth sufficient condition on the grid, by
-    default the one of the given SharedPieces (or of fresh ones).
+                           pieces=None) -> float:
+    """Margin of the density-growth sufficient condition on the grid of
+    the given SharedPieces (or of fresh ones).
 
     The underlying inequality is
     xi t log(1/t) lambda'' - ((1 - 2 xi + 2 xi/mu - xi/nu) log(1/t)
@@ -489,18 +490,13 @@ def check_growth_condition(kernel: kernels.KernelSpec,
         raise DomainError("requires mu >= 1")
     if params.gamma <= 0.0:
         raise DomainError("requires gamma > 0")
-    if t_grid is None:
-        pieces = pieces or SharedPieces(kernel, params)
-        t, (ratio, sign) = pieces.grid, pieces.grid_slopes
-    else:
-        t = np.asarray(t_grid, dtype=float)
-        ratio, sign = kernels.slope_profile(kernel, t)
-    return float(np.min(_growth_curve(params, t, ratio, sign)))
+    pieces = pieces or SharedPieces(kernel, params)
+    return float(np.min(_growth_curve(params, pieces)))
 
 
-def _growth_curve(params, t, ratio, sign):
-    """The signed growth margin at every t, from the (ratio, sign) of
-    kernels.slope_profile there."""
+def _growth_curve(params, pieces):
+    """The signed growth margin at every point of the pieces' grid."""
+    t, (ratio, sign) = pieces.grid, pieces.grid_slopes
     base = (1.0 / params.xi - 2.0 + 2.0 / params.mu - 1.0 / params.nu)
     rhs = base + (1.0 - 2.0 * params.sigma) / (-np.log(t))
     return (ratio - rhs) * sign
@@ -530,16 +526,14 @@ def condition_margins(kernel: kernels.KernelSpec,
 
 
 def phi_t_monotonicity_probe(a_values, b: float,
-                             params: params_mod.ParameterSet,
-                             t_grid=None) -> bool:
-    """Check phi_t(a) >= phi_t(b) for sampled a <= b in (-1, 0].
+                             params: params_mod.ParameterSet) -> bool:
+    """Check phi_t(a) >= phi_t(b) for sampled a <= b in (-1, 0], at 64
+    Chebyshev points t.
 
     phi_t(a) = a(a-1) t**a log(1/t)
                - a ((1/xi + 2/mu - 1/nu - 2) log(1/t) + (1 - 2 sigma)) t**a.
     """
-    if t_grid is None:
-        t_grid = default_t_grid(64)
-    t = np.asarray(t_grid, dtype=float)
+    t = default_t_grid(64)
     ln = -np.log(t)
     ratio2 = params_mod.combination_ratio(params) - 2.0
     shift = 1.0 - 2.0 * params.sigma
@@ -673,21 +667,22 @@ def run_certification(kernel: kernels.KernelSpec,
                       grid: DiskGrid = DiskGrid(),
                       with_curves: bool = False) -> CertificationReport:
     """Full pipeline: beta, duality functional, conditions, membership and
-    sharpness of the extremal image, all from one set of M-nodes."""
-    nodes = _m_nodes(kernel, params)
-    beta = beta_routes(kernel, params, nodes)
+    sharpness of the extremal image, and the plot curves, all from one
+    SharedPieces."""
+    pieces = SharedPieces(kernel, params)
+    beta = beta_routes(kernel, params, pieces)
     beta_value = beta.sharp()
     beta_closed = beta_closed_form(kernel, params)
 
     # one set of sums: the upper half circle for M and membership (the
     # lower half holds the conjugates), z = -1 for sharpness
+    nodes = pieces.nodes
     z = np.append(grid.upper_points(), -1.0)
     sums = _node_sums(nodes, z)
-    m_min, argmin_z, argmin_eps = m_functional_min(
-        kernel, params, grid,
-        _pq_from_sums(nodes, params, *(m[:-1] for m in sums)))
+    m_min, argmin_z, argmin_eps = _min_from_sums(
+        nodes, params, z[:-1], *(m[:-1] for m in sums))
 
-    margins, hyp_report = condition_margins(kernel, params)
+    margins, hyp_report = condition_margins(kernel, params, pieces)
     if hyp_report is not None:
         margins[f"hypotheses_{hyp_report.theorem}"] = hyp_report.min_margin
 
@@ -698,7 +693,7 @@ def run_certification(kernel: kernels.KernelSpec,
 
     curves: dict = {}
     if with_curves:
-        curves = _report_curves(kernel, params, margins, argmin_z,
+        curves = _report_curves(pieces, params, margins, argmin_z,
                                 argmin_eps, grid.unfold(ratio[:-1]), grid)
 
     return CertificationReport(
@@ -722,22 +717,23 @@ def run_certification(kernel: kernels.KernelSpec,
     )
 
 
-def _report_curves(kernel, params, margins, argmin_z, argmin_eps, ratio,
+def _report_curves(pieces, params, margins, argmin_z, argmin_eps, ratio,
                    grid):
-    t = chebyshev_grid(0.01, 0.99, 129)
-    lam_vals, pi_vals = kernels.envelopes(kernel, params.mu, params.nu, t)
+    """The plot curves on the checkers' grid, so the condition curves hold
+    exactly what the margins are the minima of."""
+    t = pieces.grid
     ctx = auxfun.AuxContext(params.mu, params.nu, params.sigma, params.xi,
                             argmin_eps)
     l_vals = auxfun.l_integrand(ctx, argmin_z, t)
     # a curve where its condition applies, that is, where it has a margin
     growth = np.full_like(t, np.nan)
     if margins["growth"] is not None:
-        growth = _growth_curve(params, t, *kernels.slope_profile(kernel, t))
+        growth = _growth_curve(params, pieces)
     monotone = np.full_like(t, np.nan)
     if margins["monotone"] is not None:
-        monotone = _monotone_curve(params, t, lam_vals, pi_vals)
+        monotone = _monotone_curve(params, pieces)
     return {
-        "t": t, "pi": pi_vals, "l_at_argmin": l_vals,
+        "t": t, "pi": pieces.grid_envelopes[1], "l_at_argmin": l_vals,
         "growth_margin": growth, "monotone_expression": monotone,
         "theta": grid.theta(), "re_zkprime_over_k": ratio,
     }

@@ -429,16 +429,8 @@ def _sweep_params(args) -> params_mod.ParameterSet:
     return params_mod.ParameterSet.from_mu_nu(mu, nu, sigma, xi)
 
 
-def _sweep_pieces(args) -> certify.SharedPieces:
-    """Fresh certify.SharedPieces of a sweep point's kernel, mu and nu."""
-    return certify.SharedPieces(kernels.parse_kernel(args[0]),
-                                _sweep_params(args))
-
-
-def _sweep_point(args, pieces=None):
-    """One sweep row, from the SharedPieces of the point's (kernel, mu, nu)
-    or from fresh ones."""
-    pieces = pieces or _sweep_pieces(args)
+def _sweep_point(args, pieces: certify.SharedPieces):
+    """One sweep row, from the SharedPieces of the point's (kernel, mu, nu)."""
     kernel, p, tol = pieces.kernel, _sweep_params(args), args[-1]
     try:
         margins, hyp, ok = _check_margins(kernel, p, tol, pieces)
@@ -447,7 +439,7 @@ def _sweep_point(args, pieces=None):
         margins = dict.fromkeys(("monotone", "growth"), type(exc).__name__)
         hyp, ok = None, False
     try:
-        beta = certify.beta_sharp(kernel, p, pieces.nodes, pieces.tau)
+        beta = certify.beta_sharp(kernel, p, pieces)
     except PascucertError:
         beta = None
     return [args[0], p.mu, p.nu, p.sigma, p.xi, beta,
@@ -475,7 +467,9 @@ def _cmd_sweep(cfg: RunConfig, values: dict) -> int:
     rows, key = [], None
     for point in points:
         if point[:5] != key:
-            key, pieces = point[:5], _sweep_pieces(point)
+            key = point[:5]
+            pieces = certify.SharedPieces(kernels.parse_kernel(point[0]),
+                                          _sweep_params(point))
         rows.append(_sweep_point(point, pieces))
     header = ["kernel", "mu", "nu", "sigma", "xi", "beta", "monotone_margin",
               "growth_margin", "hypothesis_min_margin", "passed"]

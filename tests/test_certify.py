@@ -93,7 +93,7 @@ def test_beta_quadrature_builds_one_rule_and_sums_no_series(monkeypatch):
 
 def test_beta_sharp_mismatch_raises(monkeypatch):
     monkeypatch.setattr(certify, "beta_series_route",
-                        lambda k, p, tau=None:
+                        lambda k, p, pieces=None:
                         certify.beta_quadrature_route(k, p) + 0.1)
     with pytest.raises(RepresentationMismatch):
         certify.beta_sharp(BERNARDI, P12)
@@ -258,23 +258,33 @@ def test_growth_condition_matches_pointwise_formula(kernel):
         min(margins), rel=1e-12, abs=1e-12)
 
 
+def _pieces_on(kernel, p, t):
+    pieces = certify.SharedPieces(kernel, p)
+    pieces.grid = np.asarray(t, dtype=float)
+    return pieces
+
+
 def test_growth_condition_raises_at_first_critical_point():
     # t**(-k)(1 - t**2) with k = -1 peaks at t = 1/sqrt(3)
     k = kernels.KernelSpec("ali_singh", (("k", -1.0),), 4.0)
     peak = 1.0 / math.sqrt(3.0)
     with pytest.raises(CriticalPoint, match=repr(peak)):
-        certify.check_growth_condition(k, P12, [0.2, peak, 0.8])
-    assert np.isfinite(certify.check_growth_condition(k, P12, [0.2, 0.8]))
+        certify.check_growth_condition(k, P12,
+                                       _pieces_on(k, P12, [0.2, peak, 0.8]))
+    assert np.isfinite(certify.check_growth_condition(
+        k, P12, _pieces_on(k, P12, [0.2, 0.8])))
 
 
 def test_report_growth_curve_matches_checker():
+    # the plot curves are on the checkers' grid: their minima are the
+    # reported margins themselves
     rep = certify.run_certification(KOMATU, P12, with_curves=True)
     c = rep.curves
-    assert np.min(c["growth_margin"]) == pytest.approx(
-        certify.check_growth_condition(KOMATU, P12, c["t"]), rel=1e-15)
+    assert np.array_equal(c["t"], certify.default_t_grid(
+        certify.CHECK_GRID_POINTS))
+    assert np.min(c["growth_margin"]) == rep.condition_margins["growth"]
     slopes = np.diff(c["monotone_expression"]) / np.diff(c["t"])
-    assert np.min(slopes) == pytest.approx(
-        certify.check_monotone_condition(KOMATU, P12, c["t"]), rel=1e-15)
+    assert np.min(slopes) == rep.condition_margins["monotone"]
 
 
 def test_growth_condition_requires_gamma_positive():
@@ -482,19 +492,26 @@ def test_m_nodes_built_once_per_certification(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("with_curves,want", [(False, 2), (True, 3)])
+@pytest.mark.parametrize("with_curves,want", [(False, 2), (True, 2)])
 def test_envelopes_built_once_per_grid(monkeypatch, with_curves, want):
-    # the M-nodes and the monotone grid, plus the plot grid with curves
+    # the M-nodes and the checker grid, which the plot curves share; one
+    # slope profile on that grid
     calls = []
-    build = kernels.envelopes
+    build, slopes = kernels.envelopes, kernels.slope_profile
 
     def counted(kernel, mu, nu, t):
         calls.append(len(t))
         return build(kernel, mu, nu, t)
 
+    def counted_slopes(kernel, t):
+        calls.append("slopes")
+        return slopes(kernel, t)
+
     monkeypatch.setattr(kernels, "envelopes", counted)
+    monkeypatch.setattr(kernels, "slope_profile", counted_slopes)
     certify.run_certification(KOMATU, P12, with_curves=with_curves)
-    assert len(calls) == want
+    assert len(calls) - calls.count("slopes") == want
+    assert calls.count("slopes") == 1
 
 
 def _pq_pointwise(nodes, params, z):
@@ -685,6 +702,8 @@ def test_shared_pieces_build_once_and_fail_at_every_use(monkeypatch):
     t = certify.default_t_grid(certify.CHECK_GRID_POINTS)
     assert np.array_equal(pieces.grid, t)
     assert certify.check_monotone_condition(KOMATU, P12, pieces=pieces) \
-        == certify.check_monotone_condition(KOMATU, P12, t)
+        == certify.check_monotone_condition(KOMATU, P12,
+                                            _pieces_on(KOMATU, P12, t))
     assert certify.check_growth_condition(KOMATU, P12, pieces=pieces) \
-        == certify.check_growth_condition(KOMATU, P12, t)
+        == certify.check_growth_condition(KOMATU, P12,
+                                          _pieces_on(KOMATU, P12, t))

@@ -364,6 +364,30 @@ def test_main_mass_below_the_doubles_is_named(kernel, capsys):
     assert "integrates to 0.9991" in err and "2.23e-308" in err
 
 
+@pytest.mark.parametrize("command", ["check", "beta", "certify"])
+def test_main_envelopes_near_q_minus_one(command, capsys):
+    # at q = -0.98 the envelopes' endpoint nodes y = h v**250 underflow;
+    # dropped, they leave a finite monotone margin and two beta routes
+    # that disagree by 6e-7, which beta and certify report
+    rc = cli.main([command, "--kernel", "komatu c=0 delta=0.02", "--mu",
+                   "1", "--nu", "2", "--sigma", "0.1", "--xi", "1",
+                   "--format", "json"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and "DomainError" not in err
+    if command == "check":
+        margins = json.loads(out)["condition_margins"]
+        assert margins["monotone"] == pytest.approx(-3751979.6, rel=1e-7)
+    elif command == "beta":
+        beta = json.loads(out)["beta"]
+        assert beta["integral"] == pytest.approx(-0.35269930, abs=1e-8)
+        assert beta["series"] == pytest.approx(-0.35269868, abs=1e-8)
+        assert beta["routes_agree"] is False
+    else:
+        assert err.startswith("pascucert: RepresentationMismatch: beta "
+                              "routes disagree: M-nodes -0.352699")
+        assert "series -0.352698" in err
+
+
 def test_main_mass_not_finite_is_named(capsys):
     # near t = 0 the 2F1 factor overflows where t**(b - 1) underflows
     rc = _beta_without_warnings("hohlov a=0.005 b=3 c=4")
@@ -374,10 +398,16 @@ def test_main_mass_not_finite_is_named(capsys):
                            "t -> 0")
 
 
+def _fresh_sweep_row(args):
+    # one sweep row on its own fresh pieces
+    return cli._sweep_point(args, certify.SharedPieces(
+        kernels.parse_kernel(args[0]), cli._sweep_params(args)))
+
+
 def test_checker_error_fails_check_and_sweep(monkeypatch, capsys):
     # only NotApplicable and DomainError mean "does not apply"; any other
     # checker error must not turn into a pass
-    def broken(kernel, p, t_grid=None, pieces=None):
+    def broken(kernel, p, pieces=None):
         raise CriticalPoint("lambda' vanishes at t = 0.5")
 
     monkeypatch.setattr(certify, "check_growth_condition", broken)
@@ -385,7 +415,7 @@ def test_checker_error_fails_check_and_sweep(monkeypatch, capsys):
             "--sigma", "0.1", "--xi", "1"]
     assert cli.main(["check"] + args) == 1
     assert "CriticalPoint" in capsys.readouterr().err
-    row = cli._sweep_point(("komatu c=0 delta=3", 1.0, 2.0, None, None,
+    row = _fresh_sweep_row(("komatu c=0 delta=3", 1.0, 2.0, None, None,
                             0.1, 1.0, 0.0))
     assert row[7] == "CriticalPoint"
     assert row[-1] is False
@@ -436,11 +466,11 @@ def test_main_sweep_row_count(tmp_path, capsys):
 
 
 def test_sweep_row_fails_without_beta(monkeypatch):
-    def no_beta(kernel, p, nodes=None, tau=None):
+    def no_beta(kernel, p, pieces=None):
         raise RepresentationMismatch("beta routes disagree")
 
     monkeypatch.setattr(certify, "beta_sharp", no_beta)
-    row = cli._sweep_point(("komatu c=0 delta=3", 1.0, 2.0, None, None,
+    row = _fresh_sweep_row(("komatu c=0 delta=3", 1.0, 2.0, None, None,
                             0.1, 1.0, 0.0))
     assert row[5] is None
     assert row[-1] is False
@@ -533,7 +563,7 @@ def _pointwise_rows(kernel_text, flags):
 def test_sweep_rows_match_pointwise(kernel_text, flags, broken_growth,
                                     monkeypatch, tmp_path):
     if broken_growth:
-        def broken(kernel, p, t_grid=None, pieces=None):
+        def broken(kernel, p, pieces=None):
             raise CriticalPoint("lambda' vanishes at t = 0.5")
 
         monkeypatch.setattr(certify, "check_growth_condition", broken)
