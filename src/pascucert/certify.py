@@ -211,6 +211,8 @@ _M_PANEL_EDGES = (0.0, 0.1, 0.3, 0.5, 0.7, 0.85, 0.93, 0.97, 0.99,
                   0.997, 0.999, 0.9997, 0.9999, 1.0)
 _M_PANEL_NODES = 24
 _M_U, _M_WU = gauss_panels(np.asarray(_M_PANEL_EDGES), _M_PANEL_NODES)
+# complex elements in one block of the node sums' temporaries (64 KiB)
+_BLOCK = 4096
 
 
 def _m_nodes(kernel: kernels.KernelSpec, params: params_mod.ParameterSet):
@@ -294,18 +296,35 @@ def _node_sums(nodes, z):
     """(M1, M2, M3), M_k = sum W u**k with u = 1/(1 - t z), at every z.
 
     The sums have real coefficients, so M_k(conj z) = conj M_k(z): a
-    circle needs them on its upper half only (DiskGrid.unfold).
+    circle needs them on its upper half only (DiskGrid.unfold).  The z run
+    in blocks of _BLOCK // len(t) rows through two block buffers of about
+    64 KiB, below glibc's 128 KiB mmap threshold, so no call maps and
+    zeroes fresh pages; each row's sum is the same as over the whole array
+    at once.
     """
-    t, w = nodes
-    # in place: fresh pages of full-size arrays cost more than arithmetic
-    u = np.multiply(np.asarray(z, dtype=complex).reshape(-1, 1), t)
-    np.divide(1.0, np.subtract(1.0, u, out=u), out=u)
-    # einsum, not @: a threaded BLAS gemv doubles the CPU time here for
-    # no gain in wall time
-    m1 = np.einsum("ij,j->i", u, w)
-    u2 = u * u
-    m2 = np.einsum("ij,j->i", u2, w)
-    m3 = np.einsum("ij,j->i", np.multiply(u, u2, out=u), w)
+    # complex t and W once: einsum with one real operand copies the other
+    # through a cast buffer as large as a block
+    t = np.asarray(nodes[0], dtype=complex)
+    w = np.asarray(nodes[1], dtype=complex)
+    z = np.asarray(z, dtype=complex).ravel()
+    m1 = np.empty(z.size, dtype=complex)
+    m2 = np.empty(z.size, dtype=complex)
+    m3 = np.empty(z.size, dtype=complex)
+    rows = max(1, _BLOCK // t.size)
+    u_buf = np.empty((min(rows, z.size), t.size), dtype=complex)
+    u2_buf = np.empty_like(u_buf)
+    for i in range(0, z.size, rows):
+        zb = z[i:i + rows]
+        u, u2 = u_buf[:zb.size], u2_buf[:zb.size]
+        # einsum, not a broadcast multiply, which takes a 128 KiB buffer
+        np.einsum("i,j->ij", zb, t, out=u)
+        np.divide(1.0, np.subtract(1.0, u, out=u), out=u)
+        # einsum, not @: a threaded BLAS gemv doubles the CPU time here
+        # for no gain in wall time
+        m1[i:i + rows] = np.einsum("ij,j->i", u, w)
+        np.multiply(u, u, out=u2)
+        m2[i:i + rows] = np.einsum("ij,j->i", u2, w)
+        m3[i:i + rows] = np.einsum("ij,j->i", np.multiply(u, u2, out=u), w)
     return m1, m2, m3
 
 

@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass, asdict
@@ -227,17 +228,36 @@ def _clean(obj):
     return obj
 
 
-def atomic_write(path: str, text: str):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".pascucert-")
+def _file_mode(path: str) -> int:
+    """The mode of the file at path, or 0666 less the umask for a new one."""
     try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
+def atomic_write(path: str, text: str):
+    """Write text to path through a temporary file in the same directory,
+    with the mode of the file it replaces (0666 less the umask for a new
+    one).  A path that cannot be written is a ConfigError naming it."""
+    tmp = None
+    try:
+        mode = _file_mode(path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".pascucert-")
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}"
+                          ) from None
+    finally:
+        # gone after a successful replace
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(text: str, path: Optional[str]):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -560,6 +561,43 @@ def test_node_sums_built_once_per_certification(monkeypatch):
     certify.run_certification(KOMATU, P12, grid, with_curves=True)
     # the upper half of the grid circle, k = 0..angles//2, and z = -1
     assert calls == [grid.angles // 2 + 2]
+
+
+def _node_sums_full_array(nodes, z):
+    """The node sums over the whole (z, t) array at once."""
+    t, w = nodes
+    u = 1.0 / (1.0 - np.asarray(z, dtype=complex).reshape(-1, 1) * t)
+    u2 = u * u
+    return tuple(np.einsum("ij,j->i", v, w) for v in (u, u2, u * u2))
+
+
+@pytest.mark.parametrize("count", [1, 130, 2049])
+def test_blocked_node_sums_equal_full_array(count):
+    # 130 z fill 10 blocks of 4096 // 312 = 13 rows; 2049 leave 8 over
+    nodes = certify._m_nodes(KOMATU, P12)
+    z = 0.99 * np.exp(1j * np.linspace(0.0, np.pi, count))
+    for blocked, full in zip(certify._node_sums(nodes, z),
+                             _node_sums_full_array(nodes, z)):
+        assert blocked.shape == (count,)
+        assert np.array_equal(blocked, full)
+
+
+def test_node_sums_of_a_certification_stay_small(monkeypatch):
+    # the full 130 x 312 complex temporaries took 650 KB each
+    peaks = []
+    build = certify._node_sums
+
+    def traced(nodes, z):
+        tracemalloc.start()
+        try:
+            return build(nodes, z)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(certify, "_node_sums", traced)
+    certify.run_certification(KOMATU, P12)
+    assert len(peaks) == 1 and peaks[0] < 256 * 1024
 
 
 @pytest.mark.parametrize("angles", [5, 7, 64, 256])

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import warnings
 
 import pytest
@@ -149,6 +150,34 @@ def test_atomic_write_replaces_content(tmp_path):
     cli.atomic_write(str(target), "second")
     assert target.read_text() == "second"
     assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_atomic_write_gives_umask_mode_and_keeps_existing(tmp_path):
+    target = tmp_path / "out.json"
+    old = os.umask(0o027)
+    try:
+        cli.atomic_write(str(target), "first")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    target.chmod(0o604)
+    cli.atomic_write(str(target), "second")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o604
+    assert target.read_text() == "second"
+
+
+@pytest.mark.parametrize("flag,command", [("--output", "beta"),
+                                          ("--plot-data", "certify")])
+def test_main_unwritable_path_is_config_error(tmp_path, capsys, flag,
+                                              command):
+    path = str(tmp_path / "no" / "such" / "dir" / "x")
+    rc = cli.main([command, "--kernel", "bernardi c=1", "--mu", "1", "--nu",
+                   "2", "--sigma", "0.1", "--xi", "1", flag, path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"pascucert: config error: cannot write {path!r}")
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_csv_rows_spells_out_missing_values():

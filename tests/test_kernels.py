@@ -124,6 +124,17 @@ def test_pi_envelope_reduces_to_lambda_at_mu_zero():
             kernels.lambda_envelope(k, 2.0, t), rel=1e-9)
 
 
+@pytest.mark.parametrize("t", [1e-17, 1e-20])
+def test_envelopes_below_machine_epsilon(t):
+    # bernardi c=1: lambda = 2x, so Lambda_2 = (4/3)(1 - t**1.5) and, at
+    # mu = 1, Pi = (4/3)(2 t**-0.5 + t - 3); 1 - t rounds to 1 here
+    k = kernels.make_kernel("bernardi", c=1.0)
+    assert kernels.lambda_envelope(k, 2.0, t) == pytest.approx(
+        4.0 / 3.0 * (1.0 - t**1.5), rel=1e-14)
+    assert kernels.pi_envelope(k, 1.0, 2.0, t) == pytest.approx(
+        4.0 / 3.0 * (2.0 * t**-0.5 + t - 3.0), rel=1e-12)
+
+
 def test_pi_envelope_matches_double_integral():
     from scipy.integrate import quad
     k = kernels.make_kernel("bernardi", c=1.0)

@@ -86,6 +86,44 @@ def test_integrate_01_one_call_per_round_and_panel_cap():
     assert sum(sizes) <= 2 * 21 * (2 * _MAX_PANELS - 1)
 
 
+def _mass_check_calls(monkeypatch, text):
+    """Sizes of the density calls of one kernel's unit-mass check."""
+    sizes = []
+    for name in ("density", "density_complement"):
+        f = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda k, t, f=f:
+                            sizes.append(np.size(t)) or f(k, t))
+    kernels.parse_kernel(text)
+    return sizes
+
+
+@pytest.mark.parametrize("text", ["komatu c=0 delta=3",
+                                  "komatu c=-0.5 delta=4"])
+def test_mass_check_grades_the_log_factor_at_zero(monkeypatch, text):
+    # log(1/t)**(delta - 1) survives t = u**m; bisecting toward u = 0 took
+    # 20 and 22 density calls, one round per halving
+    assert len(_mass_check_calls(monkeypatch, text)) <= 4
+
+
+@pytest.mark.parametrize("text", ["bernardi c=1",
+                                  "generalized A=1 B=1 C=4 x1=1"])
+def test_mass_check_of_smooth_densities_takes_one_round(monkeypatch, text):
+    assert _mass_check_calls(monkeypatch, text) == [21, 21]
+
+
+def test_graded_split_resolves_a_log_power_at_zero():
+    sizes = []
+
+    def f(t):
+        sizes.append(t.size)
+        return np.log(t) ** 2
+
+    # int_0^1 log(t)**2 dt = 2
+    assert integrate_01(f, 0.0, 0.0, epsabs=1e-12) == pytest.approx(
+        2.0, abs=1e-12)
+    assert len(sizes) <= 4
+
+
 def test_integrate_01_rejects_divergent_exponent():
     with pytest.raises(QuadratureFailure):
         integrate_01(lambda t: t**-1.0, -1.0)
