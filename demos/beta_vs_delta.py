@@ -28,7 +28,7 @@ def main():
         beta = beta_sharp(kernel, params, pieces)
         growth = check_growth_condition(kernel, params, pieces)
         m_min, _, _ = m_functional_min(kernel, params, pieces=pieces)
-        hyp = hypothesis_check("komatu", params, kernel)
+        hyp = hypothesis_check(params, kernel)
         flag = "ok" if hyp.all_satisfied else "outside"
         print(f"{delta:6.2f} {beta:16.10f} {growth:14.6f} "
               f"{m_min:12.3e} {flag:>11}")

@@ -8,9 +8,9 @@ truncation orders and shows the extrapolated boundary residual
 perturbed beta leaves a residual that refuses to vanish.
 """
 
-from pascucert import (ParameterSet, apply_transform, beta_sharp,
-                       extremal_function, k_combination, make_kernel,
-                       moment_sequence, verify_sharpness)
+from pascucert import ParameterSet, beta_sharp, make_kernel, moment_sequence
+from pascucert.oracles import (apply_transform, extremal_function,
+                               k_combination, verify_sharpness)
 
 
 def residual(kernel, params, beta, order):

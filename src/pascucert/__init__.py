@@ -6,32 +6,26 @@ where xi z f' + (1 - xi) f is starlike of order sigma.  The package solves
 the sharp admissibility threshold beta, evaluates the duality functional
 whose nonnegativity certifies membership, and checks the monotonicity and
 density-growth sufficient conditions for the standard kernel families.
+The independent reference routes that tests and demos compare against are
+in pascucert.oracles, which this package does not import.
 """
 
 from .errors import (PascucertError, NoRealRoots, DomainError,
-                     MismatchedFamily, LengthMismatch, RadiusError,
-                     QuadratureFailure, CriticalPoint, ConvergenceFailure,
-                     PoleError, DivergentSeries, RepresentationMismatch,
-                     ZeroDenominator, ExtrapolationUnstable, NotApplicable,
-                     ConfigError)
+                     LengthMismatch, RadiusError, QuadratureFailure,
+                     CriticalPoint, ConvergenceFailure, PoleError,
+                     DivergentSeries, RepresentationMismatch, ZeroDenominator,
+                     ExtrapolationUnstable, NotApplicable, ConfigError)
 from .params import (ParameterSet, Hypothesis, HypothesisReport,
                      resolve_mu_nu, sigma_upper_bound, hypothesis_check,
-                     theorem_for_family, combination_ratio)
-from .series import (TruncatedSeries, phi_kernel, psi_kernel,
-                     extremal_function, apply_transform, k_combination,
-                     hadamard, evaluate, evaluate_many)
-from .auxfun import (AuxContext, g_value, q_value, combined_gq,
-                     combined_gq_hypergeometric, h_sigma, h_sigma_prime,
-                     l_integrand, pfq)
+                     combination_ratio)
+from .auxfun import AuxContext, l_integrand, pfq
 from .kernels import (KernelSpec, make_kernel, parse_kernel, density,
-                      density_derivatives, moment, moment_sequence,
-                      envelopes, lambda_envelope, pi_envelope)
+                      density_derivatives, moment, moment_sequence, envelopes)
 from .certify import (DiskGrid, CertificationReport, SharedPieces,
                       beta_sharp, beta_from_integral, beta0_hohlov_closed_form,
                       m_functional, m_functional_min,
                       check_monotone_condition, check_growth_condition,
-                      phi_t_monotonicity_probe, extremal_image,
-                      verify_membership, verify_sharpness, run_certification)
+                      extremal_image, run_certification)
 
 __version__ = "0.1.0"
 

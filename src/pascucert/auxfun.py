@@ -1,39 +1,24 @@
-"""Analytic machinery for the duality criterion.
+"""The duality integrand and the closed forms of the certification.
 
 The two auxiliary profiles g and q solve first-order initial value
-problems on (0, 1); both have an alternating power series and an
-equivalent smooth double-integral form.  Their combination
-G = (1-xi) g + xi (2q - 1) is 2 int int R(t u**mu v**nu) du dv - 1 with R
-rational, its only pole at -1.  After s = u**mu, w = v**nu the weights
-are Jacobi weights, so a fixed 12 x 12 tensor Gauss-Jacobi rule gives G,
-g and q to double precision at every t in [0, 1], arrays of t at once.
-A certification reads R itself (combined_rational) on the duality
-functional's nodes; G and its routes are oracles: the rule, the series
-(running powers, binomial tail averaging near t = 1) and the adaptive
-integral, the only place here that loads scipy.integrate.  h_sigma is the
-rational test kernel of starlikeness of order sigma, carrying a free
-unimodular parameter.
+problems on (0, 1); their combination G = (1-xi) g + xi (2q - 1) is
+2 int int R(t u**mu v**nu) du dv - 1 with R rational, its only pole at
+-1.  A certification reads R itself (combined_rational) on the duality
+functional's nodes; the routes to G, g and q themselves (series, rule and
+adaptive integral) live in the oracles module.  l_integrand is the real
+duality integrand, duality_slope its slope in the unimodular epsilon, and
+pfq the generalized hypergeometric sum of the Hohlov closed form.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConvergenceFailure, DivergentSeries, DomainError,
                      PoleError)
-from .quadrature import (ALTERNATING_TERMS, averaged_partial_sum,
-                         gauss_jacobi_01)
-
-# Gauss-Jacobi nodes per variable of the rule for G(t)
-_GQ_NODES = 12
-_SERIES_TERMS = 3000
-# a series stops once t**n times its largest coefficient falls below this
-_SERIES_TINY = 1e-20
-# entries per block of a term or node matrix, to bound its memory
-_BLOCK = 1 << 17
+from .quadrature import ALTERNATING_TERMS, averaged_partial_sum
 
 
 @dataclass(frozen=True)
@@ -57,121 +42,12 @@ class AuxContext:
             raise DomainError("epsilon must be unimodular")
 
 
-def _check_unit(t):
-    t = np.asarray(t)
-    if not np.all((t >= 0.0) & (t <= 1.0)):
-        raise DomainError("t must lie in [0, 1]")
-
-
-def _series_sum(ctx: AuxContext, t, weight):
-    """sum_n weight(n) * (-t)**n / ((1-sigma)(1+n mu)(1+n nu)) at every t.
-
-    t is a scalar or an array; the result has its shape.  Each t sums
-    the first N terms, N a power of two from 16 up, at least as many as
-    t**n needs to fall below _SERIES_TINY over the largest coefficient,
-    and at most _SERIES_TERMS.
-    The powers (-t)**n are running products along each row.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    flat = t_arr.ravel()
-    n = np.arange(_SERIES_TERMS, dtype=float)
-    coef = weight(n) / ((1.0 - ctx.sigma)
-                        * (1.0 + n * ctx.mu) * (1.0 + n * ctx.nu))
-    with np.errstate(divide="ignore"):
-        decay = -np.log(flat)
-    need = math.log(max(1.0, np.max(np.abs(coef))) / _SERIES_TINY) \
-        / np.maximum(decay, 1e-300)
-    size = np.minimum(_SERIES_TERMS,
-                      2.0 ** np.ceil(np.log2(np.clip(need, 16.0, 1e9))))
-    out = np.empty_like(flat)
-    # a set, not np.unique, which would import numpy.ma to rule out
-    # masked input
-    for terms in sorted(set(size.astype(int).tolist())):
-        rows = np.flatnonzero(size == terms)
-        for block in np.array_split(
-                rows, 1 + len(rows) * terms // _BLOCK):
-            powers = np.empty((len(block), terms))
-            powers[:, 0] = 1.0
-            powers[:, 1:] = -flat[block, None]
-            np.cumprod(powers, axis=1, out=powers)
-            out[block] = averaged_partial_sum(coef[:terms] * powers)
-    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
-
-
-def g_value(ctx: AuxContext, t: float, method: str = "auto") -> float:
-    """The starlike profile g(t) = G(t) at xi = 0; g(0) = 1 and g
-    decreases through 0."""
-    _check_unit(t)
-    if method == "auto":
-        return combined_gq(replace(ctx, xi=0.0), t)
-    if method == "series":
-        s = _series_sum(ctx, t, lambda n: n + 1.0 - ctx.sigma)
-        return 2.0 * s - 1.0
-    if method == "integral":
-        return g_integral(ctx, t)
-    raise DomainError(f"unknown method {method!r}")
-
-
-def q_value(ctx: AuxContext, t: float, method: str = "auto") -> float:
-    """The convex profile q(t) = (G(t) at xi = 1 + 1)/2; q(0) = 1."""
-    _check_unit(t)
-    if method == "auto":
-        return 0.5 * (combined_gq(replace(ctx, xi=1.0), t) + 1.0)
-    if method == "series":
-        return _series_sum(ctx, t, lambda n: (n + 1.0) * (n + 1.0 - ctx.sigma))
-    if method == "integral":
-        return q_integral(ctx, t)
-    raise DomainError(f"unknown method {method!r}")
-
-
 def _rational_g(x, sigma):
     return (1.0 - sigma * (1.0 + x)) / ((1.0 - sigma) * (1.0 + x) ** 2)
 
 
 def _rational_q(x, sigma):
     return (1.0 - sigma - (1.0 + sigma) * x) / ((1.0 - sigma) * (1.0 + x) ** 3)
-
-
-def _double_integral(ctx: AuxContext, t: float, rat) -> float:
-    """Smooth form of the double integral after s = u**mu, w = v**nu."""
-    from scipy import integrate
-    mu, nu, sg = ctx.mu, ctx.nu, ctx.sigma
-    if mu > 0 and nu > 0:
-        val, err = integrate.dblquad(
-            lambda v, u: rat(u**mu * v**nu * t, sg),
-            0.0, 1.0, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11)
-    else:
-        alpha = nu if nu > 0 else mu
-        if alpha <= 0:
-            raise DomainError("need mu > 0 or nu > 0 for the integral form")
-        val, err = integrate.quad(
-            lambda u: rat(t * u**alpha, sg), 0.0, 1.0,
-            epsabs=1e-12, epsrel=1e-12, limit=200)
-    if err > 1e-8:
-        raise ConvergenceFailure(f"integral form error estimate {err:g}")
-    return val
-
-
-def g_integral(ctx: AuxContext, t: float) -> float:
-    return 2.0 * _double_integral(ctx, t, _rational_g) - 1.0
-
-
-def q_integral(ctx: AuxContext, t: float) -> float:
-    return _double_integral(ctx, t, _rational_q)
-
-
-def gq_rule(ctx: AuxContext):
-    """The tensor rule (x, W) with G(t) = 2 sum W R(t x) - 1.
-
-    int_0^1 f(u**mu) du = int_0^1 f(s) s**(1/mu - 1)/mu ds is a Jacobi
-    weight in s, so each variable takes the _GQ_NODES-point Gauss-Jacobi
-    rule, a single node s = 1 at mu = 0; x = s w and W is the product of
-    the weights.
-    """
-    (s, ws), (v, wv) = [(np.ones(1), np.ones(1)) if e == 0.0
-                        else gauss_jacobi_01(1.0 / e - 1.0, _GQ_NODES)
-                        for e in (ctx.mu, ctx.nu)]
-    return np.outer(s, v).ravel(), np.outer(ws, wv).ravel()
 
 
 def combined_rational(y, sigma: float, xi: float):
@@ -187,60 +63,10 @@ def combined_rational(y, sigma: float, xi: float):
                 / (1.0 - sigma))
 
 
-def combined_gq(ctx: AuxContext, t, rule=None):
-    """G(t) = (1-xi) g(t) + xi (2 q(t) - 1) = 2 sum W R(t x) - 1 by the
-    tensor Gauss-Jacobi rule (x, W) = rule, gq_rule(ctx) when not given.
-
-    t is a scalar or an array in [0, 1]; R is combined_rational.
-    """
-    _check_unit(t)
-    x, w = gq_rule(ctx) if rule is None else rule
-    t_arr = np.asarray(t, dtype=float)
-    flat = t_arr.ravel()
-    out = np.empty_like(flat)
-    rows = _BLOCK // len(x)
-    for i in range(0, len(flat), rows):
-        vals = combined_rational(flat[i:i + rows, None] * x, ctx.sigma,
-                                 ctx.xi)
-        out[i:i + rows] = np.einsum("ij,j->i", vals, w)
-    out = 2.0 * out - 1.0
-    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
-
-
-def combined_gq_hypergeometric(ctx: AuxContext, t: float) -> float:
-    """The same combination through its 5F4 closed form; needs xi > 0."""
-    if ctx.xi <= 0.0:
-        raise DomainError("the 5F4 form requires xi > 0")
-    if ctx.mu <= 0 or ctx.nu <= 0:
-        raise DomainError("the 5F4 form requires mu, nu > 0")
-    inv_xi = 1.0 / ctx.xi
-    num = [1.0, 1.0 / ctx.mu, 1.0 / ctx.nu, 2.0 - ctx.sigma, 1.0 + inv_xi]
-    den = [1.0 + 1.0 / ctx.mu, 1.0 + 1.0 / ctx.nu, 1.0 - ctx.sigma, inv_xi]
-    return 2.0 * pfq(num, den, -t) - 1.0
-
-
 def duality_slope(epsilon, sigma: float):
     """A(epsilon) = (epsilon + 2 sigma - 1) / (2(1 - sigma)), the slope of
     the duality functional in the unimodular epsilon; scalars or arrays."""
     return (epsilon + 2.0 * sigma - 1.0) / (2.0 * (1.0 - sigma))
-
-
-def h_sigma(ctx: AuxContext, z: complex) -> complex:
-    """z (1 + A z) / (1 - z)^2 with A = (epsilon + 2 sigma - 1) / (2(1 - sigma))."""
-    z = complex(z)
-    if abs(1.0 - z) < 1e-9:
-        raise PoleError("h_sigma has a second-order pole at z = 1")
-    a = duality_slope(complex(ctx.epsilon), ctx.sigma)
-    return z * (1.0 + a * z) / (1.0 - z) ** 2
-
-
-def h_sigma_prime(ctx: AuxContext, z: complex) -> complex:
-    """Derivative of h_sigma: (1 + (1 + 2A) z) / (1 - z)^3."""
-    z = complex(z)
-    if abs(1.0 - z) < 1e-9:
-        raise PoleError("h_sigma' has a third-order pole at z = 1")
-    a = duality_slope(complex(ctx.epsilon), ctx.sigma)
-    return (1.0 + (1.0 + 2.0 * a) * z) / (1.0 - z) ** 3
 
 
 def l_integrand(ctx: AuxContext, z: complex, t) -> float:

@@ -17,8 +17,9 @@ The image of the extremal function, behind the membership and sharpness
 checks, needs no truncation order: it and the functional are read from
 one set of node sums M_k = sum W u**k, u = 1/(1 - t z).  Those nodes are
 the one integration rule of a certification, besides the unit-mass check
-of kernels.make_kernel; the adaptive beta quadrature and the G rule stay
-as test oracles.
+of kernels.make_kernel.  The adaptive beta quadrature, the direct
+functional and the series membership and sharpness checks are in the
+oracles module.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import auxfun, kernels, params as params_mod, series
-from .errors import (DomainError, ExtrapolationUnstable, NotApplicable,
-                     QuadratureFailure, RepresentationMismatch,
-                     ZeroDenominator)
+from . import auxfun, kernels, params as params_mod
+from .errors import (DomainError, NotApplicable, QuadratureFailure,
+                     RepresentationMismatch, ZeroDenominator)
 from .quadrature import (ALTERNATING_TERMS, averaged_partial_sum,
-                         chebyshev_grid, gauss_panels, integrate_01,
-                         power_limit)
+                         chebyshev_grid, gauss_panels)
 
 BETA_ROUTE_TOL = 1e-7
 MEMBERSHIP_TOL = 1e-3
@@ -97,22 +96,6 @@ def beta_from_integral(i_value: float) -> float:
     if abs(i_value - 1.0) < 1e-12:
         raise DomainError("beta is unbounded when the weighted average is 1")
     return i_value / (i_value - 1.0)
-
-
-def beta_quadrature_route(kernel: kernels.KernelSpec,
-                          params: params_mod.ParameterSet) -> float:
-    """I = int lambda(t) [(1-xi) g(t) + xi (2 q(t) - 1)] dt by adaptive
-    quadrature (a test oracle), each refinement round on one array of
-    nodes; the profile's Gauss-Jacobi rule is built once for all rounds."""
-    ctx = auxfun.AuxContext(params.mu, params.nu, params.sigma, params.xi)
-    rule = auxfun.gq_rule(ctx)
-    pl, pr = kernels.endpoint_exponents(kernel)
-    return integrate_01(
-        lambda t: kernels.density(kernel, t)
-        * auxfun.combined_gq(ctx, t, rule),
-        pl, pr, epsabs=1e-10,
-        f_complement=lambda d: kernels.density_complement(kernel, d)
-        * auxfun.combined_gq(ctx, 1.0 - d, rule))
 
 
 def beta_series_route(kernel: kernels.KernelSpec,
@@ -364,29 +347,6 @@ def m_functional(kernel: kernels.KernelSpec, params: params_mod.ParameterSet,
     return float(p[0] + (a * qc[0]).real)
 
 
-def m_functional_direct(kernel: kernels.KernelSpec,
-                        params: params_mod.ParameterSet,
-                        z: complex, epsilon: complex,
-                        epsabs: float = 1e-8) -> float:
-    """Independent adaptive-quadrature route (slow; used for cross-checks).
-
-    Every node takes its own adaptive scipy.integrate.quad Pi envelope
-    (kernels.pi_envelope) instead of the grid envelopes.
-    """
-    expo = _effective_exponent(params)
-    ctx = auxfun.AuxContext(params.mu, params.nu, params.sigma, params.xi,
-                            epsilon)
-    _, q = kernels.endpoint_exponents(kernel)
-
-    def f(t):
-        pi_vals = [kernels.pi_envelope(kernel, params.mu, params.nu, x)
-                   for x in t]
-        return t ** (expo - 1.0) * np.array(pi_vals) \
-            * auxfun.l_integrand(ctx, z, t)
-
-    return integrate_01(f, expo - 1.0, q + 1.0, epsabs=epsabs)
-
-
 def m_functional_min(kernel: kernels.KernelSpec,
                      params: params_mod.ParameterSet,
                      grid: DiskGrid = DiskGrid(), pieces=None):
@@ -538,77 +498,7 @@ def condition_margins(kernel: kernels.KernelSpec,
             margins[name] = checker(kernel, params, pieces=pieces)
         except (NotApplicable, DomainError):
             margins[name] = None
-    theorem = params_mod.theorem_for_family(kernel.family)
-    if theorem is None:
-        return margins, None
-    return margins, params_mod.hypothesis_check(theorem, params, kernel)
-
-
-def phi_t_monotonicity_probe(a_values, b: float,
-                             params: params_mod.ParameterSet) -> bool:
-    """Check phi_t(a) >= phi_t(b) for sampled a <= b in (-1, 0], at 64
-    Chebyshev points t.
-
-    phi_t(a) = a(a-1) t**a log(1/t)
-               - a ((1/xi + 2/mu - 1/nu - 2) log(1/t) + (1 - 2 sigma)) t**a.
-    """
-    t = default_t_grid(64)
-    ln = -np.log(t)
-    ratio2 = params_mod.combination_ratio(params) - 2.0
-    shift = 1.0 - 2.0 * params.sigma
-
-    def phi(a):
-        return a * (a - 1.0) * t**a * ln - a * (ratio2 * ln + shift) * t**a
-
-    pb = phi(float(b))
-    for a in a_values:
-        a = float(a)
-        if a > b:
-            continue
-        if np.any(phi(a) < pb - 1e-12):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# membership and sharpness of a truncated series (test oracles)
-
-def verify_membership(f: series.TruncatedSeries, sigma: float, xi: float,
-                      grid: DiskGrid = DiskGrid()):
-    """min over the grid circle of Re(z K'(z)/K(z)) - sigma for
-    K = xi z f' + (1-xi) f, the series route to the membership margin.
-
-    Returns (min_margin, argmin_z); ZeroDenominator as in _winding_guard.
-    """
-    k = series.k_combination(f, xi)
-    z = grid.boundary_points()
-    kv = series.evaluate_many(k, z)
-    _winding_guard(kv / z, z)
-    margins = (series.evaluate_many(series.z_derivative(k), z) / kv).real \
-        - sigma
-    i = int(np.argmin(margins))
-    return float(margins[i]), complex(z[i])
-
-
-def verify_sharpness(k: series.TruncatedSeries, sigma: float,
-                     rhos=(0.9, 0.99, 0.999)) -> float:
-    """|lim_{rho -> 1} Re(z K'/K at z = -rho) - sigma| by extrapolation."""
-    zk = series.z_derivative(k)
-    vals = []
-    for rho in rhos:
-        z = -rho
-        kv = series.evaluate(k, z)
-        if abs(kv) < 1e-12:
-            raise ZeroDenominator(f"K vanishes near z = {z}", location=z)
-        vals.append((series.evaluate(zk, z) / kv).real)
-    h = [1.0 - r for r in rhos]
-    est_prev = vals[-1]
-    est_mid = power_limit(h[1:], vals[1:])
-    est = power_limit(h, vals)
-    if abs(est - est_mid) > 10.0 * abs(est_mid - est_prev) + 1e-9:
-        raise ExtrapolationUnstable(
-            f"estimates {est_prev!r}, {est_mid!r}, {est!r} diverge")
-    return abs(est - sigma)
+    return margins, params_mod.hypothesis_check(params, kernel)
 
 
 # ---------------------------------------------------------------------------

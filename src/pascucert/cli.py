@@ -141,8 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the report here (atomic); default stdout")
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default=_env_default("FORMAT", "text", str))
-        p.add_argument("--plot-data", default=None,
-                       help="also write plot-ready CSV curves here")
+        if name == "certify":
+            p.add_argument("--plot-data", default=None,
+                           help="also write plot-ready CSV curves here")
     return parser
 
 
@@ -531,7 +532,7 @@ def _config_from_namespace(ns):
         **{name: None if vals is None else vals[0]
            for name, vals in values.items()},
         angles=ns.angles, nmax=ns.nmax, tol=ns.tol, output=ns.output,
-        format=ns.format, plot_data=ns.plot_data)
+        format=ns.format, plot_data=getattr(ns, "plot_data", None))
     return config, values
 
 

@@ -13,10 +13,6 @@ class DomainError(PascucertError):
     """An argument lies outside the domain of the requested operation."""
 
 
-class MismatchedFamily(PascucertError):
-    """Kernel family does not match the requested theorem checker."""
-
-
 class LengthMismatch(PascucertError):
     """Coefficient / moment arrays have incompatible lengths."""
 

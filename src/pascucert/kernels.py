@@ -3,17 +3,17 @@
 _FAMILIES holds one entry per weight family: its names and parameter
 keys, domain check and normalizer, endpoint exponents, the density
 lambda (written once, from the exact views t, 1 - t and log(1/t) of a
-point), lambda' and lambda'', the closed-form moments and the theorem
-id.  make_kernel, density, density_complement, density_derivatives,
-endpoint_exponents and the moments only look the family up.  The Hohlov
+point), lambda' and lambda'', the closed-form moments, and the theorem
+that covers the family with its hypotheses.  make_kernel, density,
+density_complement, density_derivatives, endpoint_exponents, the moments
+and params.hypothesis_check only look the family up.  The Hohlov
 factor 2F1(c - a, 1 - a; c - a - b + 1; 1 - t) is the numpy routine
 _hyp2f1c: the Gauss series away from t = 0 and the 1 - z connection
 formulas of Abramowitz & Stegun (15.3.6, 15.3.10-11) near it; mpmath,
 imported only there, serves the points near t = 0 when C - A - B lies
 within _NEAR_INTEGER of an integer without being one.  envelopes()
 computes the tail envelopes Lambda and Pi of the duality criterion on a
-whole t-grid from one composite Gauss-Legendre rule in y = -log t; the
-adaptive lambda_envelope and pi_envelope remain as references.
+whole t-grid from one composite Gauss-Legendre rule in y = -log t.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, CriticalPoint, DomainError, NotApplicable
-from .quadrature import integrate_01, integrate_t1
+from .quadrature import integrate_01
 
 _MAX_OMEGA_TERMS = 32
 
@@ -558,6 +558,25 @@ def _omega_moments(k, n):
     return k.normalizer * out
 
 
+# Hypothesis rows (name, margin(p, s)): p holds the family parameters, s
+# the scalars gamma, mu, xi, sigma, ratio = 1/xi + 2/mu - 1/nu and
+# sigma_max = the sigma bound (NaN unless nu >= mu >= 1), from
+# params.hypothesis_check.  A hypothesis holds iff its margin is >= 0.
+_GAMMA_MU = (("gamma > 0", lambda p, s: s.gamma),
+             ("mu >= 1", lambda p, s: s.mu - 1.0))
+_RATIO = ("1/xi + 2/mu - 1/nu >= 2", lambda p, s: s.ratio - 2.0)
+_XI = ("xi > 0", lambda p, s: s.xi)
+_SIGMA = (("sigma >= 0", lambda p, s: s.sigma),
+          ("sigma <= bound(mu, nu)", lambda p, s: s.sigma_max - s.sigma))
+
+
+def _ali_singh_k(margin):
+    """A row on the k the theorem requires, 1 - ratio; -inf where the
+    ratio is not finite."""
+    return lambda p, s: (margin(p["k"], 1.0 - s.ratio)
+                         if math.isfinite(s.ratio) else -math.inf)
+
+
 class _Family(NamedTuple):
     """What the module knows about one weight family.
 
@@ -569,7 +588,8 @@ class _Family(NamedTuple):
     (-> lambda', lambda'') take (k, t, d, ln, g): t, d = 1 - t and
     ln = log(1/t), each exact from the caller's side, and g = factor(k, t,
     d), the 2F1 or omega factor, once per point.  moments(k, n): tau_n for
-    an array of n >= 1, n = 1 .. nmax if running (running products).
+    the array n = 1 .. nmax.  theorem: the id of the theorem covering the
+    family, and hypotheses its rows (name, margin(p, s)) in report order.
     """
 
     names: tuple
@@ -580,7 +600,7 @@ class _Family(NamedTuple):
     slopes: Callable
     moments: Callable
     theorem: Optional[str] = None
-    running: bool = False
+    hypotheses: tuple = ()
     factor: Optional[Callable] = None
     extra: tuple = ()
 
@@ -600,7 +620,12 @@ _FAMILIES = {entry.names[0]: entry for entry in (
         slopes=_komatu_slopes,
         moments=lambda k, n: ((1.0 + k.p["c"]) / (n + k.p["c"] + 1.0))
         ** k.p["delta"],
-        theorem="komatu"),
+        theorem="komatu", hypotheses=(
+            *_GAMMA_MU,
+            ("c > -1", lambda p, s: p["c"] + 1.0),
+            ("c <= 0", lambda p, s: -p["c"]),
+            ("delta >= 3 - c", lambda p, s: p["delta"] - (3.0 - p["c"])),
+            _RATIO, *_SIGMA)),
     _Family(
         names=("hohlov",), keys=("a", "b", "c"), check=_hohlov_check,
         # for a < b the hypergeometric factor contributes t**(a - b) at 0
@@ -610,13 +635,25 @@ _FAMILIES = {entry.names[0]: entry for entry in (
         **_shaped(lambda p: (p["b"], p["c"] - p["a"] - p["b"]),
                   lambda k, t, d: _hyp2f1_factors(k)[0](t),
                   lambda k, t, d: [f(t) for f in _hyp2f1_factors(k)[1:]]),
-        moments=_hohlov_moments, running=True, theorem="hohlov"),
+        moments=_hohlov_moments, theorem="hohlov", hypotheses=(
+            *_GAMMA_MU,
+            ("a > 0", lambda p, s: p["a"]),
+            ("b > 0", lambda p, s: p["b"]),
+            ("c > 0", lambda p, s: p["c"]),
+            ("b <= 1", lambda p, s: 1.0 - p["b"]),
+            ("c >= a + 3", lambda p, s: p["c"] - p["a"] - 3.0),
+            _RATIO, *_SIGMA)),
     _Family(
         names=("two_param_log", "twoparamlog"), keys=("a", "b"),
         check=_two_param_log_check,
         exponents=lambda p: (p["a"], 1.0),
         lam=_two_param_log_lam, slopes=_two_param_log_slopes,
-        moments=_two_param_log_moments, theorem="two_param_log"),
+        moments=_two_param_log_moments, theorem="two_param_log",
+        hypotheses=(
+            *_GAMMA_MU, _XI,
+            ("a > -1", lambda p, s: min(p["a"], p["b"]) + 1.0),
+            ("a <= 0", lambda p, s: -min(p["a"], p["b"])),
+            *_SIGMA)),
     _Family(
         names=("ali_singh", "alisingh"), keys=("k",), check=_ali_singh_check,
         exponents=lambda p: (-p["k"], 1.0),
@@ -626,14 +663,24 @@ _FAMILIES = {entry.names[0]: entry for entry in (
         slopes=_ali_singh_slopes,
         moments=lambda k, n: k.normalizer * (1.0 / (n + 1.0 - k.p["k"])
                                              - 1.0 / (n + 3.0 - k.p["k"])),
-        theorem="ali_singh"),
+        theorem="ali_singh", hypotheses=(
+            *_GAMMA_MU, _XI,
+            ("k = 1 - 1/xi - 2/mu + 1/nu",
+             _ali_singh_k(lambda k, required: -abs(k - required))),
+            ("k >= 0", _ali_singh_k(lambda k, required: required)),
+            ("k < 1", _ali_singh_k(lambda k, required: 1.0 - required)),
+            ("sigma = 1/2", lambda p, s: -abs(s.sigma - 0.5)))),
     _Family(
         names=("generalized_omega", "generalized", "genomega"),
         keys=("A", "B", "C"), extra=_OMEGA_KEYS, check=_omega_check,
         exponents=lambda p: (p["B"] - 1.0, p["C"] - p["A"] - p["B"]),
         **_shaped(_omega_shape, _omega,
                   lambda k, t, d: [_omega(k, t, d, j) for j in (1, 2)]),
-        moments=_omega_moments, running=True, theorem="generalized"),
+        moments=_omega_moments, theorem="generalized", hypotheses=(
+            *_GAMMA_MU,
+            ("B <= 1", lambda p, s: 1.0 - p["B"]),
+            ("C >= A + 3", lambda p, s: p["C"] - p["A"] - 3.0),
+            _RATIO, *_SIGMA)),
 )}
 
 
@@ -733,10 +780,7 @@ def moment(kernel: KernelSpec, n: int) -> float:
         raise DomainError("moment order must be nonnegative")
     if n == 0:
         return 1.0
-    entry = _family(kernel.family)[1]
-    if entry.running:
-        return float(moment_sequence(kernel, n)[-1])
-    return float(entry.moments(kernel, np.array([float(n)]))[0])
+    return float(moment_sequence(kernel, n)[-1])
 
 
 def moment_sequence(kernel: KernelSpec, nmax: int) -> np.ndarray:
@@ -870,55 +914,6 @@ def envelopes(kernel: KernelSpec, mu: float, nu: float, t):
         pi_env = np.cumsum((pi_gap + step * lam_above)[::-1])[::-1]
     shape = t_arr.shape
     return lam_env[inverse].reshape(shape), pi_env[inverse].reshape(shape)
-
-
-def lambda_envelope(kernel: KernelSpec, nu: float, t: float) -> float:
-    """Lambda_nu(t) = int_t^1 lambda(x) x**(-1/nu) dx; zero at t = 1."""
-    if nu <= 0.0:
-        raise DomainError("nu must be positive")
-    if not 0.0 < t <= 1.0:
-        raise DomainError("t must lie in (0, 1]")
-    if t == 1.0:
-        return 0.0
-    _, q = endpoint_exponents(kernel)
-    inv = 1.0 / nu
-    return integrate_t1(
-        lambda x: density(kernel, x) * x**-inv, t, right_exponent=q,
-        f_complement=lambda d: density_complement(kernel, d)
-        * (1.0 - d)**-inv)
-
-
-def pi_envelope(kernel: KernelSpec, mu: float, nu: float, t: float) -> float:
-    """Pi_{mu,nu}(t) = int_t^1 Lambda_nu(x) x**(1/nu - 1 - 1/mu) dx.
-
-    Computed by swapping the integration order into a single integral
-    against the density; for mu = 0 the envelope degenerates to
-    Lambda_nu itself.
-    """
-    if mu == 0.0:
-        return lambda_envelope(kernel, nu, t)
-    if mu < 0.0 or nu <= 0.0:
-        raise DomainError("need mu >= 0 and nu > 0")
-    if not 0.0 < t <= 1.0:
-        raise DomainError("t must lie in (0, 1]")
-    if t == 1.0:
-        return 0.0
-    _, q = endpoint_exponents(kernel)
-    d = 1.0 / nu - 1.0 / mu
-    inv_nu = 1.0 / nu
-    if abs(d) < 1e-12:
-        def weight(y):
-            return y**-inv_nu * math.log(y / t)
-    else:
-        td = t**d
-
-        def weight(y):
-            return y**-inv_nu * (y**d - td) / d
-
-    return integrate_t1(
-        lambda y: density(kernel, y) * weight(y), t, right_exponent=q,
-        f_complement=lambda dd: density_complement(kernel, dd)
-        * weight(1.0 - dd))
 
 
 def parse_kernel(text: str) -> KernelSpec:

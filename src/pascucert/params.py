@@ -1,19 +1,21 @@
-"""Scalar parameter algebra and per-theorem hypothesis predicates.
+"""Scalar parameter algebra and the theorem hypothesis audit.
 
 The pair (mu, nu) is the nonnegative root splitting of
 x**2 - (alpha - gamma) x + gamma; the ordering mu <= nu is a convention of
-this library (it keeps the sigma bound nonnegative).  Hypothesis checks
-return signed margins so sweeps can rank near-failures.
+this library (it keeps the sigma bound nonnegative).  The hypotheses of
+each theorem are rows of the family table in kernels; hypothesis_check
+evaluates them to signed margins so sweeps can rank near-failures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 from . import kernels
-from .errors import DomainError, MismatchedFamily, NoRealRoots
+from .errors import DomainError, NoRealRoots
 
 _REL_TOL = 1e-12
 
@@ -124,15 +126,6 @@ class HypothesisReport:
                                 "margin": h.margin} for h in self.hypotheses]}
 
 
-THEOREMS = tuple(entry.theorem for entry in kernels._FAMILIES.values()
-                 if entry.theorem)
-
-
-def theorem_for_family(family: str) -> Optional[str]:
-    entry = kernels._FAMILIES.get(family)
-    return None if entry is None else entry.theorem
-
-
 def combination_ratio(params: ParameterSet) -> float:
     """1/xi + 2/mu - 1/nu, the recurring combination in the kernel theorems."""
     if params.mu <= 0 or params.nu <= 0:
@@ -142,76 +135,25 @@ def combination_ratio(params: ParameterSet) -> float:
     return 1.0 / params.xi + 2.0 / params.mu - 1.0 / params.nu
 
 
-def hypothesis_check(theorem_id: str, params: ParameterSet,
-                     kernel: kernels.KernelSpec) -> HypothesisReport:
-    """Signed-margin evaluation of every displayed hypothesis of a theorem.
+def hypothesis_check(params: ParameterSet,
+                     kernel: kernels.KernelSpec) -> Optional[HypothesisReport]:
+    """Signed margins of the hypotheses of the theorem covering the
+    kernel's family, in the order of the family table (kernels._FAMILIES);
+    None for a family no theorem covers.
 
     A hypothesis is satisfied iff its margin is >= 0.
     """
-    if theorem_id not in THEOREMS:
-        raise DomainError(f"unknown theorem {theorem_id!r}")
-    if theorem_for_family(kernel.family) != theorem_id:
-        raise MismatchedFamily(
-            f"theorem {theorem_id!r} does not cover a {kernel.family} kernel")
-    p = kernel.p
-    hs = []
-
-    def add(name, margin):
+    entry = kernels._FAMILIES[kernel.family]
+    if entry.theorem is None:
+        return None
+    mu, nu = params.mu, params.nu
+    scalars = SimpleNamespace(
+        gamma=params.gamma, mu=mu, xi=params.xi, sigma=params.sigma,
+        ratio=combination_ratio(params),
+        sigma_max=sigma_upper_bound(mu, nu) if mu >= 1.0 and nu >= mu
+        else math.nan)
+    p, hs = kernel.p, []
+    for name, row in entry.hypotheses:
+        margin = row(p, scalars)
         hs.append(Hypothesis(name, margin >= 0.0, float(margin)))
-
-    ratio = combination_ratio(params)
-    mu, nu, sg, xi = params.mu, params.nu, params.sigma, params.xi
-    sig_ok = mu >= 1.0 and nu >= mu
-    sig_max = sigma_upper_bound(mu, nu) if sig_ok else math.nan
-
-    if theorem_id == "generalized":
-        add("gamma > 0", params.gamma)
-        add("mu >= 1", mu - 1.0)
-        add("B <= 1", 1.0 - p["B"])
-        add("C >= A + 3", p["C"] - p["A"] - 3.0)
-        add("1/xi + 2/mu - 1/nu >= 2", ratio - 2.0)
-        add("sigma >= 0", sg)
-        add("sigma <= bound(mu, nu)", sig_max - sg)
-    elif theorem_id == "hohlov":
-        add("gamma > 0", params.gamma)
-        add("mu >= 1", mu - 1.0)
-        add("a > 0", p["a"])
-        add("b > 0", p["b"])
-        add("c > 0", p["c"])
-        add("b <= 1", 1.0 - p["b"])
-        add("c >= a + 3", p["c"] - p["a"] - 3.0)
-        add("1/xi + 2/mu - 1/nu >= 2", ratio - 2.0)
-        add("sigma >= 0", sg)
-        add("sigma <= bound(mu, nu)", sig_max - sg)
-    elif theorem_id == "komatu":
-        c, delta = p["c"], p["delta"]
-        add("gamma > 0", params.gamma)
-        add("mu >= 1", mu - 1.0)
-        add("c > -1", c + 1.0)
-        add("c <= 0", -c)
-        add("delta >= 3 - c", delta - (3.0 - c))
-        add("1/xi + 2/mu - 1/nu >= 2", ratio - 2.0)
-        add("sigma >= 0", sg)
-        add("sigma <= bound(mu, nu)", sig_max - sg)
-    elif theorem_id == "two_param_log":
-        a = min(p["a"], p["b"])
-        add("gamma > 0", params.gamma)
-        add("mu >= 1", mu - 1.0)
-        add("xi > 0", xi)
-        add("a > -1", a + 1.0)
-        add("a <= 0", -a)
-        add("sigma >= 0", sg)
-        add("sigma <= bound(mu, nu)", sig_max - sg)
-    else:  # ali_singh
-        k_required = 1.0 - (ratio if math.isfinite(ratio) else math.inf)
-        add("gamma > 0", params.gamma)
-        add("mu >= 1", mu - 1.0)
-        add("xi > 0", xi)
-        add("k = 1 - 1/xi - 2/mu + 1/nu",
-            -abs(p["k"] - k_required) if math.isfinite(k_required)
-            else -math.inf)
-        add("k >= 0", k_required if math.isfinite(k_required) else -math.inf)
-        add("k < 1", 1.0 - k_required if math.isfinite(k_required)
-            else -math.inf)
-        add("sigma = 1/2", -abs(sg - 0.5))
-    return HypothesisReport(theorem_id, tuple(hs))
+    return HypothesisReport(entry.theorem, tuple(hs))

@@ -8,11 +8,9 @@ panel touching 0 is split geometrically rather than bisected; at t = 1,
 log(1/t) ~ 1 - t is a power and bisection is kept.
 integrate_01 is numpy-only: its integrand takes an array of nodes, and
 each refinement round evaluates it once on the nodes of every panel being
-split.  integrate_t1 keeps the per-point scipy.integrate.quad route; it
-only serves the reference envelopes, and scipy.integrate is imported when
-it is first called.  Alternating series are summed with a binomially
-weighted average of the trailing partial sums, which annihilates the slow
-oscillatory tail.
+split.  Alternating series are summed with a binomially weighted average
+of the trailing partial sums, which annihilates the slow oscillatory
+tail.
 """
 
 from __future__ import annotations
@@ -184,41 +182,6 @@ def integrate_01(f, left_exponent=0.0, right_exponent=0.0, epsabs=1e-10,
     return vl + vr
 
 
-def integrate_t1(f, t0, right_exponent=0.0, epsabs=1e-10,
-                 f_complement=None):
-    """Integrate f over (t0, 1) for t0 in (0, 1].
-
-    Uses x = exp(-y) so that algebraic behaviour at x -> 0 becomes an
-    exponential tail, then a power substitution at y = 0 for the (1-x)**q
-    endpoint.  f_complement(d) = f(1 - d), as in integrate_01, keeps
-    singular right endpoints accurate; it is called where x > 1/2, and f
-    below, so t0 may lie below machine epsilon.
-    """
-    if t0 >= 1.0:
-        return 0.0
-    if t0 <= 0.0:
-        raise QuadratureFailure("lower endpoint must be positive")
-    from scipy import integrate
-    y_max = -math.log(t0)
-    mr = _sub_power(right_exponent)
-
-    def g(v):
-        y = v**mr
-        x = math.exp(-y)
-        # d = 1 - x rounds to 1 for y > 37: f_complement only where x > 1/2
-        if f_complement is not None and y < math.log(2.0):
-            fx = f_complement(-math.expm1(-y))
-        else:
-            fx = f(x)
-        return fx * x * mr * v ** (mr - 1)
-
-    val, err = integrate.quad(g, 0.0, y_max ** (1.0 / mr),
-                              epsabs=epsabs, epsrel=1e-12, limit=200)
-    if err > max(100.0 * epsabs, 1e-8 * abs(val)):
-        raise QuadratureFailure("tolerance not reached", residual=err)
-    return val
-
-
 _BINOM8 = np.array([math.comb(7, k) for k in range(8)], dtype=float) / 128.0
 # the terms of every alternating sum on the verdict path: the series route
 # to beta and the 6F5 of the Hohlov closed form, see averaged_partial_sum
@@ -259,50 +222,6 @@ def gauss_panels(edges, n):
         xs.append(0.5 * (a + b) + h * x0)
         ws.append(h * w0)
     return np.concatenate(xs), np.concatenate(ws)
-
-
-def gauss_jacobi_01(b, n):
-    """The n-point Gauss rule for int_0^1 f(s) (b + 1) s**b ds, b > -1.
-
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
-    the monic Jacobi polynomials P^(0, b) moved to (0, 1); the weights are
-    the Christoffel numbers 1 / sum_k p_k(s)**2 of the orthonormal
-    polynomials, from the same three-term recurrence, scaled to the unit
-    mass of the weight.
-    """
-    k = np.arange(1.0, n)
-    two_k = 2.0 * k + b
-    diag = 0.5 + 0.5 * np.concatenate(
-        [[b / (b + 2.0)], b * b / (two_k * (two_k + 2.0))])
-    off = k * (k + b) / (two_k * np.sqrt((two_k + 1.0) * (two_k - 1.0)))
-    jacobi = np.zeros((n, n))
-    jacobi.flat[::n + 1] = diag
-    # eigvalsh reads the lower triangle only
-    jacobi.flat[n::n + 1] = off
-    s = np.linalg.eigvalsh(jacobi)
-    # p_{j+1} = ((s - diag_j) p_j - off_{j-1} p_{j-1}) / off_j, p_0 = 1
-    step = (s - diag[:-1, None]) / off[:, None]
-    back = off[:-1] / off[1:]
-    p = np.empty((n, n))
-    p[0] = 1.0
-    p[1] = step[0]
-    for j in range(1, n - 1):
-        p[j + 1] = step[j] * p[j] - back[j - 1] * p[j - 1]
-    w = 1.0 / np.einsum("ij,ij->j", p, p)
-    return s, w / w.sum()
-
-
-def power_limit(h, values):
-    """Limit as h -> 0 of values sampled at step sizes h.
-
-    Fits the interpolating polynomial in h through all samples and returns
-    its constant term (iterated Richardson extrapolation).
-    """
-    h = np.asarray(h, dtype=float)
-    v = np.asarray(values)
-    vander = np.vander(h, increasing=True)
-    coeffs = np.linalg.solve(vander, v)
-    return coeffs[0]
 
 
 def chebyshev_grid(lo, hi, n):

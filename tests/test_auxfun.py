@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
-from pascucert import auxfun
+from pascucert import auxfun, oracles
 from pascucert.auxfun import AuxContext
 from pascucert.quadrature import ALTERNATING_TERMS, averaged_partial_sum
 from pascucert.errors import (ConvergenceFailure, DivergentSeries,
@@ -23,9 +24,9 @@ def test_context_validation():
 
 def test_g_and_q_at_zero():
     ctx = AuxContext(1.0, 2.0, 0.1, 0.5)
-    assert auxfun.g_value(ctx, 0.0) == pytest.approx(1.0)
+    assert oracles.g_series(ctx, 0.0) == pytest.approx(1.0)
     # the n = 0 term of the q series is 1 regardless of parameters
-    assert auxfun.q_value(ctx, 0.0) == pytest.approx(1.0)
+    assert oracles.q_series(ctx, 0.0) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("mu,nu", [(1.0, 1.0), (1.0, 2.0)])
@@ -33,8 +34,8 @@ def test_g_and_q_at_zero():
 def test_g_series_vs_integral(mu, nu, sigma):
     ctx = AuxContext(mu, nu, sigma)
     for t in np.arange(0.1, 0.95, 0.1):
-        s = auxfun.g_value(ctx, t, method="series")
-        i = auxfun.g_value(ctx, t, method="integral")
+        s = oracles.g_series(ctx, t)
+        i = oracles.g_integral(ctx, t)
         assert abs(s - i) < 1e-8
 
 
@@ -43,26 +44,26 @@ def test_g_series_vs_integral(mu, nu, sigma):
 def test_q_series_vs_integral(mu, nu, sigma):
     ctx = AuxContext(mu, nu, sigma)
     for t in np.arange(0.1, 0.95, 0.1):
-        s = auxfun.q_value(ctx, t, method="series")
-        i = auxfun.q_value(ctx, t, method="integral")
+        s = oracles.q_series(ctx, t)
+        i = oracles.q_integral(ctx, t)
         assert abs(s - i) < 1e-8
 
 
 def test_g_integral_mu_zero_branch():
     ctx = AuxContext(0.0, 3.0, 0.1)
     for t in (0.2, 0.6):
-        s = auxfun.g_value(ctx, t, method="series")
-        i = auxfun.g_value(ctx, t, method="integral")
+        s = oracles.g_series(ctx, t)
+        i = oracles.g_integral(ctx, t)
         assert abs(s - i) < 1e-8
 
 
 def test_combined_gq_mixes_profiles():
     ctx = AuxContext(1.0, 2.0, 0.1, 0.3)
     t = 0.4
-    g = auxfun.g_value(ctx, t)
-    q = auxfun.q_value(ctx, t)
+    g = oracles.g_series(ctx, t)
+    q = oracles.q_series(ctx, t)
     expect = (1.0 - 0.3) * g + 0.3 * (2.0 * q - 1.0)
-    assert auxfun.combined_gq(ctx, t) == pytest.approx(expect, abs=1e-12)
+    assert oracles.combined_gq(ctx, t) == pytest.approx(expect, abs=1e-12)
 
 
 @pytest.mark.parametrize("mu,nu,sigma,xi", [(1.0, 2.0, 0.1, 1.0),
@@ -72,9 +73,9 @@ def test_combined_gq_array_matches_scalar_and_float_power(mu, nu, sigma, xi):
     ctx = AuxContext(mu, nu, sigma, xi)
     t = np.concatenate([[0.0, 0.5, 0.99, 0.999, 1.0],
                         np.linspace(0.0, 1.0, 401)])
-    arr = auxfun.combined_gq(ctx, t)
+    arr = oracles.combined_gq(ctx, t)
     assert arr.shape == t.shape
-    scalar = np.array([auxfun.combined_gq(ctx, float(x)) for x in t])
+    scalar = np.array([oracles.combined_gq(ctx, float(x)) for x in t])
     assert np.max(np.abs(arr - scalar)) <= 1e-13
     # the float-power series: all 3000 terms (-t)**n, tail-averaged
     n = np.arange(3000, dtype=float)
@@ -83,7 +84,7 @@ def test_combined_gq_array_matches_scalar_and_float_power(mu, nu, sigma, xi):
     powered = np.array([2.0 * averaged_partial_sum(coef * (-x) ** n) - 1.0
                         for x in t])
     assert np.max(np.abs(arr - powered)) <= 1e-13
-    assert auxfun.combined_gq(ctx, t.reshape(2, -1)).shape == (2, 203)
+    assert oracles.combined_gq(ctx, t.reshape(2, -1)).shape == (2, 203)
 
 
 def _gq_reference(mu, nu, sigma, xi, t):
@@ -124,41 +125,41 @@ def test_combined_gq_matches_mpmath(mu, nu, sigma, xi):
     # below the rounding of any double sum of such terms, so the bound
     # scales with |G| beyond 1
     ctx = AuxContext(mu, nu, sigma, xi)
-    got = auxfun.combined_gq(ctx, np.array(GQ_T))
+    got = oracles.combined_gq(ctx, np.array(GQ_T))
     for g, t in zip(got, GQ_T):
         ref = _gq_reference(mu, nu, sigma, xi, t)
         assert abs(g - ref) <= 1e-14 * max(1.0, abs(ref)), (t, g, ref)
 
 
-def test_g_and_q_auto_use_the_rule(monkeypatch):
-    # neither the series nor, near t = 1, the adaptive dblquad: g is G at
-    # xi = 0 and q = (G at xi = 1 + 1)/2
-    monkeypatch.setattr(auxfun, "_series_sum", None)
-    monkeypatch.setattr(auxfun, "_double_integral", None)
+def test_g_and_q_by_the_rule(monkeypatch):
+    # the rule alone, neither the series nor, near t = 1, the adaptive
+    # dblquad: g is G at xi = 0 and q = (G at xi = 1 + 1)/2
+    monkeypatch.setattr(oracles, "_series_sum", None)
+    monkeypatch.setattr(oracles, "_double_integral", None)
     mu, nu, sigma = 1.0, 2.0, 0.1
     ctx = AuxContext(mu, nu, sigma, 0.5)
     for t in GQ_T:
-        g = auxfun.g_value(ctx, t)
-        q = auxfun.q_value(ctx, t)
+        g = oracles.combined_gq(replace(ctx, xi=0.0), t)
+        q = 0.5 * (oracles.combined_gq(replace(ctx, xi=1.0), t) + 1.0)
         assert isinstance(g, float) and isinstance(q, float)
         assert abs(g - _gq_reference(mu, nu, sigma, 0.0, t)) <= 1e-14
         assert abs(2.0 * q - 1.0
                    - _gq_reference(mu, nu, sigma, 1.0, t)) <= 1e-14
-    assert auxfun.g_value(ctx, np.array(GQ_T)).shape == (5,)
+    assert oracles.combined_gq(ctx, np.array(GQ_T)).shape == (5,)
 
 
 def test_combined_gq_domain():
     ctx = AuxContext(1.0, 2.0, 0.1, 1.0)
     with pytest.raises(DomainError):
-        auxfun.combined_gq(ctx, np.array([0.5, 1.5]))
+        oracles.combined_gq(ctx, np.array([0.5, 1.5]))
 
 
 def test_combined_gq_hypergeometric_identity():
     for xi in (0.25, 1.0):
         ctx = AuxContext(1.0, 2.0, 0.1, xi)
         for t in (0.1, 0.5, 0.9):
-            a = auxfun.combined_gq(ctx, t)
-            b = auxfun.combined_gq_hypergeometric(ctx, t)
+            a = oracles.combined_gq(ctx, t)
+            b = oracles.combined_gq_hypergeometric(ctx, t)
             assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -168,7 +169,7 @@ def test_h_sigma_values():
     z = 0.3 + 0.2j
     a = 0.1 / 0.9
     expect = z * (1.0 + a * z) / (1.0 - z) ** 2
-    assert auxfun.h_sigma(ctx, z) == pytest.approx(expect)
+    assert oracles.h_sigma(ctx, z) == pytest.approx(expect)
 
 
 def test_h_sigma_prime_matches_difference_quotient():
@@ -176,16 +177,16 @@ def test_h_sigma_prime_matches_difference_quotient():
                      epsilon=complex(math.cos(0.7), math.sin(0.7)))
     z = 0.4 - 0.3j
     h = 1e-6
-    fd = (auxfun.h_sigma(ctx, z + h) - auxfun.h_sigma(ctx, z - h)) / (2 * h)
-    assert auxfun.h_sigma_prime(ctx, z) == pytest.approx(fd, rel=1e-8)
+    fd = (oracles.h_sigma(ctx, z + h) - oracles.h_sigma(ctx, z - h)) / (2 * h)
+    assert oracles.h_sigma_prime(ctx, z) == pytest.approx(fd, rel=1e-8)
 
 
 def test_h_sigma_pole():
     ctx = AuxContext(1.0, 2.0)
     with pytest.raises(PoleError):
-        auxfun.h_sigma(ctx, 1.0 + 0j)
+        oracles.h_sigma(ctx, 1.0 + 0j)
     with pytest.raises(PoleError):
-        auxfun.h_sigma_prime(ctx, 1.0 + 1e-12j)
+        oracles.h_sigma_prime(ctx, 1.0 + 1e-12j)
 
 
 def test_l_integrand_vanishes_at_unit_epsilon_minus_one():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pascucert as pc
-from pascucert import auxfun, certify, kernels, series
+from pascucert import auxfun, certify, kernels, oracles
 from pascucert.errors import (CriticalPoint, DomainError, NotApplicable,
                               QuadratureFailure, RepresentationMismatch,
                               ZeroDenominator)
@@ -34,7 +34,7 @@ def test_beta_from_integral_values():
 
 def test_beta_routes_agree_bernardi():
     p = pc.ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.0, xi=0.5)
-    iq = certify.beta_quadrature_route(BERNARDI, p)
+    iq = oracles.beta_quadrature_route(BERNARDI, p)
     ise = certify.beta_series_route(BERNARDI, p)
     assert abs(certify.beta_from_integral(iq)
                - certify.beta_from_integral(ise)) < 1e-9
@@ -47,7 +47,7 @@ def test_beta_routes_agree_hohlov_closed_moments():
     p = pc.ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=1.0)
     for kernel in (pc.make_kernel("hohlov", a=0.5, b=0.8, c=4.5),
                    pc.make_kernel("hohlov", a=1.5, b=0.5, c=4.0)):
-        iq = certify.beta_quadrature_route(kernel, p)
+        iq = oracles.beta_quadrature_route(kernel, p)
         ise = certify.beta_series_route(kernel, p)
         assert abs(certify.beta_from_integral(iq)
                    - certify.beta_from_integral(ise)) < 1e-9
@@ -67,7 +67,7 @@ def test_beta_quadrature_accurate_where_i_nears_one():
     def f(u):
         t = np.array([u**4])
         return float(4.0 * u**3 * kernels.density(kernel, t)[0]
-                     * auxfun.combined_gq(ctx, t)[0])
+                     * oracles.combined_gq(ctx, t)[0])
 
     i_ref = integrate.quad(f, 0.0, 1.0, epsabs=1e-15, epsrel=1e-14,
                            limit=500)[0]
@@ -78,24 +78,24 @@ def test_beta_quadrature_accurate_where_i_nears_one():
 def test_beta_quadrature_builds_one_rule_and_sums_no_series(monkeypatch):
     # komatu c=-0.5 delta=4 at mu = 2 takes many Gauss-Kronrod rounds
     calls = []
-    build = auxfun.gq_rule
+    build = oracles.gq_rule
 
     def counted(ctx):
         calls.append(ctx)
         return build(ctx)
 
-    monkeypatch.setattr(auxfun, "gq_rule", counted)
-    monkeypatch.setattr(auxfun, "_series_sum", None)
+    monkeypatch.setattr(oracles, "gq_rule", counted)
+    monkeypatch.setattr(oracles, "_series_sum", None)
     kernel = pc.make_kernel("komatu", c=-0.5, delta=4.0)
     p = pc.ParameterSet.from_mu_nu(2.0, 2.0, sigma=0.1, xi=1.0)
-    certify.beta_quadrature_route(kernel, p)
+    oracles.beta_quadrature_route(kernel, p)
     assert len(calls) == 1
 
 
 def test_beta_sharp_mismatch_raises(monkeypatch):
     monkeypatch.setattr(certify, "beta_series_route",
                         lambda k, p, pieces=None:
-                        certify.beta_quadrature_route(k, p) + 0.1)
+                        oracles.beta_quadrature_route(k, p) + 0.1)
     with pytest.raises(RepresentationMismatch):
         certify.beta_sharp(BERNARDI, P12)
 
@@ -144,7 +144,7 @@ def test_m_functional_node_route_matches_direct():
                         * np.exp(1j * rng.uniform(0, 2 * np.pi)))
             eps = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
             fast = certify.m_functional(kernel, P12, z, eps)
-            slow = certify.m_functional_direct(kernel, P12, z, eps)
+            slow = oracles.m_functional_direct(kernel, P12, z, eps)
             assert fast == pytest.approx(slow, abs=5e-8)
     # at mu < 1 the weight carries t**(1/nu - 1) at t = 0, which the node
     # substitution must smooth out too; a rule that followed mu alone was
@@ -152,7 +152,7 @@ def test_m_functional_node_route_matches_direct():
     p = pc.ParameterSet.from_mu_nu(0.5, 5.0, sigma=0.1, xi=0.5)
     z, eps = 0.45 - 0.34j, complex(np.exp(2.0j))
     assert certify.m_functional(BERNARDI, p, z, eps) == pytest.approx(
-        certify.m_functional_direct(BERNARDI, p, z, eps, epsabs=1e-12),
+        oracles.m_functional_direct(BERNARDI, p, z, eps, epsabs=1e-12),
         abs=1e-11)
 
 
@@ -296,14 +296,14 @@ def test_growth_condition_requires_gamma_positive():
 
 def test_phi_probe_monotone_for_certified_instance():
     a_vals = np.linspace(-0.999, 0.0, 25)
-    assert certify.phi_t_monotonicity_probe(a_vals, 0.0, P12)
+    assert oracles.phi_t_monotonicity_probe(a_vals, 0.0, P12)
 
 
 def test_phi_probe_detects_reversal():
     # sigma > 1/2 makes the bracket change sign near t = 1
     p = pc.ParameterSet.from_mu_nu(2.0, 2.0, sigma=0.6, xi=1.0)
     a_vals = np.linspace(-0.999, 0.0, 25)
-    assert not certify.phi_t_monotonicity_probe(a_vals, 0.0, p)
+    assert not oracles.phi_t_monotonicity_probe(a_vals, 0.0, p)
 
 
 def test_verify_membership_positive_for_starlike():
@@ -312,18 +312,18 @@ def test_verify_membership_positive_for_starlike():
     n = np.arange(1, 2000, dtype=float)
     c = np.concatenate([[0.0, 1.0],
                         np.cumprod((n + 0.8) / n)[:1997]])
-    f = series.from_coeffs(c)
+    f = oracles.from_coeffs(c)
     grid = certify.DiskGrid(radius=0.99, angles=128)
-    margin, argmin = certify.verify_membership(f, 0.1, 0.0, grid)
+    margin, argmin = oracles.verify_membership(f, 0.1, 0.0, grid)
     assert margin >= -1e-6
     assert abs(argmin) < 1.0
 
 
 def test_verify_membership_zero_denominator():
     # K(z) = z - 2 z^2 vanishes at the grid point z = 0.5
-    f = series.from_coeffs([0.0, 1.0, -2.0])
+    f = oracles.from_coeffs([0.0, 1.0, -2.0])
     with pytest.raises(ZeroDenominator):
-        certify.verify_membership(f, 0.0, 0.0,
+        oracles.verify_membership(f, 0.0, 0.0,
                                   certify.DiskGrid(radius=0.5, angles=8))
 
 
@@ -333,8 +333,8 @@ def test_verify_sharpness_extremal_starlike():
     a = 2.0 * (1.0 - sigma)
     n = np.arange(1, 2000, dtype=float)
     c = np.concatenate([[0.0, 1.0], np.cumprod((n + a - 1.0) / n)[:1997]])
-    k = series.from_coeffs(c)
-    assert certify.verify_sharpness(k, sigma) < 1e-4
+    k = oracles.from_coeffs(c)
+    assert oracles.verify_sharpness(k, sigma) < 1e-4
 
 
 def test_run_certification_report_schema():
@@ -408,10 +408,10 @@ IMAGE_CASES = [
 
 def _series_image(kernel, p, beta, order):
     """K = xi z g' + (1 - xi) g and z K' for the truncated image g."""
-    f = series.extremal_function(p.mu, p.nu, beta, order)
-    g = series.apply_transform(f, kernels.moment_sequence(kernel, order - 1))
-    k = series.k_combination(g, p.xi)
-    return k, series.z_derivative(k)
+    f = oracles.extremal_function(p.mu, p.nu, beta, order)
+    g = oracles.apply_transform(f, kernels.moment_sequence(kernel, order - 1))
+    k = oracles.k_combination(g, p.xi)
+    return k, oracles.z_derivative(k)
 
 
 @pytest.mark.parametrize("text,mu,nu,sigma,xi", IMAGE_CASES,
@@ -427,7 +427,7 @@ def test_extremal_image_matches_series_oracle(text, mu, nu, sigma, xi):
     z = certify.DiskGrid().boundary_points()
     _, ratio = certify.extremal_image(nodes, p, beta, z)
     k, zk = _series_image(kernel, p, beta, 32768)
-    oracle = (series.evaluate_many(zk, z) / series.evaluate_many(k, z)).real
+    oracle = (oracles.evaluate_many(zk, z) / oracles.evaluate_many(k, z)).real
     assert np.max(np.abs(ratio.real - oracle)) <= 1e-8
 
     _, at_minus_one = certify.extremal_image(nodes, p, beta, -1.0)

@@ -180,6 +180,19 @@ def test_main_unwritable_path_is_config_error(tmp_path, capsys, flag,
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("command", ["beta", "check", "sweep", "moments"])
+def test_plot_data_is_a_usage_error_off_certify(tmp_path, capsys, command):
+    # only certify writes curves; elsewhere the flag was silently ignored
+    plot = tmp_path / "p.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--kernel", "bernardi c=1", "--mu", "1", "--nu",
+                  "2", "--sigma", "0.1", "--xi", "1", "--plot-data",
+                  str(plot)])
+    assert exc.value.code == 2
+    assert "--plot-data" in capsys.readouterr().err
+    assert not plot.exists()
+
+
 def test_csv_rows_spells_out_missing_values():
     text = cli._csv_rows([[1.0, None]], ["x", "margin"])
     lines = text.strip().splitlines()
@@ -632,12 +645,11 @@ def test_verdicts_run_no_adaptive_beta_quadrature(monkeypatch, tmp_path,
                                                   capsys):
     # beta comes from the M-node sums; the adaptive route and the G rule
     # are test oracles only
-    from pascucert import auxfun
+    from pascucert import oracles
     calls = []
-    for module, name in ((certify, "beta_quadrature_route"),
-                         (auxfun, "gq_rule")):
-        monkeypatch.setattr(module, name,
-                            lambda *a, f=getattr(module, name), name=name,
+    for name in ("beta_quadrature_route", "gq_rule"):
+        monkeypatch.setattr(oracles, name,
+                            lambda *a, f=getattr(oracles, name), name=name,
                             **k: calls.append(name) or f(*a, **k))
     kernel = kernels.parse_kernel("komatu c=0 delta=3")
     p = params.ParameterSet.from_mu_nu(1.0, 2.0, 0.1, 1.0)

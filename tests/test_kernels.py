@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pascucert import certify, kernels
+from pascucert import certify, kernels, oracles
 from pascucert.errors import (ConfigError, CriticalPoint, DomainError,
                               NotApplicable)
 from pascucert.params import ParameterSet
@@ -47,9 +47,11 @@ def test_moment_zero_is_one():
 
 
 def test_moment_sequence_matches_scalar():
-    k = kernels.make_kernel("two_param_log", a=0.0, b=1.0)
-    seq = kernels.moment_sequence(k, 8)
-    assert np.allclose(seq, [kernels.moment(k, n) for n in range(1, 9)])
+    # every family, exactly: moment(k, n) is entry n of moment_sequence
+    for k in FAMILY_EXAMPLES:
+        seq = kernels.moment_sequence(k, 50)
+        assert np.array_equal(seq, [kernels.moment(k, n)
+                                    for n in range(1, 51)]), k.text()
 
 
 HOHLOV_QUADMOMENTS = [
@@ -110,8 +112,8 @@ def test_density_derivatives_match_finite_difference(kernel):
 def test_envelopes_positive_and_decreasing():
     k = kernels.make_kernel("komatu", c=0.0, delta=3.0)
     ts = [0.1, 0.3, 0.6, 0.9]
-    lam = [kernels.lambda_envelope(k, 2.0, t) for t in ts]
-    pi = [kernels.pi_envelope(k, 1.0, 2.0, t) for t in ts]
+    lam = [oracles.lambda_envelope(k, 2.0, t) for t in ts]
+    pi = [oracles.pi_envelope(k, 1.0, 2.0, t) for t in ts]
     assert all(v > 0 for v in lam + pi)
     assert all(a > b for a, b in zip(lam, lam[1:]))
     assert all(a > b for a, b in zip(pi, pi[1:]))
@@ -120,8 +122,8 @@ def test_envelopes_positive_and_decreasing():
 def test_pi_envelope_reduces_to_lambda_at_mu_zero():
     k = kernels.make_kernel("bernardi", c=1.0)
     for t in (0.2, 0.7):
-        assert kernels.pi_envelope(k, 0.0, 2.0, t) == pytest.approx(
-            kernels.lambda_envelope(k, 2.0, t), rel=1e-9)
+        assert oracles.pi_envelope(k, 0.0, 2.0, t) == pytest.approx(
+            oracles.lambda_envelope(k, 2.0, t), rel=1e-9)
 
 
 @pytest.mark.parametrize("t", [1e-17, 1e-20])
@@ -129,9 +131,9 @@ def test_envelopes_below_machine_epsilon(t):
     # bernardi c=1: lambda = 2x, so Lambda_2 = (4/3)(1 - t**1.5) and, at
     # mu = 1, Pi = (4/3)(2 t**-0.5 + t - 3); 1 - t rounds to 1 here
     k = kernels.make_kernel("bernardi", c=1.0)
-    assert kernels.lambda_envelope(k, 2.0, t) == pytest.approx(
+    assert oracles.lambda_envelope(k, 2.0, t) == pytest.approx(
         4.0 / 3.0 * (1.0 - t**1.5), rel=1e-14)
-    assert kernels.pi_envelope(k, 1.0, 2.0, t) == pytest.approx(
+    assert oracles.pi_envelope(k, 1.0, 2.0, t) == pytest.approx(
         4.0 / 3.0 * (2.0 * t**-0.5 + t - 3.0), rel=1e-12)
 
 
@@ -146,7 +148,7 @@ def test_pi_envelope_matches_double_integral():
                 x, 1.0, epsabs=1e-12)
             return x ** (1.0 / nu - 1.0 - 1.0 / mu) * inner
         direct, _ = quad(outer, t, 1.0, epsabs=1e-11)
-        assert kernels.pi_envelope(k, mu, nu, t) == pytest.approx(
+        assert oracles.pi_envelope(k, mu, nu, t) == pytest.approx(
             direct, rel=1e-8)
 
 
@@ -192,8 +194,8 @@ def _assert_envelopes_match_oracle(kernel, mu, nu, t):
     # the adaptive oracle where it reaches, mpmath below
     near = t >= 1e-8
     lam_o, pi_o = np.empty_like(t), np.empty_like(t)
-    lam_o[near] = [kernels.lambda_envelope(kernel, nu, x) for x in t[near]]
-    pi_o[near] = [kernels.pi_envelope(kernel, mu, nu, x) for x in t[near]]
+    lam_o[near] = [oracles.lambda_envelope(kernel, nu, x) for x in t[near]]
+    pi_o[near] = [oracles.pi_envelope(kernel, mu, nu, x) for x in t[near]]
     for i in np.flatnonzero(~near):
         lam_o[i], pi_o[i] = _envelopes_mpmath(kernel, mu, nu, t[i])
     # 1e-10 is the oracle's own epsabs

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pascucert as pc
-from pascucert import params as pm
-from pascucert.errors import DomainError, MismatchedFamily, NoRealRoots
+from pascucert import kernels, params as pm
+from pascucert.errors import DomainError, NoRealRoots
 
 
 def test_resolve_known_pairs():
@@ -89,22 +89,18 @@ def test_combination_ratio():
 
 
 def test_theorem_for_family():
-    assert pm.theorem_for_family("komatu") == "komatu"
-    assert pm.theorem_for_family("generalized_omega") == "generalized"
-    assert pm.theorem_for_family("bernardi") is None
-
-
-def test_hypothesis_check_requires_matching_family():
-    k = pc.make_kernel("bernardi", c=1.0)
     p = pc.ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=1.0)
-    with pytest.raises(MismatchedFamily):
-        pm.hypothesis_check("komatu", p, k)
+    for text, theorem in (("komatu c=0 delta=3", "komatu"),
+                          ("generalized_omega A=1 B=1 C=4", "generalized")):
+        assert pm.hypothesis_check(p, pc.parse_kernel(text)).theorem \
+            == theorem
+    assert pm.hypothesis_check(p, pc.parse_kernel("bernardi c=1")) is None
 
 
 def test_hypothesis_check_komatu_satisfied():
     k = pc.make_kernel("komatu", c=0.0, delta=3.0)
     p = pc.ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=1.0)
-    rep = pm.hypothesis_check("komatu", p, k)
+    rep = pm.hypothesis_check(p, k)
     assert rep.all_satisfied
     assert rep.min_margin >= 0.0
 
@@ -112,7 +108,7 @@ def test_hypothesis_check_komatu_satisfied():
 def test_hypothesis_check_komatu_near_failure_ranks():
     k = pc.make_kernel("komatu", c=0.0, delta=2.0)
     p = pc.ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=1.0)
-    rep = pm.hypothesis_check("komatu", p, k)
+    rep = pm.hypothesis_check(p, k)
     assert not rep.all_satisfied
     # delta >= 3 - c fails by exactly 1
     assert rep.min_margin == pytest.approx(-1.0)
@@ -122,7 +118,7 @@ def test_hypothesis_check_ali_singh_k_requirement():
     # 1/xi + 2/mu - 1/nu = 2.5 forces k = -1.5, outside [0, 1)
     k = pc.make_kernel("ali_singh", k=0.5)
     p = pc.ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.5, xi=1.0)
-    rep = pm.hypothesis_check("ali_singh", p, k)
+    rep = pm.hypothesis_check(p, k)
     assert not rep.all_satisfied
     margins = {h.name: h.margin for h in rep.hypotheses}
     required = [v for n, v in margins.items() if "required" in n or "k" in n]
@@ -130,8 +126,57 @@ def test_hypothesis_check_ali_singh_k_requirement():
 
 
 def test_theorems_follow_the_family_table():
-    assert set(pm.THEOREMS) == {"generalized", "hohlov", "komatu",
-                                "two_param_log", "ali_singh"}
-    for family in ("komatu", "hohlov", "two_param_log", "ali_singh"):
-        assert pm.theorem_for_family(family) == family
-    assert pm.theorem_for_family("nosuchfamily") is None
+    theorems = {name: entry.theorem
+                for name, entry in kernels._FAMILIES.items()}
+    assert theorems == {"bernardi": None, "komatu": "komatu",
+                        "hohlov": "hohlov", "two_param_log": "two_param_log",
+                        "ali_singh": "ali_singh",
+                        "generalized_omega": "generalized"}
+    for entry in kernels._FAMILIES.values():
+        assert bool(entry.hypotheses) == (entry.theorem is not None)
+
+
+# hypothesis_check(...).to_dict() as (name, margin) rows, captured before
+# the hypotheses moved into the family table; mu = 1, nu = 2
+_GAMMA_MU = [("gamma > 0", 2.0), ("mu >= 1", 0.0)]
+_RATIO = [("1/xi + 2/mu - 1/nu >= 2", 0.5)]
+_SIGMA = [("sigma >= 0", 0.1),
+          ("sigma <= bound(mu, nu)", 0.06666666666666665)]
+HYPOTHESIS_PINS = [
+    ("komatu c=0 delta=3", 0.1, 1.0, "komatu",
+     _GAMMA_MU + [("c > -1", 1.0), ("c <= 0", -0.0),
+                  ("delta >= 3 - c", 0.0)] + _RATIO + _SIGMA),
+    ("hohlov a=1 b=1 c=4", 0.1, 1.0, "hohlov",
+     _GAMMA_MU + [("a > 0", 1.0), ("b > 0", 1.0), ("c > 0", 4.0),
+                  ("b <= 1", 0.0), ("c >= a + 3", 0.0)] + _RATIO + _SIGMA),
+    ("generalized A=1 B=1 C=4 x1=1", 0.1, 1.0, "generalized",
+     _GAMMA_MU + [("B <= 1", 0.0), ("C >= A + 3", 0.0)] + _RATIO + _SIGMA),
+    ("two_param_log a=-0.5 b=0", 0.1, 1.0, "two_param_log",
+     _GAMMA_MU + [("xi > 0", 1.0), ("a > -1", 0.5), ("a <= 0", 0.5)]
+     + _SIGMA),
+    ("ali_singh k=0.5", 0.5, 1.0, "ali_singh",
+     _GAMMA_MU + [("xi > 0", 1.0), ("k = 1 - 1/xi - 2/mu + 1/nu", -2.0),
+                  ("k >= 0", -1.5), ("k < 1", 2.5), ("sigma = 1/2", -0.0)]),
+    ("ali_singh k=0.5", 0.5, 0.0, "ali_singh",
+     _GAMMA_MU + [("xi > 0", 0.0), ("k = 1 - 1/xi - 2/mu + 1/nu", -math.inf),
+                  ("k >= 0", -math.inf), ("k < 1", -math.inf),
+                  ("sigma = 1/2", -0.0)]),
+    ("bernardi c=1", 0.1, 1.0, None, None),
+]
+
+
+@pytest.mark.parametrize("text,sigma,xi,theorem,rows", HYPOTHESIS_PINS,
+                         ids=[f"{c[0]} xi={c[2]:g}" for c in HYPOTHESIS_PINS])
+def test_hypothesis_check_pins_every_family(text, sigma, xi, theorem, rows):
+    p = pc.ParameterSet.from_mu_nu(1.0, 2.0, sigma=sigma, xi=xi)
+    rep = pm.hypothesis_check(p, pc.parse_kernel(text))
+    if theorem is None:
+        assert rep is None
+        return
+    d = rep.to_dict()
+    assert d["theorem"] == theorem
+    # repr keeps the sign of a zero margin, which the JSON report prints
+    assert [(h["name"], repr(h["margin"]), h["satisfied"])
+            for h in d["hypotheses"]] \
+        == [(name, repr(m), m >= 0.0) for name, m in rows]
+    assert d["all_satisfied"] == all(m >= 0.0 for _, m in rows)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pascucert as pc
-from pascucert import auxfun, kernels
+from pascucert import auxfun, kernels, oracles
 from pascucert.errors import DomainError, QuadratureFailure
 from pascucert.quadrature import _MAX_PANELS, _sub_power, integrate_01
 
@@ -60,11 +60,11 @@ def test_integrate_01_matches_scipy_quad_on_mass_and_beta(kernel):
         return kernels.density_complement(kernel, d)
 
     def beta(t):
-        return kernels.density(kernel, t) * auxfun.combined_gq(ctx, t)
+        return kernels.density(kernel, t) * oracles.combined_gq(ctx, t)
 
     def beta_c(d):
         return (kernels.density_complement(kernel, d)
-                * auxfun.combined_gq(ctx, 1.0 - d))
+                * oracles.combined_gq(ctx, 1.0 - d))
 
     for f, fc, epsabs in ((mass, mass_c, 1e-12), (beta, beta_c, 1e-10)):
         got = integrate_01(f, p, q, epsabs=epsabs, f_complement=fc)
@@ -170,15 +170,20 @@ def test_integrate_01_names_a_value_that_is_not_finite(end):
 
 
 def test_import_and_runs_leave_scipy_integrate_unloaded(tmp_path):
-    # no scipy module and no mpmath at all: not after the import, not
-    # after Hohlov certifications (generic, logarithmic and terminating
-    # 2F1 factors), not after an in-process sweep
+    # no scipy module, no mpmath and no pascucert.oracles at all: not
+    # after the import, not after Hohlov certifications (generic,
+    # logarithmic and terminating 2F1 factors), not after an in-process
+    # sweep or the other commands
+    args = ["--kernel", "hohlov a=1 b=1 c=4", "--mu", "1", "--nu", "2",
+            "--sigma", "0.1", "--xi", "1", "--format", "json", "--output",
+            str(tmp_path / "out")]
     script = textwrap.dedent(f"""
         import sys
 
         def foreign():
             return sorted(m for m in sys.modules
-                          if m.split(".")[0] in ("scipy", "mpmath"))
+                          if m.split(".")[0] in ("scipy", "mpmath")
+                          or m == "pascucert.oracles")
 
         import pascucert as pc
         from pascucert import cli
@@ -192,6 +197,14 @@ def test_import_and_runs_leave_scipy_integrate_unloaded(tmp_path):
                   "--mu", "1", "--nu", "2", "--sigma", "0.1", "--xi", "1",
                   "--format", "csv", "--output", {str(tmp_path / "s.csv")!r}])
         loaded.append(foreign())
+        for command in (["check"], ["beta"],
+                        ["certify", "--plot-data",
+                         {str(tmp_path / "p.csv")!r}]):
+            cli.main(command + {args!r})
+            loaded.append(foreign())
+        cli.main(["moments", "--kernel", "hohlov a=0.5 b=0.8 c=4.5",
+                  "--output", {str(tmp_path / "m.csv")!r}])
+        loaded.append(foreign())
         print(loaded)
         """)
     src = str(Path(pc.__file__).resolve().parents[1])
@@ -199,4 +212,5 @@ def test_import_and_runs_leave_scipy_integrate_unloaded(tmp_path):
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "[[], [], [], [], []]"
+    assert out.stdout.strip() == repr([[]] * 9)
+    assert (tmp_path / "p.csv").exists() and (tmp_path / "m.csv").exists()
