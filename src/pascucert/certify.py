@@ -6,7 +6,10 @@ the relation beta/(1-beta) = -I gives beta = I/(I-1).  The profile is
 2 E R(t U**mu V**nu) - 1 with R rational and U, V uniform on (0, 1), so
 swapping the order of integration makes I a sum over the duality
 functional's nodes, I = 1 + (2/(mu nu)) sum W (R(t) - 1).  The moment
-series gives I by an independent route; the two must agree to 1e-7.
+series gives I by an independent route; the two must agree to 1e-7.  For
+the Hohlov kernel at a = 1 the moment series is, term by term, the 6F5 of
+the closed form beta = 1 - 1/(2(1 - 6F5(...; -1))), so that closed form is
+no third route and is kept with the oracles.
 
 The duality functional M integrates t**(1/mu - 1) Pi(t) against the real
 integrand L over the weight interval.  By Ruscheweyh duality M is affine
@@ -17,9 +20,9 @@ The image of the extremal function, behind the membership and sharpness
 checks, needs no truncation order: it and the functional are read from
 one set of node sums M_k = sum W u**k, u = 1/(1 - t z).  Those nodes are
 the one integration rule of a certification, besides the unit-mass check
-of kernels.make_kernel.  The adaptive beta quadrature, the direct
-functional and the series membership and sharpness checks are in the
-oracles module.
+of kernels.make_kernel.  The adaptive beta quadrature, the Hohlov closed
+form, the direct functional and the series membership and sharpness
+checks are in the oracles module.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from .errors import (DomainError, NotApplicable, QuadratureFailure,
 from .quadrature import (ALTERNATING_TERMS, averaged_partial_sum,
                          chebyshev_grid, gauss_panels)
 
+# the version of every command's JSON and of CertificationReport.to_dict
+SCHEMA_VERSION = 2
 BETA_ROUTE_TOL = 1e-7
 MEMBERSHIP_TOL = 1e-3
 SHARPNESS_TOL = 1e-2
@@ -159,32 +164,6 @@ def beta_sharp(kernel: kernels.KernelSpec,
                params: params_mod.ParameterSet, pieces=None) -> float:
     """The sharp lower bound beta, cross-validated over both routes."""
     return beta_routes(kernel, params, pieces).sharp()
-
-
-def beta_closed_form(kernel: kernels.KernelSpec,
-                     params: params_mod.ParameterSet) -> Optional[float]:
-    """beta_0 in closed form where one is known (Hohlov a = 1, xi > 0,
-    mu, nu > 0); None elsewhere, so the cross-check is skipped."""
-    if kernel.family != "hohlov" or kernel.p["a"] != 1.0 \
-            or params.xi <= 0.0 or params.mu <= 0.0 or params.nu <= 0.0:
-        return None
-    return beta0_hohlov_closed_form(params, kernel.p["b"], kernel.p["c"])
-
-
-def beta0_hohlov_closed_form(params: params_mod.ParameterSet,
-                             b: float, c: float) -> float:
-    """beta_0 = 1 - 1/(2(1 - 6F5(...; -1))) for the a = 1 beta-type kernel."""
-    if params.xi <= 0.0:
-        raise DomainError("the closed form requires xi > 0")
-    if params.mu <= 0.0 or params.nu <= 0.0:
-        raise DomainError("the closed form requires mu, nu > 0")
-    inv_xi = 1.0 / params.xi
-    num = [1.0, b, 1.0 / params.mu, 1.0 / params.nu,
-           2.0 - params.sigma, 1.0 + inv_xi]
-    den = [c, 1.0 + 1.0 / params.mu, 1.0 + 1.0 / params.nu,
-           1.0 - params.sigma, inv_xi]
-    f_val = auxfun.pfq(num, den, -1.0)
-    return 1.0 - 1.0 / (2.0 * (1.0 - f_val))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +491,6 @@ class CertificationReport:
     kernel: kernels.KernelSpec
     beta_integral: float
     beta_series: float
-    beta_closed_form: Optional[float]
     m_functional_min: float
     m_argmin_z: complex
     m_argmin_eps: complex
@@ -540,7 +518,7 @@ class CertificationReport:
         p = self.params
         hyp = self.hypothesis_report
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "kernel": self.kernel.text(),
             "params": {
                 "alpha": p.alpha, "gamma": p.gamma,
@@ -551,7 +529,6 @@ class CertificationReport:
             "beta": {
                 "integral": self.beta_integral,
                 "series": self.beta_series,
-                "closed_form": self.beta_closed_form,
             },
             "m_functional": {
                 "min": self.m_functional_min,
@@ -581,7 +558,6 @@ def run_certification(kernel: kernels.KernelSpec,
     pieces = SharedPieces(kernel, params)
     beta = beta_routes(kernel, params, pieces)
     beta_value = beta.sharp()
-    beta_closed = beta_closed_form(kernel, params)
 
     # one set of sums: the upper half circle for M and membership (the
     # lower half holds the conjugates), z = -1 for sharpness
@@ -610,7 +586,6 @@ def run_certification(kernel: kernels.KernelSpec,
         kernel=kernel,
         beta_integral=beta_value,
         beta_series=beta.series,
-        beta_closed_form=beta_closed,
         m_functional_min=m_min,
         m_argmin_z=argmin_z,
         m_argmin_eps=argmin_eps,

@@ -6,9 +6,12 @@ sigma/xi/mu/nu/alpha/gamma flags) may be a set ``{v1,v2,...}`` or a range
 ``[lo:hi:n]`` (n points, endpoints included); the sweep runs the cartesian
 product.
 
-Defaults (circle angles, moment count, tolerance, output format) can be
-overridden by flags or by environment variables prefixed ``PASCUCERT_``
-(e.g. ``PASCUCERT_ANGLES=512``).
+Each command takes only the flags it reads: ``--kernel``, ``--output`` and
+``--format``; the problem flags ``--alpha --gamma --mu --nu --sigma --xi``
+on every command but ``moments``; ``--tol`` on ``check``, ``certify`` and
+``sweep``; ``--angles`` and ``--plot-data`` on ``certify``; ``--nmax`` on
+``moments``.  Any other flag is a usage error.  A flag not given takes the
+RunConfig default.
 
 Exit codes: 0 all requested checks passed, 1 a check failed (report still
 written), 2 usage or configuration error.
@@ -25,16 +28,17 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import certify, kernels, params as params_mod
+from .certify import SCHEMA_VERSION
 from .errors import ConfigError, DomainError, PascucertError
 
-SCHEMA_VERSION = 1
-ENV_PREFIX = "PASCUCERT_"
+# the problem-parameter flags, each a value or (in sweep mode) a sweep
+_SWEPT = ("alpha", "gamma", "mu", "nu", "sigma", "xi")
 
 
 # ---------------------------------------------------------------------------
@@ -93,23 +97,6 @@ class RunConfig:
     def disk_grid(self) -> certify.DiskGrid:
         return certify.DiskGrid(angles=self.angles)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(**d)
-
-
-def _env_default(name: str, fallback, cast):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(f"bad value for {ENV_PREFIX}{name}: {raw!r}")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -122,28 +109,26 @@ def build_parser() -> argparse.ArgumentParser:
             ("check", "run the sufficient-condition checkers"),
             ("sweep", "run checkers over a parameter sweep"),
             ("moments", "print kernel moments")):
-        p = sub.add_parser(name, help=doc)
+        # a flag not given stays out of the namespace; RunConfig holds the
+        # defaults
+        p = sub.add_parser(name, help=doc,
+                           argument_default=argparse.SUPPRESS)
         p.add_argument("--kernel", required=True,
                        help='kernel text, e.g. "komatu c=0 delta=3"')
-        p.add_argument("--alpha", default=None)
-        p.add_argument("--gamma", default=None)
-        p.add_argument("--mu", default=None)
-        p.add_argument("--nu", default=None)
-        p.add_argument("--sigma", default="0")
-        p.add_argument("--xi", default="0")
-        p.add_argument("--angles", type=int,
-                       default=_env_default("ANGLES", 256, int))
-        p.add_argument("--nmax", type=int,
-                       default=_env_default("NMAX", 50, int))
-        p.add_argument("--tol", type=float,
-                       default=_env_default("TOL", 0.0, float))
-        p.add_argument("--output", default=None,
-                       help="write the report here (atomic); default stdout")
-        p.add_argument("--format", choices=("json", "csv", "text"),
-                       default=_env_default("FORMAT", "text", str))
+        if name != "moments":
+            for flag in _SWEPT:
+                p.add_argument(f"--{flag}")
+        if name in ("check", "certify", "sweep"):
+            p.add_argument("--tol", type=float)
         if name == "certify":
-            p.add_argument("--plot-data", default=None,
+            p.add_argument("--angles", type=int)
+            p.add_argument("--plot-data",
                            help="also write plot-ready CSV curves here")
+        if name == "moments":
+            p.add_argument("--nmax", type=int)
+        p.add_argument("--output",
+                       help="write the report here (atomic); default stdout")
+        p.add_argument("--format", choices=("json", "csv", "text"))
     return parser
 
 
@@ -200,10 +185,6 @@ def expand_kernel_sweep(text: str) -> list:
                          for k, v in zip(keys, combo))
         out.append(f"{family} {items}".strip())
     return out
-
-
-# the problem-parameter flags, each a value or (in sweep mode) a sweep
-_SWEPT = ("alpha", "gamma", "mu", "nu", "sigma", "xi")
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +344,6 @@ def _cmd_beta(cfg: RunConfig) -> int:
         "beta": {"integral": beta.nodes, "series": beta.series,
                  "routes_agree": beta.agree},
     }
-    closed = certify.beta_closed_form(kernel, p)
-    if closed is not None:
-        payload["beta"]["closed_form"] = closed
     if cfg.format == "json":
         _emit(_json_text(payload), cfg.output)
     elif cfg.format == "csv":
@@ -480,11 +458,12 @@ def _cmd_sweep(cfg: RunConfig, values: dict) -> int:
     key starts fresh pieces and lets the last ones go, so one key's arrays
     are alive at a time and nothing is kept after the sweep.
     """
-    # an absent pair sweeps over the one value None
+    # a flag not swept takes the config's value; an absent pair is None
     points = [(k, mu, nu, alpha, gamma, sigma, xi, cfg.tol)
               for k, alpha, gamma, mu, nu, sigma, xi in itertools.product(
                   expand_kernel_sweep(cfg.kernel),
-                  *(values[name] or [None] for name in _SWEPT))]
+                  *(values.get(name) or [getattr(cfg, name)]
+                    for name in _SWEPT))]
     rows, key = [], None
     for point in points:
         if point[:5] != key:
@@ -506,39 +485,32 @@ def _cmd_sweep(cfg: RunConfig, values: dict) -> int:
 def run(config: RunConfig, values: Optional[dict] = None) -> int:
     """Dispatch a validated config; returns the process exit code.
 
-    values maps each parameter flag to its sweep values (None if absent);
-    by default a sweep runs the config's own single values.
+    values maps parameter flags to their sweep values; a sweep runs the
+    config's own value of every flag it lacks.
     """
     if config.command == "sweep":
-        if values is None:
-            values = {name: None if getattr(config, name) is None
-                      else [getattr(config, name)] for name in _SWEPT}
-        return _cmd_sweep(config, values)
+        return _cmd_sweep(config, values or {})
     handler = {"beta": _cmd_beta, "certify": _cmd_certify,
                "check": _cmd_check, "moments": _cmd_moments}[config.command]
     return handler(config)
 
 
 def _config_from_namespace(ns):
-    """(config, values): each parameter flag's values (None if absent) and
-    the config of their first ones, so a sweep meets every command's checks."""
-    values = {name: None if getattr(ns, name) is None
-              else expand_sweep_value(getattr(ns, name)) for name in _SWEPT}
+    """(config, values): each given parameter flag's values and the config
+    of their first ones, so a sweep meets every command's checks."""
+    given = vars(ns)
+    values = {name: expand_sweep_value(given[name])
+              for name in _SWEPT if name in given}
     for name, vals in values.items():
-        if ns.command != "sweep" and vals is not None and len(vals) != 1:
+        if ns.command != "sweep" and len(vals) != 1:
             raise ConfigError(f"{name} must be a single value here")
-    config = RunConfig(
-        command=ns.command, kernel=ns.kernel,
-        **{name: None if vals is None else vals[0]
-           for name, vals in values.items()},
-        angles=ns.angles, nmax=ns.nmax, tol=ns.tol, output=ns.output,
-        format=ns.format, plot_data=getattr(ns, "plot_data", None))
+    config = RunConfig(**{**given, **{name: vals[0]
+                                      for name, vals in values.items()}})
     return config, values
 
 
 def main(argv=None) -> int:
     try:
-        # the parser reads its defaults from the environment, which can fail
         return run(*_config_from_namespace(build_parser().parse_args(argv)))
     except ConfigError as exc:
         print(f"pascucert: config error: {exc}", file=sys.stderr)

@@ -15,6 +15,10 @@ this module needs the ``test`` extra.
   tensor Gauss-Jacobi rule (after s = u**mu, w = v**nu the weights of
   G = 2 int int R(t u**mu v**nu) du dv - 1 are Jacobi weights), exact to
   double precision at every t in [0, 1], arrays of t at once.
+- The generalized hypergeometric sum pfq, and through it the 5F4 form of
+  G and the Hohlov a = 1 closed form beta = 1 - 1/(2(1 - 6F5(...; -1))).
+  Its k-th 6F5 term is the k-th term of beta's moment series, so it sums
+  the series route's terms a second time.
 - The rational test kernel h_sigma of starlikeness of order sigma.
 - The envelopes Lambda and Pi point by point by adaptive quadrature, and
   the duality functional and beta's integral from them.
@@ -31,11 +35,11 @@ from . import auxfun, kernels, params as params_mod
 from .auxfun import AuxContext, _rational_g, _rational_q, combined_rational
 from .certify import DiskGrid, _effective_exponent, _winding_guard, \
     default_t_grid
-from .errors import (ConvergenceFailure, DomainError, ExtrapolationUnstable,
-                     LengthMismatch, PoleError, QuadratureFailure,
-                     RadiusError, ZeroDenominator)
-from .quadrature import _BINOM8, _sub_power, averaged_partial_sum, \
-    integrate_01
+from .errors import (ConvergenceFailure, DivergentSeries, DomainError,
+                     ExtrapolationUnstable, LengthMismatch, PoleError,
+                     QuadratureFailure, RadiusError, ZeroDenominator)
+from .quadrature import ALTERNATING_TERMS, _BINOM8, _sub_power, \
+    averaged_partial_sum, integrate_01
 
 # Gauss-Jacobi nodes per variable of the rule for G(t)
 _GQ_NODES = 12
@@ -390,6 +394,95 @@ def combined_gq(ctx: AuxContext, t, rule=None):
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
+def _is_nonpositive_int(x: float) -> bool:
+    return x <= 1e-9 and abs(x - round(x)) < 1e-9
+
+
+def pfq(numerator, denominator, x: float, max_terms: int = 50000) -> float:
+    """Generalized hypergeometric sum pFq at a real argument in [-1, 1].
+
+    Terminating (polynomial) cases are summed exactly.  At x = -1 the
+    series stops after N = ALTERNATING_TERMS terms and averaged_partial_sum
+    closes it; convergence there requires the parameter excess to exceed
+    -1.  The k-th term is (-1)**k times a product of ratios (a)_k/(b)_k,
+    each a Hausdorff moment sequence in k where b > a > 0 and a polynomial
+    in k where a = b + 1, as in the 6F5 of the Hohlov closed form; so the
+    average misses the sum by O(N**-8), below rounding at N = 256.
+    Elsewhere the sum runs until a term is negligible, at most max_terms
+    terms, closed by the same average for x < 0 and by an integral tail
+    at x = 1.
+    """
+    num = [float(a) for a in numerator]
+    den = [float(b) for b in denominator]
+    for b in den:
+        if _is_nonpositive_int(b):
+            raise DomainError(f"denominator parameter {b} is a nonpositive integer")
+    poly_k = None
+    for a in num:
+        if _is_nonpositive_int(a):
+            k = int(-round(a))
+            poly_k = k if poly_k is None else min(poly_k, k)
+    p, q = len(num), len(den)
+    if poly_k is None:
+        if p > q + 1:
+            raise DivergentSeries(f"{p}F{q} diverges for x != 0")
+        if p == q + 1:
+            if abs(x) > 1.0:
+                raise DivergentSeries(f"|x| = {abs(x)} > 1 for {p}F{q}")
+            if abs(x) == 1.0:
+                excess = sum(den) - sum(num)
+                if x > 0 and excess <= 0:
+                    raise DivergentSeries(
+                        f"parameter excess {excess:g} <= 0 at x = 1")
+                if x < 0 and excess <= -1:
+                    raise DivergentSeries(
+                        f"parameter excess {excess:g} <= -1 at x = -1")
+
+    # term_{k+1} = term_k * ratio_k and the partial sums, a block of k at
+    # a time; cumprod and cumsum run in order, like the scalar recurrence
+    if poly_k is not None:
+        k_stop = poly_k
+    elif x == -1.0:
+        k_stop = ALTERNATING_TERMS - 1
+    else:
+        k_stop = max_terms
+    term, total = 1.0, 0.0
+    done = []  # term_0 .. term_k of the blocks so far, for the tail average
+    k0, block = 0, 64
+    while k0 <= k_stop:
+        k = np.arange(k0, min(k0 + block, k_stop + 1), dtype=float)
+        ratio = x / (k + 1.0)
+        for a in num:
+            ratio = ratio * (a + k)
+        for b in den:
+            ratio = ratio / (b + k)
+        terms = np.cumprod(np.concatenate([[term], ratio]))
+        sums = np.cumsum(np.concatenate([[total], terms[:-1]]))[1:]
+        if poly_k is None:
+            # stop after adding term_k once term_{k+1} is negligible, k > 10
+            small = (k > 10) & (np.abs(terms[1:]) < 1e-15 * np.maximum(
+                np.abs(sums), 1e-300))
+            if small.any():
+                i = int(np.argmax(small))
+                return float(sums[i] + terms[i + 1])
+        done.append(terms[:-1])
+        term, total = terms[-1], sums[-1]
+        k0 += len(k)
+        block *= 2
+    if poly_k is not None:
+        return float(total)
+    if x < 0:
+        return float(averaged_partial_sum(np.concatenate(done)))
+    if x == 1.0 and p == q + 1:
+        # terms decay like C k**(-1-excess); close with the integral tail
+        excess = sum(den) - sum(num)
+        tail = term * (k_stop + 1.0) / excess
+        if abs(tail) < 1e-5 * max(abs(total), 1e-300):
+            return float(total + tail)
+    raise ConvergenceFailure(
+        f"{p}F{q} did not converge within {max_terms} terms at x = {x}")
+
+
 def combined_gq_hypergeometric(ctx: AuxContext, t: float) -> float:
     """The same combination through its 5F4 closed form; needs xi > 0."""
     if ctx.xi <= 0.0:
@@ -399,7 +492,7 @@ def combined_gq_hypergeometric(ctx: AuxContext, t: float) -> float:
     inv_xi = 1.0 / ctx.xi
     num = [1.0, 1.0 / ctx.mu, 1.0 / ctx.nu, 2.0 - ctx.sigma, 1.0 + inv_xi]
     den = [1.0 + 1.0 / ctx.mu, 1.0 + 1.0 / ctx.nu, 1.0 - ctx.sigma, inv_xi]
-    return 2.0 * auxfun.pfq(num, den, -t) - 1.0
+    return 2.0 * pfq(num, den, -t) - 1.0
 
 
 def h_sigma(ctx: AuxContext, z: complex) -> complex:
@@ -522,6 +615,22 @@ def beta_quadrature_route(kernel: kernels.KernelSpec,
         pl, pr, epsabs=1e-10,
         f_complement=lambda d: kernels.density_complement(kernel, d)
         * combined_gq(ctx, 1.0 - d, rule))
+
+
+def beta0_hohlov_closed_form(params: params_mod.ParameterSet,
+                             b: float, c: float) -> float:
+    """beta_0 = 1 - 1/(2(1 - 6F5(...; -1))) for the a = 1 beta-type kernel."""
+    if params.xi <= 0.0:
+        raise DomainError("the closed form requires xi > 0")
+    if params.mu <= 0.0 or params.nu <= 0.0:
+        raise DomainError("the closed form requires mu, nu > 0")
+    inv_xi = 1.0 / params.xi
+    num = [1.0, b, 1.0 / params.mu, 1.0 / params.nu,
+           2.0 - params.sigma, 1.0 + inv_xi]
+    den = [c, 1.0 + 1.0 / params.mu, 1.0 + 1.0 / params.nu,
+           1.0 - params.sigma, inv_xi]
+    f_val = pfq(num, den, -1.0)
+    return 1.0 - 1.0 / (2.0 * (1.0 - f_val))
 
 
 def m_functional_direct(kernel: kernels.KernelSpec,

@@ -183,8 +183,9 @@ def integrate_01(f, left_exponent=0.0, right_exponent=0.0, epsabs=1e-10,
 
 
 _BINOM8 = np.array([math.comb(7, k) for k in range(8)], dtype=float) / 128.0
-# the terms of every alternating sum on the verdict path: the series route
-# to beta and the 6F5 of the Hohlov closed form, see averaged_partial_sum
+# the terms of the series route to beta, the one alternating sum on the
+# verdict path (the oracles' 6F5 of the Hohlov closed form sums the same
+# terms), see averaged_partial_sum
 ALTERNATING_TERMS = 256
 
 

@@ -107,7 +107,7 @@ def test_acceptance_3_two_route_beta():
     hohlov = kernels.make_kernel("hohlov", a=1.0, b=1.0, c=4.0)
     p = params.ParameterSet.from_mu_nu(1.0, 2.0, 0.1, 1.0)
     b_sharp = certify.beta_sharp(hohlov, p)
-    b_closed = certify.beta0_hohlov_closed_form(p, 1.0, 4.0)
+    b_closed = oracles.beta0_hohlov_closed_form(p, 1.0, 4.0)
     closed_diff = abs(b_sharp - b_closed)
     ok = max(worst, worst_quad) <= 1e-7 and closed_diff <= 1e-6
     _report(3, "two-route beta", ok,

@@ -1,12 +1,13 @@
-"""The alternating sums on the verdict path: the series route to beta and
-the 6F5 of the Hohlov closed form, each ALTERNATING_TERMS terms closed by
-averaged_partial_sum, against 30-digit mpmath sums."""
+"""The alternating sums behind beta: the series route on the verdict path
+and the 6F5 of the Hohlov closed form in the oracles, each
+ALTERNATING_TERMS terms closed by averaged_partial_sum, against 30-digit
+mpmath sums."""
 
 import mpmath
 import pytest
 
 import pascucert as pc
-from pascucert import auxfun, certify, cli, kernels
+from pascucert import certify, cli, kernels, oracles
 from pascucert.quadrature import ALTERNATING_TERMS
 
 FAMILIES = [
@@ -108,11 +109,21 @@ def test_hohlov_6f5_matches_mpmath(b, c):
             params = _params(mu, nu, sigma, xi)
             num, den = _hohlov_6f5(params, b, c)
             f_mp = mpmath.hyper(num, den, -1)
-            f_val = auxfun.pfq(num, den, -1.0)
+            f_val = oracles.pfq(num, den, -1.0)
             assert abs((f_val - f_mp) / f_mp) < 1e-13, (mu, nu, sigma, xi)
-            beta = certify.beta0_hohlov_closed_form(params, b, c)
+            beta = oracles.beta0_hohlov_closed_form(params, b, c)
             want = 1 - 1 / (2 * (1 - f_mp))
             assert abs((beta - want) / want) < 1e-13, (mu, nu, sigma, xi)
+            # the 6F5's k-th term is the series route's, which the verdict
+            # runs.  Its sum I = 1 + sum 2 (-1)**n b_n starts from terms of
+            # size 1, so it is good to an ulp of 1 in 1 - I = 1/(1 - beta);
+            # where beta is small (1.5e-3 at b = 1.5, c = 6, sigma = 0.9)
+            # one ulp of 1 is 1.4e-13 of beta
+            kernel = pc.make_kernel("hohlov", a=1.0, b=b, c=c)
+            beta = certify.beta_from_integral(
+                certify.beta_series_route(kernel, params))
+            assert abs((beta - want) / (1 - want)) < 1e-13, \
+                (mu, nu, sigma, xi)
 
 
 @pytest.mark.parametrize("text", FAMILIES)
@@ -131,12 +142,12 @@ def test_hohlov_6f5_tail_is_settled(monkeypatch):
     cases = [_hohlov_6f5(_params(mu, nu, sigma, xi), b, c)
              for b, c in HOHLOV_BC for mu, nu, sigma, xi in POINTS
              if mu > 0.0 and xi > 0.0]
-    full = [auxfun.pfq(num, den, -1.0) for num, den in cases]
-    monkeypatch.setattr(auxfun, "ALTERNATING_TERMS", ALTERNATING_TERMS // 2)
+    full = [oracles.pfq(num, den, -1.0) for num, den in cases]
+    monkeypatch.setattr(oracles, "ALTERNATING_TERMS", ALTERNATING_TERMS // 2)
     for (num, den), f_full in zip(cases, full):
         # absolute: the first term, 1, sets the scale, and at b = 2, c = 3
         # the terms, falling like 7/k, cancel to 6F5 = -0.0077
-        assert abs(auxfun.pfq(num, den, -1.0) - f_full) < 1e-13, (num, den)
+        assert abs(oracles.pfq(num, den, -1.0) - f_full) < 1e-13, (num, den)
 
 
 def test_verdict_path_takes_alternating_terms_moments(monkeypatch, tmp_path):

@@ -102,24 +102,16 @@ def test_beta_sharp_mismatch_raises(monkeypatch):
 
 def test_beta0_closed_form_requirements():
     with pytest.raises(DomainError):
-        certify.beta0_hohlov_closed_form(
+        oracles.beta0_hohlov_closed_form(
             pc.ParameterSet.from_mu_nu(1.0, 2.0, xi=0.0), 1.0, 4.0)
 
 
 def test_closed_form_skipped_at_mu_or_nu_zero():
-    # the 6F5 closed form needs mu, nu > 0; the certification goes on
-    # without the optional cross-check
-    kernel = pc.make_kernel("hohlov", a=1.0, b=1.0, c=4.0)
+    # the 6F5 closed form needs mu, nu > 0
     for mu, nu in ((0.0, 2.0), (2.0, 0.0)):
         p = pc.ParameterSet.from_mu_nu(mu, nu, sigma=0.1, xi=1.0)
-        assert certify.beta_closed_form(kernel, p) is None
         with pytest.raises(DomainError):
-            certify.beta0_hohlov_closed_form(p, 1.0, 4.0)
-    p = pc.ParameterSet.from_mu_nu(0.0, 2.0, sigma=0.1, xi=1.0)
-    rep = certify.run_certification(kernel, p)
-    assert rep.beta_closed_form is None
-    assert rep.beta_integral == pytest.approx(rep.beta_series, abs=1e-7)
-    assert rep.to_dict()["beta"]["closed_form"] is None
+            oracles.beta0_hohlov_closed_form(p, 1.0, 4.0)
 
 
 def test_disk_grid_validation():
@@ -340,7 +332,7 @@ def test_verify_sharpness_extremal_starlike():
 def test_run_certification_report_schema():
     rep = certify.run_certification(KOMATU, P12)
     d = rep.to_dict()
-    assert d["schema_version"] == 1
+    assert d["schema_version"] == 2
     assert d["kernel"] == "komatu c=0 delta=3"
     assert d["beta"]["integral"] == pytest.approx(d["beta"]["series"],
                                                   abs=1e-7)

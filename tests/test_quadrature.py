@@ -172,8 +172,9 @@ def test_integrate_01_names_a_value_that_is_not_finite(end):
 def test_import_and_runs_leave_scipy_integrate_unloaded(tmp_path):
     # no scipy module, no mpmath and no pascucert.oracles at all: not
     # after the import, not after Hohlov certifications (generic,
-    # logarithmic and terminating 2F1 factors), not after an in-process
-    # sweep or the other commands
+    # logarithmic and terminating 2F1 factors, and a = 1, where the 6F5
+    # closed form of beta applies), not after an in-process sweep or the
+    # other commands (beta and certify at a = 1 among them)
     args = ["--kernel", "hohlov a=1 b=1 c=4", "--mu", "1", "--nu", "2",
             "--sigma", "0.1", "--xi", "1", "--format", "json", "--output",
             str(tmp_path / "out")]
