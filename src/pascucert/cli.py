@@ -6,20 +6,21 @@ sigma/xi/mu/nu/alpha/gamma flags) may be a set ``{v1,v2,...}`` or a range
 ``[lo:hi:n]`` (n points, endpoints included); the sweep runs the cartesian
 product.
 
-Each command takes only the flags it reads: ``--kernel``, ``--output`` and
-``--format``; the problem flags ``--alpha --gamma --mu --nu --sigma --xi``
-on every command but ``moments``; ``--tol`` on ``check``, ``certify`` and
-``sweep``; ``--angles`` and ``--plot-data`` on ``certify``; ``--nmax`` on
-``moments``.  Any other flag is a usage error.  A flag not given takes the
-RunConfig default.
+Each command takes ``--kernel``, ``--output`` and ``--format`` and the
+flags of the RunConfig fields it reads, which the table ``_COMMANDS``
+lists; any other flag is a usage error.  A flag not given takes the
+RunConfig default.  For ``--format text``, ``beta``, ``check`` and
+``certify`` print key-value lines, ``moments`` and ``sweep`` their CSV.
 
 Exit codes: 0 all requested checks passed, 1 a check failed (report still
-written), 2 usage or configuration error.
+written), 2 usage or configuration error, a parameter value outside its
+range included.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import itertools
 import json
@@ -28,24 +29,45 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import certify, kernels, params as params_mod
 from .certify import SCHEMA_VERSION
-from .errors import ConfigError, DomainError, PascucertError
+from .errors import ConfigError, DomainError, NoRealRoots, PascucertError
 
-# the problem-parameter flags, each a value or (in sweep mode) a sweep
+# the problem-parameter fields, each a value or (in sweep mode) a sweep
 _SWEPT = ("alpha", "gamma", "mu", "nu", "sigma", "xi")
+
+# each command's help line and the RunConfig fields it reads besides
+# kernel, output and format, in the order of its flags
+_COMMANDS = {
+    "beta": ("solve the sharp lower bound beta", _SWEPT),
+    "certify": ("run the full certification pipeline",
+                _SWEPT + ("tol", "angles", "plot_data")),
+    "check": ("run the sufficient-condition checkers", _SWEPT + ("tol",)),
+    "sweep": ("run checkers over a parameter sweep", _SWEPT + ("tol",)),
+    "moments": ("print kernel moments", ("nmax",)),
+}
+
+# argparse keywords of a field's flag; the problem flags stay text for the
+# sweep grammar
+_FLAG_ARGS = {"tol": {"type": float}, "angles": {"type": int},
+              "nmax": {"type": int},
+              "plot_data": {"help": "also write plot-ready CSV curves here"}}
+
+_FORMATS = ("json", "csv", "text")
 
 
 # ---------------------------------------------------------------------------
 # config
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
+    """One request.  Fields the command does not read (_COMMANDS) keep
+    their defaults; a value outside its range is a ConfigError."""
+
     command: str
     kernel: str
     alpha: Optional[float] = None
@@ -62,14 +84,18 @@ class RunConfig:
     plot_data: Optional[str] = None
 
     def __post_init__(self):
-        if self.command not in ("beta", "certify", "check", "sweep",
-                                "moments"):
+        if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
+        reads = _COMMANDS[self.command][1]
+        for f in dataclasses.fields(self):
+            if (f.name not in reads + ("command", "kernel", "output", "format")
+                    and getattr(self, f.name) != f.default):
+                raise ConfigError(f"{self.command} does not read {f.name}")
         have_ag = self.alpha is not None or self.gamma is not None
         have_mn = self.mu is not None or self.nu is not None
         if have_ag and have_mn:
             raise ConfigError("give either alpha/gamma or mu/nu, not both")
-        if not have_ag and not have_mn and self.command != "moments":
+        if not have_ag and not have_mn and "mu" in reads:
             raise ConfigError("one of alpha/gamma or mu/nu is required")
         if have_ag and (self.alpha is None or self.gamma is None):
             raise ConfigError("alpha and gamma must be given together")
@@ -80,11 +106,13 @@ class RunConfig:
                               f"{self.tol!r}")
         if self.nmax < 1:
             raise ConfigError("need nmax >= 1")
-        if self.format not in ("json", "csv", "text"):
+        if self.format not in _FORMATS:
             raise ConfigError(f"unknown format {self.format!r}")
         try:
             self.disk_grid()
-        except DomainError as exc:
+            if have_ag or have_mn:
+                self.parameter_set()
+        except (DomainError, NoRealRoots) as exc:
             raise ConfigError(str(exc)) from None
 
     def parameter_set(self) -> params_mod.ParameterSet:
@@ -103,32 +131,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pascucert",
         description="Certify integral transforms into the Pascu class.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-            ("beta", "solve the sharp lower bound beta"),
-            ("certify", "run the full certification pipeline"),
-            ("check", "run the sufficient-condition checkers"),
-            ("sweep", "run checkers over a parameter sweep"),
-            ("moments", "print kernel moments")):
+    for name, (doc, reads) in _COMMANDS.items():
         # a flag not given stays out of the namespace; RunConfig holds the
         # defaults
         p = sub.add_parser(name, help=doc,
                            argument_default=argparse.SUPPRESS)
         p.add_argument("--kernel", required=True,
                        help='kernel text, e.g. "komatu c=0 delta=3"')
-        if name != "moments":
-            for flag in _SWEPT:
-                p.add_argument(f"--{flag}")
-        if name in ("check", "certify", "sweep"):
-            p.add_argument("--tol", type=float)
-        if name == "certify":
-            p.add_argument("--angles", type=int)
-            p.add_argument("--plot-data",
-                           help="also write plot-ready CSV curves here")
-        if name == "moments":
-            p.add_argument("--nmax", type=int)
+        for field in reads:
+            p.add_argument("--" + field.replace("_", "-"),
+                           **_FLAG_ARGS.get(field, {}))
         p.add_argument("--output",
                        help="write the report here (atomic); default stdout")
-        p.add_argument("--format", choices=("json", "csv", "text"))
+        p.add_argument("--format", choices=_FORMATS)
     return parser
 
 
@@ -284,77 +299,74 @@ def _csv_rows(rows: list, header: list) -> str:
     return buf.getvalue()
 
 
-def emit_plot_data(reports: list) -> str:
-    """Plot-ready CSV.
-
-    One report: two blocks, the t-curves (t, Pi, L at argmin z, condition
-    margins) then the boundary angular sweep.  Several reports: one summary
-    row each.  Inapplicable margin columns carry NotApplicable.
-    """
-    if not reports:
-        raise ConfigError("need at least one report")
-    if len(reports) == 1:
-        rep = reports[0]
-        c = rep.curves
-        if not c:
-            raise ConfigError("report carries no curves; rerun with curves")
-        rows = []
-        for i in range(len(c["t"])):
-            g = c["growth_margin"][i]
-            m = c["monotone_expression"][i]
-            rows.append([
-                float(c["t"][i]), float(c["pi"][i]),
-                float(c["l_at_argmin"][i]),
-                None if math.isnan(g) else float(g),
-                None if math.isnan(m) else float(m),
-            ])
-        block1 = _csv_rows(rows, ["t", "pi", "l_at_argmin_z",
-                                  "growth_margin", "monotone_expression"])
-        rows2 = [[float(th), float(r)]
-                 for th, r in zip(c["theta"], c["re_zkprime_over_k"])]
-        block2 = _csv_rows(rows2, ["theta", "re_zkprime_over_k"])
-        return block1 + "\n" + block2
-    return _csv_rows([_summary_row(rep, rep.passed()) for rep in reports],
-                     SUMMARY_HEADER)
+def emit_plot_data(rep) -> str:
+    """Plot-ready CSV of one report in two blocks: the t-curves (t, Pi, L
+    at argmin z, condition margins) then the boundary angular sweep.
+    Inapplicable margin columns carry NotApplicable."""
+    c = rep.curves
+    if not c:
+        raise ConfigError("report carries no curves; rerun with curves")
+    rows = []
+    for i in range(len(c["t"])):
+        g = c["growth_margin"][i]
+        m = c["monotone_expression"][i]
+        rows.append([
+            float(c["t"][i]), float(c["pi"][i]),
+            float(c["l_at_argmin"][i]),
+            None if math.isnan(g) else float(g),
+            None if math.isnan(m) else float(m),
+        ])
+    block1 = _csv_rows(rows, ["t", "pi", "l_at_argmin_z",
+                              "growth_margin", "monotone_expression"])
+    rows2 = [[float(th), float(r)]
+             for th, r in zip(c["theta"], c["re_zkprime_over_k"])]
+    block2 = _csv_rows(rows2, ["theta", "re_zkprime_over_k"])
+    return block1 + "\n" + block2
 
 
-SUMMARY_HEADER = ["kernel", "mu", "nu", "sigma", "xi", "beta",
-                  "m_functional_min", "monotone_margin", "growth_margin",
-                  "membership_min", "sharpness_residual", "passed"]
+class _Result(NamedTuple):
+    """A command's verdict and its report in every format."""
+
+    passed: bool
+    payload: dict
+    header: list
+    rows: list
+    # the key-value text starts with this line; None prints the CSV
+    lead: Optional[str] = None
+    plot: Optional[str] = None
 
 
-def _summary_row(rep, passed: bool) -> list:
-    m = rep.condition_margins
-    return [rep.kernel.text(), rep.params.mu, rep.params.nu,
-            rep.params.sigma, rep.params.xi, rep.beta_integral,
-            rep.m_functional_min, m.get("monotone"), m.get("growth"),
-            rep.membership_min, rep.sharpness_residual, passed]
+def _write(cfg: RunConfig, result: _Result) -> int:
+    """Write the report in the config's format, then the plot data; returns
+    the exit code of the verdict."""
+    if cfg.format == "json":
+        text = _json_text(result.payload)
+    elif cfg.format == "text" and result.lead is not None:
+        text = result.lead + _kv_text(result.payload)
+    else:
+        text = _csv_rows(result.rows, result.header)
+    _emit(text, cfg.output)
+    if cfg.plot_data is not None:
+        atomic_write(cfg.plot_data, result.plot)
+    return 0 if result.passed else 1
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_beta(cfg: RunConfig) -> int:
+def _cmd_beta(cfg: RunConfig) -> _Result:
     kernel = kernels.parse_kernel(cfg.kernel)
-    p = cfg.parameter_set()
-    beta = certify.beta_routes(kernel, p)
+    beta = certify.beta_routes(kernel, cfg.parameter_set())
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kernel": kernel.text(),
         "beta": {"integral": beta.nodes, "series": beta.series,
                  "routes_agree": beta.agree},
     }
-    if cfg.format == "json":
-        _emit(_json_text(payload), cfg.output)
-    elif cfg.format == "csv":
-        _emit(_csv_rows([[kernel.text(), beta.nodes, beta.series,
-                          beta.agree]],
-                        ["kernel", "beta_integral", "beta_series",
-                         "routes_agree"]), cfg.output)
-    else:
-        _emit(f"beta = {_fmt15(beta.nodes)!r}\n" + _kv_text(payload),
-              cfg.output)
-    return 0 if beta.agree else 1
+    return _Result(beta.agree, payload,
+                   ["kernel", "beta_integral", "beta_series", "routes_agree"],
+                   [[kernel.text(), beta.nodes, beta.series, beta.agree]],
+                   lead=f"beta = {_fmt15(beta.nodes)!r}\n")
 
 
 def _check_margins(kernel, p, tol, pieces=None):
@@ -365,10 +377,9 @@ def _check_margins(kernel, p, tol, pieces=None):
     return margins, hyp, ok
 
 
-def _cmd_check(cfg: RunConfig) -> int:
+def _cmd_check(cfg: RunConfig) -> _Result:
     kernel = kernels.parse_kernel(cfg.kernel)
-    p = cfg.parameter_set()
-    margins, hyp, ok = _check_margins(kernel, p, cfg.tol)
+    margins, hyp, ok = _check_margins(kernel, cfg.parameter_set(), cfg.tol)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kernel": kernel.text(),
@@ -376,63 +387,43 @@ def _cmd_check(cfg: RunConfig) -> int:
         "hypothesis_check": None if hyp is None else hyp.to_dict(),
         "passed": ok,
     }
-    if cfg.format == "json":
-        _emit(_json_text(payload), cfg.output)
-    elif cfg.format == "csv":
-        _emit(_csv_rows(
-            [[kernel.text(), margins["monotone"], margins["growth"], ok]],
-            ["kernel", "monotone_margin", "growth_margin", "passed"]),
-            cfg.output)
-    else:
-        _emit(_kv_text(payload), cfg.output)
-    return 0 if ok else 1
+    return _Result(ok, payload,
+                   ["kernel", "monotone_margin", "growth_margin", "passed"],
+                   [[kernel.text(), margins["monotone"], margins["growth"],
+                     ok]], lead="")
 
 
-def _cmd_certify(cfg: RunConfig) -> int:
+def _cmd_certify(cfg: RunConfig) -> _Result:
     kernel = kernels.parse_kernel(cfg.kernel)
-    p = cfg.parameter_set()
-    rep = certify.run_certification(kernel, p, cfg.disk_grid(),
+    rep = certify.run_certification(kernel, cfg.parameter_set(),
+                                    cfg.disk_grid(),
                                     with_curves=cfg.plot_data is not None)
     ok = rep.passed(tol_functional=max(cfg.tol, 1e-6))
-    payload = {**rep.to_dict(), "passed": ok}
-    if cfg.format == "json":
-        _emit(_json_text(payload), cfg.output)
-    elif cfg.format == "csv":
-        _emit(_csv_rows([_summary_row(rep, ok)], SUMMARY_HEADER), cfg.output)
-    else:
-        _emit(_kv_text(payload), cfg.output)
-    if cfg.plot_data is not None:
-        atomic_write(cfg.plot_data, emit_plot_data([rep]))
-    return 0 if ok else 1
+    p, m = rep.params, rep.condition_margins
+    return _Result(
+        ok, {**rep.to_dict(), "passed": ok},
+        ["kernel", "mu", "nu", "sigma", "xi", "beta", "m_functional_min",
+         "monotone_margin", "growth_margin", "membership_min",
+         "sharpness_residual", "passed"],
+        [[rep.kernel.text(), p.mu, p.nu, p.sigma, p.xi, rep.beta_integral,
+          rep.m_functional_min, m.get("monotone"), m.get("growth"),
+          rep.membership_min, rep.sharpness_residual, ok]],
+        lead="", plot=None if cfg.plot_data is None else emit_plot_data(rep))
 
 
-def _cmd_moments(cfg: RunConfig) -> int:
+def _cmd_moments(cfg: RunConfig) -> _Result:
     kernel = kernels.parse_kernel(cfg.kernel)
-    tau = kernels.moment_sequence(kernel, cfg.nmax)
-    if cfg.format == "json":
-        payload = {"schema_version": SCHEMA_VERSION,
-                   "kernel": kernel.text(),
-                   "moments": [float(x) for x in tau]}
-        _emit(_json_text(payload), cfg.output)
-    else:
-        rows = [[n + 1, float(tau[n])] for n in range(cfg.nmax)]
-        _emit(_csv_rows(rows, ["n", "tau_n"]), cfg.output)
-    return 0
+    tau = [float(x) for x in kernels.moment_sequence(kernel, cfg.nmax)]
+    return _Result(True, {"schema_version": SCHEMA_VERSION,
+                          "kernel": kernel.text(), "moments": tau},
+                   ["n", "tau_n"], [[n, x] for n, x in enumerate(tau, 1)])
 
 
-def _sweep_params(args) -> params_mod.ParameterSet:
-    _, mu, nu, alpha, gamma, sigma, xi, _ = args
-    if alpha is not None:
-        return params_mod.ParameterSet.from_alpha_gamma(alpha, gamma, sigma,
-                                                        xi)
-    return params_mod.ParameterSet.from_mu_nu(mu, nu, sigma, xi)
-
-
-def _sweep_point(args, pieces: certify.SharedPieces):
+def _sweep_point(point: RunConfig, pieces: certify.SharedPieces):
     """One sweep row, from the SharedPieces of the point's (kernel, mu, nu)."""
-    kernel, p, tol = pieces.kernel, _sweep_params(args), args[-1]
+    kernel, p = pieces.kernel, point.parameter_set()
     try:
-        margins, hyp, ok = _check_margins(kernel, p, tol, pieces)
+        margins, hyp, ok = _check_margins(kernel, p, point.tol, pieces)
     except PascucertError as exc:
         # a checker that breaks down fails the row; its cells name the error
         margins = dict.fromkeys(("monotone", "growth"), type(exc).__name__)
@@ -441,58 +432,59 @@ def _sweep_point(args, pieces: certify.SharedPieces):
         beta = certify.beta_sharp(kernel, p, pieces)
     except PascucertError:
         beta = None
-    return [args[0], p.mu, p.nu, p.sigma, p.xi, beta,
+    return [point.kernel, p.mu, p.nu, p.sigma, p.xi, beta,
             margins["monotone"], margins["growth"],
             None if hyp is None else hyp.min_margin,
             ok and beta is not None]
 
 
-def _cmd_sweep(cfg: RunConfig, values: dict) -> int:
+def _cmd_sweep(cfg: RunConfig, values: dict) -> _Result:
     """One row per point of the cartesian product, in its order.
 
-    Sigma and xi vary fastest, so the points of one (kernel, alpha, gamma,
-    mu, nu) key come one after another.  They share one
-    certify.SharedPieces: the parsed kernel with its unit-mass check, and,
-    each built at its first use, the M-nodes, the moments of beta's series
-    route and the checker grid's envelopes and slope profile.  The next
-    key starts fresh pieces and lets the last ones go, so one key's arrays
-    are alive at a time and nothing is kept after the sweep.
+    Every point is a RunConfig, so all of them are validated before the
+    first one runs.  Sigma and xi vary fastest, so the points of one
+    (kernel, alpha, gamma, mu, nu) key come one after another.  They share
+    one certify.SharedPieces: the parsed kernel with its unit-mass check,
+    and, each built at its first use, the M-nodes, the moments of beta's
+    series route and the checker grid's envelopes and slope profile.  The
+    next key starts fresh pieces and lets the last ones go, so one key's
+    arrays are alive at a time and nothing is kept after the sweep.
     """
     # a flag not swept takes the config's value; an absent pair is None
-    points = [(k, mu, nu, alpha, gamma, sigma, xi, cfg.tol)
-              for k, alpha, gamma, mu, nu, sigma, xi in itertools.product(
+    points = [dataclasses.replace(cfg, kernel=text,
+                                  **dict(zip(_SWEPT, combo)))
+              for text, *combo in itertools.product(
                   expand_kernel_sweep(cfg.kernel),
                   *(values.get(name) or [getattr(cfg, name)]
                     for name in _SWEPT))]
-    rows, key = [], None
-    for point in points:
-        if point[:5] != key:
-            key = point[:5]
-            pieces = certify.SharedPieces(kernels.parse_kernel(point[0]),
-                                          _sweep_params(point))
-        rows.append(_sweep_point(point, pieces))
+    rows = []
+    for _, same_key in itertools.groupby(
+            points, lambda q: (q.kernel, q.alpha, q.gamma, q.mu, q.nu)):
+        same_key = list(same_key)
+        pieces = certify.SharedPieces(
+            kernels.parse_kernel(same_key[0].kernel),
+            same_key[0].parameter_set())
+        rows += [_sweep_point(q, pieces) for q in same_key]
     header = ["kernel", "mu", "nu", "sigma", "xi", "beta", "monotone_margin",
               "growth_margin", "hypothesis_min_margin", "passed"]
-    if cfg.format == "json":
-        payload = {"schema_version": SCHEMA_VERSION,
-                   "rows": [dict(zip(header, r)) for r in rows]}
-        _emit(_json_text(payload), cfg.output)
-    else:
-        _emit(_csv_rows(rows, header), cfg.output)
-    return 0 if all(r[-1] for r in rows) else 1
+    return _Result(all(r[-1] for r in rows),
+                   {"schema_version": SCHEMA_VERSION,
+                    "rows": [dict(zip(header, r)) for r in rows]},
+                   header, rows)
 
 
 def run(config: RunConfig, values: Optional[dict] = None) -> int:
-    """Dispatch a validated config; returns the process exit code.
+    """Run a validated config and write its report; returns the process
+    exit code.
 
     values maps parameter flags to their sweep values; a sweep runs the
     config's own value of every flag it lacks.
     """
     if config.command == "sweep":
-        return _cmd_sweep(config, values or {})
+        return _write(config, _cmd_sweep(config, values or {}))
     handler = {"beta": _cmd_beta, "certify": _cmd_certify,
                "check": _cmd_check, "moments": _cmd_moments}[config.command]
-    return handler(config)
+    return _write(config, handler(config))
 
 
 def _config_from_namespace(ns):

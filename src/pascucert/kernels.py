@@ -732,7 +732,7 @@ def _inside(x, name):
 
 def _evaluate(kernel, t, d, ln, slopes=False):
     """lambda (and lambda', lambda'' if slopes) at t = 1 - d = exp(-ln)."""
-    entry = _family(kernel.family)[1]
+    entry = _FAMILIES[kernel.family]
     g = entry.factor(kernel, t, d) if entry.factor else None
     lam = entry.lam(kernel, t, d, ln, g)
     return (lam, *entry.slopes(kernel, t, d, ln, g)) if slopes else lam
@@ -766,7 +766,7 @@ def density_derivatives(kernel: KernelSpec, t):
 
 def endpoint_exponents(kernel: KernelSpec):
     """(p, q) with density ~ t**p at 0 and ~ (1-t)**q at 1."""
-    return _family(kernel.family)[1].exponents(kernel.p)
+    return _FAMILIES[kernel.family].exponents(kernel.p)
 
 
 def _beta_fn(x: float, y: float) -> float:
@@ -785,7 +785,7 @@ def moment(kernel: KernelSpec, n: int) -> float:
 
 def moment_sequence(kernel: KernelSpec, nmax: int) -> np.ndarray:
     """tau_1 .. tau_nmax as an array."""
-    return _family(kernel.family)[1].moments(
+    return _FAMILIES[kernel.family].moments(
         kernel, np.arange(1, nmax + 1, dtype=float))
 
 

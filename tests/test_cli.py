@@ -19,7 +19,7 @@ from pascucert import certify, kernels, oracles, params
 # RunConfig validation
 
 def test_runconfig_round_trip():
-    cfg = cli.RunConfig(command="check", kernel="bernardi c=1",
+    cfg = cli.RunConfig(command="certify", kernel="bernardi c=1",
                         mu=1.0, nu=2.0, sigma=0.1, xi=0.5,
                         angles=64, format="json")
     assert cfg.disk_grid() == certify.DiskGrid(angles=64)
@@ -41,6 +41,17 @@ def test_runconfig_requires_complete_pair():
 def test_runconfig_requires_some_parameters():
     with pytest.raises(ConfigError):
         cli.RunConfig(command="beta", kernel="bernardi c=1")
+
+
+@pytest.mark.parametrize("command,field,value", [
+    ("beta", "nmax", 10), ("check", "angles", 64), ("beta", "tol", 0.1),
+    ("sweep", "plot_data", "p.csv"), ("moments", "sigma", 0.1)])
+def test_runconfig_rejects_unread_fields(command, field, value):
+    # a field the command does not read was validated and then ignored
+    problem = {} if command == "moments" else {"mu": 1.0, "nu": 2.0}
+    with pytest.raises(ConfigError, match=f"{command} does not read {field}"):
+        cli.RunConfig(command=command, kernel="bernardi c=1",
+                      **problem, **{field: value})
 
 
 def test_runconfig_moments_needs_no_parameters():
@@ -241,6 +252,34 @@ def test_main_bad_config_exit_two(capsys):
                    "--alpha", "3", "--mu", "1", "--nu", "2"])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["beta", "check", "certify", "sweep"])
+@pytest.mark.parametrize("flags,message", [
+    (["--mu", "1", "--nu", "2", "--sigma", "1.5"], "sigma must lie in [0, 1)"),
+    (["--mu", "1", "--nu", "2", "--xi", "2"], "xi must lie in [0, 1]"),
+    (["--mu", "-1", "--nu", "2"], "alpha, gamma, mu, nu must be nonnegative"),
+    (["--alpha", "1", "--gamma", "2"], "no nonnegative (mu, nu) for alpha=1"),
+], ids=["sigma", "xi", "mu", "alpha-gamma"])
+def test_main_value_out_of_range_is_config_error(command, flags, message,
+                                                 capsys):
+    # a bad configuration, not a stage that failed
+    assert cli.main([command, "--kernel", "bernardi c=1"] + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("pascucert: config error: " + message)
+
+
+def test_main_sweep_checks_every_point_before_the_first(monkeypatch,
+                                                         capsys):
+    ran = []
+    monkeypatch.setattr(cli, "_sweep_point",
+                        lambda point, pieces: ran.append(point))
+    rc = cli.main(["sweep", "--kernel", "bernardi c=1", "--mu", "1", "--nu",
+                   "2", "--sigma", "{0,1.5}"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and ran == []
+    assert err == "pascucert: config error: sigma must lie in [0, 1)\n"
 
 
 def test_main_bad_kernel_exit_two(capsys):
@@ -448,10 +487,14 @@ def test_main_mass_not_finite_is_named(capsys):
                            "t -> 0")
 
 
-def _fresh_sweep_row(args):
+KOMATU_POINT = cli.RunConfig(command="sweep", kernel="komatu c=0 delta=3",
+                             mu=1.0, nu=2.0, sigma=0.1, xi=1.0)
+
+
+def _fresh_sweep_row(point):
     # one sweep row on its own fresh pieces
-    return cli._sweep_point(args, certify.SharedPieces(
-        kernels.parse_kernel(args[0]), cli._sweep_params(args)))
+    return cli._sweep_point(point, certify.SharedPieces(
+        kernels.parse_kernel(point.kernel), point.parameter_set()))
 
 
 def test_checker_error_fails_check_and_sweep(monkeypatch, capsys):
@@ -465,8 +508,7 @@ def test_checker_error_fails_check_and_sweep(monkeypatch, capsys):
             "--sigma", "0.1", "--xi", "1"]
     assert cli.main(["check"] + args) == 1
     assert "CriticalPoint" in capsys.readouterr().err
-    row = _fresh_sweep_row(("komatu c=0 delta=3", 1.0, 2.0, None, None,
-                            0.1, 1.0, 0.0))
+    row = _fresh_sweep_row(KOMATU_POINT)
     assert row[7] == "CriticalPoint"
     assert row[-1] is False
 
@@ -520,8 +562,7 @@ def test_sweep_row_fails_without_beta(monkeypatch):
         raise RepresentationMismatch("beta routes disagree")
 
     monkeypatch.setattr(certify, "beta_sharp", no_beta)
-    row = _fresh_sweep_row(("komatu c=0 delta=3", 1.0, 2.0, None, None,
-                            0.1, 1.0, 0.0))
+    row = _fresh_sweep_row(KOMATU_POINT)
     assert row[5] is None
     assert row[-1] is False
 
@@ -685,7 +726,7 @@ def _small_report(xi):
 
 def test_plot_data_single_report_blocks():
     rep = _small_report(0.5)
-    text = cli.emit_plot_data([rep])
+    text = cli.emit_plot_data(rep)
     blocks = text.split("\n\n")
     header1 = blocks[0].splitlines()[0]
     assert header1 == "t,pi,l_at_argmin_z,growth_margin,monotone_expression"
@@ -696,17 +737,9 @@ def test_plot_data_marks_inapplicable_margins():
     rep = _small_report(0.0)
     assert all(math.isnan(v)
                for v in rep.curves["monotone_expression"])
-    text = cli.emit_plot_data([rep])
+    text = cli.emit_plot_data(rep)
     first_data_row = text.splitlines()[1]
     assert first_data_row.endswith("NotApplicable")
-
-
-def test_plot_data_many_reports_summary():
-    rep = _small_report(0.5)
-    text = cli.emit_plot_data([rep, rep])
-    lines = text.strip().splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("kernel,mu,nu,sigma,xi,beta")
 
 
 def test_plot_data_needs_curves():
@@ -715,7 +748,7 @@ def test_plot_data_needs_curves():
     grid = certify.DiskGrid(radius=0.5, angles=16)
     rep = certify.run_certification(kernel, p, grid)
     with pytest.raises(ConfigError):
-        cli.emit_plot_data([rep])
+        cli.emit_plot_data(rep)
 
 
 @pytest.mark.parametrize("c,rc", [(40, 0), (100, 0), (200, 1)])
