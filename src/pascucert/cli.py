@@ -8,8 +8,13 @@ product.
 
 Each command takes ``--kernel``, ``--output`` and ``--format`` and the
 flags of the RunConfig fields it reads, which the table ``_COMMANDS``
-lists; any other flag is a usage error.  A flag not given takes the
-RunConfig default.  For ``--format text``, ``beta``, ``check`` and
+lists.  The standard library's getopt parses the command line from that
+table, and ``-h`` prints help built from it.  A flag may be given as
+``--flag value`` or ``--flag=value`` and shortened to a unique prefix; a
+flag not given takes the RunConfig default.  A flag the command does not
+take, a missing value or ``--kernel``, a value of the wrong type and a
+stray argument are usage errors: ``pascucert: error: ...`` on stderr and
+SystemExit(2).  For ``--format text``, ``beta``, ``check`` and
 ``certify`` print key-value lines, ``moments`` and ``sweep`` their CSV.
 
 Exit codes: 0 all requested checks passed, 1 a check failed (report still
@@ -19,8 +24,8 @@ range included.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
+import getopt
 import io
 import itertools
 import json
@@ -51,13 +56,21 @@ _COMMANDS = {
     "moments": ("print kernel moments", ("nmax",)),
 }
 
-# argparse keywords of a field's flag; the problem flags stay text for the
-# sweep grammar
-_FLAG_ARGS = {"tol": {"type": float}, "angles": {"type": int},
-              "nmax": {"type": int},
-              "plot_data": {"help": "also write plot-ready CSV curves here"}}
-
 _FORMATS = ("json", "csv", "text")
+
+# the type of each flag value that is not text; the problem flags stay
+# text for the sweep grammar
+_FLAG_TYPES = {"tol": float, "angles": int, "nmax": int}
+
+# the help lines of the flags that have one
+_FLAG_HELP = {"kernel": 'kernel text, e.g. "komatu c=0 delta=3"',
+              "plot_data": "also write plot-ready CSV curves here",
+              "output": "write the report here (atomic); default stdout"}
+
+
+def _fields(command: str) -> tuple:
+    """The RunConfig fields whose flags command takes, in help order."""
+    return ("kernel",) + _COMMANDS[command][1] + ("output", "format")
 
 
 # ---------------------------------------------------------------------------
@@ -86,16 +99,16 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        reads = _COMMANDS[self.command][1]
+        takes = _fields(self.command)
         for f in dataclasses.fields(self):
-            if (f.name not in reads + ("command", "kernel", "output", "format")
+            if (f.name not in takes + ("command",)
                     and getattr(self, f.name) != f.default):
                 raise ConfigError(f"{self.command} does not read {f.name}")
         have_ag = self.alpha is not None or self.gamma is not None
         have_mn = self.mu is not None or self.nu is not None
         if have_ag and have_mn:
             raise ConfigError("give either alpha/gamma or mu/nu, not both")
-        if not have_ag and not have_mn and "mu" in reads:
+        if not have_ag and not have_mn and "mu" in takes:
             raise ConfigError("one of alpha/gamma or mu/nu is required")
         if have_ag and (self.alpha is None or self.gamma is None):
             raise ConfigError("alpha and gamma must be given together")
@@ -124,27 +137,6 @@ class RunConfig:
 
     def disk_grid(self) -> certify.DiskGrid:
         return certify.DiskGrid(angles=self.angles)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pascucert",
-        description="Certify integral transforms into the Pascu class.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (doc, reads) in _COMMANDS.items():
-        # a flag not given stays out of the namespace; RunConfig holds the
-        # defaults
-        p = sub.add_parser(name, help=doc,
-                           argument_default=argparse.SUPPRESS)
-        p.add_argument("--kernel", required=True,
-                       help='kernel text, e.g. "komatu c=0 delta=3"')
-        for field in reads:
-            p.add_argument("--" + field.replace("_", "-"),
-                           **_FLAG_ARGS.get(field, {}))
-        p.add_argument("--output",
-                       help="write the report here (atomic); default stdout")
-        p.add_argument("--format", choices=_FORMATS)
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -487,23 +479,99 @@ def run(config: RunConfig, values: Optional[dict] = None) -> int:
     return _write(config, handler(config))
 
 
-def _config_from_namespace(ns):
-    """(config, values): each given parameter flag's values and the config
-    of their first ones, so a sweep meets every command's checks."""
-    given = vars(ns)
+# ---------------------------------------------------------------------------
+# command line
+
+def _flag(field: str) -> str:
+    return "--" + field.replace("_", "-")
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return "usage: pascucert {" + ",".join(_COMMANDS) + "} ..."
+    return f"usage: pascucert {command} --kernel KERNEL [FLAG VALUE ...]"
+
+
+def _help(command: Optional[str] = None) -> str:
+    """The -h text of the program or of one command, from _COMMANDS."""
+    if command is None:
+        rows = [(name, doc) for name, (doc, _) in _COMMANDS.items()]
+        body = ["Certify integral transforms into the Pascu class.", "",
+                "commands:", *_columns(rows), "",
+                'Run "pascucert COMMAND -h" for the flags of a command.']
+    else:
+        metavar = {"format": "{" + ",".join(_FORMATS) + "}"}
+        rows = [("-h, --help", "show this help message and exit")] + [
+            (f"{_flag(f)} {metavar.get(f, f.upper())}", _FLAG_HELP.get(f, ""))
+            for f in _fields(command)]
+        body = [_COMMANDS[command][0], "", "flags:", *_columns(rows)]
+    return "\n".join([_usage(command), "", *body, ""])
+
+
+def _columns(rows: list) -> list:
+    width = max(len(name) for name, _ in rows) + 2
+    return [f"  {name:<{width}}{doc}".rstrip() for name, doc in rows]
+
+
+def _usage_error(command: Optional[str], message: str):
+    sys.stderr.write(f"{_usage(command)}\npascucert: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _typed(command: str, field: str, text: str):
+    kind = _FLAG_TYPES.get(field, str)
+    try:
+        return kind(text)
+    except ValueError:
+        _usage_error(command, f"argument {_flag(field)}: invalid "
+                              f"{kind.__name__} value: {text!r}")
+
+
+def _parse_command_line(argv: list):
+    """(config, values) of a command line: each given parameter flag's
+    values and the config of their first ones, so a sweep meets every
+    command's checks.  A usage error prints to stderr and raises
+    SystemExit(2); -h prints the help and raises SystemExit(0)."""
+    command, *rest = argv or [None]
+    if command in ("-h", "--help"):
+        sys.stdout.write(_help())
+        raise SystemExit(0)
+    if command not in _COMMANDS:
+        _usage_error(None, "a command is required" if command is None else
+                     f"invalid command {command!r}")
+    try:
+        opts, stray = getopt.gnu_getopt(rest, "h", ["help"] + [
+            f.replace("_", "-") + "=" for f in _fields(command)])
+    except getopt.GetoptError as exc:
+        message = str(exc)
+        # argparse's wording for an unknown flag, which callers may match
+        if message.endswith(" not recognized"):
+            message = "unrecognized arguments: " + message.split()[1]
+        _usage_error(command, message)
+    if any(flag in ("-h", "--help") for flag, _ in opts):
+        sys.stdout.write(_help(command))
+        raise SystemExit(0)
+    if stray:
+        _usage_error(command, "unrecognized arguments: " + " ".join(stray))
+    given = {flag[2:].replace("-", "_"): text for flag, text in opts}
+    if "kernel" not in given:
+        _usage_error(command, "the following arguments are required: "
+                              "--kernel")
+    given = {f: _typed(command, f, text) for f, text in given.items()}
     values = {name: expand_sweep_value(given[name])
               for name in _SWEPT if name in given}
     for name, vals in values.items():
-        if ns.command != "sweep" and len(vals) != 1:
+        if command != "sweep" and len(vals) != 1:
             raise ConfigError(f"{name} must be a single value here")
-    config = RunConfig(**{**given, **{name: vals[0]
-                                      for name, vals in values.items()}})
+    config = RunConfig(command=command, **{
+        **given, **{name: vals[0] for name, vals in values.items()}})
     return config, values
 
 
 def main(argv=None) -> int:
     try:
-        return run(*_config_from_namespace(build_parser().parse_args(argv)))
+        return run(*_parse_command_line(
+            sys.argv[1:] if argv is None else argv))
     except ConfigError as exc:
         print(f"pascucert: config error: {exc}", file=sys.stderr)
         return 2

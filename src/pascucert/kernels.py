@@ -13,7 +13,8 @@ formulas of Abramowitz & Stegun (15.3.6, 15.3.10-11) near it; mpmath,
 imported only there, serves the points near t = 0 when C - A - B lies
 within _NEAR_INTEGER of an integer without being one.  envelopes()
 computes the tail envelopes Lambda and Pi of the duality criterion on a
-whole t-grid from one composite Gauss-Legendre rule in y = -log t.
+whole t-grid from one composite Gauss-Legendre rule in y = -log t, on
+the literal node table of quadrature.gauss_legendre.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, CriticalPoint, DomainError, NotApplicable
-from .quadrature import integrate_01
+from .quadrature import gauss_legendre, integrate_01
 
 _MAX_OMEGA_TERMS = 32
 
@@ -542,9 +543,15 @@ def _omega_shape(p):
 
 
 def _omega(k, t, d, order=0):
-    """omega at 1 - t = d, or its order-th derivative there."""
-    coef = np.polynomial.polynomial.polyder(np.array(k.omega), order)
-    return _horner(coef, d)
+    """omega at 1 - t = d, or its order-th derivative there.
+
+    The derivative takes the coefficients j c_j one order at a time, as
+    numpy's polyder does, so the two agree bit for bit; past the degree
+    it is the zero polynomial."""
+    coef = np.array(k.omega)
+    for _ in range(order):
+        coef = coef[1:] * np.arange(1.0, len(coef))
+    return _horner(coef if coef.size else np.zeros(1), d)
 
 
 def _omega_moments(k, n):
@@ -818,12 +825,15 @@ def slope_profile(kernel: KernelSpec, t):
 
 
 _ENVELOPE_NODES = 20
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_ENVELOPE_NODES)
+_GL_X, _GL_W = gauss_legendre(_ENVELOPE_NODES)
 _GL_X, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W  # moved to (0, 1)
 
 
 def _envelope_rule(y_top: np.ndarray, q: float):
     """Nodes, weights and owning gap of the composite rule over the gaps.
+
+    Each piece carries the 20-node Gauss-Legendre rule that
+    quadrature.gauss_legendre tabulates.
 
     Gap k is (y_top[k + 1], y_top[k]); the last one, k = n - 1, reaches
     down to y = 0 and starts with the endpoint piece y = h v**m, which

@@ -49,6 +49,29 @@ _GK_WK = np.concatenate([_K21_W[:-1], _K21_W[::-1]])
 _G_HALF = np.zeros(11)
 _G_HALF[1::2] = _G10_W
 _GK_WG = np.concatenate([_G_HALF[:-1], _G_HALF[::-1]])
+# Gauss-Legendre rules on (-1, 1), equal bit for bit to
+# np.polynomial.legendre.leggauss(n), which is symmetric exactly: the
+# positive nodes, largest first, and their weights.  The 20-node rule
+# serves kernels.envelopes, the 24-node rule certify's M-node panels; as
+# literals they keep numpy.polynomial out of the import.
+_GL_HALF = {
+    20: ((0.993128599185095, 0.9639719272779138, 0.912234428251326,
+          0.8391169718222188, 0.7463319064601508, 0.636053680726515,
+          0.5108670019508271, 0.37370608871541955, 0.22778585114164507,
+          0.07652652113349734),
+         (0.017614007139150893, 0.040601429800386446, 0.06267204833410879,
+          0.08327674157670471, 0.1019301198172407, 0.1181945319615186,
+          0.1316886384491769, 0.1420961093183824, 0.14917298647260424,
+          0.15275338713072628)),
+    24: ((0.9951872199970213, 0.9747285559713095, 0.9382745520027328,
+          0.8864155270044011, 0.820001985973903, 0.7401241915785544,
+          0.6480936519369755, 0.5454214713888396, 0.4337935076260451,
+          0.3150426796961634, 0.1911188674736163, 0.06405689286260563),
+         (0.01234122979998869, 0.02853138862893356, 0.04427743881741941,
+          0.05929858491543636, 0.07334648141108016, 0.0861901615319532,
+          0.09761865210411393, 0.10744427011596556, 0.11550566805372552,
+          0.1216704729278033, 0.12583745634682825, 0.12793819534675202)),
+}
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _MAX_PANELS = 200
@@ -214,9 +237,16 @@ def averaged_partial_sum(terms):
     return np.where(slow, s[..., -8:] @ _BINOM8, total)[()]
 
 
+def gauss_legendre(n):
+    """The n-node Gauss-Legendre nodes (increasing) and weights on (-1, 1),
+    for the n that _GL_HALF tabulates (20 and 24)."""
+    x, w = map(np.array, _GL_HALF[n])
+    return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+
+
 def gauss_panels(edges, n):
     """Composite Gauss-Legendre nodes/weights on the given panel edges."""
-    x0, w0 = np.polynomial.legendre.leggauss(n)
+    x0, w0 = gauss_legendre(n)
     xs, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         h = 0.5 * (b - a)

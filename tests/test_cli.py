@@ -252,6 +252,9 @@ def test_main_bad_config_exit_two(capsys):
                    "--alpha", "3", "--mu", "1", "--nu", "2"])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+    rc = cli.main(BETA_ARGS + ["--format", "xml"])
+    assert rc == 2
+    assert "config error: unknown format 'xml'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["beta", "check", "certify", "sweep"])
@@ -352,6 +355,81 @@ def test_main_order_and_radii_are_unrecognized(flag, value, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+# the command line: getopt from the _COMMANDS table
+
+def test_program_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-h"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    listed = [line.split()[0] for line in
+              out.split("commands:\n")[1].splitlines()
+              if line.startswith("  ")]
+    assert listed == list(cli._COMMANDS) and err == ""
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_command_help_lists_exactly_its_flags(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    doc, reads = cli._COMMANDS[command]
+    listed = [line.split()[0].rstrip(",") for line in out.splitlines()
+              if line.startswith("  -")]
+    assert listed == ["-h", "--kernel"] + [
+        "--" + field.replace("_", "-") for field in reads] + [
+        "--output", "--format"]
+    assert doc in out and err == ""
+
+
+PROBLEM = ["--mu", "1", "--nu", "2", "--sigma", "0.1", "--xi", "1"]
+# (command line, a word the error names)
+USAGE_ERRORS = {
+    "no command": ([], "a command is required"),
+    "unknown command": (["frobnicate", "--kernel", "bernardi c=1"],
+                        "frobnicate"),
+    "no kernel": (["beta"] + PROBLEM, "--kernel"),
+    "value missing": (["beta", "--kernel", "bernardi c=1", "--mu", "1",
+                       "--nu"], "--nu"),
+    "angles not int": (["certify", "--kernel", "bernardi c=1"] + PROBLEM
+                       + ["--angles", "64.5"], "--angles"),
+    "nmax not int": (["moments", "--kernel", "bernardi c=1", "--nmax",
+                      "ten"], "--nmax"),
+    "tol not numeric": (["check", "--kernel", "bernardi c=1"] + PROBLEM
+                        + ["--tol", "small"], "--tol"),
+    "stray argument": (["beta", "--kernel", "bernardi c=1", "extra"]
+                       + PROBLEM, "unrecognized arguments: extra"),
+    # --alpha and --angles
+    "ambiguous prefix": (["certify", "--kernel", "bernardi c=1"] + PROBLEM
+                         + ["--a", "64"], "--a "),
+}
+
+
+@pytest.mark.parametrize("argv,named", USAGE_ERRORS.values(),
+                         ids=USAGE_ERRORS)
+def test_usage_errors_exit_two(argv, named, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert "pascucert: error: " in err and named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["beta", "--kernel=bernardi c=1", "--mu=1", "--nu=2", "--sigma=0.1",
+     "--xi=0.5"],
+    ["beta", "--ker", "bernardi c=1", "--mu", "1", "--n", "2", "--sig",
+     "0.1", "--xi", "0.5"]], ids=["equals", "unique-prefix"])
+def test_equals_and_unique_prefix_forms(argv, capsys):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert cli.main(BETA_ARGS) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_main_certify_small_mu_names_quadrature_failure(capsys):

@@ -514,3 +514,18 @@ def test_density_and_complement_share_one_formula(kernel):
     assert np.allclose(kernels.density(kernel, t),
                        kernels.density_complement(kernel, 1.0 - t),
                        rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("omega", [(), (0.3,), (0.3, 2.5), (0.7, 2.5, 0.125)],
+                         ids=["constant", "linear", "quadratic", "cubic"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("points", [1, 9])
+def test_omega_derivative_equals_polyder(omega, order, points):
+    # polyder gives [0.] past the degree, where a plain slice of the
+    # coefficients would be empty
+    k = kernels.make_kernel("generalized", A=1.0, B=1.0, C=4.0,
+                            **{f"x{i}": x for i, x in enumerate(omega, 1)})
+    d = np.linspace(0.05, 0.95, points)
+    ref = kernels._horner(
+        np.polynomial.polynomial.polyder(np.array(k.omega), order), d)
+    assert kernels._omega(k, 1.0 - d, d, order).tobytes() == ref.tobytes()

@@ -13,7 +13,8 @@ import pytest
 import pascucert as pc
 from pascucert import auxfun, kernels, oracles
 from pascucert.errors import DomainError, QuadratureFailure
-from pascucert.quadrature import _MAX_PANELS, _sub_power, integrate_01
+from pascucert.quadrature import (_MAX_PANELS, _sub_power, gauss_legendre,
+                                 integrate_01)
 
 # one kernel per family, plus the singular endpoints the benchmark meets
 KERNELS = [
@@ -170,7 +171,9 @@ def test_integrate_01_names_a_value_that_is_not_finite(end):
 
 
 def test_import_and_runs_leave_scipy_integrate_unloaded(tmp_path):
-    # no scipy module, no mpmath and no pascucert.oracles at all: not
+    # no scipy module, no mpmath, no pascucert.oracles, no argparse and no
+    # numpy.polynomial at all (the CLI parses with getopt, the
+    # Gauss-Legendre rules are literal tables): not
     # after the import, not after Hohlov certifications (generic,
     # logarithmic and terminating 2F1 factors, and a = 1, where the 6F5
     # closed form of beta applies), not after an in-process sweep or the
@@ -183,7 +186,8 @@ def test_import_and_runs_leave_scipy_integrate_unloaded(tmp_path):
 
         def foreign():
             return sorted(m for m in sys.modules
-                          if m.split(".")[0] in ("scipy", "mpmath")
+                          if m.split(".")[0] in ("scipy", "mpmath", "argparse")
+                          or m.startswith("numpy.polynomial")
                           or m == "pascucert.oracles")
 
         import pascucert as pc
@@ -215,3 +219,23 @@ def test_import_and_runs_leave_scipy_integrate_unloaded(tmp_path):
                          text=True, check=True, env=env)
     assert out.stdout.strip() == repr([[]] * 9)
     assert (tmp_path / "p.csv").exists() and (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("n", [20, 24])
+def test_gauss_legendre_tables_equal_leggauss(n):
+    # the literal tables replace numpy.polynomial at import, bit for bit
+    x, w = gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert x.tobytes() == ref_x.tobytes()
+    assert w.tobytes() == ref_w.tobytes()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"]])
+def test_cli_help_runs_in_a_fresh_interpreter(argv):
+    src = str(Path(pc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-m", "pascucert.cli"] + argv,
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0 and out.stdout.startswith("usage: pascucert")
+    assert out.stderr == ""
