@@ -11,24 +11,29 @@ duality integrand and duality_slope its slope in the unimodular epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, PoleError
 
 
-@dataclass(frozen=True)
-class AuxContext:
-    """Scalar configuration shared by all auxiliary evaluations."""
-
+class _AuxFields(NamedTuple):
     mu: float
     nu: float
     sigma: float = 0.0
     xi: float = 0.0
     epsilon: complex = 1.0 + 0.0j
 
-    def __post_init__(self):
+
+class AuxContext(_AuxFields):
+    """Scalar configuration shared by all auxiliary evaluations; a value
+    outside its range is a DomainError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mu < 0 or self.nu < 0:
             raise DomainError("mu, nu must be nonnegative")
         if not 0.0 <= self.sigma < 1.0:
@@ -37,6 +42,7 @@ class AuxContext:
             raise DomainError("xi must lie in [0, 1]")
         if abs(abs(complex(self.epsilon)) - 1.0) > 1e-12:
             raise DomainError("epsilon must be unimodular")
+        return self
 
 
 def _rational_g(x, sigma):

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -48,19 +47,24 @@ SHARPNESS_TOL = 1e-2
 CHECK_GRID_POINTS = 257
 
 
-@dataclass(frozen=True)
-class DiskGrid:
-    """Equal angles on the circle |z| = radius, where the minima of the
-    harmonic quantities sampled here lie."""
-
+class _DiskFields(NamedTuple):
     radius: float = 0.999
     angles: int = 256
 
-    def __post_init__(self):
+
+class DiskGrid(_DiskFields):
+    """Equal angles on the circle |z| = radius, where the minima of the
+    harmonic quantities sampled here lie."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.radius < 1.0:
             raise DomainError("radius must lie in (0, 1)")
         if self.angles < 4:
             raise DomainError("need at least 4 angles")
+        return self
 
     def theta(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.angles) / self.angles
@@ -483,9 +487,10 @@ def condition_margins(kernel: kernels.KernelSpec,
 # ---------------------------------------------------------------------------
 # end-to-end certification
 
-@dataclass
-class CertificationReport:
-    """Per-theorem verdicts for one kernel and parameter set."""
+class CertificationReport(NamedTuple):
+    """Per-theorem verdicts for one kernel and parameter set; curves holds
+    the plot curves if run_certification was asked for them, else it is
+    empty."""
 
     params: params_mod.ParameterSet
     kernel: kernels.KernelSpec
@@ -500,7 +505,7 @@ class CertificationReport:
     sharpness_residual: float
     decay_ok: bool
     hypothesis_report: Optional[params_mod.HypothesisReport]
-    curves: dict = field(default_factory=dict, repr=False)
+    curves: dict
 
     def passed(self, tol_functional=1e-6) -> bool:
         ok = (abs(self.beta_integral - self.beta_series) <= BETA_ROUTE_TOL

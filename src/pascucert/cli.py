@@ -8,13 +8,16 @@ product.
 
 Each command takes ``--kernel``, ``--output`` and ``--format`` and the
 flags of the RunConfig fields it reads, which the table ``_COMMANDS``
-lists.  The standard library's getopt parses the command line from that
-table, and ``-h`` prints help built from it.  A flag may be given as
-``--flag value`` or ``--flag=value`` and shortened to a unique prefix; a
-flag not given takes the RunConfig default.  A flag the command does not
-take, a missing value or ``--kernel``, a value of the wrong type and a
-stray argument are usage errors: ``pascucert: error: ...`` on stderr and
-SystemExit(2).  For ``--format text``, ``beta``, ``check`` and
+lists.  One loop over that table's flags (``_read_flags``) reads the
+command line, and ``-h`` prints help built from it.  A flag may be given
+as ``--flag value`` or ``--flag=value`` and shortened to a unique prefix;
+``--`` ends the flags, and a flag not given takes the RunConfig default.
+A flag the command does not take, a missing value or ``--kernel``, a
+value of the wrong type and a stray argument are usage errors:
+``pascucert: error: ...`` on stderr and SystemExit(2).  RunConfig is a
+NamedTuple whose constructor checks it; a changed copy is built with
+``RunConfig(**{**config._asdict(), ...})``, since ``_replace`` skips the
+checks.  For ``--format text``, ``beta``, ``check`` and
 ``certify`` print key-value lines, ``moments`` and ``sweep`` their CSV.
 
 Exit codes: 0 all requested checks passed, 1 a check failed (report still
@@ -24,8 +27,6 @@ range included.
 
 from __future__ import annotations
 
-import dataclasses
-import getopt
 import io
 import itertools
 import json
@@ -76,11 +77,7 @@ def _fields(command: str) -> tuple:
 # ---------------------------------------------------------------------------
 # config
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """One request.  Fields the command does not read (_COMMANDS) keep
-    their defaults; a value outside its range is a ConfigError."""
-
+class _RunFields(NamedTuple):
     command: str
     kernel: str
     alpha: Optional[float] = None
@@ -96,14 +93,21 @@ class RunConfig:
     format: str = "text"
     plot_data: Optional[str] = None
 
-    def __post_init__(self):
+
+class RunConfig(_RunFields):
+    """One request.  Fields the command does not read (_COMMANDS) keep
+    their defaults; a value outside its range is a ConfigError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         takes = _fields(self.command)
-        for f in dataclasses.fields(self):
-            if (f.name not in takes + ("command",)
-                    and getattr(self, f.name) != f.default):
-                raise ConfigError(f"{self.command} does not read {f.name}")
+        for name, default in self._field_defaults.items():
+            if name not in takes and getattr(self, name) != default:
+                raise ConfigError(f"{self.command} does not read {name}")
         have_ag = self.alpha is not None or self.gamma is not None
         have_mn = self.mu is not None or self.nu is not None
         if have_ag and have_mn:
@@ -127,6 +131,7 @@ class RunConfig:
                 self.parameter_set()
         except (DomainError, NoRealRoots) as exc:
             raise ConfigError(str(exc)) from None
+        return self
 
     def parameter_set(self) -> params_mod.ParameterSet:
         if self.alpha is not None:
@@ -443,8 +448,8 @@ def _cmd_sweep(cfg: RunConfig, values: dict) -> _Result:
     arrays are alive at a time and nothing is kept after the sweep.
     """
     # a flag not swept takes the config's value; an absent pair is None
-    points = [dataclasses.replace(cfg, kernel=text,
-                                  **dict(zip(_SWEPT, combo)))
+    points = [RunConfig(**{**cfg._asdict(), "kernel": text,
+                           **dict(zip(_SWEPT, combo))})
               for text, *combo in itertools.product(
                   expand_kernel_sweep(cfg.kernel),
                   *(values.get(name) or [getattr(cfg, name)]
@@ -527,6 +532,52 @@ def _typed(command: str, field: str, text: str):
                               f"{kind.__name__} value: {text!r}")
 
 
+def _read_flags(command: str, words: list):
+    """(given, stray) of the words after a command: the last value of each
+    flag by field, "help" for -h and --help, and the words that are no
+    flag.  A flag is --flag value or --flag=value, its name shortened to
+    any unique prefix; -h may be run together (-hh); a lone - is a stray
+    word, and after -- every word is.  The first flag that is unknown,
+    ambiguous or lacks its value is a usage error."""
+    fields = {_flag(f)[2:]: f for f in ("help",) + _fields(command)}
+    given, stray = {}, []
+    words = iter(words)
+    for word in words:
+        if word == "--":
+            stray += words
+            break
+        if word.startswith("--"):
+            name, eq, value = word[2:].partition("=")
+            matches = [n for n in fields if n.startswith(name)]
+            if name in matches:
+                matches = [name]
+            if not matches:
+                # the flag up to its first blank names it
+                _usage_error(command, "unrecognized arguments: "
+                                      + f"--{name}".split()[0])
+            if len(matches) > 1:
+                _usage_error(command, f"option --{name} not a unique prefix")
+            name = matches[0]
+            if name == "help":
+                if eq:
+                    _usage_error(command,
+                                 "option --help must not have an argument")
+            elif not eq:
+                value = next(words, None)
+                if value is None:
+                    _usage_error(command, f"option --{name} requires argument")
+            given[fields[name]] = value
+        elif word.startswith("-") and word != "-":
+            for letter in word[1:]:
+                if letter != "h":
+                    _usage_error(command, "unrecognized arguments: "
+                                          + f"-{letter}".split()[0])
+                given["help"] = ""
+        else:
+            stray.append(word)
+    return given, stray
+
+
 def _parse_command_line(argv: list):
     """(config, values) of a command line: each given parameter flag's
     values and the config of their first ones, so a sweep meets every
@@ -539,21 +590,12 @@ def _parse_command_line(argv: list):
     if command not in _COMMANDS:
         _usage_error(None, "a command is required" if command is None else
                      f"invalid command {command!r}")
-    try:
-        opts, stray = getopt.gnu_getopt(rest, "h", ["help"] + [
-            f.replace("_", "-") + "=" for f in _fields(command)])
-    except getopt.GetoptError as exc:
-        message = str(exc)
-        # argparse's wording for an unknown flag, which callers may match
-        if message.endswith(" not recognized"):
-            message = "unrecognized arguments: " + message.split()[1]
-        _usage_error(command, message)
-    if any(flag in ("-h", "--help") for flag, _ in opts):
+    given, stray = _read_flags(command, rest)
+    if "help" in given:
         sys.stdout.write(_help(command))
         raise SystemExit(0)
     if stray:
         _usage_error(command, "unrecognized arguments: " + " ".join(stray))
-    given = {flag[2:].replace("-", "_"): text for flag, text in opts}
     if "kernel" not in given:
         _usage_error(command, "the following arguments are required: "
                               "--kernel")

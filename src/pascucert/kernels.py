@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, CriticalPoint, DomainError, NotApplicable
+from .errors import (ConfigError, CriticalPoint, DomainError, NotApplicable,
+                     QuadratureFailure)
 from .quadrature import gauss_legendre, integrate_01
 
 _MAX_OMEGA_TERMS = 32
@@ -37,8 +37,7 @@ def value_text(v) -> str:
     return f"{v:g}" if float(f"{v:g}") == v else repr(float(v))
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(NamedTuple):
     """An immutable weight density description.
 
     params is a sorted tuple of (name, value) pairs; omega holds the
@@ -715,18 +714,20 @@ def make_kernel(family: str, **params) -> KernelSpec:
     norm, omega = norm if isinstance(norm, tuple) else (norm, ())
     spec = KernelSpec(family, tuple((key, p[key]) for key in entry.keys),
                       norm, omega)
+    stage = f"unit-mass check of the {family} density"
     try:
         total = integrate_01(
             lambda t: density(spec, t), *endpoint_exponents(spec),
             epsabs=1e-12, f_complement=lambda d: density_complement(spec, d))
     except DomainError as exc:
-        raise DomainError(
-            f"unit-mass check of the {family} density: {exc}") from None
+        raise DomainError(f"{stage}: {exc}") from None
+    except QuadratureFailure as exc:
+        raise QuadratureFailure(f"{stage}: {exc}", exc.residual) from None
     if abs(total - 1.0) > 1e-9:
         # integrate_01 covers t and 1 - t down to the smallest normal double
         raise DomainError(
-            f"unit-mass check of the {family} density: it integrates to "
-            f"{total!r} over t, 1 - t >= {np.finfo(float).tiny:.3g}, not 1")
+            f"{stage}: it integrates to {total!r} over t, 1 - t >= "
+            f"{np.finfo(float).tiny:.3g}, not 1")
     return spec
 
 

@@ -10,9 +10,8 @@ evaluates them to signed margins so sweeps can rank near-failures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import kernels
 from .errors import DomainError, NoRealRoots
@@ -52,10 +51,7 @@ def sigma_upper_bound(mu: float, nu: float) -> float:
     return 0.5 * gap / (1.0 + gap)
 
 
-@dataclass(frozen=True)
-class ParameterSet:
-    """Full scalar configuration of one certification problem."""
-
+class _ParameterFields(NamedTuple):
     alpha: float
     gamma: float
     mu: float
@@ -64,7 +60,17 @@ class ParameterSet:
     xi: float = 0.0
     beta: Optional[float] = None
 
-    def __post_init__(self):
+
+class ParameterSet(_ParameterFields):
+    """Full scalar configuration of one certification problem; a value
+    outside its range is a DomainError from the constructor, and so from
+    from_alpha_gamma, from_mu_nu and with_beta (_replace and _make skip
+    the checks)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.alpha, self.gamma, self.mu, self.nu) < 0:
             raise DomainError("alpha, gamma, mu, nu must be nonnegative")
         if not 0.0 <= self.sigma < 1.0:
@@ -83,6 +89,7 @@ class ParameterSet:
             raise DomainError("mu * nu must equal gamma")
         if self.gamma == 0.0 and self.mu != 0.0:
             raise DomainError("gamma = 0 forces mu = 0")
+        return self
 
     @classmethod
     def from_alpha_gamma(cls, alpha, gamma, sigma=0.0, xi=0.0, beta=None):
@@ -100,15 +107,13 @@ class ParameterSet:
                             self.sigma, self.xi, beta)
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
     name: str
     satisfied: bool
     margin: float
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     theorem: str
     hypotheses: tuple
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -138,9 +137,10 @@ def test_g_and_q_by_the_rule(monkeypatch):
     monkeypatch.setattr(oracles, "_double_integral", None)
     mu, nu, sigma = 1.0, 2.0, 0.1
     ctx = AuxContext(mu, nu, sigma, 0.5)
+    at_0, at_1 = AuxContext(mu, nu, sigma, 0.0), AuxContext(mu, nu, sigma, 1.0)
     for t in GQ_T:
-        g = oracles.combined_gq(replace(ctx, xi=0.0), t)
-        q = 0.5 * (oracles.combined_gq(replace(ctx, xi=1.0), t) + 1.0)
+        g = oracles.combined_gq(at_0, t)
+        q = 0.5 * (oracles.combined_gq(at_1, t) + 1.0)
         assert isinstance(g, float) and isinstance(q, float)
         assert abs(g - _gq_reference(mu, nu, sigma, 0.0, t)) <= 1e-14
         assert abs(2.0 * q - 1.0

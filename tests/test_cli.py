@@ -54,6 +54,31 @@ def test_runconfig_rejects_unread_fields(command, field, value):
                       **problem, **{field: value})
 
 
+# every field of a certify request, in order
+CERTIFY_FIELDS = dict(command="certify", kernel="bernardi c=1", alpha=None,
+                      gamma=None, mu=1.0, nu=2.0, sigma=0.1, xi=0.5,
+                      angles=256, nmax=50, tol=0.0, output=None,
+                      format="text", plot_data=None)
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"sigma": 1.5}, "sigma must lie in [0, 1)"),
+    ({"xi": 2.0}, "xi must lie in [0, 1]"),
+    ({"angles": 3}, "need at least 4 angles"),
+    ({"nmax": 10}, "certify does not read nmax")],
+    ids=["sigma", "xi", "angles", "unread"])
+@pytest.mark.parametrize("by", ["keyword", "position"])
+def test_runconfig_checks_values_by_keyword_and_position(change, message,
+                                                         by):
+    fields = {**CERTIFY_FIELDS, **change}
+    with pytest.raises(ConfigError) as exc:
+        if by == "keyword":
+            cli.RunConfig(**fields)
+        else:
+            cli.RunConfig(*fields.values())
+    assert str(exc.value) == message
+
+
 def test_runconfig_moments_needs_no_parameters():
     cfg = cli.RunConfig(command="moments", kernel="bernardi c=1")
     assert cfg.nmax == 50
@@ -285,6 +310,15 @@ def test_main_sweep_checks_every_point_before_the_first(monkeypatch,
     assert err == "pascucert: config error: sigma must lie in [0, 1)\n"
 
 
+def test_main_sweep_point_xi_out_of_range_exit_two(capsys):
+    # the first values pass; a later sweep point is built and checked
+    rc = cli.main(["sweep", "--kernel", "bernardi c={1,2}", "--mu", "1",
+                   "--nu", "2", "--xi", "[0:2:3]"])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", "pascucert: config error: xi must lie in [0, 1]\n")
+
+
 def test_main_bad_kernel_exit_two(capsys):
     rc = cli.main(["beta", "--kernel", "nosuchfamily x=1",
                    "--mu", "1", "--nu", "2"])
@@ -357,7 +391,7 @@ def test_main_order_and_radii_are_unrecognized(flag, value, capsys):
     assert "unrecognized arguments" in err and "Traceback" not in err
 
 
-# the command line: getopt from the _COMMANDS table
+# the command line: flags read from the _COMMANDS table
 
 def test_program_help_lists_every_command(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -418,6 +452,75 @@ def test_usage_errors_exit_two(argv, named, capsys):
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert "pascucert: error: " in err and named in err
+
+
+BETA_KERNEL = ["beta", "--kernel", "bernardi c=1"]
+MU_NU = ["--mu", "1", "--nu", "2"]
+
+
+def _usage(command, message):
+    return (f"usage: pascucert {command} --kernel KERNEL [FLAG VALUE ...]\n"
+            f"pascucert: error: {message}\n")
+
+
+# (command line, exit code, stdout, stderr), each byte for byte
+PARSER_EDGES = {
+    "double dash ends the flags": (
+        BETA_KERNEL + MU_NU + ["--", "x"], 2, "",
+        _usage("beta", "unrecognized arguments: x")),
+    "flag after double dash": (
+        BETA_KERNEL + ["--", "--mu", "1"], 2, "",
+        _usage("beta", "unrecognized arguments: --mu 1")),
+    "value with one dash": (
+        BETA_KERNEL + ["--mu", "-1", "--nu", "2"], 2, "",
+        "pascucert: config error: alpha, gamma, mu, nu must be "
+        "nonnegative\n"),
+    "value with two dashes": (
+        BETA_KERNEL + ["--mu", "--nu", "2"], 2, "",
+        _usage("beta", "unrecognized arguments: 2")),
+    "value that names a flag": (
+        BETA_KERNEL + ["--nu", "2", "--mu", "--nu"], 2, "",
+        "pascucert: config error: bad numeric value: '--nu'\n"),
+    "empty value": (
+        ["check", "--kernel", "bernardi c=1"] + MU_NU + ["--tol="], 2, "",
+        _usage("check", "argument --tol: invalid float value: ''")),
+    "help after flags": (BETA_KERNEL + MU_NU + ["-h"], 0,
+                         cli._help("beta"), ""),
+    "help after a stray word": (BETA_KERNEL + ["extra", "-h"], 0,
+                                cli._help("beta"), ""),
+    "help prefix": (BETA_KERNEL + ["--he"], 0, cli._help("beta"), ""),
+    "help with a value": (BETA_KERNEL + ["--help=1"], 2, "",
+                          _usage("beta", "option --help must not have an "
+                                         "argument")),
+    "unknown flag before help": (
+        BETA_KERNEL + ["-h", "--bogus"], 2, "",
+        _usage("beta", "unrecognized arguments: --bogus")),
+    "unknown short flag": (BETA_KERNEL + ["-x"], 2, "",
+                           _usage("beta", "unrecognized arguments: -x")),
+    "unknown short flag after h": (
+        BETA_KERNEL + ["-hx"], 2, "",
+        _usage("beta", "unrecognized arguments: -x")),
+    "lone dash": (BETA_KERNEL + MU_NU + ["-"], 2, "",
+                  _usage("beta", "unrecognized arguments: -")),
+    "empty flag name": (BETA_KERNEL + ["--=1"], 2, "",
+                        _usage("beta", "option -- not a unique prefix")),
+    "value missing at the end": (
+        BETA_KERNEL + MU_NU + ["--kernel"], 2, "",
+        _usage("beta", "option --kernel requires argument")),
+    "repeated flag": (
+        ["moments", "--kernel", "bernardi c=1", "--nmax", "5", "--nmax",
+         "2"], 0, "n,tau_n\n1,0.666666666666667\n2,0.5\n", ""),
+}
+
+
+@pytest.mark.parametrize("argv,code,out,err", PARSER_EDGES.values(),
+                         ids=PARSER_EDGES)
+def test_command_line_edge_cases(argv, code, out, err, capsys):
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert (rc, *capsys.readouterr()) == (code, out, err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -563,6 +666,20 @@ def test_main_mass_not_finite_is_named(capsys):
     assert err.strip() == ("pascucert: config error: unit-mass check of the "
                            "hohlov density: the integral is not finite at "
                            "t -> 0")
+
+
+@pytest.mark.parametrize("kernel", ["komatu c=0 delta=1e-300",
+                                    "hohlov a=1e-300 b=1 c=4"])
+def test_main_mass_quadrature_failure_is_named(kernel, capsys):
+    # an endpoint exponent at -1 in floating point: a failed numerical
+    # stage, exit 1, named like the mass check's configuration errors
+    rc = _beta_without_warnings(kernel)
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    family = kernel.split()[0]
+    assert err == (f"pascucert: QuadratureFailure: unit-mass check of the "
+                   f"{family} density: endpoint exponent <= -1: integral "
+                   f"diverges\n")
 
 
 KOMATU_POINT = cli.RunConfig(command="sweep", kernel="komatu c=0 delta=3",

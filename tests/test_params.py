@@ -180,3 +180,54 @@ def test_hypothesis_check_pins_every_family(text, sigma, xi, theorem, rows):
             for h in d["hypotheses"]] \
         == [(name, repr(m), m >= 0.0) for name, m in rows]
     assert d["all_satisfied"] == all(m >= 0.0 for _, m in rows)
+
+
+# ---------------------------------------------------------------------------
+# the records check their values however they are built
+
+PARAMETERS = dict(alpha=5.0, gamma=2.0, mu=1.0, nu=2.0, sigma=0.1, xi=0.5,
+                  beta=None)
+AUX = dict(mu=1.0, nu=2.0, sigma=0.1, xi=0.5, epsilon=1.0 + 0.0j)
+# (record, all its fields, the message of the DomainError they raise)
+REJECTED = {
+    "parameters-sigma": (pc.ParameterSet, {**PARAMETERS, "sigma": 1.5},
+                         "sigma must lie in [0, 1)"),
+    "parameters-xi": (pc.ParameterSet, {**PARAMETERS, "xi": 2.0},
+                      "xi must lie in [0, 1]"),
+    "aux-sigma": (pc.AuxContext, {**AUX, "sigma": 1.5},
+                  "sigma must lie in [0, 1)"),
+    "aux-xi": (pc.AuxContext, {**AUX, "xi": 2.0}, "xi must lie in [0, 1]"),
+    "aux-epsilon": (pc.AuxContext, {**AUX, "epsilon": 1.5j},
+                    "epsilon must be unimodular"),
+    "disk-angles": (pc.DiskGrid, dict(radius=0.999, angles=3),
+                    "need at least 4 angles"),
+}
+
+
+@pytest.mark.parametrize("record,fields,message", REJECTED.values(),
+                         ids=REJECTED)
+@pytest.mark.parametrize("by", ["keyword", "position"])
+def test_records_check_values_by_keyword_and_position(record, fields,
+                                                      message, by):
+    with pytest.raises(DomainError) as exc:
+        if by == "keyword":
+            record(**fields)
+        else:
+            record(*fields.values())
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("sigma,xi,message", [
+    (1.5, 0.5, "sigma must lie in [0, 1)"),
+    (0.1, 2.0, "xi must lie in [0, 1]")], ids=["sigma", "xi"])
+@pytest.mark.parametrize("build", [
+    lambda s, x: pc.ParameterSet.from_mu_nu(1.0, 2.0, s, x),
+    lambda s, x: pc.ParameterSet.from_alpha_gamma(5.0, 2.0, s, x),
+    # _replace skips the checks; with_beta builds through the constructor
+    lambda s, x: pc.ParameterSet.from_mu_nu(1.0, 2.0)._replace(
+        sigma=s, xi=x).with_beta(0.1),
+], ids=["from_mu_nu", "from_alpha_gamma", "with_beta"])
+def test_parameter_set_builders_check_values(build, sigma, xi, message):
+    with pytest.raises(DomainError) as exc:
+        build(sigma, xi)
+    assert str(exc.value) == message

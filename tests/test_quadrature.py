@@ -171,8 +171,9 @@ def test_integrate_01_names_a_value_that_is_not_finite(end):
 
 
 def test_import_and_runs_leave_scipy_integrate_unloaded(tmp_path):
-    # no scipy module, no mpmath, no pascucert.oracles, no argparse and no
-    # numpy.polynomial at all (the CLI parses with getopt, the
+    # no scipy module, no mpmath, no pascucert.oracles, no argparse, no
+    # getopt or gettext, no dataclasses and no numpy.polynomial at all (the
+    # CLI reads its flags itself, the records are NamedTuples, the
     # Gauss-Legendre rules are literal tables): not
     # after the import, not after Hohlov certifications (generic,
     # logarithmic and terminating 2F1 factors, and a = 1, where the 6F5
@@ -186,7 +187,9 @@ def test_import_and_runs_leave_scipy_integrate_unloaded(tmp_path):
 
         def foreign():
             return sorted(m for m in sys.modules
-                          if m.split(".")[0] in ("scipy", "mpmath", "argparse")
+                          if m.split(".")[0] in ("scipy", "mpmath", "argparse",
+                                                 "getopt", "gettext",
+                                                 "dataclasses")
                           or m.startswith("numpy.polynomial")
                           or m == "pascucert.oracles")
 
