@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import json
 import math
 import os
 import stat
@@ -264,6 +263,7 @@ def _emit(text: str, path: Optional[str]):
 
 
 def _json_text(payload: dict) -> str:
+    import json  # only --format json loads it
     return json.dumps(_clean(payload), indent=2, allow_nan=False) + "\n"
 
 

@@ -7,14 +7,13 @@ point), lambda' and lambda'', the closed-form moments, and the theorem
 that covers the family with its hypotheses.  make_kernel, density,
 density_complement, density_derivatives, endpoint_exponents, the moments
 and params.hypothesis_check only look the family up.  The Hohlov
-factor 2F1(c - a, 1 - a; c - a - b + 1; 1 - t) is the numpy routine
-_hyp2f1c: the Gauss series away from t = 0 and the 1 - z connection
-formulas of Abramowitz & Stegun (15.3.6, 15.3.10-11) near it; mpmath,
-imported only there, serves the points near t = 0 when C - A - B lies
-within _NEAR_INTEGER of an integer without being one.  envelopes()
-computes the tail envelopes Lambda and Pi of the duality criterion on a
-whole t-grid from one composite Gauss-Legendre rule in y = -log t, on
-the literal node table of quadrature.gauss_legendre.
+factor 2F1(c - a, 1 - a; c - a - b + 1; 1 - t) is the double-precision
+routine _hyp2f1c: the Gauss series away from t = 0, near it A&S 15.3.6,
+its two series paired term by term where C - A - B is near an integer
+(15.3.10-11 on one).  envelopes() computes the tail envelopes Lambda and
+Pi of the duality criterion on a whole t-grid from one composite
+Gauss-Legendre rule in y = -log t, on the literal node table of
+quadrature.gauss_legendre.
 """
 from __future__ import annotations
 
@@ -78,8 +77,8 @@ _GAUSS_FROM = 0.25
 _GAUSS_FLOOR = 1.0 / 64.0
 _SWITCH_TOL = 1e-14
 _EPS = np.finfo(float).eps
-# C - A - B within this distance of an integer (but not on it) makes the
-# two terms of A&S 15.3.6 cancel; _hyp2f1_mpmath takes over there
+# C - A - B within this distance of an integer makes the two terms of A&S
+# 15.3.6 cancel; _near_integer_terms pairs them up there
 _NEAR_INTEGER = 0.05
 
 
@@ -104,36 +103,42 @@ def _gamma_ratio(num, den) -> float:
     return sign * math.exp(log)
 
 
-def _digamma(x: float) -> float:
-    """psi(x) away from the poles: psi(x) = psi(x + 1) - 1/x up to
-    x >= 10, then the asymptotic series through x**-14."""
-    acc = 0.0
-    while x < 10.0:
-        acc -= 1.0 / x
-        x += 1.0
-    x2 = 1.0 / (x * x)
-    tail = x2 * (1 / 12 - x2 * (1 / 120 - x2 * (1 / 252 - x2 * (
-        1 / 240 - x2 * (1 / 132 - x2 * (691 / 32760 - x2 / 12))))))
-    return acc + math.log(x) - 0.5 / x - tail
+def _expm1_ratio(d: float, s):
+    """(exp(d s) - 1)/d, continued by s at d = 0; s a scalar or an array."""
+    return s if d == 0.0 else np.expm1(d * s) / d
 
 
-def _digamma_run(x0: float, n: int) -> np.ndarray:
-    """psi(x0 + k) for k = 0 .. n - 1, by psi(x + 1) = psi(x) + 1/x."""
-    steps = 1.0 / (x0 + np.arange(n - 1, dtype=float))
-    return _digamma(x0) + np.concatenate(([0.0], np.cumsum(steps)))
+def _lgamma_slope(z: float, x: float) -> float:
+    """(lgamma(z + x) - lgamma(z)) / x, psi(z) at x = 0, z and z + x off
+    the poles: log1p steps up to z >= 10, then Stirling's series, in
+    which the slope of w**-p is -sum_{i<p} w**(i - p) (w + x)**(-1 - i)."""
+    acc, j = 0.0, 0
+    while z + j < 10.0:
+        zj, j = z + j, j + 1
+        u = x / zj
+        acc -= ((math.log1p(u) / u if u else 1.0) / zj if abs(u) < 0.5
+                else math.log(abs((zj + x) / zj)) / x)
+    w = z + j
+    acc += (w - 0.5) * (math.log1p(x / w) / x if x else 1.0 / w) \
+        + math.log(w + x) - 1.0
+    a, b = 1.0 / w, 1.0 / (w + x)
+    h, bp = a * b, b  # h = sum_{i<p} a**(p - i) b**(i + 1), bp = b**p
+    # Stirling's coefficients B_(p+1) / (p (p + 1)) of w**-p, p = 1 .. 13
+    for bern in (1 / 12, 0, -1 / 360, 0, 1 / 1260, 0, -1 / 1680, 0,
+                 1 / 1188, 0, -691 / 360360, 0, 1 / 156):
+        acc -= bern * h
+        bp *= b
+        h = a * (h + bp)
+    return acc
 
 
 @functools.lru_cache(maxsize=512)
-def _taylor(a: float, b: float, c: float, x_max: float,
-            scale: float = 1.0) -> np.ndarray:
-    """scale (a)_k (b)_k / ((c)_k k!) for k = 0 .. K, enough terms for
-    the Gauss series at every |x| <= x_max < 1 (stop rule: _SERIES_TOL).
-
-    A terminating series (a or b a nonpositive integer) stops at its last
-    nonzero term; x_max = inf returns it whole, for any x.  The result is
-    cached and read-only.
-    """
-    coef, size, power, k = [scale], abs(scale), 1.0, 0
+def _taylor(a: float, b: float, c: float, x_max: float) -> np.ndarray:
+    """(a)_k (b)_k / ((c)_k k!) for k = 0 .. K, enough terms for the Gauss
+    series at every |x| <= x_max < 1 (stop rule: _SERIES_TOL); a
+    terminating one (a or b a nonpositive integer) stops at its last
+    nonzero term, and x_max = inf returns it whole.  Cached, read-only."""
+    coef, size, power, k = [1.0], 1.0, 1.0, 0
     while True:
         num = (a + k) * (b + k)
         if num == 0.0:
@@ -189,16 +194,12 @@ def _hyp2f1c(A, B, C, d):
     not be a nonpositive integer.  The routes (Abramowitz & Stegun):
 
     - A or B a nonpositive integer: the finite polynomial (_polynomial),
-      after Euler's transformation when that one terminates too, so a
-      zero of order C - A - B at d = 0 stays exact.
+      after Euler's transformation F(A, B; C; z) = d**(C - A - B)
+      F(C - A, C - B; C; z) when that one terminates too, so a zero of
+      order C - A - B at d = 0 stays exact.
     - d at or above the switch of _far_plan (1/4, or 1/2 to 1/64 for
-      some parameters): the Gauss series in 1 - d, directly or after
-      Euler's transformation F(A, B; C; z) = d**(C - A - B)
-      F(C - A, C - B; C; z).
-    - below: _hyp2f1_near_one, the 1 - z connection formulas, whose
-      series all run in d; only where C - A - B lies within
-      _NEAR_INTEGER of an integer without being one, mpmath point by
-      point.
+      some parameters): the Gauss series in 1 - d, perhaps after Euler's.
+    - below: _hyp2f1_near_one, the connection formula 15.3.6 in d.
     """
     if _nonpositive_integer(C):
         raise DomainError(f"2F1 needs C = {C} off the nonpositive integers")
@@ -208,9 +209,9 @@ def _hyp2f1c(A, B, C, d):
         if s > 0.0 and _terminates(C - A, C - B):
             # the polynomial has the zero d**s at d = 0, which Euler's
             # transformation takes out exactly
-            out = d_arr**s * _polynomial(C - A, C - B, C, d_arr)
+            out = d_arr**s * _polynomial(C - A, C - B, C, d_arr, A, B)
         else:
-            out = _polynomial(A, B, C, d_arr)
+            out = _polynomial(A, B, C, d_arr, C - A, C - B)
     else:
         out = np.empty_like(d_arr)
         switch, euler = _far_plan(A, B, C)
@@ -222,26 +223,19 @@ def _hyp2f1c(A, B, C, d):
     return out.reshape(np.shape(d)) if np.ndim(d) else float(out[0])
 
 
-def _polynomial(A, B, C, d):
-    """A terminating 2F1(A, B; C; 1 - d), A or B = -N, in powers of
-    1 - d or in powers of d (A&S 15.3.6, whose second term vanishes with
-    1/Gamma(-N)),
-
-    F = (C - B)_N / (C)_N F(-N, B; B - C - N + 1; d),
-
-    at each d the one whose terms cancel less (the first alone where
-    (C - B)_N = 0 and the second form breaks down).
-    """
+def _polynomial(A, B, C, d, C_A, C_B):
+    """A terminating 2F1(A, B; C; 1 - d), A or B = -N, in powers of 1 - d
+    or in powers of d (Chu-Vandermonde, from the exact C_B = C - B, C_A
+    = C - A), F = sum_k binom(N, k) (B)_k (C_B)_(N - k) d**k / (C)_N, at
+    each d the one whose terms cancel less."""
     if not _nonpositive_integer(A) or (_nonpositive_integer(B) and B > A):
-        A, B = B, A
+        A, B, C_B = B, A, C_A
     n = int(-A)
     coef = _taylor(A, B, C, math.inf)
     value = _horner(coef, 1.0 - d)
-    lower = B - C - n + 1.0
-    if any(_nonpositive_integer(lower + k) for k in range(n)):
-        return value
-    scale = math.prod((C - B + k) / (C + k) for k in range(n))
-    coef_d = _taylor(A, B, lower, math.inf, scale)
+    j = np.arange(float(n))
+    coef_d = np.cumprod(np.append(1.0, (n - j) * (B + j) / (j + 1.0))) \
+        * np.cumprod(np.append(1.0, C_B + j))[::-1] / np.prod(C + j)
     value_d = _horner(coef_d, d)
     better = _horner(np.abs(coef_d), d) * np.abs(value) \
         < _horner(np.abs(coef), 1.0 - d) * np.abs(value_d)
@@ -261,19 +255,16 @@ def _gauss(A, B, C, d, euler, z_max, absolute=False):
 @functools.lru_cache(maxsize=256)
 def _far_plan(A, B, C):
     """(switch, euler): the Gauss series serves d >= switch, after
-    Euler's transformation if euler; the connection formulas serve the
-    rest.
+    Euler's transformation if euler; the connection formulas the rest.
 
-    Of the two Gauss forms the plan takes the one whose terms cancel less
-    at d = _GAUSS_FROM.  The connection formulas lose digits as d grows
-    (their large terms are damped by d**k); the Gauss series needs more
-    terms as d falls, and loses digits where its terms alternate and
-    cancel (sum of |terms| above _SWITCH_TOL/eps times the value).  If
-    the Gauss terms cancel at 1/4, the switch rises to 1/2 where both
-    routes agree to _SWITCH_TOL relative there.  Otherwise it halves from
-    1/4, down to _GAUSS_FLOOR, while the routes differ by more than that
-    at the switch and the Gauss series at the next switch would not
-    cancel.
+    The plan takes the Gauss form whose terms cancel less at d =
+    _GAUSS_FROM.  The connection formulas lose digits as d grows, the
+    Gauss series where its terms cancel (sum of |terms| above
+    _SWITCH_TOL/eps times the value).  If they cancel at 1/4, the switch
+    rises to 1/2 where both routes agree to _SWITCH_TOL relative there.
+    Otherwise it halves from 1/4, down to _GAUSS_FLOOR, while the routes
+    differ by more than that at the switch and the Gauss series at the
+    next switch would not cancel.
     """
     def spread(d, euler):
         x = np.array([d])
@@ -302,76 +293,96 @@ def _far_plan(A, B, C):
 
 def _hyp2f1_near_one(A, B, C, d, x_max):
     """2F1(A, B; C; 1 - d) for an array of d in (0, x_max], x_max <= 1/2,
-    A and B not nonpositive integers.  With s = C - A - B and m the
-    integer nearest s:
+    A and B not nonpositive integers: A&S 15.3.6, two Gauss series in d
+    with d**s taken from d itself, where s = C - A - B is not within
+    _NEAR_INTEGER of an integer; else the polynomial after Euler's
+    transformation where that terminates, or _near_integer_terms."""
+    s = math.fsum((C, -A, -B))
+    m = round(s)
+    if abs(math.fsum((C, -A, -B, -m))) >= _NEAR_INTEGER:
+        g1 = _gamma_ratio((C, s), (C - A, C - B))
+        g2 = _gamma_ratio((C, -s), (A, B))
+        return (g1 * _horner(_taylor(A, B, 1.0 - s, x_max), d) + g2 * d**s
+                * _horner(_taylor(C - A, C - B, 1.0 + s, x_max), d))
+    if _terminates(C - A, C - B):
+        return d**s * _polynomial(C - A, C - B, C, d, A, B)
+    coef, coef_b, g, g_rho, ell, eps, m, power = \
+        _near_integer_terms(A, B, C, x_max)
+    log_d = np.log(d)
+    slope = ((g_rho * d**eps - g) / eps if ell is None
+             else g * _expm1_ratio(eps, ell + log_d))
+    return d**power * (_horner(coef, d) + d**m * (
+        slope + _expm1_ratio(eps, log_d) * _horner(coef_b, d)))
 
-    - s not within _NEAR_INTEGER of m: A&S 15.3.6, two Gauss series in
-      d, with d**s taken from d itself.
-    - s = m exactly: the logarithmic forms 15.3.10 (m = 0) and 15.3.11
-      (m > 0), with the digamma runs from _digamma_run; m < 0 first goes
-      through Euler's transformation F(A, B; C; z) = d**s F(C - A,
-      C - B; C; z).
-    - 0 < |s - m| < _NEAR_INTEGER: the two O(1/|s - m|) terms of 15.3.6
-      cancel, so each d goes to mpmath (_hyp2f1_mpmath).
+
+@functools.lru_cache(maxsize=256)
+def _near_integer_terms(A, B, C, x_max):
+    """The d-free parts of 2F1(A, B; C; 1 - d), s = C - A - B = m + eps,
+    |eps| < _NEAR_INTEGER: 15.3.6 with term m + k of its first series and
+    term k of its second summed as one, for m < 0 after Euler's
+    transformation (then power = s, else 0).  The pairs add up to
+    g sum_k d**(m + k) [e_k(0) Df_k + f_k(0) De_k], where g = -(-1)**m
+    pi eps / sin(pi eps) Gamma(C) (A)_m (B)_m / (Gamma(C - A) Gamma(C - B)
+    m!), e_k(x) = (A + m)_(k + x) (B + m)_(k + x) / (1 + m)_(k + x) d**x,
+    f_k(y) = 1/Gamma(1 + k + y), De_k is the slope of e_k from 0 to eps
+    and Df_k that of f_k from 0 to -eps (15.3.10-11 at eps = 0).  coef
+    holds the first m terms of the first series, then the coefficients
+    of d**(m + k); coef_b those of (d**eps - 1)/eps d**(m + k).  Left out
+    is g De_0 = (g_rho d**eps - g)/eps = g expm1(eps (ell + log d))/eps,
+    g_rho taken directly (ell None) where A + m or B + m is within about
+    2 eps of 0.  The slopes advance by the term ratios r(x), with
+    (r(eps) - r(0))/eps formed algebraically.
     """
     s = math.fsum((C, -A, -B))
     m = round(s)
-    # the exact distance from the integer, so that only an integer s
-    # takes the logarithmic forms
-    gap = math.fsum((C, -A, -B, -m))
-    if gap == 0.0:
-        if m >= 0:
-            return _hyp2f1_log(A, B, m, d, x_max)
-        A, B = C - A, C - B
-        if _terminates(A, B):
-            return d**m * _polynomial(A, B, C, d)
-        return d**m * _hyp2f1_log(A, B, -m, d, x_max)
-    if abs(gap) < _NEAR_INTEGER:
-        return _hyp2f1_mpmath(A, B, C, d)
-    g1 = _gamma_ratio((C, s), (C - A, C - B))
-    g2 = _gamma_ratio((C, -s), (A, B))
-    return (g1 * _horner(_taylor(A, B, 1.0 - s, x_max), d)
-            + g2 * d**s * _horner(_taylor(C - A, C - B, 1.0 + s, x_max), d))
-
-
-def _hyp2f1_log(a, b, m, d, x_max):
-    """2F1(a, b; a + b + m; 1 - d), m >= 0 an integer (A&S 15.3.10-11):
-
-    Gamma(m) Gamma(a+b+m)/(Gamma(a+m) Gamma(b+m))
-        sum_{n<m} (a)_n (b)_n / (n! (1-m)_n) d**n
-    - (-d)**m Gamma(a+b+m)/(Gamma(a) Gamma(b))
-        sum_n (a+m)_n (b+m)_n / (n! (n+m)!) d**n
-        [log d - psi(n+1) - psi(n+m+1) + psi(a+n+m) + psi(b+n+m)].
-    """
-    c = a + b + m
-    coef = _taylor(a + m, b + m, m + 1.0, x_max, 1.0 / math.factorial(m))
-    n = len(coef)
-    bracket = (_digamma_run(a + m, n) + _digamma_run(b + m, n)
-               - _digamma_run(1.0, n) - _digamma_run(m + 1.0, n))
-    out = -(-d) ** m * _gamma_ratio((c,), (a, b)) * (
-        np.log(d) * _horner(coef, d) + _horner(coef * bracket, d))
-    if m > 0:
-        head = [1.0]
-        for k in range(m - 1):
-            head.append(head[-1] * (a + k) * (b + k)
-                        / ((1.0 - m + k) * (k + 1.0)))
-        out += _gamma_ratio((m, c), (a + m, b + m)) * _horner(
-            np.array(head), d)
-    return out
-
-
-def _hyp2f1_mpmath(A, B, C, d):
-    """2F1(A, B; C; 1 - d) point by point with mpmath, at enough bits
-    that 1 - d is exact; mpmath's connection formulas raise their own
-    precision where their two terms cancel.  The one place this module
-    imports mpmath."""
-    import mpmath
-
-    out = np.empty_like(d)
-    for i, di in enumerate(d):
-        with mpmath.workprec(80 + max(0, int(-math.log2(di)))):
-            out[i] = float(mpmath.hyp2f1(A, B, C, 1 - mpmath.mpf(di)))
-    return out
+    eps = math.fsum((C, -A, -B, -m))
+    if m < 0:  # C - A and C - B are carried exactly through Euler's swap
+        A_m, B_m = math.fsum((C, -A, -m)), math.fsum((C, -B, -m))
+        A, B, C_A, C_B = C - A, C - B, A, B
+        m, eps, power = -m, -eps, s
+    else:
+        A_m, B_m, C_A, C_B, power = A + m, B + m, C - A, C - B, 0.0
+    coef = [_gamma_ratio((C, m + eps), (C_A, C_B))] if m else []
+    for n in range(m - 1):
+        coef.append(coef[-1] * (A + n) * (B + n)
+                    / ((n + 1.0 - m - eps) * (n + 1.0)))
+    pe = math.pi * eps
+    g0 = (1.0 if m % 2 else -1.0) * (pe / math.sin(pe) if eps else 1.0) \
+        * math.prod((A + j) * (B + j) / (j + 1.0) for j in range(m))
+    g = g0 * _gamma_ratio((C,), (C_A, C_B))
+    if 0.5 <= C_B / A_m <= 2.0 and 0.5 <= C_A / B_m <= 2.0:
+        ell = (_lgamma_slope(A_m, eps) + _lgamma_slope(B_m, eps)
+               - _lgamma_slope(1.0 + m, eps))
+        g_rho, dq = g * math.exp(eps * ell), g * _expm1_ratio(eps, ell)
+    else:  # Gamma(C - A) Gamma(C - B) cancels, so neither can overflow
+        ell = None
+        g_rho = g0 * _gamma_ratio((C, 1.0 + m), (A_m, B_m, 1.0 + m + eps))
+        dq = (g_rho - g) / eps
+    # g e_k(0), g e_k(eps) / d**eps, f_k(0), Df_k and
+    # dq = g (De_k - (d**eps - 1)/eps e_k(eps))
+    q0, qe, f, df = g, g_rho, 1.0, -_expm1_ratio(eps,
+                                                 _lgamma_slope(1.0, -eps))
+    coef, coef_b = coef + [g * df], [0.0]
+    size, x, k = abs(g * df) + abs(dq) + abs(g_rho), 1.0, 0
+    while k <= _SERIES_MAX_TERMS:
+        a, b, c = A_m + k, B_m + k, 1.0 + m + k
+        ratio, ratio_eps = a * b / c, (C_A + k) * (C_B + k) / (c + eps)
+        dq = ratio_eps * dq \
+            + q0 * ((a + b + eps) * c - a * b) / (c * (c + eps))
+        q0, qe, f, df = (q0 * ratio, qe * ratio_eps, f / (k + 1.0),
+                         (df - f / (k + 1.0)) / (k + 1.0 - eps))
+        k += 1
+        coef.append(q0 * df + f * dq)
+        coef_b.append(f * qe)
+        x *= x_max
+        term = (abs(coef[-1]) + abs(coef_b[-1])) * x
+        if term <= _SERIES_TOL * size \
+                and abs(ratio / k) * x_max <= 0.5 * (1.0 + x_max):
+            return (_frozen(coef), _frozen(coef_b), g, g_rho, ell, eps, m,
+                    power)
+        size += term
+    raise DomainError(f"2F1({A}, {B}; {C}) near s = {m} needs over"
+                      f" {_SERIES_MAX_TERMS} terms")
 
 
 def _hyp2f1_factors(kernel: KernelSpec):
@@ -380,21 +391,15 @@ def _hyp2f1_factors(kernel: KernelSpec):
     a, b, c = (kernel.p[k] for k in ("a", "b", "c"))
     p1, p2, p3 = c - a, 1.0 - a, c - a - b + 1.0
 
-    def f0(d):
-        return _hyp2f1c(p1, p2, p3, d)
+    def derivative(n, scale):
+        def f(d):
+            if n and p1 * p2 == 0.0:  # the factor is the constant 1
+                return np.zeros(np.shape(d))
+            return scale * _hyp2f1c(p1 + n, p2 + n, p3 + n, d)
+        return f
 
-    def f1(d):
-        if p1 * p2 == 0.0:  # the factor is the constant 1
-            return np.zeros(np.shape(d))
-        return p1 * p2 / p3 * _hyp2f1c(p1 + 1, p2 + 1, p3 + 1, d)
-
-    def f2(d):
-        if p1 * p2 == 0.0:
-            return np.zeros(np.shape(d))
-        return (p1 * (p1 + 1) * p2 * (p2 + 1) / (p3 * (p3 + 1))
-                * _hyp2f1c(p1 + 2, p2 + 2, p3 + 2, d))
-
-    return f0, f1, f2
+    return (derivative(0, 1.0), derivative(1, p1 * p2 / p3), derivative(
+        2, p1 * (p1 + 1) * p2 * (p2 + 1) / (p3 * (p3 + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -866,11 +871,6 @@ def _envelope_rule(y_top: np.ndarray, q: float):
             np.append(h * m * v ** (m - 1) * _GL_W[keep], width * _GL_W),
             np.append(np.full(len(v), n - 1),
                       np.repeat(gap, _ENVELOPE_NODES)))
-
-
-def _expm1_ratio(d: float, s):
-    """(exp(d s) - 1)/d, continued by s at d = 0."""
-    return s if abs(d) < 1e-12 else np.expm1(d * s) / d
 
 
 def envelopes(kernel: KernelSpec, mu: float, nu: float, t):

@@ -358,6 +358,17 @@ def test_report_condition_margins_none_at_xi_zero():
     assert rep.condition_margins["growth"] is None
 
 
+@pytest.mark.parametrize("text,beta", [
+    ("hohlov a=0.5 b=0.5000001 c=4", -12.488557359433631),
+    ("hohlov a=0.5 b=0.52 c=4", -11.997294728191273)])
+def test_run_certification_hohlov_near_integer_a_minus_b(text, beta):
+    # a - b within 0.05 of 0: near t = 0 the 2F1 factors pair the terms
+    # of A&S 15.3.6; beta as computed with mpmath's 2F1 serving there
+    rep = certify.run_certification(pc.parse_kernel(text), P12)
+    assert rep.beta_integral == pytest.approx(beta, rel=1e-12)
+    assert rep.passed()
+
+
 def test_run_certification_komatu_mu2_returns_report():
     # the envelopes at the M-nodes t ~ 3e-15 and 2.5e-12 used to stop this
     # run with QuadratureFailure

@@ -82,23 +82,22 @@ def _terms(a, b, c, x, scale=1, count=math.inf):
 
 def _polynomial_terms(A, B, C, d):
     """The terms of kernels._polynomial's form: of the powers of 1 - d
-    and of d, the one whose terms sum to less in absolute value."""
+    and of d (Chu-Vandermonde), the one whose terms sum to less in
+    absolute value."""
     if not kernels._nonpositive_integer(A) \
             or (kernels._nonpositive_integer(B) and B > A):
         A, B = B, A
     n = int(-A)
-    forms = [_terms(A, B, C, 1 - d)]
-    lower = B - C - n + 1
-    if not any(kernels._nonpositive_integer(lower + k) for k in range(n)):
-        scale = mpmath.rf(C - B, n) / mpmath.rf(C, n)
-        forms.append(_terms(A, B, lower, d, scale))
-    return min(forms, key=sum)
+    powers_d = [abs(mpmath.binomial(n, k) * mpmath.rf(B, k)
+                    * mpmath.rf(C - B, n - k) / mpmath.rf(C, n) * d**k)
+                for k in range(n + 1)]
+    return min([_terms(A, B, C, 1 - d), powers_d], key=sum)
 
 
 def _log_terms(a, b, m, d):
-    """The terms of kernels._hyp2f1_log: 2F1(a, b; a + b + m; 1 - d),
-    m >= 0 an integer (A&S 15.3.10-11), both the log d and the digamma
-    sums of its second part."""
+    """The terms kernels._near_integer_terms sums at eps = 0:
+    2F1(a, b; a + b + m; 1 - d), m >= 0 an integer (A&S 15.3.10-11), both
+    the log d and the digamma sums of its second part."""
     c = a + b + m
     pref = abs(d**m * mpmath.gamma(c) * mpmath.rgamma(a) * mpmath.rgamma(b))
     coef = pref / mpmath.factorial(m)
@@ -124,8 +123,9 @@ def _log_terms(a, b, m, d):
 def _largest_term(A, B, C, d):
     """The largest term that kernels._hyp2f1c sums for 2F1(A, B; C; 1 - d)
     on its route at d, from mpmath: the conditioning of that evaluation.
-    0 where the route is mpmath itself.  A magnitude, so mpmath's default
-    precision serves."""
+    0 where C - A - B lies near an integer without being one, so that
+    those draws are judged against |F| itself.  A magnitude, so mpmath's
+    default precision serves."""
     d = mpmath.mpf(d)
     s = C - A - B
     if kernels._terminates(A, B):
@@ -138,14 +138,14 @@ def _largest_term(A, B, C, d):
             return d**s * max(_terms(C - A, C - B, C, 1 - d))
         return max(_terms(A, B, C, 1 - d))
     m = round(s)
-    if s == m:
+    if abs(s - m) < kernels._NEAR_INTEGER:
+        if kernels._terminates(C - A, C - B):
+            return d**s * max(_polynomial_terms(C - A, C - B, C, d))
+        if s != m:
+            return 0
         if m >= 0:
             return max(_log_terms(A, B, m, d))
-        if kernels._terminates(C - A, C - B):
-            return d**m * max(_polynomial_terms(C - A, C - B, C, d))
         return d**m * max(_log_terms(C - A, C - B, -m, d))
-    if abs(s - m) < kernels._NEAR_INTEGER:
-        return 0
     g1 = mpmath.gamma(C) * mpmath.gamma(s) \
         * mpmath.rgamma(C - A) * mpmath.rgamma(C - B)
     g2 = mpmath.gamma(C) * mpmath.gamma(-s) \
@@ -171,7 +171,8 @@ def test_hyp2f1_workload_triples(triple):
 @pytest.mark.parametrize("s", [-2, -1, 0, 1, 2])
 @pytest.mark.parametrize("a, b", [(1.75, 1.25), (-0.375, 2.25)])
 def test_hyp2f1_integer_s(a, b, s):
-    # a + b + s is exact, so these take the logarithmic forms
+    # a + b + s is exact, so these take the near-integer form at eps = 0,
+    # the logarithmic forms
     _assert_matches(a, b, a + b + s)
 
 
@@ -187,11 +188,22 @@ def test_hyp2f1_terminating(triple):
     _assert_matches(*triple)
 
 
-@pytest.mark.parametrize("gap", [1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3,
-                                 0.03, -0.03])
-@pytest.mark.parametrize("m", [-2, -1, 0, 1, 2])
-def test_hyp2f1_near_integer_s(m, gap):
-    _assert_matches(1.75, 1.25, 3.0 + m + gap)
+NEAR_INTEGER = [
+    pytest.param(1.75, 1.25, 3.0 + m + gap, id=f"{m}-{gap}")
+    for m in (-2, -1, 0, 1, 2)
+    for gap in (1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.03, -0.03)] + [
+    # s just below -1 and -2, where after Euler's transformation the
+    # complement C - A is the given A, next to the pole of Gamma at 0
+    pytest.param(1e-40, 1.5295322116702872, 0.5295322106702872,
+                 id="tiny-A"),
+    pytest.param(-2.5e-07, 2.2723795565891924, 0.27237830658919265,
+                 id="small-negative-A"),
+]
+
+
+@pytest.mark.parametrize("A, B, C", NEAR_INTEGER)
+def test_hyp2f1_near_integer_s(A, B, C):
+    _assert_matches(A, B, C)
 
 
 def test_hyp2f1_near_integer_s_with_vanishing_gauss_term():
@@ -206,6 +218,14 @@ def test_hyp2f1_near_integer_s_with_vanishing_gauss_term():
 @settings(max_examples=15, deadline=None)
 @given(A=st.floats(-3.0, 6.0), B=st.floats(-3.0, 3.0),
        C=st.floats(0.1, 8.0), shift=st.one_of(st.none(), st.integers(-3, 3)))
+# a tiny B next to an integer C - A - B: Euler's transformation must carry
+# C - B exactly, where recomputing it from C - (C - B) loses B
+@example(A=2.0, B=1.1754943508222875e-38, C=1.0, shift=None)
+@example(A=1.0, B=4.448180775167245e-63, C=0.5, shift=None)
+@example(A=2.5, B=2.4722904609962036e-64, C=0.5, shift=None)
+@example(A=2.0, B=5.865172075187742e-60, C=0.1, shift=None)
+# Gamma(C - B) = Gamma(5e-324) overflows on its own
+@example(A=1.96875, B=5e-324, C=1.0, shift=None)
 def test_hyp2f1_random_parameters(A, B, C, shift):
     # C > 0 is the range of every Hohlov factor
     if shift is not None:
@@ -223,8 +243,11 @@ def test_hyp2f1_random_parameters(A, B, C, shift):
 # a zero of F at d = 0.2500..., where the Gauss series in 1 - d takes over
 # and sums terms up to 3e2 for F = -1.5e-3
 @example(a=5.55078125, b=7.0, c=11.6875, k=0, integer=True)
+@example(a=1.125, b=0.75, c=1.0, k=0, integer=False)
+# 1 - a = -1e-5: slopes of log Gamma near 1e5 at an eps of about 1e-16
+@example(a=1.00001, b=1.00001, c=6.0, k=0, integer=True)
 def test_hyp2f1_random_hohlov_factors(a, b, c, k, integer):
-    if integer:  # a - b an integer: the logarithmic forms
+    if integer:  # a - b an integer: the near-integer form at eps = 0
         b = a + round(b - a)
     assume(b > 0.0 and c - a - b > -1.0)
     _assert_matches(*_hohlov_triples(a, b, c)[k], D_GRID[::3],
@@ -242,7 +265,8 @@ def test_hyp2f1_growing_gauss_terms(triple):
 @pytest.mark.parametrize("triple", [
     # 15.3.6 loses digits towards d = 1/4: the Gauss series takes over lower
     (3.0, 4.0, 9.5), (11.875, 1.875, 12.625),
-    # both Gauss forms cancel at d = 1/4: the logarithmic form runs to 1/2
+    # both Gauss forms cancel at d = 1/4: the near-integer form (s = 0)
+    # runs to 1/2
     (6.8125, -2.75, 4.0625),
 ], ids=str)
 def test_hyp2f1_moved_switch(triple):
@@ -258,11 +282,21 @@ def test_hyp2f1_scalar_and_domain():
         kernels._hyp2f1c(1.5, 0.5, -2.0, 0.3)
 
 
-def test_digamma_matches_mpmath():
-    for x in (1e-3, 0.5, 1.0, 1.4616321449683622, 3.7, 9.99, 10.0, 250.0,
-              -0.5, -2.7):
-        ref = mpmath.digamma(x)
-        assert abs(kernels._digamma(x) - ref) <= 1e-14 * max(1.0, abs(ref))
+def test_lgamma_slope_matches_mpmath():
+    # z positive, negative and within 1e-9 of a pole; x = 0 is psi(z)
+    for z in (2e-3, 0.5, 1.0, 1.4616321449683622, 3.7, 9.99, 10.0, 250.0,
+              -0.5, -2.7, 7e-10, -1.0 + 3e-10, -3.0 - 7e-10):
+        for x in (0.0, 1e-15, -1e-15, 1e-9, -1e-9, 1e-3, -1e-3, 0.049,
+                  -0.049):
+            with mpmath.workprec(300):
+                zm, xm = mpmath.mpf(z), mpmath.mpf(x)
+                if x == 0.0:
+                    ref = mpmath.digamma(zm)
+                else:
+                    ref = (mpmath.loggamma(zm + xm).real
+                           - mpmath.loggamma(zm).real) / xm
+            got = kernels._lgamma_slope(z, x)
+            assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (z, x)
 
 
 HOHLOV = [(0.5, 0.8, 4.5), (1.5, 0.5, 4.0), (1.0, 1.0, 4.0), (2.5, 3.5, 6.2)]

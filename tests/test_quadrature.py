@@ -176,9 +176,11 @@ def test_import_and_runs_leave_scipy_integrate_unloaded(tmp_path):
     # CLI reads its flags itself, the records are NamedTuples, the
     # Gauss-Legendre rules are literal tables): not
     # after the import, not after Hohlov certifications (generic,
-    # logarithmic and terminating 2F1 factors, and a = 1, where the 6F5
-    # closed form of beta applies), not after an in-process sweep or the
-    # other commands (beta and certify at a = 1 among them)
+    # logarithmic, near-integer and terminating 2F1 factors, and a = 1,
+    # where the 6F5 closed form of beta applies), not after an in-process
+    # sweep or the other commands (beta and certify at a = 1 among them).
+    # json loads only for --format json: not after the import, the csv
+    # sweep or csv moments
     args = ["--kernel", "hohlov a=1 b=1 c=4", "--mu", "1", "--nu", "2",
             "--sigma", "0.1", "--xi", "1", "--format", "json", "--output",
             str(tmp_path / "out")]
@@ -195,32 +197,35 @@ def test_import_and_runs_leave_scipy_integrate_unloaded(tmp_path):
 
         import pascucert as pc
         from pascucert import cli
-        loaded = [foreign()]
+        loaded, json_loaded = [foreign()], ["json" in sys.modules]
         params = pc.ParameterSet.from_mu_nu(1.0, 2.0, 0.1, 1.0)
         for text in ("hohlov a=0.5 b=0.8 c=4.5", "hohlov a=1.5 b=0.5 c=4",
-                     "hohlov a=1 b=1 c=4"):
+                     "hohlov a=1 b=1 c=4", "hohlov a=0.5 b=0.5000001 c=4",
+                     "hohlov a=0.5 b=0.52 c=4"):
             pc.run_certification(pc.parse_kernel(text), params)
             loaded.append(foreign())
         cli.main(["sweep", "--kernel", "generalized A=1 B=1 C=4 x1={{1,2}}",
                   "--mu", "1", "--nu", "2", "--sigma", "0.1", "--xi", "1",
                   "--format", "csv", "--output", {str(tmp_path / "s.csv")!r}])
         loaded.append(foreign())
+        json_loaded.append("json" in sys.modules)
+        cli.main(["moments", "--kernel", "hohlov a=0.5 b=0.8 c=4.5",
+                  "--format", "csv", "--output", {str(tmp_path / "m.csv")!r}])
+        loaded.append(foreign())
+        json_loaded.append("json" in sys.modules)
         for command in (["check"], ["beta"],
                         ["certify", "--plot-data",
                          {str(tmp_path / "p.csv")!r}]):
             cli.main(command + {args!r})
             loaded.append(foreign())
-        cli.main(["moments", "--kernel", "hohlov a=0.5 b=0.8 c=4.5",
-                  "--output", {str(tmp_path / "m.csv")!r}])
-        loaded.append(foreign())
-        print(loaded)
+        print(loaded, json_loaded)
         """)
     src = str(Path(pc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == repr([[]] * 9)
+    assert out.stdout.strip() == f"{[[]] * 11!r} {[False] * 3!r}"
     assert (tmp_path / "p.csv").exists() and (tmp_path / "m.csv").exists()
 
 
