@@ -10,10 +10,11 @@ and params.hypothesis_check only look the family up.  The Hohlov
 factor 2F1(c - a, 1 - a; c - a - b + 1; 1 - t) is the double-precision
 routine _hyp2f1c: the Gauss series away from t = 0, near it A&S 15.3.6,
 its two series paired term by term where C - A - B is near an integer
-(15.3.10-11 on one).  envelopes() computes the tail envelopes Lambda and
-Pi of the duality criterion on a whole t-grid from one composite
-Gauss-Legendre rule in y = -log t, on the literal node table of
-quadrature.gauss_legendre.
+(15.3.10-11 on one), and next to a zero of F there the Gauss series in
+40-digit decimal arithmetic.  envelopes() computes the tail envelopes
+Lambda and Pi of the duality criterion on a whole t-grid from one
+composite Gauss-Legendre rule in y = -log t, on the literal node table
+of quadrature.gauss_legendre.
 """
 from __future__ import annotations
 
@@ -80,6 +81,10 @@ _EPS = np.finfo(float).eps
 # C - A - B within this distance of an integer makes the two terms of A&S
 # 15.3.6 cancel; _near_integer_terms pairs them up there
 _NEAR_INTEGER = 0.05
+# where the paired terms exceed |F| by this factor (next to a zero of F),
+# and d >= _GAUSS_FLOOR, _gauss_decimal sums the Gauss series to this share
+_CANCEL = 2.0**10
+_DECIMAL_TOL = 1e-30
 
 
 def _nonpositive_integer(x: float) -> bool:
@@ -90,13 +95,23 @@ def _gamma_ratio(num, den) -> float:
     """prod Gamma(num) / prod Gamma(den); 1/Gamma vanishes at the poles.
 
     Summed in log-gamma, so a factor Gamma(x) of a tiny or large x does
-    not overflow on its own.
+    not overflow on its own.  An entry may be a pair (n, delta) from
+    _split, whose Gamma next to a pole n < 0 comes from the exact delta:
+    Gamma(n + delta) = Gamma(1 + delta) / prod_{j=n..0} (j + delta).
     """
-    if any(_nonpositive_integer(x) for x in den):
+    pairs = [[x if isinstance(x, tuple) else (0.0, x) for x in xs]
+             for xs in (num, den)]
+    if any(_nonpositive_integer(x) for n, x in pairs[1]):
         return 0.0
     log, sign = 0.0, 1.0
-    for xs, side in ((num, 1.0), (den, -1.0)):
-        for x in xs:
+    for xs, side in zip(pairs, (1.0, -1.0)):
+        for n, x in xs:
+            if n:
+                for j in range(int(n), 1):
+                    log -= side * math.log(abs(j + x))
+                    if j + x < 0.0:
+                        sign = -sign
+                x += 1.0
             log += side * math.lgamma(x)
             if x < 0.0 and math.floor(x) % 2:
                 sign = -sign
@@ -108,17 +123,19 @@ def _expm1_ratio(d: float, s):
     return s if d == 0.0 else np.expm1(d * s) / d
 
 
-def _lgamma_slope(z: float, x: float) -> float:
-    """(lgamma(z + x) - lgamma(z)) / x, psi(z) at x = 0, z and z + x off
-    the poles: log1p steps up to z >= 10, then Stirling's series, in
-    which the slope of w**-p is -sum_{i<p} w**(i - p) (w + x)**(-1 - i)."""
-    acc, j = 0.0, 0
-    while z + j < 10.0:
-        zj, j = z + j, j + 1
+def _lgamma_slope(z: float, x: float, n: float = 0.0) -> float:
+    """(lgamma(n + z + x) - lgamma(n + z)) / x, psi(n + z) at x = 0, off
+    the poles, with n an integer (so that z may be an exact offset from
+    the pole n): log1p steps up to n + z >= 10, then Stirling's series,
+    in which the slope of w**-p is -sum_{i<p} w**(i - p) (w + x)**(-1 - i).
+    """
+    acc, j = 0.0, n
+    while j + z < 10.0:
+        zj, j = j + z, j + 1
         u = x / zj
         acc -= ((math.log1p(u) / u if u else 1.0) / zj if abs(u) < 0.5
                 else math.log(abs((zj + x) / zj)) / x)
-    w = z + j
+    w = j + z
     acc += (w - 0.5) * (math.log1p(x / w) / x if x else 1.0 / w) \
         + math.log(w + x) - 1.0
     a, b = 1.0 / w, 1.0 / (w + x)
@@ -134,10 +151,13 @@ def _lgamma_slope(z: float, x: float) -> float:
 
 @functools.lru_cache(maxsize=512)
 def _taylor(a: float, b: float, c: float, x_max: float) -> np.ndarray:
-    """(a)_k (b)_k / ((c)_k k!) for k = 0 .. K, enough terms for the Gauss
-    series at every |x| <= x_max < 1 (stop rule: _SERIES_TOL); a
-    terminating one (a or b a nonpositive integer) stops at its last
-    nonzero term, and x_max = inf returns it whole.  Cached, read-only."""
+    """(a)_k (b)_k / ((c)_k k!) for k = 0 .. K, enough terms for the
+    Gauss series at every |x| <= x_max < 1 (stop rule: _SERIES_TOL).
+
+    A terminating series (a or b a nonpositive integer) stops at its last
+    nonzero term; x_max = inf returns it whole, for any x.  The result is
+    cached and read-only.
+    """
     coef, size, power, k = [1.0], 1.0, 1.0, 0
     while True:
         num = (a + k) * (b + k)
@@ -194,12 +214,16 @@ def _hyp2f1c(A, B, C, d):
     not be a nonpositive integer.  The routes (Abramowitz & Stegun):
 
     - A or B a nonpositive integer: the finite polynomial (_polynomial),
-      after Euler's transformation F(A, B; C; z) = d**(C - A - B)
-      F(C - A, C - B; C; z) when that one terminates too, so a zero of
-      order C - A - B at d = 0 stays exact.
+      after Euler's transformation when that one terminates too, so a
+      zero of order C - A - B at d = 0 stays exact.
     - d at or above the switch of _far_plan (1/4, or 1/2 to 1/64 for
-      some parameters): the Gauss series in 1 - d, perhaps after Euler's.
-    - below: _hyp2f1_near_one, the connection formula 15.3.6 in d.
+      some parameters): the Gauss series in 1 - d, directly or after
+      Euler's transformation F(A, B; C; z) = d**(C - A - B)
+      F(C - A, C - B; C; z).
+    - below: _hyp2f1_near_one, the 1 - z connection formula 15.3.6,
+      whose series all run in d; where C - A - B lies within
+      _NEAR_INTEGER of an integer, its two series paired term by term,
+      and next to a zero of F the Gauss series in decimal arithmetic.
     """
     if _nonpositive_integer(C):
         raise DomainError(f"2F1 needs C = {C} off the nonpositive integers")
@@ -224,10 +248,14 @@ def _hyp2f1c(A, B, C, d):
 
 
 def _polynomial(A, B, C, d, C_A, C_B):
-    """A terminating 2F1(A, B; C; 1 - d), A or B = -N, in powers of 1 - d
-    or in powers of d (Chu-Vandermonde, from the exact C_B = C - B, C_A
-    = C - A), F = sum_k binom(N, k) (B)_k (C_B)_(N - k) d**k / (C)_N, at
-    each d the one whose terms cancel less."""
+    """A terminating 2F1(A, B; C; 1 - d), A or B = -N, in powers of
+    1 - d or in powers of d (Chu-Vandermonde, from the exact C_A = C - A
+    and C_B = C - B),
+
+    F = sum_k binom(N, k) (B)_k (C - B)_(N - k) d**k / (C)_N,
+
+    at each d the one whose terms cancel less.
+    """
     if not _nonpositive_integer(A) or (_nonpositive_integer(B) and B > A):
         A, B, C_B = B, A, C_A
     n = int(-A)
@@ -255,16 +283,19 @@ def _gauss(A, B, C, d, euler, z_max, absolute=False):
 @functools.lru_cache(maxsize=256)
 def _far_plan(A, B, C):
     """(switch, euler): the Gauss series serves d >= switch, after
-    Euler's transformation if euler; the connection formulas the rest.
+    Euler's transformation if euler; the connection formulas serve the
+    rest.
 
-    The plan takes the Gauss form whose terms cancel less at d =
-    _GAUSS_FROM.  The connection formulas lose digits as d grows, the
-    Gauss series where its terms cancel (sum of |terms| above
-    _SWITCH_TOL/eps times the value).  If they cancel at 1/4, the switch
-    rises to 1/2 where both routes agree to _SWITCH_TOL relative there.
-    Otherwise it halves from 1/4, down to _GAUSS_FLOOR, while the routes
-    differ by more than that at the switch and the Gauss series at the
-    next switch would not cancel.
+    Of the two Gauss forms the plan takes the one whose terms cancel less
+    at d = _GAUSS_FROM.  The connection formulas lose digits as d grows
+    (their large terms are damped by d**k); the Gauss series needs more
+    terms as d falls, and loses digits where its terms alternate and
+    cancel (sum of |terms| above _SWITCH_TOL/eps times the value).  If
+    the Gauss terms cancel at 1/4, the switch rises to 1/2 where both
+    routes agree to _SWITCH_TOL relative there.  Otherwise it halves from
+    1/4, down to _GAUSS_FLOOR, while the routes differ by more than that
+    at the switch and the Gauss series at the next switch would not
+    cancel.
     """
     def spread(d, euler):
         x = np.array([d])
@@ -293,10 +324,19 @@ def _far_plan(A, B, C):
 
 def _hyp2f1_near_one(A, B, C, d, x_max):
     """2F1(A, B; C; 1 - d) for an array of d in (0, x_max], x_max <= 1/2,
-    A and B not nonpositive integers: A&S 15.3.6, two Gauss series in d
-    with d**s taken from d itself, where s = C - A - B is not within
-    _NEAR_INTEGER of an integer; else the polynomial after Euler's
-    transformation where that terminates, or _near_integer_terms."""
+    A and B not nonpositive integers.  With s = C - A - B and m the
+    integer nearest s:
+
+    - s not within _NEAR_INTEGER of m: A&S 15.3.6, two Gauss series in
+      d, with d**s taken from d itself.
+    - |s - m| < _NEAR_INTEGER, s = m included: the polynomial after
+      Euler's transformation F(A, B; C; z) = d**s F(C - A, C - B; C; z)
+      where that terminates, else the two series of 15.3.6 paired term
+      by term (_near_integer_terms; 15.3.10-11 at s = m).  Where the
+      paired terms, bounded by their sizes at x_max, exceed |F| by
+      _CANCEL (next to a zero of F) and d >= _GAUSS_FLOOR,
+      _gauss_decimal takes the point.
+    """
     s = math.fsum((C, -A, -B))
     m = round(s)
     if abs(math.fsum((C, -A, -B, -m))) >= _NEAR_INTEGER:
@@ -311,8 +351,61 @@ def _hyp2f1_near_one(A, B, C, d, x_max):
     log_d = np.log(d)
     slope = ((g_rho * d**eps - g) / eps if ell is None
              else g * _expm1_ratio(eps, ell + log_d))
-    return d**power * (_horner(coef, d) + d**m * (
-        slope + _expm1_ratio(eps, log_d) * _horner(coef_b, d)))
+    ratio, d_m = _expm1_ratio(eps, log_d), d**m
+    out = _horner(coef, d) + d_m * (slope + ratio * _horner(coef_b, d))
+    # the paired terms at d are at most their sizes at x_max; where these
+    # exceed |F| by _CANCEL, next to a zero of F, the terms may cancel
+    head, tail = (np.abs(c) @ x_max ** np.arange(c.size)
+                  for c in (coef, coef_b))
+    size = head + d_m * (np.abs(slope) + np.abs(ratio) * tail)
+    poor = (size > _CANCEL * np.abs(out)) & (d >= _GAUSS_FLOOR)
+    out *= d**power
+    for i in np.flatnonzero(poor):
+        out[i] = _gauss_decimal(A, B, C, d[i])
+    return out
+
+
+def _gauss_decimal(A, B, C, d):
+    """2F1(A, B; C; 1 - d) from the Gauss series summed in 40-digit
+    decimal arithmetic, in which A, B, C and d are exact; d >=
+    _GAUSS_FLOOR keeps it to some thousand terms."""
+    import decimal
+
+    with decimal.localcontext() as context:
+        context.prec = 40
+        a, b, c, tol = map(decimal.Decimal, (A, B, C, _DECIMAL_TOL))
+        z = 1 - decimal.Decimal(d)
+        term = total = size = decimal.Decimal(1)
+        for k in range(_SERIES_MAX_TERMS):
+            ratio = (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+            term *= ratio
+            total += term
+            size += abs(term)
+            if abs(term) <= tol * size \
+                    and abs(ratio) <= (1 + z) / 2:
+                return float(total)
+    raise DomainError(f"2F1({A}, {B}; {C}) series at d = {d} needs over"
+                      f" {_SERIES_MAX_TERMS} terms")
+
+
+def _split(parts) -> tuple:
+    """The exact sum x of parts as (n, delta): n the pole of Gamma
+    nearest x (0 for x > 1/2) and delta = x - n, rounded once."""
+    n = min(0.0, float(round(math.fsum(parts))))
+    return n, math.fsum(parts + (-n,))
+
+
+def _plus(x: tuple, k) -> float:
+    """n + delta + k for a pair x = (n, delta) from _split."""
+    return (x[0] + k) + x[1]
+
+
+def _off_pole(z: tuple, z_eps: tuple) -> bool:
+    """Whether the pairs z and z_eps = z + eps (from _split) lie within a
+    factor 2 of each other in their distance from the pole of Gamma
+    nearest z, so that Gamma has one sign at both and their lgamma slope
+    cancels nothing."""
+    return 0.5 <= ((z_eps[0] - z[0]) + z_eps[1]) / z[1] <= 2.0
 
 
 @functools.lru_cache(maxsize=256)
@@ -330,28 +423,33 @@ def _near_integer_terms(A, B, C, x_max):
     of d**(m + k); coef_b those of (d**eps - 1)/eps d**(m + k).  Left out
     is g De_0 = (g_rho d**eps - g)/eps = g expm1(eps (ell + log d))/eps,
     g_rho taken directly (ell None) where A + m or B + m is within about
-    2 eps of 0.  The slopes advance by the term ratios r(x), with
-    (r(eps) - r(0))/eps formed algebraically.
+    2 eps of a pole of Gamma.  The slopes advance by the term ratios
+    r(x), with (r(eps) - r(0))/eps formed algebraically.
     """
     s = math.fsum((C, -A, -B))
     m = round(s)
     eps = math.fsum((C, -A, -B, -m))
     if m < 0:  # C - A and C - B are carried exactly through Euler's swap
-        A_m, B_m = math.fsum((C, -A, -m)), math.fsum((C, -B, -m))
-        A, B, C_A, C_B = C - A, C - B, A, B
+        parts = ((C, -A), (C, -B), (A,), (B,))
         m, eps, power = -m, -eps, s
     else:
-        A_m, B_m, C_A, C_B, power = A + m, B + m, C - A, C - B, 0.0
+        parts, power = ((A,), (B,), (C, -A), (C, -B)), 0.0
+    # A, B, A + m, B + m, C - A and C - B as pairs (n, delta) from their
+    # exact parts, which keeps them exact next to a pole of Gamma
+    A_, B_, C_A, C_B = (_split(x) for x in parts)
+    A_m, B_m = _split(parts[0] + (m,)), _split(parts[1] + (m,))
     coef = [_gamma_ratio((C, m + eps), (C_A, C_B))] if m else []
     for n in range(m - 1):
-        coef.append(coef[-1] * (A + n) * (B + n)
+        coef.append(coef[-1] * _plus(A_, n) * _plus(B_, n)
                     / ((n + 1.0 - m - eps) * (n + 1.0)))
     pe = math.pi * eps
     g0 = (1.0 if m % 2 else -1.0) * (pe / math.sin(pe) if eps else 1.0) \
-        * math.prod((A + j) * (B + j) / (j + 1.0) for j in range(m))
+        * math.prod(_plus(A_, j) * _plus(B_, j) / (j + 1.0)
+                    for j in range(m))
     g = g0 * _gamma_ratio((C,), (C_A, C_B))
-    if 0.5 <= C_B / A_m <= 2.0 and 0.5 <= C_A / B_m <= 2.0:
-        ell = (_lgamma_slope(A_m, eps) + _lgamma_slope(B_m, eps)
+    if _off_pole(A_m, C_B) and _off_pole(B_m, C_A):
+        ell = (_lgamma_slope(A_m[1], eps, A_m[0])
+               + _lgamma_slope(B_m[1], eps, B_m[0])
                - _lgamma_slope(1.0 + m, eps))
         g_rho, dq = g * math.exp(eps * ell), g * _expm1_ratio(eps, ell)
     else:  # Gamma(C - A) Gamma(C - B) cancels, so neither can overflow
@@ -365,8 +463,9 @@ def _near_integer_terms(A, B, C, x_max):
     coef, coef_b = coef + [g * df], [0.0]
     size, x, k = abs(g * df) + abs(dq) + abs(g_rho), 1.0, 0
     while k <= _SERIES_MAX_TERMS:
-        a, b, c = A_m + k, B_m + k, 1.0 + m + k
-        ratio, ratio_eps = a * b / c, (C_A + k) * (C_B + k) / (c + eps)
+        a, b, c = _plus(A_m, k), _plus(B_m, k), 1.0 + m + k
+        ratio = a * b / c
+        ratio_eps = _plus(C_A, k) * _plus(C_B, k) / (c + eps)
         dq = ratio_eps * dq \
             + q0 * ((a + b + eps) * c - a * b) / (c * (c + eps))
         q0, qe, f, df = (q0 * ratio, qe * ratio_eps, f / (k + 1.0),
@@ -391,15 +490,21 @@ def _hyp2f1_factors(kernel: KernelSpec):
     a, b, c = (kernel.p[k] for k in ("a", "b", "c"))
     p1, p2, p3 = c - a, 1.0 - a, c - a - b + 1.0
 
-    def derivative(n, scale):
-        def f(d):
-            if n and p1 * p2 == 0.0:  # the factor is the constant 1
-                return np.zeros(np.shape(d))
-            return scale * _hyp2f1c(p1 + n, p2 + n, p3 + n, d)
-        return f
+    def f0(d):
+        return _hyp2f1c(p1, p2, p3, d)
 
-    return (derivative(0, 1.0), derivative(1, p1 * p2 / p3), derivative(
-        2, p1 * (p1 + 1) * p2 * (p2 + 1) / (p3 * (p3 + 1))))
+    def f1(d):
+        if p1 * p2 == 0.0:  # the factor is the constant 1
+            return np.zeros(np.shape(d))
+        return p1 * p2 / p3 * _hyp2f1c(p1 + 1, p2 + 1, p3 + 1, d)
+
+    def f2(d):
+        if p1 * p2 == 0.0:
+            return np.zeros(np.shape(d))
+        return (p1 * (p1 + 1) * p2 * (p2 + 1) / (p3 * (p3 + 1))
+                * _hyp2f1c(p1 + 2, p2 + 2, p3 + 2, d))
+
+    return f0, f1, f2
 
 
 # ---------------------------------------------------------------------------

@@ -138,14 +138,14 @@ def _largest_term(A, B, C, d):
             return d**s * max(_terms(C - A, C - B, C, 1 - d))
         return max(_terms(A, B, C, 1 - d))
     m = round(s)
-    if abs(s - m) < kernels._NEAR_INTEGER:
-        if kernels._terminates(C - A, C - B):
-            return d**s * max(_polynomial_terms(C - A, C - B, C, d))
-        if s != m:
-            return 0
+    if s == m:
         if m >= 0:
             return max(_log_terms(A, B, m, d))
+        if kernels._terminates(C - A, C - B):
+            return d**m * max(_polynomial_terms(C - A, C - B, C, d))
         return d**m * max(_log_terms(C - A, C - B, -m, d))
+    if abs(s - m) < kernels._NEAR_INTEGER:
+        return 0
     g1 = mpmath.gamma(C) * mpmath.gamma(s) \
         * mpmath.rgamma(C - A) * mpmath.rgamma(C - B)
     g2 = mpmath.gamma(C) * mpmath.gamma(-s) \
@@ -226,6 +226,14 @@ def test_hyp2f1_near_integer_s_with_vanishing_gauss_term():
 @example(A=2.0, B=5.865172075187742e-60, C=0.1, shift=None)
 # Gamma(C - B) = Gamma(5e-324) overflows on its own
 @example(A=1.96875, B=5e-324, C=1.0, shift=None)
+# C - A, C - B or C - A + m next to a pole of Gamma, where rounding the
+# difference itself would move it by a share of its distance to the pole
+@example(A=2.1752031665862104, B=-1.9999999999999638, C=0.1751783987180227,
+         shift=None)
+@example(A=-3.000000000000004, B=1.4749546695935738, C=0.4749546695933072,
+         shift=None)
+@example(A=4.471789763428248, B=-1.9999999992687978, C=0.471788229135088,
+         shift=None)
 def test_hyp2f1_random_parameters(A, B, C, shift):
     # C > 0 is the range of every Hohlov factor
     if shift is not None:
@@ -246,6 +254,16 @@ def test_hyp2f1_random_parameters(A, B, C, shift):
 @example(a=1.125, b=0.75, c=1.0, k=0, integer=False)
 # 1 - a = -1e-5: slopes of log Gamma near 1e5 at an eps of about 1e-16
 @example(a=1.00001, b=1.00001, c=6.0, k=0, integer=True)
+# a - b near an integer and a zero of F at d = 0.3007 and at d = 0.0759,
+# where the paired terms add up to 4e4 |F| and 3e3 |F|
+@example(a=4.168347373183445, b=6.168350703624229, c=10.891082963224006,
+         k=0, integer=False)
+@example(a=2.0457597492715927, b=3.045759749234529, c=6.045759749234529,
+         k=1, integer=False)
+# C - A = -1 - 9e-16 and C - A - B = 1 - 0.0195: Gamma changes sign
+# between B + 1 and C - A, so their lgamma slope would lose it
+@example(a=4.980494187126518, b=2.0, c=11.10498903153049, k=2,
+         integer=False)
 def test_hyp2f1_random_hohlov_factors(a, b, c, k, integer):
     if integer:  # a - b an integer: the near-integer form at eps = 0
         b = a + round(b - a)
@@ -297,6 +315,22 @@ def test_lgamma_slope_matches_mpmath():
                            - mpmath.loggamma(zm).real) / xm
             got = kernels._lgamma_slope(z, x)
             assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (z, x)
+            # z as an exact offset from the pole n nearest it
+            n = min(0, round(z))
+            got = kernels._lgamma_slope(z - n, x, n)
+            assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (z, x, n)
+
+
+def test_gamma_ratio_next_to_a_pole():
+    # Gamma(n + delta) from the exact delta, where n + delta as one double
+    # would lose most of delta's digits
+    for n in (-1.0, -2.0, -5.0):
+        for delta in (1e-12, -3e-9, 0.2, -0.5):
+            got = kernels._gamma_ratio((2.5,), ((n, delta),))
+            with mpmath.workprec(300):
+                ref = mpmath.gamma(2.5) * mpmath.rgamma(n + mpmath.mpf(delta))
+            assert abs(got - ref) <= 1e-14 * abs(ref), (n, delta)
+    assert kernels._gamma_ratio((2.5,), ((-3.0, 0.0),)) == 0.0
 
 
 HOHLOV = [(0.5, 0.8, 4.5), (1.5, 0.5, 4.0), (1.0, 1.0, 4.0), (2.5, 3.5, 6.2)]
