@@ -15,7 +15,7 @@ from .errors import (PascucertError, NoRealRoots, DomainError,
                      CriticalPoint, ConvergenceFailure, PoleError,
                      DivergentSeries, RepresentationMismatch, ZeroDenominator,
                      ExtrapolationUnstable, NotApplicable, ConfigError)
-from .params import (ParameterSet, Hypothesis, HypothesisReport,
+from .params import (ParameterSet, Row, HypothesisReport,
                      resolve_mu_nu, sigma_upper_bound, hypothesis_check,
                      combination_ratio)
 from .auxfun import AuxContext, l_integrand

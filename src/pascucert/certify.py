@@ -6,7 +6,8 @@ the relation beta/(1-beta) = -I gives beta = I/(I-1).  The profile is
 2 E R(t U**mu V**nu) - 1 with R rational and U, V uniform on (0, 1), so
 swapping the order of integration makes I a sum over the duality
 functional's nodes, I = 1 + (2/(mu nu)) sum W (R(t) - 1).  The moment
-series gives I by an independent route; the two must agree to 1e-7.  For
+series gives I by an independent route; the two must agree to 1e-7, or
+to the rounding of I magnified by dbeta/dI = -(beta - 1)**2.  For
 the Hohlov kernel at a = 1 the moment series is, term by term, the 6F5 of
 the closed form beta = 1 - 1/(2(1 - 6F5(...; -1))), so that closed form is
 no third route and is kept with the oracles.
@@ -23,6 +24,10 @@ the one integration rule of a certification, besides the unit-mass check
 of kernels.make_kernel.  The adaptive beta quadrature, the Hohlov closed
 form, the direct functional and the series membership and sharpness
 checks are in the oracles module.
+
+Each verdict is a table of params.Row, each threshold compared in one
+row: the duality route's in run_certification, the theorem route's in
+theorem_rows.
 """
 
 from __future__ import annotations
@@ -34,14 +39,17 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import auxfun, kernels, params as params_mod
+from .params import Row
 from .errors import (DomainError, NotApplicable, QuadratureFailure,
                      RepresentationMismatch, ZeroDenominator)
 from .quadrature import (ALTERNATING_TERMS, averaged_partial_sum,
                          chebyshev_grid, gauss_panels)
 
 # the version of every command's JSON and of CertificationReport.to_dict
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 BETA_ROUTE_TOL = 1e-7
+# the least tolerance of the functional row; a larger --tol replaces it
+FUNCTIONAL_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-3
 SHARPNESS_TOL = 1e-2
 CHECK_GRID_POINTS = 257
@@ -133,9 +141,18 @@ class BetaRoutes(NamedTuple):
     nodes: float
     series: float
 
+    def row(self) -> Row:
+        """The beta_routes row: the routes agree within BETA_ROUTE_TOL, or
+        within 4 eps (beta - 1)**2 where that is larger.  Each route's I
+        lies next to 1 and carries its rounding, about eps, and
+        beta = I/(I - 1) magnifies a change of I by (beta - 1)**2."""
+        tol = max(BETA_ROUTE_TOL,
+                  4.0 * np.finfo(float).eps * (self.nodes - 1.0) ** 2)
+        return Row("beta_routes", -abs(self.nodes - self.series), tol)
+
     @property
     def agree(self) -> bool:
-        return abs(self.nodes - self.series) <= BETA_ROUTE_TOL
+        return self.row().satisfied
 
     def sharp(self) -> float:
         """The M-node beta; RepresentationMismatch if the routes differ."""
@@ -484,13 +501,26 @@ def condition_margins(kernel: kernels.KernelSpec,
     return margins, params_mod.hypothesis_check(params, kernel)
 
 
+def theorem_rows(margins: dict, hyp_report, tol: float = 0.0) -> list:
+    """The theorem route's verdict rows, from condition_margins: each
+    sufficient condition that applies, within tol, and the least margin
+    of the theorem's hypotheses, >= 0, where a theorem covers the
+    family."""
+    rows = [Row(name, margin, tol) for name, margin in margins.items()
+            if margin is not None]
+    if hyp_report is not None:
+        rows.append(Row(f"hypotheses_{hyp_report.theorem}",
+                        hyp_report.min_margin))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # end-to-end certification
 
 class CertificationReport(NamedTuple):
-    """Per-theorem verdicts for one kernel and parameter set; curves holds
-    the plot curves if run_certification was asked for them, else it is
-    empty."""
+    """The duality route's verdict for one kernel and parameter set: rows
+    holds its table (run_certification), and curves the plot curves if
+    run_certification was asked for them, else it is empty."""
 
     params: params_mod.ParameterSet
     kernel: kernels.KernelSpec
@@ -503,21 +533,16 @@ class CertificationReport(NamedTuple):
     membership_min: float
     membership_argmin: complex
     sharpness_residual: float
-    decay_ok: bool
     hypothesis_report: Optional[params_mod.HypothesisReport]
+    rows: tuple
     curves: dict
 
-    def passed(self, tol_functional=1e-6) -> bool:
-        ok = (abs(self.beta_integral - self.beta_series) <= BETA_ROUTE_TOL
-              and self.m_functional_min >= -tol_functional
-              and self.membership_min >= -MEMBERSHIP_TOL
-              and self.sharpness_residual <= SHARPNESS_TOL
-              and self.decay_ok)
-        if self.hypothesis_report is not None \
-                and self.hypothesis_report.all_satisfied:
-            growth = self.condition_margins.get("growth")
-            ok = ok and (growth is None or growth >= 0.0)
-        return ok
+    def failed(self) -> list:
+        """The names of the rows that fail."""
+        return params_mod.failed_rows(self.rows)
+
+    def passed(self) -> bool:
+        return not self.failed()
 
     def to_dict(self) -> dict:
         p = self.params
@@ -547,19 +572,20 @@ class CertificationReport(NamedTuple):
                              self.membership_argmin.imag],
             },
             "sharpness_residual": self.sharpness_residual,
-            "boundary_decay_ok": self.decay_ok,
             "hypothesis_check": None if hyp is None else hyp.to_dict(),
             "passed": self.passed(),
+            "failed": self.failed(),
         }
 
 
 def run_certification(kernel: kernels.KernelSpec,
                       params: params_mod.ParameterSet,
                       grid: DiskGrid = DiskGrid(),
-                      with_curves: bool = False) -> CertificationReport:
+                      with_curves: bool = False,
+                      tol: float = 0.0) -> CertificationReport:
     """Full pipeline: beta, duality functional, conditions, membership and
     sharpness of the extremal image, and the plot curves, all from one
-    SharedPieces."""
+    SharedPieces.  tol widens the functional row past FUNCTIONAL_TOL."""
     pieces = SharedPieces(kernel, params)
     beta = beta_routes(kernel, params, pieces)
     beta_value = beta.sharp()
@@ -580,6 +606,15 @@ def run_certification(kernel: kernels.KernelSpec,
     _winding_guard(grid.unfold(k_over_z[:-1]), grid.boundary_points())
     ratio = ratio.real
     i = int(np.argmin(ratio[:-1]))
+    membership = float(ratio[i] - params.sigma)
+    sharpness = float(abs(ratio[-1] - params.sigma))
+    rows = [beta.row(),
+            Row("functional", m_min, max(tol, FUNCTIONAL_TOL)),
+            Row("membership", membership, MEMBERSHIP_TOL),
+            Row("sharpness", -sharpness, SHARPNESS_TOL)]
+    if hyp_report is not None and hyp_report.all_satisfied \
+            and margins["growth"] is not None:
+        rows.append(Row("growth", margins["growth"]))
 
     curves: dict = {}
     if with_curves:
@@ -595,13 +630,11 @@ def run_certification(kernel: kernels.KernelSpec,
         m_argmin_z=argmin_z,
         m_argmin_eps=argmin_eps,
         condition_margins=margins,
-        membership_min=float(ratio[i] - params.sigma),
+        membership_min=membership,
         membership_argmin=complex(z[i]),
-        sharpness_residual=float(abs(ratio[-1] - params.sigma)),
-        # t**(1/nu) Lambda and t**(1/mu) Pi fall to 0 at 0+ exactly when
-        # lambda ~ t**p log(1/t)**k there has p > -1, whatever k
-        decay_ok=kernels.endpoint_exponents(kernel)[0] > -1.0,
+        sharpness_residual=sharpness,
         hypothesis_report=hyp_report,
+        rows=tuple(rows),
         curves=curves,
     )
 

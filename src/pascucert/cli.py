@@ -20,6 +20,9 @@ NamedTuple whose constructor checks it; a changed copy is built with
 checks.  For ``--format text``, ``beta``, ``check`` and
 ``certify`` print key-value lines, ``moments`` and ``sweep`` their CSV.
 
+The verdicts are certify's row tables, which this module only prints;
+each report names its failed rows under ``failed``, in CSV joined by ``;``.
+
 Exit codes: 0 all requested checks passed, 1 a check failed (report still
 written), 2 usage or configuration error, a parameter value outside its
 range included.
@@ -40,6 +43,7 @@ import numpy as np
 
 from . import certify, kernels, params as params_mod
 from .certify import SCHEMA_VERSION
+from .params import Row, failed_rows
 from .errors import ConfigError, DomainError, NoRealRoots, PascucertError
 
 # the problem-parameter fields, each a value or (in sweep mode) a sweep
@@ -290,6 +294,8 @@ def _csv_rows(rows: list, header: list) -> str:
                 cells.append("NotApplicable")
             elif isinstance(v, float):
                 cells.append(f"{_fmt15(v)!r}")
+            elif isinstance(v, list):
+                cells.append(";".join(v))
             else:
                 cells.append(str(v))
         buf.write(",".join(cells) + "\n")
@@ -366,45 +372,41 @@ def _cmd_beta(cfg: RunConfig) -> _Result:
                    lead=f"beta = {_fmt15(beta.nodes)!r}\n")
 
 
-def _check_margins(kernel, p, tol, pieces=None):
-    margins, hyp = certify.condition_margins(kernel, p, pieces)
-    ok = all(v >= -tol for v in margins.values() if v is not None)
-    if hyp is not None:
-        ok = ok and hyp.all_satisfied
-    return margins, hyp, ok
-
-
 def _cmd_check(cfg: RunConfig) -> _Result:
     kernel = kernels.parse_kernel(cfg.kernel)
-    margins, hyp, ok = _check_margins(kernel, cfg.parameter_set(), cfg.tol)
+    margins, hyp = certify.condition_margins(kernel, cfg.parameter_set())
+    failed = failed_rows(certify.theorem_rows(margins, hyp, cfg.tol))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kernel": kernel.text(),
         "condition_margins": margins,
         "hypothesis_check": None if hyp is None else hyp.to_dict(),
-        "passed": ok,
+        "passed": not failed,
+        "failed": failed,
     }
-    return _Result(ok, payload,
-                   ["kernel", "monotone_margin", "growth_margin", "passed"],
+    return _Result(not failed, payload,
+                   ["kernel", "monotone_margin", "growth_margin", "passed",
+                    "failed"],
                    [[kernel.text(), margins["monotone"], margins["growth"],
-                     ok]], lead="")
+                     not failed, failed]], lead="")
 
 
 def _cmd_certify(cfg: RunConfig) -> _Result:
     kernel = kernels.parse_kernel(cfg.kernel)
     rep = certify.run_certification(kernel, cfg.parameter_set(),
                                     cfg.disk_grid(),
-                                    with_curves=cfg.plot_data is not None)
-    ok = rep.passed(tol_functional=max(cfg.tol, 1e-6))
+                                    with_curves=cfg.plot_data is not None,
+                                    tol=cfg.tol)
     p, m = rep.params, rep.condition_margins
     return _Result(
-        ok, {**rep.to_dict(), "passed": ok},
+        rep.passed(), rep.to_dict(),
         ["kernel", "mu", "nu", "sigma", "xi", "beta", "m_functional_min",
          "monotone_margin", "growth_margin", "membership_min",
-         "sharpness_residual", "passed"],
+         "sharpness_residual", "passed", "failed"],
         [[rep.kernel.text(), p.mu, p.nu, p.sigma, p.xi, rep.beta_integral,
           rep.m_functional_min, m.get("monotone"), m.get("growth"),
-          rep.membership_min, rep.sharpness_residual, ok]],
+          rep.membership_min, rep.sharpness_residual, rep.passed(),
+          rep.failed()]],
         lead="", plot=None if cfg.plot_data is None else emit_plot_data(rep))
 
 
@@ -417,22 +419,26 @@ def _cmd_moments(cfg: RunConfig) -> _Result:
 
 
 def _sweep_point(point: RunConfig, pieces: certify.SharedPieces):
-    """One sweep row, from the SharedPieces of the point's (kernel, mu, nu)."""
+    """One sweep row, from the SharedPieces of the point's (kernel, mu, nu):
+    the theorem route's rows and the beta_routes row."""
     kernel, p = pieces.kernel, point.parameter_set()
     try:
-        margins, hyp, ok = _check_margins(kernel, p, point.tol, pieces)
+        margins, hyp = certify.condition_margins(kernel, p, pieces)
+        rows = certify.theorem_rows(margins, hyp, point.tol)
     except PascucertError as exc:
         # a checker that breaks down fails the row; its cells name the error
         margins = dict.fromkeys(("monotone", "growth"), type(exc).__name__)
-        hyp, ok = None, False
+        hyp, rows = None, [Row(name, math.nan) for name in margins]
     try:
-        beta = certify.beta_sharp(kernel, p, pieces)
+        routes = certify.beta_routes(kernel, p, pieces)
     except PascucertError:
-        beta = None
-    return [point.kernel, p.mu, p.nu, p.sigma, p.xi, beta,
+        # a beta that cannot be solved fails its row, and its cell is empty
+        routes = certify.BetaRoutes(math.nan, math.nan)
+    failed = failed_rows(rows + [routes.row()])
+    return [point.kernel, p.mu, p.nu, p.sigma, p.xi,
+            None if "beta_routes" in failed else routes.nodes,
             margins["monotone"], margins["growth"],
-            None if hyp is None else hyp.min_margin,
-            ok and beta is not None]
+            None if hyp is None else hyp.min_margin, not failed, failed]
 
 
 def _cmd_sweep(cfg: RunConfig, values: dict) -> _Result:
@@ -463,8 +469,8 @@ def _cmd_sweep(cfg: RunConfig, values: dict) -> _Result:
             same_key[0].parameter_set())
         rows += [_sweep_point(q, pieces) for q in same_key]
     header = ["kernel", "mu", "nu", "sigma", "xi", "beta", "monotone_margin",
-              "growth_margin", "hypothesis_min_margin", "passed"]
-    return _Result(all(r[-1] for r in rows),
+              "growth_margin", "hypothesis_min_margin", "passed", "failed"]
+    return _Result(not any(r[-1] for r in rows),
                    {"schema_version": SCHEMA_VERSION,
                     "rows": [dict(zip(header, r)) for r in rows]},
                    header, rows)

@@ -219,7 +219,8 @@ def _hyp2f1c(A, B, C, d):
     - d at or above the switch of _far_plan (1/4, or 1/2 to 1/64 for
       some parameters): the Gauss series in 1 - d, directly or after
       Euler's transformation F(A, B; C; z) = d**(C - A - B)
-      F(C - A, C - B; C; z).
+      F(C - A, C - B; C; z), and next to a zero of F the Gauss series
+      in decimal arithmetic (_gauss_far).
     - below: _hyp2f1_near_one, the 1 - z connection formula 15.3.6,
       whose series all run in d; where C - A - B lies within
       _NEAR_INTEGER of an integer, its two series paired term by term,
@@ -241,7 +242,7 @@ def _hyp2f1c(A, B, C, d):
         switch, euler = _far_plan(A, B, C)
         far = d_arr >= switch
         if np.any(far):
-            out[far] = _gauss(A, B, C, d_arr[far], euler, 1.0 - switch)
+            out[far] = _gauss_far(A, B, C, d_arr[far], switch, euler)
         if not np.all(far):
             out[~far] = _hyp2f1_near_one(A, B, C, d_arr[~far], switch)
     return out.reshape(np.shape(d)) if np.ndim(d) else float(out[0])
@@ -278,6 +279,33 @@ def _gauss(A, B, C, d, euler, z_max, absolute=False):
     coef = _taylor(a, b, C, z_max)
     out = _horner(np.abs(coef) if absolute else coef, z)
     return d ** (C - A - B) * out if euler else out
+
+
+def _gauss_far(A, B, C, d, switch, euler):
+    """The Gauss series of _far_plan at every d >= switch.  Where its
+    terms exceed |F| by _CANCEL, next to a zero of F, they cancel to
+    fewer digits than F needs, and _gauss_decimal takes the point.  The
+    terms at d are at most _far_size; only where that bound exceeds
+    _CANCEL |F| are a point's own terms summed."""
+    out = _gauss(A, B, C, d, euler, 1.0 - switch)
+    maybe = np.flatnonzero(_far_size(A, B, C) > _CANCEL * np.abs(out))
+    if maybe.size:
+        size = _gauss(A, B, C, d[maybe], euler, 1.0 - switch, absolute=True)
+        for i in maybe[size > _CANCEL * np.abs(out[maybe])]:
+            out[i] = _gauss_decimal(A, B, C, d[i])
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _far_size(A, B, C):
+    """A bound on the summed |terms| of the Gauss series of _far_plan at
+    every d >= switch: their sum at the switch, where each power of 1 - d
+    is largest, times the largest d**(C - A - B) of Euler's form there."""
+    switch, euler = _far_plan(A, B, C)
+    a, b = (C - A, C - B) if euler else (A, B)
+    coef = _taylor(a, b, C, 1.0 - switch)
+    size = float(np.abs(coef) @ (1.0 - switch) ** np.arange(coef.size))
+    return size * max(1.0, switch ** (C - A - B)) if euler else size
 
 
 @functools.lru_cache(maxsize=256)

@@ -4,7 +4,8 @@ The pair (mu, nu) is the nonnegative root splitting of
 x**2 - (alpha - gamma) x + gamma; the ordering mu <= nu is a convention of
 this library (it keeps the sigma bound nonnegative).  The hypotheses of
 each theorem are rows of the family table in kernels; hypothesis_check
-evaluates them to signed margins so sweeps can rank near-failures.
+evaluates them to signed margins so sweeps can rank near-failures.  Every
+verdict of the package is a table of Rows (name, margin, tol).
 """
 
 from __future__ import annotations
@@ -107,13 +108,27 @@ class ParameterSet(_ParameterFields):
                             self.sigma, self.xi, beta)
 
 
-class Hypothesis(NamedTuple):
+class Row(NamedTuple):
+    """One row of a verdict table: it holds when margin >= -tol, and a NaN
+    margin fails.  A hypothesis of a theorem is a row with tol 0."""
+
     name: str
-    satisfied: bool
     margin: float
+    tol: float = 0.0
+
+    @property
+    def satisfied(self) -> bool:
+        return self.margin >= -self.tol
+
+
+def failed_rows(rows) -> list:
+    """The names of the rows that do not hold, in table order."""
+    return [row.name for row in rows if not row.satisfied]
 
 
 class HypothesisReport(NamedTuple):
+    """The hypothesis rows of one theorem."""
+
     theorem: str
     hypotheses: tuple
 
@@ -146,7 +161,7 @@ def hypothesis_check(params: ParameterSet,
     kernel's family, in the order of the family table (kernels._FAMILIES);
     None for a family no theorem covers.
 
-    A hypothesis is satisfied iff its margin is >= 0.
+    A hypothesis is satisfied iff its margin is >= 0 (a Row with tol 0).
     """
     entry = kernels._FAMILIES[kernel.family]
     if entry.theorem is None:
@@ -159,6 +174,5 @@ def hypothesis_check(params: ParameterSet,
         else math.nan)
     p, hs = kernel.p, []
     for name, row in entry.hypotheses:
-        margin = row(p, scalars)
-        hs.append(Hypothesis(name, margin >= 0.0, float(margin)))
+        hs.append(Row(name, float(row(p, scalars))))
     return HypothesisReport(entry.theorem, tuple(hs))

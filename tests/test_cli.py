@@ -11,7 +11,7 @@ import pytest
 
 from pascucert import cli
 from pascucert.errors import (ConfigError, CriticalPoint, PascucertError,
-                              RepresentationMismatch)
+                              QuadratureFailure)
 from pascucert import certify, kernels, oracles, params
 
 
@@ -552,13 +552,19 @@ def test_main_certify_small_mu_names_quadrature_failure(capsys):
 @pytest.mark.parametrize("tol,rc", [("0", 1), ("0.1", 0)])
 def test_main_certify_prints_the_verdict_it_exits_with(tol, rc, capsys):
     # m_functional.min = -0.0437 fails at the default tolerance and passes
-    # within --tol 0.1
+    # within --tol 0.1; the failed row is named in every format
     args = ["certify", "--kernel", "bernardi c=1", "--mu", "1", "--nu", "2",
             "--sigma", "0.7", "--xi", "1", "--tol", tol]
+    failed = [] if rc == 0 else ["functional"]
     assert cli.main(args + ["--format", "json"]) == rc
-    assert json.loads(capsys.readouterr().out)["passed"] is (rc == 0)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is (rc == 0) and payload["failed"] == failed
     assert cli.main(args + ["--format", "csv"]) == rc
-    assert capsys.readouterr().out.splitlines()[1].endswith(str(rc == 0))
+    assert capsys.readouterr().out.splitlines()[1].endswith(
+        f"{rc == 0},{';'.join(failed)}")
+    assert cli.main(args) == rc
+    assert capsys.readouterr().out.endswith(
+        f"passed = {rc == 0}\nfailed = {failed}\n")
 
 
 def test_main_constant_density_sets_growth_aside(tmp_path, capsys):
@@ -577,6 +583,7 @@ def test_main_constant_density_sets_growth_aside(tmp_path, capsys):
     assert cli.main(["check"] + args) == 1
     out, err = capsys.readouterr()
     assert json.loads(out)["condition_margins"]["growth"] is None
+    assert json.loads(out)["failed"] == ["monotone"]
     assert err == ""
 
 
@@ -705,7 +712,21 @@ def test_checker_error_fails_check_and_sweep(monkeypatch, capsys):
     assert "CriticalPoint" in capsys.readouterr().err
     row = _fresh_sweep_row(KOMATU_POINT)
     assert row[7] == "CriticalPoint"
-    assert row[-1] is False
+    assert row[-2] is False and row[-1] == ["monotone", "growth"]
+
+
+def test_beta_routes_agree_to_the_digits_beta_carries(capsys):
+    # beta = -1.7e5: the two routes' I differ by 1 ulp, which
+    # beta = I/(I - 1) magnifies by (beta - 1)**2 = 2.8e10 to 3.1e-6
+    args = ["--kernel", "komatu c=-0.8558 delta=5.451", "--mu", "1.284447",
+            "--nu", "5.175844", "--sigma", "0.034158", "--xi", "0.684126",
+            "--format", "csv"]
+    assert cli.main(["certify"] + args) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(",True,")
+    assert cli.main(["sweep"] + args) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(row[5]) == pytest.approx(-168429.55214, rel=1e-10)
+    assert row[-2:] == ["True", ""]
 
 
 def test_main_check_json_with_infinite_margin(capsys):
@@ -727,7 +748,7 @@ def test_main_json_output_deterministic(tmp_path):
     cli.main(args + ["--output", str(b)])
     assert a.read_bytes() == b.read_bytes()
     payload = json.loads(a.read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert payload["condition_margins"]["growth"] > 0
 
 
@@ -754,12 +775,18 @@ def test_main_sweep_row_count(tmp_path, capsys):
 
 def test_sweep_row_fails_without_beta(monkeypatch):
     def no_beta(kernel, p, pieces=None):
-        raise RepresentationMismatch("beta routes disagree")
+        raise QuadratureFailure("M-node weight is not finite")
 
-    monkeypatch.setattr(certify, "beta_sharp", no_beta)
+    monkeypatch.setattr(certify, "beta_routes", no_beta)
     row = _fresh_sweep_row(KOMATU_POINT)
     assert row[5] is None
-    assert row[-1] is False
+    assert row[-2] is False and row[-1] == ["beta_routes"]
+    # routes that disagree fail the same row
+    monkeypatch.setattr(certify, "beta_routes",
+                        lambda kernel, p, pieces=None:
+                        certify.BetaRoutes(-6.0, -6.1))
+    row = _fresh_sweep_row(KOMATU_POINT)
+    assert row[5] is None and row[-1] == ["beta_routes"]
 
 
 def test_sweep_builds_shared_pieces_once_per_key(monkeypatch, tmp_path):
@@ -799,7 +826,7 @@ def test_sweep_builds_shared_pieces_once_per_key(monkeypatch, tmp_path):
 
 SWEEP_HEADER = ["kernel", "mu", "nu", "sigma", "xi", "beta",
                 "monotone_margin", "growth_margin", "hypothesis_min_margin",
-                "passed"]
+                "passed", "failed"]
 
 
 def _pointwise_rows(kernel_text, flags):
@@ -815,20 +842,23 @@ def _pointwise_rows(kernel_text, flags):
             else params.ParameterSet.from_mu_nu(mu, nu, sigma, xi)
         try:
             margins, hyp = certify.condition_margins(kernel, p)
-            ok = all(v >= 0.0 for v in margins.values() if v is not None) \
-                and (hyp is None or hyp.all_satisfied)
+            failed = [name for name, v in margins.items()
+                      if v is not None and not v >= 0.0]
+            if hyp is not None and not hyp.all_satisfied:
+                failed.append(f"hypotheses_{hyp.theorem}")
         except PascucertError as exc:
             margins = dict.fromkeys(("monotone", "growth"),
                                     type(exc).__name__)
-            hyp, ok = None, False
+            hyp, failed = None, ["monotone", "growth"]
         try:
             beta = certify.beta_sharp(kernel, p)
         except PascucertError:
             beta = None
+            failed.append("beta_routes")
         rows.append([text, p.mu, p.nu, p.sigma, p.xi, beta,
                      margins["monotone"], margins["growth"],
                      None if hyp is None else hyp.min_margin,
-                     ok and beta is not None])
+                     not failed, failed])
     return rows
 
 
@@ -854,7 +884,7 @@ def test_sweep_rows_match_pointwise(kernel_text, flags, broken_growth,
 
         monkeypatch.setattr(certify, "check_growth_condition", broken)
     rows = _pointwise_rows(kernel_text, flags)
-    assert any(r[-1] is False for r in rows) or not broken_growth
+    assert any(r[-2] is False for r in rows) or not broken_growth
     want = {
         "csv": cli._csv_rows(rows, SWEEP_HEADER),
         "json": cli._json_text({"schema_version": cli.SCHEMA_VERSION,
@@ -868,7 +898,7 @@ def test_sweep_rows_match_pointwise(kernel_text, flags, broken_growth,
         out = tmp_path / f"sweep.{fmt}"
         rc = cli.main(argv + ["--format", fmt, "--output", str(out)])
         assert out.read_text() == text
-        assert rc == (0 if all(r[-1] for r in rows) else 1)
+        assert rc == (0 if all(r[-2] for r in rows) else 1)
 
 
 def test_run_dispatches_a_sweep_of_single_values(capsys):

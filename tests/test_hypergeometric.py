@@ -234,6 +234,13 @@ def test_hyp2f1_near_integer_s_with_vanishing_gauss_term():
          shift=None)
 @example(A=4.471789763428248, B=-1.9999999992687978, C=0.471788229135088,
          shift=None)
+# a zero of F on the Gauss side of the switch (d = 0.525 and 0.750), where
+# the Gauss terms exceed |F| by 1.2e4 to 6.2e4 and cancel below 1e-12
+@example(A=3.4921875, B=-2.2374282434064483, C=0.25, shift=None)
+@example(A=4.919721997149429, B=-1.417884536628274, C=1.5018374548961946,
+         shift=None)
+@example(A=-1.999222660378399, B=1.6644192579173813, C=0.6651965974741065,
+         shift=None)
 def test_hyp2f1_random_parameters(A, B, C, shift):
     # C > 0 is the range of every Hohlov factor
     if shift is not None:

@@ -172,9 +172,10 @@ def test_integrate_01_names_a_value_that_is_not_finite(end):
 
 def test_import_and_runs_leave_scipy_integrate_unloaded(tmp_path):
     # no scipy module, no mpmath, no pascucert.oracles, no argparse, no
-    # getopt or gettext, no dataclasses and no numpy.polynomial at all (the
-    # CLI reads its flags itself, the records are NamedTuples, the
-    # Gauss-Legendre rules are literal tables): not
+    # getopt or gettext, no dataclasses, no decimal (the 40-digit 2F1 route
+    # next to a zero of F) and no numpy.polynomial at all (the CLI reads
+    # its flags itself, the records are NamedTuples, the Gauss-Legendre
+    # rules are literal tables): not
     # after the import, not after Hohlov certifications (generic,
     # logarithmic, near-integer and terminating 2F1 factors, and a = 1,
     # where the 6F5 closed form of beta applies), not after an in-process
@@ -191,7 +192,7 @@ def test_import_and_runs_leave_scipy_integrate_unloaded(tmp_path):
             return sorted(m for m in sys.modules
                           if m.split(".")[0] in ("scipy", "mpmath", "argparse",
                                                  "getopt", "gettext",
-                                                 "dataclasses")
+                                                 "dataclasses", "decimal")
                           or m.startswith("numpy.polynomial")
                           or m == "pascucert.oracles")
 
