@@ -17,17 +17,19 @@ integrand L over the weight interval.  By Ruscheweyh duality M is affine
 in the unimodular epsilon, M = P + Re(A(epsilon) Q), so its minimum over
 |epsilon| = 1 is taken in closed form at each z; for fixed epsilon M is
 harmonic in z, so the minimum over the disk lies on the boundary circle.
-The image of the extremal function, behind the membership and sharpness
-checks, needs no truncation order: it and the functional are read from
-one set of node sums M_k = sum W u**k, u = 1/(1 - t z).  Those nodes are
-the one integration rule of a certification, besides the unit-mass check
-of kernels.make_kernel.  The adaptive beta quadrature, the Hohlov closed
-form, the direct functional and the series membership and sharpness
-checks are in the oracles module.
+The image of the extremal function, behind the membership margin and the
+sharpness residual, needs no truncation order: it and the functional are
+read from one set of node sums M_k = sum W u**k, u = 1/(1 - t z).  Those
+nodes are the one integration rule of a certification, besides the
+unit-mass check of kernels.make_kernel.  The adaptive beta quadrature,
+the Hohlov closed form, the direct functional and the series membership
+and sharpness checks are in the oracles module.
 
 Each verdict is a table of params.Row, each threshold compared in one
-row: the duality route's in run_certification, the theorem route's in
-theorem_rows.
+row.  V_lambda maps W_beta into M(sigma, xi) exactly when M >= 0, so
+run_certification's rows are beta_routes, functional and membership; it
+reports the sufficient conditions of theorem_rows and the sharpness
+residual as values only.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ BETA_ROUTE_TOL = 1e-7
 # the least tolerance of the functional row; a larger --tol replaces it
 FUNCTIONAL_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-3
-SHARPNESS_TOL = 1e-2
 CHECK_GRID_POINTS = 257
 
 
@@ -585,10 +586,10 @@ def run_certification(kernel: kernels.KernelSpec,
                       tol: float = 0.0) -> CertificationReport:
     """Full pipeline: beta, duality functional, conditions, membership and
     sharpness of the extremal image, and the plot curves, all from one
-    SharedPieces.  tol widens the functional row past FUNCTIONAL_TOL."""
+    SharedPieces and the M-node beta.  tol widens the functional row past
+    FUNCTIONAL_TOL."""
     pieces = SharedPieces(kernel, params)
     beta = beta_routes(kernel, params, pieces)
-    beta_value = beta.sharp()
 
     # one set of sums: the upper half circle for M and membership (the
     # lower half holds the conjugates), z = -1 for sharpness
@@ -602,19 +603,14 @@ def run_certification(kernel: kernels.KernelSpec,
     if hyp_report is not None:
         margins[f"hypotheses_{hyp_report.theorem}"] = hyp_report.min_margin
 
-    k_over_z, ratio = _image_from_sums(nodes[1], params, beta_value, *sums)
+    k_over_z, ratio = _image_from_sums(nodes[1], params, beta.nodes, *sums)
     _winding_guard(grid.unfold(k_over_z[:-1]), grid.boundary_points())
     ratio = ratio.real
     i = int(np.argmin(ratio[:-1]))
     membership = float(ratio[i] - params.sigma)
-    sharpness = float(abs(ratio[-1] - params.sigma))
-    rows = [beta.row(),
+    rows = (beta.row(),
             Row("functional", m_min, max(tol, FUNCTIONAL_TOL)),
-            Row("membership", membership, MEMBERSHIP_TOL),
-            Row("sharpness", -sharpness, SHARPNESS_TOL)]
-    if hyp_report is not None and hyp_report.all_satisfied \
-            and margins["growth"] is not None:
-        rows.append(Row("growth", margins["growth"]))
+            Row("membership", membership, MEMBERSHIP_TOL))
 
     curves: dict = {}
     if with_curves:
@@ -622,9 +618,9 @@ def run_certification(kernel: kernels.KernelSpec,
                                 argmin_eps, grid.unfold(ratio[:-1]), grid)
 
     return CertificationReport(
-        params=params.with_beta(beta_value),
+        params=params,
         kernel=kernel,
-        beta_integral=beta_value,
+        beta_integral=beta.nodes,
         beta_series=beta.series,
         m_functional_min=m_min,
         m_argmin_z=argmin_z,
@@ -632,9 +628,9 @@ def run_certification(kernel: kernels.KernelSpec,
         condition_margins=margins,
         membership_min=membership,
         membership_argmin=complex(z[i]),
-        sharpness_residual=sharpness,
+        sharpness_residual=float(abs(ratio[-1] - params.sigma)),
         hypothesis_report=hyp_report,
-        rows=tuple(rows),
+        rows=rows,
         curves=curves,
     )
 

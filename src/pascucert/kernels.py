@@ -853,14 +853,27 @@ def make_kernel(family: str, **params) -> KernelSpec:
     spec = KernelSpec(family, tuple((key, p[key]) for key in entry.keys),
                       norm, omega)
     stage = f"unit-mass check of the {family} density"
+    # (t, lambda) at every point the check samples, on both halves
+    seen = []
+
+    def sampled(t, lam):
+        seen.append((t, lam))
+        return lam
+
     try:
         total = integrate_01(
-            lambda t: density(spec, t), *endpoint_exponents(spec),
-            epsabs=1e-12, f_complement=lambda d: density_complement(spec, d))
+            lambda t: sampled(t, density(spec, t)), *endpoint_exponents(spec),
+            epsabs=1e-12, f_complement=lambda d: sampled(
+                1.0 - d, density_complement(spec, d)))
     except DomainError as exc:
         raise DomainError(f"{stage}: {exc}") from None
     except QuadratureFailure as exc:
         raise QuadratureFailure(f"{stage}: {exc}", exc.residual) from None
+    t, lam = map(np.concatenate, zip(*seen))
+    i = int(np.argmin(lam))
+    if lam[i] < -1e-12 * np.max(lam):
+        raise DomainError(f"{stage}: lambda = {float(lam[i])!r} < 0 at "
+                          f"t = {float(t[i])!r}")
     if abs(total - 1.0) > 1e-9:
         # integrate_01 covers t and 1 - t down to the smallest normal double
         raise DomainError(

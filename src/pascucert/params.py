@@ -59,14 +59,13 @@ class _ParameterFields(NamedTuple):
     nu: float
     sigma: float = 0.0
     xi: float = 0.0
-    beta: Optional[float] = None
 
 
 class ParameterSet(_ParameterFields):
     """Full scalar configuration of one certification problem; a value
     outside its range is a DomainError from the constructor, and so from
-    from_alpha_gamma, from_mu_nu and with_beta (_replace and _make skip
-    the checks)."""
+    from_alpha_gamma and from_mu_nu (_replace and _make skip the
+    checks)."""
 
     __slots__ = ()
 
@@ -78,8 +77,6 @@ class ParameterSet(_ParameterFields):
             raise DomainError("sigma must lie in [0, 1)")
         if not 0.0 <= self.xi <= 1.0:
             raise DomainError("xi must lie in [0, 1]")
-        if self.beta is not None and self.beta >= 1.0:
-            raise DomainError("beta must be < 1")
         if self.mu > self.nu:
             raise DomainError("convention requires mu <= nu")
         scale_s = max(1.0, abs(self.alpha))
@@ -93,19 +90,15 @@ class ParameterSet(_ParameterFields):
         return self
 
     @classmethod
-    def from_alpha_gamma(cls, alpha, gamma, sigma=0.0, xi=0.0, beta=None):
+    def from_alpha_gamma(cls, alpha, gamma, sigma=0.0, xi=0.0):
         mu, nu = resolve_mu_nu(alpha, gamma)
-        return cls(alpha, gamma, mu, nu, sigma, xi, beta)
+        return cls(alpha, gamma, mu, nu, sigma, xi)
 
     @classmethod
-    def from_mu_nu(cls, mu, nu, sigma=0.0, xi=0.0, beta=None):
+    def from_mu_nu(cls, mu, nu, sigma=0.0, xi=0.0):
         if mu > nu:
             mu, nu = nu, mu
-        return cls(mu + nu + mu * nu, mu * nu, mu, nu, sigma, xi, beta)
-
-    def with_beta(self, beta: float) -> "ParameterSet":
-        return ParameterSet(self.alpha, self.gamma, self.mu, self.nu,
-                            self.sigma, self.xi, beta)
+        return cls(mu + nu + mu * nu, mu * nu, mu, nu, sigma, xi)
 
 
 class Row(NamedTuple):

@@ -351,6 +351,9 @@ def test_run_certification_report_schema():
     assert isinstance(d["passed"], bool)
     assert d["failed"] == []
     assert rep.passed()
+    # the duality question's rows, and no theorem-route row
+    assert [row.name for row in rep.rows] \
+        == ["beta_routes", "functional", "membership"]
 
 
 def test_run_certification_curves():
@@ -427,6 +430,16 @@ def _series_image(kernel, p, beta, order):
     return k, oracles.z_derivative(k)
 
 
+def _series_beta_sharpness(kernel, p, rep):
+    """|Re(zK'/K)(-1) - sigma| for the extremal function of the series
+    route's beta, on the M-nodes.  At the node beta this is the node
+    route's own equation for beta, rep.sharpness_residual, and cannot see
+    the node rule's error."""
+    nodes = certify._m_nodes(kernel, p)
+    _, ratio = certify.extremal_image(nodes, p, rep.beta_series, -1.0)
+    return abs(float(ratio.real) - p.sigma)
+
+
 @pytest.mark.parametrize("text,mu,nu,sigma,xi", IMAGE_CASES,
                          ids=[f"{c[0]} mu={c[1]:g} xi={c[4]:g}"
                               for c in IMAGE_CASES])
@@ -471,7 +484,7 @@ def test_former_truncation_fails_pass_membership(text, mu, xi, margin):
     rep = certify.run_certification(pc.parse_kernel(text), p)
     assert rep.membership_min == pytest.approx(margin, abs=1e-7)
     assert rep.membership_min >= 0.0
-    assert rep.sharpness_residual <= 1e-8
+    assert _series_beta_sharpness(pc.parse_kernel(text), p, rep) <= 1e-8
 
 
 def test_winding_guard_catches_zero_inside():
@@ -716,8 +729,22 @@ def test_m_nodes_keep_pi_in_range_at_small_mu():
     p = pc.ParameterSet.from_mu_nu(0.03, 2.0, sigma=0.1, xi=1.0)
     rep = certify.run_certification(KOMATU, p)
     assert abs(rep.beta_integral - rep.beta_series) <= 1e-10
-    assert rep.sharpness_residual <= 1e-10
+    assert _series_beta_sharpness(KOMATU, p, rep) <= 1e-10
     assert rep.passed()
+
+
+def test_beta_route_gap_fails_its_row():
+    # the milder substitution at mu = 0.015 misses the series beta by
+    # 2.0e-6: the report names the gap instead of raising
+    p = pc.ParameterSet.from_mu_nu(0.015, 2.0, sigma=0.1, xi=1.0)
+    rep = certify.run_certification(KOMATU, p)
+    assert rep.beta_integral == pytest.approx(-2.935508199383507, abs=1e-9)
+    assert rep.beta_series == pytest.approx(-2.935510206781876, abs=1e-9)
+    assert rep.failed() == ["beta_routes"]
+    # the sharpness residual reads the node beta's own equation back, so
+    # only the series beta shows the node rule's error
+    assert rep.sharpness_residual <= 1e-12
+    assert _series_beta_sharpness(KOMATU, p, rep) > 1e-7
 
 
 def test_m_nodes_raise_where_weight_not_finite():

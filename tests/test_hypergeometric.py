@@ -340,7 +340,7 @@ def test_gamma_ratio_next_to_a_pole():
     assert kernels._gamma_ratio((2.5,), ((-3.0, 0.0),)) == 0.0
 
 
-HOHLOV = [(0.5, 0.8, 4.5), (1.5, 0.5, 4.0), (1.0, 1.0, 4.0), (2.5, 3.5, 6.2)]
+HOHLOV = [(0.5, 0.8, 4.5), (1.5, 0.5, 4.0), (1.0, 1.0, 4.0), (0.5, 3.5, 6.2)]
 
 
 @pytest.mark.parametrize("abc", HOHLOV, ids=str)

@@ -377,6 +377,20 @@ def test_make_kernel_domain_validation():
         kernels.make_kernel("hohlov", a=1.0, b=1.0, c=1.0)
 
 
+@pytest.mark.parametrize("text,lam,t", [
+    ("hohlov a=3 b=3 c=7", r"-3\.87", r"0\.46"),
+    ("hohlov a=2.5 b=3.5 c=6.2", r"-3\.90", r"0\.56")],
+    ids=["a=3 b=3 c=7", "a=2.5 b=3.5 c=6.2"])
+def test_make_kernel_rejects_negative_density(text, lam, t):
+    # unit mass, but no density: lambda < 0 on part of (0, 1), at
+    # a=3 b=3 c=7 on 49% of it; the least value the mass check samples
+    # names the t
+    with pytest.raises(ConfigError, match=(
+            rf"^unit-mass check of the hohlov density: lambda = {lam}\d* < 0 "
+            rf"at t = {t}\d*$")):
+        kernels.parse_kernel(text)
+
+
 def test_two_param_log_symmetric_in_a_b():
     k1 = kernels.make_kernel("two_param_log", a=0.0, b=1.0)
     k2 = kernels.make_kernel("two_param_log", a=1.0, b=0.0)

@@ -74,13 +74,6 @@ def test_parameter_set_rejects_inconsistent():
         pc.ParameterSet.from_mu_nu(1.0, 2.0, xi=1.5)
 
 
-def test_with_beta():
-    p = pc.ParameterSet.from_mu_nu(1.0, 2.0)
-    q = p.with_beta(-3.0)
-    assert q.beta == -3.0 and p.beta is None
-    assert q.mu == p.mu
-
-
 def test_combination_ratio():
     p = pc.ParameterSet.from_mu_nu(1.0, 2.0, xi=1.0)
     assert pm.combination_ratio(p) == pytest.approx(1.0 + 2.0 - 0.5)
@@ -185,8 +178,7 @@ def test_hypothesis_check_pins_every_family(text, sigma, xi, theorem, rows):
 # ---------------------------------------------------------------------------
 # the records check their values however they are built
 
-PARAMETERS = dict(alpha=5.0, gamma=2.0, mu=1.0, nu=2.0, sigma=0.1, xi=0.5,
-                  beta=None)
+PARAMETERS = dict(alpha=5.0, gamma=2.0, mu=1.0, nu=2.0, sigma=0.1, xi=0.5)
 AUX = dict(mu=1.0, nu=2.0, sigma=0.1, xi=0.5, epsilon=1.0 + 0.0j)
 # (record, all its fields, the message of the DomainError they raise)
 REJECTED = {
@@ -223,10 +215,7 @@ def test_records_check_values_by_keyword_and_position(record, fields,
 @pytest.mark.parametrize("build", [
     lambda s, x: pc.ParameterSet.from_mu_nu(1.0, 2.0, s, x),
     lambda s, x: pc.ParameterSet.from_alpha_gamma(5.0, 2.0, s, x),
-    # _replace skips the checks; with_beta builds through the constructor
-    lambda s, x: pc.ParameterSet.from_mu_nu(1.0, 2.0)._replace(
-        sigma=s, xi=x).with_beta(0.1),
-], ids=["from_mu_nu", "from_alpha_gamma", "with_beta"])
+], ids=["from_mu_nu", "from_alpha_gamma"])
 def test_parameter_set_builders_check_values(build, sigma, xi, message):
     with pytest.raises(DomainError) as exc:
         build(sigma, xi)

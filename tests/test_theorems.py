@@ -1,12 +1,14 @@
 """Checks that need no oracle: the paper's theorems imply the certificate,
 and kernel texts that name one density give one report."""
 
+import json
 import random
 
+import numpy as np
 import pytest
 
 import pascucert as pc
-from pascucert import certify, params
+from pascucert import certify, cli, kernels, params
 from pascucert.params import failed_rows
 
 
@@ -66,6 +68,27 @@ def test_theorem_route_implies_duality_route(family):
         assert held == 0
     else:
         assert held >= 24
+
+
+def test_hohlov_rows_hold_where_growth_fails(capsys):
+    # at b = 1, 2F1(c - a, 1 - a; c - a; 1 - t) = t**(a - 1), so lambda is
+    # the Beta(a, c - a) density; for a > 1 it peaks inside (0, 1), where
+    # lambda' = 0 < -lambda'' and the growth inequality fails, yet every
+    # hypothesis row of the Hohlov theorem holds.  Sufficient conditions
+    # only: the duality route certifies the transform
+    text = "hohlov a=2 b=1 c=5"
+    t = np.linspace(0.05, 0.95, 19)
+    assert np.allclose(kernels.density(pc.parse_kernel(text), t),
+                       12.0 * t * (1.0 - t)**2, rtol=1e-12, atol=0.0)
+    args = ["--kernel", text, "--mu", "1", "--nu", "2", "--sigma", "0.1",
+            "--xi", "1", "--format", "json"]
+    assert cli.main(["check"] + args) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["hypothesis_check"]["all_satisfied"]
+    assert report["failed"] == ["growth"]
+    assert cli.main(["certify"] + args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["failed"] == [] and report["m_functional"]["min"] > 0.0
 
 
 # (kernel, kernel) texts that name the same density
