@@ -29,7 +29,8 @@ Each verdict is a table of params.Row, each threshold compared in one
 row.  V_lambda maps W_beta into M(sigma, xi) exactly when M >= 0, so
 run_certification's rows are beta_routes, functional and membership; it
 reports the sufficient conditions of theorem_rows and the sharpness
-residual as values only.
+residual as values only, and a checker that breaks down by the class
+name of its error.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ import numpy as np
 
 from . import auxfun, kernels, params as params_mod
 from .params import Row
-from .errors import (DomainError, NotApplicable, QuadratureFailure,
-                     RepresentationMismatch, ZeroDenominator)
+from .errors import (DomainError, NotApplicable, PascucertError,
+                     QuadratureFailure, RepresentationMismatch,
+                     ZeroDenominator)
 from .quadrature import (ALTERNATING_TERMS, averaged_partial_sum,
                          chebyshev_grid, gauss_panels)
 
@@ -483,14 +485,16 @@ def _growth_curve(params, pieces):
 
 
 def condition_margins(kernel: kernels.KernelSpec,
-                      params: params_mod.ParameterSet, pieces=None):
+                      params: params_mod.ParameterSet, pieces=None,
+                      name_errors: bool = False):
     """The monotone and growth margins and the family's hypothesis audit,
     the checkers reading the given SharedPieces (or fresh ones).
 
     Returns (margins, hypothesis_report).  A margin is None where its
-    condition does not apply (NotApplicable, DomainError); any other error
-    of a checker propagates.  The report is None for families without a
-    theorem.
+    condition does not apply (NotApplicable, DomainError).  Any other
+    error of a checker propagates, or with name_errors is recorded as
+    that margin, under the error's class name.  The report is None for
+    families without a theorem.
     """
     margins = {}
     for name, checker in (("monotone", check_monotone_condition),
@@ -499,6 +503,10 @@ def condition_margins(kernel: kernels.KernelSpec,
             margins[name] = checker(kernel, params, pieces=pieces)
         except (NotApplicable, DomainError):
             margins[name] = None
+        except PascucertError as exc:
+            if not name_errors:
+                raise
+            margins[name] = type(exc).__name__
     return margins, params_mod.hypothesis_check(params, kernel)
 
 
@@ -599,7 +607,8 @@ def run_certification(kernel: kernels.KernelSpec,
     m_min, argmin_z, argmin_eps = _min_from_sums(
         nodes, params, z[:-1], *(m[:-1] for m in sums))
 
-    margins, hyp_report = condition_margins(kernel, params, pieces)
+    margins, hyp_report = condition_margins(kernel, params, pieces,
+                                            name_errors=True)
     if hyp_report is not None:
         margins[f"hypotheses_{hyp_report.theorem}"] = hyp_report.min_margin
 
@@ -643,12 +652,13 @@ def _report_curves(pieces, params, margins, argmin_z, argmin_eps, ratio,
     ctx = auxfun.AuxContext(params.mu, params.nu, params.sigma, params.xi,
                             argmin_eps)
     l_vals = auxfun.l_integrand(ctx, argmin_z, t)
-    # a curve where its condition applies, that is, where it has a margin
+    # a curve where its condition applies, that is, where its margin is a
+    # number
     growth = np.full_like(t, np.nan)
-    if margins["growth"] is not None:
+    if isinstance(margins["growth"], float):
         growth = _growth_curve(params, pieces)
     monotone = np.full_like(t, np.nan)
-    if margins["monotone"] is not None:
+    if isinstance(margins["monotone"], float):
         monotone = _monotone_curve(params, pieces)
     return {
         "t": t, "pi": pieces.grid_envelopes[1], "l_at_argmin": l_vals,

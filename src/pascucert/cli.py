@@ -305,10 +305,14 @@ def _csv_rows(rows: list, header: list) -> str:
 def emit_plot_data(rep) -> str:
     """Plot-ready CSV of one report in two blocks: the t-curves (t, Pi, L
     at argmin z, condition margins) then the boundary angular sweep.
-    Inapplicable margin columns carry NotApplicable."""
+    Inapplicable margin columns carry NotApplicable, and those of a
+    checker that broke down the class name of its error."""
     c = rep.curves
     if not c:
         raise ConfigError("report carries no curves; rerun with curves")
+    growth, monotone = (m if isinstance(m, str) else None
+                        for m in (rep.condition_margins["growth"],
+                                  rep.condition_margins["monotone"]))
     rows = []
     for i in range(len(c["t"])):
         g = c["growth_margin"][i]
@@ -316,8 +320,8 @@ def emit_plot_data(rep) -> str:
         rows.append([
             float(c["t"][i]), float(c["pi"][i]),
             float(c["l_at_argmin"][i]),
-            None if math.isnan(g) else float(g),
-            None if math.isnan(m) else float(m),
+            growth if math.isnan(g) else float(g),
+            monotone if math.isnan(m) else float(m),
         ])
     block1 = _csv_rows(rows, ["t", "pi", "l_at_argmin_z",
                               "growth_margin", "monotone_expression"])

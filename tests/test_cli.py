@@ -976,16 +976,30 @@ def test_plot_data_needs_curves():
         cli.emit_plot_data(rep)
 
 
-@pytest.mark.parametrize("c,rc", [(40, 0), (100, 0), (200, 1)])
-def test_main_certify_hohlov_large_c_growth_check(c, rc, capsys):
+@pytest.mark.parametrize("c,check_rc", [(40, 0), (100, 0), (200, 1)])
+def test_main_certify_hohlov_large_c_growth_check(c, check_rc, capsys,
+                                                 tmp_path):
     # a small density is no critical point; an underflowing one is named
-    got = cli.main(["certify", "--kernel", f"hohlov a=1 b=1 c={c}",
-                    "--mu", "1", "--nu", "2", "--sigma", "0.1", "--xi", "1",
-                    "--format", "csv"])
-    assert got == rc
+    # in the growth cells, and no row of certify's table reads it
+    argv = ["--kernel", f"hohlov a=1 b=1 c={c}", "--mu", "1", "--nu", "2",
+            "--sigma", "0.1", "--xi", "1"]
+    plot = tmp_path / "plot.csv"
+    assert cli.main(["certify"] + argv + ["--format", "csv",
+                                          "--plot-data", str(plot)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    header, row = (line.split(",") for line in out.splitlines())
+    growth = row[header.index("growth_margin")]
+    assert (growth == "CriticalPoint") == bool(check_rc)
+    assert row[header.index("passed")] == "True"
+    curve = plot.read_text().split("\n\n")[0].splitlines()[1:]
+    assert all((line.split(",")[3] == "CriticalPoint") == bool(check_rc)
+               for line in curve)
+    # the theorem route still fails on the checker's error
+    assert cli.main(["check"] + argv) == check_rc
     err = capsys.readouterr().err
     assert "vanishes" not in err and "Traceback" not in err
-    if rc:
+    if check_rc:
         assert "CriticalPoint" in err and "underflows" in err
 
 

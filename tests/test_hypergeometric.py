@@ -2,6 +2,7 @@
 mass, against 40-digit mpmath and scipy.special."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -305,6 +306,50 @@ def test_hyp2f1_scalar_and_domain():
     assert kernels._hyp2f1c(1.5, 0.5, 3.0, 1.0) == 1.0
     with pytest.raises(DomainError):
         kernels._hyp2f1c(1.5, 0.5, -2.0, 0.3)
+
+
+def _exact_polynomial(coef, x):
+    """sum_k coef[k] x**k as an exact Fraction: every double is an
+    integer over a power of 2, so the sum is one integer over 2**top."""
+    p, bits = x.as_integer_ratio()
+    parts = [c.as_integer_ratio() for c in coef.tolist()]
+    shift = bits.bit_length() - 1
+    top = max(den.bit_length() - 1 + shift * k
+              for k, (_, den) in enumerate(parts))
+    num, power = 0, 1
+    for k, (n, den) in enumerate(parts):
+        num += n * power << (top - (den.bit_length() - 1) - shift * k)
+        power *= p
+    return Fraction(num, 1 << top)
+
+
+HORNER_RNG = np.random.default_rng(2024)
+# K from 1 to 300, both sides of the switch to blocks at 24 included
+HORNER_SIZES = [1, 2, 8, 23, 24, 25, 32, 33, 300] \
+    + HORNER_RNG.integers(1, 301, 6).tolist()
+
+
+@pytest.mark.parametrize("points", [1, 2, 257, 5000])
+@pytest.mark.parametrize("kind", ["alternating", "terminating"])
+def test_horner_matches_exact_sums(kind, points):
+    # every path of _horner, one point, the plain loop and the blocks of
+    # 8, errs by at most 2 (K + 8) eps sum_k |coef[k]| |x|**k
+    rng = np.random.default_rng(points)
+    for size in HORNER_SIZES:
+        if kind == "alternating":
+            coef = rng.uniform(0.5, 2.0, size) * (-1.0) ** np.arange(size)
+        else:
+            coef = kernels._taylor(1.0 - size, rng.uniform(0.1, 3.0),
+                                   rng.uniform(0.1, 3.0), math.inf)
+            assert coef.size == size
+        x = rng.uniform(0.0, 1.0, points)
+        got = kernels._horner(coef, x)
+        absolute = kernels._horner(np.abs(coef), x)
+        for i in np.unique(np.linspace(0, points - 1, 24).astype(int)):
+            err = float(abs(Fraction(got[i])
+                            - _exact_polynomial(coef, x[i])))
+            assert err <= 2 * (size + 8) * kernels._EPS * absolute[i], \
+                (kind, size, points, i)
 
 
 def test_lgamma_slope_matches_mpmath():

@@ -479,10 +479,14 @@ def test_slope_profile_names_underflow():
     k = kernels.make_kernel("hohlov", a=1.0, b=1.0, c=200.0)
     with pytest.raises(CriticalPoint, match=r"lambda\(0\.97\d*\) underflows"):
         kernels.slope_profile(k, certify.default_t_grid(257))
-    # the growth check fails instead of dropping out as not applicable
+    # the growth check fails instead of dropping out as not applicable,
+    # or names the error in its margin
     p = ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=1.0)
     with pytest.raises(CriticalPoint):
         certify.condition_margins(k, p)
+    margins, _ = certify.condition_margins(k, p, name_errors=True)
+    assert margins["growth"] == "CriticalPoint"
+    assert isinstance(margins["monotone"], float)
 
 
 @pytest.mark.parametrize("text", ["generalized A=1 B=1 C=4 x40=1",
@@ -528,6 +532,30 @@ def test_density_and_complement_share_one_formula(kernel):
     assert np.allclose(kernels.density(kernel, t),
                        kernels.density_complement(kernel, 1.0 - t),
                        rtol=1e-14, atol=0)
+
+
+BATCH_KERNELS = HOHLOV_QUADMOMENTS + [
+    kernels.make_kernel("hohlov", a=0.5, b=0.5000001, c=4.0)]
+
+
+@pytest.mark.parametrize("kernel", BATCH_KERNELS,
+                         ids=[k.text() for k in BATCH_KERNELS])
+def test_density_does_not_depend_on_its_batch(kernel):
+    # one t takes _horner's one-point path, a batch its blocks of 8.  The
+    # 2F1 polynomials of these kernels hold at most 134 terms, whose sizes
+    # add up to at most 2.3 times their sum, so each side errs by at most
+    # 2 (134 + 8) eps 2.3 relative: the two differ by less than 4e-13
+    rng = np.random.default_rng(11)
+    t = np.concatenate([np.geomspace(1e-12, 0.5, 20),
+                        1.0 - np.geomspace(1e-12, 0.5, 20)])
+    one = np.array([kernels.density(kernel, x) for x in t.tolist()])
+    tens = np.concatenate([kernels.density(kernel, row)
+                           for row in t.reshape(4, 10)])
+    batch = rng.uniform(0.0, 1.0, 5000)
+    at = rng.choice(batch.size, t.size, replace=False)
+    batch[at] = t
+    for got in (tens, kernels.density(kernel, batch)[at]):
+        assert np.all(np.abs(got - one) <= 4e-13 * np.abs(one))
 
 
 @pytest.mark.parametrize("omega", [(), (0.3,), (0.3, 2.5), (0.7, 2.5, 0.125)],
