@@ -43,9 +43,9 @@ import numpy as np
 
 from . import auxfun, kernels, params as params_mod
 from .params import Row
-from .errors import (DomainError, NotApplicable, PascucertError,
-                     QuadratureFailure, RepresentationMismatch,
-                     ZeroDenominator)
+from .errors import (CriticalPoint, DomainError, NotApplicable,
+                     PascucertError, QuadratureFailure,
+                     RepresentationMismatch, ZeroDenominator)
 from .quadrature import (ALTERNATING_TERMS, averaged_partial_sum,
                          chebyshev_grid, gauss_panels)
 
@@ -197,7 +197,7 @@ _M_PANEL_EDGES = (0.0, 0.1, 0.3, 0.5, 0.7, 0.85, 0.93, 0.97, 0.99,
                   0.997, 0.999, 0.9997, 0.9999, 1.0)
 _M_PANEL_NODES = 24
 _M_U, _M_WU = gauss_panels(np.asarray(_M_PANEL_EDGES), _M_PANEL_NODES)
-# complex elements in one block of the node sums' temporaries (64 KiB)
+# the node sums' buffer holds at most 2 _BLOCK complex elements (128 KiB)
 _BLOCK = 4096
 
 
@@ -283,35 +283,36 @@ def _node_sums(nodes, z):
 
     The sums have real coefficients, so M_k(conj z) = conj M_k(z): a
     circle needs them on its upper half only (DiskGrid.unfold).  The z run
-    in blocks of _BLOCK // len(t) rows through two block buffers of about
-    64 KiB, below glibc's 128 KiB mmap threshold, so no call maps and
-    zeroes fresh pages; each row's sum is the same as over the whole array
-    at once.
+    in blocks of 2 _BLOCK // (3 len(t)) rows through one (3, rows, len(t))
+    buffer of u, u**2 and u**3, below glibc's 128 KiB mmap threshold, so
+    no call maps and zeroes fresh pages.  W is real, so two dots of that
+    buffer's real and imaginary parts with W take all three sums, one
+    single-threaded BLAS ddot a row, each the same as over the whole
+    array at once.
     """
-    # complex t and W once: einsum with one real operand copies the other
-    # through a cast buffer as large as a block
     t = np.asarray(nodes[0], dtype=complex)
-    w = np.asarray(nodes[1], dtype=complex)
+    w = np.asarray(nodes[1], dtype=float)
     z = np.asarray(z, dtype=complex).ravel()
-    m1 = np.empty(z.size, dtype=complex)
-    m2 = np.empty(z.size, dtype=complex)
-    m3 = np.empty(z.size, dtype=complex)
-    rows = max(1, _BLOCK // t.size)
-    u_buf = np.empty((min(rows, z.size), t.size), dtype=complex)
-    u2_buf = np.empty_like(u_buf)
+    sums = np.empty((3, z.size), dtype=complex)
+    rows = max(1, 2 * _BLOCK // (3 * t.size))
+    buf = np.empty((3, min(rows, z.size), t.size), dtype=complex)
     for i in range(0, z.size, rows):
         zb = z[i:i + rows]
-        u, u2 = u_buf[:zb.size], u2_buf[:zb.size]
-        # einsum, not a broadcast multiply, which takes a 128 KiB buffer
-        np.einsum("i,j->ij", zb, t, out=u)
-        np.divide(1.0, np.subtract(1.0, u, out=u), out=u)
-        # einsum, not @: a threaded BLAS gemv doubles the CPU time here
-        # for no gain in wall time
-        m1[i:i + rows] = np.einsum("ij,j->i", u, w)
-        np.multiply(u, u, out=u2)
-        m2[i:i + rows] = np.einsum("ij,j->i", u2, w)
-        m3[i:i + rows] = np.einsum("ij,j->i", np.multiply(u, u2, out=u), w)
-    return m1, m2, m3
+        block = buf[:, :zb.size]
+        u = block[0]
+        # row by row: a broadcast multiply takes two 40 KB iterator buffers
+        for j, zj in enumerate(zb):
+            np.multiply(t, zj, out=u[j])
+        np.reciprocal(np.subtract(1.0, u, out=u), out=u)
+        np.multiply(u, u, out=block[1])
+        np.multiply(u, block[1], out=block[2])
+        # a 3-d dot with a vector runs one BLAS dot a row, where a 2-d
+        # reshape would be a threaded gemv, doubling the CPU time.  A
+        # complex zdotu would be faster, but its code raised the peak
+        # resident memory of a pass by about 0.1 MiB
+        sums.real[:, i:i + rows] = block.real.dot(w)
+        sums.imag[:, i:i + rows] = block.imag.dot(w)
+    return sums[0], sums[1], sums[2]
 
 
 def _node_mass(params):
@@ -433,12 +434,22 @@ def check_monotone_condition(kernel: kernels.KernelSpec,
     The t-derivative of t**(1/mu - 1/xi) Pi is expanded with
     Pi' = -Lambda_nu(t) t**(1/nu - 1 - 1/mu), collapsing the expression to
     ((xi/mu - 1) Pi - xi t**(1/nu - 1/mu) Lambda) / log(1/t)**(1 + 2 sigma).
+    Raises CriticalPoint at the first grid t where Lambda or Pi underflows
+    (below the smallest normal float), where the slope measures the
+    underflow and not the condition.
     """
     if params.xi <= 0.0:
         raise NotApplicable("the monotone condition degenerates at xi = 0")
     if params.mu < 1.0:
         raise DomainError("requires mu >= 1")
     pieces = pieces or SharedPieces(kernel, params)
+    tiny = np.finfo(float).tiny
+    lam_vals, pi_vals = pieces.grid_envelopes
+    small = np.minimum(lam_vals, pi_vals) < tiny
+    if np.any(small):
+        i = np.argmax(small)
+        name = "Pi" if pi_vals[i] < tiny else "Lambda"
+        raise CriticalPoint(f"{name}({float(pieces.grid[i])!r}) underflows")
     expr = _monotone_curve(params, pieces)
     return float(np.min(np.diff(expr) / np.diff(pieces.grid)))
 

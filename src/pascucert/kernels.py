@@ -15,7 +15,8 @@ its two series paired term by term where C - A - B is near an integer
 on an array in blocks of 8 coefficients, one BLAS dot product a block.
 envelopes() computes the tail envelopes Lambda and Pi of the duality
 criterion on a whole t-grid from one composite Gauss-Legendre rule in
-y = -log t, on the literal node table of quadrature.gauss_legendre.
+y = -log t, 10 or 20 nodes a piece, from the literal node tables of
+quadrature.gauss_legendre.
 """
 from __future__ import annotations
 
@@ -1009,29 +1010,32 @@ def slope_profile(kernel: KernelSpec, t):
     return ratio, sign
 
 
-_ENVELOPE_NODES = 20
-_GL_X, _GL_W = gauss_legendre(_ENVELOPE_NODES)
-_GL_X, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W  # moved to (0, 1)
+def _unit_rule(n):
+    """The n-node Gauss-Legendre rule moved to (0, 1)."""
+    x, w = gauss_legendre(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _envelope_rule(y_top: np.ndarray, q: float):
-    """Nodes, weights and owning gap of the composite rule over the gaps.
+_GL_X, _GL_W = _unit_rule(20)
+_GL10_X, _GL10_W = _unit_rule(10)
 
-    Each piece carries the 20-node Gauss-Legendre rule that
-    quadrature.gauss_legendre tabulates.
 
-    Gap k is (y_top[k + 1], y_top[k]); the last one, k = n - 1, reaches
-    down to y = 0 and starts with the endpoint piece y = h v**m, which
-    turns y**q dy into a multiple of v**(m (q + 1) - 1) dv.  An exponent
-    of at least 4 keeps that piece at full accuracy.  All gaps step their
-    edges e -> min(hi, e + 1, 4 e) together (NaN past a gap's end): pieces
-    at most 1 long and 3 times their distance from the y**q singularity
-    at y = 0, so that Gauss-Legendre converges geometrically on each.
+@functools.lru_cache(maxsize=8)
+def _gap_pieces(y_bytes: bytes):
+    """(gap, lo, width) of every piece of the composite rule over the gaps
+    of y_top, given as its bytes: the checkers' grid is the same for every
+    certification, and so are the M-nodes of one substitution power.
+
+    Gap k is (y_top[k + 1], y_top[k]), the last one reaching down to
+    min(1, y_top[n - 1]).  All gaps step their edges
+    e -> min(hi, e + 1, 4 e) together (NaN past a gap's end): pieces at
+    most 1 long and 3 times their distance from the y**q singularity at
+    y = 0, so that Gauss-Legendre converges geometrically on each.  The
+    pieces come in gap order, and within a gap in increasing y.
     """
+    y_top = np.frombuffer(y_bytes)
     n = len(y_top) - 1
-    h = min(1.0, y_top[n - 1])
-    m = max(1, math.ceil(5.0 / (1.0 + q)))
-    hi, e = y_top[:n], np.append(y_top[1:n], h)
+    hi, e = y_top[:n], np.append(y_top[1:n], min(1.0, y_top[n - 1]))
     edges = [e]
     while np.any(e < hi):
         e = np.where(e < hi, np.minimum(np.minimum(hi, e + 1.0), 4.0 * e),
@@ -1040,16 +1044,50 @@ def _envelope_rule(y_top: np.ndarray, q: float):
     edges = np.array(edges).T
     width = np.diff(edges)
     gap, piece = np.nonzero(~np.isnan(width))
-    lo, width = edges[gap, piece, None], width[gap, piece, None]
+    out = gap, edges[gap, piece], width[gap, piece]
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _envelope_rule(y_top: np.ndarray, q: float, rate: float):
+    """Nodes, weights and owning gap of the composite rule over the gaps
+    of y_top (_gap_pieces).
+
+    The last gap, k = n - 1, reaching down to y = 0, starts with the
+    endpoint piece y = h v**m, h = min(1, y_top[n - 1]), which turns
+    y**q dy into a multiple of v**(m (q + 1) - 1) dv.  An exponent of at
+    least 4 keeps that piece at full accuracy.
+
+    The endpoint piece carries 20 Gauss-Legendre nodes, and so does every
+    other piece [lo, lo + width] unless 2 (1 + |q|) width <= lo and
+    rate width <= 1, where it carries 10.  The Gauss error falls like
+    rho**(-2 n) for the largest Bernstein ellipse rho on which the
+    integrand is analytic (Trefethen, SIAM Rev. 50 (2008) 67): the first
+    bound keeps y = 0 outside rho = 9.9 and bounds the growth of y**q
+    inside; the second, with rate the sum of the integrand's exponential
+    rates in y, bounds its exponential factors there and keeps the
+    density's singularities at Im y = +-pi outside.  The nodes come
+    endpoint piece first, then the 20-node pieces, then the 10-node ones.
+    """
+    gap, lo, width = _gap_pieces(y_top.tobytes())
+    n = len(y_top) - 1
+    h = min(1.0, y_top[n - 1])
+    m = max(1, math.ceil(5.0 / (1.0 + q)))
+    short = (2.0 * (1.0 + abs(q)) * width <= lo) & (rate * width <= 1.0)
     # near q = -1 (m = 250 at q = -0.98) the endpoint nodes' y underflow
     # below the normal doubles; drop them, as integrate_01 does, leaving
     # out about 2.2e-308**(q + 1) of the mass (7e-7 at q = -0.98)
     keep = h * _GL_X**m >= np.finfo(float).tiny
     v = _GL_X[keep]
-    return (np.append(h * v**m, lo + width * _GL_X),
-            np.append(h * m * v ** (m - 1) * _GL_W[keep], width * _GL_W),
-            np.append(np.full(len(v), n - 1),
-                      np.repeat(gap, _ENVELOPE_NODES)))
+    nodes, weights = [h * v**m], [h * m * v ** (m - 1) * _GL_W[keep]]
+    owner = [np.full(len(v), n - 1)]
+    for pick, x, w in ((~short, _GL_X, _GL_W), (short, _GL10_X, _GL10_W)):
+        lo_p, width_p = lo[pick, None], width[pick, None]
+        nodes.append((lo_p + width_p * x).ravel())
+        weights.append((width_p * w).ravel())
+        owner.append(np.repeat(gap[pick], len(x)))
+    return tuple(map(np.concatenate, (nodes, weights, owner)))
 
 
 def envelopes(kernel: KernelSpec, mu: float, nu: float, t):
@@ -1059,7 +1097,11 @@ def envelopes(kernel: KernelSpec, mu: float, nu: float, t):
     (_envelope_rule): the gaps between consecutive sorted grid points are
     cut into pieces, all gaps in the same few array steps, and the gap
     above the largest point starts with a power-substituted piece for the
-    (1 - x)**q endpoint.  The density is evaluated once for all nodes.
+    (1 - x)**q endpoint.  A piece carries 10 or 20 nodes by its distance
+    from y = 0 and by rate = 1 + |p| + |1/nu - 1| + |1/nu - 1/mu| (no mu
+    term at mu = 0), the exponential rates in y of the density's t**p,
+    of x**(1 - 1/nu) and of Pi's factor.  The density is evaluated once
+    for all nodes.
     With d = 1/nu - 1/mu both envelopes accumulate from t = 1 downward
     through positive terms only,
 
@@ -1081,7 +1123,11 @@ def envelopes(kernel: KernelSpec, mu: float, nu: float, t):
     n = len(grid)
     # decreasing y of the grid points, then y = 0 for x = 1
     y_top = np.append(-np.log(grid), 0.0)
-    y, w, own = _envelope_rule(y_top, endpoint_exponents(kernel)[1])
+    p, q = endpoint_exponents(kernel)
+    rate = 1.0 + abs(p) + abs(1.0 / nu - 1.0)
+    if mu > 0.0:
+        rate += abs(1.0 / nu - 1.0 / mu)
+    y, w, own = _envelope_rule(y_top, q, rate)
 
     lam = np.empty_like(y)
     far = y >= math.log(2.0)

@@ -51,10 +51,15 @@ _G_HALF[1::2] = _G10_W
 _GK_WG = np.concatenate([_G_HALF[:-1], _G_HALF[::-1]])
 # Gauss-Legendre rules on (-1, 1), equal bit for bit to
 # np.polynomial.legendre.leggauss(n), which is symmetric exactly: the
-# positive nodes, largest first, and their weights.  The 20-node rule
-# serves kernels.envelopes, the 24-node rule certify's M-node panels; as
-# literals they keep numpy.polynomial out of the import.
+# positive nodes, largest first, and their weights.  The 10- and 20-node
+# rules serve kernels.envelopes, the 24-node rule certify's M-node panels;
+# as literals they keep numpy.polynomial out of the import.  (QUADPACK's
+# _G10_W above differs from leggauss(10) by up to 7 ulps.)
 _GL_HALF = {
+    10: ((0.9739065285171717, 0.8650633666889845, 0.6794095682990244,
+          0.4333953941292472, 0.14887433898163122),
+         (0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+          0.2692667193099965, 0.2955242247147528)),
     20: ((0.993128599185095, 0.9639719272779138, 0.912234428251326,
           0.8391169718222188, 0.7463319064601508, 0.636053680726515,
           0.5108670019508271, 0.37370608871541955, 0.22778585114164507,
@@ -239,7 +244,7 @@ def averaged_partial_sum(terms):
 
 def gauss_legendre(n):
     """The n-node Gauss-Legendre nodes (increasing) and weights on (-1, 1),
-    for the n that _GL_HALF tabulates (20 and 24)."""
+    for the n that _GL_HALF tabulates (10, 20 and 24)."""
     x, w = map(np.array, _GL_HALF[n])
     return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
 

@@ -9,7 +9,7 @@ from pascucert import auxfun, certify, kernels, oracles
 from pascucert.errors import (CriticalPoint, DomainError, NotApplicable,
                               QuadratureFailure, RepresentationMismatch,
                               ZeroDenominator)
-from pascucert.quadrature import averaged_partial_sum
+from pascucert.quadrature import ALTERNATING_TERMS, averaged_partial_sum
 
 P12 = pc.ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=1.0)
 KOMATU = pc.make_kernel("komatu", c=0.0, delta=3.0)
@@ -590,7 +590,16 @@ def test_node_sums_built_once_per_certification(monkeypatch):
 
 
 def _node_sums_full_array(nodes, z):
-    """The node sums over the whole (z, t) array at once."""
+    """The node sums over the whole (3, z, t) array at once."""
+    t, w = nodes
+    u = np.reciprocal(1.0 - np.asarray(z, dtype=complex).reshape(-1, 1) * t)
+    u2 = u * u
+    powers = np.stack([u, u2, u * u2])
+    return tuple(powers.real.dot(w) + 1j * powers.imag.dot(w))
+
+
+def _node_sums_einsum(nodes, z):
+    """The node sums as einsum row reductions of 1/(1 - t z)**k."""
     t, w = nodes
     u = 1.0 / (1.0 - np.asarray(z, dtype=complex).reshape(-1, 1) * t)
     u2 = u * u
@@ -599,13 +608,16 @@ def _node_sums_full_array(nodes, z):
 
 @pytest.mark.parametrize("count", [1, 130, 2049])
 def test_blocked_node_sums_equal_full_array(count):
-    # 130 z fill 10 blocks of 4096 // 312 = 13 rows; 2049 leave 8 over
+    # 130 z fill 16 blocks of 2 * 4096 // (3 * 312) = 8 rows and leave 2
+    # over; 2049 leave 1
     nodes = certify._m_nodes(KOMATU, P12)
     z = 0.99 * np.exp(1j * np.linspace(0.0, np.pi, count))
-    for blocked, full in zip(certify._node_sums(nodes, z),
-                             _node_sums_full_array(nodes, z)):
+    got = certify._node_sums(nodes, z)
+    for blocked, full in zip(got, _node_sums_full_array(nodes, z)):
         assert blocked.shape == (count,)
         assert np.array_equal(blocked, full)
+    for blocked, plain in zip(got, _node_sums_einsum(nodes, z)):
+        assert np.max(np.abs(blocked - plain) / np.abs(plain)) <= 1e-14
 
 
 def test_node_sums_of_a_certification_stay_small(monkeypatch):
@@ -711,13 +723,15 @@ def test_m_node_moment_identity(text, mu, nu, sigma, xi):
     # behind extremal_image and beta's node route.  n = 0 is left out: no
     # sum the functional, the image or beta takes reads the mass alone;
     # each integrand vanishes at t = 0, as t**n does for n >= 1 (the
-    # differences M_j - M_k, and Re u**2 and R(t) - 1 against R in P)
+    # differences M_j - M_k, and Re u**2 and R(t) - 1 against R in P).
+    # n runs to ALTERNATING_TERMS, the moments the series route reads, so
+    # the weights hold where t**n crowds against t = 1
     kernel = pc.parse_kernel(text)
     p = pc.ParameterSet.from_mu_nu(mu, nu, sigma, xi)
     t, w = certify._m_nodes(kernel, p)
-    n = np.arange(1.0, 9.0)
+    n = np.arange(1.0, ALTERNATING_TERMS + 1.0)
     want = (mu * nu if mu > 0.0 else nu) * kernels.moment_sequence(
-        kernel, 8) / ((1.0 + n * mu) * (1.0 + n * nu))
+        kernel, ALTERNATING_TERMS) / ((1.0 + n * mu) * (1.0 + n * nu))
     got = np.array([np.dot(w, t**k) for k in n])
     assert np.max(np.abs(got / want - 1.0)) <= 1e-13
 

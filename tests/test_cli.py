@@ -980,7 +980,8 @@ def test_plot_data_needs_curves():
 def test_main_certify_hohlov_large_c_growth_check(c, check_rc, capsys,
                                                  tmp_path):
     # a small density is no critical point; an underflowing one is named
-    # in the growth cells, and no row of certify's table reads it
+    # in the growth cells, and envelopes that underflow on the grid in the
+    # monotone cells, and no row of certify's table reads either
     argv = ["--kernel", f"hohlov a=1 b=1 c={c}", "--mu", "1", "--nu", "2",
             "--sigma", "0.1", "--xi", "1"]
     plot = tmp_path / "plot.csv"
@@ -989,12 +990,14 @@ def test_main_certify_hohlov_large_c_growth_check(c, check_rc, capsys,
     out, err = capsys.readouterr()
     assert err == ""
     header, row = (line.split(",") for line in out.splitlines())
-    growth = row[header.index("growth_margin")]
-    assert (growth == "CriticalPoint") == bool(check_rc)
+    for cell in ("growth_margin", "monotone_margin"):
+        assert (row[header.index(cell)] == "CriticalPoint") == bool(check_rc)
     assert row[header.index("passed")] == "True"
     curve = plot.read_text().split("\n\n")[0].splitlines()[1:]
-    assert all((line.split(",")[3] == "CriticalPoint") == bool(check_rc)
-               for line in curve)
+    for column in (3, 4):
+        assert all(
+            (line.split(",")[column] == "CriticalPoint") == bool(check_rc)
+            for line in curve)
     # the theorem route still fails on the checker's error
     assert cli.main(["check"] + argv) == check_rc
     err = capsys.readouterr().err

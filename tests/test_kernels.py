@@ -289,8 +289,10 @@ def _gap_pieces(lo, hi):
     return edges
 
 
-def _envelope_rule_per_gap(y_top, q):
-    # the rule built one gap at a time, as the reference
+def _envelope_rule_per_gap(y_top, q, rate):
+    # the rule built one piece at a time, as the reference: the endpoint
+    # piece, then the 20-node pieces, then the 10-node ones, each in gap
+    # order and within a gap in increasing y
     n = len(y_top) - 1
     h = min(1.0, y_top[n - 1])
     m = max(1, math.ceil(5.0 / (1.0 + q)))
@@ -298,13 +300,22 @@ def _envelope_rule_per_gap(y_top, q):
     nodes = [h * gl_x**m]
     weights = [h * m * gl_x ** (m - 1) * gl_w]
     owner = [np.full(len(gl_x), n - 1)]
+    rules = {20: (gl_x, gl_w, [], [], []),
+             10: (kernels._GL10_X, kernels._GL10_W, [], [], [])}
     lows = np.append(y_top[1:n], h)
     for k in range(n):
-        edges = np.asarray(_gap_pieces(lows[k], y_top[k]))
-        width = np.diff(edges)[:, None]
-        nodes.append((edges[:-1, None] + width * gl_x).ravel())
-        weights.append((width * gl_w).ravel())
-        owner.append(np.full(width.size * len(gl_x), k))
+        edges = _gap_pieces(lows[k], y_top[k])
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            width = hi - lo
+            short = 2.0 * (1.0 + abs(q)) * width <= lo and rate * width <= 1.0
+            x, w, xs, ws, ks = rules[10 if short else 20]
+            xs.append(lo + width * x)
+            ws.append(width * w)
+            ks.append(np.full(len(x), k))
+    for _, _, xs, ws, ks in rules.values():
+        nodes += xs
+        weights += ws
+        owner += ks
     return np.concatenate(nodes), np.concatenate(weights), \
         np.concatenate(owner)
 
@@ -332,14 +343,51 @@ RULE_GRIDS.update({
 @pytest.mark.parametrize("q", [-0.5, 0.0, 3.0, 197.0])
 @pytest.mark.parametrize("name", list(RULE_GRIDS))
 def test_envelope_rule_matches_per_gap_loop(name, q):
-    # all gaps stepped together give the per-gap rule bit for bit, in the
-    # same order, so the envelope sums do not move
+    # all gaps stepped together, each piece choosing its rule, give the
+    # per-piece rule bit for bit, in the same order, so the envelope sums
+    # do not move; rate = inf puts 20 nodes on every piece.  The pieces
+    # of a grid are built once and shared, read-only, by later calls
     y_top = np.append(-np.log(np.unique(RULE_GRIDS[name])), 0.0)
-    got = kernels._envelope_rule(y_top, q)
-    want = _envelope_rule_per_gap(y_top, q)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
+    pieces = kernels._gap_pieces(y_top.tobytes())
+    assert not any(a.flags.writeable for a in pieces)
+    for rate in (1.0, 6.0, math.inf):
+        got = kernels._envelope_rule(y_top, q, rate)
+        want = _envelope_rule_per_gap(y_top, q, rate)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
+# the benchmark's kernels and five with steep or large endpoint exponents
+PIECE_RULE_KERNELS = [
+    "komatu c=0 delta=3", "bernardi c=1", "hohlov a=1 b=1 c=4",
+    "two_param_log a=-0.5 b=0", "komatu c=-0.5 delta=4",
+    "hohlov a=0.5 b=0.8 c=4.5", "hohlov a=1.5 b=0.5 c=4",
+] + [f"generalized A=1 B=1 C=4 x1={x1:g}" for x1 in (0.5, 1.0, 2.0, 4.0)] \
+    + ["bernardi c=-0.9", "bernardi c=30", "komatu c=40 delta=2",
+       "hohlov a=1 b=1 c=200", "ali_singh k=0.9"]
+
+
+@pytest.mark.parametrize("text", PIECE_RULE_KERNELS)
+def test_envelope_pieces_match_the_20_node_rule(text, monkeypatch):
+    # the 10-node pieces move Lambda and Pi at rounding only, against 20
+    # nodes on every piece, on the M-nodes and the checkers' grid wherever
+    # the envelope is far enough above the underflow to carry its digits
+    kernel = kernels.parse_kernel(text)
+    grid = certify.default_t_grid(certify.CHECK_GRID_POINTS)
+    for mu, nu in [(1.0, 2.0), (0.5, 5.0), (2.0, 2.0), (0.05, 2.0),
+                   (0.025, 2.0), (4.0, 8.0), (0.0, 2.0)]:
+        p = ParameterSet.from_mu_nu(mu, nu, sigma=0.1, xi=1.0)
+        for t in (certify._m_nodes(kernel, p)[0], grid):
+            got = kernels.envelopes(kernel, mu, nu, t)
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "_envelope_rule",
+                          lambda y_top, q, rate:
+                          _envelope_rule_per_gap(y_top, q, math.inf))
+                want = kernels.envelopes(kernel, mu, nu, t)
+            for a, b in zip(got, want):
+                ok = b > 1e-290
+                assert np.max(np.abs(a[ok] / b[ok] - 1.0)) <= 4e-15
 
 
 def test_log_derivative_ratio_and_sign():
@@ -480,13 +528,16 @@ def test_slope_profile_names_underflow():
     with pytest.raises(CriticalPoint, match=r"lambda\(0\.97\d*\) underflows"):
         kernels.slope_profile(k, certify.default_t_grid(257))
     # the growth check fails instead of dropping out as not applicable,
-    # or names the error in its margin
+    # or names the error in its margin; so does the monotone check, whose
+    # Pi underflows first, at t = 0.971, and is exactly 0 past t = 0.977
     p = ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=1.0)
     with pytest.raises(CriticalPoint):
         certify.condition_margins(k, p)
+    with pytest.raises(CriticalPoint, match=r"^Pi\(0\.97\d*\) underflows"):
+        certify.check_monotone_condition(k, p)
     margins, _ = certify.condition_margins(k, p, name_errors=True)
-    assert margins["growth"] == "CriticalPoint"
-    assert isinstance(margins["monotone"], float)
+    assert margins == {"growth": "CriticalPoint",
+                       "monotone": "CriticalPoint"}
 
 
 @pytest.mark.parametrize("text", ["generalized A=1 B=1 C=4 x40=1",

@@ -230,7 +230,7 @@ def test_import_and_runs_leave_scipy_integrate_unloaded(tmp_path):
     assert (tmp_path / "p.csv").exists() and (tmp_path / "m.csv").exists()
 
 
-@pytest.mark.parametrize("n", [20, 24])
+@pytest.mark.parametrize("n", [10, 20, 24])
 def test_gauss_legendre_tables_equal_leggauss(n):
     # the literal tables replace numpy.polynomial at import, bit for bit
     x, w = gauss_legendre(n)
