@@ -11,10 +11,9 @@ in pascucert.oracles, which this package does not import.
 """
 
 from .errors import (PascucertError, NoRealRoots, DomainError,
-                     LengthMismatch, RadiusError, QuadratureFailure,
-                     CriticalPoint, ConvergenceFailure, PoleError,
-                     DivergentSeries, RepresentationMismatch, ZeroDenominator,
-                     ExtrapolationUnstable, NotApplicable, ConfigError)
+                     QuadratureFailure, CriticalPoint, PoleError,
+                     RepresentationMismatch, ZeroDenominator, NotApplicable,
+                     ConfigError)
 from .params import (ParameterSet, Row, HypothesisReport,
                      resolve_mu_nu, sigma_upper_bound, hypothesis_check,
                      combination_ratio)

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all pascucert modules."""
+"""Exception hierarchy shared by all pascucert modules.  The classes that
+only the reference routes raise live in pascucert.oracles."""
 
 
 class PascucertError(Exception):
@@ -13,14 +14,6 @@ class DomainError(PascucertError):
     """An argument lies outside the domain of the requested operation."""
 
 
-class LengthMismatch(PascucertError):
-    """Coefficient / moment arrays have incompatible lengths."""
-
-
-class RadiusError(PascucertError):
-    """Evaluation point lies outside the open unit disk."""
-
-
 class QuadratureFailure(PascucertError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
@@ -33,16 +26,8 @@ class CriticalPoint(PascucertError):
     """Lambda underflows or lambda' vanishes where a ratio is required."""
 
 
-class ConvergenceFailure(PascucertError):
-    """A series tail bound could not be met."""
-
-
 class PoleError(PascucertError):
     """Evaluation too close to the pole of a rational kernel."""
-
-
-class DivergentSeries(PascucertError):
-    """The hypergeometric series diverges at the requested argument."""
 
 
 class RepresentationMismatch(PascucertError):
@@ -55,10 +40,6 @@ class ZeroDenominator(PascucertError):
     def __init__(self, message, location=None):
         super().__init__(message)
         self.location = location
-
-
-class ExtrapolationUnstable(PascucertError):
-    """Successive boundary-limit estimates diverge."""
 
 
 class NotApplicable(PascucertError):

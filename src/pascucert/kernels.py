@@ -14,9 +14,10 @@ its two series paired term by term where C - A - B is near an integer
 40-digit decimal arithmetic; _horner sums each route's Taylor polynomial
 on an array in blocks of 8 coefficients, one BLAS dot product a block.
 envelopes() computes the tail envelopes Lambda and Pi of the duality
-criterion on a whole t-grid from one composite Gauss-Legendre rule in
-y = -log t, 10 or 20 nodes a piece, from the literal node tables of
-quadrature.gauss_legendre.
+criterion on a whole t-grid: in closed form, as divided differences of
+exp (_exp_dd), for the families whose table entry says how, and else
+from one composite Gauss-Legendre rule in y = -log t, 10 or 20 nodes a
+piece, from the literal node tables of quadrature.gauss_legendre.
 """
 from __future__ import annotations
 
@@ -626,6 +627,22 @@ def _shaped(shape, factor, derivatives):
     return dict(factor=factor, lam=lam, slopes=slopes)
 
 
+# komatu's log(1/t)**(delta - 1) repeats a point of the envelopes' divided
+# differences delta times; their partial fractions cancel more the more
+# often a point repeats, so larger integer delta keep the composite rule
+_KOMATU_CLOSED_DELTA = 8
+
+
+def _komatu_envelopes(k):
+    # t**c log(1/t)**(delta - 1) = (delta - 1)! v**(delta - 1) exp[-c v,
+    # ..., -c v] with -c v repeated delta times
+    delta = k.p["delta"]
+    if delta != math.floor(delta) or delta > _KOMATU_CLOSED_DELTA:
+        return None
+    n = int(delta)
+    return k.normalizer * math.factorial(n - 1), (k.p["c"],) * n
+
+
 def _hohlov_check(p):
     a, b, c = p["a"], p["b"], p["c"]
     if min(a, b, c) <= 0.0:
@@ -670,6 +687,12 @@ def _two_param_log_slopes(k, t, d, ln, g):
     return (n * (a * t ** (a - 1.0) - b * t ** (b - 1.0)),
             n * (a * (a - 1.0) * t ** (a - 2.0)
                  - b * (b - 1.0) * t ** (b - 2.0)))
+
+
+def _two_param_log_envelopes(k):
+    # t**a - t**b = (b - a) v exp[-b v, -a v]; at a = b, t**a log(1/t)
+    a, b = k.p["a"], k.p["b"]
+    return k.normalizer * (b - a if b > a else 1.0), (a, b)
 
 
 def _two_param_log_moments(k, n):
@@ -768,6 +791,10 @@ class _Family(NamedTuple):
     d), the 2F1 or omega factor, once per point.  moments(k, n): tau_n for
     the array n = 1 .. nmax.  theorem: the id of the theorem covering the
     family, and hypotheses its rows (name, margin(p, s)) in report order.
+    envelopes(k), where set, returns (F, (c_1, ..., c_n)) with
+    lambda(e**-v) = F v**(n - 1) exp[-c_1 v, ..., -c_n v], a divided
+    difference of exp, for the closed-form Lambda and Pi of envelopes(),
+    or None for the composite rule.
     """
 
     names: tuple
@@ -781,6 +808,7 @@ class _Family(NamedTuple):
     hypotheses: tuple = ()
     factor: Optional[Callable] = None
     extra: tuple = ()
+    envelopes: Optional[Callable] = None
 
 
 _FAMILIES = {entry.names[0]: entry for entry in (
@@ -789,7 +817,8 @@ _FAMILIES = {entry.names[0]: entry for entry in (
         exponents=lambda p: (p["c"], 0.0),
         lam=lambda k, t, d, ln, g: k.normalizer * t ** k.p["c"],
         slopes=_bernardi_slopes,
-        moments=lambda k, n: k.normalizer / (n + k.p["c"] + 1.0)),
+        moments=lambda k, n: k.normalizer / (n + k.p["c"] + 1.0),
+        envelopes=lambda k: (k.normalizer, (k.p["c"],))),
     _Family(
         names=("komatu",), keys=("c", "delta"), check=_komatu_check,
         exponents=lambda p: (p["c"], p["delta"] - 1.0),
@@ -798,6 +827,7 @@ _FAMILIES = {entry.names[0]: entry for entry in (
         slopes=_komatu_slopes,
         moments=lambda k, n: ((1.0 + k.p["c"]) / (n + k.p["c"] + 1.0))
         ** k.p["delta"],
+        envelopes=_komatu_envelopes,
         theorem="komatu", hypotheses=(
             *_GAMMA_MU,
             ("c > -1", lambda p, s: p["c"] + 1.0),
@@ -826,7 +856,8 @@ _FAMILIES = {entry.names[0]: entry for entry in (
         check=_two_param_log_check,
         exponents=lambda p: (p["a"], 1.0),
         lam=_two_param_log_lam, slopes=_two_param_log_slopes,
-        moments=_two_param_log_moments, theorem="two_param_log",
+        moments=_two_param_log_moments, envelopes=_two_param_log_envelopes,
+        theorem="two_param_log",
         hypotheses=(
             *_GAMMA_MU, _XI,
             ("a > -1", lambda p, s: min(p["a"], p["b"]) + 1.0),
@@ -841,6 +872,9 @@ _FAMILIES = {entry.names[0]: entry for entry in (
         slopes=_ali_singh_slopes,
         moments=lambda k, n: k.normalizer * (1.0 / (n + 1.0 - k.p["k"])
                                              - 1.0 / (n + 3.0 - k.p["k"])),
+        # t**-k - t**(2 - k) = 2 v exp[(k - 2) v, k v] at t = e**-v
+        envelopes=lambda k: (2.0 * k.normalizer,
+                             (-k.p["k"], 2.0 - k.p["k"])),
         theorem="ali_singh", hypotheses=(
             *_GAMMA_MU, _XI,
             ("k = 1 - 1/xi - 2/mu + 1/nu",
@@ -1050,6 +1084,175 @@ def _gap_pieces(y_bytes: bytes):
     return out
 
 
+# y**n exp[y b_0, ..., y b_n] (_exp_dd) takes the Taylor series shifted
+# to the least b where y (max b - min b) is at most _DD_TAYLOR, else
+# partial fractions where every gap y (b_j+1 - b_j) between distinct b
+# exceeds _DD_APART, else the recursion between clusters of b closer than
+# _DD_APART.  The partial fractions' terms cancel by at most a factor 2
+# at _DD_APART; the Taylor series takes the rounding of y times its
+# spread, and about e times the spread terms
+_DD_APART = 8.0
+_DD_TAYLOR = 2.0 * _DD_APART
+
+
+@functools.lru_cache(maxsize=128)
+def _dd_taylor(alpha: tuple, x_max: float) -> np.ndarray:
+    """c_m = h_m(alpha)/(m + n)! for m = 0 .. K, alpha the n + 1 sorted
+    points scaled to [0, 1] and h_m the complete homogeneous symmetric
+    polynomial: exp[x alpha] = sum_m c_m x**m, every term positive, with
+    enough terms for x <= x_max (stop rule: _SERIES_TOL).  Each point a
+    adds h_m <- h_m + a h_(m-1), here on c directly."""
+    k = 16 + int(3.0 * x_max)  # about e x_max terms, and room for the tail
+    while True:
+        c = [1.0] + [0.0] * k  # one point at 0
+        for j, a in enumerate(alpha[1:], start=1):
+            c[0] /= j
+            for m in range(1, k + 1):
+                c[m] = (c[m] + a * c[m - 1]) / (m + j)
+        size, power = 0.0, 1.0
+        for m in range(1, k + 1):
+            size += c[m - 1] * power
+            power *= x_max
+            if c[m] * power <= _SERIES_TOL * size \
+                    and c[m] * x_max <= 0.5 * c[m - 1]:
+                return _frozen(c[:m])
+        k *= 2
+
+
+@functools.lru_cache(maxsize=128)
+def _dd_fractions(values: tuple, counts: tuple) -> tuple:
+    """Per distinct point b_j of multiplicity m_j, the coefficients of
+    p_j(y) in y**n exp[y b] = sum_j exp(y b_j) p_j(y): the residue of
+    exp(z) prod_l (z - y b_l)**-m_l at y b_j, with the y**-n taken out,
+    p_j(y) = sum_i g_(m_j - 1 - i) y**i / i! and g_k the k-th Taylor
+    coefficient of prod_(l != j) (b_j - b_l + e)**-m_l in e."""
+    out = []
+    for j, (bj, mj) in enumerate(zip(values, counts)):
+        g = [1.0] + [0.0] * (mj - 1)
+        for bl, ml in zip(values, counts):
+            if bl == bj:
+                continue
+            gap = bj - bl
+            # (gap + e)**-ml = sum_k binom(ml + k - 1, k) (-e)**k gap**(-ml-k)
+            f = [gap**-ml]
+            for k in range(1, mj):
+                f.append(-f[-1] * (ml + k - 1) / (k * gap))
+            g = [sum(g[i] * f[k - i] for i in range(k + 1)) for k in range(mj)]
+        out.append(_frozen([g[mj - 1 - i] / math.factorial(i)
+                            for i in range(mj)]))
+    return tuple(out)
+
+
+def _dd_cluster(points, t, y, y_max):
+    """y**n exp[y b] for the sorted points b of one cluster, y <= y_max,
+    by the Taylor series shifted to min b (or, for two points,
+    _expm1_ratio)."""
+    lo, hi, n = points[0], points[-1], len(points) - 1
+    if lo == hi:
+        out = y**n / math.factorial(n) if n else np.ones_like(y)
+    elif n == 1:
+        out = _expm1_ratio(hi - lo, y)
+    else:
+        spread = hi - lo
+        # the largest x rounded up to a power of 2, or to _DD_TAYLOR, for
+        # few distinct tables
+        x_max = y_max * spread
+        x_max = min(2.0 ** math.ceil(math.log2(max(x_max, 0.125))),
+                    max(x_max, _DD_TAYLOR))
+        coef = _dd_taylor(tuple((b - lo) / spread for b in points), x_max)
+        out = y**n * _horner(coef, y * spread)
+    return out * t**-lo if lo else out
+
+
+def _dd_clusters(clusters, t, y):
+    """y**n exp[y b] over the union of clusters, by the recursion
+    S(X) = (S(X - lo) - S(X - hi))/(hi - lo) with S(X) = y**(|X| - 1)
+    exp[y X], lo and hi the last point of the lowest and of the highest
+    cluster left: the term that keeps hi dominates it, by at least a
+    factor of order _DD_APART.  Each cluster serves its prefixes."""
+    memo, y_max = {}, float(np.max(y))
+
+    def s(index):
+        if index not in memo:
+            live = [c for c, i in enumerate(index) if i]
+            lo, hi = live[0], live[-1]
+            if lo == hi:
+                memo[index] = _dd_cluster(clusters[lo][:index[lo]], t, y,
+                                          y_max)
+            else:
+                drop = [list(index), list(index)]
+                drop[0][lo] -= 1
+                drop[1][hi] -= 1
+                memo[index] = (s(tuple(drop[0])) - s(tuple(drop[1]))) / (
+                    clusters[hi][index[hi] - 1] - clusters[lo][index[lo] - 1])
+        return memo[index]
+
+    return s(tuple(len(c) for c in clusters))
+
+
+def _exp_dd(t, y, points) -> np.ndarray:
+    """y**n exp[y b_0, ..., y b_n] at every t = exp(-y), for the fixed
+    points b, a divided difference of exp: an integral of exp over a
+    simplex, so positive.  Each exp(y b) is t**-b, exact from t itself.
+    Where y (max b - min b) <= _DD_TAYLOR the Taylor series shifted to
+    min b serves, all its terms positive; else where every gap between
+    distinct b is wide (y gap > _DD_APART) the partial fractions
+    (_dd_apart); else the recursion between clusters of b (_dd_mixed).
+    Points may repeat: a repeated b is a confluent point, not a special
+    branch."""
+    points = tuple(sorted(points))
+    values = tuple(sorted(set(points)))
+    y_lo, y_hi = float(np.min(y)), float(np.max(y))
+    spread = values[-1] - values[0]
+    if y_hi * spread <= _DD_TAYLOR:
+        return _dd_cluster(points, t, y, y_hi)
+    gaps = [b - a for a, b in zip(values, values[1:])]
+    gap = min(gaps)
+    if y_lo * spread > _DD_TAYLOR and y_lo * gap > _DD_APART:
+        return _dd_apart(points, values, t, y)
+    out = np.empty_like(y)
+    near = y * spread <= _DD_TAYLOR
+    apart = ~near & (y * gap > _DD_APART)
+    mixed = ~(apart | near)
+    if np.any(apart):
+        out[apart] = _dd_apart(points, values, t[apart], y[apart])
+    if np.any(near):
+        out[near] = _dd_cluster(points, t[near], y[near],
+                                _DD_TAYLOR / spread)
+    if np.any(mixed):
+        out[mixed] = _dd_mixed(points, values, gaps, t[mixed], y[mixed])
+    return out
+
+
+def _dd_apart(points, values, t, y):
+    """The partial fractions of _dd_fractions."""
+    counts = tuple(points.count(b) for b in values)
+    out = np.zeros_like(y)
+    for b, p in zip(values, _dd_fractions(values, counts)):
+        term = p[0] if p.size == 1 else _horner(p, y)
+        out += t**-b * term if b else term
+    return out
+
+
+def _dd_mixed(points, values, gaps, t, y):
+    """_dd_clusters on clusters split at the gaps wider than _DD_APART at
+    each y.  The widest gaps split first, so the points fall into groups
+    by the number of gaps split.  With at most four distinct values a
+    cluster spreads over at most 3 _DD_APART."""
+    cut = sum((y * g > _DD_APART).astype(int) for g in gaps)
+    widest = sorted(range(len(gaps)), key=lambda j: -gaps[j])
+    out = np.empty_like(y)
+    for k in range(len(gaps)):
+        pick = cut == k
+        if not np.any(pick):
+            continue
+        edges = sorted(values[j + 1] for j in widest[:k]) + [math.inf]
+        clusters = [[b for b in points if lo <= b < hi]
+                    for lo, hi in zip([-math.inf] + edges[:-1], edges)]
+        out[pick] = _dd_clusters(clusters, t[pick], y[pick])
+    return out
+
+
 def _envelope_rule(y_top: np.ndarray, q: float, rate: float):
     """Nodes, weights and owning gap of the composite rule over the gaps
     of y_top (_gap_pieces).
@@ -1093,6 +1296,45 @@ def _envelope_rule(y_top: np.ndarray, q: float, rate: float):
 def envelopes(kernel: KernelSpec, mu: float, nu: float, t):
     """(Lambda_nu(t), Pi_{mu,nu}(t)) for every entry of the array t in (0, 1).
 
+    With y = log(1/t), the recurrence of _composite_envelopes integrates
+    to Lambda = int_0^y g(v) dv and Pi = int_0^y exp(-d w) Lambda(w) dw,
+    g(v) = lambda(e**-v) e**(-(1 - 1/nu) v) and d = 1/nu - 1/mu.  Where
+    the family's envelopes entry writes lambda(e**-v) = F v**(n - 1)
+    exp[-c_1 v, ..., -c_n v], a divided difference of exp, Hermite-Genocchi
+    gives both in closed form (_exp_dd), point by point:
+
+        Lambda = F y**n exp[0, -r_1 y, ..., -r_n y],  r_i = c_i + 1 - 1/nu,
+        Pi = F y**(n + 1) exp[0, -d y, -(c_1 + 1 - 1/mu) y, ...],
+
+    and Pi = Lambda at mu = 0.  The other densities take the composite
+    rule.
+    """
+    if mu < 0.0 or nu <= 0.0:
+        raise DomainError("need mu >= 0 and nu > 0")
+    t_arr = np.asarray(t, dtype=float)
+    if np.any((t_arr <= 0.0) | (t_arr >= 1.0)):
+        raise DomainError("t must lie in (0, 1)")
+    if t_arr.size == 0:
+        return t_arr.copy(), t_arr.copy()
+    form = _FAMILIES[kernel.family].envelopes
+    form = form(kernel) if form else None
+    if form is None:
+        return _composite_envelopes(kernel, mu, nu, t_arr)
+    factor, powers = form
+    y = -np.log(t_arr)
+    lam = factor * _exp_dd(t_arr, y, [0.0] + [-(c + 1.0 - 1.0 / nu)
+                                               for c in powers])
+    if mu == 0.0:
+        return lam, lam.copy()
+    pi = factor * _exp_dd(t_arr, y, [0.0, 1.0 / mu - 1.0 / nu] + [
+        -(c + 1.0 - 1.0 / mu) for c in powers])
+    return lam, pi
+
+
+def _composite_envelopes(kernel: KernelSpec, mu: float, nu: float, t_arr):
+    """envelopes() from one composite Gauss-Legendre rule, for every
+    density; t_arr a nonempty array in (0, 1), mu >= 0 and nu > 0.
+
     One composite Gauss-Legendre rule in y = -log x covers the whole grid
     (_envelope_rule): the gaps between consecutive sorted grid points are
     cut into pieces, all gaps in the same few array steps, and the gap
@@ -1110,15 +1352,11 @@ def envelopes(kernel: KernelSpec, mu: float, nu: float, t):
                (x**d - t_i**d)/d dx + (t_{i+1}**d - t_i**d)/d Lambda_{i+1},
 
     so nothing cancels as t -> 1.  (x**d - t_i**d)/d becomes log(x/t_i)
-    at d = 0, and Pi = Lambda at mu = 0.
+    at d = 0, and Pi = Lambda at mu = 0.  On grids as dense as the
+    M-nodes and the checkers' grid the rule errs by a few units of 1e-15
+    relative; a grid of a few points under a steep density loses more
+    (1.2e-9 at komatu c=40 delta=2, t = 1e-6).
     """
-    if mu < 0.0 or nu <= 0.0:
-        raise DomainError("need mu >= 0 and nu > 0")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any((t_arr <= 0.0) | (t_arr >= 1.0)):
-        raise DomainError("t must lie in (0, 1)")
-    if t_arr.size == 0:
-        return t_arr.copy(), t_arr.copy()
     grid, inverse = np.unique(t_arr, return_inverse=True)
     n = len(grid)
     # decreasing y of the grid points, then y = 0 for x = 1

@@ -22,6 +22,7 @@ this module needs the ``test`` extra.
 - The rational test kernel h_sigma of starlikeness of order sigma.
 - The envelopes Lambda and Pi point by point by adaptive quadrature, and
   the duality functional and beta's integral from them.
+- The errors that only these routes raise, subclasses of PascucertError.
 """
 
 from __future__ import annotations
@@ -35,11 +36,31 @@ from . import auxfun, kernels, params as params_mod
 from .auxfun import AuxContext, _rational_g, _rational_q, combined_rational
 from .certify import DiskGrid, _effective_exponent, _winding_guard, \
     default_t_grid
-from .errors import (ConvergenceFailure, DivergentSeries, DomainError,
-                     ExtrapolationUnstable, LengthMismatch, PoleError,
-                     QuadratureFailure, RadiusError, ZeroDenominator)
+from .errors import (DomainError, PascucertError, PoleError,
+                     QuadratureFailure, ZeroDenominator)
 from .quadrature import ALTERNATING_TERMS, _BINOM8, _sub_power, \
     averaged_partial_sum, integrate_01
+
+
+class LengthMismatch(PascucertError):
+    """Coefficient / moment arrays have incompatible lengths."""
+
+
+class RadiusError(PascucertError):
+    """Evaluation point lies outside the open unit disk."""
+
+
+class ConvergenceFailure(PascucertError):
+    """A series tail bound could not be met."""
+
+
+class DivergentSeries(PascucertError):
+    """The hypergeometric series diverges at the requested argument."""
+
+
+class ExtrapolationUnstable(PascucertError):
+    """Successive boundary-limit estimates diverge."""
+
 
 # Gauss-Jacobi nodes per variable of the rule for G(t)
 _GQ_NODES = 12

@@ -7,8 +7,8 @@ import pytest
 from pascucert import auxfun, oracles
 from pascucert.auxfun import AuxContext
 from pascucert.quadrature import ALTERNATING_TERMS, averaged_partial_sum
-from pascucert.errors import (ConvergenceFailure, DivergentSeries,
-                              DomainError, PoleError)
+from pascucert.errors import DomainError, PoleError
+from pascucert.oracles import ConvergenceFailure, DivergentSeries
 
 
 def test_context_validation():

@@ -368,26 +368,124 @@ PIECE_RULE_KERNELS = [
        "hohlov a=1 b=1 c=200", "ali_singh k=0.9"]
 
 
+MU_NU = [(1.0, 2.0), (0.5, 5.0), (2.0, 2.0), (0.05, 2.0), (0.025, 2.0),
+         (4.0, 8.0), (0.0, 2.0)]
+
+
 @pytest.mark.parametrize("text", PIECE_RULE_KERNELS)
 def test_envelope_pieces_match_the_20_node_rule(text, monkeypatch):
     # the 10-node pieces move Lambda and Pi at rounding only, against 20
     # nodes on every piece, on the M-nodes and the checkers' grid wherever
-    # the envelope is far enough above the underflow to carry its digits
+    # the envelope is far enough above the underflow to carry its digits;
+    # the rule itself, also for the families that take closed forms
     kernel = kernels.parse_kernel(text)
     grid = certify.default_t_grid(certify.CHECK_GRID_POINTS)
-    for mu, nu in [(1.0, 2.0), (0.5, 5.0), (2.0, 2.0), (0.05, 2.0),
-                   (0.025, 2.0), (4.0, 8.0), (0.0, 2.0)]:
+    for mu, nu in MU_NU:
         p = ParameterSet.from_mu_nu(mu, nu, sigma=0.1, xi=1.0)
         for t in (certify._m_nodes(kernel, p)[0], grid):
-            got = kernels.envelopes(kernel, mu, nu, t)
+            got = kernels._composite_envelopes(kernel, mu, nu, t)
             with monkeypatch.context() as m:
                 m.setattr(kernels, "_envelope_rule",
                           lambda y_top, q, rate:
                           _envelope_rule_per_gap(y_top, q, math.inf))
-                want = kernels.envelopes(kernel, mu, nu, t)
+                want = kernels._composite_envelopes(kernel, mu, nu, t)
             for a, b in zip(got, want):
                 ok = b > 1e-290
                 assert np.max(np.abs(a[ok] / b[ok] - 1.0)) <= 4e-15
+
+
+# the closed forms' kernels: the benchmark's four, then steep, large,
+# confluent and clustered exponents, and komatu at the largest delta that
+# takes the closed forms
+CLOSED_FORM_KERNELS = [
+    "komatu c=0 delta=3", "komatu c=-0.5 delta=4", "bernardi c=1",
+    "two_param_log a=-0.5 b=0", "bernardi c=-0.9", "bernardi c=30",
+    "komatu c=40 delta=2", "komatu c=40 delta=1", "two_param_log a=0.5 b=0.5",
+    "two_param_log a=0 b=1e-6", "ali_singh k=0", "ali_singh k=0.5",
+    "ali_singh k=0.9", "komatu c=0 delta=8"]
+
+
+def _exp_dd_mpmath(t, points):
+    """y**n exp[y b_0, ..., y b_n] for the doubles b and the exact
+    y = log(1/t), by partial fractions (a repeated point by its Taylor
+    coefficients), at 40 digits plus those that close points cancel."""
+    import mpmath
+    values = sorted(set(points))
+    counts = [points.count(b) for b in values]
+    y_f = -math.log(t)
+    extra = sum(mi * mj * max(0.0, -math.log10(y_f * (bj - bi)))
+                for i, (bi, mi) in enumerate(zip(values, counts))
+                for bj, mj in zip(values[i + 1:], counts[i + 1:]))
+    with mpmath.workdps(40 + int(extra) + 5):
+        y = -mpmath.log(mpmath.mpf(t))
+        z = [y * mpmath.mpf(b) for b in values]
+        total = mpmath.mpf(0)
+        for zj, mj in zip(z, counts):
+            # Taylor coefficients in h of exp(zj + h) prod (zj - zl + h)**-ml
+            series = [mpmath.exp(zj) / math.factorial(i) for i in range(mj)]
+            for zl, ml in zip(z, counts):
+                if zl != zj:
+                    q = zj - zl
+                    f = [mpmath.binomial(-ml, i) / q ** (ml + i)
+                         for i in range(mj)]
+                    series = [sum(series[a] * f[i - a] for a in range(i + 1))
+                              for i in range(mj)]
+            total += series[-1]
+        return float(total * y ** (len(points) - 1))
+
+
+def _envelopes_exact(kernel, mu, nu, t):
+    """envelopes() at 40 digits, at the doubles of its divided
+    differences' points (c + 1 - 1/nu, 1/mu - 1/nu, c + 1 - 1/mu): the
+    rounding of 1/mu alone moves Pi by y |d| eps, more than the forms err
+    at mu = 0.025, and so does the rounding of y, so the reference takes
+    y exact and the points as the forms do."""
+    factor, powers = kernels._FAMILIES[kernel.family].envelopes(kernel)
+    lam_pts = [0.0] + [-(c + 1.0 - 1.0 / nu) for c in powers]
+    lam = np.array([factor * _exp_dd_mpmath(x, lam_pts) for x in t])
+    if mu == 0.0:
+        return lam, lam
+    pi_pts = [0.0, 1.0 / mu - 1.0 / nu] + [-(c + 1.0 - 1.0 / mu)
+                                          for c in powers]
+    return lam, np.array([factor * _exp_dd_mpmath(x, pi_pts) for x in t])
+
+
+@pytest.mark.parametrize("text", CLOSED_FORM_KERNELS)
+def test_closed_form_envelopes_match_mpmath_and_the_rule(text):
+    # the divided differences of exp to 4e-15 of 40 digits on the M-nodes,
+    # the checkers' grid and below machine epsilon, wherever the envelope
+    # exceeds 1e-290 and is finite, and the composite rule to 1e-14 of
+    # them on the M-nodes and the grid.  On the sparse grid 1e-17, 1e-20
+    # the rule errs by up to 3e-8 at c = 40: pieces 1 wide in y under
+    # e**(-40.5 y)
+    kernel = kernels.parse_kernel(text)
+    _, powers = kernels._FAMILIES[kernel.family].envelopes(kernel)
+    grid = certify.default_t_grid(certify.CHECK_GRID_POINTS)
+    for mu, nu in MU_NU:
+        p = ParameterSet.from_mu_nu(mu, nu, sigma=0.1, xi=1.0)
+        d = 1.0 / nu - 1.0 / mu if mu else 0.0
+        for t in (certify._m_nodes(kernel, p)[0], grid,
+                  np.array([1e-17, 1e-20])):
+            dense = t.size > 2
+            # Pi overflows at the smallest t for mu = 0.025
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = kernels.envelopes(kernel, mu, nu, t)
+                rule = kernels._composite_envelopes(kernel, mu, nu, t)
+            # 40 digits cost some 0.3 ms a point: every fourth point and
+            # the last, where the grid ends next to t = 1
+            some = np.append(np.arange(0, t.size, 4), t.size - 1)
+            exact = _envelopes_exact(kernel, mu, nu, t[some])
+            # the rule takes exp(b y) of a rounded y and b, up to
+            # eps y |b| off at the largest |b|, 1.2e-13 at mu = 0.05
+            largest = max(abs(c + 1.0 - 1.0 / x) for c in powers
+                          for x in (mu or nu, nu)) + abs(d)
+            slack = 1e-14 + 2.0 * np.finfo(float).eps * largest * -np.log(t)
+            for a, b, c in zip(got, exact, rule):
+                ok = (b > 1e-290) & (b < np.inf)
+                assert np.all(np.abs(a[some][ok] / b[ok] - 1.0) <= 4e-15)
+                ok = (a > 1e-290) & (a < np.inf) & dense
+                assert np.all(np.abs(c[ok] / a[ok] - 1.0) <= slack[ok]), (
+                    mu, nu, np.max(np.abs(c[ok] / a[ok] - 1.0) / slack[ok]))
 
 
 def test_log_derivative_ratio_and_sign():

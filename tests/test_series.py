@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pascucert import oracles
-from pascucert.errors import DomainError, LengthMismatch, RadiusError
+from pascucert.errors import DomainError
+from pascucert.oracles import LengthMismatch, RadiusError
 
 MU_NU = [(0.0, 1.0), (1.0, 1.0), (1.0, 2.0), (1.0, 4.0)]
 
