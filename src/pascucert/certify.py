@@ -20,8 +20,8 @@ harmonic in z, so the minimum over the disk lies on the boundary circle.
 The image of the extremal function, behind the membership margin and the
 sharpness residual, needs no truncation order: it and the functional are
 read from one set of node sums M_k = sum W u**k, u = 1/(1 - t z).  Those
-nodes are the one integration rule of a certification, besides the
-unit-mass check of kernels.make_kernel.  The adaptive beta quadrature,
+nodes are the one integration rule of a certification; kernels.make_kernel
+checks the unit mass from closed forms.  The adaptive beta quadrature,
 the Hohlov closed form, the direct functional and the series membership
 and sharpness checks are in the oracles module.
 

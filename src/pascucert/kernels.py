@@ -3,8 +3,10 @@
 _FAMILIES holds one entry per weight family: its names and parameter
 keys, domain check and normalizer, endpoint exponents, the density
 lambda (written once, from the exact views t, 1 - t and log(1/t) of a
-point), lambda' and lambda'', the closed-form moments, and the theorem
-that covers the family with its hypotheses.  make_kernel, density,
+point), lambda' and lambda'', the closed-form moments, bounds on the
+mass beyond the doubles, and the theorem that covers the family with
+its hypotheses.  make_kernel checks the unit mass from these closed
+forms and one fixed sign rule, without quadrature.  make_kernel, density,
 density_complement, density_derivatives, endpoint_exponents, the moments
 and params.hypothesis_check only look the family up.  The Hohlov
 factor 2F1(c - a, 1 - a; c - a - b + 1; 1 - t) is the double-precision
@@ -27,9 +29,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (ConfigError, CriticalPoint, DomainError, NotApplicable,
-                     QuadratureFailure)
-from .quadrature import gauss_legendre, integrate_01
+from .errors import ConfigError, CriticalPoint, DomainError, NotApplicable
+from .quadrature import gauss_legendre
 
 _MAX_OMEGA_TERMS = 32
 
@@ -94,6 +95,24 @@ _DECIMAL_TOL = 1e-30
 # more than the plain loop saves
 _HORNER_BLOCK = 8
 _BLOCKED_FROM = 3 * _HORNER_BLOCK
+# the doubles hold t and 1 - t down to _TINY = exp(-_LOG_TINY); make_kernel
+# lets a density leave at most _MASS_TOL of its mass beyond them at an end
+_TINY = np.finfo(float).tiny
+_LOG_TINY = -math.log(_TINY)
+_MASS_TOL = 1e-9
+# the sign rule's 50 points t = 1/(1 + exp(x)), x = log(1e22) sinh(5 u) /
+# sinh(5) at u = 1/50 .. 1: from 0.48 down to 1e-22, graded double
+# exponentially toward 0 (0.017 apart at t = 1/2, 6 points a decade at
+# 0.02, 1 every decade or two below 1e-14).  A certification evaluates
+# lambda down to its least M-node, 1.9e-22 (certify._m_nodes: t = u**m,
+# m <= 6), and no lower: there a density may not be representable, as
+# where komatu's t**c underflows while log(1/t)**(delta - 1) overflows
+_SIGN_T = 1.0 / (1.0 + np.exp(math.log(1e22) / math.sinh(5.0)
+                              * np.sinh(5.0 * np.arange(1, 51) / 50.0)))
+# the Markov bound on the Hohlov mass below _TINY is the least over s at
+# these fractions of the range of s (_hohlov_tails)
+_MARKOV_S = [0.5**i for i in range(1, 25)] + [1.0 - 0.5**i
+                                               for i in range(1, 25)]
 
 
 def _nonpositive_integer(x: float) -> bool:
@@ -573,6 +592,25 @@ def _hyp2f1_factors(kernel: KernelSpec):
 # ---------------------------------------------------------------------------
 # the family table and its per-family formulas
 
+def _power_tail(log_c: float, e: float, log_power: float = 0.0) -> float:
+    """log of a bound on int_0^tiny C t**e log(1/t)**k dt, tiny = _TINY
+    and k = log_power, from log C; the same form bounds the mass within
+    tiny of t = 1, with 1 - t for t.
+
+    With s = e + 1, L = _LOG_TINY and x = s L the integral is
+    C Gamma(k + 1, x) / s**(k + 1), and Gamma(k + 1, x) <= x**k e**-x for
+    k <= 0, <= x**k e**-x x/(x - k) for 0 < k < x: so the leading-order
+    mass C tiny**s L**k / s, times x/(x - k) for k > 0.  inf where s <= 0
+    (an exponent -1 in floating point) or x <= k.
+    """
+    s, k = e + 1.0, log_power
+    x = s * _LOG_TINY
+    if s <= 0.0 or x <= k:
+        return math.inf
+    out = log_c - x + k * math.log(_LOG_TINY) - math.log(s)
+    return out + math.log(x / (x - k)) if k > 0.0 else out
+
+
 def _bernardi_check(p):
     if p["c"] <= -1.0:
         raise DomainError("bernardi needs c > -1")
@@ -598,6 +636,13 @@ def _komatu_slopes(k, t, d, ln, g):
             n * t ** (c - 2.0) * ln ** (dl - 3.0) * (
                 c * (c - 1.0) * ln**2 - (dl - 1.0) * (2.0 * c - 1.0) * ln
                 + (dl - 1.0) * (dl - 2.0)))
+
+
+def _komatu_tails(k):
+    # t**c log(1/t)**(delta - 1) at 0; at 1, log(1/t) = 1 - t to rounding
+    c, dl = k.p["c"], k.p["delta"]
+    log_n = math.log(k.normalizer)
+    return _power_tail(log_n, c, dl - 1.0), _power_tail(log_n, dl - 1.0)
 
 
 def _shaped(shape, factor, derivatives):
@@ -652,6 +697,45 @@ def _hohlov_check(p):
     return _gamma_ratio((c,), (a, b, c - a - b + 1.0))
 
 
+def _hohlov_tails(k):
+    """The mass below tiny: with m = min(a, b) < 1, c > m and |a - b|
+    log(1 / (c tiny)) >= 36, lambda ~ R t**(m - 1) at t = 0 with R > 0
+    the residue at s = -m of the Mellin transform M(s) = int t**s lambda
+    = Gamma(c) Gamma(a + s) Gamma(b + s) / (Gamma(a) Gamma(b)
+    Gamma(c + s) Gamma(1 + s)), so the mass is R tiny**m / m, but for a
+    share of about (c tiny)**|a - b| <= e**-36 from the other pole.
+    Elsewhere (a and b close, where the two poles merge into a
+    log(1/t), or at or past the poles of Gamma(1 + s) and Gamma(c + s))
+    Markov's inequality for t**-s: at most tiny**s M(-s) for every
+    0 < s < min(a, b, c, 1), where each Gamma is positive, the least over
+    the fractions _MARKOV_S of that range.  It holds for lambda >= 0,
+    which the sign rule checks, and exceeds the leading-order mass by a
+    factor of about e log(1/mass) (56 at 1e-9).  At t = 1, lambda ~
+    N (1 - t)**(c - a - b)."""
+    a, b, c = k.p["a"], k.p["b"], k.p["c"]
+    m, gap = min(a, b), abs(a - b)
+    if m < 1.0 and c > m \
+            and gap * (_LOG_TINY - math.log(max(c, 1.0))) >= 36.0:
+        low = (_lgamma_drop(c, m) + math.lgamma(gap) - math.lgamma(a)
+               - math.lgamma(b) - math.lgamma(1.0 - m) - m * _LOG_TINY
+               - math.log(m))
+    else:
+        top = min(a, b, c, 1.0)
+        low = min(_lgamma_drop(c, s) - _lgamma_drop(a, s)
+                  - _lgamma_drop(b, s) + _lgamma_drop(1.0, s)
+                  - s * _LOG_TINY for s in (top * f for f in _MARKOV_S))
+    return low, _power_tail(math.log(k.normalizer), c - a - b)
+
+
+def _lgamma_drop(z: float, s: float) -> float:
+    """lgamma(z) - lgamma(z - s) for 0 < s < min(z, 1): past z = 1e6,
+    where the difference of two lgamma would lose its digits, s log(z),
+    which is off by less than s (1 + s)/(2 z) < 1e-6.  (_lgamma_slope
+    keeps every digit, at some 7 us a call; the Markov bound takes 192.)
+    """
+    return s * math.log(z) if z > 1e6 else math.lgamma(z) - math.lgamma(z - s)
+
+
 def _hohlov_moments(k, n):
     # the coefficients (a)_n (b)_n / ((c)_n n!) of the Hohlov operator, the
     # Hadamard product with z 2F1(a, b; c; z), as a running product of the
@@ -669,6 +753,16 @@ def _two_param_log_check(p):
     if b == a:
         return (a + 1.0) ** 2
     return (a + 1.0) * (b + 1.0) / (b - a)
+
+
+def _two_param_log_tails(k):
+    # t**a - t**b <= t**a and <= (b - a) log(1/t) t**a; at 1, (b - a)(1 - t)
+    a, b = k.p["a"], k.p["b"]
+    factor, _ = _two_param_log_envelopes(k)
+    low = _power_tail(math.log(factor), a, 1.0)
+    if b > a:
+        low = min(low, _power_tail(math.log(k.normalizer), a))
+    return low, _power_tail(math.log(factor), 1.0)
 
 
 def _two_param_log_lam(k, t, d, ln, g):
@@ -748,6 +842,14 @@ def _omega(k, t, d, order=0):
     return _horner(coef if coef.size else np.zeros(1), d)
 
 
+def _omega_tails(k):
+    # omega(1 - t) <= omega(1) at 0, as its coefficients are nonnegative
+    bb, q = _omega_shape(k.p)
+    log_n = math.log(k.normalizer)
+    return (_power_tail(log_n + math.log(sum(k.omega)), bb - 1.0),
+            _power_tail(log_n, q))
+
+
 def _omega_moments(k, n):
     # B(B + n, y) = B(B, y) prod_{j<n} (B + j)/(B + j + y)
     bb, q = _omega_shape(k.p)
@@ -789,8 +891,12 @@ class _Family(NamedTuple):
     (-> lambda', lambda'') take (k, t, d, ln, g): t, d = 1 - t and
     ln = log(1/t), each exact from the caller's side, and g = factor(k, t,
     d), the 2F1 or omega factor, once per point.  moments(k, n): tau_n for
-    the array n = 1 .. nmax.  theorem: the id of the theorem covering the
-    family, and hypotheses its rows (name, margin(p, s)) in report order.
+    the array n = 1 .. nmax.  tails(k): the logs of closed-form bounds
+    on the mass below tiny and within tiny of t = 1 (_power_tail of the
+    leading term C t**p log(1/t)**j or C (1 - t)**q; for the Hohlov
+    density at t = 0 its leading Mellin residue or Markov's inequality).
+    theorem: the id of the theorem covering the family, and hypotheses
+    its rows (name, margin(p, s)) in report order.
     envelopes(k), where set, returns (F, (c_1, ..., c_n)) with
     lambda(e**-v) = F v**(n - 1) exp[-c_1 v, ..., -c_n v], a divided
     difference of exp, for the closed-form Lambda and Pi of envelopes(),
@@ -804,6 +910,7 @@ class _Family(NamedTuple):
     lam: Callable
     slopes: Callable
     moments: Callable
+    tails: Callable
     theorem: Optional[str] = None
     hypotheses: tuple = ()
     factor: Optional[Callable] = None
@@ -818,6 +925,8 @@ _FAMILIES = {entry.names[0]: entry for entry in (
         lam=lambda k, t, d, ln, g: k.normalizer * t ** k.p["c"],
         slopes=_bernardi_slopes,
         moments=lambda k, n: k.normalizer / (n + k.p["c"] + 1.0),
+        tails=lambda k: (_power_tail(math.log(k.normalizer), k.p["c"]),
+                         _power_tail(math.log(k.normalizer), 0.0)),
         envelopes=lambda k: (k.normalizer, (k.p["c"],))),
     _Family(
         names=("komatu",), keys=("c", "delta"), check=_komatu_check,
@@ -827,7 +936,7 @@ _FAMILIES = {entry.names[0]: entry for entry in (
         slopes=_komatu_slopes,
         moments=lambda k, n: ((1.0 + k.p["c"]) / (n + k.p["c"] + 1.0))
         ** k.p["delta"],
-        envelopes=_komatu_envelopes,
+        tails=_komatu_tails, envelopes=_komatu_envelopes,
         theorem="komatu", hypotheses=(
             *_GAMMA_MU,
             ("c > -1", lambda p, s: p["c"] + 1.0),
@@ -843,7 +952,8 @@ _FAMILIES = {entry.names[0]: entry for entry in (
         **_shaped(lambda p: (p["b"], p["c"] - p["a"] - p["b"]),
                   lambda k, t, d: _hyp2f1_factors(k)[0](t),
                   lambda k, t, d: [f(t) for f in _hyp2f1_factors(k)[1:]]),
-        moments=_hohlov_moments, theorem="hohlov", hypotheses=(
+        moments=_hohlov_moments, tails=_hohlov_tails,
+        theorem="hohlov", hypotheses=(
             *_GAMMA_MU,
             ("a > 0", lambda p, s: p["a"]),
             ("b > 0", lambda p, s: p["b"]),
@@ -856,7 +966,8 @@ _FAMILIES = {entry.names[0]: entry for entry in (
         check=_two_param_log_check,
         exponents=lambda p: (p["a"], 1.0),
         lam=_two_param_log_lam, slopes=_two_param_log_slopes,
-        moments=_two_param_log_moments, envelopes=_two_param_log_envelopes,
+        moments=_two_param_log_moments, tails=_two_param_log_tails,
+        envelopes=_two_param_log_envelopes,
         theorem="two_param_log",
         hypotheses=(
             *_GAMMA_MU, _XI,
@@ -872,6 +983,9 @@ _FAMILIES = {entry.names[0]: entry for entry in (
         slopes=_ali_singh_slopes,
         moments=lambda k, n: k.normalizer * (1.0 / (n + 1.0 - k.p["k"])
                                              - 1.0 / (n + 3.0 - k.p["k"])),
+        # t**-k (1 - t**2) <= t**-k; at 1, 2 (1 - t)
+        tails=lambda k: (_power_tail(math.log(k.normalizer), -k.p["k"]),
+                         _power_tail(math.log(2.0 * k.normalizer), 1.0)),
         # t**-k - t**(2 - k) = 2 v exp[(k - 2) v, k v] at t = e**-v
         envelopes=lambda k: (2.0 * k.normalizer,
                              (-k.p["k"], 2.0 - k.p["k"])),
@@ -888,7 +1002,8 @@ _FAMILIES = {entry.names[0]: entry for entry in (
         exponents=lambda p: (p["B"] - 1.0, p["C"] - p["A"] - p["B"]),
         **_shaped(_omega_shape, _omega,
                   lambda k, t, d: [_omega(k, t, d, j) for j in (1, 2)]),
-        moments=_omega_moments, theorem="generalized", hypotheses=(
+        moments=_omega_moments, tails=_omega_tails, theorem="generalized",
+        hypotheses=(
             *_GAMMA_MU,
             ("B <= 1", lambda p, s: 1.0 - p["B"]),
             ("C >= A + 3", lambda p, s: p["C"] - p["A"] - 3.0),
@@ -907,7 +1022,19 @@ def _family(name: str):
 
 def make_kernel(family: str, **params) -> KernelSpec:
     """Validate family parameters (an unknown one is a ConfigError),
-    normalize, and verify the mass is 1."""
+    normalize, and check that lambda is a density of unit mass on the
+    doubles.
+
+    Every family's normaliser is closed form, so the mass is 1 once three
+    things hold, each a DomainError naming what failed:
+
+    - the normaliser is finite and positive;
+    - the mass beyond the doubles, below tiny = 2.2e-308 or within tiny of
+      t = 1, is at most _MASS_TOL: the family's tails entry bounds it in
+      closed form;
+    - lambda is finite and nonnegative on _SIGN_T and 1 - _SIGN_T
+      (_sign_rule).
+    """
     family, entry = _family(family)
     unknown = sorted(set(params) - set(entry.keys + entry.extra))
     if unknown:
@@ -916,38 +1043,45 @@ def make_kernel(family: str, **params) -> KernelSpec:
     for key in entry.keys:
         if key not in p:
             raise DomainError(f"missing kernel parameter {key!r}")
-    norm = entry.check(p)
+    stage = f"unit-mass check of the {family} density"
+    try:
+        norm = entry.check(p)
+    except OverflowError:
+        raise DomainError(f"{stage}: the normaliser overflows") from None
     norm, omega = norm if isinstance(norm, tuple) else (norm, ())
+    if not 0.0 < norm < math.inf:
+        raise DomainError(f"{stage}: the normaliser is {norm!r}")
     spec = KernelSpec(family, tuple((key, p[key]) for key in entry.keys),
                       norm, omega)
-    stage = f"unit-mass check of the {family} density"
-    # (t, lambda) at every point the check samples, on both halves
-    seen = []
-
-    def sampled(t, lam):
-        seen.append((t, lam))
-        return lam
-
-    try:
-        total = integrate_01(
-            lambda t: sampled(t, density(spec, t)), *endpoint_exponents(spec),
-            epsabs=1e-12, f_complement=lambda d: sampled(
-                1.0 - d, density_complement(spec, d)))
-    except DomainError as exc:
-        raise DomainError(f"{stage}: {exc}") from None
-    except QuadratureFailure as exc:
-        raise QuadratureFailure(f"{stage}: {exc}", exc.residual) from None
-    t, lam = map(np.concatenate, zip(*seen))
-    i = int(np.argmin(lam))
-    if lam[i] < -1e-12 * np.max(lam):
-        raise DomainError(f"{stage}: lambda = {float(lam[i])!r} < 0 at "
-                          f"t = {float(t[i])!r}")
-    if abs(total - 1.0) > 1e-9:
-        # integrate_01 covers t and 1 - t down to the smallest normal double
-        raise DomainError(
-            f"{stage}: it integrates to {total!r} over t, 1 - t >= "
-            f"{np.finfo(float).tiny:.3g}, not 1")
+    for end, log_mass in zip((0, 1), entry.tails(spec)):
+        if log_mass > math.log(_MASS_TOL):
+            mass = math.exp(min(log_mass, 0.0))
+            raise DomainError(
+                f"{stage}: up to {mass:.3g} of its mass lies within"
+                f" {_TINY:.3g} of t = {end}, beyond the doubles")
+    _sign_rule(spec, stage)
     return spec
+
+
+def _sign_rule(spec: KernelSpec, stage: str) -> None:
+    """Raise DomainError where lambda is not finite, or negative, at a
+    point of _SIGN_T (density) or 1 - _SIGN_T (density_complement).
+
+    Any value below 0 counts: with no tolerance scaled by the largest
+    lambda, a singular endpoint cannot swamp a negative value elsewhere.
+    Of the negative values it names the least lambda min(t, 1 - t)."""
+    with np.errstate(all="ignore"):
+        lam = np.concatenate([density(spec, _SIGN_T),
+                              density_complement(spec, _SIGN_T)])
+    if not np.all(np.isfinite(lam)):
+        i, what = int(np.argmax(~np.isfinite(lam))), "is not finite"
+    else:
+        i, what = int(np.argmin(lam * np.tile(_SIGN_T, 2))), "< 0"
+        if lam[i] >= 0.0:
+            return
+    n = len(_SIGN_T)
+    t = repr(float(_SIGN_T[i])) if i < n else f"1 - {float(_SIGN_T[i - n])!r}"
+    raise DomainError(f"{stage}: lambda = {float(lam[i])!r} {what} at t = {t}")
 
 
 def _inside(x, name):
@@ -1034,7 +1168,7 @@ def slope_profile(kernel: KernelSpec, t):
     size = np.abs(lam)
     flat = t_arr * np.abs(lam1) <= 1e-12 * np.maximum(
         size, t_arr**2 * np.abs(lam2))
-    for bad, what in ((size < np.finfo(float).tiny, "lambda({}) underflows"),
+    for bad, what in ((size < _TINY, "lambda({}) underflows"),
                       (flat, "lambda'({}) vanishes")):
         if np.any(bad):
             raise CriticalPoint(what.format(t_arr.flat[np.argmax(bad)]))
@@ -1055,24 +1189,24 @@ _GL10_X, _GL10_W = _unit_rule(10)
 
 
 @functools.lru_cache(maxsize=8)
-def _gap_pieces(y_bytes: bytes):
+def _gap_pieces(y_bytes: bytes, cap: float):
     """(gap, lo, width) of every piece of the composite rule over the gaps
     of y_top, given as its bytes: the checkers' grid is the same for every
     certification, and so are the M-nodes of one substitution power.
 
     Gap k is (y_top[k + 1], y_top[k]), the last one reaching down to
-    min(1, y_top[n - 1]).  All gaps step their edges
-    e -> min(hi, e + 1, 4 e) together (NaN past a gap's end): pieces at
-    most 1 long and 3 times their distance from the y**q singularity at
+    min(cap, y_top[n - 1]).  All gaps step their edges
+    e -> min(hi, e + cap, 4 e) together (NaN past a gap's end): pieces at
+    most cap long and 3 times their distance from the y**q singularity at
     y = 0, so that Gauss-Legendre converges geometrically on each.  The
     pieces come in gap order, and within a gap in increasing y.
     """
     y_top = np.frombuffer(y_bytes)
     n = len(y_top) - 1
-    hi, e = y_top[:n], np.append(y_top[1:n], min(1.0, y_top[n - 1]))
+    hi, e = y_top[:n], np.append(y_top[1:n], min(cap, y_top[n - 1]))
     edges = [e]
     while np.any(e < hi):
-        e = np.where(e < hi, np.minimum(np.minimum(hi, e + 1.0), 4.0 * e),
+        e = np.where(e < hi, np.minimum(np.minimum(hi, e + cap), 4.0 * e),
                      np.nan)
         edges.append(e)
     edges = np.array(edges).T
@@ -1255,10 +1389,11 @@ def _dd_mixed(points, values, gaps, t, y):
 
 def _envelope_rule(y_top: np.ndarray, q: float, rate: float):
     """Nodes, weights and owning gap of the composite rule over the gaps
-    of y_top (_gap_pieces).
+    of y_top (_gap_pieces), its pieces at most cap = min(1, 4/rate) long
+    (1 at rate = inf, where every piece takes 20 nodes).
 
     The last gap, k = n - 1, reaching down to y = 0, starts with the
-    endpoint piece y = h v**m, h = min(1, y_top[n - 1]), which turns
+    endpoint piece y = h v**m, h = min(cap, y_top[n - 1]), which turns
     y**q dy into a multiple of v**(m (q + 1) - 1) dv.  An exponent of at
     least 4 keeps that piece at full accuracy.
 
@@ -1270,18 +1405,21 @@ def _envelope_rule(y_top: np.ndarray, q: float, rate: float):
     bound keeps y = 0 outside rho = 9.9 and bounds the growth of y**q
     inside; the second, with rate the sum of the integrand's exponential
     rates in y, bounds its exponential factors there and keeps the
-    density's singularities at Im y = +-pi outside.  The nodes come
-    endpoint piece first, then the 20-node pieces, then the 10-node ones.
+    density's singularities at Im y = +-pi outside.  The cap keeps the
+    exponential factors of a steep density, up to e**(rate cap) = e**4
+    across a piece, within reach of 20 nodes.  The nodes come endpoint
+    piece first, then the 20-node pieces, then the 10-node ones.
     """
-    gap, lo, width = _gap_pieces(y_top.tobytes())
+    cap = 1.0 if rate == math.inf else min(1.0, 4.0 / rate)
+    gap, lo, width = _gap_pieces(y_top.tobytes(), cap)
     n = len(y_top) - 1
-    h = min(1.0, y_top[n - 1])
+    h = min(cap, y_top[n - 1])
     m = max(1, math.ceil(5.0 / (1.0 + q)))
     short = (2.0 * (1.0 + abs(q)) * width <= lo) & (rate * width <= 1.0)
     # near q = -1 (m = 250 at q = -0.98) the endpoint nodes' y underflow
-    # below the normal doubles; drop them, as integrate_01 does, leaving
-    # out about 2.2e-308**(q + 1) of the mass (7e-7 at q = -0.98)
-    keep = h * _GL_X**m >= np.finfo(float).tiny
+    # below the normal doubles; dropping them leaves out about
+    # 2.2e-308**(q + 1) of the mass, which make_kernel bounds by 1e-9
+    keep = h * _GL_X**m >= _TINY
     v = _GL_X[keep]
     nodes, weights = [h * v**m], [h * m * v ** (m - 1) * _GL_W[keep]]
     owner = [np.full(len(v), n - 1)]
@@ -1354,8 +1492,8 @@ def _composite_envelopes(kernel: KernelSpec, mu: float, nu: float, t_arr):
     so nothing cancels as t -> 1.  (x**d - t_i**d)/d becomes log(x/t_i)
     at d = 0, and Pi = Lambda at mu = 0.  On grids as dense as the
     M-nodes and the checkers' grid the rule errs by a few units of 1e-15
-    relative; a grid of a few points under a steep density loses more
-    (1.2e-9 at komatu c=40 delta=2, t = 1e-6).
+    relative, and so does a grid of a few points under a steep density,
+    whose pieces the rule caps at 4/rate in y.
     """
     grid, inverse = np.unique(t_arr, return_inverse=True)
     n = len(grid)

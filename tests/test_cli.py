@@ -602,13 +602,28 @@ def test_main_beta_hohlov_large_c(capsys):
 
 
 def test_main_beta_komatu_large_delta_is_config_error(capsys):
-    # the normalizer no longer overflows; the mass of t**0 log(1/t)**199
-    # lies near t = e**-199, where the mass check cannot find it
+    # the normaliser 1/Gamma(200) underflows to 0, and so would lambda's
+    # log(1/t)**199 / Gamma(200) near its peak at t = e**-199
     rc = cli.main(["beta", "--kernel", "komatu c=0 delta=200", "--mu", "1",
                    "--nu", "2"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "Traceback" not in err
+    assert err == ("pascucert: config error: unit-mass check of the komatu "
+                   "density: the normaliser is 0.0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["beta", "--kernel", "hohlov a=1e6 b=1 c=2e6", "--mu", "1", "--nu", "2"],
+    ["moments", "--kernel", "komatu c=1e300 delta=2", "--nmax", "2"]],
+    ids=["beta", "moments"])
+def test_main_normaliser_overflow_is_config_error(argv, capsys):
+    # Gamma(2e6) / Gamma(1e6)**2 and (1 + 1e300)**2 overflow a double
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == (f"pascucert: config error: unit-mass check of the "
+                   f"{argv[2].split()[0]} density: the normaliser "
+                   f"overflows\n")
 
 
 def _beta_without_warnings(kernel):
@@ -621,72 +636,82 @@ def _beta_without_warnings(kernel):
 
 
 def test_main_beta_near_singular_komatu_passes_the_mass_check(capsys):
-    # t = u**40 underflows at the mass check's smallest nodes; the mass of
-    # t**-0.95 log(1/t)**2 below 1e-300 is only ~1e-12
+    # the mass of t**-0.95 log(1/t)**2 below 2.2e-308 is only 2.8e-13
     rc = _beta_without_warnings("komatu c=-0.95 delta=3")
     out, err = capsys.readouterr()
     assert rc == 0 and err == ""
     assert json.loads(out)["beta"]["routes_agree"] is True
 
 
-@pytest.mark.parametrize("kernel", ["bernardi c=-0.99",
-                                    "two_param_log a=-0.99 b=0"])
-def test_main_mass_below_the_doubles_is_named(kernel, capsys):
-    # lambda ~ 0.01 t**-0.99 puts 2.2e-308**0.01 = 8e-4 of its mass below
-    # the smallest normal double
+def _mass_beyond(family, mass, end):
+    return (f"pascucert: config error: unit-mass check of the {family} "
+            f"density: up to {mass} of its mass lies within 2.23e-308 of "
+            f"t = {end}, beyond the doubles\n")
+
+
+@pytest.mark.parametrize("kernel,mass", [("bernardi c=-0.99", "0.000838"),
+                                         ("two_param_log a=-0.99 b=0",
+                                          "0.000847"),
+                                         ("hohlov a=0.005 b=3 c=4", "0.029")],
+                         ids=["bernardi c=-0.99", "two_param_log a=-0.99 b=0",
+                              "hohlov a=0.005 b=3 c=4"])
+def test_main_mass_below_the_doubles_is_named(kernel, mass, capsys):
+    # lambda ~ 0.01 t**-0.99 puts 2.2e-308**0.01 = 8.4e-4 of its mass below
+    # the smallest normal double, the Hohlov density 0.029
     rc = _beta_without_warnings(kernel)
-    err = capsys.readouterr().err
     assert rc == 2
-    assert "config error: unit-mass check" in err
-    assert "integrates to 0.9991" in err and "2.23e-308" in err
+    assert capsys.readouterr().err == _mass_beyond(kernel.split()[0], mass, 0)
 
 
 @pytest.mark.parametrize("command", ["check", "beta", "certify"])
 def test_main_envelopes_near_q_minus_one(command, capsys):
-    # at q = -0.98 the envelopes' endpoint nodes y = h v**250 underflow;
-    # dropped, they leave a finite monotone margin and two beta routes
-    # that disagree by 6e-7, which beta and certify report in full
-    rc = cli.main([command, "--kernel", "komatu c=0 delta=0.02", "--mu",
+    # at q = -0.97 the envelopes' endpoint nodes y = h v**167 underflow;
+    # dropped, they leave out 2.2e-308**0.03 = 5.9e-10 of the mass, below
+    # the 1e-9 make_kernel lets lie beyond the doubles, and the two beta
+    # routes agree.  (At q = -0.98 the 7.1e-7 left out would part them by
+    # 6e-7; make_kernel rejects komatu c=0 delta=0.02.)
+    rc = cli.main([command, "--kernel", "komatu c=0 delta=0.03", "--mu",
                    "1", "--nu", "2", "--sigma", "0.1", "--xi", "1",
                    "--format", "json"])
     out, err = capsys.readouterr()
-    assert rc == 1 and err == ""
+    assert rc == (0 if command == "beta" else 1) and err == ""
     report = json.loads(out)
     if command == "check":
         margins = report["condition_margins"]
-        assert margins["monotone"] == pytest.approx(-3751979.6, rel=1e-7)
+        assert margins["monotone"] == pytest.approx(-3492120.58, rel=1e-7)
         return
     beta = report["beta"]
-    assert beta["integral"] == pytest.approx(-0.35269930, abs=1e-8)
-    assert beta["series"] == pytest.approx(-0.35269868, abs=1e-8)
+    assert beta["integral"] == pytest.approx(-0.35914796, abs=1e-8)
+    assert abs(beta["series"] - beta["integral"]) < 1e-10
     if command == "beta":
-        assert beta["routes_agree"] is False
+        assert beta["routes_agree"] is True
     else:
-        assert report["failed"] == ["beta_routes", "functional"]
+        assert report["failed"] == ["functional"]
 
 
 def test_main_mass_not_finite_is_named(capsys):
-    # near t = 0 the 2F1 factor overflows where t**(b - 1) underflows
-    rc = _beta_without_warnings("hohlov a=0.005 b=3 c=4")
+    # at t = 1e-22, the sign rule's smallest point, just below the least
+    # M-node of a certification, the 2F1 factor ~ t**(a - b) = 1e319
+    # overflows
+    rc = _beta_without_warnings("hohlov a=0.5 b=15 c=17")
     err = capsys.readouterr().err
     assert rc == 2
     assert err.strip() == ("pascucert: config error: unit-mass check of the "
-                           "hohlov density: the integral is not finite at "
-                           "t -> 0")
+                           "hohlov density: lambda = inf is not finite at "
+                           "t = 9.999999999999971e-23")
 
 
-@pytest.mark.parametrize("kernel", ["komatu c=0 delta=1e-300",
-                                    "hohlov a=1e-300 b=1 c=4"])
-def test_main_mass_quadrature_failure_is_named(kernel, capsys):
-    # an endpoint exponent at -1 in floating point: a failed numerical
-    # stage, exit 1, named like the mass check's configuration errors
+@pytest.mark.parametrize("kernel,end", [("komatu c=0 delta=1e-300", 1),
+                                        ("hohlov a=1e-300 b=1 c=4", 0)],
+                         ids=["komatu c=0 delta=1e-300",
+                              "hohlov a=1e-300 b=1 c=4"])
+def test_main_mass_quadrature_failure_is_named(kernel, end, capsys):
+    # an endpoint exponent at -1 in floating point: all of the mass beyond
+    # the doubles, a configuration error
     rc = _beta_without_warnings(kernel)
     out, err = capsys.readouterr()
-    assert rc == 1 and out == ""
-    family = kernel.split()[0]
-    assert err == (f"pascucert: QuadratureFailure: unit-mass check of the "
-                   f"{family} density: endpoint exponent <= -1: integral "
-                   f"diverges\n")
+    assert rc == 2 and out == ""
+    assert err == _mass_beyond(kernel.split()[0], "1", end)
 
 
 KOMATU_POINT = cli.RunConfig(command="sweep", kernel="komatu c=0 delta=3",

@@ -1,13 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pascucert import certify, kernels, oracles
 from pascucert.errors import (ConfigError, CriticalPoint, DomainError,
                               NotApplicable)
 from pascucert.params import ParameterSet
-from pascucert.quadrature import integrate_01
+from pascucert.oracles import integrate_01
 
 FAMILY_EXAMPLES = [
     kernels.make_kernel("bernardi", c=1.0),
@@ -232,6 +234,21 @@ def test_envelopes_on_sparse_grid_match_oracle(kernel):
                                    np.array([0.05, 0.5, 0.9, 0.999]))
 
 
+@pytest.mark.parametrize("text", ["komatu c=40 delta=1.5",
+                                  "komatu c=40 delta=2.5"])
+@pytest.mark.parametrize("mu", [0.0, 1.0, 2.0])
+def test_envelopes_on_a_one_point_grid_under_a_steep_density(text, mu):
+    # y = log(1/t) = 13.8 in one gap under e**(-40.5 y): pieces 1 long in
+    # y would err by 6.2e-9 and 1.0e-11 at mu = 1; capped at 4/rate they
+    # reach rounding
+    k = kernels.parse_kernel(text)
+    lam, pi = kernels.envelopes(k, mu, 2.0, np.array([1e-6]))
+    assert lam[0] == pytest.approx(oracles.lambda_envelope(k, 2.0, 1e-6),
+                                   rel=1e-14, abs=0.0)
+    assert pi[0] == pytest.approx(oracles.pi_envelope(k, mu, 2.0, 1e-6),
+                                  rel=1e-14, abs=0.0)
+
+
 def test_envelopes_near_one_match_mpmath():
     # Pi ~ (1 - t)**(q + 2) with q = 0.2 here; the adaptive oracle is off
     # by about 1e-8 relative at this t, the grid route is not
@@ -281,20 +298,22 @@ def test_envelopes_domain():
         kernels.envelopes(k, 1.0, 0.0, np.array([0.5]))
 
 
-def _gap_pieces(lo, hi):
+def _gap_pieces(lo, hi, cap):
     edges = [lo]
     while edges[-1] < hi:
         e = edges[-1]
-        edges.append(min(hi, e + 1.0, 4.0 * e))
+        edges.append(min(hi, e + cap, 4.0 * e))
     return edges
 
 
 def _envelope_rule_per_gap(y_top, q, rate):
     # the rule built one piece at a time, as the reference: the endpoint
     # piece, then the 20-node pieces, then the 10-node ones, each in gap
-    # order and within a gap in increasing y
+    # order and within a gap in increasing y, every piece at most
+    # min(1, 4/rate) long (1 at rate = inf)
     n = len(y_top) - 1
-    h = min(1.0, y_top[n - 1])
+    cap = min(1.0, 4.0 / rate) or 1.0
+    h = min(cap, y_top[n - 1])
     m = max(1, math.ceil(5.0 / (1.0 + q)))
     gl_x, gl_w = kernels._GL_X, kernels._GL_W
     nodes = [h * gl_x**m]
@@ -304,7 +323,7 @@ def _envelope_rule_per_gap(y_top, q, rate):
              10: (kernels._GL10_X, kernels._GL10_W, [], [], [])}
     lows = np.append(y_top[1:n], h)
     for k in range(n):
-        edges = _gap_pieces(lows[k], y_top[k])
+        edges = _gap_pieces(lows[k], y_top[k], cap)
         for lo, hi in zip(edges[:-1], edges[1:]):
             width = hi - lo
             short = 2.0 * (1.0 + abs(q)) * width <= lo and rate * width <= 1.0
@@ -345,12 +364,13 @@ RULE_GRIDS.update({
 def test_envelope_rule_matches_per_gap_loop(name, q):
     # all gaps stepped together, each piece choosing its rule, give the
     # per-piece rule bit for bit, in the same order, so the envelope sums
-    # do not move; rate = inf puts 20 nodes on every piece.  The pieces
-    # of a grid are built once and shared, read-only, by later calls
+    # do not move; rate = inf puts 20 nodes on every piece, rate = 40 cuts
+    # them to 0.1 in y.  The pieces of a grid are built once and shared,
+    # read-only, by later calls
     y_top = np.append(-np.log(np.unique(RULE_GRIDS[name])), 0.0)
-    pieces = kernels._gap_pieces(y_top.tobytes())
+    pieces = kernels._gap_pieces(y_top.tobytes(), 1.0)
     assert not any(a.flags.writeable for a in pieces)
-    for rate in (1.0, 6.0, math.inf):
+    for rate in (1.0, 6.0, 40.0, math.inf):
         got = kernels._envelope_rule(y_top, q, rate)
         want = _envelope_rule_per_gap(y_top, q, rate)
         for a, b in zip(got, want):
@@ -455,9 +475,9 @@ def test_closed_form_envelopes_match_mpmath_and_the_rule(text):
     # the divided differences of exp to 4e-15 of 40 digits on the M-nodes,
     # the checkers' grid and below machine epsilon, wherever the envelope
     # exceeds 1e-290 and is finite, and the composite rule to 1e-14 of
-    # them on the M-nodes and the grid.  On the sparse grid 1e-17, 1e-20
-    # the rule errs by up to 3e-8 at c = 40: pieces 1 wide in y under
-    # e**(-40.5 y)
+    # them there too, also on the sparse grid 1e-17, 1e-20, where pieces
+    # 1 wide in y under e**(-40.5 y) would err by 3e-8 at c = 40: capped
+    # at 4/rate they keep the slack
     kernel = kernels.parse_kernel(text)
     _, powers = kernels._FAMILIES[kernel.family].envelopes(kernel)
     grid = certify.default_t_grid(certify.CHECK_GRID_POINTS)
@@ -466,7 +486,6 @@ def test_closed_form_envelopes_match_mpmath_and_the_rule(text):
         d = 1.0 / nu - 1.0 / mu if mu else 0.0
         for t in (certify._m_nodes(kernel, p)[0], grid,
                   np.array([1e-17, 1e-20])):
-            dense = t.size > 2
             # Pi overflows at the smallest t for mu = 0.025
             with np.errstate(over="ignore", invalid="ignore"):
                 got = kernels.envelopes(kernel, mu, nu, t)
@@ -483,7 +502,7 @@ def test_closed_form_envelopes_match_mpmath_and_the_rule(text):
             for a, b, c in zip(got, exact, rule):
                 ok = (b > 1e-290) & (b < np.inf)
                 assert np.all(np.abs(a[some][ok] / b[ok] - 1.0) <= 4e-15)
-                ok = (a > 1e-290) & (a < np.inf) & dense
+                ok = (a > 1e-290) & (a < np.inf)
                 assert np.all(np.abs(c[ok] / a[ok] - 1.0) <= slack[ok]), (
                     mu, nu, np.max(np.abs(c[ok] / a[ok] - 1.0) / slack[ok]))
 
@@ -523,17 +542,232 @@ def test_make_kernel_domain_validation():
         kernels.make_kernel("hohlov", a=1.0, b=1.0, c=1.0)
 
 
+def _hohlov_density_mpmath(a, b, c, t):
+    """The Hohlov density, t a float or the text "1 - d": 80 digits, as
+    mpmath's 2F1 near argument 1 loses some at a = b (3e-3 of 30 digits
+    at a = b = 1.016, t = 1e-30)."""
+    import mpmath
+    with mpmath.workdps(80):
+        a, b, c = map(mpmath.mpf, (a, b, c))
+        t = (1 - mpmath.mpf(t[4:]) if str(t).startswith("1 - ")
+             else mpmath.mpf(t))
+        norm = mpmath.gamma(c) / (mpmath.gamma(a) * mpmath.gamma(b)
+                                  * mpmath.gamma(c - a - b + 1))
+        return float(norm * t ** (b - 1) * (1 - t) ** (c - a - b)
+                     * mpmath.hyp2f1(c - a, 1 - a, c - a - b + 1, 1 - t))
+
+
+_SIGN_MESSAGE = (r"^unit-mass check of the hohlov density: lambda = (\S+) < 0"
+                 r" at t = (1 - \S+|\S+)$")
+
+
 @pytest.mark.parametrize("text,lam,t", [
-    ("hohlov a=3 b=3 c=7", r"-3\.87", r"0\.46"),
-    ("hohlov a=2.5 b=3.5 c=6.2", r"-3\.90", r"0\.56")],
-    ids=["a=3 b=3 c=7", "a=2.5 b=3.5 c=6.2"])
+    ("hohlov a=3 b=3 c=7", r"-3\.84", r"0\.482"),
+    ("hohlov a=2.5 b=3.5 c=6.2", r"-3\.72", r"1 - 0\.482"),
+    ("hohlov a=0.5 b=0.5 c=0.2", r"-2\.22", r"0\.0332"),
+    ("hohlov a=0.5 b=0.5 c=0.101", r"-2\.31", r"0\.141"),
+    ("hohlov a=2.5 b=10 c=12.02", r"-59\.7", r"1 - 0\.141"),
+    ("hohlov a=1.03 b=1.03 c=2.06", r"-0\.0071", r"1\.79\d*e-15")],
+    ids=["a=3 b=3 c=7", "a=2.5 b=3.5 c=6.2", "a=0.5 b=0.5 c=0.2",
+         "a=0.5 b=0.5 c=0.101", "a=2.5 b=10 c=12.02",
+         "a=1.03 b=1.03 c=2.06"])
 def test_make_kernel_rejects_negative_density(text, lam, t):
     # unit mass, but no density: lambda < 0 on part of (0, 1), at
-    # a=3 b=3 c=7 on 49% of it; the least value the mass check samples
-    # names the t
+    # a=3 b=3 c=7 on 49% of it.  A sign judged against the largest
+    # lambda, 9.3e54 next to the (1 - t)**-0.8 singularity at c = 0.2,
+    # passes the c = 0.2, 0.101 and 12.02 cases.  At a = b = 1.03,
+    # lambda ~ (log(1/t) / Gamma(-0.03) + const) t**0.03 turns negative
+    # below t = 1e-14, which a sign judged against lambda t misses.
+    # The sign rule names the least lambda min(t, 1 - t) of its points, and
+    # mpmath confirms the value there
     with pytest.raises(ConfigError, match=(
             rf"^unit-mass check of the hohlov density: lambda = {lam}\d* < 0 "
-            rf"at t = {t}\d*$")):
+            rf"at t = {t}\d*$")) as info:
+        kernels.parse_kernel(text)
+    got, at = re.match(_SIGN_MESSAGE, str(info.value)).groups()
+    a, b, c = (float(x.split("=")[1]) for x in text.split()[1:])
+    assert float(got) == pytest.approx(_hohlov_density_mpmath(a, b, c, at),
+                                       rel=1e-10)
+
+
+def test_sign_rule_reaches_the_least_m_node():
+    # t = u**m with m <= 6 puts a certification's least M-node at
+    # 1.9e-22: the rule judges lambda at least as far toward t = 0
+    assert kernels._SIGN_T.min() <= certify._M_U[0] ** 6
+
+
+@pytest.mark.parametrize("text,end,mass,reference", [
+    # the references are mpmath's: Q(3, 0.03 L) of komatu's Gamma(delta)
+    # law in log(1/t), L = 708.4, where 2.2e-308**0.03 = 5.9e-10 alone
+    # would pass it
+    ("komatu c=-0.97 delta=3", 0, "1.47e-07", 1.4622e-7),
+    # N tiny**delta / delta = 2.2e-308**0.02 next to t = 1; the envelopes
+    # drop their nodes there
+    ("komatu c=0 delta=0.02", 1, "7.11e-07", 7.1092e-7),
+    # tiny**(c + 1), and the mass that two_param_log's t**a - t**b leaves
+    ("bernardi c=-0.99", 0, "0.000838", 8.3844e-4),
+    ("two_param_log a=-0.99 b=0", 0, "0.000847", 8.4691e-4),
+    # the leading term Gamma(c) Gamma(b - a) / (Gamma(a) Gamma(b)
+    # Gamma(c - a) Gamma(1 - a)) tiny**a / a
+    ("hohlov a=0.005 b=3 c=4", 0, "0.029", 0.0290),
+    # the Markov bound at a = b: lambda = (c - 1)(1 - t)**(c - 2) leaves
+    # 1 - (1 - tiny)**(c - 1) = 2.2e-8 below tiny
+    ("hohlov a=1 b=1 c=1e300", 0, "1.04e-06", 2.2251e-8),
+    # an endpoint exponent of -1 in floating point
+    ("komatu c=0 delta=1e-300", 1, "1", 1.0),
+    ("hohlov a=1e-300 b=1 c=4", 0, "1", 1.0),
+])
+def test_make_kernel_rejects_mass_beyond_the_doubles(text, end, mass,
+                                                      reference):
+    with pytest.raises(ConfigError, match=(
+            rf"^unit-mass check of the {text.split()[0]} density: up to "
+            rf"{re.escape(mass)} of its mass lies within 2\.23e-308 of "
+            rf"t = {end}, beyond the doubles$")):
+        kernels.parse_kernel(text)
+    # every bound is at least the mass it bounds, to the 3 digits printed
+    assert float(mass) >= reference * (1.0 - 5e-3)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _hohlov_domain(a, b, r):
+    return {"a": a, "b": b, "c": a + b + r}
+
+
+def _omega_domain(aa, bb, r, x1, x2):
+    return {"A": aa, "B": bb, "C": aa + bb + r, "x1": x1, "x2": x2}
+
+
+# each family's domain, up to where the oracle reaches: it integrates
+# over t, 1 - t >= 2.2e-308 by adaptive Gauss-Kronrod, whose nodes find
+# komatu's mass near y = log(1/t) = delta/(c + 1) only for moderate
+# delta, and it needs the double-precision density there, in which the
+# Hohlov 2F1 factor ~ t**(a - b) overflows where t**(b - 1) underflows
+# once b > a + 1 (inf * 0)
+DOMAINS = {
+    "bernardi": st.fixed_dictionaries({"c": _floats(-0.999, 40.0)}),
+    "komatu": st.fixed_dictionaries({"c": _floats(-0.999, 20.0),
+                                     "delta": _floats(1e-3, 12.0)}),
+    "hohlov": st.floats(1e-3, 5.0).flatmap(lambda a: st.builds(
+        _hohlov_domain, st.just(a), _floats(1e-3, a + 1.0),
+        _floats(-0.999, 8.0))),
+    "two_param_log": st.fixed_dictionaries({"a": _floats(-0.999, 10.0),
+                                            "b": _floats(-0.999, 10.0)}),
+    "ali_singh": st.fixed_dictionaries({"k": _floats(0.0, 0.999)}),
+    "generalized": st.builds(_omega_domain, _floats(-2.0, 4.0),
+                             _floats(1e-3, 4.0), _floats(-0.999, 6.0),
+                             _floats(0.0, 4.0), _floats(0.0, 4.0)),
+}
+# a denser grid than the sign rule's, graded toward both ends, down to
+# where certifications evaluate lambda
+_DENSE_T = np.geomspace(1e-22, 0.5, 2000)
+
+
+@pytest.mark.parametrize("family", list(DOMAINS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_make_kernel_accepts_only_unit_mass_densities(family, data):
+    # the runtime check decides from closed forms and a fixed sign rule;
+    # the unit mass it stands for is checked here.  Where make_kernel
+    # accepts, the oracle's mass is 1 within 1e-9 (the most a density may
+    # leave beyond the doubles) and lambda >= 0 on a denser grid; where it
+    # rejects for sign, mpmath confirms the negative lambda at the t named
+    params = data.draw(DOMAINS[family])
+    try:
+        kernel = kernels.make_kernel(family, **params)
+    except DomainError as exc:
+        sign = re.match(_SIGN_MESSAGE, str(exc))
+        if sign:
+            got, at = sign.groups()
+            ref = _hohlov_density_mpmath(params["a"], params["b"],
+                                         params["c"], at)
+            assert ref < 0.0
+            assert float(got) == pytest.approx(ref, rel=1e-8)
+        return
+    p, q = kernels.endpoint_exponents(kernel)
+    mass = integrate_01(
+        lambda t: kernels.density(kernel, t), p, q, epsabs=1e-12,
+        f_complement=lambda d: kernels.density_complement(kernel, d))
+    assert mass == pytest.approx(1.0, abs=1e-9)
+    with np.errstate(under="ignore"):
+        for view in (kernels.density, kernels.density_complement):
+            assert np.all(view(kernel, _DENSE_T) >= 0.0)
+
+
+def _hohlov_leading_mass_mpmath(a, b, c):
+    """The two leading terms of the Hohlov mass below tiny, R_a tiny**a/a +
+    R_b tiny**b/b, R_x = Gamma(c) Gamma(y - x) / (Gamma(a) Gamma(b)
+    Gamma(c - x) Gamma(1 - x)) for y the other exponent, at 330 digits,
+    so that c - x keeps its digits up to c = 1e300."""
+    import mpmath
+    with mpmath.workdps(330):
+        tiny = mpmath.mpf(np.finfo(float).tiny)
+        a, b, c = map(mpmath.mpf, (a, b, c))
+        return float(sum(
+            mpmath.gamma(c) * mpmath.gamma(y - x) * tiny**x / x
+            / (mpmath.gamma(a) * mpmath.gamma(b) * mpmath.gamma(c - x)
+               * mpmath.gamma(1 - x)) for x, y in ((a, b), (b, a))))
+
+
+@pytest.mark.parametrize("a,b,c,exact", [
+    (0.03, 0.5, 4.0, True), (0.03, 0.9, 1.0, True), (0.5, 0.8, 4.5, True),
+    (0.04, 0.09, 4.0, False), (0.03, 0.03 + 1e-9, 4.0, False),
+    (0.3, 0.2, 1e6, True), (0.3, 0.2, 1e300, False)])
+def test_hohlov_mass_beyond_the_doubles_matches_mpmath(a, b, c, exact):
+    # the leading term where a and b lie 0.051 or more apart (at c = 1e300
+    # the other term's share (c tiny)**0.1 is 0.17), else a Markov bound
+    # at most 100 times the two leading terms together (a log(1/t) at
+    # a = b)
+    k = kernels.KernelSpec("hohlov", (("a", a), ("b", b), ("c", c)),
+                           kernels._hohlov_check({"a": a, "b": b, "c": c}))
+    got = math.exp(kernels._hohlov_tails(k)[0])
+    ref = _hohlov_leading_mass_mpmath(a, b, c)
+    if exact:
+        assert got == pytest.approx(ref, rel=1e-9)
+    else:
+        assert ref <= got <= 100.0 * ref
+
+
+def test_komatu_mass_beyond_the_doubles_matches_mpmath():
+    # Q(delta, (c + 1) L) below tiny: the bound of _power_tail is at least
+    # it and, away from x = (c + 1) L ~ delta - 1, within 20% of it
+    import mpmath
+    for c, delta in ((-0.97, 3.0), (-0.95, 3.0), (-0.98, 0.5), (-0.9, 8.0),
+                     (0.0, 100.0), (3.0, 150.0)):
+        x = (1.0 + c) * kernels._LOG_TINY
+        log_ref = float(mpmath.log(mpmath.gammainc(delta, x,
+                                                   regularized=True)))
+        k = kernels.KernelSpec("komatu", (("c", c), ("delta", delta)),
+                               kernels._komatu_check({"c": c,
+                                                      "delta": delta}))
+        log_bound, _ = kernels._komatu_tails(k)
+        assert log_ref <= log_bound <= log_ref + math.log(1.2), (c, delta)
+
+
+def test_make_kernel_accepts_what_the_doubles_hold():
+    # each leaves less than 1e-9 of its mass beyond the doubles, the
+    # Hohlov ones 1e-30, though near 2.2e-308 the double-precision Hohlov
+    # density is t**(b - 1) = 0 times an overflowed 2F1 factor, and
+    # komatu's mass lies near t = e**-100, which adaptive nodes miss
+    for text in ("hohlov a=0.1 b=3 c=4", "hohlov a=0.5 b=10 c=12",
+                 "komatu c=0 delta=100", "komatu c=0 delta=0.03"):
+        k = kernels.parse_kernel(text)
+        assert max(kernels._FAMILIES[k.family].tails(k)) < math.log(1e-9)
+    p = ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.1, xi=1.0)
+    report = certify.run_certification(
+        kernels.parse_kernel("hohlov a=0.1 b=3 c=4"), p)
+    assert report.passed()
+    assert abs(report.beta_integral - report.beta_series) < 1e-12
+
+
+@pytest.mark.parametrize("text", ["hohlov a=1e6 b=1 c=2e6",
+                                  "komatu c=1e300 delta=2"])
+def test_make_kernel_names_a_normaliser_that_overflows(text):
+    with pytest.raises(ConfigError, match=(
+            r"^unit-mass check of the \w+ density: the normaliser "
+            r"overflows$")):
         kernels.parse_kernel(text)
 
 

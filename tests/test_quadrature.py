@@ -1,4 +1,5 @@
-"""The numpy-only adaptive Gauss-Kronrod integrator and the import path."""
+"""The oracles' numpy-only adaptive Gauss-Kronrod integrator, the calls of
+the kernel check, and the import path."""
 
 import os
 import subprocess
@@ -13,8 +14,8 @@ import pytest
 import pascucert as pc
 from pascucert import auxfun, kernels, oracles
 from pascucert.errors import DomainError, QuadratureFailure
-from pascucert.quadrature import (_MAX_PANELS, _sub_power, gauss_legendre,
-                                 integrate_01)
+from pascucert.oracles import _MAX_PANELS, _sub_power, integrate_01
+from pascucert.quadrature import gauss_legendre
 
 # one kernel per family, plus the singular endpoints the benchmark meets
 KERNELS = [
@@ -87,29 +88,19 @@ def test_integrate_01_one_call_per_round_and_panel_cap():
     assert sum(sizes) <= 2 * 21 * (2 * _MAX_PANELS - 1)
 
 
-def _mass_check_calls(monkeypatch, text):
-    """Sizes of the density calls of one kernel's unit-mass check."""
-    sizes = []
+@pytest.mark.parametrize("text", ["komatu c=0 delta=3",
+                                  "komatu c=-0.5 delta=4", "bernardi c=1",
+                                  "generalized A=1 B=1 C=4 x1=1"])
+def test_kernel_check_calls_each_density_view_once(monkeypatch, text):
+    # the sign rule takes density on its 50 points and density_complement
+    # on the same 50 distances from t = 1; the mass is closed form
+    calls = []
     for name in ("density", "density_complement"):
         f = getattr(kernels, name)
-        monkeypatch.setattr(kernels, name, lambda k, t, f=f:
-                            sizes.append(np.size(t)) or f(k, t))
+        monkeypatch.setattr(kernels, name, lambda k, t, f=f, name=name:
+                            calls.append((name, np.size(t))) or f(k, t))
     kernels.parse_kernel(text)
-    return sizes
-
-
-@pytest.mark.parametrize("text", ["komatu c=0 delta=3",
-                                  "komatu c=-0.5 delta=4"])
-def test_mass_check_grades_the_log_factor_at_zero(monkeypatch, text):
-    # log(1/t)**(delta - 1) survives t = u**m; bisecting toward u = 0 took
-    # 20 and 22 density calls, one round per halving
-    assert len(_mass_check_calls(monkeypatch, text)) <= 4
-
-
-@pytest.mark.parametrize("text", ["bernardi c=1",
-                                  "generalized A=1 B=1 C=4 x1=1"])
-def test_mass_check_of_smooth_densities_takes_one_round(monkeypatch, text):
-    assert _mass_check_calls(monkeypatch, text) == [21, 21]
+    assert calls == [("density", 50), ("density_complement", 50)]
 
 
 def test_graded_split_resolves_a_log_power_at_zero():
