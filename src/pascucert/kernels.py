@@ -698,33 +698,54 @@ def _hohlov_check(p):
 
 
 def _hohlov_tails(k):
-    """The mass below tiny: with m = min(a, b) < 1, c > m and |a - b|
-    log(1 / (c tiny)) >= 36, lambda ~ R t**(m - 1) at t = 0 with R > 0
-    the residue at s = -m of the Mellin transform M(s) = int t**s lambda
-    = Gamma(c) Gamma(a + s) Gamma(b + s) / (Gamma(a) Gamma(b)
-    Gamma(c + s) Gamma(1 + s)), so the mass is R tiny**m / m, but for a
-    share of about (c tiny)**|a - b| <= e**-36 from the other pole.
-    Elsewhere (a and b close, where the two poles merge into a
-    log(1/t), or at or past the poles of Gamma(1 + s) and Gamma(c + s))
-    Markov's inequality for t**-s: at most tiny**s M(-s) for every
-    0 < s < min(a, b, c, 1), where each Gamma is positive, the least over
-    the fractions _MARKOV_S of that range.  It holds for lambda >= 0,
-    which the sign rule checks, and exceeds the leading-order mass by a
-    factor of about e log(1/mass) (56 at 1e-9).  At t = 1, lambda ~
-    N (1 - t)**(c - a - b)."""
+    """The mass below tiny from the poles of the Mellin transform
+    M(s) = int t**s lambda = Gamma(c) Gamma(a + s) Gamma(b + s) /
+    (Gamma(a) Gamma(b) Gamma(c + s) Gamma(1 + s)) at s = -a and -b: to
+    leading order the sum of R_x tiny**x / x, R_x the residue at s = -x.
+
+    With m = min(a, b), e = |a - b|, m + e < 1, c > m + e and
+    c tiny < 1, the two terms are (v(0) - v(-e)) / e, a divided
+    difference of v(w) = Gamma(1 + w) Gamma(1 + e + w) tiny**(m - w) /
+    (m - w) Gamma(c) / (Gamma(a) Gamma(b) Gamma(c - m + w)
+    Gamma(1 - m + w)), positive on [-e, 0]: v(0) expm1(-e S) / (-e) with
+    S the slope of log v there, at a = b the v(0) S of merged poles, a
+    log(1/t).  With m < 1, c > m and e log(1 / (c tiny)) >= 36 but
+    m + e >= 1, R_m tiny**m / m alone, but for a share of about
+    (c tiny)**e <= e**-36 from the other pole.  Elsewhere, at or past the
+    poles of Gamma(1 + s) and Gamma(c + s), Markov's inequality for
+    t**-s: at most tiny**s M(-s) for every 0 < s < min(a, b, 1), where
+    each Gamma is positive, the least over the fractions _MARKOV_S of
+    that range.  It holds for lambda >= 0, which the sign rule checks,
+    and exceeds the leading-order mass by a factor of about
+    e log(1/mass) (56 at 1e-9).  Where c < min(a, b, 1), M(-c) = 0
+    shows lambda < 0 near t = 0, maybe only below the sign rule's
+    points: a DomainError.  At t = 1, lambda ~ N (1 - t)**(c - a - b).
+    """
     a, b, c = k.p["a"], k.p["b"], k.p["c"]
     m, gap = min(a, b), abs(a - b)
-    if m < 1.0 and c > m \
-            and gap * (_LOG_TINY - math.log(max(c, 1.0))) >= 36.0:
-        low = (_lgamma_drop(c, m) + math.lgamma(gap) - math.lgamma(a)
-               - math.lgamma(b) - math.lgamma(1.0 - m) - m * _LOG_TINY
-               - math.log(m))
-    else:
-        top = min(a, b, c, 1.0)
-        low = min(_lgamma_drop(c, s) - _lgamma_drop(a, s)
-                  - _lgamma_drop(b, s) + _lgamma_drop(1.0, s)
-                  - s * _LOG_TINY for s in (top * f for f in _MARKOV_S))
-    return low, _power_tail(math.log(k.normalizer), c - a - b)
+    high = _power_tail(math.log(k.normalizer), c - a - b)
+    if m < 1.0 and c > m and c * _TINY < 1.0:
+        # log of tiny**m / m Gamma(c) / (Gamma(a) Gamma(b) Gamma(c - m)
+        # Gamma(1 - m))
+        lead = (_lgamma_drop(c, m) - math.lgamma(a) - math.lgamma(b)
+                - math.lgamma(1.0 - m) - m * _LOG_TINY - math.log(m))
+        if m + gap < 1.0 and c > m + gap:
+            slope = (_lgamma_slope(1.0, -gap) + _lgamma_slope(1.0, gap)
+                     - _lgamma_slope(c - m, -gap)
+                     - _lgamma_slope(1.0 - m, -gap) + _LOG_TINY
+                     + (math.log1p(gap / m) / gap if gap else 1.0 / m))
+            return (lead + math.lgamma(1.0 + gap)
+                    + math.log(_expm1_ratio(-gap, slope))), high
+        if gap * (_LOG_TINY - math.log(max(c, 1.0))) >= 36.0:
+            return lead + math.lgamma(gap), high
+    top = min(a, b, 1.0)
+    if c < top:
+        # M(-c) = 0, where a density has int t**-c lambda >= 1
+        raise DomainError(f"{_stage('hohlov')}: lambda < 0 near t = 0, as "
+                          "c < min(a, b, 1) makes int t**-c lambda dt = 0")
+    return min(_lgamma_drop(c, s) - _lgamma_drop(a, s) - _lgamma_drop(b, s)
+               + _lgamma_drop(1.0, s) - s * _LOG_TINY
+               for s in (top * f for f in _MARKOV_S)), high
 
 
 def _lgamma_drop(z: float, s: float) -> float:
@@ -1029,11 +1050,11 @@ def make_kernel(family: str, **params) -> KernelSpec:
     things hold, each a DomainError naming what failed:
 
     - the normaliser is finite and positive;
+    - lambda is finite and nonnegative on _SIGN_T and 1 - _SIGN_T
+      (_sign_rule);
     - the mass beyond the doubles, below tiny = 2.2e-308 or within tiny of
       t = 1, is at most _MASS_TOL: the family's tails entry bounds it in
-      closed form;
-    - lambda is finite and nonnegative on _SIGN_T and 1 - _SIGN_T
-      (_sign_rule).
+      closed form (and may find lambda < 0 there, a DomainError).
     """
     family, entry = _family(family)
     unknown = sorted(set(params) - set(entry.keys + entry.extra))
@@ -1043,7 +1064,7 @@ def make_kernel(family: str, **params) -> KernelSpec:
     for key in entry.keys:
         if key not in p:
             raise DomainError(f"missing kernel parameter {key!r}")
-    stage = f"unit-mass check of the {family} density"
+    stage = _stage(family)
     try:
         norm = entry.check(p)
     except OverflowError:
@@ -1053,14 +1074,18 @@ def make_kernel(family: str, **params) -> KernelSpec:
         raise DomainError(f"{stage}: the normaliser is {norm!r}")
     spec = KernelSpec(family, tuple((key, p[key]) for key in entry.keys),
                       norm, omega)
+    _sign_rule(spec, stage)
     for end, log_mass in zip((0, 1), entry.tails(spec)):
         if log_mass > math.log(_MASS_TOL):
             mass = math.exp(min(log_mass, 0.0))
             raise DomainError(
                 f"{stage}: up to {mass:.3g} of its mass lies within"
                 f" {_TINY:.3g} of t = {end}, beyond the doubles")
-    _sign_rule(spec, stage)
     return spec
+
+
+def _stage(family: str) -> str:
+    return f"unit-mass check of the {family} density"
 
 
 def _sign_rule(spec: KernelSpec, stage: str) -> None:

@@ -590,6 +590,26 @@ def test_make_kernel_rejects_negative_density(text, lam, t):
                                        rel=1e-10)
 
 
+def test_make_kernel_rejects_hohlov_negative_below_the_sign_rule():
+    # c < min(a, b, 1) makes M(-c) = int t**-c lambda dt = 0, which no
+    # density allows; here lambda is positive at every point of the sign
+    # rule and turns negative between t = 1e-100 and 1e-150 (mpmath needs
+    # some 180 digits there)
+    import mpmath
+    with pytest.raises(ConfigError, match=(
+            r"^unit-mass check of the hohlov density: lambda < 0 near "
+            r"t = 0, as c < min\(a, b, 1\) makes int t\*\*-c lambda dt = 0$")):
+        kernels.parse_kernel("hohlov a=0.024 b=0.024 c=0.021")
+    with mpmath.workdps(180):
+        a = b = mpmath.mpf("0.024")
+        c, t = mpmath.mpf("0.021"), mpmath.mpf(10) ** -150
+        lam = (mpmath.gamma(c) / (mpmath.gamma(a) * mpmath.gamma(b)
+                                  * mpmath.gamma(c - a - b + 1))
+               * t ** (b - 1) * (1 - t) ** (c - a - b)
+               * mpmath.hyp2f1(c - a, 1 - a, c - a - b + 1, 1 - t))
+        assert -mpmath.inf < lam < 0
+
+
 def test_sign_rule_reaches_the_least_m_node():
     # t = u**m with m <= 6 puts a certification's least M-node at
     # 1.9e-22: the rule judges lambda at least as far toward t = 0
@@ -643,15 +663,14 @@ def _omega_domain(aa, bb, r, x1, x2):
 # each family's domain, up to where the oracle reaches: it integrates
 # over t, 1 - t >= 2.2e-308 by adaptive Gauss-Kronrod, whose nodes find
 # komatu's mass near y = log(1/t) = delta/(c + 1) only for moderate
-# delta, and it needs the double-precision density there, in which the
-# Hohlov 2F1 factor ~ t**(a - b) overflows where t**(b - 1) underflows
-# once b > a + 1 (inf * 0)
+# delta.  The Hohlov b runs to a + 10, where lambda is still finite at
+# the sign rule's points
 DOMAINS = {
     "bernardi": st.fixed_dictionaries({"c": _floats(-0.999, 40.0)}),
     "komatu": st.fixed_dictionaries({"c": _floats(-0.999, 20.0),
                                      "delta": _floats(1e-3, 12.0)}),
     "hohlov": st.floats(1e-3, 5.0).flatmap(lambda a: st.builds(
-        _hohlov_domain, st.just(a), _floats(1e-3, a + 1.0),
+        _hohlov_domain, st.just(a), _floats(1e-3, a + 10.0),
         _floats(-0.999, 8.0))),
     "two_param_log": st.fixed_dictionaries({"a": _floats(-0.999, 10.0),
                                             "b": _floats(-0.999, 10.0)}),
@@ -686,10 +705,18 @@ def test_make_kernel_accepts_only_unit_mass_densities(family, data):
             assert ref < 0.0
             assert float(got) == pytest.approx(ref, rel=1e-8)
         return
-    p, q = kernels.endpoint_exponents(kernel)
+    # the Hohlov density is symmetric in a and b, as its Mellin transform
+    # is; the oracle takes the form with a >= b, whose 2F1 factor stays
+    # bounded at t = 0 (with b > a + 1, t**(b - 1) = 0 times an overflowed
+    # factor near 2.2e-308)
+    same = kernel
+    if family == "hohlov" and kernel.p["a"] < kernel.p["b"]:
+        same = kernel._replace(params=(("a", params["b"]), ("b", params["a"]),
+                                       ("c", params["c"])))
+    p, q = kernels.endpoint_exponents(same)
     mass = integrate_01(
-        lambda t: kernels.density(kernel, t), p, q, epsabs=1e-12,
-        f_complement=lambda d: kernels.density_complement(kernel, d))
+        lambda t: kernels.density(same, t), p, q, epsabs=1e-12,
+        f_complement=lambda d: kernels.density_complement(same, d))
     assert mass == pytest.approx(1.0, abs=1e-9)
     with np.errstate(under="ignore"):
         for view in (kernels.density, kernels.density_complement):
@@ -700,34 +727,31 @@ def _hohlov_leading_mass_mpmath(a, b, c):
     """The two leading terms of the Hohlov mass below tiny, R_a tiny**a/a +
     R_b tiny**b/b, R_x = Gamma(c) Gamma(y - x) / (Gamma(a) Gamma(b)
     Gamma(c - x) Gamma(1 - x)) for y the other exponent, at 330 digits,
-    so that c - x keeps its digits up to c = 1e300."""
+    so that c - x keeps its digits up to c = 1e300; b = a is taken at
+    b = a + 1e-12, where the two terms stay 1e-12 from their limit."""
     import mpmath
     with mpmath.workdps(330):
         tiny = mpmath.mpf(np.finfo(float).tiny)
-        a, b, c = map(mpmath.mpf, (a, b, c))
+        a, b, c = map(mpmath.mpf, (a, b + 1e-12 if b == a else b, c))
         return float(sum(
             mpmath.gamma(c) * mpmath.gamma(y - x) * tiny**x / x
-            / (mpmath.gamma(a) * mpmath.gamma(b) * mpmath.gamma(c - x)
-               * mpmath.gamma(1 - x)) for x, y in ((a, b), (b, a))))
+            * mpmath.rgamma(a) * mpmath.rgamma(b) * mpmath.rgamma(c - x)
+            * mpmath.rgamma(1 - x) for x, y in ((a, b), (b, a))))
 
 
-@pytest.mark.parametrize("a,b,c,exact", [
-    (0.03, 0.5, 4.0, True), (0.03, 0.9, 1.0, True), (0.5, 0.8, 4.5, True),
-    (0.04, 0.09, 4.0, False), (0.03, 0.03 + 1e-9, 4.0, False),
-    (0.3, 0.2, 1e6, True), (0.3, 0.2, 1e300, False)])
-def test_hohlov_mass_beyond_the_doubles_matches_mpmath(a, b, c, exact):
-    # the leading term where a and b lie 0.051 or more apart (at c = 1e300
-    # the other term's share (c tiny)**0.1 is 0.17), else a Markov bound
-    # at most 100 times the two leading terms together (a log(1/t) at
-    # a = b)
+@pytest.mark.parametrize("a,b,c", [
+    (0.03, 0.5, 4.0), (0.03, 0.9, 1.0), (0.5, 0.8, 4.5), (0.04, 0.09, 4.0),
+    (0.036, 0.036, 4.0), (0.03, 0.03 + 1e-9, 4.0), (0.3, 0.2, 1e6),
+    (0.3, 0.2, 1e300), (0.1, 3.0, 4.0), (1.7, 0.5, 4.0)])
+def test_hohlov_mass_beyond_the_doubles_matches_mpmath(a, b, c):
+    # the two leading terms, as one divided difference where both
+    # exponents lie below 1 (a log(1/t) at a = b; at c = 1e300 the second
+    # term's share (c tiny)**0.1 is 0.17), else the first alone
     k = kernels.KernelSpec("hohlov", (("a", a), ("b", b), ("c", c)),
                            kernels._hohlov_check({"a": a, "b": b, "c": c}))
     got = math.exp(kernels._hohlov_tails(k)[0])
-    ref = _hohlov_leading_mass_mpmath(a, b, c)
-    if exact:
-        assert got == pytest.approx(ref, rel=1e-9)
-    else:
-        assert ref <= got <= 100.0 * ref
+    assert got == pytest.approx(_hohlov_leading_mass_mpmath(a, b, c),
+                                rel=1e-8)
 
 
 def test_komatu_mass_beyond_the_doubles_matches_mpmath():
