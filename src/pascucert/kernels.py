@@ -915,7 +915,8 @@ class _Family(NamedTuple):
     the array n = 1 .. nmax.  tails(k): the logs of closed-form bounds
     on the mass below tiny and within tiny of t = 1 (_power_tail of the
     leading term C t**p log(1/t)**j or C (1 - t)**q; for the Hohlov
-    density at t = 0 its leading Mellin residue or Markov's inequality).
+    density at t = 0 its leading Mellin residues or Markov's inequality,
+    and a DomainError where its transform shows lambda < 0 there).
     theorem: the id of the theorem covering the family, and hypotheses
     its rows (name, margin(p, s)) in report order.
     envelopes(k), where set, returns (F, (c_1, ..., c_n)) with
