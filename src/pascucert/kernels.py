@@ -15,11 +15,15 @@ its two series paired term by term where C - A - B is near an integer
 (15.3.10-11 on one), and next to a zero of F there the Gauss series in
 40-digit decimal arithmetic; _horner sums each route's Taylor polynomial
 on an array in blocks of 8 coefficients, one BLAS dot product a block.
-envelopes() computes the tail envelopes Lambda and Pi of the duality
-criterion on a whole t-grid: in closed form, as divided differences of
-exp (_exp_dd), for the families whose table entry says how, and else
-from one composite Gauss-Legendre rule in y = -log t, 10 or 20 nodes a
-piece, from the literal node tables of quadrature.gauss_legendre.
+For lambda' and lambda'' the same evaluation differentiates each route
+term by term, F, F' and F'' on one table of powers.  The density is
+symmetric in a and b, and past b = a + 1 it is evaluated with them
+swapped.  envelopes() computes the tail envelopes Lambda and Pi of the
+duality criterion on a whole t-grid: in closed form, as divided
+differences of exp (_exp_dd), for the families whose table entry says
+how, and else from one composite Gauss-Legendre rule in y = -log t, 10
+or 20 nodes a piece, from the literal node tables of
+quadrature.gauss_legendre.
 """
 from __future__ import annotations
 
@@ -177,20 +181,31 @@ def _lgamma_slope(z: float, x: float, n: float = 0.0) -> float:
     return acc
 
 
-@functools.lru_cache(maxsize=512)
-def _taylor(a: float, b: float, c: float, x_max: float) -> np.ndarray:
+def _taylor(a: float, b: float, c: float, x_max: float,
+            slopes: bool = False) -> np.ndarray:
     """(a)_k (b)_k / ((c)_k k!) for k = 0 .. K, enough terms for the
-    Gauss series at every |x| <= x_max < 1 (stop rule: _SERIES_TOL).
+    Gauss series at every |x| <= x_max < 1 (stop rule: _SERIES_TOL), with
+    slopes for its first two derivatives too (the same rule on k (k - 1)
+    times the terms, from k = 2).  The second table extends the first,
+    from one cached run of the recurrence.
 
     A terminating series (a or b a nonpositive integer) stops at its last
     nonzero term; x_max = inf returns it whole, for any x.  The result is
-    cached and read-only.
+    read-only.
     """
-    coef, size, power, k = [1.0], 1.0, 1.0, 0
+    coef, n = _taylor_table(a, b, c, x_max)
+    return coef if slopes else coef[:n]
+
+
+@functools.lru_cache(maxsize=512)
+def _taylor_table(a, b, c, x_max):
+    """(the coefficients _taylor(a, b, c, x_max, True), the number of them
+    that serve the series itself)."""
+    coef, size, size2, power, k, n = [1.0], 1.0, 0.0, 1.0, 0, None
     while True:
         num = (a + k) * (b + k)
         if num == 0.0:
-            return _frozen(coef)
+            return _frozen(coef), n or len(coef)
         ratio = num / ((c + k) * (k + 1.0))
         coef.append(coef[-1] * ratio)
         k += 1
@@ -202,10 +217,14 @@ def _taylor(a: float, b: float, c: float, x_max: float) -> np.ndarray:
             continue
         power *= x_max
         term = abs(coef[-1]) * power
-        if term <= _SERIES_TOL * size \
-                and abs(ratio) * x_max <= 0.5 * (1.0 + x_max):
-            return _frozen(coef)
+        bend = k * (k - 1.0) * term  # the second derivative's, times x**2
+        if abs(ratio) * x_max <= 0.5 * (1.0 + x_max):
+            if n is None and term <= _SERIES_TOL * size:
+                n = k + 1
+            if n is not None and k > 1 and bend <= _SERIES_TOL * size2:
+                return _frozen(coef), n
         size += term
+        size2 += bend
 
 
 def _frozen(values) -> np.ndarray:
@@ -237,6 +256,11 @@ def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
             acc *= x
             acc += c
         return acc
+    return _blocked(coef, *_powers(x)).reshape(x.shape)
+
+
+def _powers(x):
+    """The table x**0 .. x**7 of _horner's blocks, and y = x**8."""
     flat = x.ravel()
     powers = np.empty((_HORNER_BLOCK, flat.size))
     powers[0] = 1.0
@@ -245,13 +269,93 @@ def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     np.multiply(powers[2], flat, out=powers[3])
     np.multiply(powers[2], powers[2], out=powers[4])
     np.multiply(powers[1:4], powers[4], out=powers[5:])
-    y = powers[4] * powers[4]
+    return powers, powers[4] * powers[4]
+
+
+def _blocked(coef, powers, y):
+    """_horner's blocked sum on the table (powers, y) of _powers."""
     top = (coef.size - 1) // _HORNER_BLOCK * _HORNER_BLOCK
     acc = coef[top:].dot(powers[:coef.size - top])
     for j in range(top - _HORNER_BLOCK, -1, -_HORNER_BLOCK):
         acc *= y
         acc += coef[j:j + _HORNER_BLOCK].dot(powers)
-    return acc.reshape(x.shape)
+    return acc
+
+
+def _rows(rows, x):
+    """sum_k row[k] x**k for each row of coefficients (all of one length)
+    on one table of powers: a matrix-vector product a block and row, as a
+    matrix product for all rows would page in BLAS's level-3 buffers, some
+    0.3 MB of resident memory."""
+    table = _powers(x)
+    return np.array([_blocked(row, *table) for row in rows]).reshape(
+        (len(rows),) + x.shape)
+
+
+# With slopes, a route of _hyp2f1c carries each function of d as the rows
+# (f, f', f'') of its value and its first two derivatives in d, one column
+# per point: series differentiated term by term (_series, _gathered,
+# _euler_rows), products by Leibniz's rule (_mul).  Without slopes, the
+# values alone.
+
+def _series(coef, x, slopes, flip=False):
+    """sum_k coef[k] x**k at every x, x = d, or x = 1 - d with flip; with
+    slopes the rows of it and its derivatives in d, from the coefficients
+    of the series differentiated term by term (as numpy's polyder)."""
+    if not slopes:
+        return _horner(coef, x)
+    one = np.append(coef[1:] * np.arange(1.0, coef.size), 0.0)
+    two = np.append(one[1:] * np.arange(1.0, coef.size), 0.0)
+    return _rows([coef, -one if flip else one, two], x)
+
+
+def _power(d, s):
+    """The rows of d**s, (d**s, s d**(s - 1), s (s - 1) d**(s - 2)), a row
+    with the factor 0 exactly 0."""
+    zero = np.zeros_like(d)
+    return np.array([d**s, s * d ** (s - 1.0) if s else zero,
+                     s * (s - 1.0) * d ** (s - 2.0) if s * (s - 1.0) else zero])
+
+
+def _mul(f, g):
+    """The rows of f g, by Leibniz's rule."""
+    return np.array([f[0] * g[0], f[1] * g[0] + f[0] * g[1],
+                     f[2] * g[0] + 2.0 * f[1] * g[1] + f[0] * g[2]])
+
+
+def _power_rows(d, s):
+    """(d**s, d**(s - 1), d**(s - 2)), the scales of gathered rows."""
+    return np.array([d**s, d ** (s - 1.0), d ** (s - 2.0)])
+
+
+def _euler_rows(coef, A, B, C, d):
+    """The rows in d of Euler's form d**s sum_k c_k z**k (z = 1 - d,
+    s = C - A - B, c_k the Taylor coefficients of 2F1(C - A, C - B; C)),
+    differentiated term by term and gathered by the term ratio of c_k:
+    -d**(s - 1) sum_k c_k AB/(C + k) z**k and d**(s - 2) sum_k c_k
+    (A)_2 (B)_2 / ((C + k) (C + k + 1)) z**k (15.2.1 after Euler's
+    transformation).  The product rule's two terms would cancel where
+    F' << s F/d."""
+    k = np.arange(coef.size)
+    slope = A * B / (C + k)
+    bend = slope * (A + 1.0) * (B + 1.0) / (C + 1.0 + k)
+    return _rows([coef, -coef * slope, coef * bend], 1.0 - d) \
+        * _power_rows(d, C - A - B)
+
+
+def _gathered(coef, e, d, s):
+    """The rows in d of sum_k coef[k] d**e[k], e[k] = k + s (an exact
+    sum where the caller has one): each term differentiated by its own
+    exponent, so that no product rule with d**s leaves a constant term
+    to cancel."""
+    e = np.asarray(e, dtype=float)
+    return _rows([coef, coef * e, coef * e * (e - 1.0)], d) \
+        * _power_rows(d, s)
+
+
+def _value(f):
+    """The value row of f, or f itself."""
+    return f[0] if np.ndim(f) > 1 else f
 
 
 def _terminates(a: float, b: float) -> bool:
@@ -259,8 +363,19 @@ def _terminates(a: float, b: float) -> bool:
     return _nonpositive_integer(a) or _nonpositive_integer(b)
 
 
-def _hyp2f1c(A, B, C, d):
-    """2F1(A, B; C; 1 - d) from the distance d in (0, 1].
+def _terminates_after_euler(A: float, B: float, C: float) -> bool:
+    """Whether C - A or C - B, each the exact difference of the inputs,
+    is a nonpositive integer: the rounded C - A must be one, and the
+    exact remainder C - A - (C - A rounded) 0, which math.fsum rounds to
+    0 only where it is 0."""
+    return any(_nonpositive_integer(C - x) and not math.fsum((C, -x, x - C))
+               for x in (A, B))
+
+
+def _hyp2f1c(A, B, C, d, slopes=False):
+    """2F1(A, B; C; 1 - d) from the distance d in (0, 1]; with slopes the
+    rows (F, F', F'') of it and its first two derivatives in its argument
+    1 - d, shape (3,) + shape(d).
 
     Taking the distance instead of the argument keeps the singular branch
     d**(C - A - B) exact when d is below machine epsilon, where the
@@ -268,8 +383,9 @@ def _hyp2f1c(A, B, C, d):
     not be a nonpositive integer.  The routes (Abramowitz & Stegun):
 
     - A or B a nonpositive integer: the finite polynomial (_polynomial),
-      after Euler's transformation when that one terminates too, so a
-      zero of order C - A - B at d = 0 stays exact.
+      after Euler's transformation when that one terminates too (C - A or
+      C - B exactly a nonpositive integer), so a zero of order C - A - B
+      at d = 0 stays exact.
     - d at or above the switch of _far_plan (1/4, or 1/2 to 1/64 for
       some parameters): the Gauss series in 1 - d, directly or after
       Euler's transformation F(A, B; C; z) = d**(C - A - B)
@@ -279,74 +395,110 @@ def _hyp2f1c(A, B, C, d):
       whose series all run in d; where C - A - B lies within
       _NEAR_INTEGER of an integer, its two series paired term by term,
       and next to a zero of F the Gauss series in decimal arithmetic.
+
+    The slopes take the same plan, Taylor tables and route at each point
+    as F, every series differentiated term by term on the table of
+    powers its value uses, the decimal series by k and k (k - 1) times
+    its terms.  A prefactor d**s is not multiplied in by the product
+    rule, whose two terms cancel to F' ~ AB/C where F is nearly constant
+    (A or B next to a nonpositive integer): the Gauss series after
+    Euler's transformation is gathered by its term ratio (_euler_rows),
+    a series in d takes each term d**(k + s) by its own exponent
+    (_gathered), and the pairing's (d**eps - 1)/eps and g De_0 take
+    their slopes in closed form (_paired_rows).  The derivative series
+    converge more slowly, by factors k and k**2, so every stop rule also
+    bounds the second's terms.  Rows take longer tables, so their F may
+    differ from F without slopes in its last digit.  Rows are products of powers of d, which overflow first, so
+    below d = 1e-150 they can be inf or NaN where the product is not.
     """
     if _nonpositive_integer(C):
         raise DomainError(f"2F1 needs C = {C} off the nonpositive integers")
     d_arr = np.asarray(d, dtype=float).ravel()
     if _terminates(A, B):
         s = C - A - B
-        if s > 0.0 and _terminates(C - A, C - B):
+        if s > 0.0 and _terminates_after_euler(A, B, C):
             # the polynomial has the zero d**s at d = 0, which Euler's
             # transformation takes out exactly
-            out = d_arr**s * _polynomial(C - A, C - B, C, d_arr, A, B)
+            out = _polynomial(C - A, C - B, C, d_arr, A, B, slopes, True)
         else:
-            out = _polynomial(A, B, C, d_arr, C - A, C - B)
+            out = _polynomial(A, B, C, d_arr, C - A, C - B, slopes)
     else:
-        out = np.empty_like(d_arr)
+        out = np.empty((3, d_arr.size) if slopes else d_arr.size)
         switch, euler = _far_plan(A, B, C)
         far = d_arr >= switch
         if np.any(far):
-            out[far] = _gauss_far(A, B, C, d_arr[far], switch, euler)
+            out[..., far] = _gauss_far(A, B, C, d_arr[far], switch, euler,
+                                       slopes)
         if not np.all(far):
-            out[~far] = _hyp2f1_near_one(A, B, C, d_arr[~far], switch)
+            out[..., ~far] = _hyp2f1_near_one(A, B, C, d_arr[~far], switch,
+                                              slopes)
+    if slopes:  # d/d(1 - d) = -d/dd
+        out[1] = -out[1]
+        return out.reshape((3,) + np.shape(d))
     return out.reshape(np.shape(d)) if np.ndim(d) else float(out[0])
 
 
-def _polynomial(A, B, C, d, C_A, C_B):
+def _polynomial(A, B, C, d, C_A, C_B, slopes=False, euler=False):
     """A terminating 2F1(A, B; C; 1 - d), A or B = -N, in powers of
     1 - d or in powers of d (Chu-Vandermonde, from the exact C_A = C - A
     and C_B = C - B),
 
     F = sum_k binom(N, k) (B)_k (C - B)_(N - k) d**k / (C)_N,
 
-    at each d the one whose terms cancel less.
+    at each d the one whose terms cancel less; with slopes, the rows of
+    that one.  With euler, d**s F, s = C - C_A - C_B: Euler's form of
+    2F1(C_A, C_B; C; 1 - d).  Its slopes are gathered term by term, so
+    that they keep their digits where d**s F is nearly constant (C_A or
+    C_B next to 0): in powers of d, (k + s) d**(k + s - 1) with k + s
+    summed exactly; in powers of 1 - d, as in _gauss.
     """
+    s, euler_ab = C - C_A - C_B, (C_A, C_B)
     if not _nonpositive_integer(A) or (_nonpositive_integer(B) and B > A):
         A, B, C_B = B, A, C_A
     n = int(-A)
     coef = _taylor(A, B, C, math.inf)
-    value = _horner(coef, 1.0 - d)
     j = np.arange(float(n))
     coef_d = np.cumprod(np.append(1.0, (n - j) * (B + j) / (j + 1.0))) \
         * np.cumprod(np.append(1.0, C_B + j))[::-1] / np.prod(C + j)
-    value_d = _horner(coef_d, d)
-    better = _horner(np.abs(coef_d), d) * np.abs(value) \
-        < _horner(np.abs(coef), 1.0 - d) * np.abs(value_d)
-    return np.where(better, value_d, value)
+    if euler and slopes:  # both scaled by d**s, which leaves better as is
+        value = _euler_rows(coef, *euler_ab, C, d)
+        value_d = _gathered(coef_d, [math.fsum((k, C, -euler_ab[0],
+                                                -euler_ab[1]))
+                                     for k in range(coef_d.size)], d, s)
+    else:
+        value = _series(coef, 1.0 - d, slopes, flip=True)
+        value_d = _series(coef_d, d, slopes)
+    better = _horner(np.abs(coef_d), d) * np.abs(_value(value)) \
+        < _horner(np.abs(coef), 1.0 - d) * np.abs(_value(value_d))
+    out = np.where(better, value_d, value)
+    return d**s * out if euler and not slopes else out
 
 
-def _gauss(A, B, C, d, euler, z_max, absolute=False):
+def _gauss(A, B, C, d, euler, z_max, absolute=False, slopes=False):
     """The Gauss series in z = 1 - d <= z_max at every d, directly or
     (euler) after Euler's transformation; absolute sums |terms| instead."""
     z = 1.0 - d
     a, b = (C - A, C - B) if euler else (A, B)
-    coef = _taylor(a, b, C, z_max)
-    out = _horner(np.abs(coef) if absolute else coef, z)
+    coef = _taylor(a, b, C, z_max, slopes)
+    if slopes and euler:
+        return _euler_rows(coef, A, B, C, d)
+    out = _series(np.abs(coef) if absolute else coef, z, slopes, flip=True)
     return d ** (C - A - B) * out if euler else out
 
 
-def _gauss_far(A, B, C, d, switch, euler):
+def _gauss_far(A, B, C, d, switch, euler, slopes=False):
     """The Gauss series of _far_plan at every d >= switch.  Where its
     terms exceed |F| by _CANCEL, next to a zero of F, they cancel to
     fewer digits than F needs, and _gauss_decimal takes the point.  The
     terms at d are at most _far_size; only where that bound exceeds
     _CANCEL |F| are a point's own terms summed."""
-    out = _gauss(A, B, C, d, euler, 1.0 - switch)
-    maybe = np.flatnonzero(_far_size(A, B, C) > _CANCEL * np.abs(out))
+    out = _gauss(A, B, C, d, euler, 1.0 - switch, slopes=slopes)
+    value = _value(out)
+    maybe = np.flatnonzero(_far_size(A, B, C) > _CANCEL * np.abs(value))
     if maybe.size:
         size = _gauss(A, B, C, d[maybe], euler, 1.0 - switch, absolute=True)
-        for i in maybe[size > _CANCEL * np.abs(out[maybe])]:
-            out[i] = _gauss_decimal(A, B, C, d[i])
+        for i in maybe[size > _CANCEL * np.abs(value[maybe])]:
+            out[..., i] = _gauss_decimal(A, B, C, d[i], slopes)
     return out
 
 
@@ -404,10 +556,10 @@ def _far_plan(A, B, C):
     return d, euler
 
 
-def _hyp2f1_near_one(A, B, C, d, x_max):
+def _hyp2f1_near_one(A, B, C, d, x_max, slopes=False):
     """2F1(A, B; C; 1 - d) for an array of d in (0, x_max], x_max <= 1/2,
-    A and B not nonpositive integers.  With s = C - A - B and m the
-    integer nearest s:
+    A and B not nonpositive integers (with slopes, its rows in d).  With
+    s = C - A - B and m the integer nearest s:
 
     - s not within _NEAR_INTEGER of m: A&S 15.3.6, two Gauss series in
       d, with d**s taken from d itself.
@@ -424,12 +576,18 @@ def _hyp2f1_near_one(A, B, C, d, x_max):
     if abs(math.fsum((C, -A, -B, -m))) >= _NEAR_INTEGER:
         g1 = _gamma_ratio((C, s), (C - A, C - B))
         g2 = _gamma_ratio((C, -s), (A, B))
-        return (g1 * _horner(_taylor(A, B, 1.0 - s, x_max), d) + g2 * d**s
-                * _horner(_taylor(C - A, C - B, 1.0 + s, x_max), d))
-    if _terminates(C - A, C - B):
-        return d**s * _polynomial(C - A, C - B, C, d, A, B)
-    coef, coef_b, g, g_rho, ell, eps, m, power = \
+        head = _taylor(A, B, 1.0 - s, x_max, slopes)
+        tail = _taylor(C - A, C - B, 1.0 + s, x_max, slopes)
+        if not slopes:
+            return g1 * _horner(head, d) + g2 * d**s * _horner(tail, d)
+        return g1 * _series(head, d, True) + g2 * _gathered(
+            tail, np.arange(tail.size) + s, d, s)
+    if _terminates_after_euler(A, B, C):
+        return _polynomial(C - A, C - B, C, d, A, B, slopes, True)
+    coef, coef_b, g, g_rho, ell, eps, m, power, n = \
         _near_integer_terms(A, B, C, x_max)
+    if not slopes:
+        coef, coef_b = coef[:m + n], coef_b[:n]
     log_d = np.log(d)
     slope = ((g_rho * d**eps - g) / eps if ell is None
              else g * _expm1_ratio(eps, ell + log_d))
@@ -442,15 +600,47 @@ def _hyp2f1_near_one(A, B, C, d, x_max):
     size = head + d_m * (np.abs(slope) + np.abs(ratio) * tail)
     poor = (size > _CANCEL * np.abs(out)) & (d >= _GAUSS_FLOOR)
     out *= d**power
+    if slopes:
+        out = _paired_rows(coef, coef_b, g, g_rho, eps, m, power, d, slope,
+                           ratio)
     for i in np.flatnonzero(poor):
-        out[i] = _gauss_decimal(A, B, C, d[i])
+        out[..., i] = _gauss_decimal(A, B, C, d[i], slopes)
     return out
 
 
-def _gauss_decimal(A, B, C, d):
+def _paired_rows(coef, coef_b, g, g_rho, eps, m, power, d, slope, ratio):
+    """The rows in d of the paired form of _hyp2f1_near_one,
+    d**power (H + d**m (slope + ratio H_b)), H and H_b the series of coef
+    and coef_b, differentiated term by term: (d**eps - 1)/eps has the
+    slope d**(eps - 1), and slope = (g_rho d**eps - g)/eps g_rho times
+    that.  After Euler's transformation (power = s = -m - eps) the
+    powers are gathered first, F = sum_j coef_j d**(j + s) + d**-eps
+    (slope + ratio H_b): d**-eps slope = (g_rho - g d**-eps)/eps has the
+    slope g d**(-eps - 1), and d**-eps ratio the slope d**(-eps - 1), so
+    that nothing cancels where F is nearly constant (A or B next to 0),
+    as the product rule with d**s would."""
+    h_b = _series(coef_b, d, True)
+    if not power:
+        step = d ** (eps - 1.0)
+        bend = (eps - 1.0) * step / d
+        return _series(coef, d, True) + _mul(
+            _power(d, m), np.array([slope, g_rho * step, g_rho * bend])
+            + _mul(np.array([ratio, step, bend]), h_b))
+    shift = d**-eps
+    step = shift / d
+    bend = (-eps - 1.0) * step / d
+    return (_gathered(coef, np.arange(coef.size) - m - eps, d, power)
+            + np.array([shift * slope, g * step, g * bend])
+            + _mul(np.array([shift * ratio, step, bend]), h_b))
+
+
+def _gauss_decimal(A, B, C, d, slopes=False):
     """2F1(A, B; C; 1 - d) from the Gauss series summed in 40-digit
     decimal arithmetic, in which A, B, C and d are exact; d >=
-    _GAUSS_FLOOR keeps it to some thousand terms."""
+    _GAUSS_FLOOR keeps it to some thousand terms.  With slopes, also its
+    first two derivatives in d from the sums of k term_k and k (k - 1)
+    term_k, -1/z and 1/z**2 times them (z = 1 - d > 0), once the second's
+    terms also fall below the tolerance."""
     import decimal
 
     with decimal.localcontext() as context:
@@ -458,14 +648,24 @@ def _gauss_decimal(A, B, C, d):
         a, b, c, tol = map(decimal.Decimal, (A, B, C, _DECIMAL_TOL))
         z = 1 - decimal.Decimal(d)
         term = total = size = decimal.Decimal(1)
+        first = second = size2 = decimal.Decimal(0)
         for k in range(_SERIES_MAX_TERMS):
             ratio = (a + k) * (b + k) / ((c + k) * (k + 1)) * z
             term *= ratio
             total += term
             size += abs(term)
+            if slopes:
+                bend = (k + 1) * k * term
+                first += (k + 1) * term
+                second += bend
+                size2 += abs(bend)
             if abs(term) <= tol * size \
                     and abs(ratio) <= (1 + z) / 2:
-                return float(total)
+                if not slopes:
+                    return float(total)
+                if k and abs(bend) <= tol * size2:
+                    return float(total), float(-first / z), \
+                        float(second / (z * z))
     raise DomainError(f"2F1({A}, {B}; {C}) series at d = {d} needs over"
                       f" {_SERIES_MAX_TERMS} terms")
 
@@ -502,7 +702,10 @@ def _near_integer_terms(A, B, C, x_max):
     f_k(y) = 1/Gamma(1 + k + y), De_k is the slope of e_k from 0 to eps
     and Df_k that of f_k from 0 to -eps (15.3.10-11 at eps = 0).  coef
     holds the first m terms of the first series, then the coefficients
-    of d**(m + k); coef_b those of (d**eps - 1)/eps d**(m + k).  Left out
+    of d**(m + k); coef_b those of (d**eps - 1)/eps d**(m + k), the first
+    n of them enough for F, all for its first two derivatives too (the
+    same stop rule on (m + k) (m + k - 1) times the terms, against their
+    own sum).  Left out
     is g De_0 = (g_rho d**eps - g)/eps = g expm1(eps (ell + log d))/eps,
     g_rho taken directly (ell None) where A + m or B + m is within about
     2 eps of a pole of Gamma.  The slopes advance by the term ratios
@@ -543,7 +746,10 @@ def _near_integer_terms(A, B, C, x_max):
     q0, qe, f, df = g, g_rho, 1.0, -_expm1_ratio(eps,
                                                  _lgamma_slope(1.0, -eps))
     coef, coef_b = coef + [g * df], [0.0]
-    size, x, k = abs(g * df) + abs(dq) + abs(g_rho), 1.0, 0
+    size, x, k, n = abs(g * df) + abs(dq) + abs(g_rho), 1.0, 0, None
+    # the slopes' rule weighs the series' own terms: the closed-form
+    # slope of g De_0 can exceed them all where A or B is next to 0
+    size2 = 0.0
     while k <= _SERIES_MAX_TERMS:
         a, b, c = _plus(A_m, k), _plus(B_m, k), 1.0 + m + k
         ratio = a * b / c
@@ -553,40 +759,57 @@ def _near_integer_terms(A, B, C, x_max):
         q0, qe, f, df = (q0 * ratio, qe * ratio_eps, f / (k + 1.0),
                          (df - f / (k + 1.0)) / (k + 1.0 - eps))
         k += 1
+        if min(abs(a), abs(b)) < _NEAR_INTEGER \
+                and min(_plus(A_m, k), _plus(B_m, k)) > 0.5:
+            # past a factor a or b next to 0 (A or B next to a pole of
+            # Gamma), q0 and dq are that small, but the recurrence leaves
+            # it to its two terms to cancel: dq = q0 expm1(eps l)/eps,
+            # l the slope of log e_k from 0 to eps, in closed form
+            dq = q0 * _expm1_ratio(eps, _lgamma_slope(A_m[1], eps, A_m[0] + k)
+                                   + _lgamma_slope(B_m[1], eps, B_m[0] + k)
+                                   - _lgamma_slope(1.0 + m + k, eps))
         coef.append(q0 * df + f * dq)
         coef_b.append(f * qe)
         x *= x_max
         term = (abs(coef[-1]) + abs(coef_b[-1])) * x
-        if term <= _SERIES_TOL * size \
-                and abs(ratio / k) * x_max <= 0.5 * (1.0 + x_max):
-            return (_frozen(coef), _frozen(coef_b), g, g_rho, ell, eps, m,
-                    power)
+        bend = (m + k) * (m + k - 1.0) * term
+        if abs(ratio / k) * x_max <= 0.5 * (1.0 + x_max):
+            if n is None and term <= _SERIES_TOL * size:
+                n = k + 1
+            if n is not None and m + k > 1 and bend <= _SERIES_TOL * size2:
+                return (_frozen(coef), _frozen(coef_b), g, g_rho, ell, eps,
+                        m, power, n)
         size += term
+        size2 += bend
     raise DomainError(f"2F1({A}, {B}; {C}) near s = {m} needs over"
                       f" {_SERIES_MAX_TERMS} terms")
 
 
-def _hyp2f1_factors(kernel: KernelSpec):
-    """The hypergeometric factor and its first two argument-derivatives,
-    as functions of the distance d = 1 - u of the argument from 1."""
-    a, b, c = (kernel.p[k] for k in ("a", "b", "c"))
-    p1, p2, p3 = c - a, 1.0 - a, c - a - b + 1.0
+def _hohlov_ab(p) -> tuple:
+    """(a, b) in the order the Hohlov density is evaluated in.  It is
+    symmetric in a and b (so is its Mellin transform), and where
+    b > a + 1 the form as given multiplies t**(b - 1), which underflows
+    at small t, by a factor ~ t**(a - b), which overflows: there the
+    swapped form serves, unless the factor is the constant 1 (a = 1)."""
+    a, b = p["a"], p["b"]
+    if b > a + 1.0 and (p["c"] - a) * (1.0 - a) != 0.0:
+        return b, a
+    return a, b
 
-    def f0(d):
-        return _hyp2f1c(p1, p2, p3, d)
 
-    def f1(d):
-        if p1 * p2 == 0.0:  # the factor is the constant 1
-            return np.zeros(np.shape(d))
-        return p1 * p2 / p3 * _hyp2f1c(p1 + 1, p2 + 1, p3 + 1, d)
-
-    def f2(d):
-        if p1 * p2 == 0.0:
-            return np.zeros(np.shape(d))
-        return (p1 * (p1 + 1) * p2 * (p2 + 1) / (p3 * (p3 + 1))
-                * _hyp2f1c(p1 + 2, p2 + 2, p3 + 2, d))
-
-    return f0, f1, f2
+def _hyp2f1_factors(kernel: KernelSpec, t, slopes=False):
+    """The Hohlov factor F(u) = 2F1(c - a, 1 - a; c - a - b + 1; u) at
+    u = 1 - t, from the distances t of u from 1, with (a, b) from
+    _hohlov_ab; with slopes the triple (F, F', F''), its derivatives in
+    u, from one _hyp2f1c evaluation.  The constant 1 (a = 1) takes no
+    evaluation."""
+    a, b = _hohlov_ab(kernel.p)
+    c = kernel.p["c"]
+    A, B = c - a, 1.0 - a
+    if A * B == 0.0:
+        one = np.ones(np.shape(t))
+        return (one, 0.0 * one, 0.0 * one) if slopes else one
+    return _hyp2f1c(A, B, c - a - b + 1.0, t, slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -630,12 +853,32 @@ def _komatu_check(p):
     return math.exp(delta * math.log1p(c) - math.lgamma(delta))
 
 
+def _komatu_term(n, t, ln, e, j, poly=1.0):
+    """n t**e log(1/t)**j poly.  Where that product is not finite, as
+    where log(1/t)**j overflows while n t**e underflows (0 * inf at
+    t = 5e-17 for komatu c=40 delta=200, whose value rounds to 0) or is
+    merely small (inf for c=3 delta=200, whose value is 1e12), it is
+    taken in log space; every other point keeps the product's value."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = n * t**e * ln**j * poly
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        with np.errstate(divide="ignore"):
+            log = math.log(n) - e * ln + j * np.log(ln) + np.log(np.abs(poly))
+        out = np.where(bad, np.sign(poly) * np.exp(log), out)
+    return out
+
+
+def _komatu_lam(k, t, d, ln, g):
+    return _komatu_term(k.normalizer, t, ln, k.p["c"], k.p["delta"] - 1.0)
+
+
 def _komatu_slopes(k, t, d, ln, g):
     n, c, dl = k.normalizer, k.p["c"], k.p["delta"]
-    return (n * t ** (c - 1.0) * ln ** (dl - 2.0) * (c * ln - (dl - 1.0)),
-            n * t ** (c - 2.0) * ln ** (dl - 3.0) * (
+    return (_komatu_term(n, t, ln, c - 1.0, dl - 2.0, c * ln - (dl - 1.0)),
+            _komatu_term(n, t, ln, c - 2.0, dl - 3.0, (
                 c * (c - 1.0) * ln**2 - (dl - 1.0) * (2.0 * c - 1.0) * ln
-                + (dl - 1.0) * (dl - 2.0)))
+                + (dl - 1.0) * (dl - 2.0))))
 
 
 def _komatu_tails(k):
@@ -645,18 +888,19 @@ def _komatu_tails(k):
     return _power_tail(log_n, c, dl - 1.0), _power_tail(log_n, dl - 1.0)
 
 
-def _shaped(shape, factor, derivatives):
+def _shaped(shape, factor):
     """The factor, lam and slopes entries of the Hohlov and generalized
     shape N t**(b - 1) (1 - t)**q g, (b, q) = shape(p): g = factor(k, t, d)
-    is a function of 1 - t, with derivatives(k, t, d) its first two
-    derivatives in 1 - t (so d/dt g = -g1)."""
+    is a function of 1 - t, and factor(k, t, d, True) the triple
+    (g, g1, g2) of it and its first two derivatives in 1 - t (so
+    d/dt g = -g1), which slopes reads."""
     def lam(k, t, d, ln, g):
         b, q = shape(k.p)
         return k.normalizer * t ** (b - 1.0) * d**q * g
 
-    def slopes(k, t, d, ln, g0):
+    def slopes(k, t, d, ln, g):
         b, q = shape(k.p)
-        g1, g2 = derivatives(k, t, d)
+        g0, g1, g2 = g
         tb = t ** (b - 1.0)
         tb1 = (b - 1.0) * t ** (b - 2.0)
         tb2 = (b - 1.0) * (b - 2.0) * t ** (b - 3.0)
@@ -911,7 +1155,9 @@ class _Family(NamedTuple):
     (p, q) with lambda ~ t**p at 0, ~ (1 - t)**q at 1.  lam and slopes
     (-> lambda', lambda'') take (k, t, d, ln, g): t, d = 1 - t and
     ln = log(1/t), each exact from the caller's side, and g = factor(k, t,
-    d), the 2F1 or omega factor, once per point.  moments(k, n): tau_n for
+    d), the 2F1 or omega factor, once per point (slopes takes the triple
+    factor(k, t, d, True) of g and its derivatives in 1 - t, None
+    without a factor).  moments(k, n): tau_n for
     the array n = 1 .. nmax.  tails(k): the logs of closed-form bounds
     on the mass below tiny and within tiny of t = 1 (_power_tail of the
     leading term C t**p log(1/t)**j or C (1 - t)**q; for the Hohlov
@@ -953,9 +1199,7 @@ _FAMILIES = {entry.names[0]: entry for entry in (
     _Family(
         names=("komatu",), keys=("c", "delta"), check=_komatu_check,
         exponents=lambda p: (p["c"], p["delta"] - 1.0),
-        lam=lambda k, t, d, ln, g: (k.normalizer * t ** k.p["c"]
-                                    * ln ** (k.p["delta"] - 1.0)),
-        slopes=_komatu_slopes,
+        lam=_komatu_lam, slopes=_komatu_slopes,
         moments=lambda k, n: ((1.0 + k.p["c"]) / (n + k.p["c"] + 1.0))
         ** k.p["delta"],
         tails=_komatu_tails, envelopes=_komatu_envelopes,
@@ -971,9 +1215,9 @@ _FAMILIES = {entry.names[0]: entry for entry in (
         exponents=lambda p: (min(p["a"], p["b"]) - 1.0,
                              p["c"] - p["a"] - p["b"]),
         # the 2F1 factors take the distance of 1 - t from 1, exactly t
-        **_shaped(lambda p: (p["b"], p["c"] - p["a"] - p["b"]),
-                  lambda k, t, d: _hyp2f1_factors(k)[0](t),
-                  lambda k, t, d: [f(t) for f in _hyp2f1_factors(k)[1:]]),
+        **_shaped(lambda p: (_hohlov_ab(p)[1], p["c"] - p["a"] - p["b"]),
+                  lambda k, t, d, slopes=False: _hyp2f1_factors(k, t,
+                                                                slopes)),
         moments=_hohlov_moments, tails=_hohlov_tails,
         theorem="hohlov", hypotheses=(
             *_GAMMA_MU,
@@ -1022,8 +1266,10 @@ _FAMILIES = {entry.names[0]: entry for entry in (
         names=("generalized_omega", "generalized", "genomega"),
         keys=("A", "B", "C"), extra=_OMEGA_KEYS, check=_omega_check,
         exponents=lambda p: (p["B"] - 1.0, p["C"] - p["A"] - p["B"]),
-        **_shaped(_omega_shape, _omega,
-                  lambda k, t, d: [_omega(k, t, d, j) for j in (1, 2)]),
+        **_shaped(_omega_shape,
+                  lambda k, t, d, slopes=False: (
+                      [_omega(k, t, d, j) for j in range(3)] if slopes
+                      else _omega(k, t, d))),
         moments=_omega_moments, tails=_omega_tails, theorem="generalized",
         hypotheses=(
             *_GAMMA_MU,
@@ -1120,9 +1366,12 @@ def _inside(x, name):
 def _evaluate(kernel, t, d, ln, slopes=False):
     """lambda (and lambda', lambda'' if slopes) at t = 1 - d = exp(-ln)."""
     entry = _FAMILIES[kernel.family]
-    g = entry.factor(kernel, t, d) if entry.factor else None
-    lam = entry.lam(kernel, t, d, ln, g)
-    return (lam, *entry.slopes(kernel, t, d, ln, g)) if slopes else lam
+    if not slopes:
+        g = entry.factor(kernel, t, d) if entry.factor else None
+        return entry.lam(kernel, t, d, ln, g)
+    g = entry.factor(kernel, t, d, True) if entry.factor else (None,)
+    return (entry.lam(kernel, t, d, ln, g[0]),
+            *entry.slopes(kernel, t, d, ln, g))
 
 
 def density(kernel: KernelSpec, t):

@@ -689,16 +689,17 @@ def test_main_envelopes_near_q_minus_one(command, capsys):
         assert report["failed"] == ["functional"]
 
 
-def test_main_mass_not_finite_is_named(capsys):
-    # at t = 1e-22, the sign rule's smallest point, just below the least
-    # M-node of a certification, the 2F1 factor ~ t**(a - b) = 1e319
-    # overflows
+def test_main_beta_hohlov_b_far_above_a(capsys):
+    # the form as given multiplies t**(b - 1) by a 2F1 factor ~ t**(a - b),
+    # 1e319 at t = 1e-22, the sign rule's smallest point; the density is
+    # symmetric in a and b, and the swapped form is finite there, so the
+    # kernel passes the mass check and both beta routes agree
     rc = _beta_without_warnings("hohlov a=0.5 b=15 c=17")
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.strip() == ("pascucert: config error: unit-mass check of the "
-                           "hohlov density: lambda = inf is not finite at "
-                           "t = 9.999999999999971e-23")
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    beta = json.loads(out)["beta"]
+    assert beta["routes_agree"] is True
+    assert abs(beta["series"] - beta["integral"]) < 1e-10
 
 
 @pytest.mark.parametrize("kernel,end", [("komatu c=0 delta=1e-300", 1),

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import special
 
 from pascucert import kernels
+from pascucert.certify import CHECK_GRID_POINTS, default_t_grid
 from pascucert.errors import DomainError
 
 REL = 1e-12
@@ -156,7 +157,8 @@ def _largest_term(A, B, C, d):
 
 
 def _hohlov_triples(a, b, c):
-    """(A, B, C) of the Hohlov factor f0 and the derivative factors."""
+    """(A, B, C) of the Hohlov factor and of its shifts by 1 and 2 (the
+    parameters of its derivatives by A&S 15.2.1), as further draws."""
     return [(c - a + k, 1.0 - a + k, c - a - b + 1.0 + k) for k in range(3)]
 
 
@@ -306,6 +308,133 @@ def test_hyp2f1_scalar_and_domain():
     assert kernels._hyp2f1c(1.5, 0.5, 3.0, 1.0) == 1.0
     with pytest.raises(DomainError):
         kernels._hyp2f1c(1.5, 0.5, -2.0, 0.3)
+
+
+def test_hyp2f1_termination_from_exact_differences():
+    # C - A = 0.1 - 2.1 rounds to -2.0 but is -2 - 8.3e-17: 2F1(2.1, -4.02;
+    # 0.1; 1 - d) is no polynomial after Euler's transformation.  Taken
+    # for one, it gave 0.0 at d = 3e-301 for -2.3e-16
+    assert 0.1 - 2.1 == -2.0
+    assert not kernels._terminates_after_euler(2.1, -4.02, 0.1)
+    assert kernels._terminates_after_euler(3.0, 1.5, 1.0)
+    _assert_matches(2.1, -4.02, 0.1)
+    _assert_matches(2.1, -4.0000001, 0.1)
+
+
+def _slopes_reference(A, B, C, d):
+    """(F, F', F'') at u = 1 - d to 40 digits, the derivatives from
+    A&S 15.2.1 (F' = AB/C 2F1(A + 1, B + 1; C + 1; u) and so on)."""
+    with mpmath.workdps(40):
+        A, B, C = map(mpmath.mpf, (A, B, C))
+        u = 1 - mpmath.mpf(d)
+        return [mpmath.hyp2f1(A, B, C, u),
+                A * B / C * mpmath.hyp2f1(A + 1, B + 1, C + 1, u),
+                A * (A + 1) * B * (B + 1) / (C * (C + 1))
+                * mpmath.hyp2f1(A + 2, B + 2, C + 2, u)]
+
+
+def _assert_slopes_match(A, B, C, d, rel):
+    got = kernels._hyp2f1c(A, B, C, np.asarray(d, dtype=float), slopes=True)
+    for i, dd in enumerate(d):
+        for j, ref in enumerate(_slopes_reference(A, B, C, float(dd))):
+            assert abs(got[j, i] - ref) <= rel * abs(ref), (A, B, C, dd, j)
+
+
+# the Gauss series direct and after Euler's transformation, 15.3.6, the
+# near-integer pairing (b - a near 0, and a - b = 1 exactly) and the
+# terminating polynomial (a = 2) between them
+SLOPE_KERNELS = [(0.5, 0.8, 4.5), (1.5, 0.5, 4.0), (0.5, 0.5000001, 4.0),
+                 (2.0, 0.7, 6.0), (0.3, 0.9, 3.1)]
+
+
+@pytest.mark.parametrize("abc", SLOPE_KERNELS, ids=str)
+def test_hohlov_factor_slopes_match_mpmath(abc):
+    # F, F' and F'' of the density's own 2F1 from one evaluation, at every
+    # 8th point of the checkers' grid; at a = 2 the factor is linear in
+    # its argument, and F'' is exactly 0
+    a, b, c = abc
+    k = kernels.make_kernel("hohlov", a=a, b=b, c=c)
+    t = default_t_grid(CHECK_GRID_POINTS)[::8]
+    got = kernels._hyp2f1_factors(k, t, slopes=True)
+    for i, tt in enumerate(t):
+        refs = _slopes_reference(c - a, 1.0 - a, c - a - b + 1.0, float(tt))
+        for j, ref in enumerate(refs):
+            assert abs(got[j][i] - ref) <= 1e-14 * abs(ref), (abc, tt, j)
+
+
+@pytest.mark.parametrize("triple", [
+    # B next to 0 makes F nearly constant, F' ~ AB/C: the product rule
+    # with d**s would cancel there, on the Gauss side after Euler's
+    # transformation (the first, 1e-8 of F''), on the pairing after it
+    # (s near -1) and on the polynomial after it; the pairing for s near
+    # 0 sums the slope of its first paired term past the factor B + k
+    # next to 0 in closed form (B = 1e-20, and B + 1 = 1e-12)
+    (-0.36522757568243946, 0.006815840210086854, 6.540907530591559),
+    (2.0, 1e-20, 1.01), (2.0, 1e-20, 0.99), (2.0, 1e-20, 1.0),
+    (1.09375, 2.1542400004975672e-47, 1.125), (2.0, -1.0 + 1e-12, 1.02),
+    (2.09375, 2.1542400004975672e-47, 0.125),
+], ids=str)
+def test_hyp2f1_slopes_where_f_is_nearly_constant(triple):
+    _assert_slopes_match(*triple, [1e-12, 1e-3, 0.1, 0.2, 0.3, 0.6], 1e-13)
+
+
+def test_hyp2f1_slopes_from_the_decimal_series():
+    # a zero of F at d = 0.525, where the Gauss terms exceed |F| by 1.2e4
+    # and _gauss_decimal takes the point, derivatives included
+    A, B, C = 3.4921875, -2.2374282434064483, 0.25
+    d = 0.525475
+    assert kernels._gauss_decimal(A, B, C, d, slopes=True)[0] \
+        == kernels._gauss_decimal(A, B, C, d)
+    _assert_slopes_match(A, B, C, [d], 1e-13)
+
+
+# interior points of the argument u = 1 - d, down to d = 1e-12
+D_INTERIOR = D_GRID[(D_GRID >= 1e-12) & (D_GRID < 1.0)]
+
+
+def _assert_ode(A, B, C):
+    """u (1 - u) F'' + [C - (A + B + 1) u] F' - AB F = 0 (A&S 15.5.1) to
+    1e-10 of the sum of the three terms' sizes at every d of D_INTERIOR
+    where that sum is a normal double."""
+    F, F1, F2 = kernels._hyp2f1c(A, B, C, D_INTERIOR, slopes=True)
+    u = 1.0 - D_INTERIOR
+    terms = np.array([u * D_INTERIOR * F2, (C - (A + B + 1.0) * u) * F1,
+                      -A * B * F])
+    size = np.sum(np.abs(terms), axis=0)
+    ok = (size > 1e-300) & (size < 1e300)
+    residual = np.abs(np.sum(terms, axis=0))
+    assert np.all(residual[ok] <= 1e-10 * size[ok]), (A, B, C)
+
+
+# An oracle-free net on F, F' and F'' together.  Subnormal parameters are
+# left out: there AB F and the other terms are subnormal, and their sum
+# carries no relative digits.
+@settings(max_examples=30, deadline=None)
+@given(A=st.floats(-3.0, 6.0, allow_subnormal=False),
+       B=st.floats(-3.0, 3.0, allow_subnormal=False),
+       C=st.floats(0.1, 8.0), shift=st.one_of(st.none(), st.integers(-3, 3)))
+@example(A=1.09375, B=2.1542400004975672e-47, C=1.125, shift=None)
+@example(A=2.09375, B=2.1542400004975672e-47, C=0.125, shift=None)
+@example(A=-0.36522757568243946, B=0.006815840210086854,
+         C=6.540907530591559, shift=None)
+@example(A=3.4921875, B=-2.2374282434064483, C=0.25, shift=None)
+@example(A=2.0, B=1.1754943508222875e-38, C=1.0, shift=None)
+def test_hyp2f1_slopes_satisfy_the_ode(A, B, C, shift):
+    if shift is not None:
+        C = A + B + shift
+    assume(C >= 0.1 and not kernels._nonpositive_integer(C))
+    _assert_ode(A, B, C)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=st.floats(0.01, 8.0), b=st.floats(0.01, 8.0),
+       c=st.floats(0.01, 12.0), integer=st.booleans())
+@example(a=1.00001, b=1.00001, c=6.0, integer=True)
+def test_hohlov_factor_slopes_satisfy_the_ode(a, b, c, integer):
+    if integer:  # a - b an integer: the near-integer form at eps = 0
+        b = a + round(b - a)
+    assume(b > 0.0 and c - a - b > -1.0)
+    _assert_ode(c - a, 1.0 - a, c - a - b + 1.0)
 
 
 def _exact_polynomial(coef, x):

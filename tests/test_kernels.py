@@ -707,8 +707,7 @@ def test_make_kernel_accepts_only_unit_mass_densities(family, data):
         return
     # the Hohlov density is symmetric in a and b, as its Mellin transform
     # is; the oracle takes the form with a >= b, whose 2F1 factor stays
-    # bounded at t = 0 (with b > a + 1, t**(b - 1) = 0 times an overflowed
-    # factor near 2.2e-308)
+    # bounded at t = 0 (the density itself swaps only past b = a + 1)
     same = kernel
     if family == "hohlov" and kernel.p["a"] < kernel.p["b"]:
         same = kernel._replace(params=(("a", params["b"]), ("b", params["a"]),
@@ -772,9 +771,9 @@ def test_komatu_mass_beyond_the_doubles_matches_mpmath():
 
 def test_make_kernel_accepts_what_the_doubles_hold():
     # each leaves less than 1e-9 of its mass beyond the doubles, the
-    # Hohlov ones 1e-30, though near 2.2e-308 the double-precision Hohlov
-    # density is t**(b - 1) = 0 times an overflowed 2F1 factor, and
-    # komatu's mass lies near t = e**-100, which adaptive nodes miss
+    # Hohlov ones 1e-30 (with b > a + 1 their density is evaluated in the
+    # a <-> b swapped form, finite near 2.2e-308), and komatu's mass lies
+    # near t = e**-100, which adaptive nodes miss
     for text in ("hohlov a=0.1 b=3 c=4", "hohlov a=0.5 b=10 c=12",
                  "komatu c=0 delta=100", "komatu c=0 delta=0.03"):
         k = kernels.parse_kernel(text)
@@ -854,6 +853,81 @@ def test_hohlov_near_integer_exponent(b):
     assert abs(routes.nodes - routes.series) < 1e-10
 
 
+def _hohlov_slopes_mpmath(a, b, c, t):
+    """(lambda, lambda', lambda'') of the Hohlov density in the form as
+    given, N t**(b - 1) (1 - t)**q 2F1(c - a, 1 - a; q + 1; 1 - t), at
+    1300 bits, so that 1 - t keeps t = 1e-300 exactly."""
+    import mpmath
+    with mpmath.workprec(1300):
+        a, b, c, t = map(mpmath.mpf, (a, b, c, t))
+        u, q = 1 - t, c - a - b
+        A, B, C = c - a, 1 - a, q + 1
+        norm = mpmath.gamma(c) / (mpmath.gamma(a) * mpmath.gamma(b)
+                                  * mpmath.gamma(q + 1))
+        # the factor and its derivatives in t (15.2.1)
+        f = [mpmath.hyp2f1(A, B, C, u),
+             -A * B / C * mpmath.hyp2f1(A + 1, B + 1, C + 1, u),
+             A * (A + 1) * B * (B + 1) / (C * (C + 1))
+             * mpmath.hyp2f1(A + 2, B + 2, C + 2, u)]
+        p = [t ** (b - 1) * u**q,
+             (b - 1) * t ** (b - 2) * u**q - q * t ** (b - 1) * u ** (q - 1),
+             (b - 1) * (b - 2) * t ** (b - 3) * u**q
+             - 2 * (b - 1) * q * t ** (b - 2) * u ** (q - 1)
+             + q * (q - 1) * t ** (b - 1) * u ** (q - 2)]
+        return [norm * p[0] * f[0], norm * (p[1] * f[0] + p[0] * f[1]),
+                norm * (p[2] * f[0] + 2 * p[1] * f[1] + p[0] * f[2])]
+
+
+def test_hohlov_density_at_tiny_t_with_b_far_above_a():
+    # the form as given multiplies t**(b - 1), which underflows, by a 2F1
+    # factor ~ t**(a - b), which overflows: NaN at 1e-100 and 1e-300.  The
+    # density is evaluated in the a <-> b swapped form; the kernel keeps
+    # its parameters and text
+    k = kernels.parse_kernel("hohlov a=0.5 b=10 c=12")
+    assert k.p == {"a": 0.5, "b": 10.0, "c": 12.0}
+    assert k.text() == "hohlov a=0.5 b=10 c=12"
+    t = np.array([1e-30, 1e-100, 1e-300])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = kernels.density_derivatives(k, t)
+    for i, tt in enumerate(t):
+        for row, ref in zip(rows, _hohlov_slopes_mpmath(0.5, 10.0, 12.0, tt)):
+            if abs(ref) < np.finfo(float).max:
+                assert abs(row[i] - ref) <= 1e-14 * abs(ref), (tt, ref)
+            else:  # lambda' = -1.8e449 and lambda'' = 2.6e749 at 1e-300
+                assert not np.isfinite(row[i]), (tt, ref)
+    assert rows[1][2] == -np.inf
+
+
+@pytest.mark.parametrize("text", ["komatu c=40 delta=200",
+                                  "komatu c=3 delta=200"])
+def test_komatu_density_in_log_space_where_the_product_is_not_finite(text):
+    # at t = 5.0e-17 log(1/t)**199 overflows, while N t**40 underflows to
+    # 0 (0 * inf = NaN, for a value of e**-894 that rounds to 0), and N t**3
+    # is 1e-301 (inf, for 1.6e12).  Both kernels were rejected as having a
+    # density that is not finite; both are densities of unit mass
+    import mpmath
+    k = kernels.parse_kernel(text)
+    c, dl = k.p["c"], k.p["delta"]
+    t = np.array([5.042053869887052e-17, 1e-3, 0.2, 0.7])
+    rows = kernels.density_derivatives(k, t)
+    with mpmath.workdps(40):
+        for i, tt in enumerate(t):
+            x, ln = mpmath.mpf(tt), -mpmath.log(tt)
+            norm = (1 + mpmath.mpf(c)) ** dl / mpmath.gamma(dl)
+            refs = [norm * x**c * ln ** (dl - 1),
+                    norm * x ** (c - 1) * ln ** (dl - 2) * (c * ln - (dl - 1)),
+                    norm * x ** (c - 2) * ln ** (dl - 3) * (
+                        c * (c - 1) * ln**2 - (dl - 1) * (2 * c - 1) * ln
+                        + (dl - 1) * (dl - 2))]
+            for row, ref in zip(rows, refs):
+                assert abs(row[i] - ref) <= 1e-12 * abs(ref) + 5e-324, \
+                    (tt, row[i], ref)
+    # where the product is a number it keeps its value
+    ln = -np.log(t[1:])
+    direct = k.normalizer * t[1:] ** c * ln ** (dl - 1.0)
+    assert kernels.density(k, t[1:]).tobytes() == direct.tobytes()
+
+
 def test_terminating_hyp2f1_factor_skips_mpmath(monkeypatch):
     import mpmath
 
@@ -862,9 +936,11 @@ def test_terminating_hyp2f1_factor_skips_mpmath(monkeypatch):
 
     monkeypatch.setattr(mpmath, "hyp2f1", fail)
     k = kernels.make_kernel("hohlov", a=1.0, b=1.0, c=4.0)
-    f0, _, _ = kernels._hyp2f1_factors(k)
-    assert f0(1e-12) == 1.0
-    assert np.all(f0(np.array([1e-15, 1e-12, 1e-9, 0.5])) == 1.0)
+    assert kernels._hyp2f1_factors(k, 1e-12) == 1.0
+    t = np.array([1e-15, 1e-12, 1e-9, 0.5])
+    assert np.all(kernels._hyp2f1_factors(k, t) == 1.0)
+    f0, f1, f2 = kernels._hyp2f1_factors(k, t, slopes=True)
+    assert np.all(f0 == 1.0) and not np.any(f1) and not np.any(f2)
 
 
 @pytest.mark.parametrize("c", [40.0, 100.0])
@@ -913,22 +989,27 @@ def test_make_kernel_rejects_unknown_parameter():
 
 
 def test_density_derivatives_evaluate_each_2f1_factor_once(monkeypatch):
+    # lambda, lambda' and lambda'' read one triple (F, F', F'') of the
+    # density's own 2F1, with no shifted parameters, and one plan
     calls = []
     real = kernels._hyp2f1c
 
-    def counted(A, B, C, d):
-        calls.append((A, B, C))
-        return real(A, B, C, d)
+    def counted(A, B, C, d, slopes=False):
+        calls.append((A, B, C, slopes))
+        return real(A, B, C, d, slopes)
 
     monkeypatch.setattr(kernels, "_hyp2f1c", counted)
     k = kernels.make_kernel("hohlov", a=0.5, b=0.8, c=4.5)
     t = np.linspace(0.1, 0.9, 5)
     calls.clear()
     kernels.density(k, t)
-    assert len(calls) == 1
+    triple = (4.5 - 0.5, 1.0 - 0.5, 4.5 - 0.5 - 0.8 + 1.0)
+    assert calls == [(*triple, False)]
     calls.clear()
+    kernels._far_plan.cache_clear()
     kernels.density_derivatives(k, t)
-    assert len(calls) == 3 and len(set(calls)) == 3
+    assert calls == [(*triple, True)]
+    assert kernels._far_plan.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("kernel", FAMILY_EXAMPLES,
