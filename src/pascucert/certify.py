@@ -523,11 +523,12 @@ def condition_margins(kernel: kernels.KernelSpec,
 
 def theorem_rows(margins: dict, hyp_report, tol: float = 0.0) -> list:
     """The theorem route's verdict rows, from condition_margins: each
-    sufficient condition that applies, within tol, and the least margin
-    of the theorem's hypotheses, >= 0, where a theorem covers the
-    family."""
-    rows = [Row(name, margin, tol) for name, margin in margins.items()
-            if margin is not None]
+    sufficient condition that applies, within tol (a NaN margin, which
+    fails, where its checker broke down and the margin names the error),
+    and the least margin of the theorem's hypotheses, >= 0, where a
+    theorem covers the family."""
+    rows = [Row(name, math.nan if isinstance(margin, str) else margin, tol)
+            for name, margin in margins.items() if margin is not None]
     if hyp_report is not None:
         rows.append(Row(f"hypotheses_{hyp_report.theorem}",
                         hyp_report.min_margin))

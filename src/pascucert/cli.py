@@ -43,7 +43,7 @@ import numpy as np
 
 from . import certify, kernels, params as params_mod
 from .certify import SCHEMA_VERSION
-from .params import Row, failed_rows
+from .params import failed_rows
 from .errors import ConfigError, DomainError, NoRealRoots, PascucertError
 
 # the problem-parameter fields, each a value or (in sweep mode) a sweep
@@ -426,13 +426,10 @@ def _sweep_point(point: RunConfig, pieces: certify.SharedPieces):
     """One sweep row, from the SharedPieces of the point's (kernel, mu, nu):
     the theorem route's rows and the beta_routes row."""
     kernel, p = pieces.kernel, point.parameter_set()
-    try:
-        margins, hyp = certify.condition_margins(kernel, p, pieces)
-        rows = certify.theorem_rows(margins, hyp, point.tol)
-    except PascucertError as exc:
-        # a checker that breaks down fails the row; its cells name the error
-        margins = dict.fromkeys(("monotone", "growth"), type(exc).__name__)
-        hyp, rows = None, [Row(name, math.nan) for name in margins]
+    # a checker that breaks down fails its row, and its cell names the error
+    margins, hyp = certify.condition_margins(kernel, p, pieces,
+                                             name_errors=True)
+    rows = certify.theorem_rows(margins, hyp, point.tol)
     try:
         routes = certify.beta_routes(kernel, p, pieces)
     except PascucertError:

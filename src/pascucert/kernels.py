@@ -419,9 +419,9 @@ def _hyp2f1c(A, B, C, d, slopes=False):
         if s > 0.0 and _terminates_after_euler(A, B, C):
             # the polynomial has the zero d**s at d = 0, which Euler's
             # transformation takes out exactly
-            out = _polynomial(C - A, C - B, C, d_arr, A, B, slopes, True)
+            out = _polynomial(A, B, C, d_arr, slopes, euler=True)
         else:
-            out = _polynomial(A, B, C, d_arr, C - A, C - B, slopes)
+            out = _polynomial(A, B, C, d_arr, slopes)
     else:
         out = np.empty((3, d_arr.size) if slopes else d_arr.size)
         switch, euler = _far_plan(A, B, C)
@@ -438,28 +438,32 @@ def _hyp2f1c(A, B, C, d, slopes=False):
     return out.reshape(np.shape(d)) if np.ndim(d) else float(out[0])
 
 
-def _polynomial(A, B, C, d, C_A, C_B, slopes=False, euler=False):
+def _polynomial(A, B, C, d, slopes=False, euler=False):
     """A terminating 2F1(A, B; C; 1 - d), A or B = -N, in powers of
-    1 - d or in powers of d (Chu-Vandermonde, from the exact C_A = C - A
-    and C_B = C - B),
+    1 - d or in powers of d (Chu-Vandermonde, each C - B + j summed from
+    the exact parts),
 
     F = sum_k binom(N, k) (B)_k (C - B)_(N - k) d**k / (C)_N,
 
     at each d the one whose terms cancel less; with slopes, the rows of
-    that one.  With euler, d**s F, s = C - C_A - C_B: Euler's form of
-    2F1(C_A, C_B; C; 1 - d).  Its slopes are gathered term by term, so
-    that they keep their digits where d**s F is nearly constant (C_A or
-    C_B next to 0): in powers of d, (k + s) d**(k + s - 1) with k + s
-    summed exactly; in powers of 1 - d, as in _gauss.
+    that one.  With euler, Euler's form d**s 2F1(C - A, C - B; C; 1 - d),
+    s = C - A - B, where C - A or C - B terminates.  Its slopes are
+    gathered term by term, so that they keep their digits where d**s F
+    is nearly constant (A or B next to 0): in powers of d,
+    (k + s) d**(k + s - 1) with k + s summed exactly; in powers of
+    1 - d, as in _gauss.
     """
-    s, euler_ab = C - C_A - C_B, (C_A, C_B)
+    s, euler_ab, exact = C - A - B, (A, B), ((C, -A), (C, -B))
+    if euler:  # C - (C - A) is exactly A
+        A, B, exact = C - A, C - B, ((A,), (B,))
     if not _nonpositive_integer(A) or (_nonpositive_integer(B) and B > A):
-        A, B, C_B = B, A, C_A
+        A, B, exact = B, A, exact[::-1]
     n = int(-A)
     coef = _taylor(A, B, C, math.inf)
     j = np.arange(float(n))
+    c_b = [math.fsum(exact[1] + (k,)) for k in range(n)]
     coef_d = np.cumprod(np.append(1.0, (n - j) * (B + j) / (j + 1.0))) \
-        * np.cumprod(np.append(1.0, C_B + j))[::-1] / np.prod(C + j)
+        * np.cumprod(np.append(1.0, c_b))[::-1] / np.prod(C + j)
     if euler and slopes:  # both scaled by d**s, which leaves better as is
         value = _euler_rows(coef, *euler_ab, C, d)
         value_d = _gathered(coef_d, [math.fsum((k, C, -euler_ab[0],
@@ -583,7 +587,7 @@ def _hyp2f1_near_one(A, B, C, d, x_max, slopes=False):
         return g1 * _series(head, d, True) + g2 * _gathered(
             tail, np.arange(tail.size) + s, d, s)
     if _terminates_after_euler(A, B, C):
-        return _polynomial(C - A, C - B, C, d, A, B, slopes, True)
+        return _polynomial(A, B, C, d, slopes, euler=True)
     coef, coef_b, g, g_rho, ell, eps, m, power, n = \
         _near_integer_terms(A, B, C, x_max)
     if not slopes:
@@ -917,8 +921,10 @@ def _shaped(shape, factor):
 
 
 # komatu's log(1/t)**(delta - 1) repeats a point of the envelopes' divided
-# differences delta times; their partial fractions cancel more the more
-# often a point repeats, so larger integer delta keep the composite rule
+# differences delta times; the recursion between clusters errs more the
+# more often a point repeats (of 40 digits, 1.4e-14 at delta = 12 and
+# 4e-11 at 20, where y gap just passes _DD_APART), so larger integer
+# delta keep the composite rule
 _KOMATU_CLOSED_DELTA = 8
 
 
@@ -1494,12 +1500,12 @@ def _gap_pieces(y_bytes: bytes, cap: float):
 
 
 # y**n exp[y b_0, ..., y b_n] (_exp_dd) takes the Taylor series shifted
-# to the least b where y (max b - min b) is at most _DD_TAYLOR, else
-# partial fractions where every gap y (b_j+1 - b_j) between distinct b
-# exceeds _DD_APART, else the recursion between clusters of b closer than
-# _DD_APART.  The partial fractions' terms cancel by at most a factor 2
-# at _DD_APART; the Taylor series takes the rounding of y times its
-# spread, and about e times the spread terms
+# to the least b where y (max b - min b) is at most _DD_TAYLOR, else the
+# recursion between clusters of b split at the gaps y (b_j+1 - b_j)
+# between distinct b wider than _DD_APART, where in each step of the
+# recursion the term that keeps the higher point dominates by a factor
+# of order _DD_APART and little cancels.  The Taylor series takes the
+# rounding of y times its spread, and about e times the spread terms
 _DD_APART = 8.0
 _DD_TAYLOR = 2.0 * _DD_APART
 
@@ -1528,30 +1534,6 @@ def _dd_taylor(alpha: tuple, x_max: float) -> np.ndarray:
         k *= 2
 
 
-@functools.lru_cache(maxsize=128)
-def _dd_fractions(values: tuple, counts: tuple) -> tuple:
-    """Per distinct point b_j of multiplicity m_j, the coefficients of
-    p_j(y) in y**n exp[y b] = sum_j exp(y b_j) p_j(y): the residue of
-    exp(z) prod_l (z - y b_l)**-m_l at y b_j, with the y**-n taken out,
-    p_j(y) = sum_i g_(m_j - 1 - i) y**i / i! and g_k the k-th Taylor
-    coefficient of prod_(l != j) (b_j - b_l + e)**-m_l in e."""
-    out = []
-    for j, (bj, mj) in enumerate(zip(values, counts)):
-        g = [1.0] + [0.0] * (mj - 1)
-        for bl, ml in zip(values, counts):
-            if bl == bj:
-                continue
-            gap = bj - bl
-            # (gap + e)**-ml = sum_k binom(ml + k - 1, k) (-e)**k gap**(-ml-k)
-            f = [gap**-ml]
-            for k in range(1, mj):
-                f.append(-f[-1] * (ml + k - 1) / (k * gap))
-            g = [sum(g[i] * f[k - i] for i in range(k + 1)) for k in range(mj)]
-        out.append(_frozen([g[mj - 1 - i] / math.factorial(i)
-                            for i in range(mj)]))
-    return tuple(out)
-
-
 def _dd_cluster(points, t, y, y_max):
     """y**n exp[y b] for the sorted points b of one cluster, y <= y_max,
     by the Taylor series shifted to min b (or, for two points,
@@ -1574,11 +1556,12 @@ def _dd_cluster(points, t, y, y_max):
 
 
 def _dd_clusters(clusters, t, y):
-    """y**n exp[y b] over the union of clusters, by the recursion
-    S(X) = (S(X - lo) - S(X - hi))/(hi - lo) with S(X) = y**(|X| - 1)
-    exp[y X], lo and hi the last point of the lowest and of the highest
-    cluster left: the term that keeps hi dominates it, by at least a
-    factor of order _DD_APART.  Each cluster serves its prefixes."""
+    """y**n exp[y b] over the union of the sorted clusters, by the
+    recursion S(X) = (S(X - lo) - S(X - hi))/(hi - lo) with S(X) =
+    y**(|X| - 1) exp[y X], lo and hi the last point of the lowest and of
+    the highest cluster left: the term that keeps hi dominates it, by at
+    least a factor of order _DD_APART.  Each cluster serves its prefixes
+    (_dd_cluster); n + 1 copies of one point b give y**n/n! t**-b."""
     memo, y_max = {}, float(np.max(y))
 
     def s(index):
@@ -1603,55 +1586,23 @@ def _exp_dd(t, y, points) -> np.ndarray:
     """y**n exp[y b_0, ..., y b_n] at every t = exp(-y), for the fixed
     points b, a divided difference of exp: an integral of exp over a
     simplex, so positive.  Each exp(y b) is t**-b, exact from t itself.
-    Where y (max b - min b) <= _DD_TAYLOR the Taylor series shifted to
-    min b serves, all its terms positive; else where every gap between
-    distinct b is wide (y gap > _DD_APART) the partial fractions
-    (_dd_apart); else the recursion between clusters of b (_dd_mixed).
-    Points may repeat: a repeated b is a confluent point, not a special
-    branch."""
+    Where y (max b - min b) <= _DD_TAYLOR at every y, the Taylor series
+    shifted to min b serves the whole array, all its terms positive.
+    Else the y fall into groups by the number of gaps between distinct b
+    wider than _DD_APART (y gap > _DD_APART), which split the b, widest
+    first, into the clusters of _dd_clusters; with at most four distinct
+    b a cluster spreads over at most 3 _DD_APART.  Points may repeat: a
+    repeated b is a confluent point, not a special branch."""
     points = tuple(sorted(points))
     values = tuple(sorted(set(points)))
-    y_lo, y_hi = float(np.min(y)), float(np.max(y))
-    spread = values[-1] - values[0]
-    if y_hi * spread <= _DD_TAYLOR:
+    y_hi = float(np.max(y))
+    if y_hi * (values[-1] - values[0]) <= _DD_TAYLOR:
         return _dd_cluster(points, t, y, y_hi)
     gaps = [b - a for a, b in zip(values, values[1:])]
-    gap = min(gaps)
-    if y_lo * spread > _DD_TAYLOR and y_lo * gap > _DD_APART:
-        return _dd_apart(points, values, t, y)
-    out = np.empty_like(y)
-    near = y * spread <= _DD_TAYLOR
-    apart = ~near & (y * gap > _DD_APART)
-    mixed = ~(apart | near)
-    if np.any(apart):
-        out[apart] = _dd_apart(points, values, t[apart], y[apart])
-    if np.any(near):
-        out[near] = _dd_cluster(points, t[near], y[near],
-                                _DD_TAYLOR / spread)
-    if np.any(mixed):
-        out[mixed] = _dd_mixed(points, values, gaps, t[mixed], y[mixed])
-    return out
-
-
-def _dd_apart(points, values, t, y):
-    """The partial fractions of _dd_fractions."""
-    counts = tuple(points.count(b) for b in values)
-    out = np.zeros_like(y)
-    for b, p in zip(values, _dd_fractions(values, counts)):
-        term = p[0] if p.size == 1 else _horner(p, y)
-        out += t**-b * term if b else term
-    return out
-
-
-def _dd_mixed(points, values, gaps, t, y):
-    """_dd_clusters on clusters split at the gaps wider than _DD_APART at
-    each y.  The widest gaps split first, so the points fall into groups
-    by the number of gaps split.  With at most four distinct values a
-    cluster spreads over at most 3 _DD_APART."""
     cut = sum((y * g > _DD_APART).astype(int) for g in gaps)
     widest = sorted(range(len(gaps)), key=lambda j: -gaps[j])
     out = np.empty_like(y)
-    for k in range(len(gaps)):
+    for k in range(len(gaps) + 1):
         pick = cut == k
         if not np.any(pick):
             continue

@@ -736,9 +736,12 @@ def test_checker_error_fails_check_and_sweep(monkeypatch, capsys):
             "--sigma", "0.1", "--xi", "1"]
     assert cli.main(["check"] + args) == 1
     assert "CriticalPoint" in capsys.readouterr().err
+    # the sweep row keeps the monotone and hypothesis margins, and fails
+    # only the checker that broke down
     row = _fresh_sweep_row(KOMATU_POINT)
-    assert row[7] == "CriticalPoint"
-    assert row[-2] is False and row[-1] == ["monotone", "growth"]
+    assert isinstance(row[6], float) and row[6] >= 0.0
+    assert row[7] == "CriticalPoint" and row[8] == 0.0
+    assert row[-2] is False and row[-1] == ["growth"]
 
 
 def test_beta_routes_agree_to_the_digits_beta_carries(capsys):
@@ -866,16 +869,12 @@ def _pointwise_rows(kernel_text, flags):
         p = params.ParameterSet.from_alpha_gamma(alpha, gamma, sigma, xi) \
             if alpha is not None \
             else params.ParameterSet.from_mu_nu(mu, nu, sigma, xi)
-        try:
-            margins, hyp = certify.condition_margins(kernel, p)
-            failed = [name for name, v in margins.items()
-                      if v is not None and not v >= 0.0]
-            if hyp is not None and not hyp.all_satisfied:
-                failed.append(f"hypotheses_{hyp.theorem}")
-        except PascucertError as exc:
-            margins = dict.fromkeys(("monotone", "growth"),
-                                    type(exc).__name__)
-            hyp, failed = None, ["monotone", "growth"]
+        # a checker that breaks down fails, and its cell names the error
+        margins, hyp = certify.condition_margins(kernel, p, name_errors=True)
+        failed = [name for name, v in margins.items()
+                  if isinstance(v, str) or v is not None and not v >= 0.0]
+        if hyp is not None and not hyp.all_satisfied:
+            failed.append(f"hypotheses_{hyp.theorem}")
         try:
             beta = certify.beta_sharp(kernel, p)
         except PascucertError:

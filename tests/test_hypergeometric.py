@@ -319,6 +319,11 @@ def test_hyp2f1_termination_from_exact_differences():
     assert kernels._terminates_after_euler(3.0, 1.5, 1.0)
     _assert_matches(2.1, -4.02, 0.1)
     _assert_matches(2.1, -4.0000001, 0.1)
+    # and the factor C - B + 2 = -8.3e-17 of 2F1(-4, 2.1; 0.1) in powers
+    # of d: from the rounded C - B = -2.0 it is 0.0, and F 5.7e-14 at
+    # d = 3e-301 for -2.3e-16
+    _assert_matches(-4.0, 2.1, 0.1)
+    _assert_matches(2.1, -4.0, 0.1)
 
 
 def _slopes_reference(A, B, C, d):

@@ -507,6 +507,27 @@ def test_closed_form_envelopes_match_mpmath_and_the_rule(text):
                     mu, nu, np.max(np.abs(c[ok] / a[ok] - 1.0) / slack[ok]))
 
 
+@pytest.mark.parametrize("points", [
+    [0.0, 0.05, 0.05, 1.0, 6.0], [-3.0, -3.0, -3.0, 0.0, 0.5],
+    [0.0, -0.5, -0.5, -0.5, -0.5, 2.0], [0.0, 1e-9, 2.0, 2.0 + 1e-6]])
+def test_exp_dd_matches_mpmath_across_the_cuts(points):
+    # y from 0.01 to 200 crosses every count of gaps wider than _DD_APART
+    # that the points allow, confluent, clustered and far apart; the whole
+    # array takes the recursion, each point alone the Taylor series where
+    # its y is small enough
+    t = np.exp(-np.geomspace(0.01, 200.0, 41))
+    y = -np.log(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = kernels._exp_dd(t, y, points)
+        alone = np.array([kernels._exp_dd(t[i:i + 1], y[i:i + 1], points)[0]
+                          for i in range(t.size)])
+    want = np.array([_exp_dd_mpmath(x, points) for x in t])
+    ok = (want > 1e-290) & (want < 1e290)  # exp(6 y) overflows at y > 118
+    assert np.count_nonzero(ok) >= 30
+    for a in (got, alone):
+        assert np.max(np.abs(a[ok] / want[ok] - 1.0)) <= 4e-15
+
+
 def test_log_derivative_ratio_and_sign():
     k = kernels.make_kernel("komatu", c=0.0, delta=3.0)
     t = 0.5
