@@ -11,9 +11,7 @@ hypothesis list holds.
 
 import numpy as np
 
-from pascucert import (ParameterSet, SharedPieces, beta_sharp,
-                       check_growth_condition, hypothesis_check,
-                       m_functional_min, make_kernel)
+from pascucert import ParameterSet, make_kernel, run_certification
 
 
 def main():
@@ -22,16 +20,13 @@ def main():
           f"{'M minimum':>12} {'hypotheses':>11}")
     for delta in np.arange(1.5, 5.5, 0.5):
         kernel = make_kernel("komatu", c=0.0, delta=float(delta))
-        # the M-nodes, moments and checker-grid slopes of this kernel,
-        # built once for all three stages
-        pieces = SharedPieces(kernel, params)
-        beta = beta_sharp(kernel, params, pieces)
-        growth = check_growth_condition(kernel, params, pieces)
-        m_min, _, _ = m_functional_min(kernel, params, pieces=pieces)
-        hyp = hypothesis_check(params, kernel)
-        flag = "ok" if hyp.all_satisfied else "outside"
-        print(f"{delta:6.2f} {beta:16.10f} {growth:14.6f} "
-              f"{m_min:12.3e} {flag:>11}")
+        # one pass: the M-nodes, moments and checker-grid slopes of this
+        # kernel are built once for beta, the checkers and the functional
+        rep = run_certification(kernel, params)
+        flag = "ok" if rep.hypothesis_report.all_satisfied else "outside"
+        print(f"{delta:6.2f} {rep.beta_integral:16.10f} "
+              f"{rep.condition_margins['growth']:14.6f} "
+              f"{rep.m_functional_min:12.3e} {flag:>11}")
 
 
 if __name__ == "__main__":

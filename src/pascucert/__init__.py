@@ -17,12 +17,11 @@ from .errors import (PascucertError, NoRealRoots, DomainError,
 from .params import (ParameterSet, Row, HypothesisReport,
                      resolve_mu_nu, sigma_upper_bound, hypothesis_check,
                      combination_ratio)
-from .auxfun import AuxContext, l_integrand
+from .auxfun import l_integrand
 from .kernels import (KernelSpec, make_kernel, parse_kernel, density,
                       density_derivatives, moment, moment_sequence, envelopes)
 from .certify import (DiskGrid, CertificationReport, SharedPieces,
-                      beta_sharp, beta_from_integral,
-                      m_functional, m_functional_min,
+                      beta_sharp, beta_from_integral, m_functional,
                       check_monotone_condition, check_growth_condition,
                       extremal_image, run_certification)
 

@@ -11,38 +11,10 @@ duality integrand and duality_slope its slope in the unimodular epsilon.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import DomainError, PoleError
-
-
-class _AuxFields(NamedTuple):
-    mu: float
-    nu: float
-    sigma: float = 0.0
-    xi: float = 0.0
-    epsilon: complex = 1.0 + 0.0j
-
-
-class AuxContext(_AuxFields):
-    """Scalar configuration shared by all auxiliary evaluations; a value
-    outside its range is a DomainError."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.mu < 0 or self.nu < 0:
-            raise DomainError("mu, nu must be nonnegative")
-        if not 0.0 <= self.sigma < 1.0:
-            raise DomainError("sigma must lie in [0, 1)")
-        if not 0.0 <= self.xi <= 1.0:
-            raise DomainError("xi must lie in [0, 1]")
-        if abs(abs(complex(self.epsilon)) - 1.0) > 1e-12:
-            raise DomainError("epsilon must be unimodular")
-        return self
+from .params import ParameterSet
 
 
 def _rational_g(x, sigma):
@@ -72,23 +44,26 @@ def duality_slope(epsilon, sigma: float):
     return (epsilon + 2.0 * sigma - 1.0) / (2.0 * (1.0 - sigma))
 
 
-def l_integrand(ctx: AuxContext, z: complex, t) -> float:
-    """The real-valued duality integrand at disk point z and weight point t.
+def l_integrand(params: ParameterSet, epsilon: complex, z: complex, t):
+    """The real-valued duality integrand at the unimodular epsilon, disk
+    point z and weight point t.
 
     Vanishes identically in t when epsilon = 1 and z -> -1, which is the
     direction where the sharp bound is attained.
     """
+    if abs(abs(complex(epsilon)) - 1.0) > 1e-12:
+        raise DomainError("epsilon must be unimodular")
     t_arr = np.asarray(t, dtype=float)
     if np.any((t_arr <= 0.0) | (t_arr >= 1.0)):
         raise DomainError("t must lie in (0, 1)")
     z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError("|z| must be < 1")
-    a = duality_slope(complex(ctx.epsilon), ctx.sigma)
+    a = duality_slope(complex(epsilon), params.sigma)
     w = t_arr * z
     if np.any(np.abs(1.0 - w) < 1e-9):
         raise PoleError("tz too close to the pole at 1")
-    sg, xi = ctx.sigma, ctx.xi
+    sg, xi = params.sigma, params.xi
     star = ((1.0 + a * w) / (1.0 - w) ** 2).real - _rational_g(t_arr, sg)
     conv = ((1.0 + (1.0 + 2.0 * a) * w) / (1.0 - w) ** 3).real \
         - _rational_q(t_arr, sg)

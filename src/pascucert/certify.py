@@ -105,16 +105,13 @@ def default_t_grid(n: int = 512) -> np.ndarray:
 
 
 def _effective_exponent(params: params_mod.ParameterSet) -> float:
-    mu = params.mu if params.mu > 0 else params.nu
-    if mu <= 0:
-        raise DomainError("need mu > 0 or nu > 0")
-    return 1.0 / mu
+    return 1.0 / (params.mu if params.mu > 0 else params.nu)
 
 
 def beta_from_integral(i_value: float) -> float:
     """Solve beta/(1-beta) = -I for beta < 1."""
     if abs(i_value - 1.0) < 1e-12:
-        raise DomainError("beta is unbounded when the weighted average is 1")
+        raise DomainError("|I - 1| < 1e-12, so |beta| = |I/(I - 1)| > 1e12")
     return i_value / (i_value - 1.0)
 
 
@@ -351,27 +348,14 @@ def m_functional(kernel: kernels.KernelSpec, params: params_mod.ParameterSet,
     return float(p[0] + (a * qc[0]).real)
 
 
-def m_functional_min(kernel: kernels.KernelSpec,
-                     params: params_mod.ParameterSet,
-                     grid: DiskGrid = DiskGrid(), pieces=None):
-    """Minimum of the duality functional over the disk and |epsilon| = 1.
+def _min_from_sums(nodes, params, z, m1, m2, m3):
+    """The minimum of the duality functional over the points z and
+    |epsilon| = 1, from the node sums at z: (min, argmin z, argmin eps).
 
     With A(eps) = (eps + 2 sigma - 1)/(2(1 - sigma)), M = P + Re(A Q) has
     the exact minimum P + ((2 sigma - 1) Re Q - |Q|)/(2(1 - sigma)) over
-    the epsilon circle, attained at eps = -conj(Q)/|Q|.  For fixed eps M
-    is harmonic in z, so its minimum over |z| <= r lies on |z| = r.  P and
-    Q have real coefficients, so M(conj z, conj eps) = M(z, eps) and only
-    the upper half of the grid circle is evaluated, on the M-nodes of the
-    given SharedPieces (or of fresh ones); the argmin has Im z >= 0.
-    Returns (min, argmin_z, argmin_epsilon).
+    the epsilon circle, attained at eps = -conj(Q)/|Q|.
     """
-    z = grid.upper_points()
-    nodes = (pieces or SharedPieces(kernel, params)).nodes
-    return _min_from_sums(nodes, params, z, *_node_sums(nodes, z))
-
-
-def _min_from_sums(nodes, params, z, m1, m2, m3):
-    """m_functional_min from the node sums at the points z."""
     p, qc = _pq_from_sums(nodes, params, m1, m2, m3)
     sg = params.sigma
     m = p + ((2.0 * sg - 1.0) * qc.real - np.abs(qc)) / (2.0 * (1.0 - sg))
@@ -607,7 +591,9 @@ def run_certification(kernel: kernels.KernelSpec,
     """Full pipeline: beta, duality functional, conditions, membership and
     sharpness of the extremal image, and the plot curves, all from one
     SharedPieces and the M-node beta.  tol widens the functional row past
-    FUNCTIONAL_TOL."""
+    FUNCTIONAL_TOL.  This is the one pass over the grid circle: as
+    M(conj z, conj eps) = M(z, eps), its upper half holds the minimum, and
+    the report carries it with its z (Im z >= 0) and epsilon."""
     pieces = SharedPieces(kernel, params)
     beta = beta_routes(kernel, params, pieces)
 
@@ -661,9 +647,7 @@ def _report_curves(pieces, params, margins, argmin_z, argmin_eps, ratio,
     """The plot curves on the checkers' grid, so the condition curves hold
     exactly what the margins are the minima of."""
     t = pieces.grid
-    ctx = auxfun.AuxContext(params.mu, params.nu, params.sigma, params.xi,
-                            argmin_eps)
-    l_vals = auxfun.l_integrand(ctx, argmin_z, t)
+    l_vals = auxfun.l_integrand(params, argmin_eps, argmin_z, t)
     # a curve where its condition applies, that is, where its margin is a
     # number
     growth = np.full_like(t, np.nan)

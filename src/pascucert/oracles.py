@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import auxfun, kernels, params as params_mod
-from .auxfun import AuxContext, _rational_g, _rational_q, combined_rational
+from .auxfun import _rational_g, _rational_q, combined_rational
 from .certify import DiskGrid, _effective_exponent, _winding_guard, \
     default_t_grid
 from .errors import (DomainError, PascucertError, PoleError,
@@ -272,7 +272,7 @@ def _check_unit(t):
         raise DomainError("t must lie in [0, 1]")
 
 
-def _series_sum(ctx: AuxContext, t, weight):
+def _series_sum(params: params_mod.ParameterSet, t, weight):
     """sum_n weight(n) * (-t)**n / ((1-sigma)(1+n mu)(1+n nu)) at every t.
 
     t is a scalar or an array; the result has its shape.  Each t sums
@@ -284,8 +284,8 @@ def _series_sum(ctx: AuxContext, t, weight):
     t_arr = np.asarray(t, dtype=float)
     flat = t_arr.ravel()
     n = np.arange(_SERIES_TERMS, dtype=float)
-    coef = weight(n) / ((1.0 - ctx.sigma)
-                        * (1.0 + n * ctx.mu) * (1.0 + n * ctx.nu))
+    coef = weight(n) / ((1.0 - params.sigma)
+                        * (1.0 + n * params.mu) * (1.0 + n * params.nu))
     with np.errstate(divide="ignore"):
         decay = -np.log(flat)
     need = math.log(max(1.0, np.max(np.abs(coef))) / _SERIES_TINY) \
@@ -307,48 +307,47 @@ def _series_sum(ctx: AuxContext, t, weight):
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
-def g_series(ctx: AuxContext, t) -> float:
+def g_series(params: params_mod.ParameterSet, t) -> float:
     """The starlike profile g(t) = G(t) at xi = 0 by its alternating
     series; g(0) = 1 and g decreases through 0."""
     _check_unit(t)
-    return 2.0 * _series_sum(ctx, t, lambda n: n + 1.0 - ctx.sigma) - 1.0
+    sg = params.sigma
+    return 2.0 * _series_sum(params, t, lambda n: n + 1.0 - sg) - 1.0
 
 
-def q_series(ctx: AuxContext, t) -> float:
+def q_series(params: params_mod.ParameterSet, t) -> float:
     """The convex profile q(t) = (G(t) at xi = 1 + 1)/2 by its alternating
     series; q(0) = 1."""
     _check_unit(t)
-    return _series_sum(ctx, t, lambda n: (n + 1.0) * (n + 1.0 - ctx.sigma))
+    sg = params.sigma
+    return _series_sum(params, t, lambda n: (n + 1.0) * (n + 1.0 - sg))
 
 
-def _double_integral(ctx: AuxContext, t: float, rat) -> float:
+def _double_integral(params: params_mod.ParameterSet, t, rat) -> float:
     """Smooth form of the double integral after s = u**mu, w = v**nu."""
     from scipy import integrate
-    mu, nu, sg = ctx.mu, ctx.nu, ctx.sigma
-    if mu > 0 and nu > 0:
+    mu, nu, sg = params.mu, params.nu, params.sigma
+    if mu > 0:
         val, err = integrate.dblquad(
             lambda v, u: rat(u**mu * v**nu * t, sg),
             0.0, 1.0, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11)
     else:
-        alpha = nu if nu > 0 else mu
-        if alpha <= 0:
-            raise DomainError("need mu > 0 or nu > 0 for the integral form")
         val, err = integrate.quad(
-            lambda u: rat(t * u**alpha, sg), 0.0, 1.0,
+            lambda u: rat(t * u**nu, sg), 0.0, 1.0,
             epsabs=1e-12, epsrel=1e-12, limit=200)
     if err > 1e-8:
         raise ConvergenceFailure(f"integral form error estimate {err:g}")
     return val
 
 
-def g_integral(ctx: AuxContext, t: float) -> float:
+def g_integral(params: params_mod.ParameterSet, t: float) -> float:
     """g(t) by the adaptive double integral."""
-    return 2.0 * _double_integral(ctx, t, _rational_g) - 1.0
+    return 2.0 * _double_integral(params, t, _rational_g) - 1.0
 
 
-def q_integral(ctx: AuxContext, t: float) -> float:
+def q_integral(params: params_mod.ParameterSet, t: float) -> float:
     """q(t) by the adaptive double integral."""
-    return _double_integral(ctx, t, _rational_q)
+    return _double_integral(params, t, _rational_q)
 
 
 def gauss_jacobi_01(b, n):
@@ -382,7 +381,7 @@ def gauss_jacobi_01(b, n):
     return s, w / w.sum()
 
 
-def gq_rule(ctx: AuxContext):
+def gq_rule(params: params_mod.ParameterSet):
     """The tensor rule (x, W) with G(t) = 2 sum W R(t x) - 1.
 
     int_0^1 f(u**mu) du = int_0^1 f(s) s**(1/mu - 1)/mu ds is a Jacobi
@@ -392,26 +391,26 @@ def gq_rule(ctx: AuxContext):
     """
     (s, ws), (v, wv) = [(np.ones(1), np.ones(1)) if e == 0.0
                         else gauss_jacobi_01(1.0 / e - 1.0, _GQ_NODES)
-                        for e in (ctx.mu, ctx.nu)]
+                        for e in (params.mu, params.nu)]
     return np.outer(s, v).ravel(), np.outer(ws, wv).ravel()
 
 
-def combined_gq(ctx: AuxContext, t, rule=None):
+def combined_gq(params: params_mod.ParameterSet, t, rule=None):
     """G(t) = (1-xi) g(t) + xi (2 q(t) - 1) = 2 sum W R(t x) - 1 by the
-    tensor Gauss-Jacobi rule (x, W) = rule, gq_rule(ctx) when not given.
+    tensor Gauss-Jacobi rule (x, W) = rule, gq_rule(params) when not given.
 
     t is a scalar or an array in [0, 1]; R is auxfun.combined_rational.
     At xi = 0 this is g, and at xi = 1 it is 2 q - 1.
     """
     _check_unit(t)
-    x, w = gq_rule(ctx) if rule is None else rule
+    x, w = gq_rule(params) if rule is None else rule
     t_arr = np.asarray(t, dtype=float)
     flat = t_arr.ravel()
     out = np.empty_like(flat)
     rows = _BLOCK // len(x)
     for i in range(0, len(flat), rows):
-        vals = combined_rational(flat[i:i + rows, None] * x, ctx.sigma,
-                                 ctx.xi)
+        vals = combined_rational(flat[i:i + rows, None] * x, params.sigma,
+                                 params.xi)
         out[i:i + rows] = np.einsum("ij,j->i", vals, w)
     out = 2.0 * out - 1.0
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
@@ -506,33 +505,35 @@ def pfq(numerator, denominator, x: float, max_terms: int = 50000) -> float:
         f"{p}F{q} did not converge within {max_terms} terms at x = {x}")
 
 
-def combined_gq_hypergeometric(ctx: AuxContext, t: float) -> float:
+def combined_gq_hypergeometric(params: params_mod.ParameterSet, t) -> float:
     """The same combination through its 5F4 closed form; needs xi > 0."""
-    if ctx.xi <= 0.0:
+    if params.xi <= 0.0:
         raise DomainError("the 5F4 form requires xi > 0")
-    if ctx.mu <= 0 or ctx.nu <= 0:
-        raise DomainError("the 5F4 form requires mu, nu > 0")
-    inv_xi = 1.0 / ctx.xi
-    num = [1.0, 1.0 / ctx.mu, 1.0 / ctx.nu, 2.0 - ctx.sigma, 1.0 + inv_xi]
-    den = [1.0 + 1.0 / ctx.mu, 1.0 + 1.0 / ctx.nu, 1.0 - ctx.sigma, inv_xi]
+    if params.mu <= 0:
+        raise DomainError("the 5F4 form requires mu > 0")
+    mu, nu, sg, inv_xi = params.mu, params.nu, params.sigma, 1.0 / params.xi
+    num = [1.0, 1.0 / mu, 1.0 / nu, 2.0 - sg, 1.0 + inv_xi]
+    den = [1.0 + 1.0 / mu, 1.0 + 1.0 / nu, 1.0 - sg, inv_xi]
     return 2.0 * pfq(num, den, -t) - 1.0
 
 
-def h_sigma(ctx: AuxContext, z: complex) -> complex:
+def h_sigma(params: params_mod.ParameterSet, epsilon: complex,
+            z: complex) -> complex:
     """z (1 + A z) / (1 - z)^2 with A = (epsilon + 2 sigma - 1) / (2(1 - sigma))."""
     z = complex(z)
     if abs(1.0 - z) < 1e-9:
         raise PoleError("h_sigma has a second-order pole at z = 1")
-    a = auxfun.duality_slope(complex(ctx.epsilon), ctx.sigma)
+    a = auxfun.duality_slope(complex(epsilon), params.sigma)
     return z * (1.0 + a * z) / (1.0 - z) ** 2
 
 
-def h_sigma_prime(ctx: AuxContext, z: complex) -> complex:
+def h_sigma_prime(params: params_mod.ParameterSet, epsilon: complex,
+                  z: complex) -> complex:
     """Derivative of h_sigma: (1 + (1 + 2A) z) / (1 - z)^3."""
     z = complex(z)
     if abs(1.0 - z) < 1e-9:
         raise PoleError("h_sigma' has a third-order pole at z = 1")
-    a = auxfun.duality_slope(complex(ctx.epsilon), ctx.sigma)
+    a = auxfun.duality_slope(complex(epsilon), params.sigma)
     return (1.0 + (1.0 + 2.0 * a) * z) / (1.0 - z) ** 3
 
 
@@ -804,14 +805,13 @@ def beta_quadrature_route(kernel: kernels.KernelSpec,
     """I = int lambda(t) [(1-xi) g(t) + xi (2 q(t) - 1)] dt by adaptive
     quadrature, each refinement round on one array of nodes; the profile's
     Gauss-Jacobi rule is built once for all rounds."""
-    ctx = AuxContext(params.mu, params.nu, params.sigma, params.xi)
-    rule = gq_rule(ctx)
+    rule = gq_rule(params)
     pl, pr = kernels.endpoint_exponents(kernel)
     return integrate_01(
-        lambda t: kernels.density(kernel, t) * combined_gq(ctx, t, rule),
+        lambda t: kernels.density(kernel, t) * combined_gq(params, t, rule),
         pl, pr, epsabs=1e-10,
         f_complement=lambda d: kernels.density_complement(kernel, d)
-        * combined_gq(ctx, 1.0 - d, rule))
+        * combined_gq(params, 1.0 - d, rule))
 
 
 def beta0_hohlov_closed_form(params: params_mod.ParameterSet,
@@ -840,13 +840,12 @@ def m_functional_direct(kernel: kernels.KernelSpec,
     (pi_envelope) instead of the grid envelopes.
     """
     expo = _effective_exponent(params)
-    ctx = AuxContext(params.mu, params.nu, params.sigma, params.xi, epsilon)
     _, q = kernels.endpoint_exponents(kernel)
 
     def f(t):
         pi_vals = [pi_envelope(kernel, params.mu, params.nu, x) for x in t]
         return t ** (expo - 1.0) * np.array(pi_vals) \
-            * auxfun.l_integrand(ctx, z, t)
+            * auxfun.l_integrand(params, epsilon, z, t)
 
     return integrate_01(f, expo - 1.0, q + 1.0, epsabs=epsabs)
 

@@ -87,6 +87,8 @@ class ParameterSet(_ParameterFields):
             raise DomainError("mu * nu must equal gamma")
         if self.gamma == 0.0 and self.mu != 0.0:
             raise DomainError("gamma = 0 forces mu = 0")
+        if self.nu == 0.0:
+            raise DomainError("alpha = 0 forces mu = nu = 0; need alpha > 0")
         return self
 
     @classmethod

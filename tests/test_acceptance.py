@@ -48,12 +48,12 @@ def test_acceptance_2_profile_representations():
     h = 1e-5
     for mu, nu in ((1.0, 1.0), (1.0, 2.0)):
         for sigma in (0.0, 0.1):
-            ctx = auxfun.AuxContext(mu, nu, sigma)
+            p = params.ParameterSet.from_mu_nu(mu, nu, sigma)
             for t in t_grid:
-                gs = oracles.g_series(ctx, t)
-                gi = oracles.g_integral(ctx, t)
-                qs = oracles.q_series(ctx, t)
-                qi = oracles.q_integral(ctx, t)
+                gs = oracles.g_series(p, t)
+                gi = oracles.g_integral(p, t)
+                qs = oracles.q_series(p, t)
+                qi = oracles.q_integral(p, t)
                 worst_rep = max(worst_rep, abs(gs - gi), abs(qs - qi))
 
                 # d/dt [t^{1/nu} (1+g)/2] = (1/nu) t^{1/nu - 1} *
@@ -61,10 +61,10 @@ def test_acceptance_2_profile_representations():
                 e = 1.0 / nu
 
                 def y_g(s):
-                    return s ** e * 0.5 * (1.0 + oracles.g_series(ctx, s))
+                    return s ** e * 0.5 * (1.0 + oracles.g_series(p, s))
 
                 def y_q(s):
-                    return s ** e * oracles.q_series(ctx, s)
+                    return s ** e * oracles.q_series(p, s)
 
                 lhs_g = (y_g(t + h) - y_g(t - h)) / (2.0 * h)
                 rhs_g = e * t ** (e - 1.0) * _inner_profile(
@@ -119,9 +119,9 @@ def test_acceptance_3_two_route_beta():
 # 4. vanishing of the duality integrand in the sharp direction
 
 def test_acceptance_4_l_vanishing():
-    ctx = auxfun.AuxContext(1.0, 2.0, 0.1, 0.5, epsilon=1.0)
+    p = params.ParameterSet.from_mu_nu(1.0, 2.0, 0.1, 0.5)
     t = np.linspace(0.05, 0.95, 181)
-    vals = auxfun.l_integrand(ctx, -1.0 + 1e-4, t)
+    vals = auxfun.l_integrand(p, 1.0, -1.0 + 1e-4, t)
     worst = float(np.max(np.abs(vals)))
     _report(4, "L-vanishing at epsilon=1, z->-1", worst <= 1e-3,
             f"max |L| = {worst:.3e} on t in [0.05, 0.95]")
@@ -196,7 +196,7 @@ def test_acceptance_7_condition_coherence():
     for kernel in COHERENCE_INSTANCES:
         hyp = params.hypothesis_check(p, kernel)
         growth = certify.check_growth_condition(kernel, p)
-        m_min, _, _ = certify.m_functional_min(kernel, p)
+        m_min = certify.run_certification(kernel, p).m_functional_min
         ok = ok and hyp.all_satisfied and growth >= 0.0 and m_min >= -1e-6
         details.append(f"{kernel.family}: growth {growth:.3g}, "
                        f"M_min {m_min:.3g}")
@@ -208,8 +208,7 @@ def test_acceptance_7_condition_coherence():
 
 def test_acceptance_8_recorded_discrepancies():
     # the printed series gives q(0) = 1, not the stated initial value 0
-    ctx = auxfun.AuxContext(1.0, 2.0, 0.1)
-    q0 = oracles.q_series(ctx, 0.0)
+    q0 = oracles.q_series(params.ParameterSet.from_mu_nu(1.0, 2.0, 0.1), 0.0)
 
     # the implemented density (1+c) t^c has unit mass; the alternative
     # exponent c-1 does not normalize, so the moments pin the choice

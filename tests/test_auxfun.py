@@ -5,76 +5,76 @@ import numpy as np
 import pytest
 
 from pascucert import auxfun, oracles
-from pascucert.auxfun import AuxContext
 from pascucert.quadrature import ALTERNATING_TERMS, averaged_partial_sum
 from pascucert.errors import DomainError, PoleError
 from pascucert.oracles import ConvergenceFailure, DivergentSeries
+from pascucert.params import ParameterSet
+
+from_mu_nu = ParameterSet.from_mu_nu
 
 
-def test_context_validation():
-    with pytest.raises(DomainError):
-        AuxContext(1.0, 2.0, sigma=1.0)
-    with pytest.raises(DomainError):
-        AuxContext(1.0, 2.0, xi=-0.1)
-    with pytest.raises(DomainError):
-        AuxContext(1.0, 2.0, epsilon=2.0 + 0j)
-    AuxContext(1.0, 2.0, epsilon=complex(math.cos(1.0), math.sin(1.0)))
+def test_l_integrand_needs_unimodular_epsilon():
+    # sigma and xi are checked by ParameterSet, epsilon here
+    p = from_mu_nu(1.0, 2.0, 0.1, 0.5)
+    with pytest.raises(DomainError, match="epsilon must be unimodular"):
+        auxfun.l_integrand(p, 2.0 + 0j, 0.5j, 0.5)
+    auxfun.l_integrand(p, complex(math.cos(1.0), math.sin(1.0)), 0.5j, 0.5)
 
 
 def test_g_and_q_at_zero():
-    ctx = AuxContext(1.0, 2.0, 0.1, 0.5)
-    assert oracles.g_series(ctx, 0.0) == pytest.approx(1.0)
+    p = from_mu_nu(1.0, 2.0, 0.1, 0.5)
+    assert oracles.g_series(p, 0.0) == pytest.approx(1.0)
     # the n = 0 term of the q series is 1 regardless of parameters
-    assert oracles.q_series(ctx, 0.0) == pytest.approx(1.0)
+    assert oracles.q_series(p, 0.0) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("mu,nu", [(1.0, 1.0), (1.0, 2.0)])
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
 def test_g_series_vs_integral(mu, nu, sigma):
-    ctx = AuxContext(mu, nu, sigma)
+    p = from_mu_nu(mu, nu, sigma)
     for t in np.arange(0.1, 0.95, 0.1):
-        s = oracles.g_series(ctx, t)
-        i = oracles.g_integral(ctx, t)
+        s = oracles.g_series(p, t)
+        i = oracles.g_integral(p, t)
         assert abs(s - i) < 1e-8
 
 
 @pytest.mark.parametrize("mu,nu", [(1.0, 1.0), (1.0, 2.0)])
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
 def test_q_series_vs_integral(mu, nu, sigma):
-    ctx = AuxContext(mu, nu, sigma)
+    p = from_mu_nu(mu, nu, sigma)
     for t in np.arange(0.1, 0.95, 0.1):
-        s = oracles.q_series(ctx, t)
-        i = oracles.q_integral(ctx, t)
+        s = oracles.q_series(p, t)
+        i = oracles.q_integral(p, t)
         assert abs(s - i) < 1e-8
 
 
 def test_g_integral_mu_zero_branch():
-    ctx = AuxContext(0.0, 3.0, 0.1)
+    p = from_mu_nu(0.0, 3.0, 0.1)
     for t in (0.2, 0.6):
-        s = oracles.g_series(ctx, t)
-        i = oracles.g_integral(ctx, t)
+        s = oracles.g_series(p, t)
+        i = oracles.g_integral(p, t)
         assert abs(s - i) < 1e-8
 
 
 def test_combined_gq_mixes_profiles():
-    ctx = AuxContext(1.0, 2.0, 0.1, 0.3)
+    p = from_mu_nu(1.0, 2.0, 0.1, 0.3)
     t = 0.4
-    g = oracles.g_series(ctx, t)
-    q = oracles.q_series(ctx, t)
+    g = oracles.g_series(p, t)
+    q = oracles.q_series(p, t)
     expect = (1.0 - 0.3) * g + 0.3 * (2.0 * q - 1.0)
-    assert oracles.combined_gq(ctx, t) == pytest.approx(expect, abs=1e-12)
+    assert oracles.combined_gq(p, t) == pytest.approx(expect, abs=1e-12)
 
 
 @pytest.mark.parametrize("mu,nu,sigma,xi", [(1.0, 2.0, 0.1, 1.0),
                                              (2.0, 3.0, 0.1, 0.25),
                                              (0.0, 1.0, 0.0, 0.0)])
 def test_combined_gq_array_matches_scalar_and_float_power(mu, nu, sigma, xi):
-    ctx = AuxContext(mu, nu, sigma, xi)
+    p = from_mu_nu(mu, nu, sigma, xi)
     t = np.concatenate([[0.0, 0.5, 0.99, 0.999, 1.0],
                         np.linspace(0.0, 1.0, 401)])
-    arr = oracles.combined_gq(ctx, t)
+    arr = oracles.combined_gq(p, t)
     assert arr.shape == t.shape
-    scalar = np.array([oracles.combined_gq(ctx, float(x)) for x in t])
+    scalar = np.array([oracles.combined_gq(p, float(x)) for x in t])
     assert np.max(np.abs(arr - scalar)) <= 1e-13
     # the float-power series: all 3000 terms (-t)**n, tail-averaged
     n = np.arange(3000, dtype=float)
@@ -83,7 +83,7 @@ def test_combined_gq_array_matches_scalar_and_float_power(mu, nu, sigma, xi):
     powered = np.array([2.0 * averaged_partial_sum(coef * (-x) ** n) - 1.0
                         for x in t])
     assert np.max(np.abs(arr - powered)) <= 1e-13
-    assert oracles.combined_gq(ctx, t.reshape(2, -1)).shape == (2, 203)
+    assert oracles.combined_gq(p, t.reshape(2, -1)).shape == (2, 203)
 
 
 def _gq_reference(mu, nu, sigma, xi, t):
@@ -123,8 +123,8 @@ def test_combined_gq_matches_mpmath(mu, nu, sigma, xi):
     # and G reaches -38; there 1e-14 is 1.4 units in the last place of G,
     # below the rounding of any double sum of such terms, so the bound
     # scales with |G| beyond 1
-    ctx = AuxContext(mu, nu, sigma, xi)
-    got = oracles.combined_gq(ctx, np.array(GQ_T))
+    p = from_mu_nu(mu, nu, sigma, xi)
+    got = oracles.combined_gq(p, np.array(GQ_T))
     for g, t in zip(got, GQ_T):
         ref = _gq_reference(mu, nu, sigma, xi, t)
         assert abs(g - ref) <= 1e-14 * max(1.0, abs(ref)), (t, g, ref)
@@ -136,8 +136,8 @@ def test_g_and_q_by_the_rule(monkeypatch):
     monkeypatch.setattr(oracles, "_series_sum", None)
     monkeypatch.setattr(oracles, "_double_integral", None)
     mu, nu, sigma = 1.0, 2.0, 0.1
-    ctx = AuxContext(mu, nu, sigma, 0.5)
-    at_0, at_1 = AuxContext(mu, nu, sigma, 0.0), AuxContext(mu, nu, sigma, 1.0)
+    p = from_mu_nu(mu, nu, sigma, 0.5)
+    at_0, at_1 = from_mu_nu(mu, nu, sigma, 0.0), from_mu_nu(mu, nu, sigma, 1.0)
     for t in GQ_T:
         g = oracles.combined_gq(at_0, t)
         q = 0.5 * (oracles.combined_gq(at_1, t) + 1.0)
@@ -145,65 +145,67 @@ def test_g_and_q_by_the_rule(monkeypatch):
         assert abs(g - _gq_reference(mu, nu, sigma, 0.0, t)) <= 1e-14
         assert abs(2.0 * q - 1.0
                    - _gq_reference(mu, nu, sigma, 1.0, t)) <= 1e-14
-    assert oracles.combined_gq(ctx, np.array(GQ_T)).shape == (5,)
+    assert oracles.combined_gq(p, np.array(GQ_T)).shape == (5,)
 
 
 def test_combined_gq_domain():
-    ctx = AuxContext(1.0, 2.0, 0.1, 1.0)
+    p = from_mu_nu(1.0, 2.0, 0.1, 1.0)
     with pytest.raises(DomainError):
-        oracles.combined_gq(ctx, np.array([0.5, 1.5]))
+        oracles.combined_gq(p, np.array([0.5, 1.5]))
 
 
 def test_combined_gq_hypergeometric_identity():
     for xi in (0.25, 1.0):
-        ctx = AuxContext(1.0, 2.0, 0.1, xi)
+        p = from_mu_nu(1.0, 2.0, 0.1, xi)
         for t in (0.1, 0.5, 0.9):
-            a = oracles.combined_gq(ctx, t)
-            b = oracles.combined_gq_hypergeometric(ctx, t)
+            a = oracles.combined_gq(p, t)
+            b = oracles.combined_gq_hypergeometric(p, t)
             assert a == pytest.approx(b, abs=1e-10)
 
 
 def test_h_sigma_values():
-    ctx = AuxContext(1.0, 2.0, sigma=0.1, epsilon=1.0 + 0j)
+    p = from_mu_nu(1.0, 2.0, sigma=0.1)
     # A = (1 + 2 sigma - 1)/(2(1 - sigma)) = sigma/(1 - sigma)
     z = 0.3 + 0.2j
     a = 0.1 / 0.9
     expect = z * (1.0 + a * z) / (1.0 - z) ** 2
-    assert oracles.h_sigma(ctx, z) == pytest.approx(expect)
+    assert oracles.h_sigma(p, 1.0 + 0j, z) == pytest.approx(expect)
 
 
 def test_h_sigma_prime_matches_difference_quotient():
-    ctx = AuxContext(1.0, 2.0, sigma=0.2,
-                     epsilon=complex(math.cos(0.7), math.sin(0.7)))
+    p = from_mu_nu(1.0, 2.0, sigma=0.2)
+    eps = complex(math.cos(0.7), math.sin(0.7))
     z = 0.4 - 0.3j
     h = 1e-6
-    fd = (oracles.h_sigma(ctx, z + h) - oracles.h_sigma(ctx, z - h)) / (2 * h)
-    assert oracles.h_sigma_prime(ctx, z) == pytest.approx(fd, rel=1e-8)
+    fd = (oracles.h_sigma(p, eps, z + h)
+          - oracles.h_sigma(p, eps, z - h)) / (2 * h)
+    assert oracles.h_sigma_prime(p, eps, z) == pytest.approx(fd, rel=1e-8)
 
 
 def test_h_sigma_pole():
-    ctx = AuxContext(1.0, 2.0)
+    p = from_mu_nu(1.0, 2.0)
     with pytest.raises(PoleError):
-        oracles.h_sigma(ctx, 1.0 + 0j)
+        oracles.h_sigma(p, 1.0, 1.0 + 0j)
     with pytest.raises(PoleError):
-        oracles.h_sigma_prime(ctx, 1.0 + 1e-12j)
+        oracles.h_sigma_prime(p, 1.0, 1.0 + 1e-12j)
 
 
 def test_l_integrand_vanishes_at_unit_epsilon_minus_one():
-    ctx = AuxContext(1.0, 2.0, 0.1, 0.5, epsilon=1.0 + 0j)
+    p = from_mu_nu(1.0, 2.0, 0.1, 0.5)
     t = np.linspace(0.05, 0.95, 40)
-    vals = auxfun.l_integrand(ctx, -1.0 + 1e-4, t)
+    vals = auxfun.l_integrand(p, 1.0 + 0j, -1.0 + 1e-4, t)
     assert np.max(np.abs(vals)) <= 1e-3
 
 
 def test_l_integrand_scalar_and_vector_agree():
-    ctx = AuxContext(1.0, 2.0, 0.1, 0.5,
-                     epsilon=complex(math.cos(0.3), math.sin(0.3)))
+    p = from_mu_nu(1.0, 2.0, 0.1, 0.5)
+    eps = complex(math.cos(0.3), math.sin(0.3))
     z = 0.5 + 0.4j
     t = np.array([0.2, 0.5, 0.8])
-    vec = auxfun.l_integrand(ctx, z, t)
+    vec = auxfun.l_integrand(p, eps, z, t)
     for i, ti in enumerate(t):
-        assert vec[i] == pytest.approx(auxfun.l_integrand(ctx, z, float(ti)))
+        assert vec[i] == pytest.approx(
+            auxfun.l_integrand(p, eps, z, float(ti)))
 
 
 # ---------------------------------------------------------------------------

@@ -62,12 +62,11 @@ def test_beta_quadrature_accurate_where_i_nears_one():
     from scipy import integrate
     kernel = pc.make_kernel("komatu", c=-0.5, delta=4.0)
     p = pc.ParameterSet.from_mu_nu(2.0, 3.0, sigma=0.1, xi=0.25)
-    ctx = auxfun.AuxContext(p.mu, p.nu, p.sigma, p.xi)
 
     def f(u):
         t = np.array([u**4])
         return float(4.0 * u**3 * kernels.density(kernel, t)[0]
-                     * oracles.combined_gq(ctx, t)[0])
+                     * oracles.combined_gq(p, t)[0])
 
     i_ref = integrate.quad(f, 0.0, 1.0, epsabs=1e-15, epsrel=1e-14,
                            limit=500)[0]
@@ -80,9 +79,9 @@ def test_beta_quadrature_builds_one_rule_and_sums_no_series(monkeypatch):
     calls = []
     build = oracles.gq_rule
 
-    def counted(ctx):
-        calls.append(ctx)
-        return build(ctx)
+    def counted(params):
+        calls.append(params)
+        return build(params)
 
     monkeypatch.setattr(oracles, "gq_rule", counted)
     monkeypatch.setattr(oracles, "_series_sum", None)
@@ -159,10 +158,10 @@ def test_m_functional_node_route_matches_direct():
 
 
 def test_m_functional_min_nonnegative_for_certified_instance():
-    mmin, zmin, emin = certify.m_functional_min(KOMATU, P12)
-    assert mmin >= -1e-6
-    assert abs(emin) == pytest.approx(1.0)
-    assert abs(zmin) <= 0.999 + 1e-12
+    rep = certify.run_certification(KOMATU, P12)
+    assert rep.m_functional_min >= -1e-6
+    assert abs(rep.m_argmin_eps) == pytest.approx(1.0)
+    assert abs(rep.m_argmin_z) <= 0.999 + 1e-12
 
 
 def _circles(grid, radii=(0.5, 0.9, 0.99, 0.999)):
@@ -195,7 +194,8 @@ def test_m_functional_min_not_above_dense_scan(kernel, p):
     theta = 2.0 * np.pi * np.arange(4096) / 4096
     scan = np.min([_epsilon_scan(pz, qc, p.sigma, th)[0]
                    for th in np.split(theta, 8)], axis=0)
-    mmin, zmin, emin = certify.m_functional_min(kernel, p, grid)
+    rep = certify.run_certification(kernel, p, grid)
+    mmin, zmin, emin = rep.m_functional_min, rep.m_argmin_z, rep.m_argmin_eps
     assert mmin <= scan.min() + 1e-15
     assert zmin == z[np.argmin(scan)]
     assert abs(emin) == pytest.approx(1.0, abs=1e-15)
@@ -221,8 +221,39 @@ def test_m_functional_min_below_refined_epsilon_scan():
             i = np.argmin(vals)
             best, best_theta = vals, thetas
         width /= 4.0
-    mmin, _, _ = certify.m_functional_min(kernel, p, grid)
-    assert mmin < best[i] - 1e-9
+    rep = certify.run_certification(kernel, p, grid)
+    assert rep.m_functional_min < best[i] - 1e-9
+
+
+# two false PASSes (ROADMAP item 1): the functional is positive on the
+# report's circle |z| = 0.999 and negative nearer |z| = 1 at the angle
+FALSE_PASSES = {
+    "bernardi-c0": (pc.make_kernel("bernardi", c=0.0),
+                    pc.ParameterSet.from_mu_nu(1.0, 2.0, 0.9, 0.5),
+                    2.0 * np.pi * 95 / 256),
+    "komatu-c0-d0.5": (pc.make_kernel("komatu", c=0.0, delta=0.5),
+                       pc.ParameterSet.from_mu_nu(1.0, 2.0, 0.0, 1.0),
+                       2.0 * np.pi / 256),
+}
+
+
+@pytest.mark.parametrize("kernel,p,theta", FALSE_PASSES.values(),
+                         ids=FALSE_PASSES)
+def test_m_functional_negative_near_unit_circle_by_oracle(kernel, p, theta):
+    # epsilon minimizes M at z for the node sums; the oracle integrates
+    # with its own adaptive Pi envelope
+    z = 0.9999 * np.exp(1j * theta)
+    _, qc = certify._pq_profiles(certify._m_nodes(kernel, p), p, [z])
+    eps = complex(-np.conj(qc[0]) / abs(qc[0]))
+    assert oracles.m_functional_direct(kernel, p, z, eps) < 0.0
+
+
+@pytest.mark.xfail(strict=True, reason="the functional row reads the circle "
+                   "|z| = 0.999 only (ROADMAP item 1)")
+@pytest.mark.parametrize("kernel,p,theta", FALSE_PASSES.values(),
+                         ids=FALSE_PASSES)
+def test_false_pass_fails_certification(kernel, p, theta):
+    assert not certify.run_certification(kernel, p).passed()
 
 
 def test_monotone_condition_not_applicable_at_xi_zero():
@@ -651,7 +682,7 @@ def test_upper_half_node_sums_unfold_to_full_circle(angles):
 
 
 @pytest.mark.parametrize("angles", [5, 7, 64, 256])
-def test_conjugate_pair_minimum_reports_upper_point(monkeypatch, angles):
+def test_conjugate_pair_minimum_reports_upper_point(angles):
     # at 5 and 7 angles both minima sit on a pair z, conj z off the axis;
     # the full circle is unfolded from the same half-circle sums the
     # report takes, as sums in another order round differently
@@ -675,15 +706,6 @@ def test_conjugate_pair_minimum_reports_upper_point(monkeypatch, angles):
         assert min(abs(got_z - z[i]), abs(got_z - np.conj(z[i]))) <= 1e-15
         if angles % 2:
             assert got_z.imag > 0.0
-    # the default path of m_functional_min takes the same half circle
-    sizes = []
-    build = certify._node_sums
-    monkeypatch.setattr(certify, "_node_sums",
-                        lambda nodes, z: sizes.append(len(z))
-                        or build(nodes, z))
-    assert certify.m_functional_min(KOMATU, P12, grid)[:2] == (
-        rep.m_functional_min, rep.m_argmin_z)
-    assert sizes == [angles // 2 + 1]
 
 
 @pytest.mark.parametrize("angles", [5, 64])

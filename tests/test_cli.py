@@ -288,7 +288,11 @@ def test_main_bad_config_exit_two(capsys):
     (["--mu", "1", "--nu", "2", "--xi", "2"], "xi must lie in [0, 1]"),
     (["--mu", "-1", "--nu", "2"], "alpha, gamma, mu, nu must be nonnegative"),
     (["--alpha", "1", "--gamma", "2"], "no nonnegative (mu, nu) for alpha=1"),
-], ids=["sigma", "xi", "mu", "alpha-gamma"])
+    # mu = nu = 0 leaves no transform: a configuration, not a failed stage
+    (["--alpha", "0", "--gamma", "0", "--sigma", "0.1", "--xi", "1"],
+     "alpha = 0 forces mu = nu = 0"),
+    (["--mu", "0", "--nu", "0"], "alpha = 0 forces mu = nu = 0"),
+], ids=["sigma", "xi", "mu", "alpha-gamma", "alpha-zero", "mu-nu-zero"])
 def test_main_value_out_of_range_is_config_error(command, flags, message,
                                                  capsys):
     # a bad configuration, not a stage that failed

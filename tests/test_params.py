@@ -179,18 +179,16 @@ def test_hypothesis_check_pins_every_family(text, sigma, xi, theorem, rows):
 # the records check their values however they are built
 
 PARAMETERS = dict(alpha=5.0, gamma=2.0, mu=1.0, nu=2.0, sigma=0.1, xi=0.5)
-AUX = dict(mu=1.0, nu=2.0, sigma=0.1, xi=0.5, epsilon=1.0 + 0.0j)
 # (record, all its fields, the message of the DomainError they raise)
 REJECTED = {
     "parameters-sigma": (pc.ParameterSet, {**PARAMETERS, "sigma": 1.5},
                          "sigma must lie in [0, 1)"),
     "parameters-xi": (pc.ParameterSet, {**PARAMETERS, "xi": 2.0},
                       "xi must lie in [0, 1]"),
-    "aux-sigma": (pc.AuxContext, {**AUX, "sigma": 1.5},
-                  "sigma must lie in [0, 1)"),
-    "aux-xi": (pc.AuxContext, {**AUX, "xi": 2.0}, "xi must lie in [0, 1]"),
-    "aux-epsilon": (pc.AuxContext, {**AUX, "epsilon": 1.5j},
-                    "epsilon must be unimodular"),
+    "parameters-alpha-zero": (
+        pc.ParameterSet, {**PARAMETERS, "alpha": 0.0, "gamma": 0.0,
+                          "mu": 0.0, "nu": 0.0},
+        "alpha = 0 forces mu = nu = 0; need alpha > 0"),
     "disk-angles": (pc.DiskGrid, dict(radius=0.999, angles=3),
                     "need at least 4 angles"),
 }

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pascucert as pc
-from pascucert import auxfun, kernels, oracles
+from pascucert import kernels, oracles
 from pascucert.errors import DomainError, QuadratureFailure
 from pascucert.oracles import _MAX_PANELS, _sub_power, integrate_01
 from pascucert.quadrature import gauss_legendre
@@ -53,7 +53,7 @@ def _quad_reference(f, f_complement, p, q):
 @pytest.mark.parametrize("kernel", KERNELS, ids=[k.text() for k in KERNELS])
 def test_integrate_01_matches_scipy_quad_on_mass_and_beta(kernel):
     p, q = kernels.endpoint_exponents(kernel)
-    ctx = auxfun.AuxContext(1.0, 2.0, 0.1, 1.0)
+    params = pc.ParameterSet.from_mu_nu(1.0, 2.0, 0.1, 1.0)
 
     def mass(t):
         return kernels.density(kernel, t)
@@ -62,11 +62,11 @@ def test_integrate_01_matches_scipy_quad_on_mass_and_beta(kernel):
         return kernels.density_complement(kernel, d)
 
     def beta(t):
-        return kernels.density(kernel, t) * oracles.combined_gq(ctx, t)
+        return kernels.density(kernel, t) * oracles.combined_gq(params, t)
 
     def beta_c(d):
         return (kernels.density_complement(kernel, d)
-                * oracles.combined_gq(ctx, 1.0 - d))
+                * oracles.combined_gq(params, 1.0 - d))
 
     for f, fc, epsabs in ((mass, mass_c, 1e-12), (beta, beta_c, 1e-10)):
         got = integrate_01(f, p, q, epsabs=epsabs, f_complement=fc)
