@@ -27,17 +27,17 @@ and sharpness checks are in the oracles module.
 
 Each verdict is a table of params.Row, each threshold compared in one
 row.  V_lambda maps W_beta into M(sigma, xi) exactly when M >= 0, so
-run_certification's rows are beta_routes, functional and membership; it
-reports the sufficient conditions of theorem_rows and the sharpness
-residual as values only, and a checker that breaks down by the class
-name of its error.
+run_certification's rows are beta_routes, functional and membership, and
+it reports the sharpness residual as a value only.  It computes nothing
+of the theorem route: condition_margins and theorem_rows serve check
+and sweep, and plot_curves the plot data.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,12 +50,14 @@ from .quadrature import (ALTERNATING_TERMS, averaged_partial_sum,
                          chebyshev_grid, gauss_panels)
 
 # the version of every command's JSON and of CertificationReport.to_dict
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 BETA_ROUTE_TOL = 1e-7
 # the least tolerance of the functional row; a larger --tol replaces it
 FUNCTIONAL_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-3
 CHECK_GRID_POINTS = 257
+# the most angles of a DiskGrid, whose arrays then take a few hundred MB
+MAX_ANGLES = 2**20
 
 
 class _DiskFields(NamedTuple):
@@ -75,6 +77,8 @@ class DiskGrid(_DiskFields):
             raise DomainError("radius must lie in (0, 1)")
         if self.angles < 4:
             raise DomainError("need at least 4 angles")
+        if self.angles > MAX_ANGLES:
+            raise DomainError(f"need at most {MAX_ANGLES} angles")
         return self
 
     def theta(self) -> np.ndarray:
@@ -235,15 +239,15 @@ def _m_nodes(kernel: kernels.KernelSpec, params: params_mod.ParameterSet):
 
 
 class SharedPieces:
-    """The parts of a certification fixed by (kernel, mu, nu) alone, for
-    every (sigma, xi) point of that key: the M-nodes, tau_1 ..
-    tau_ALTERNATING_TERMS of the series route, and the envelopes and slope
-    profile on the checkers' grid.  Every stage that needs one of them
-    takes it from the SharedPieces it is given, or from fresh ones.  Each
-    is built at its first use and kept for the next; a build that fails
-    raises at every use, as a fresh build would.  Of params only mu and
-    nu are read.  Assigning grid before its first use puts the checkers
-    on other points.
+    """The work fixed by (kernel, mu, nu) alone, for every (sigma, xi)
+    point of that key: the M-nodes and tau_1 .. tau_ALTERNATING_TERMS,
+    which a certification reads, and the envelopes and slope profile on
+    the checkers' grid, which the theorem route and the plot curves read.
+    Every stage takes them from the SharedPieces it is given, or from
+    fresh ones.  Each is built at its first use and kept for the next; a
+    build that fails raises at every use, as a fresh build would.  Of
+    params only mu and nu are read.  Assigning grid before its first use
+    puts the checkers on other points.
     """
 
     def __init__(self, kernel: kernels.KernelSpec,
@@ -524,8 +528,8 @@ def theorem_rows(margins: dict, hyp_report, tol: float = 0.0) -> list:
 
 class CertificationReport(NamedTuple):
     """The duality route's verdict for one kernel and parameter set: rows
-    holds its table (run_certification), and curves the plot curves if
-    run_certification was asked for them, else it is empty."""
+    holds its table (run_certification).  The theorem route's margins are
+    condition_margins', and their curves plot_curves'."""
 
     params: params_mod.ParameterSet
     kernel: kernels.KernelSpec
@@ -534,13 +538,10 @@ class CertificationReport(NamedTuple):
     m_functional_min: float
     m_argmin_z: complex
     m_argmin_eps: complex
-    condition_margins: dict
     membership_min: float
     membership_argmin: complex
     sharpness_residual: float
-    hypothesis_report: Optional[params_mod.HypothesisReport]
     rows: tuple
-    curves: dict
 
     def failed(self) -> list:
         """The names of the rows that fail."""
@@ -551,7 +552,6 @@ class CertificationReport(NamedTuple):
 
     def to_dict(self) -> dict:
         p = self.params
-        hyp = self.hypothesis_report
         return {
             "schema_version": SCHEMA_VERSION,
             "kernel": self.kernel.text(),
@@ -570,14 +570,12 @@ class CertificationReport(NamedTuple):
                 "argmin_z": [self.m_argmin_z.real, self.m_argmin_z.imag],
                 "argmin_eps": [self.m_argmin_eps.real, self.m_argmin_eps.imag],
             },
-            "condition_margins": dict(self.condition_margins),
             "membership": {
                 "min_margin": self.membership_min,
                 "argmin_z": [self.membership_argmin.real,
                              self.membership_argmin.imag],
             },
             "sharpness_residual": self.sharpness_residual,
-            "hypothesis_check": None if hyp is None else hyp.to_dict(),
             "passed": self.passed(),
             "failed": self.failed(),
         }
@@ -586,14 +584,13 @@ class CertificationReport(NamedTuple):
 def run_certification(kernel: kernels.KernelSpec,
                       params: params_mod.ParameterSet,
                       grid: DiskGrid = DiskGrid(),
-                      with_curves: bool = False,
                       tol: float = 0.0) -> CertificationReport:
-    """Full pipeline: beta, duality functional, conditions, membership and
-    sharpness of the extremal image, and the plot curves, all from one
-    SharedPieces and the M-node beta.  tol widens the functional row past
-    FUNCTIONAL_TOL.  This is the one pass over the grid circle: as
-    M(conj z, conj eps) = M(z, eps), its upper half holds the minimum, and
-    the report carries it with its z (Im z >= 0) and epsilon."""
+    """Full pipeline: beta, duality functional, membership and sharpness
+    of the extremal image, all from one SharedPieces and the M-node beta.
+    tol widens the functional row past FUNCTIONAL_TOL.  This is the one
+    pass over the grid circle: as M(conj z, conj eps) = M(z, eps), its
+    upper half holds the minimum, and the report carries it with its z
+    (Im z >= 0) and epsilon."""
     pieces = SharedPieces(kernel, params)
     beta = beta_routes(kernel, params, pieces)
 
@@ -605,11 +602,6 @@ def run_certification(kernel: kernels.KernelSpec,
     m_min, argmin_z, argmin_eps = _min_from_sums(
         nodes, params, z[:-1], *(m[:-1] for m in sums))
 
-    margins, hyp_report = condition_margins(kernel, params, pieces,
-                                            name_errors=True)
-    if hyp_report is not None:
-        margins[f"hypotheses_{hyp_report.theorem}"] = hyp_report.min_margin
-
     k_over_z, ratio = _image_from_sums(nodes[1], params, beta.nodes, *sums)
     _winding_guard(grid.unfold(k_over_z[:-1]), grid.boundary_points())
     ratio = ratio.real
@@ -619,11 +611,6 @@ def run_certification(kernel: kernels.KernelSpec,
             Row("functional", m_min, max(tol, FUNCTIONAL_TOL)),
             Row("membership", membership, MEMBERSHIP_TOL))
 
-    curves: dict = {}
-    if with_curves:
-        curves = _report_curves(pieces, params, margins, argmin_z,
-                                argmin_eps, grid.unfold(ratio[:-1]), grid)
-
     return CertificationReport(
         params=params,
         kernel=kernel,
@@ -632,32 +619,36 @@ def run_certification(kernel: kernels.KernelSpec,
         m_functional_min=m_min,
         m_argmin_z=argmin_z,
         m_argmin_eps=argmin_eps,
-        condition_margins=margins,
         membership_min=membership,
         membership_argmin=complex(z[i]),
         sharpness_residual=float(abs(ratio[-1] - params.sigma)),
-        hypothesis_report=hyp_report,
         rows=rows,
-        curves=curves,
     )
 
 
-def _report_curves(pieces, params, margins, argmin_z, argmin_eps, ratio,
-                   grid):
-    """The plot curves on the checkers' grid, so the condition curves hold
-    exactly what the margins are the minima of."""
+def plot_curves(report: CertificationReport, grid: DiskGrid) -> dict:
+    """The plot curves of a certification run on grid: Pi, L at the
+    functional's argmin and the two condition curves on the checkers'
+    grid, so the condition curves hold exactly what the margins of
+    condition_margins (under "margins", a checker's error by its class
+    name) are the minima of, and Re(zK'/K) around the circle.  A
+    condition curve is NaN where its margin is no number."""
+    params = report.params
+    pieces = SharedPieces(report.kernel, params)
+    margins, _ = condition_margins(report.kernel, params, pieces,
+                                   name_errors=True)
     t = pieces.grid
-    l_vals = auxfun.l_integrand(params, argmin_eps, argmin_z, t)
-    # a curve where its condition applies, that is, where its margin is a
-    # number
-    growth = np.full_like(t, np.nan)
-    if isinstance(margins["growth"], float):
-        growth = _growth_curve(params, pieces)
-    monotone = np.full_like(t, np.nan)
-    if isinstance(margins["monotone"], float):
-        monotone = _monotone_curve(params, pieces)
+    growth, monotone = (
+        curve(params, pieces) if isinstance(margins[name], float)
+        else np.full_like(t, np.nan) for name, curve in
+        (("growth", _growth_curve), ("monotone", _monotone_curve)))
+    _, ratio = extremal_image(pieces.nodes, params, report.beta_integral,
+                              grid.upper_points())
     return {
-        "t": t, "pi": pieces.grid_envelopes[1], "l_at_argmin": l_vals,
+        "t": t, "pi": pieces.grid_envelopes[1],
+        "l_at_argmin": auxfun.l_integrand(params, report.m_argmin_eps,
+                                          report.m_argmin_z, t),
         "growth_margin": growth, "monotone_expression": monotone,
-        "theta": grid.theta(), "re_zkprime_over_k": ratio,
+        "margins": margins,
+        "theta": grid.theta(), "re_zkprime_over_k": grid.unfold(ratio).real,
     }

@@ -62,6 +62,10 @@ _COMMANDS = {
 
 _FORMATS = ("json", "csv", "text")
 
+# the largest --nmax, and the most points of a sweep range [lo:hi:n] and
+# of a whole sweep
+MAX_NMAX, MAX_SWEEP_POINTS = 2**20, 2**16
+
 # the type of each flag value that is not text; the problem flags stay
 # text for the sweep grammar
 _FLAG_TYPES = {"tol": float, "angles": int, "nmax": int}
@@ -126,6 +130,8 @@ class RunConfig(_RunFields):
                               f"{self.tol!r}")
         if self.nmax < 1:
             raise ConfigError("need nmax >= 1")
+        if self.nmax > MAX_NMAX:
+            raise ConfigError(f"need nmax <= {MAX_NMAX}")
         if self.format not in _FORMATS:
             raise ConfigError(f"unknown format {self.format!r}")
         try:
@@ -172,8 +178,9 @@ def _sweep_values(text: str) -> list:
             lo, hi, n = float(lo), float(hi), int(n)
         except ValueError:
             raise ConfigError(f"bad sweep range: {text!r}")
-        if n < 1:
-            raise ConfigError(f"bad sweep range: {text!r}")
+        if not 1 <= n <= MAX_SWEEP_POINTS:
+            raise ConfigError(f"bad sweep range: {text!r} (need 1 to "
+                              f"{MAX_SWEEP_POINTS} points)")
         return [lo] if n == 1 else list(np.linspace(lo, hi, n))
     try:
         return [float(text)]
@@ -194,6 +201,8 @@ def expand_kernel_sweep(text: str) -> list:
         k, v = item.split("=", 1)
         keys.append(k)
         choices.append(expand_sweep_value(v))
+    if math.prod(map(len, choices)) > MAX_SWEEP_POINTS:
+        raise ConfigError(f"a sweep takes at most {MAX_SWEEP_POINTS} points")
     out = []
     for combo in itertools.product(*choices):
         items = " ".join(f"{k}={kernels.value_text(v)}"
@@ -302,17 +311,15 @@ def _csv_rows(rows: list, header: list) -> str:
     return buf.getvalue()
 
 
-def emit_plot_data(rep) -> str:
-    """Plot-ready CSV of one report in two blocks: the t-curves (t, Pi, L
-    at argmin z, condition margins) then the boundary angular sweep.
-    Inapplicable margin columns carry NotApplicable, and those of a
-    checker that broke down the class name of its error."""
-    c = rep.curves
-    if not c:
-        raise ConfigError("report carries no curves; rerun with curves")
+def emit_plot_data(rep, grid: certify.DiskGrid) -> str:
+    """Plot-ready CSV of one report, certified on grid, in two blocks: the
+    t-curves (t, Pi, L at argmin z, condition margins) then the boundary
+    angular sweep.  Inapplicable margin columns carry NotApplicable, and
+    those of a checker that broke down the class name of its error."""
+    c = certify.plot_curves(rep, grid)
     growth, monotone = (m if isinstance(m, str) else None
-                        for m in (rep.condition_margins["growth"],
-                                  rep.condition_margins["monotone"]))
+                        for m in (c["margins"]["growth"],
+                                  c["margins"]["monotone"]))
     rows = []
     for i in range(len(c["t"])):
         g = c["growth_margin"][i]
@@ -397,21 +404,19 @@ def _cmd_check(cfg: RunConfig) -> _Result:
 
 def _cmd_certify(cfg: RunConfig) -> _Result:
     kernel = kernels.parse_kernel(cfg.kernel)
-    rep = certify.run_certification(kernel, cfg.parameter_set(),
-                                    cfg.disk_grid(),
-                                    with_curves=cfg.plot_data is not None,
+    grid = cfg.disk_grid()
+    rep = certify.run_certification(kernel, cfg.parameter_set(), grid,
                                     tol=cfg.tol)
-    p, m = rep.params, rep.condition_margins
+    p = rep.params
     return _Result(
         rep.passed(), rep.to_dict(),
         ["kernel", "mu", "nu", "sigma", "xi", "beta", "m_functional_min",
-         "monotone_margin", "growth_margin", "membership_min",
-         "sharpness_residual", "passed", "failed"],
+         "membership_min", "sharpness_residual", "passed", "failed"],
         [[rep.kernel.text(), p.mu, p.nu, p.sigma, p.xi, rep.beta_integral,
-          rep.m_functional_min, m.get("monotone"), m.get("growth"),
-          rep.membership_min, rep.sharpness_residual, rep.passed(),
-          rep.failed()]],
-        lead="", plot=None if cfg.plot_data is None else emit_plot_data(rep))
+          rep.m_functional_min, rep.membership_min, rep.sharpness_residual,
+          rep.passed(), rep.failed()]],
+        lead="",
+        plot=None if cfg.plot_data is None else emit_plot_data(rep, grid))
 
 
 def _cmd_moments(cfg: RunConfig) -> _Result:
@@ -455,12 +460,13 @@ def _cmd_sweep(cfg: RunConfig, values: dict) -> _Result:
     arrays are alive at a time and nothing is kept after the sweep.
     """
     # a flag not swept takes the config's value; an absent pair is None
+    choices = [expand_kernel_sweep(cfg.kernel)] + [
+        values.get(name) or [getattr(cfg, name)] for name in _SWEPT]
+    if math.prod(map(len, choices)) > MAX_SWEEP_POINTS:
+        raise ConfigError(f"a sweep takes at most {MAX_SWEEP_POINTS} points")
     points = [RunConfig(**{**cfg._asdict(), "kernel": text,
                            **dict(zip(_SWEPT, combo))})
-              for text, *combo in itertools.product(
-                  expand_kernel_sweep(cfg.kernel),
-                  *(values.get(name) or [getattr(cfg, name)]
-                    for name in _SWEPT))]
+              for text, *combo in itertools.product(*choices)]
     rows = []
     for _, same_key in itertools.groupby(
             points, lambda q: (q.kernel, q.alpha, q.gamma, q.mu, q.nu)):

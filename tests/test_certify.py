@@ -130,6 +130,10 @@ def test_disk_grid_validation():
         certify.DiskGrid(radius=1.0)
     with pytest.raises(DomainError):
         certify.DiskGrid(angles=2)
+    # rejected before any array is built
+    for angles in (certify.MAX_ANGLES + 1, 2**44):
+        with pytest.raises(DomainError, match="at most"):
+            certify.DiskGrid(angles=angles)
     grid = certify.DiskGrid(radius=0.9, angles=8)
     z = grid.boundary_points()
     assert len(z) == 8
@@ -311,14 +315,17 @@ def test_growth_condition_raises_at_first_critical_point():
 
 def test_report_growth_curve_matches_checker():
     # the plot curves are on the checkers' grid: their minima are the
-    # reported margins themselves
-    rep = certify.run_certification(KOMATU, P12, with_curves=True)
-    c = rep.curves
+    # checkers' margins themselves
+    grid = certify.DiskGrid()
+    c = certify.plot_curves(certify.run_certification(KOMATU, P12, grid),
+                            grid)
+    margins, _ = certify.condition_margins(KOMATU, P12)
+    assert c["margins"] == margins
     assert np.array_equal(c["t"], certify.default_t_grid(
         certify.CHECK_GRID_POINTS))
-    assert np.min(c["growth_margin"]) == rep.condition_margins["growth"]
+    assert np.min(c["growth_margin"]) == margins["growth"]
     slopes = np.diff(c["monotone_expression"]) / np.diff(c["t"])
-    assert np.min(slopes) == rep.condition_margins["monotone"]
+    assert np.min(slopes) == margins["monotone"]
 
 
 def test_growth_condition_requires_gamma_positive():
@@ -373,12 +380,13 @@ def test_verify_sharpness_extremal_starlike():
 def test_run_certification_report_schema():
     rep = certify.run_certification(KOMATU, P12)
     d = rep.to_dict()
-    assert d["schema_version"] == 3
+    assert d["schema_version"] == 4
     assert d["kernel"] == "komatu c=0 delta=3"
     assert d["beta"]["integral"] == pytest.approx(d["beta"]["series"],
                                                   abs=1e-7)
     assert d["params"]["beta"] == d["beta"]["integral"]
-    assert d["hypothesis_check"]["all_satisfied"] is True
+    # the theorem route is check's and sweep's, not certify's
+    assert "hypothesis_check" not in d and "condition_margins" not in d
     assert isinstance(d["passed"], bool)
     assert d["failed"] == []
     assert rep.passed()
@@ -388,8 +396,9 @@ def test_run_certification_report_schema():
 
 
 def test_run_certification_curves():
-    rep = certify.run_certification(KOMATU, P12, with_curves=True)
-    c = rep.curves
+    grid = certify.DiskGrid()
+    c = certify.plot_curves(certify.run_certification(KOMATU, P12, grid),
+                            grid)
     assert len(c["t"]) == len(c["pi"]) == len(c["l_at_argmin"])
     assert np.all(np.isfinite(c["pi"]))
     assert len(c["theta"]) == len(c["re_zkprime_over_k"])
@@ -397,9 +406,26 @@ def test_run_certification_curves():
 
 def test_report_condition_margins_none_at_xi_zero():
     p = pc.ParameterSet.from_mu_nu(1.0, 2.0, sigma=0.0, xi=0.0)
-    rep = certify.run_certification(BERNARDI, p)
-    assert rep.condition_margins["monotone"] is None
-    assert rep.condition_margins["growth"] is None
+    margins, _ = certify.condition_margins(BERNARDI, p)
+    assert margins["monotone"] is None
+    assert margins["growth"] is None
+
+
+def test_run_certification_runs_no_theorem_route(monkeypatch):
+    # no row of certify reads the sufficient conditions or the hypotheses,
+    # so a certification calls none of their routines
+    want = certify.run_certification(KOMATU, P12)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the theorem route ran")
+
+    for module, name in ((certify, "check_monotone_condition"),
+                         (certify, "check_growth_condition"),
+                         (kernels, "slope_profile"),
+                         (pc.params, "hypothesis_check")):
+        monkeypatch.setattr(module, name, refuse)
+    got = certify.run_certification(KOMATU, P12)
+    assert got.rows == want.rows
 
 
 @pytest.mark.parametrize("text,beta", [
@@ -546,14 +572,13 @@ def test_m_nodes_built_once_per_certification(monkeypatch):
         return build(kernel, p)
 
     monkeypatch.setattr(certify, "_m_nodes", counted)
-    certify.run_certification(KOMATU, P12, with_curves=True)
+    certify.run_certification(KOMATU, P12)
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("with_curves,want", [(False, 2), (True, 2)])
-def test_envelopes_built_once_per_grid(monkeypatch, with_curves, want):
-    # the M-nodes and the checker grid, which the plot curves share; one
-    # slope profile on that grid
+def test_envelopes_built_once_per_grid(monkeypatch):
+    # on the M-nodes only; the checker grid and its slope profile are the
+    # theorem route's
     calls = []
     build, slopes = kernels.envelopes, kernels.slope_profile
 
@@ -567,9 +592,8 @@ def test_envelopes_built_once_per_grid(monkeypatch, with_curves, want):
 
     monkeypatch.setattr(kernels, "envelopes", counted)
     monkeypatch.setattr(kernels, "slope_profile", counted_slopes)
-    certify.run_certification(KOMATU, P12, with_curves=with_curves)
-    assert len(calls) - calls.count("slopes") == want
-    assert calls.count("slopes") == 1
+    certify.run_certification(KOMATU, P12)
+    assert calls == [certify._M_U.size]
 
 
 def _pq_pointwise(nodes, params, z):
@@ -615,7 +639,7 @@ def test_node_sums_built_once_per_certification(monkeypatch):
 
     monkeypatch.setattr(certify, "_node_sums", counted)
     grid = certify.DiskGrid()
-    certify.run_certification(KOMATU, P12, grid, with_curves=True)
+    certify.run_certification(KOMATU, P12, grid)
     # the upper half of the grid circle, k = 0..angles//2, and z = -1
     assert calls == [grid.angles // 2 + 2]
 
@@ -719,12 +743,12 @@ def test_winding_guard_and_curve_see_full_circle(monkeypatch, angles):
 
     monkeypatch.setattr(certify, "_winding_guard", counted)
     grid = certify.DiskGrid(angles=angles)
-    rep = certify.run_certification(KOMATU, P12, grid, with_curves=True)
+    rep = certify.run_certification(KOMATU, P12, grid)
     z = grid.boundary_points()
     assert len(seen) == 1 and np.array_equal(seen[0], z)
     nodes = certify._m_nodes(KOMATU, P12)
     _, ratio = certify.extremal_image(nodes, P12, rep.beta_integral, z)
-    curve = rep.curves["re_zkprime_over_k"]
+    curve = certify.plot_curves(rep, grid)["re_zkprime_over_k"]
     assert curve.shape == (angles,)
     assert np.max(np.abs(curve - ratio.real)) <= 1e-13
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 import warnings
 
 import pytest
@@ -65,8 +66,10 @@ CERTIFY_FIELDS = dict(command="certify", kernel="bernardi c=1", alpha=None,
     ({"sigma": 1.5}, "sigma must lie in [0, 1)"),
     ({"xi": 2.0}, "xi must lie in [0, 1]"),
     ({"angles": 3}, "need at least 4 angles"),
-    ({"nmax": 10}, "certify does not read nmax")],
-    ids=["sigma", "xi", "angles", "unread"])
+    ({"nmax": 10}, "certify does not read nmax"),
+    ({"angles": certify.MAX_ANGLES + 1},
+     f"need at most {certify.MAX_ANGLES} angles")],
+    ids=["sigma", "xi", "angles", "unread", "angles-too-many"])
 @pytest.mark.parametrize("by", ["keyword", "position"])
 def test_runconfig_checks_values_by_keyword_and_position(change, message,
                                                          by):
@@ -373,6 +376,53 @@ def test_main_nmax_below_one_is_config_error(nmax, capsys):
     assert out == "" and "config error: need nmax >= 1" in err
 
 
+SIZE = "17592186044416"  # 2**44: 128 TiB of doubles
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["certify", "--kernel", "bernardi c=1", "--mu", "1", "--nu", "2",
+      "--angles", SIZE], f"need at most {certify.MAX_ANGLES} angles"),
+    (["certify", "--kernel", "bernardi c=1", "--mu", "1", "--nu", "2",
+      "--angles", str(certify.MAX_ANGLES + 1)],
+     f"need at most {certify.MAX_ANGLES} angles"),
+    (["moments", "--kernel", "bernardi c=1", "--nmax", SIZE],
+     f"need nmax <= {cli.MAX_NMAX}"),
+    (["moments", "--kernel", "bernardi c=1", "--nmax",
+      str(cli.MAX_NMAX + 1)], f"need nmax <= {cli.MAX_NMAX}"),
+    (["sweep", "--kernel", "bernardi c=1", "--mu", "1", "--nu", "2",
+      "--sigma", f"[0:0.5:{SIZE}]"],
+     f"bad sweep range: '[0:0.5:{SIZE}]' (need 1 to "
+     f"{cli.MAX_SWEEP_POINTS} points)"),
+    (["sweep", "--kernel", f"bernardi c=[0:1:{cli.MAX_SWEEP_POINTS + 1}]",
+      "--mu", "1", "--nu", "2"],
+     f"bad sweep range: '[0:1:{cli.MAX_SWEEP_POINTS + 1}]' (need 1 to "
+     f"{cli.MAX_SWEEP_POINTS} points)"),
+    # 300**2 = 90000 points, of ranges within the bound
+    (["sweep", "--kernel", "bernardi c=1", "--mu", "1", "--nu", "2",
+      "--sigma", "[0:0.5:300]", "--xi", "[0:1:300]"],
+     f"a sweep takes at most {cli.MAX_SWEEP_POINTS} points"),
+    (["sweep", "--kernel", "bernardi c=[0:1:300]", "--mu", "1", "--nu", "2",
+      "--sigma", "[0:0.5:300]"],
+     f"a sweep takes at most {cli.MAX_SWEEP_POINTS} points"),
+    (["sweep", "--kernel", "generalized A=[1:2:300] B=[1:2:300] C=4",
+      "--mu", "1", "--nu", "2"],
+     f"a sweep takes at most {cli.MAX_SWEEP_POINTS} points")],
+    ids=["angles", "angles-bound", "nmax", "nmax-bound", "sweep-sigma",
+         "sweep-kernel", "sweep-product", "sweep-kernel-product",
+         "sweep-kernels"])
+def test_main_oversized_size_is_config_error(argv, message, capsys):
+    # each is rejected before any array of that size is allocated
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and peak < 2**20
+    assert capsys.readouterr() == (
+        "", f"pascucert: config error: {message}\n")
+
+
 def test_main_epsilon_count_is_unrecognized(capsys):
     # the functional's epsilon minimum is exact, so there is no scan density
     with pytest.raises(SystemExit) as exc:
@@ -579,8 +629,8 @@ def test_main_constant_density_sets_growth_aside(tmp_path, capsys):
             "--sigma", "0.1", "--xi", "1", "--format", "json"]
     assert cli.main(["certify"] + args + ["--plot-data", str(plot)]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["condition_margins"]["growth"] is None and rep["passed"]
-    assert rep["m_functional"]["min"] > 0.0
+    assert rep["passed"] and rep["m_functional"]["min"] > 0.0
+    # the growth cells of the plot data, and check, set growth aside
     rows = plot.read_text().split("\n\n")[0].splitlines()[1:]
     assert all(r.split(",")[3] == "NotApplicable" for r in rows)
     # the monotone condition does apply, and fails
@@ -781,7 +831,7 @@ def test_main_json_output_deterministic(tmp_path):
     cli.main(args + ["--output", str(b)])
     assert a.read_bytes() == b.read_bytes()
     payload = json.loads(a.read_text())
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 4
     assert payload["condition_margins"]["growth"] > 0
 
 
@@ -971,16 +1021,18 @@ def test_verdicts_run_no_adaptive_beta_quadrature(monkeypatch, tmp_path,
 # ---------------------------------------------------------------------------
 # plot data
 
+GRID = certify.DiskGrid(radius=0.9, angles=32)
+
+
 def _small_report(xi):
     kernel = kernels.make_kernel("bernardi", c=1.0)
     p = params.ParameterSet.from_mu_nu(1.0, 2.0, 0.1, xi)
-    grid = certify.DiskGrid(radius=0.9, angles=32)
-    return certify.run_certification(kernel, p, grid, with_curves=True)
+    return certify.run_certification(kernel, p, GRID)
 
 
 def test_plot_data_single_report_blocks():
     rep = _small_report(0.5)
-    text = cli.emit_plot_data(rep)
+    text = cli.emit_plot_data(rep, GRID)
     blocks = text.split("\n\n")
     header1 = blocks[0].splitlines()[0]
     assert header1 == "t,pi,l_at_argmin_z,growth_margin,monotone_expression"
@@ -989,28 +1041,20 @@ def test_plot_data_single_report_blocks():
 
 def test_plot_data_marks_inapplicable_margins():
     rep = _small_report(0.0)
-    assert all(math.isnan(v)
-               for v in rep.curves["monotone_expression"])
-    text = cli.emit_plot_data(rep)
+    assert all(math.isnan(v) for v in
+               certify.plot_curves(rep, GRID)["monotone_expression"])
+    text = cli.emit_plot_data(rep, GRID)
     first_data_row = text.splitlines()[1]
     assert first_data_row.endswith("NotApplicable")
-
-
-def test_plot_data_needs_curves():
-    kernel = kernels.make_kernel("bernardi", c=1.0)
-    p = params.ParameterSet.from_mu_nu(1.0, 2.0, 0.1, 0.5)
-    grid = certify.DiskGrid(radius=0.5, angles=16)
-    rep = certify.run_certification(kernel, p, grid)
-    with pytest.raises(ConfigError):
-        cli.emit_plot_data(rep)
 
 
 @pytest.mark.parametrize("c,check_rc", [(40, 0), (100, 0), (200, 1)])
 def test_main_certify_hohlov_large_c_growth_check(c, check_rc, capsys,
                                                  tmp_path):
     # a small density is no critical point; an underflowing one is named
-    # in the growth cells, and envelopes that underflow on the grid in the
-    # monotone cells, and no row of certify's table reads either
+    # in the growth cells of the plot data, and envelopes that underflow
+    # on the grid in its monotone cells, and no row of certify's table
+    # reads either
     argv = ["--kernel", f"hohlov a=1 b=1 c={c}", "--mu", "1", "--nu", "2",
             "--sigma", "0.1", "--xi", "1"]
     plot = tmp_path / "plot.csv"
@@ -1019,8 +1063,7 @@ def test_main_certify_hohlov_large_c_growth_check(c, check_rc, capsys,
     out, err = capsys.readouterr()
     assert err == ""
     header, row = (line.split(",") for line in out.splitlines())
-    for cell in ("growth_margin", "monotone_margin"):
-        assert (row[header.index(cell)] == "CriticalPoint") == bool(check_rc)
+    assert "growth_margin" not in header and "monotone_margin" not in header
     assert row[header.index("passed")] == "True"
     curve = plot.read_text().split("\n\n")[0].splitlines()[1:]
     for column in (3, 4):

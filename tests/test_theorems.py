@@ -101,10 +101,11 @@ SAME_DENSITY = [
 ]
 
 
-def _values(rep):
+def _values(kernel, p):
+    rep = certify.run_certification(kernel, p)
+    margins, _ = certify.condition_margins(kernel, p)
     return [rep.beta_integral, rep.m_functional_min, rep.membership_min,
-            rep.sharpness_residual, rep.condition_margins["monotone"],
-            rep.condition_margins["growth"]]
+            rep.sharpness_residual, margins["monotone"], margins["growth"]]
 
 
 @pytest.mark.parametrize("texts", SAME_DENSITY, ids=" = ".join)
@@ -114,8 +115,7 @@ def test_family_identities(texts):
     for mu, nu, sigma, xi in ((1.0, 2.0, 0.1, 1.0), (2.0, 2.0, 0.3, 0.5),
                               (1.0, 5.0, 0.0, 0.25), (0.5, 3.0, 0.2, 0.0)):
         p = pc.ParameterSet.from_mu_nu(mu, nu, sigma, xi)
-        one, two = (_values(certify.run_certification(pc.parse_kernel(t), p))
-                    for t in texts)
+        one, two = (_values(pc.parse_kernel(t), p) for t in texts)
         for x, y in zip(one, two):
             if x is None or y is None:
                 assert x is y
