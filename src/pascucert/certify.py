@@ -584,14 +584,15 @@ class CertificationReport(NamedTuple):
 def run_certification(kernel: kernels.KernelSpec,
                       params: params_mod.ParameterSet,
                       grid: DiskGrid = DiskGrid(),
-                      tol: float = 0.0) -> CertificationReport:
+                      tol: float = 0.0, pieces=None) -> CertificationReport:
     """Full pipeline: beta, duality functional, membership and sharpness
-    of the extremal image, all from one SharedPieces and the M-node beta.
+    of the extremal image, all from the given SharedPieces (or fresh ones)
+    and the M-node beta.
     tol widens the functional row past FUNCTIONAL_TOL.  This is the one
     pass over the grid circle: as M(conj z, conj eps) = M(z, eps), its
     upper half holds the minimum, and the report carries it with its z
     (Im z >= 0) and epsilon."""
-    pieces = SharedPieces(kernel, params)
+    pieces = pieces or SharedPieces(kernel, params)
     beta = beta_routes(kernel, params, pieces)
 
     # one set of sums: the upper half circle for M and membership (the
@@ -626,15 +627,18 @@ def run_certification(kernel: kernels.KernelSpec,
     )
 
 
-def plot_curves(report: CertificationReport, grid: DiskGrid) -> dict:
+def plot_curves(report: CertificationReport, grid: DiskGrid,
+                pieces=None) -> dict:
     """The plot curves of a certification run on grid: Pi, L at the
     functional's argmin and the two condition curves on the checkers'
     grid, so the condition curves hold exactly what the margins of
     condition_margins (under "margins", a checker's error by its class
     name) are the minima of, and Re(zK'/K) around the circle.  A
-    condition curve is NaN where its margin is no number."""
+    condition curve is NaN where its margin is no number.  The curves
+    read the given SharedPieces of the report's kernel and parameters
+    (or fresh ones)."""
     params = report.params
-    pieces = SharedPieces(report.kernel, params)
+    pieces = pieces or SharedPieces(report.kernel, params)
     margins, _ = condition_margins(report.kernel, params, pieces,
                                    name_errors=True)
     t = pieces.grid

@@ -311,12 +311,13 @@ def _csv_rows(rows: list, header: list) -> str:
     return buf.getvalue()
 
 
-def emit_plot_data(rep, grid: certify.DiskGrid) -> str:
+def emit_plot_data(rep, grid: certify.DiskGrid, pieces=None) -> str:
     """Plot-ready CSV of one report, certified on grid, in two blocks: the
     t-curves (t, Pi, L at argmin z, condition margins) then the boundary
     angular sweep.  Inapplicable margin columns carry NotApplicable, and
-    those of a checker that broke down the class name of its error."""
-    c = certify.plot_curves(rep, grid)
+    those of a checker that broke down the class name of its error.  The
+    curves read the given certify.SharedPieces (or fresh ones)."""
+    c = certify.plot_curves(rep, grid, pieces)
     growth, monotone = (m if isinstance(m, str) else None
                         for m in (c["margins"]["growth"],
                                   c["margins"]["monotone"]))
@@ -404,10 +405,11 @@ def _cmd_check(cfg: RunConfig) -> _Result:
 
 def _cmd_certify(cfg: RunConfig) -> _Result:
     kernel = kernels.parse_kernel(cfg.kernel)
-    grid = cfg.disk_grid()
-    rep = certify.run_certification(kernel, cfg.parameter_set(), grid,
-                                    tol=cfg.tol)
-    p = rep.params
+    grid, p = cfg.disk_grid(), cfg.parameter_set()
+    # the plot curves reuse the certification's M-nodes
+    pieces = certify.SharedPieces(kernel, p)
+    rep = certify.run_certification(kernel, p, grid, tol=cfg.tol,
+                                    pieces=pieces)
     return _Result(
         rep.passed(), rep.to_dict(),
         ["kernel", "mu", "nu", "sigma", "xi", "beta", "m_functional_min",
@@ -416,7 +418,8 @@ def _cmd_certify(cfg: RunConfig) -> _Result:
           rep.m_functional_min, rep.membership_min, rep.sharpness_residual,
           rep.passed(), rep.failed()]],
         lead="",
-        plot=None if cfg.plot_data is None else emit_plot_data(rep, grid))
+        plot=(None if cfg.plot_data is None
+              else emit_plot_data(rep, grid, pieces)))
 
 
 def _cmd_moments(cfg: RunConfig) -> _Result:

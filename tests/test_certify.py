@@ -576,9 +576,9 @@ def test_m_nodes_built_once_per_certification(monkeypatch):
     assert len(calls) == 1
 
 
-def test_envelopes_built_once_per_grid(monkeypatch):
-    # on the M-nodes only; the checker grid and its slope profile are the
-    # theorem route's
+def _count_envelopes(monkeypatch):
+    # the grid size of each envelopes call, and "slopes" for each slope
+    # profile
     calls = []
     build, slopes = kernels.envelopes, kernels.slope_profile
 
@@ -592,8 +592,30 @@ def test_envelopes_built_once_per_grid(monkeypatch):
 
     monkeypatch.setattr(kernels, "envelopes", counted)
     monkeypatch.setattr(kernels, "slope_profile", counted_slopes)
+    return calls
+
+
+def test_certification_builds_envelopes_on_m_nodes_only(monkeypatch):
+    # the checker grid and its slope profile are the theorem route's
+    calls = _count_envelopes(monkeypatch)
     certify.run_certification(KOMATU, P12)
     assert calls == [certify._M_U.size]
+
+
+@pytest.mark.parametrize("with_curves,want", [(False, 2), (True, 2)])
+def test_envelopes_built_once_per_grid(monkeypatch, with_curves, want):
+    # a certification and the theorem route on one SharedPieces: the
+    # M-nodes and the checker grid, which the plot curves share; one
+    # slope profile on that grid
+    calls = _count_envelopes(monkeypatch)
+    pieces = certify.SharedPieces(KOMATU, P12)
+    grid = certify.DiskGrid()
+    rep = certify.run_certification(KOMATU, P12, grid, pieces=pieces)
+    certify.condition_margins(KOMATU, P12, pieces)
+    if with_curves:
+        certify.plot_curves(rep, grid, pieces)
+    assert len(calls) - calls.count("slopes") == want
+    assert calls.count("slopes") == 1
 
 
 def _pq_pointwise(nodes, params, z):
